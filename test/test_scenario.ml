@@ -269,6 +269,33 @@ let test_golden_kvm_snapshots () =
         modes)
     [ "KVM-VMCS"; "KVM-IDT" ]
 
+(* Every Table III and KVM corpus program, on every configuration of
+   its backend and in both modes, reproduces the row fingerprint that
+   [Golden_rows] captured from the hand-written use-case modules. *)
+let test_golden_fixture_rows () =
+  let mode_of_string = function
+    | "exploit" -> Campaign.Real_exploit
+    | "injection" -> Campaign.Injection
+    | m -> Alcotest.failf "bad mode in fixture: %s" m
+  in
+  let check fixture row_of =
+    List.iter
+      (fun (name, config, mode, want) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s %s: row fingerprint" name config mode)
+          want
+          (row_of name config (mode_of_string mode)))
+      fixture
+  in
+  check_int "xen cells pinned" (4 * List.length Version.all * 2) (List.length Golden_rows.xen);
+  check_int "kvm cells pinned" (2 * List.length BK.configs * 2) (List.length Golden_rows.kvm);
+  check Golden_rows.xen (fun name config mode ->
+      Fingerprint.Xen.row
+        (Campaign.run (xen_program name) mode (Fingerprint.Xen.config_of_string config)));
+  check Golden_rows.kvm (fun name config mode ->
+      Fingerprint.Kvm.row
+        (KC.run (kvm_program name) mode (Fingerprint.Kvm.config_of_string config)))
+
 (* The corpus through the scheduler's batching path: same rows as the
    one-at-a-time runs, so compiled scenarios shard like legacy modules. *)
 let test_run_corpus_matches_run () =
@@ -412,6 +439,7 @@ let () =
           Alcotest.test_case "xen snapshots" `Quick test_golden_xen_snapshots;
           Alcotest.test_case "kvm result rows" `Quick test_golden_kvm;
           Alcotest.test_case "kvm snapshots" `Quick test_golden_kvm_snapshots;
+          Alcotest.test_case "fixture rows" `Quick test_golden_fixture_rows;
           Alcotest.test_case "scheduler path" `Quick test_run_corpus_matches_run;
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;
         ] );

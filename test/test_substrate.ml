@@ -30,30 +30,6 @@ let mode_of_string = function
   | "injection" -> Campaign.Injection
   | m -> Alcotest.fail ("bad mode in fixture: " ^ m)
 
-(* The exact fingerprint the fixture generator used, re-implemented
-   here: any drift in row content or formatting shows up as a diff. *)
-let fingerprint (r : Campaign.result_row) =
-  let t = r.Campaign.r_telemetry in
-  String.concat "\n"
-    ([ Printf.sprintf "use_case=%s" r.Campaign.r_use_case;
-       Printf.sprintf "version=%s" (Version.to_string r.Campaign.r_version);
-       Printf.sprintf "mode=%s" (Campaign.mode_to_string r.Campaign.r_mode);
-       Printf.sprintf "state=%b" r.Campaign.r_state;
-       Printf.sprintf "rc=%s"
-         (match r.Campaign.r_rc with Some rc -> string_of_int rc | None -> "-") ]
-    @ List.map (fun e -> "evidence=" ^ e) r.Campaign.r_state_evidence
-    @ List.map
-        (fun v -> "violation=" ^ Monitor.violation_to_string v)
-        r.Campaign.r_violations
-    @ List.map (fun l -> "transcript=" ^ l) r.Campaign.r_transcript
-    @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-          (String.concat ","
-             (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-          t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
-          t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
-          t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
-          t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
-
 (* --- Xen neutrality ------------------------------------------------------ *)
 
 let test_golden_trace_bytes () =
@@ -76,7 +52,7 @@ let test_golden_row_fingerprints () =
       check_string
         (Printf.sprintf "%s/%s row fingerprint" name mode_s)
         row_fp
-        (fingerprint r.Trace_driver.rec_row))
+        (Fingerprint.Xen.row r.Trace_driver.rec_row))
     Golden_xen.cases
 
 let test_golden_recordings_replay () =

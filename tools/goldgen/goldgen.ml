@@ -1,26 +1,56 @@
-(* One-shot generator for the pre-refactor golden fixtures. *)
+(* Generator for the golden fixtures.
 
-let fingerprint (r : Campaign.result_row) =
-  let t = r.Campaign.r_telemetry in
-  String.concat "\n"
-    ([ Printf.sprintf "use_case=%s" r.Campaign.r_use_case;
-       Printf.sprintf "version=%s" (Version.to_string r.Campaign.r_version);
-       Printf.sprintf "mode=%s" (Campaign.mode_to_string r.Campaign.r_mode);
-       Printf.sprintf "state=%b" r.Campaign.r_state;
-       Printf.sprintf "rc=%s"
-         (match r.Campaign.r_rc with Some rc -> string_of_int rc | None -> "-") ]
-    @ List.map (fun e -> "evidence=" ^ e) r.Campaign.r_state_evidence
-    @ List.map
-        (fun v -> "violation=" ^ Monitor.violation_to_string v)
-        r.Campaign.r_violations
-    @ List.map (fun l -> "transcript=" ^ l) r.Campaign.r_transcript
-    @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-          (String.concat ","
-             (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-          t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
-          t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
-          t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
-          t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
+   [goldgen] (no argument) prints the pre-refactor Xen fixture
+   (test/golden_xen.ml: trace bytes and row fingerprints on Xen 4.6).
+   [goldgen rows] prints test/golden_rows.ml: the row fingerprint of
+   every use case on every configuration of its backend, in both
+   modes. Both were captured once; do not regenerate them from code
+   whose behaviour they are meant to pin. *)
+
+module Fingerprint (B : Substrate.S) = struct
+  module C = Campaign.Make (B)
+
+  let row (r : C.result_row) =
+    let t = r.C.r_telemetry in
+    String.concat "\n"
+      ([ Printf.sprintf "use_case=%s" r.C.r_use_case;
+         Printf.sprintf "version=%s" (B.config_to_string r.C.r_version);
+         Printf.sprintf "mode=%s" (Campaign.mode_to_string r.C.r_mode);
+         Printf.sprintf "state=%b" r.C.r_state;
+         Printf.sprintf "rc=%s"
+           (match r.C.r_rc with Some rc -> string_of_int rc | None -> "-") ]
+      @ List.map (fun e -> "evidence=" ^ e) r.C.r_state_evidence
+      @ List.map
+          (fun v -> "violation=" ^ Monitor.violation_to_string v)
+          r.C.r_violations
+      @ List.map (fun l -> "transcript=" ^ l) r.C.r_transcript
+      @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
+            (String.concat ","
+               (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
+            t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
+            t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
+            t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
+            t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
+
+  (* every (use case, config, mode) cell, in matrix order *)
+  let cells ucs =
+    List.concat_map
+      (fun uc ->
+        List.concat_map
+          (fun config ->
+            List.map
+              (fun mode ->
+                let r = C.run uc mode config in
+                (uc.C.uc_name, B.config_to_string config, Campaign.mode_to_string mode, row r))
+              [ Campaign.Real_exploit; Campaign.Injection ])
+          B.configs)
+      ucs
+end
+
+module Xen_fp = Fingerprint (Substrate_xen)
+module Kvm_fp = Fingerprint (Ii_backends.Backend_kvm)
+
+let fingerprint = Xen_fp.row
 
 let hex s =
   let b = Buffer.create (2 * String.length s) in
@@ -42,7 +72,7 @@ let emit_string name s =
   done;
   print_string "\"\n\n"
 
-let () =
+let emit_xen () =
   print_endline "(* Pre-refactor golden fixtures: trace bytes and campaign row";
   print_endline "   fingerprints captured from the Xen-only stack, before the";
   print_endline "   substrate refactor. Generated once; do not regenerate from";
@@ -76,3 +106,24 @@ let () =
         s s)
     cases;
   Printf.printf "]\n"
+
+let emit_rows () =
+  print_endline "(* Golden row fingerprints of every use case on every configuration";
+  print_endline "   of its backend, in both modes: (use case, config, mode,";
+  print_endline "   fingerprint). Captured from the hand-written use-case modules";
+  print_endline "   before the .scn corpus replaced them; do not regenerate. *)";
+  let emit name cells =
+    Printf.printf "\nlet %s =\n  [\n" name;
+    List.iter (fun (uc, config, mode, fp) -> Printf.printf "    (%S, %S, %S,\n     %S);\n" uc config mode fp) cells;
+    print_endline "  ]"
+  in
+  emit "xen" (Xen_fp.cells Ii_exploits.All_exploits.use_cases);
+  emit "kvm" (Kvm_fp.cells Ii_backends.Kvm_use_cases.use_cases)
+
+let () =
+  match Sys.argv with
+  | [| _ |] -> emit_xen ()
+  | [| _; "rows" |] -> emit_rows ()
+  | _ ->
+      prerr_endline "usage: goldgen [rows]";
+      exit 2
