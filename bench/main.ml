@@ -569,14 +569,15 @@ let perf_report ?(full = false) ~trials () =
         Campaign.run ~tb:tb_tr uc148 Campaign.Injection Version.V4_6)
   in
   let kvm_tb = Ii_backends.Backend_kvm.create Ii_backends.Backend_kvm.Stock in
+  let kvm_vmcs = Option.get (All.find_kvm "KVM-VMCS") in
   let kvm_row, backend_kvm_trial_s =
     seconds_best ~reps:5 (fun () ->
-        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb Ii_backends.Kvm_use_cases.vmcs_uc
-          Campaign.Injection Ii_backends.Backend_kvm.Stock)
+        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb kvm_vmcs Campaign.Injection
+          Ii_backends.Backend_kvm.Stock)
   in
   let kvm_replay_equal =
     let r =
-      Ii_backends.Backends.Kvm_trace.record Ii_backends.Kvm_use_cases.idt_uc
+      Ii_backends.Backends.Kvm_trace.record (Option.get (All.find_kvm "KVM-IDT"))
         Campaign.Injection Ii_backends.Backend_kvm.Stock
     in
     (Ii_backends.Backends.Kvm_trace.replay r).Ii_backends.Backends.Kvm_trace.rp_equal
@@ -719,7 +720,7 @@ let perf_report ?(full = false) ~trials () =
           ("prov_edges_" ^ name, I (Provenance.edge_count p));
           ("prov_tainted_bytes_" ^ name, I (Provenance.tainted_bytes p));
         ])
-      Ii_backends.Kvm_use_cases.use_cases
+      All.kvm_use_cases
   in
   ( [
     ("schema_version", I 9);

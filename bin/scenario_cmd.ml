@@ -346,82 +346,39 @@ let run_cmd =
 
 (* --- scenario gate ------------------------------------------------------- *)
 
-(* The equivalence gate behind the CI step: a compiled scenario must
-   reproduce the hand-written module's result rows exactly — same
-   transcript bytes, states, return codes, violations and telemetry —
-   on every configuration, and its observed violations on the
-   vulnerable configuration must cover the header's [expect] classes. *)
+(* The corpus gate behind the CI step: every scenario must pass the
+   load-time check, and its observed violations on the vulnerable
+   configuration must cover the header's [expect] classes. The rows
+   themselves are pinned by test/golden_rows.ml. *)
 let gate_program (file, p) =
-  let errs = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> errs := Printf.sprintf "%s: %s" file m :: !errs) fmt in
-  (match List.concat_map check_errors [ (file, p) ] with
-  | [] -> ()
-  | es -> List.iter (fun e -> errs := e :: !errs) es);
-  let name = Scn_bytecode.name p in
-  let expect = Scn_bytecode.expected_violations p in
-  let check_expect observed =
-    let classes = List.map Scn_ast.violation_class observed in
-    List.iter
-      (fun c ->
-        if not (List.mem c classes) then
-          fail "expected violation class %s not observed on the vulnerable config (saw: %s)" c
-            (match classes with [] -> "none" | cs -> String.concat ", " cs))
-      expect
-  in
-  if !errs = [] then begin
-    match Scn_bytecode.backend p with
-    | Scn_bytecode.Xen_only | Scn_bytecode.Any -> (
-        match
-          List.find_opt
-            (fun uc -> uc.Campaign.uc_name = name)
-            Ii_exploits.All_exploits.use_cases
-        with
-        | None -> fail "no legacy module named %s to gate against" name
-        | Some legacy ->
-            let uc = XV.use_case p in
-            List.iter
-              (fun version ->
-                List.iter
-                  (fun mode ->
-                    let a = Campaign.run legacy mode version in
-                    let b = Campaign.run uc mode version in
-                    if a <> b then
-                      fail "diverges from the legacy module on Xen %s / %s"
-                        (Version.to_string version) (Campaign.mode_to_string mode))
-                  [ Campaign.Real_exploit; Campaign.Injection ])
-              Version.all;
-            check_expect
-              (Campaign.run uc Campaign.Injection Substrate_xen.rq1_config).Campaign.r_violations)
-    | Scn_bytecode.Kvm_only -> (
-        match
-          List.find_opt
-            (fun uc -> uc.KC.uc_name = name)
-            Ii_backends.Kvm_use_cases.use_cases
-        with
-        | None -> fail "no legacy module named %s to gate against" name
-        | Some legacy ->
-            let uc = KV.use_case p in
-            List.iter
-              (fun config ->
-                List.iter
-                  (fun mode ->
-                    let a = KC.run legacy mode config in
-                    let b = KC.run uc mode config in
-                    if a <> b then
-                      fail "diverges from the legacy module on KVM %s / %s"
-                        (Ii_backends.Backend_kvm.config_to_string config)
-                        (Campaign.mode_to_string mode))
-                  [ Campaign.Real_exploit; Campaign.Injection ])
-              Ii_backends.Backend_kvm.configs;
-            check_expect
-              (KC.run uc Campaign.Injection Ii_backends.Backend_kvm.rq1_config).KC.r_violations)
-  end;
-  List.rev !errs
+  match check_errors (file, p) with
+  | _ :: _ as errs -> errs
+  | [] ->
+      let observed =
+        match Scn_bytecode.backend p with
+        | Scn_bytecode.Xen_only | Scn_bytecode.Any ->
+            (Campaign.run (XV.use_case p) Campaign.Injection Substrate_xen.rq1_config)
+              .Campaign.r_violations
+        | Scn_bytecode.Kvm_only ->
+            (KC.run (KV.use_case p) Campaign.Injection Ii_backends.Backend_kvm.rq1_config)
+              .KC.r_violations
+      in
+      let classes = List.map Scn_ast.violation_class observed in
+      List.filter_map
+        (fun c ->
+          if List.mem c classes then None
+          else
+            Some
+              (Printf.sprintf
+                 "%s: expected violation class %s not observed on the vulnerable config (saw: %s)"
+                 file c
+                 (match classes with [] -> "none" | cs -> String.concat ", " cs)))
+        (Scn_bytecode.expected_violations p)
 
 let gate_cmd =
   let doc =
-    "Run each scenario through the bytecode VM and the same-named hand-written module on \
-     every configuration and fail on any divergence (the CI corpus gate)."
+    "Check each scenario and run its injection on the vulnerable configuration; fail unless \
+     the observed violations cover its expect classes (the CI corpus gate)."
   in
   let run files =
     match load_all files with
@@ -431,7 +388,7 @@ let gate_cmd =
         | [] ->
             List.iter
               (fun (f, p) ->
-                Printf.printf "%s: %s matches the legacy module on all configurations\n" f
+                Printf.printf "%s: %s checks and shows its expected violations\n" f
                   (Scn_bytecode.name p))
               progs;
             `Ok ()

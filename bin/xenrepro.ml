@@ -2,6 +2,7 @@
    and regenerate the paper's tables from the terminal. *)
 
 open Cmdliner
+module All = Ii_exploits.All_exploits
 
 let version_conv =
   let parse s =
@@ -17,7 +18,8 @@ let version_arg =
 
 let use_case_arg =
   let doc =
-    Printf.sprintf "Use case to run (%s)." (String.concat ", " Ii_exploits.All_exploits.names)
+    Printf.sprintf "Use case to run — a name (%s) or an XSA id like XSA-148."
+      (String.concat ", " All.names)
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"USE-CASE" ~doc)
 
@@ -36,12 +38,12 @@ let bad_backend b =
         (String.concat ", " (List.map fst Ii_backends.Backends.known)) )
 
 let lookup_use_case name =
-  match Ii_exploits.All_exploits.find name with
+  match All.find name with
   | Some uc -> Ok uc
   | None ->
       Error
         (Printf.sprintf "unknown use case %S; available: %s" name
-           (String.concat ", " Ii_exploits.All_exploits.names))
+           (String.concat ", " All.names))
 
 let print_row ~verbose (r : Campaign.result_row) =
   Printf.printf "use case:        %s\n" r.Campaign.r_use_case;
@@ -127,7 +129,7 @@ let campaign_cmd =
   in
   let run_xen verbose workers domains load trials =
     let rows =
-      Campaign.run_matrix ~workers ~domains ~load Ii_exploits.All_exploits.use_cases
+      Campaign.run_matrix ~workers ~domains ~load All.use_cases
         ~versions:Version.all
         ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
     in
@@ -139,7 +141,7 @@ let campaign_cmd =
     List.iter
       (fun (name, st, viol) ->
         Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n" name st viol)
-      (Campaign.validate_rq1 ~domains ~load Ii_exploits.All_exploits.use_cases);
+      (Campaign.validate_rq1 ~domains ~load All.use_cases);
     if verbose then begin
       print_newline ();
       List.iter
@@ -160,7 +162,7 @@ let campaign_cmd =
   let run_kvm verbose domains load =
     let module KC = Ii_backends.Backends.Kvm_campaign in
     let rows =
-      KC.run_matrix ~domains ~load Ii_backends.Kvm_use_cases.use_cases
+      KC.run_matrix ~domains ~load All.kvm_use_cases
         ~versions:Ii_backends.Backend_kvm.configs
         ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
     in
@@ -172,7 +174,7 @@ let campaign_cmd =
     List.iter
       (fun (name, st, viol) ->
         Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n" name st viol)
-      (KC.validate_rq1 ~domains ~load Ii_backends.Kvm_use_cases.use_cases);
+      (KC.validate_rq1 ~domains ~load All.kvm_use_cases);
     if verbose then begin
       print_newline ();
       List.iter
@@ -208,10 +210,10 @@ let tables_cmd =
   let run () =
     print_endline (Ii_advisory.Corpus.table1 ());
     print_newline ();
-    print_endline (Campaign.table2 Ii_exploits.All_exploits.use_cases);
+    print_endline (Campaign.table2 All.use_cases);
     print_newline ();
     let rows =
-      Campaign.run_matrix Ii_exploits.All_exploits.use_cases ~versions:Version.all
+      Campaign.run_matrix All.use_cases ~versions:Version.all
         ~modes:[ Campaign.Injection ]
     in
     print_endline (Campaign.table3 rows)
@@ -445,7 +447,7 @@ let trace_cmd =
   let uc_opt_arg =
     let doc =
       Printf.sprintf "Use case to record — a name (%s) or an XSA id like XSA-148."
-        (String.concat ", " Ii_exploits.All_exploits.names)
+        (String.concat ", " All.names)
     in
     Arg.(required & opt (some string) None & info [ "use-case" ] ~docv:"USE-CASE" ~doc)
   in
@@ -469,21 +471,6 @@ let trace_cmd =
             "Load per-operation virtual-clock costs from $(docv) (one 'key = ns' per line, \
              '#' comments); unknown keys keep their defaults out — the loader rejects them.")
   in
-  let find_uc name =
-    match Ii_exploits.All_exploits.find name with
-    | Some uc -> Ok uc
-    | None -> (
-        match
-          List.find_opt
-            (fun uc -> uc.Campaign.uc_xsa = name)
-            Ii_exploits.All_exploits.use_cases
-        with
-        | Some uc -> Ok uc
-        | None ->
-            Error
-              (Printf.sprintf "unknown use case %S; available: %s" name
-                 (String.concat ", " Ii_exploits.All_exploits.names)))
-  in
   let mode_of_string = function
     | "exploit" -> Some Campaign.Real_exploit
     | "injection" -> Some Campaign.Injection
@@ -491,11 +478,7 @@ let trace_cmd =
   in
   let run_kvm name mode json replay model =
     let module KT = Ii_backends.Backends.Kvm_trace in
-    match
-      List.find_opt
-        (fun uc -> uc.Ii_backends.Backends.Kvm_campaign.uc_name = name)
-        Ii_backends.Kvm_use_cases.use_cases
-    with
+    match All.find_kvm name with
     | None ->
         `Error
           ( false,
@@ -503,7 +486,7 @@ let trace_cmd =
               (String.concat ", "
                  (List.map
                     (fun uc -> uc.Ii_backends.Backends.Kvm_campaign.uc_name)
-                    Ii_backends.Kvm_use_cases.use_cases)) )
+                    All.kvm_use_cases)) )
     | Some uc ->
         let prepare =
           Option.map (fun m tb -> Ii_backends.Backend_kvm.set_cost_model tb m) model
@@ -535,7 +518,7 @@ let trace_cmd =
     | Ok _, None, _ -> `Error (false, Printf.sprintf "unknown mode %S (exploit|injection)" mode_s)
     | Ok model, Some mode, "kvm" -> run_kvm name mode json replay model
     | Ok model, Some mode, "xen" -> (
-        match find_uc name with
+        match lookup_use_case name with
         | Error e -> `Error (false, e)
         | Ok uc ->
             let prepare = Option.map (fun m tb -> Substrate_xen.set_cost_model tb m) model in
@@ -594,7 +577,7 @@ let vmi_cmd =
     let module KC = Ii_backends.Backends.Kvm_campaign in
     let module KT = Ii_backends.Backends.Kvm_trace in
     let module KV = Ii_backends.Backends.Kvm_vmi in
-    let ucs = Ii_backends.Kvm_use_cases.use_cases in
+    let ucs = All.kvm_use_cases in
     let registry = Metrics.create () in
     let trials = KV.coverage ~period ?every_ns ~registry ucs mode Ii_backends.Backend_kvm.Stock in
     if json then print_string (KV.to_json trials)
@@ -637,7 +620,7 @@ let vmi_cmd =
     if backend = "kvm" then run_kvm mode period every_ns json
     else if backend <> "xen" then bad_backend backend
     else begin
-      let ucs = Ii_exploits.All_exploits.use_cases in
+      let ucs = All.use_cases in
       let registry = Metrics.create () in
       let trials = Vmi_driver.coverage ~period ?every_ns ~registry ucs mode version in
       if json then print_string (Vmi_driver.to_json trials)
@@ -707,7 +690,7 @@ let attribution_cmd =
   in
   let run_kvm json dot =
     let module KA = Ii_backends.Backends.Kvm_attribution in
-    let ucs = Ii_backends.Kvm_use_cases.use_cases in
+    let ucs = All.kvm_use_cases in
     let registry = Metrics.create () in
     let reports =
       KA.attribute_all ~registry ucs Campaign.Injection Ii_backends.Backend_kvm.Stock
@@ -725,7 +708,7 @@ let attribution_cmd =
     if backend = "kvm" then run_kvm json dot
     else if backend <> "xen" then bad_backend backend
     else begin
-      let ucs = Ii_exploits.All_exploits.use_cases in
+      let ucs = All.use_cases in
       let registry = Metrics.create () in
       let reports = Attribution.attribute_all ~registry ucs Campaign.Injection version in
       if json then print_string (Attribution.to_json reports)

@@ -19,9 +19,13 @@ let caps =
     cap_actions = Access.all;
   }
 
+(* The victim's VMCS entry-handler word in host memory. *)
+let vmcs_target (t : Backend_kvm.t) =
+  Int64.add (Addr.maddr_of_mfn t.Backend_kvm.victim.Kvm.vmcs_mfn) 8L
+
 let env (t : Backend_kvm.t) name arg =
   match name with
-  | "vmcs-target" -> Ok (Kvm_use_cases.vmcs_target t)
+  | "vmcs-target" -> Ok (vmcs_target t)
   | "kvm-idt-gate" -> (
       let vm = t.Backend_kvm.victim in
       match Kvm.gpa_to_maddr t.Backend_kvm.kvm vm vm.Kvm.idt_gpa with

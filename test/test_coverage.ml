@@ -370,7 +370,7 @@ let test_replay_reproduces_map_kvm () =
     match
       List.find_opt
         (fun uc -> uc.Ii_backends.Backends.Kvm_campaign.uc_name = "KVM-VMCS")
-        Ii_backends.Kvm_use_cases.use_cases
+        Ii_exploits.All_exploits.kvm_use_cases
     with
     | Some uc -> uc
     | None -> Alcotest.fail "no KVM-VMCS"

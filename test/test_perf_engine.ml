@@ -205,7 +205,7 @@ let test_pooled_equals_fresh_kvm () =
           check_bool (uc.KC.uc_name ^ "/" ^ Campaign.mode_to_string mode ^ " kvm pooled") true
             (fresh = pooled))
         [ Campaign.Real_exploit; Campaign.Injection ])
-    Ii_backends.Kvm_use_cases.use_cases
+    All.kvm_use_cases
 
 (* Out-of-band observers on a forked testbed: interleaved monitor scans
    (through the scan cache, whose anchoring rides the baseline epoch the

@@ -108,7 +108,7 @@ let test_kvm_attribution_names_injector () =
               true
               (List.exists (starts_with ~prefix:"injector#") row.B.Kvm_attribution.a_origins))
         r.B.Kvm_attribution.ar_rows)
-    Ii_backends.Kvm_use_cases.use_cases
+    All.kvm_use_cases
 
 let test_attribution_deterministic () =
   let run () =
@@ -143,7 +143,7 @@ let test_kvm_replay_graph_identical () =
       let o = B.Kvm_trace.replay r in
       check_bool (kuc.B.Kvm_campaign.uc_name ^ ": graph byte-for-byte") true
         o.B.Kvm_trace.rp_prov_equal)
-    Ii_backends.Kvm_use_cases.use_cases
+    All.kvm_use_cases
 
 (* --- purity: the shadow must not perturb trials -------------------------- *)
 

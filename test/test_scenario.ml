@@ -6,12 +6,13 @@
      over every file in corpus/
    - totality: the parser, decoder and checker never raise on arbitrary
      or mutated input — they return [Error] with a position
-   - golden equality: each compiled scenario reproduces its legacy
-     hand-written module's result rows and monitor snapshots exactly,
-     on both backends and in both modes *)
+   - golden rows: each Table III and KVM program reproduces the row
+     fingerprints in [Golden_rows] on every configuration of its
+     backend, in both modes
+   - expectations: each program's [expect] classes show up in its
+     injection run on the vulnerable configuration *)
 
 open Ii_xen
-open Ii_guest
 open Ii_core
 open Ii_scenario
 
@@ -176,7 +177,7 @@ let prop_checker_total_corrupted =
           | (Ok () | Error _), (Ok () | Error _) -> true)
       | exception _ -> false)
 
-(* --- golden equality vs the legacy modules -------------------------------- *)
+(* --- golden fixture rows --------------------------------------------------- *)
 
 let modes = [ Campaign.Real_exploit; Campaign.Injection ]
 
@@ -187,87 +188,12 @@ let xen_program name =
   check_bool (name ^ " checks") true (XV.check p = Ok ());
   XV.use_case p
 
-let legacy_xen name =
-  List.find (fun uc -> uc.Campaign.uc_name = name) Ii_exploits.All_exploits.use_cases
-
-let test_golden_xen () =
-  List.iter
-    (fun name ->
-      let scn = xen_program name and legacy = legacy_xen name in
-      List.iter
-        (fun version ->
-          List.iter
-            (fun mode ->
-              let a = Campaign.run legacy mode version in
-              let b = Campaign.run scn mode version in
-              check_bool
-                (Printf.sprintf "%s %s %s: result rows identical" name
-                   (Version.to_string version) (Campaign.mode_to_string mode))
-                true (a = b))
-            modes)
-        [ Version.V4_6; Version.V4_13 ])
-    [ "XSA-148-priv"; "XSA-182-test"; "XSA-212-crash"; "XSA-212-priv" ]
-
-let test_golden_xen_snapshots () =
-  List.iter
-    (fun name ->
-      let scn = xen_program name and legacy = legacy_xen name in
-      List.iter
-        (fun mode ->
-          let tb_a = Testbed.create Version.V4_6 in
-          ignore (Campaign.run ~tb:tb_a legacy mode Version.V4_6);
-          let tb_b = Testbed.create Version.V4_6 in
-          ignore (Campaign.run ~tb:tb_b scn mode Version.V4_6);
-          check_bool
-            (Printf.sprintf "%s %s: final snapshots identical" name
-               (Campaign.mode_to_string mode))
-            true
-            (Substrate_xen.snapshot tb_a = Substrate_xen.snapshot tb_b))
-        modes)
-    [ "XSA-148-priv"; "XSA-182-test"; "XSA-212-crash"; "XSA-212-priv" ]
-
 let kvm_program name =
   let _, p =
     List.find (fun (_, p) -> Scn_bytecode.name p = name) (Lazy.force corpus_programs)
   in
   check_bool (name ^ " checks") true (KV.check p = Ok ());
   KV.use_case p
-
-let legacy_kvm name =
-  List.find (fun uc -> uc.KC.uc_name = name) Ii_backends.Kvm_use_cases.use_cases
-
-let test_golden_kvm () =
-  List.iter
-    (fun name ->
-      let scn = kvm_program name and legacy = legacy_kvm name in
-      List.iter
-        (fun mode ->
-          let a = KC.run legacy mode BK.Stock in
-          let b = KC.run scn mode BK.Stock in
-          check_bool
-            (Printf.sprintf "%s %s: result rows identical" name
-               (Campaign.mode_to_string mode))
-            true (a = b))
-        modes)
-    [ "KVM-VMCS"; "KVM-IDT" ]
-
-let test_golden_kvm_snapshots () =
-  List.iter
-    (fun name ->
-      let scn = kvm_program name and legacy = legacy_kvm name in
-      List.iter
-        (fun mode ->
-          let tb_a = BK.create BK.Stock in
-          ignore (KC.run ~tb:tb_a legacy mode BK.Stock);
-          let tb_b = BK.create BK.Stock in
-          ignore (KC.run ~tb:tb_b scn mode BK.Stock);
-          check_bool
-            (Printf.sprintf "%s %s: final snapshots identical" name
-               (Campaign.mode_to_string mode))
-            true
-            (BK.snapshot tb_a = BK.snapshot tb_b))
-        modes)
-    [ "KVM-VMCS"; "KVM-IDT" ]
 
 (* Every Table III and KVM corpus program, on every configuration of
    its backend and in both modes, reproduces the row fingerprint that
@@ -295,6 +221,35 @@ let test_golden_fixture_rows () =
   check Golden_rows.kvm (fun name config mode ->
       Fingerprint.Kvm.row
         (KC.run (kvm_program name) mode (Fingerprint.Kvm.config_of_string config)))
+
+(* Every corpus program's [expect] classes show up in its injection run
+   on the vulnerable configuration of its backend; Xen programs also at
+   four domains under the default background load. *)
+let test_expected_violations () =
+  let check f p shape observed =
+    let classes = List.map Scn_ast.violation_class observed in
+    List.iter
+      (fun c ->
+        check_bool (Printf.sprintf "%s (%s): expected %s observed" f shape c) true
+          (List.mem c classes))
+      (Scn_bytecode.expected_violations p)
+  in
+  List.iter
+    (fun (f, p) ->
+      check_bool (f ^ ": declares expected violations") true
+        (Scn_bytecode.expected_violations p <> []);
+      match Scn_bytecode.backend p with
+      | Scn_bytecode.Kvm_only ->
+          check f p "kvm"
+            (KC.run (KV.use_case p) Campaign.Injection BK.rq1_config).KC.r_violations
+      | Scn_bytecode.Xen_only | Scn_bytecode.Any ->
+          let uc = XV.use_case p and version = Substrate_xen.rq1_config in
+          check f p "xen" (Campaign.run uc Campaign.Injection version).Campaign.r_violations;
+          check f p "xen, 4 domains, default load"
+            (Campaign.run ~domains:4 ~load:Ii_trace.Load_mix.default uc Campaign.Injection
+               version)
+              .Campaign.r_violations)
+    (Lazy.force corpus_programs)
 
 (* The corpus through the scheduler's batching path: same rows as the
    one-at-a-time runs, so compiled scenarios shard like legacy modules. *)
@@ -435,11 +390,8 @@ let () =
           ] );
       ( "golden",
         [
-          Alcotest.test_case "xen result rows" `Quick test_golden_xen;
-          Alcotest.test_case "xen snapshots" `Quick test_golden_xen_snapshots;
-          Alcotest.test_case "kvm result rows" `Quick test_golden_kvm;
-          Alcotest.test_case "kvm snapshots" `Quick test_golden_kvm_snapshots;
           Alcotest.test_case "fixture rows" `Quick test_golden_fixture_rows;
+          Alcotest.test_case "expected violations" `Quick test_expected_violations;
           Alcotest.test_case "scheduler path" `Quick test_run_corpus_matches_run;
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;
         ] );

@@ -16,7 +16,6 @@ module BK = Ii_backends.Backend_kvm
 module KC = Ii_backends.Backends.Kvm_campaign
 module KT = Ii_backends.Backends.Kvm_trace
 module KV = Ii_backends.Backends.Kvm_vmi
-module KU = Ii_backends.Kvm_use_cases
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -24,6 +23,9 @@ let check_string = Alcotest.(check string)
 
 let uc name =
   match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+
+let kvm_uc name =
+  match All.find_kvm name with Some uc -> uc | None -> Alcotest.fail ("no KVM use case " ^ name)
 
 let mode_of_string = function
   | "exploit" -> Campaign.Real_exploit
@@ -114,14 +116,14 @@ let test_kvm_errno () =
     = Error Errno.EINVAL);
   (* failures surface as the same negative-errno return codes Xen uses *)
   check_int "enosys rc" (-38) (Errno.to_return_code Errno.ENOSYS);
-  let kvm_rc = (KC.run KU.vmcs_uc Campaign.Injection BK.Stock).KC.r_rc in
+  let kvm_rc = (KC.run (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock).KC.r_rc in
   check_bool "success rc" true (kvm_rc = Some 0)
 
 let test_kvm_checkpoint_reset () =
   let t = BK.create BK.Stock in
   let vmcs_mfn = t.BK.victim.Ii_kvm.Kvm.vmcs_mfn in
   let clean_hash = BK.frame_hash t vmcs_mfn in
-  let r = KC.run ~tb:t KU.vmcs_uc Campaign.Injection BK.Stock in
+  let r = KC.run ~tb:t (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock in
   check_bool "state injected" true r.KC.r_state;
   check_bool "victim died" true (t.BK.victim.Ii_kvm.Kvm.state <> Ii_kvm.Kvm.Vm_running);
   check_bool "hash moved" true (BK.frame_hash t vmcs_mfn <> clean_hash);
@@ -132,7 +134,7 @@ let test_kvm_checkpoint_reset () =
   (* a reset testbed audits clean and produces the same row again *)
   let audit = BK.audit t (BK.Vmcs_entry_tampered t.BK.victim.Ii_kvm.Kvm.vm_id) in
   check_bool "audit clean" false audit.Erroneous_state.holds;
-  let r2 = KC.run ~tb:t KU.vmcs_uc Campaign.Injection BK.Stock in
+  let r2 = KC.run ~tb:t (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock in
   check_bool "rerun equal" true
     (r2.KC.r_state = r.KC.r_state && r2.KC.r_violations = r.KC.r_violations
    && r2.KC.r_rc = r.KC.r_rc)
@@ -142,7 +144,7 @@ let test_kvm_rq1 () =
     (fun (name, same_state, same_violation) ->
       check_bool (name ^ " state") true same_state;
       check_bool (name ^ " violation") true same_violation)
-    (KC.validate_rq1 KU.use_cases)
+    (KC.validate_rq1 All.kvm_use_cases)
 
 let test_kvm_trace_deterministic () =
   List.iter
@@ -150,7 +152,7 @@ let test_kvm_trace_deterministic () =
       let a = KT.record u Campaign.Injection BK.Stock in
       let b = KT.record u Campaign.Injection BK.Stock in
       check_string (u.KC.uc_name ^ " bytes") a.KT.rec_bytes b.KT.rec_bytes)
-    KU.use_cases
+    All.kvm_use_cases
 
 let test_kvm_replay () =
   List.iter
@@ -162,11 +164,11 @@ let test_kvm_replay () =
           check_bool (u.KC.uc_name ^ " applied") true (o.KT.rp_applied > 0);
           check_bool (u.KC.uc_name ^ " equal") true o.KT.rp_equal)
         [ Campaign.Real_exploit; Campaign.Injection ])
-    KU.use_cases
+    All.kvm_use_cases
 
 let test_kvm_detectors_cover () =
-  let trials = KV.coverage KU.use_cases Campaign.Injection BK.Stock in
-  check_int "trials" (List.length KU.use_cases) (List.length trials);
+  let trials = KV.coverage All.kvm_use_cases Campaign.Injection BK.Stock in
+  check_int "trials" (List.length All.kvm_use_cases) (List.length trials);
   List.iter
     (fun t ->
       check_bool (t.KV.t_recording.KT.rec_use_case ^ " covered") true (KV.covered t))
@@ -175,7 +177,7 @@ let test_kvm_detectors_cover () =
     (fun u ->
       check_bool (u.KC.uc_name ^ " side-effect-free") true
         (KV.side_effect_free u Campaign.Injection BK.Stock))
-    KU.use_cases
+    All.kvm_use_cases
 
 (* The domain-indexed view of Substrate.S, exercised on both backends:
    [domains] names every guest in stable row order, scaling with
@@ -207,7 +209,7 @@ let test_domain_indexed_view () =
   let kvm_tb = BK.create ~domains:3 BK.Stock in
   check_int "kvm: three guest domains" 3 (List.length (BK.domains kvm_tb));
   let kb = BK.snapshot kvm_tb in
-  ignore (KC.run ~tb:kvm_tb KU.vmcs_uc Campaign.Injection BK.Stock);
+  ignore (KC.run ~tb:kvm_tb (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock);
   let ka = BK.snapshot kvm_tb in
   let kflat = BK.violations ~before:kb ~after:ka in
   let kgrouped = BK.violations_by_domain ~before:kb ~after:ka in
@@ -224,7 +226,7 @@ let test_backend_registry () =
   check_bool "xen known" true (Ii_backends.Backends.is_known "xen");
   check_bool "kvm known" true (Ii_backends.Backends.is_known "kvm");
   check_bool "vbox unknown" false (Ii_backends.Backends.is_known "vbox");
-  let r = KC.run KU.idt_uc Campaign.Injection BK.Stock in
+  let r = KC.run (kvm_uc "KVM-IDT") Campaign.Injection BK.Stock in
   check_string "r_backend kvm" "kvm" r.KC.r_backend
 
 (* --- cross-backend comparability ----------------------------------------- *)

@@ -21,6 +21,9 @@ let check_i64 = Alcotest.(check int64)
 let uc name =
   match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
+let kvm_uc name =
+  match All.find_kvm name with Some uc -> uc | None -> Alcotest.fail ("no KVM use case " ^ name)
+
 (* --- the cost model ------------------------------------------------------ *)
 
 let test_cost_model_roundtrip () =
@@ -104,7 +107,7 @@ let test_kvm_replay_vts_identical () =
         o.B.Kvm_trace.rp_equal;
       check_bool (kuc.B.Kvm_campaign.uc_name ^ ": vts stream reproduced") true
         o.B.Kvm_trace.rp_vts_equal)
-    Ii_backends.Kvm_use_cases.use_cases
+    All.kvm_use_cases
 
 let test_records_carry_vts () =
   let r = Trace_driver.record (uc "XSA-148-priv") Campaign.Injection Version.V4_6 in
@@ -130,7 +133,7 @@ let test_reset_restores_clock () =
   check_i64 "xen reset restores post-boot vts" v0 (Substrate_xen.vclock tb);
   let ktb = K.create K.Stock in
   let kv0 = K.vclock ktb in
-  ignore (B.Kvm_campaign.run ~tb:ktb Ii_backends.Kvm_use_cases.idt_uc Campaign.Injection K.Stock);
+  ignore (B.Kvm_campaign.run ~tb:ktb (kvm_uc "KVM-IDT") Campaign.Injection K.Stock);
   K.reset ktb;
   check_i64 "kvm reset restores post-boot vts" kv0 (K.vclock ktb)
 
@@ -146,8 +149,8 @@ let test_pooled_equals_fresh_with_clock () =
   let kf = K.create K.Stock in
   let kp = K.create_pooled K.Stock in
   check_i64 "kvm fork inherits post-boot clock" (K.vclock kf) (K.vclock kp);
-  let ka = B.Kvm_campaign.run ~tb:kf Ii_backends.Kvm_use_cases.vmcs_uc Campaign.Injection K.Stock in
-  let kb = B.Kvm_campaign.run ~tb:kp Ii_backends.Kvm_use_cases.vmcs_uc Campaign.Injection K.Stock in
+  let ka = B.Kvm_campaign.run ~tb:kf (kvm_uc "KVM-VMCS") Campaign.Injection K.Stock in
+  let kb = B.Kvm_campaign.run ~tb:kp (kvm_uc "KVM-VMCS") Campaign.Injection K.Stock in
   check_i64 "kvm pooled trial vtime identical" ka.B.Kvm_campaign.r_vtime_ns
     kb.B.Kvm_campaign.r_vtime_ns
 

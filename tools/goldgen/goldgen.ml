@@ -118,7 +118,7 @@ let emit_rows () =
     print_endline "  ]"
   in
   emit "xen" (Xen_fp.cells Ii_exploits.All_exploits.use_cases);
-  emit "kvm" (Kvm_fp.cells Ii_backends.Kvm_use_cases.use_cases)
+  emit "kvm" (Kvm_fp.cells Ii_exploits.All_exploits.kvm_use_cases)
 
 let () =
   match Sys.argv with
