@@ -38,22 +38,7 @@ let check_errors (file, p) =
       | Error msg -> Some (Printf.sprintf "%s [%s]: %s" file b msg))
     checks
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
+let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
 let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
 
 (* --- scenario list ------------------------------------------------------- *)

@@ -16,19 +16,6 @@
     toplevel is the Xen instantiation, [Backends.Kvm_attribution] the
     KVM one. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let contains s sub =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -210,20 +197,20 @@ module Make (B : Substrate.S) = struct
              (fun row ->
                Printf.sprintf
                  "{\"kind\":\"%s\",\"what\":\"%s\",\"via\":[%s],\"origins\":[%s]}"
-                 (json_escape row.a_kind) (json_escape row.a_what)
+                 (Metrics.json_escape row.a_kind) (Metrics.json_escape row.a_what)
                  (String.concat ","
-                    (List.map (fun c -> Printf.sprintf "\"%s\"" (json_escape c)) row.a_via))
+                    (List.map (fun c -> Printf.sprintf "\"%s\"" (Metrics.json_escape c)) row.a_via))
                  (String.concat ","
-                    (List.map (fun o -> Printf.sprintf "\"%s\"" (json_escape o)) row.a_origins)))
+                    (List.map (fun o -> Printf.sprintf "\"%s\"" (Metrics.json_escape o)) row.a_origins)))
              r.ar_rows)
       in
       Printf.sprintf
         "{\"use_case\":\"%s\",\"mode\":\"%s\",\"config\":\"%s\",\"backend\":\"%s\",\
          \"edges\":%d,\"tainted_bytes\":%d,\"complete\":%b,\"rows\":[%s],\"graph\":%s}"
-        (json_escape r.ar_use_case)
+        (Metrics.json_escape r.ar_use_case)
         (Campaign.mode_to_string r.ar_mode)
-        (json_escape (B.config_to_string r.ar_config))
-        (json_escape B.name) r.ar_edges r.ar_tainted_bytes (complete r) rows r.ar_graph_json
+        (Metrics.json_escape (B.config_to_string r.ar_config))
+        (Metrics.json_escape B.name) r.ar_edges r.ar_tainted_bytes (complete r) rows r.ar_graph_json
     in
     "[" ^ String.concat ",\n " (List.map one reports) ^ "]"
 

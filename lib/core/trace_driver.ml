@@ -12,19 +12,6 @@
 
 let hypercall_name = Campaign.hypercall_name
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_telemetry t =
   Printf.sprintf
     "{\"hypercalls\":[%s],\"hypercalls_total\":%d,\"hypercalls_failed\":%d,\"faults\":%d,\
@@ -35,7 +22,7 @@ let json_of_telemetry t =
        (List.map
           (fun (n, c) ->
             Printf.sprintf "{\"number\":%d,\"name\":\"%s\",\"calls\":%d}" n
-              (json_escape (hypercall_name n))
+              (Metrics.json_escape (hypercall_name n))
               c)
           t.Trace.tm_hypercalls))
     (Trace.total_hypercalls t) t.Trace.tm_hypercalls_failed t.Trace.tm_faults
@@ -262,9 +249,9 @@ module Make (B : Substrate.S) = struct
       "{\"use_case\":\"%s\",\"mode\":\"%s\",\"version\":\"%s\",\"records\":%d,\"dropped\":%d,\
        \"detection_latency\":%s,\"detection_latency_ns\":%s,\"vtime_ns\":%Ld,\"state\":%b,\
        \"violations\":%d,\"telemetry\":%s,\"events\":%s}"
-      (json_escape r.rec_use_case)
+      (Metrics.json_escape r.rec_use_case)
       (Campaign.mode_to_string r.rec_mode)
-      (json_escape (B.config_to_string r.rec_version))
+      (Metrics.json_escape (B.config_to_string r.rec_version))
       (List.length recs) r.rec_dropped
       (match Trace.detection_latency recs with Some d -> string_of_int d | None -> "null")
       (match Trace.detection_latency_ns recs with Some d -> Int64.to_string d | None -> "null")

@@ -28,19 +28,6 @@ let inject_seq mode records =
 let telemetry_sans_vmi (t : Trace.telemetry) =
   { t with Trace.tm_vmi_scans = 0; tm_vmi_findings = 0; tm_vmi_frames = 0 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 module Make (B : Substrate.S) = struct
   module C = Campaign.Make (B)
   module T = Trace_driver.Make (B)
@@ -232,7 +219,7 @@ module Make (B : Substrate.S) = struct
         String.concat ","
           (List.map
              (fun (d, l) ->
-               Printf.sprintf "\"%s\":%s" (json_escape d)
+               Printf.sprintf "\"%s\":%s" (Metrics.json_escape d)
                  (match l with Some l -> string_of_int l | None -> "null"))
              t.t_latency)
       in
@@ -240,7 +227,7 @@ module Make (B : Substrate.S) = struct
         String.concat ","
           (List.map
              (fun (d, l) ->
-               Printf.sprintf "\"%s\":%s" (json_escape d)
+               Printf.sprintf "\"%s\":%s" (Metrics.json_escape d)
                  (match l with Some l -> Int64.to_string l | None -> "null"))
              t.t_latency_ns)
       in
@@ -248,9 +235,9 @@ module Make (B : Substrate.S) = struct
         "{\"use_case\":\"%s\",\"mode\":\"%s\",\"version\":\"%s\",\"inject_seq\":%s,\
          \"inject_vts\":%s,\"scans\":%d,\"frames_read\":%d,\"scan_cost_ns\":%Ld,\
          \"covered\":%b,\"latency\":{%s},\"latency_ns\":{%s}}"
-        (json_escape t.t_recording.T.rec_use_case)
+        (Metrics.json_escape t.t_recording.T.rec_use_case)
         (Campaign.mode_to_string t.t_recording.T.rec_mode)
-        (json_escape (B.config_to_string t.t_recording.T.rec_version))
+        (Metrics.json_escape (B.config_to_string t.t_recording.T.rec_version))
         (match t.t_inject_seq with Some s -> string_of_int s | None -> "null")
         (match t.t_inject_vts with Some s -> Int64.to_string s | None -> "null")
         t.t_scans t.t_frames_read t.t_scan_cost_ns (covered t) lat lat_ns

@@ -87,3 +87,9 @@ val render_json : registry -> string
 (** The same series as a JSON object
     [{"metrics": [{"name": ..., "type": ..., "labels": {...}, ...}]}],
     in the same deterministic order. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]: double quote, backslash
+    and newline get short escapes, every other control character becomes
+    a [\u00XX] escape. The one escaper every JSON renderer in the stack
+    uses. *)

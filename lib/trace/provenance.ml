@@ -366,18 +366,6 @@ let graph t =
   in
   List.sort_uniq compare (List.rev_map render t.edges_rev)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"nodes\": [";
@@ -386,7 +374,7 @@ let to_json t =
       if i > 0 then Buffer.add_string b ",";
       Buffer.add_string b
         (Printf.sprintf "\n    {\"origin\": \"%s\", \"bytes\": %d, \"read\": %b}"
-           (json_escape (origin_to_string origin)) bytes read))
+           (Metrics.json_escape (origin_to_string origin)) bytes read))
     (labels t);
   Buffer.add_string b "\n  ],\n  \"edges\": [";
   List.iteri
@@ -395,7 +383,7 @@ let to_json t =
       Buffer.add_string b
         (Printf.sprintf "\n    {\"consumer\": \"%s\", \"mfn\": %d, \"off\": %d, \"len\": %d, \"origins\": [%s]}"
            g.g_consumer g.g_mfn g.g_off g.g_len
-           (String.concat ", " (List.map (fun o -> Printf.sprintf "\"%s\"" (json_escape o)) g.g_origins))))
+           (String.concat ", " (List.map (fun o -> Printf.sprintf "\"%s\"" (Metrics.json_escape o)) g.g_origins))))
     (graph t);
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b

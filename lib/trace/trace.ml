@@ -824,20 +824,6 @@ let pp_event ppf = function
   | Scn_edge { section; prev; pc } ->
       Format.fprintf ppf "scn_edge section=%d %d->%d" section prev pc
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_records records =
   let b = Buffer.create 4096 in
   Buffer.add_string b "[";
@@ -848,7 +834,7 @@ let json_of_records records =
         (Printf.sprintf
            "\n  {\"seq\": %d, \"vts\": %Ld, \"event\": \"%s\", \"boundary\": %b, \"detail\": \"%s\"}"
            r.seq r.vts (event_name r.event) (is_boundary r.event)
-           (json_escape (Format.asprintf "%a" pp_event r.event))))
+           (Metrics.json_escape (Format.asprintf "%a" pp_event r.event))))
     records;
   Buffer.add_string b "\n]";
   Buffer.contents b
