@@ -6,8 +6,8 @@
      over every file in corpus/
    - totality: the parser, decoder and checker never raise on arbitrary
      or mutated input — they return [Error] with a position
-   - golden rows: each Table III and KVM program reproduces the row
-     fingerprints in [Golden_rows] on every configuration of its
+   - golden result rows: each Table III and KVM program reproduces the
+     row fingerprints in [Golden_rows] on every configuration of its
      backend, in both modes
    - expectations: each program's [expect] classes show up in its
      injection run on the vulnerable configuration *)
@@ -177,7 +177,7 @@ let prop_checker_total_corrupted =
           | (Ok () | Error _), (Ok () | Error _) -> true)
       | exception _ -> false)
 
-(* --- golden fixture rows --------------------------------------------------- *)
+(* --- golden result rows ---------------------------------------------------- *)
 
 let modes = [ Campaign.Real_exploit; Campaign.Injection ]
 
@@ -195,30 +195,33 @@ let kvm_program name =
   check_bool (name ^ " checks") true (KV.check p = Ok ());
   KV.use_case p
 
-(* Every Table III and KVM corpus program, on every configuration of
-   its backend and in both modes, reproduces the row fingerprint that
-   [Golden_rows] captured from the hand-written use-case modules. *)
-let test_golden_fixture_rows () =
-  let mode_of_string = function
-    | "exploit" -> Campaign.Real_exploit
-    | "injection" -> Campaign.Injection
-    | m -> Alcotest.failf "bad mode in fixture: %s" m
-  in
-  let check fixture row_of =
-    List.iter
-      (fun (name, config, mode, want) ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s %s %s: row fingerprint" name config mode)
-          want
-          (row_of name config (mode_of_string mode)))
-      fixture
-  in
+let mode_of_string = function
+  | "exploit" -> Campaign.Real_exploit
+  | "injection" -> Campaign.Injection
+  | m -> Alcotest.failf "bad mode in fixture: %s" m
+
+let check_fixture fixture row_of =
+  List.iter
+    (fun (name, config, mode, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s %s: row fingerprint" name config mode)
+        want
+        (row_of name config (mode_of_string mode)))
+    fixture
+
+(* Every Table III corpus program, on every Xen version and in both
+   modes, reproduces the row fingerprint that [Golden_rows] captured
+   from the hand-written use-case modules. *)
+let test_golden_xen_rows () =
   check_int "xen cells pinned" (4 * List.length Version.all * 2) (List.length Golden_rows.xen);
-  check_int "kvm cells pinned" (2 * List.length BK.configs * 2) (List.length Golden_rows.kvm);
-  check Golden_rows.xen (fun name config mode ->
+  check_fixture Golden_rows.xen (fun name config mode ->
       Fingerprint.Xen.row
-        (Campaign.run (xen_program name) mode (Fingerprint.Xen.config_of_string config)));
-  check Golden_rows.kvm (fun name config mode ->
+        (Campaign.run (xen_program name) mode (Fingerprint.Xen.config_of_string config)))
+
+(* The same for the KVM corpus programs on every KVM configuration. *)
+let test_golden_kvm_rows () =
+  check_int "kvm cells pinned" (2 * List.length BK.configs * 2) (List.length Golden_rows.kvm);
+  check_fixture Golden_rows.kvm (fun name config mode ->
       Fingerprint.Kvm.row
         (KC.run (kvm_program name) mode (Fingerprint.Kvm.config_of_string config)))
 
@@ -390,7 +393,8 @@ let () =
           ] );
       ( "golden",
         [
-          Alcotest.test_case "fixture rows" `Quick test_golden_fixture_rows;
+          Alcotest.test_case "xen result rows" `Quick test_golden_xen_rows;
+          Alcotest.test_case "kvm result rows" `Quick test_golden_kvm_rows;
           Alcotest.test_case "expected violations" `Quick test_expected_violations;
           Alcotest.test_case "scheduler path" `Quick test_run_corpus_matches_run;
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;
