@@ -398,7 +398,7 @@ let stats_cmd =
           (fun k ->
             let d = Kernel.dom k in
             Printf.printf "%-5d %-10s %8d %8d %6d\n" d.Domain.id d.Domain.name
-              (List.length (Domain.populated_pfns d))
+              (Domain.populated_count d)
               (Sched.runs_of hv.Hv.sched ~dom:d.Domain.id)
               (List.length (Process.list (Kernel.processes k))))
           (Testbed.kernels tb);

@@ -125,7 +125,7 @@ let audit ?dm hv spec =
       match Hv.find_domain hv domid with
       | None -> { holds = false; evidence = [ Printf.sprintf "no domain %d" domid ] }
       | Some dom ->
-          let pending = List.length (Event_channel.pending_ports dom.Domain.events) in
+          let pending = Event_channel.pending_count dom.Domain.events in
           {
             holds = pending >= min_pending;
             evidence = [ Printf.sprintf "d%d pending ports: %d" domid pending ];

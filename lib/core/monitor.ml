@@ -250,7 +250,7 @@ let snapshot ?cache (tb : Testbed.t) =
     List.map
       (fun k ->
         ( Kernel.hostname k,
-          List.length (Event_channel.pending_ports (Kernel.dom k).Domain.events) ))
+          Event_channel.pending_count (Kernel.dom k).Domain.events ))
       kernels
   in
   let pt_exposure =
@@ -282,7 +282,7 @@ let snapshot ?cache (tb : Testbed.t) =
     domain_pages =
       List.map
         (fun k ->
-          (Kernel.hostname k, List.length (Domain.populated_pfns (Kernel.dom k))))
+          (Kernel.hostname k, Domain.populated_count (Kernel.dom k)))
         kernels;
     sched_stalled = Sched.stalled_slices tb.Testbed.hv.Hv.sched;
     free_frames = Phys_mem.free_frames tb.Testbed.hv.Hv.mem;

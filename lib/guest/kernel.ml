@@ -1,6 +1,7 @@
 type t = {
   hv : Hv.t;
   domain : Domain.t;
+  target_path : string;  (* the balloon's xenstore key, read every tick *)
   guest_fs : Fs.t;
   net : Netsim.t;
   mutable klog_rev : string list;
@@ -17,6 +18,7 @@ let create hv domain net =
   {
     hv;
     domain;
+    target_path = Xenstore.domain_path domain.Domain.id "memory/target";
     guest_fs;
     net;
     klog_rev = [];
@@ -108,7 +110,7 @@ let guest_fault t (fault : Paging.fault) =
   (match Hv.deliver_fault t.hv ~vector:Idt.vector_page_fault ~detail:"guest page fault" with
   | Cpu.Handled _ ->
       printk t
-        (Format.asprintf "BUG: unable to handle kernel paging request at %a" Addr.pp_vaddr
+        (Printf.sprintf "BUG: unable to handle kernel paging request at 0x%016Lx"
            fault.Paging.fault_vaddr)
   | Cpu.Double_fault_panic _ | Cpu.Triple_fault -> ());
   Error fault
@@ -230,29 +232,30 @@ let irqs_handled t = t.irqs_handled
 let irq_budget = 8
 
 let drain_events t =
-  let pending = Event_channel.pending_ports t.domain.Domain.events in
-  List.iteri
-    (fun i port ->
-      if i < irq_budget && Event_channel.consume t.domain.Domain.events port then begin
-        t.irqs_handled <- t.irqs_handled + 1;
-        match Hashtbl.find_opt t.irq_handlers port with Some f -> f () | None -> ()
-      end)
-    pending
+  let events = t.domain.Domain.events in
+  (* most ticks find nothing pending: skip building the port list *)
+  if Event_channel.any_pending events then
+    List.iteri
+      (fun i port ->
+        if i < irq_budget && Event_channel.consume events port then begin
+          t.irqs_handled <- t.irqs_handled + 1;
+          match Hashtbl.find_opt t.irq_handlers port with Some f -> f () | None -> ()
+        end)
+      (Event_channel.pending_ports events)
 
 (* The balloon driver: honour the toolstack's memory/target by
    releasing the highest releasable data pages. Page-table and special
    pages are never ballooned out. *)
 let balloon t =
   match
-    Xenstore.read t.hv.Hv.xenstore ~caller:t.domain.Domain.id
-      (Xenstore.domain_path t.domain.Domain.id "memory/target")
+    Xenstore.read t.hv.Hv.xenstore ~caller:t.domain.Domain.id t.target_path
   with
   | Error _ -> ()
   | Ok target_str -> (
       match int_of_string_opt (String.trim target_str) with
       | None -> ()
       | Some target ->
-          let populated = List.length (Domain.populated_pfns t.domain) in
+          let populated = Domain.populated_count t.domain in
           if target < populated then begin
             let releasable pfn =
               pfn > 2

@@ -119,9 +119,10 @@ let create_pooled ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(dom
 
 let reset t =
   Hv.restore t.hv t.checkpoint;
-  (* the restore replaced the Domain.t records inside the hypervisor, so
-     the kernels (which hold the old records) must be rebuilt around the
-     restored ones — by domid, exactly as after [create] *)
+  (* the restore rolled the Domain.t records back in place, but the
+     kernels' own state (klog, processes, filesystem, irq handlers) must
+     return to boot state too, so they are rebuilt around the restored
+     records — by domid, exactly as after [create] *)
   let net = Netsim.create () in
   Netsim.set_tracer net t.hv.Hv.trace;
   let rebuild stale =

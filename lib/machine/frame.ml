@@ -64,6 +64,8 @@ let restore_image t img =
   if Bytes.length img <> Addr.page_size then invalid_arg "Frame.restore_image: not a page image";
   Bytes.blit img 0 t 0 Addr.page_size
 
+let restore_from t ~src = Bytes.blit src 0 t 0 Addr.page_size
+
 let find_string t pat =
   let n = String.length pat in
   if n = 0 then Some 0

@@ -53,6 +53,10 @@ val restore_image : t -> bytes -> unit
 (** Overwrite the whole frame from a page-sized image captured with
     [to_bytes] (the O(dirty) reset path). *)
 
+val restore_from : t -> src:t -> unit
+(** Overwrite the whole frame with [src]'s bytes — the fork reset path,
+    which reads pre-images straight from the template's frames. *)
+
 val find_string : t -> string -> int option
 (** Offset of the first occurrence of a byte pattern, if any. *)
 

@@ -6,15 +6,21 @@ type owner = Free | Xen | Dom of int
    instead of an O(frames) owner-array rescan. *)
 let bits_per_word = 62
 
-type baseline = {
-  (* pre-images of frames dirtied since capture, copied lazily on the
-     first write to each frame; [None] means the frame was a scrubbed
-     (all-zero) frame at capture time, so no bytes need storing *)
-  b_pre : (int, bytes option * owner) Hashtbl.t;
-  b_free_count : int;
-}
+type baseline =
+  | Captured of {
+      (* pre-images of frames dirtied since capture, copied lazily on
+         the first write to each frame; [None] means the frame was a
+         scrubbed (all-zero) frame at capture time, so no bytes need
+         storing *)
+      b_pre : (int, bytes option * owner) Hashtbl.t;
+      b_free_count : int;
+    }
+  | Template of t
+      (* a fork's birth baseline is its frozen template, which never
+         changes: dirtying records nothing, and reset reads each dirty
+         frame's pre-image (bytes, owner, scrubbed flag) from it *)
 
-type t = {
+and t = {
   frames : Frame.t array;
   owners : owner array;
   free_bits : int array;  (* bit [b] of word [w] set iff frame [w*62+b] is Free *)
@@ -106,13 +112,13 @@ let mark_dirty t mfn =
     Bytes.unsafe_set t.dirty mfn '\001';
     t.dirty_frames <- mfn :: t.dirty_frames;
     match t.baseline with
-    | Some b ->
+    | Some (Captured b) ->
         let img =
           if Bytes.unsafe_get t.scrubbed mfn = '\001' then None
           else Some (Frame.to_bytes t.frames.(mfn))
         in
         Hashtbl.replace b.b_pre mfn (img, t.owners.(mfn))
-    | None -> ()
+    | Some (Template _) | None -> ()
   end
 
 (* Detach a COW-shared frame from its template before the first content
@@ -140,7 +146,7 @@ let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
   List.iter (fun mfn -> Bytes.set t.dirty mfn '\000') t.dirty_frames;
   t.dirty_frames <- [];
-  t.baseline <- Some { b_pre = Hashtbl.create 64; b_free_count = t.free_count };
+  t.baseline <- Some (Captured { b_pre = Hashtbl.create 64; b_free_count = t.free_count });
   t.baseline_epoch <- t.baseline_epoch + 1;
   match t.prov with None -> () | Some p -> Provenance.capture_baseline p
 
@@ -159,51 +165,82 @@ let clear_free_bit t mfn =
   let w = mfn / bits_per_word and b = mfn mod bits_per_word in
   t.free_bits.(w) <- t.free_bits.(w) land lnot (1 lsl b)
 
+(* Return frame [mfn]'s owner to [o], keeping the free bitmap in step
+   (the free count is restored wholesale by the caller). *)
+let restore_owner t mfn o =
+  (match (t.owners.(mfn), o) with
+  | Free, Free -> ()
+  | Free, _ -> clear_free_bit t mfn
+  | _, Free -> set_free_bit t mfn
+  | _, _ -> ());
+  t.owners.(mfn) <- o
+
+(* Zero a frame that held zeroes at baseline, if it was written since. *)
+let rescrub t mfn =
+  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
+    Frame.fill t.frames.(mfn) '\000';
+    Bytes.unsafe_set t.scrubbed mfn '\001'
+  end
+
+(* A captured baseline replays the pre-images saved on first touch. *)
+let reset_captured t b_pre mfn =
+  match Hashtbl.find_opt b_pre mfn with
+  | Some (img, o) ->
+      (match img with
+      | Some img ->
+          (* a frame still COW-shared with the template was never
+             content-written (writes unshare first), so its bytes
+             already equal the pre-image: skip the 4 KiB restore — and
+             never write into the shared template frame *)
+          if Bytes.unsafe_get t.cow mfn = '\000' then begin
+            Frame.restore_image t.frames.(mfn) img;
+            Bytes.unsafe_set t.scrubbed mfn '\000'
+          end
+      | None -> rescrub t mfn);
+      restore_owner t mfn o;
+      1
+  | None -> 0
+
+(* A fork's pre-image is the template frame itself. A still-shared frame
+   already holds it; a private one gets the template's bytes blitted in
+   and keeps its own storage, so steady-state trials copy no frames. *)
+let reset_from_template t tpl mfn =
+  if Bytes.unsafe_get t.cow mfn = '\000' then begin
+    if Bytes.unsafe_get tpl.scrubbed mfn = '\001' then rescrub t mfn
+    else begin
+      Frame.restore_from t.frames.(mfn) ~src:tpl.frames.(mfn);
+      Bytes.unsafe_set t.scrubbed mfn '\000'
+    end
+  end;
+  restore_owner t mfn tpl.owners.(mfn)
+
 let reset_to_baseline t =
   if t.frozen then invalid_arg "Phys_mem.reset_to_baseline: template is frozen";
-  match t.baseline with
+  let restored = ref 0 in
+  (match t.baseline with
   | None -> invalid_arg "Phys_mem.reset_to_baseline: no baseline captured"
-  | Some b ->
-      let restored = ref 0 in
+  | Some (Captured b) ->
       List.iter
         (fun mfn ->
-          (match Hashtbl.find_opt b.b_pre mfn with
-          | Some (img, o) ->
-              (match img with
-              | Some img ->
-                  (* a frame still COW-shared with the template was never
-                     content-written (writes unshare first), so its bytes
-                     already equal the pre-image: skip the 4 KiB restore —
-                     and never write into the shared template frame *)
-                  if Bytes.unsafe_get t.cow mfn = '\000' then begin
-                    Frame.restore_image t.frames.(mfn) img;
-                    Bytes.unsafe_set t.scrubbed mfn '\000'
-                  end
-              | None ->
-                  (* the frame held zeroes at capture; rescrub only if it
-                     was written since *)
-                  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-                    Frame.fill t.frames.(mfn) '\000';
-                    Bytes.unsafe_set t.scrubbed mfn '\001'
-                  end);
-              (match (t.owners.(mfn), o) with
-              | Free, Free -> ()
-              | Free, _ -> clear_free_bit t mfn
-              | _, Free -> set_free_bit t mfn
-              | _, _ -> ());
-              t.owners.(mfn) <- o;
-              incr restored
-          | None -> ());
-          Bytes.set t.dirty mfn '\000')
+          restored := !restored + reset_captured t b.b_pre mfn;
+          Bytes.unsafe_set t.dirty mfn '\000')
         t.dirty_frames;
-      t.dirty_frames <- [];
       Hashtbl.reset b.b_pre;
-      t.free_count <- b.b_free_count;
-      (* frames may have become free below the hint again *)
-      t.next_hint <- 0;
-      t.gen <- t.gen + 1;
-      (match t.prov with None -> () | Some p -> Provenance.reset_to_baseline p);
-      !restored
+      t.free_count <- b.b_free_count
+  | Some (Template tpl) ->
+      List.iter
+        (fun mfn ->
+          reset_from_template t tpl mfn;
+          Bytes.unsafe_set t.dirty mfn '\000';
+          incr restored)
+        t.dirty_frames;
+      t.free_count <- tpl.free_count);
+  t.dirty_frames <- [];
+  (* frames may have become free below the hint again *)
+  t.next_hint <- 0;
+  t.gen <- t.gen + 1;
+  (match t.prov with None -> () | Some p -> Provenance.reset_to_baseline p);
+  !restored
 
 (* --- copy-on-write forking --------------------------------------------
    A frozen memory is an immutable template: [fork] builds a new memory
@@ -237,9 +274,10 @@ let fork template =
     scrubbed = Bytes.copy template.scrubbed;
     dirty_frames = [];
     gen = template.gen;
-    (* the fork is born exactly at the template's baseline, so its own
-       baseline starts armed and empty: resets work from trial one *)
-    baseline = Some { b_pre = Hashtbl.create 64; b_free_count = template.free_count };
+    (* the fork is born exactly at the template's state, which is its
+       baseline: resets work from trial one and read pre-images from
+       the template instead of saving copies *)
+    baseline = Some (Template template);
     baseline_epoch = template.baseline_epoch;
     prov = None;
     frozen = false;

@@ -82,7 +82,8 @@ val baseline_epoch : t -> int
 val capture_baseline : t -> unit
 (** Declare the current contents the baseline. Subsequent writes save a
     lazy pre-image of each frame on first touch; {!reset_to_baseline}
-    replays only those. Recapturing discards the previous baseline. *)
+    replays only those. Recapturing discards the previous baseline
+    (on a {!fork}, it replaces the template as the baseline). *)
 
 val reset_to_baseline : t -> int
 (** Restore every frame (contents and ownership) touched since
@@ -111,7 +112,11 @@ val fork : t -> t
     {!reset_to_baseline} skips still-shared frames. The fork is born
     with an armed baseline equal to the template state (same
     {!baseline_epoch}), so it resets like a freshly checkpointed
-    testbed. Raises [Invalid_argument] unless [template] is frozen. *)
+    testbed. That baseline {e is} the frozen template: dirtying a frame
+    saves no pre-image, and {!reset_to_baseline} copies each dirty
+    frame's bytes and owner back from the template, reusing the fork's
+    private frame. Raises [Invalid_argument] unless [template] is
+    frozen. *)
 
 val shared_frames : t -> int
 (** Frames still physically shared with the fork's template (equals

@@ -37,6 +37,25 @@ let deep_copy t =
   }
 
 let max_pfn t = Array.length t.p2m
+
+(* In-place checkpoint restore: the live record keeps its identity, so
+   nothing that holds it has to be re-pointed. A P2M slot is only
+   stored when it differs: after the first restore the live slots hold
+   the checkpoint's own [Some] boxes, so an untouched slot costs a
+   pointer compare instead of a write barrier. *)
+let restore_into t ~from =
+  if t.id <> from.id || max_pfn t <> Array.length from.p2m then
+    invalid_arg "Domain.restore_into: not the same domain";
+  for i = 0 to max_pfn t - 1 do
+    let m = from.p2m.(i) in
+    if t.p2m.(i) != m then t.p2m.(i) <- m
+  done;
+  t.l4_mfn <- from.l4_mfn;
+  t.pt_pages <- from.pt_pages;
+  Grant_table.restore_into t.grant ~from:from.grant;
+  Event_channel.restore_into t.events ~from:from.events;
+  t.dom_crashed <- from.dom_crashed
+
 let mfn_of_pfn t pfn = if pfn >= 0 && pfn < max_pfn t then t.p2m.(pfn) else None
 
 let pfn_of_mfn t mfn =
@@ -57,6 +76,13 @@ let populated_pfns t =
   done;
   !acc
 
+let populated_count t =
+  let n = ref 0 in
+  for i = 0 to max_pfn t - 1 do
+    match t.p2m.(i) with Some _ -> incr n | None -> ()
+  done;
+  !n
+
 let owned t = Phys_mem.Dom t.id
 
 let kernel_vaddr_of_pfn pfn =
@@ -73,4 +99,4 @@ let pfn_of_kernel_vaddr va =
 let pp ppf t =
   Format.fprintf ppf "dom%d(%s%s, %d pages)" t.id t.name
     (if t.privileged then ", privileged" else "")
-    (List.length (populated_pfns t))
+    (populated_count t)

@@ -27,6 +27,14 @@ val deep_copy : t -> t
 (** Structural copy — P2M, grant table and event channels included —
     so a checkpointed domain is immune to later mutation. *)
 
+val restore_into : t -> from:t -> unit
+(** Roll the live domain [t] back to the checkpointed copy [from] in
+    place: the P2M, the grant table and the event channels are copied
+    entry by entry, so [t] ends up structurally equal to
+    [Domain.deep_copy from] while keeping its identity. [from] is only
+    read. Raises [Invalid_argument] unless both have the same id and
+    P2M size. *)
+
 val max_pfn : t -> int
 val mfn_of_pfn : t -> Addr.pfn -> Addr.mfn option
 val pfn_of_mfn : t -> Addr.mfn -> Addr.pfn option
@@ -35,6 +43,10 @@ val pfn_of_mfn : t -> Addr.mfn -> Addr.pfn option
 
 val set_p2m : t -> Addr.pfn -> Addr.mfn option -> unit
 val populated_pfns : t -> Addr.pfn list
+
+val populated_count : t -> int
+(** [List.length (populated_pfns t)], without building the list. *)
+
 val owned : t -> Phys_mem.owner
 val kernel_vaddr_of_pfn : Addr.pfn -> Addr.vaddr
 (** Where the builder maps guest page [pfn] in the PV kernel area. *)

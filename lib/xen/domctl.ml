@@ -77,5 +77,5 @@ let destroy hv dom =
 
 let list_domains hv =
   List.map
-    (fun d -> (d.Domain.id, d.Domain.name, List.length (Domain.populated_pfns d)))
+    (fun d -> (d.Domain.id, d.Domain.name, Domain.populated_count d))
     hv.Hv.domains

@@ -89,6 +89,15 @@ let collect t f =
   List.rev !acc
 
 let pending_ports t = collect t (fun p -> p.pending)
+
+let pending_count t =
+  let n = ref 0 in
+  for i = 0 to Array.length t - 1 do
+    if t.(i).pending then incr n
+  done;
+  !n
+
+let any_pending t = Array.exists (fun p -> p.pending) t
 let bound_ports t = collect t (fun p -> p.binding <> None)
 
 let force_pending_all t =
@@ -103,3 +112,14 @@ let force_pending_all t =
 
 let deep_copy t =
   Array.map (fun p -> { binding = p.binding; pending = p.pending; masked = p.masked }) t
+
+let restore_into t ~from =
+  if Array.length t <> Array.length from then
+    invalid_arg "Event_channel.restore_into: port counts differ";
+  for i = 0 to Array.length t - 1 do
+    let p = t.(i) and s = from.(i) in
+    (* skip the write barrier when the binding is already the same *)
+    if p.binding != s.binding then p.binding <- s.binding;
+    p.pending <- s.pending;
+    p.masked <- s.masked
+  done

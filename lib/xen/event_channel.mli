@@ -44,6 +44,11 @@ val consume : t -> int -> bool
 
 val close : t -> int -> (unit, Errno.t) result
 val pending_ports : t -> int list
+
+val pending_count : t -> int
+(** [List.length (pending_ports t)], without building the list. *)
+
+val any_pending : t -> bool
 val bound_ports : t -> int list
 
 val force_pending_all : t -> int
@@ -53,3 +58,8 @@ val force_pending_all : t -> int
 
 val deep_copy : t -> t
 (** Structural copy (for hypervisor checkpointing). *)
+
+val restore_into : t -> from:t -> unit
+(** Copy every port of [from] into the matching port record of [t] (the
+    in-place counterpart of {!deep_copy}). Raises [Invalid_argument] if
+    the tables differ in size. *)

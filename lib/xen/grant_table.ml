@@ -22,7 +22,7 @@ type t = {
   entries : entry array;
   mutable status : Addr.mfn list;
   mutable shared : Addr.mfn list;
-  maptrack : (int, map_record) Hashtbl.t;
+  mutable maptrack : (int, map_record) Hashtbl.t;
   mutable next_handle : int;
 }
 
@@ -226,3 +226,29 @@ let deep_copy t =
     maptrack = Hashtbl.copy t.maptrack;
     next_handle = t.next_handle;
   }
+
+(* In-place restore from a checkpointed table: the entries are copied
+   field by field into the live records. The maptrack is only replaced
+   when it can differ from the checkpoint's — every insertion takes a
+   fresh handle, so an unchanged [next_handle] with both tables empty
+   means the live one was never touched. *)
+let restore_into t ~from =
+  if Array.length t.entries <> Array.length from.entries then
+    invalid_arg "Grant_table.restore_into: table sizes differ";
+  t.gt_version <- from.gt_version;
+  for i = 0 to Array.length t.entries - 1 do
+    let e = t.entries.(i) and s = from.entries.(i) in
+    e.permit <- s.permit;
+    e.grantee <- s.grantee;
+    e.g_mfn <- s.g_mfn;
+    e.readonly <- s.readonly;
+    e.in_use <- s.in_use
+  done;
+  t.status <- from.status;
+  t.shared <- from.shared;
+  if
+    t.next_handle <> from.next_handle
+    || Hashtbl.length t.maptrack > 0
+    || Hashtbl.length from.maptrack > 0
+  then t.maptrack <- Hashtbl.copy from.maptrack;
+  t.next_handle <- from.next_handle

@@ -98,3 +98,9 @@ val active_grants : t -> int
 
 val deep_copy : t -> t
 (** Structural copy (for hypervisor checkpointing). *)
+
+val restore_into : t -> from:t -> unit
+(** Make [t] structurally equal to [from] without rebuilding it: the
+    entries are copied field by field, and the maptrack is copied only
+    if either side holds mappings or [t] took a handle since. [from] is
+    only read. Raises [Invalid_argument] if the tables differ in size. *)

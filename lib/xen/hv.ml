@@ -233,12 +233,32 @@ let checkpoint t =
     ck_handlers = Cpu.handlers_dump t.cpu;
   }
 
+(* The live domain a checkpointed one is restored into: the record with
+   the same id, if the trial left it in place. *)
+let rec live_domain id = function
+  | [] -> None
+  | d :: rest -> if d.Domain.id = id then Some d else live_domain id rest
+
+(* Restore the checkpointed domains in place, keeping the live records.
+   A domain the trial destroyed comes back as a fresh copy; one it
+   created is dropped with the old list. Either way the checkpoint is
+   only read, so it stays immune to mutation by the restored system. *)
+let rec restore_domains live = function
+  | [] -> []
+  | c :: rest ->
+      let d =
+        match live_domain c.Domain.id live with
+        | Some d ->
+            Domain.restore_into d ~from:c;
+            d
+        | None -> Domain.deep_copy c
+      in
+      d :: restore_domains live rest
+
 let restore t ck =
   ignore (Phys_mem.reset_to_baseline t.mem : int);
   Page_info.restore t.pages ck.ck_pages;
-  (* each restore hands out fresh copies, so the checkpoint itself is
-     immune to mutation by the restored system *)
-  t.domains <- List.map Domain.deep_copy ck.ck_domains;
+  t.domains <- restore_domains t.domains ck.ck_domains;
   t.next_domid <- ck.ck_next_domid;
   t.crashed <- ck.ck_crashed;
   Buffer.truncate t.console ck.ck_console_len;

@@ -127,8 +127,13 @@ val tlb_invlpg : t -> cr3:Addr.mfn -> Addr.vaddr -> unit
 
     Only one checkpoint is live per hypervisor at a time — taking a new
     one rebases the memory baseline. A checkpoint can be restored any
-    number of times; each restore hands the system fresh deep copies, so
-    the checkpoint itself is immune to mutation by the restored run. *)
+    number of times and is only read by [restore], so it is immune to
+    mutation by the restored run. [restore] rolls every live domain
+    back in place ({!Domain.restore_into}, matched by id), so the
+    [Domain.t] records in [t.domains] keep their identity across
+    restores; a checkpointed domain missing from the live list comes
+    back as a fresh deep copy, and domains created since the checkpoint
+    are dropped. *)
 
 type checkpoint
 

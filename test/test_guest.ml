@@ -178,6 +178,21 @@ let test_kernel_memory_access () =
   check_bool "not crashed" false (Hv.is_crashed (Kernel.hv k));
   check_bool "bug logged" true (List.exists (fun l -> contains l "BUG") (Kernel.klog k))
 
+(* The fault path's klog line, byte for byte: the same text a fresh
+   kernel has always printed, including the 16-digit zero-padded
+   address and two's-complement hex for a high-half address. *)
+let test_kernel_fault_klog () =
+  let tb = tb () in
+  let k = tb.Testbed.attacker in
+  check_bool "low address faults" true (Result.is_error (Kernel.read_u64 k 0x0000_00ba_d000_0000L));
+  check_bool "high address faults" true
+    (Result.is_error (Kernel.read_u64 k 0xffff_f000_dead_0000L));
+  match Kernel.klog k with
+  | [ a; b ] ->
+      check_str "low" "[  116.0017] BUG: unable to handle kernel paging request at 0x000000bad0000000" a;
+      check_str "high" "[  116.0034] BUG: unable to handle kernel paging request at 0xfffff000dead0000" b
+  | lines -> Alcotest.failf "expected two klog lines, got %d" (List.length lines)
+
 let test_kernel_hypercall_rc () =
   let tb = tb () in
   let k = tb.Testbed.attacker in
@@ -338,6 +353,7 @@ let () =
           Alcotest.test_case "start_info" `Quick test_kernel_start_info;
           Alcotest.test_case "pt_entry" `Quick test_kernel_pt_entry;
           Alcotest.test_case "memory access" `Quick test_kernel_memory_access;
+          Alcotest.test_case "fault klog line" `Quick test_kernel_fault_klog;
           Alcotest.test_case "hypercall rc" `Quick test_kernel_hypercall_rc;
           Alcotest.test_case "shell fs isolation" `Quick test_kernel_shell_uses_own_fs;
         ] );

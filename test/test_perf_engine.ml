@@ -280,6 +280,227 @@ let test_frozen_template_immutable () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- Phys_mem reset as a property -------------------------------------------
+
+   Two baselines reset through different code: a fork reads its
+   pre-images from the frozen template, a memory that captured its own
+   baseline replays the copies saved on first touch. Both must come back
+   to exactly the baseline — every frame's bytes and owner, the free
+   count, and the free bitmap (probed with an [alloc]) — after any mix
+   of writes, allocations, frees, owner changes and bulk exhaustion, and
+   again on a second round that starts from the reset state, where the
+   fork's written frames are private rather than shared. *)
+
+let pm_frames = 48
+
+(* A baseline with every kind of frame: owned with content, owned but
+   zero, and free holes below owned frames. *)
+let pm_base () =
+  let m = Phys_mem.create ~frames:pm_frames in
+  for i = 0 to 23 do
+    ignore (Phys_mem.alloc m (if i mod 3 = 0 then Phys_mem.Xen else Phys_mem.Dom (i mod 3)))
+  done;
+  for i = 0 to 23 do
+    if i mod 2 = 0 then
+      Phys_mem.write_u64 m (Int64.of_int ((i * Addr.page_size) + (8 * i))) (Int64.of_int (i + 1))
+  done;
+  Phys_mem.free m 5;
+  Phys_mem.free m 6;
+  m
+
+type pm_state = { hashes : int64 list; owners : Phys_mem.owner list; free : int }
+
+let pm_state m =
+  let mfns = List.init pm_frames Fun.id in
+  {
+    hashes = List.map (Phys_mem.frame_hash m) mfns;
+    owners = List.map (Phys_mem.owner m) mfns;
+    free = Phys_mem.free_frames m;
+  }
+
+let pm_apply m (kind, (a, v)) =
+  let mfn = a mod pm_frames in
+  match kind with
+  | 0 ->
+      let off = Int64.to_int (Int64.logand v 511L) * 8 in
+      Phys_mem.write_u64 m (Int64.of_int ((mfn * Addr.page_size) + off)) v
+  | 1 -> ( try ignore (Phys_mem.alloc m (Phys_mem.Dom 7)) with Failure _ -> ())
+  | 2 -> Phys_mem.free m mfn
+  | 3 ->
+      Phys_mem.set_owner m mfn
+        (match Int64.to_int (Int64.logand v 3L) with
+        | 0 -> Phys_mem.Free
+        | 1 -> Phys_mem.Xen
+        | n -> Phys_mem.Dom n)
+  | _ ->
+      (* exhaust-style: grab frames until at most [a mod 8] are left *)
+      while Phys_mem.free_frames m > a mod 8 do
+        ignore (Phys_mem.alloc m Phys_mem.Xen)
+      done
+
+let pm_lowest_free s =
+  let rec go i = function
+    | [] -> None
+    | Phys_mem.Free :: _ -> Some i
+    | _ :: rest -> go (i + 1) rest
+  in
+  go 0 s.owners
+
+(* One round: mutate, reset, compare; then probe the free bitmap with an
+   allocation and reset once more. *)
+let pm_round m expected ops =
+  let reset_matches () =
+    ignore (Phys_mem.reset_to_baseline m : int);
+    pm_state m = expected
+  in
+  List.iter (pm_apply m) ops;
+  reset_matches ()
+  && (match pm_lowest_free expected with
+     | None -> true
+     | Some lowest -> Phys_mem.alloc m Phys_mem.Xen = lowest)
+  && reset_matches ()
+
+let pm_ops =
+  QCheck.(list_of_size (Gen.int_range 0 30) (pair (int_bound 4) (pair small_nat int64)))
+
+let prop_phys_mem_reset_fork =
+  QCheck.Test.make ~name:"phys_mem: fork resets to its template" ~count:100
+    (QCheck.pair pm_ops pm_ops) (fun (ops1, ops2) ->
+      let tmpl = pm_base () in
+      Phys_mem.capture_baseline tmpl;
+      Phys_mem.freeze tmpl;
+      let expected = pm_state tmpl in
+      let f = Phys_mem.fork tmpl in
+      pm_round f expected ops1
+      && pm_round f expected ops2
+      && pm_state tmpl = expected)
+
+let prop_phys_mem_reset_captured =
+  QCheck.Test.make ~name:"phys_mem: captured baseline resets exactly" ~count:100
+    (QCheck.pair pm_ops pm_ops) (fun (ops1, ops2) ->
+      let m = pm_base () in
+      Phys_mem.capture_baseline m;
+      let expected = pm_state m in
+      pm_round m expected ops1 && pm_round m expected ops2)
+
+(* --- In-place Hv.restore ---------------------------------------------------- *)
+
+(* A trial that touches every piece of domain state a reset rolls back:
+   event channels (bind + send), a grant, ballooned-out pages, the
+   page-table list, the crash flag — and a domain created mid-trial. *)
+let domain_trial (tb : Testbed.t) =
+  let hv = tb.Testbed.hv in
+  let k = tb.Testbed.attacker in
+  let victim = Kernel.dom tb.Testbed.victim in
+  let populated = Domain.populated_count victim in
+  Xenstore.inject_write hv.Hv.xenstore
+    (Xenstore.domain_path victim.Domain.id "memory/target")
+    "48";
+  Testbed.tick_all tb;
+  check_bool "pages ballooned out" true (Domain.populated_count victim < populated);
+  (match
+     Kernel.hypercall k (Hypercall.Event_channel_op (Hypercall.Evtchn_bind_virq { virq = 0 }))
+   with
+  | Ok port ->
+      ignore
+        (Kernel.hypercall k
+           (Hypercall.Event_channel_op (Hypercall.Evtchn_send { port = Int64.to_int port })))
+  | Error _ -> Alcotest.fail "bind_virq");
+  check_bool "port pending" true (Event_channel.any_pending (Kernel.dom k).Domain.events);
+  (match
+     Kernel.hypercall k
+       (Hypercall.Grant_table_op
+          (Hypercall.Gnttab_grant_access { gref = 3; grantee = 0; pfn = 3; readonly = false }))
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "grant_access");
+  victim.Domain.dom_crashed <- true;
+  (Kernel.dom k).Domain.pt_pages <- [];
+  Builder.create_domain hv ~name:"guest99" ~privileged:false ~pages:32
+
+let domain_view (d : Domain.t) =
+  ( Array.to_list d.Domain.p2m,
+    List.init 64 (Grant_table.entry d.Domain.grant),
+    List.init 64 (Event_channel.port d.Domain.events),
+    d.Domain.pt_pages,
+    d.Domain.dom_crashed )
+
+let test_restore_in_place make () =
+  let tb = make () in
+  let hv = tb.Testbed.hv in
+  let records = hv.Hv.domains in
+  let reference = List.map domain_view (Testbed.create_pooled Version.V4_8).Testbed.hv.Hv.domains in
+  check_bool "starts at the reference state" true (List.map domain_view records = reference);
+  for round = 1 to 2 do
+    let extra = domain_trial tb in
+    check_bool "the trial diverged" true (List.map domain_view hv.Hv.domains <> reference);
+    Testbed.reset tb;
+    let r = Printf.sprintf "round %d: " round in
+    check_int (r ^ "domain count") (List.length records) (List.length hv.Hv.domains);
+    check_bool (r ^ "same records") true (List.for_all2 ( == ) records hv.Hv.domains);
+    check_bool (r ^ "state = fresh fork") true (List.map domain_view hv.Hv.domains = reference);
+    check_bool (r ^ "trial domain gone") true (Hv.find_domain hv extra.Domain.id = None)
+  done
+
+(* A checkpointed domain the trial destroyed has no live record to
+   restore into: it comes back as a fresh copy, equal to the reference,
+   while the surviving records keep their identity. *)
+let test_restore_destroyed_domain () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  let hv = tb.Testbed.hv in
+  let records = hv.Hv.domains in
+  let reference = List.map domain_view (Testbed.create_pooled Version.V4_8).Testbed.hv.Hv.domains in
+  let victim = Kernel.dom tb.Testbed.victim in
+  (match Domctl.destroy hv victim with Ok _ -> () | Error _ -> Alcotest.fail "destroy");
+  check_bool "victim delisted" true (Hv.find_domain hv victim.Domain.id = None);
+  Testbed.reset tb;
+  check_bool "state = fresh fork" true (List.map domain_view hv.Hv.domains = reference);
+  List.iter2
+    (fun old now ->
+      check_bool
+        (Printf.sprintf "d%d identity" old.Domain.id)
+        (old != victim) (old == now))
+    records hv.Hv.domains
+
+(* --- Allocation budgets ------------------------------------------------------ *)
+
+(* Minor-heap words are deterministic for a given compiler, so these
+   budgets hold on any hardware. *)
+let arbitrary_physical_trial (tb : Testbed.t) =
+  Injector.install tb.Testbed.hv;
+  ignore
+    (Injector.write_u64 tb.Testbed.attacker ~addr:0x9000L
+       ~action:Injector.Arbitrary_write_physical 0xBEEFL);
+  let k = tb.Testbed.attacker in
+  Testbed.tick_all tb;
+  ignore (Kernel.write_u64 k (Domain.kernel_vaddr_of_pfn 6) 0xA11CEL);
+  ignore (Kernel.read_u64 k 0x0000_00ba_d000_0000L);
+  Testbed.tick_all tb
+
+let test_reset_words () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  (* one warm-up trial so the measured reset is a steady-state one *)
+  arbitrary_physical_trial tb;
+  Testbed.reset tb;
+  arbitrary_physical_trial tb;
+  let w0 = Gc.minor_words () in
+  Testbed.reset tb;
+  let words = Gc.minor_words () -. w0 in
+  if words > 1000. then Alcotest.failf "Testbed.reset allocated %.0f words (budget 1000)" words
+
+let test_run_one_words () =
+  let w = Random_campaign.make_worker ~pooled:true Version.V4_8 in
+  let trials = 600 in
+  let run i = ignore (Random_campaign.run_one w ~seed:1L ~targets:Random_campaign.all_targets i) in
+  run 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to trials do
+    run i
+  done;
+  let mean = (Gc.minor_words () -. w0) /. float_of_int trials in
+  if mean > 8000. then
+    Alcotest.failf "Random_campaign.run_one allocated %.0f words/trial (budget 8000)" mean
+
 (* --- Batching scheduler ---------------------------------------------------- *)
 
 (* The flattened versions x trials queue must regroup into summaries
@@ -451,6 +672,20 @@ let () =
         [
           Alcotest.test_case "template isolation" `Quick test_fork_template_isolation;
           Alcotest.test_case "frozen template immutable" `Quick test_frozen_template_immutable;
+        ]
+        @ qsuite [ prop_phys_mem_reset_fork; prop_phys_mem_reset_captured ] );
+      ( "restore_in_place",
+        [
+          Alcotest.test_case "pooled testbed" `Quick
+            (test_restore_in_place (fun () -> Testbed.create_pooled Version.V4_8));
+          Alcotest.test_case "fresh testbed" `Quick
+            (test_restore_in_place (fun () -> Testbed.create Version.V4_8));
+          Alcotest.test_case "destroyed domain" `Quick test_restore_destroyed_domain;
+        ] );
+      ( "alloc_budget",
+        [
+          Alcotest.test_case "reset words" `Quick test_reset_words;
+          Alcotest.test_case "run_one words" `Quick test_run_one_words;
         ] );
       ( "scheduler",
         [
