@@ -674,7 +674,7 @@ let () =
           Alcotest.test_case "frozen template immutable" `Quick test_frozen_template_immutable;
         ]
         @ qsuite [ prop_phys_mem_reset_fork; prop_phys_mem_reset_captured ] );
-      ( "restore_in_place",
+      ( "in_place",
         [
           Alcotest.test_case "pooled testbed" `Quick
             (test_restore_in_place (fun () -> Testbed.create_pooled Version.V4_8));
@@ -682,7 +682,7 @@ let () =
             (test_restore_in_place (fun () -> Testbed.create Version.V4_8));
           Alcotest.test_case "destroyed domain" `Quick test_restore_destroyed_domain;
         ] );
-      ( "alloc_budget",
+      ( "alloc",
         [
           Alcotest.test_case "reset words" `Quick test_reset_words;
           Alcotest.test_case "run_one words" `Quick test_run_one_words;
