@@ -30,6 +30,10 @@ type t = {
   ck : Kvm.checkpoint;
   ck_counters : Trace.Counters.snapshot;
   ck_vts : int64;  (* virtual clock at the reset checkpoint *)
+  scans : int64 Scan_memo.t;
+      (* baseline scan cache for [snapshot], one per host (fresh on
+         create and on every fork): keys 2*id hold a VM's VMCS hash,
+         2*id+1 its EPT exposure *)
 }
 
 (* Extra guests follow the Xen testbed's naming scheme: guest05, ... *)
@@ -49,7 +53,8 @@ let create ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
   let ck = Kvm.checkpoint kvm in
   let ck_counters = Trace.Counters.snapshot (Trace.counters tr) in
   let ck_vts = Trace.vts tr in
-  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_counters; ck_vts }
+  let scans = Scan_memo.anchored (Kvm.mem kvm) in
+  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_counters; ck_vts; scans }
 
 (* The warm pool, mirroring {!Testbed.create_pooled}: one frozen
    template per (frame count, domain count), forked copy-on-write per
@@ -91,6 +96,7 @@ let create_pooled ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock 
     ck;
     ck_counters = Trace.Counters.snapshot (Trace.counters tr);
     ck_vts = tmpl.ck_vts;
+    scans = Scan_memo.anchored (Kvm.mem kvm);
   }
 
 let domains t =
@@ -296,8 +302,28 @@ type snapshot = {
   s_free_frames : int;
 }
 
+(* The VMCS hash and the EPT exposure are reused from the scan cache
+   while the frames they read are clean: the VMCS frame, and the EPT
+   table and leaf frames (leaf owners only change through
+   [Phys_mem.set_owner]/[alloc]/[free], which mark the frame dirty). *)
 let snapshot t =
   let vms = Kvm.vms t.kvm in
+  let mem = Kvm.mem t.kvm in
+  let cached = Scan_memo.usable t.scans mem () in
+  let vmcs vm =
+    if not cached then Kvm.vmcs_hash t.kvm vm
+    else
+      Scan_memo.get t.scans mem ~key:(2 * vm.Kvm.vm_id) ~root:vm.Kvm.vmcs_mfn (fun note ->
+          note vm.Kvm.vmcs_mfn;
+          Kvm.vmcs_hash t.kvm vm)
+  in
+  let ept vm =
+    if not cached then Kvm.ept_exposure t.kvm vm
+    else
+      Int64.to_int
+        (Scan_memo.get t.scans mem ~key:((2 * vm.Kvm.vm_id) + 1) ~root:vm.Kvm.ept_root
+           (fun note -> Int64.of_int (Kvm.ept_exposure ~note t.kvm vm)))
+  in
   {
     s_vms =
       List.map
@@ -307,8 +333,8 @@ let snapshot t =
             vm.Kvm.state = Kvm.Vm_running,
             Kvm.crash_reason vm ))
         vms;
-    s_vmcs = List.map (fun vm -> (vm.Kvm.vm_id, Kvm.vmcs_hash t.kvm vm)) vms;
-    s_ept_exposure = List.map (fun vm -> (vm.Kvm.vm_id, Kvm.ept_exposure t.kvm vm)) vms;
+    s_vmcs = List.map (fun vm -> (vm.Kvm.vm_id, vmcs vm)) vms;
+    s_ept_exposure = List.map (fun vm -> (vm.Kvm.vm_id, ept vm)) vms;
     s_free_frames = Phys_mem.free_frames (Kvm.mem t.kvm);
   }
 

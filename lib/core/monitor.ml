@@ -22,53 +22,18 @@ type snapshot = {
 }
 
 (* --- cross-trial scan cache ------------------------------------------
-   Campaign loops snapshot the same reset-to-baseline testbed thousands
-   of times; almost every trial leaves the page-table trees and the M2P
-   untouched. The cache remembers baseline scan results and reuses them
-   whenever it can prove the inputs did not change:
+   The page-table walks and the M2P inverse check are memoized in a
+   {!Scan_memo} anchored at (baseline epoch, Page_info generation).
+   Restore rewinds the generation to the checkpointed value and every
+   type/ownership mutation bumps it, so generation = anchor iff the type
+   state equals the baseline's; the frames each scan read are checked
+   against the dirty list. Page-table scans are keyed by domain id and
+   checked against the L4; the M2P count is keyed by [m2p_key]. *)
 
-   - it is (re-)anchored at the lowest (baseline epoch, Page_info
-     generation) pair it observes. Restore rewinds the generation to the
-     checkpointed value and every type/ownership mutation bumps it, so
-     generation = anchor iff the type state equals the baseline's;
-   - each cached page-table scan records the table frames it visited;
-     the entry is only valid while [Phys_mem.dirty_list] (frames touched
-     since baseline) stays disjoint from that set.
+type scan_cache = int Scan_memo.t
 
-   A cache must not outlive its testbed or be shared across testbeds:
-   the anchor identifies a baseline, not a hypervisor. *)
-
-type scan_cache = {
-  c_pt : (int, pt_cached) Hashtbl.t;  (* domain id -> baseline scan *)
-  mutable c_m2p : int option;  (* baseline M2P mismatch count *)
-  mutable c_anchor : (int * int) option;  (* baseline epoch, Page_info gen *)
-}
-
-and pt_cached = {
-  pc_count : int;
-  pc_l4 : Addr.mfn;
-  pc_deps : (Addr.mfn, unit) Hashtbl.t;  (* table frames the scan read *)
-}
-
-let create_scan_cache () =
-  { c_pt = Hashtbl.create 8; c_m2p = None; c_anchor = None }
-
-(* True iff the current type state provably equals the cache's baseline;
-   drops stale contents when the baseline itself moved. *)
-let cache_anchored cache hv =
-  let e = Phys_mem.baseline_epoch hv.Hv.mem in
-  let g = Page_info.generation hv.Hv.pages in
-  match cache.c_anchor with
-  | Some (ae, ag) when ae = e && ag = g -> true
-  | Some (ae, ag) when ae = e && g > ag -> false
-  | _ ->
-      Hashtbl.reset cache.c_pt;
-      cache.c_m2p <- None;
-      cache.c_anchor <- Some (e, g);
-      true
-
-let disjoint_from_dirty hv deps =
-  List.for_all (fun m -> not (Hashtbl.mem deps m)) (Phys_mem.dirty_list hv.Hv.mem)
+let create_scan_cache () = Scan_memo.create ()
+let m2p_key = -1
 
 (* The M2P must stay the inverse of every domain's P2M — a hypervisor
    invariant any auditing monitor can check from outside the guests. *)
@@ -92,19 +57,10 @@ let m2p_mismatch_fresh hv =
    release (both bump the Page_info generation, i.e. break the anchor),
    so with the anchor held the count can only change through raw writes
    to the M2P frames themselves — which the dirty list exposes. *)
-let m2p_mismatch_count ?cache hv =
-  match cache with
-  | Some c when cache_anchored c hv ->
-      let m2p_clean =
-        List.for_all (fun m -> not (Hv.is_m2p_frame hv m)) (Phys_mem.dirty_list hv.Hv.mem)
-      in
-      (match c.c_m2p with
-      | Some n when m2p_clean -> n
-      | _ ->
-          let n = m2p_mismatch_fresh hv in
-          if m2p_clean then c.c_m2p <- Some n;
-          n)
-  | Some _ | None -> m2p_mismatch_fresh hv
+let m2p_mismatch_cached cache hv =
+  Scan_memo.get cache hv.Hv.mem ~key:m2p_key ~root:0 (fun note ->
+      Array.iter note hv.Hv.m2p_mfns;
+      m2p_mismatch_fresh hv)
 
 (* Walk a domain's live page tables exactly like the MMU would, counting
    leaf (and PSE superpage) mappings that grant guest-privilege write
@@ -115,7 +71,7 @@ let m2p_mismatch_count ?cache hv =
    everything the count depends on — table frame, level, VA prefix and
    the accumulated RW permission — so the Xen structures mapped into all
    three domains at the same slots are scanned once, not per domain. *)
-let writable_pt_exposure ?memo ?cache hv dom =
+let writable_pt_exposure ?memo ?note hv dom =
   let mem = hv.Hv.mem in
   let hardened = Hv.hardened hv in
   let typed_pt mfn =
@@ -126,11 +82,10 @@ let writable_pt_exposure ?memo ?cache hv dom =
   in
   let guest_writable va = Layout.guest_access ~hardened (Addr.canonical va) = Layout.Read_write in
   let shift level = Addr.page_shift + (9 * (level - 1)) in
-  let deps = match cache with Some _ -> Some (Hashtbl.create 32) | None -> None in
   let rec scan level table_mfn va_prefix rw =
     if not (Phys_mem.is_valid_mfn mem table_mfn) then 0
     else begin
-      (match deps with Some d -> Hashtbl.replace d table_mfn () | None -> ());
+      (match note with Some f -> f table_mfn | None -> ());
       let frame = Phys_mem.frame_ro mem table_mfn in
       let count = ref 0 in
       (* iter_present probes the present bit with byte loads inside
@@ -161,8 +116,8 @@ let writable_pt_exposure ?memo ?cache hv dom =
     end
   and scan_memo level table_mfn va_prefix rw =
     (* the memo shortcut would skip dependency recording, so it is only
-       taken when no cache is collecting deps *)
-    match (memo, deps) with
+       taken when nobody is noting the frames read *)
+    match (memo, note) with
     | None, _ | Some _, Some _ -> scan level table_mfn va_prefix rw
     | Some tbl, None -> (
         let key = (level, table_mfn, va_prefix, rw) in
@@ -173,22 +128,7 @@ let writable_pt_exposure ?memo ?cache hv dom =
             Hashtbl.add tbl key n;
             n)
   in
-  let fresh () = scan_memo 4 dom.Domain.l4_mfn 0L true in
-  match (cache, deps) with
-  | Some c, Some d when cache_anchored c hv -> (
-      match Hashtbl.find_opt c.c_pt dom.Domain.id with
-      | Some pc
-        when pc.pc_l4 = dom.Domain.l4_mfn && disjoint_from_dirty hv pc.pc_deps ->
-          pc.pc_count
-      | _ ->
-          let count = fresh () in
-          (* only a scan of untouched-since-baseline tables is a
-             baseline scan worth keeping *)
-          if disjoint_from_dirty hv d then
-            Hashtbl.replace c.c_pt dom.Domain.id
-              { pc_count = count; pc_l4 = dom.Domain.l4_mfn; pc_deps = d };
-          count)
-  | _ -> fresh ()
+  scan_memo 4 dom.Domain.l4_mfn 0L true
 
 let root_secrets kernel =
   let fs = Kernel.fs kernel in
@@ -199,13 +139,19 @@ let root_secrets kernel =
       | Some _ | None -> None)
     (Fs.paths fs)
 
+(* Whether [s] (non-empty) occurs in [t], without allocating. *)
+let contains t s =
+  let n = String.length s and m = String.length t in
+  let rec matches i j = j = n || (t.[i + j] = s.[j] && matches i (j + 1)) in
+  let rec search i = i + n <= m && (matches i 0 || search (i + 1)) in
+  n > 0 && search 0
+
 let snapshot ?cache (tb : Testbed.t) =
+  let hv = tb.Testbed.hv in
   let kernels = Testbed.kernels tb in
+  let secrets = List.map (fun k -> (Kernel.hostname k, root_secrets k)) kernels in
   let root_artifacts =
-    List.concat_map
-      (fun k ->
-        List.map (fun (path, _) -> (Kernel.hostname k, path)) (root_secrets k))
-      kernels
+    List.concat_map (fun (host, s) -> List.map (fun (path, _) -> (host, path)) s) secrets
   in
   let connections =
     Netsim.connections_to tb.Testbed.net ~host:tb.Testbed.remote_host ~port:1234
@@ -219,27 +165,17 @@ let snapshot ?cache (tb : Testbed.t) =
      of a cross-host connection. *)
   let disclosed =
     List.concat_map
-      (fun k ->
+      (fun (host, s) ->
         List.filter_map
           (fun (path, content) ->
             let leaked =
               List.exists
-                (fun c ->
-                  c.Netsim.from_host = Kernel.hostname k
-                  &&
-                  let t = Netsim.transcript c in
-                  let n = String.length content and m = String.length t in
-                  let rec search i =
-                    if i + n > m then false
-                    else if String.sub t i n = content then true
-                    else search (i + 1)
-                  in
-                  n > 0 && search 0)
+                (fun c -> c.Netsim.from_host = host && contains (Netsim.transcript c) content)
                 connections
             in
-            if leaked then Some (Printf.sprintf "%s:%s" (Kernel.hostname k) path) else None)
-          (root_secrets k))
-      kernels
+            if leaked then Some (Printf.sprintf "%s:%s" host path) else None)
+          s)
+      secrets
   in
   let guest_crashes =
     List.filter_map
@@ -253,39 +189,49 @@ let snapshot ?cache (tb : Testbed.t) =
           Event_channel.pending_count (Kernel.dom k).Domain.events ))
       kernels
   in
-  let pt_exposure =
-    (* With a cross-trial cache, reuse baseline scans; otherwise share a
-       memo across the three domains so Xen mappings mapped at the same
-       slots are walked once per snapshot instead of once per domain. *)
+  let cached =
     match cache with
-    | Some _ ->
+    | Some c when Scan_memo.usable c hv.Hv.mem ~gen:(Page_info.generation hv.Hv.pages) () ->
+        Some c
+    | Some _ | None -> None
+  in
+  let pt_exposure =
+    (* With a usable cross-trial cache, reuse baseline scans; otherwise
+       share a memo across the domains so Xen mappings mapped at the
+       same slots are walked once per snapshot instead of once per
+       domain. *)
+    match cached with
+    | Some c ->
         List.map
-          (fun k -> (Kernel.hostname k, writable_pt_exposure ?cache tb.Testbed.hv (Kernel.dom k)))
+          (fun k ->
+            let dom = Kernel.dom k in
+            ( Kernel.hostname k,
+              Scan_memo.get c hv.Hv.mem ~key:dom.Domain.id ~root:dom.Domain.l4_mfn (fun note ->
+                  writable_pt_exposure ~note hv dom) ))
           kernels
     | None ->
         let memo = Hashtbl.create 64 in
-        List.map
-          (fun k -> (Kernel.hostname k, writable_pt_exposure ~memo tb.Testbed.hv (Kernel.dom k)))
-          kernels
+        List.map (fun k -> (Kernel.hostname k, writable_pt_exposure ~memo hv (Kernel.dom k))) kernels
   in
   {
-    crashed = Hv.is_crashed tb.Testbed.hv;
+    crashed = Hv.is_crashed hv;
     crash_reason =
-      (match tb.Testbed.hv.Hv.crashed with Some { Hv.reason; _ } -> Some reason | None -> None);
+      (match hv.Hv.crashed with Some { Hv.reason; _ } -> Some reason | None -> None);
     root_artifacts;
     root_shells;
     disclosed;
     guest_crashes;
     pending_events;
     pt_exposure;
-    m2p_mismatches = m2p_mismatch_count ?cache tb.Testbed.hv;
+    m2p_mismatches =
+      (match cached with Some c -> m2p_mismatch_cached c hv | None -> m2p_mismatch_fresh hv);
     domain_pages =
       List.map
         (fun k ->
           (Kernel.hostname k, Domain.populated_count (Kernel.dom k)))
         kernels;
-    sched_stalled = Sched.stalled_slices tb.Testbed.hv.Hv.sched;
-    free_frames = Phys_mem.free_frames tb.Testbed.hv.Hv.mem;
+    sched_stalled = Sched.stalled_slices hv.Hv.sched;
+    free_frames = Phys_mem.free_frames hv.Hv.mem;
   }
 
 let subtract l before = List.filter (fun x -> not (List.mem x before)) l

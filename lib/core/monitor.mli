@@ -39,24 +39,32 @@ type snapshot = {
       (** free host frames; halving between snapshots is exhaustion *)
 }
 
-type scan_cache
+type scan_cache = int Scan_memo.t
 (** Cross-snapshot cache for the expensive audits (page-table walks and
     the M2P inverse check). Campaign loops snapshot the same
     reset-to-baseline testbed thousands of times; the cache reuses
     baseline scan results whenever it can prove their inputs unchanged —
     via the [Phys_mem] dirty list and the [Page_info] type-state
-    generation. Create one cache per testbed and keep it for the
-    testbed's whole reset lifetime; never share it across testbeds. *)
+    generation.
+
+    Every testbed owns one ([Testbed.t.scan_cache], fresh on create and
+    on every fork), and [Substrate_xen.snapshot] passes it, so each
+    [Campaign.Make] trial and every other substrate caller gets it
+    without asking. The cache is bypassed while a provenance shadow is
+    attached, so provenance graphs see every read a fresh scan makes. *)
 
 val create_scan_cache : unit -> scan_cache
+(** A cache not yet tied to a testbed. It anchors on first use; never
+    share it across testbeds. *)
 
 val snapshot : ?cache:scan_cache -> Testbed.t -> snapshot
 (** [snapshot ?cache tb] is independent of [cache]: passing one changes
-    only the cost, never the result. *)
+    only the cost, never the result. Without [cache] every audit is a
+    fresh scan — the oracle the cache is tested against. *)
 
 val writable_pt_exposure :
   ?memo:(int * Addr.mfn * int64 * bool, int) Hashtbl.t ->
-  ?cache:scan_cache ->
+  ?note:(Addr.mfn -> unit) ->
   Hv.t ->
   Domain.t ->
   int
@@ -64,8 +72,8 @@ val writable_pt_exposure :
     superpage) mappings give this domain, at guest privilege, write
     access to frames currently typed as page tables. Always 0 on a
     healthy direct-paging system. [memo] dedups shared subtrees within
-    one snapshot; [cache] (which takes precedence) reuses whole baseline
-    scans across snapshots of a resettable testbed. *)
+    one snapshot; [note] receives every table frame the walk reads (the
+    dependencies a scan cache records), and disables [memo]. *)
 
 val violations : before:snapshot -> after:snapshot -> violation list
 (** Violations that appeared between the two snapshots, most severe

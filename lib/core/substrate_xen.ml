@@ -61,7 +61,7 @@ let audit tb spec = Erroneous_state.audit ~dm:(Devmodel.fdc tb.Testbed.dm) tb.Te
 
 type snapshot = Monitor.snapshot
 
-let snapshot tb = Monitor.snapshot tb
+let snapshot tb = Monitor.snapshot ~cache:tb.Testbed.scan_cache tb
 let violations = Monitor.violations
 let violations_by_domain = Monitor.violations_by_domain
 let host_alive (s : snapshot) = not s.Monitor.crashed

@@ -10,6 +10,7 @@ type t = {
   mutable load_streams : (int * Load_mix.stream) list;
   remote_host : string;
   checkpoint : Hv.checkpoint;
+  scan_cache : int Scan_memo.t;
 }
 
 let guest_kernels t = t.victim :: t.attacker :: t.extras
@@ -28,6 +29,10 @@ let reseed_load t =
    the same naming scheme: guest05, guest07, ... *)
 let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
+(* Every testbed, fresh or forked, gets its own scan cache, anchored at
+   the baseline it was just born at. *)
+let fresh_scan_cache hv = Scan_memo.anchored ~gen:(Page_info.generation hv.Hv.pages) hv.Hv.mem
+
 let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 2)
     ?(load = Load_mix.none) version =
   if domains < 2 then invalid_arg "Testbed.create: need at least victim + attacker";
@@ -41,6 +46,9 @@ let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 
     List.init (domains - 2) (fun i ->
         Builder.create_domain hv ~name:(extra_name i) ~privileged:false ~pages:guest_pages)
   in
+  (* record fields evaluate right to left: the checkpoint is taken
+     before the kernels are built, and the scan cache anchors after it *)
+  let checkpoint = Hv.checkpoint hv in
   let t =
     {
       hv;
@@ -53,7 +61,8 @@ let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 
       load;
       load_streams = [];
       remote_host = "xen2";
-      checkpoint = Hv.checkpoint hv;
+      checkpoint;
+      scan_cache = fresh_scan_cache hv;
     }
   in
   reseed_load t;
@@ -88,6 +97,7 @@ let fork ?load template =
       load_streams = [];
       remote_host = template.remote_host;
       checkpoint = template.checkpoint;
+      scan_cache = fresh_scan_cache hv;
     }
   in
   reseed_load t;

@@ -34,6 +34,9 @@ type t = {
   mutable load_streams : (int * Load_mix.stream) list;
   remote_host : string;
   checkpoint : Hv.checkpoint;
+  scan_cache : int Scan_memo.t;
+      (** the monitor's baseline scan cache ([Monitor.scan_cache]):
+          one per testbed, fresh on [create] and on every [fork] *)
 }
 
 val create :

@@ -107,7 +107,8 @@ let vm_entry t vm =
   | Vm_running ->
       Phys_mem.observe t.kvm_mem ~consumer:Provenance.Vmcs_check ~mfn:vm.vmcs_mfn ~off:0
         ~len:16;
-      let vmcs = Phys_mem.frame t.kvm_mem vm.vmcs_mfn in
+      (* a read-only check: entering the VM must not dirty its VMCS *)
+      let vmcs = Phys_mem.frame_ro t.kvm_mem vm.vmcs_mfn in
       if Frame.get_u64 vmcs 0 <> vmcs_magic || Frame.get_u64 vmcs 8 <> vmcs_entry_handler then begin
         let why = "KVM: VM-entry failed (invalid guest state)" in
         vm.state <- Vm_crashed why;
@@ -127,7 +128,7 @@ let deliver_guest_fault t vm ~vector =
       | Ok idt_ma ->
           Phys_mem.observe t.kvm_mem ~consumer:Provenance.Idt_gate
             ~mfn:(Addr.mfn_of_maddr idt_ma) ~off:(Idt.handler_offset vector) ~len:8;
-          let frame = Phys_mem.frame t.kvm_mem (Addr.mfn_of_maddr idt_ma) in
+          let frame = Phys_mem.frame_ro t.kvm_mem (Addr.mfn_of_maddr idt_ma) in
           let handler = Frame.get_u64 frame (Idt.handler_offset vector) in
           if handler = guest_handler vector then Ok ()
           else begin
@@ -262,8 +263,13 @@ let ept_graph t vm =
   walk 4 vm.ept_root 0L;
   { eg_tables = List.rev !tables; eg_leaves = List.rev !leaves; eg_frames_read = !read }
 
-let ept_exposure t vm =
+let ept_exposure ?note t vm =
   let g = ept_graph t vm in
+  (match note with
+  | Some f ->
+      List.iter f g.eg_tables;
+      List.iter (fun (_, mfn) -> f mfn) g.eg_leaves
+  | None -> ());
   List.length
     (List.filter
        (fun (_, mfn) ->

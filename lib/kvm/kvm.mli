@@ -124,10 +124,12 @@ type ept_graph = {
 
 val ept_graph : t -> vm -> ept_graph
 
-val ept_exposure : t -> vm -> int
+val ept_exposure : ?note:(Addr.mfn -> unit) -> t -> vm -> int
 (** How many EPT leaves expose memory the VM must not see: host-owned
     frames (EPT tables, VMCSs) or another VM's pages. Zero on a healthy
-    system; rises when an intrusion remaps the EPT. *)
+    system; rises when an intrusion remaps the EPT. [note] receives
+    every frame the count depends on: the EPT table frames and the leaf
+    frames, whose owners it reads. *)
 
 val guest_idt_gate : t -> vm -> vector:int -> int64 option
 (** The guest's IDT gate handler for [vector], read through the EPT

@@ -154,6 +154,8 @@ let baseline_epoch t = t.baseline_epoch
 
 let dirty_list t = t.dirty_frames
 
+let is_dirty t mfn = is_valid_mfn t mfn && Bytes.unsafe_get t.dirty mfn = '\001'
+
 (* --- free bitmap helpers ---------------------------------------------- *)
 
 let set_free_bit t mfn =

@@ -70,9 +70,12 @@ val dirty_count : t -> int
 
 val dirty_list : t -> Addr.mfn list
 (** The frames behind {!dirty_count}: everything touched since the last
-    {!capture_baseline} or {!reset_to_baseline}. Monitors intersect this
-    with a cached scan's frame dependencies to decide whether the cache
-    is still valid. *)
+    {!capture_baseline} or {!reset_to_baseline}. *)
+
+val is_dirty : t -> Addr.mfn -> bool
+(** Whether [mfn] is on {!dirty_list}, in O(1). False for an invalid
+    frame, which nothing can touch. A {!Scan_memo} entry is valid while
+    none of the frames it read is dirty. *)
 
 val baseline_epoch : t -> int
 (** Bumped on every {!capture_baseline}; unchanged by

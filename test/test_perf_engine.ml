@@ -14,6 +14,12 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
+(* Properties with a fixed seed, so a failure reproduces run to run. *)
+let qsuite_seeded seed tests =
+  List.map
+    (QCheck_alcotest.to_alcotest ~verbose:false ~rand:(Random.State.make [| seed |]))
+    tests
+
 let attacker_cr3 tb = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn
 
 (* Locate the L1 entry backing a kernel vaddr so tests can rewrite raw
@@ -152,6 +158,181 @@ let prop_scan_cache_transparent =
           if v mod 3 = 0 then Testbed.reset tb;
           agree && Monitor.snapshot ~cache tb = Monitor.snapshot tb)
         writes)
+
+(* --- Testbed-owned scan caches ---------------------------------------------
+
+   Every testbed carries its own baseline scan cache, which the substrate
+   snapshot passes to the monitor. The uncached [Monitor.snapshot] (and,
+   on KVM, the recomputed VMCS hashes and EPT exposures) are the oracle.
+   The operations reach every input a cached scan depends on: table
+   bytes (PT entries, EPT entries, VMCS), the M2P, page types (which
+   dirty no frame), frame owners, allocations, and resets. *)
+
+let nth_mod l i = List.nth l (abs i mod List.length l)
+
+let xen_scan_tb () =
+  Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default Version.V4_6
+
+let populated_mfn dom i = Option.get (Domain.mfn_of_pfn dom (nth_mod (Domain.populated_pfns dom) i))
+
+let xen_scan_op (tb : Testbed.t) (kind, (a, b)) =
+  let hv = tb.Testbed.hv in
+  let mem = hv.Hv.mem in
+  let dom = Kernel.dom (nth_mod (Testbed.kernels tb) a) in
+  match kind with
+  | 0 ->
+      (* a writable mapping of one of the domain's own table frames *)
+      let table = nth_mod dom.Domain.pt_pages b in
+      let target = nth_mod dom.Domain.pt_pages (b lsr 9) in
+      Phys_mem.write_u64 mem
+        (Int64.add (Addr.maddr_of_mfn table) (Int64.of_int (8 * ((b lsr 3) land 511))))
+        (Pte.make ~mfn:target ~flags:[ Pte.Present; Pte.Rw; Pte.User ])
+  | 1 ->
+      let m2p_mfn, off = Hv.m2p_frame_for hv (populated_mfn dom b) in
+      Phys_mem.write_u64 mem (Int64.add (Addr.maddr_of_mfn m2p_mfn) (Int64.of_int off))
+        (Int64.of_int (b land 0xfff))
+  | 2 ->
+      (* an out-of-band type change (the type confusion a hypervisor bug
+         causes): typing a data frame the guest maps writable, or
+         untyping a table frame, moves the exposure while every table
+         frame stays clean *)
+      let mfn = if b land 1 = 0 then populated_mfn dom b else nth_mod dom.Domain.pt_pages b in
+      let info = Page_info.get hv.Hv.pages mfn in
+      Page_info.touch hv.Hv.pages mfn;
+      if b land 1 = 0 then begin
+        info.Page_info.ptype <- Page_info.PGT_l1;
+        info.Page_info.type_count <- 1
+      end
+      else begin
+        info.Page_info.ptype <- Page_info.PGT_none;
+        info.Page_info.type_count <- 0
+      end
+  | 3 -> (
+      try ignore (if b land 1 = 0 then Hv.alloc_xen_page hv else Hv.alloc_domain_page hv dom)
+      with Failure _ -> ())
+  | 4 -> Testbed.reset tb
+  | 5 ->
+      (* a root switch that dirties no frame: the domain now walks
+         another domain's tables *)
+      dom.Domain.l4_mfn <- (Kernel.dom (nth_mod (Testbed.kernels tb) b)).Domain.l4_mfn
+  | _ -> Testbed.tick_all tb
+
+let scan_ops =
+  QCheck.(list_of_size (Gen.int_range 1 20) (pair (int_bound 6) (pair small_nat (int_bound (1 lsl 30)))))
+
+let prop_xen_testbed_cache =
+  QCheck.Test.make ~name:"xen: testbed cache = uncached oracle" ~count:25 scan_ops (fun ops ->
+      let tb = xen_scan_tb () in
+      let agree () = Substrate_xen.snapshot tb = Monitor.snapshot tb in
+      agree ()
+      && List.for_all
+           (fun op ->
+             xen_scan_op tb op;
+             agree ())
+           ops)
+
+module BK = Ii_backends.Backend_kvm
+
+let kvm_recomputed (t : BK.t) =
+  let vms = Ii_kvm.Kvm.vms t.BK.kvm in
+  ( List.map (fun vm -> (vm.Ii_kvm.Kvm.vm_id, Ii_kvm.Kvm.vmcs_hash t.BK.kvm vm)) vms,
+    List.map (fun vm -> (vm.Ii_kvm.Kvm.vm_id, Ii_kvm.Kvm.ept_exposure t.BK.kvm vm)) vms )
+
+let kvm_cached (t : BK.t) =
+  let s = BK.snapshot t in
+  (s.BK.s_vmcs, s.BK.s_ept_exposure)
+
+let kvm_scan_op (t : BK.t) (kind, (a, b)) =
+  let module K = Ii_kvm.Kvm in
+  let mem = K.mem t.BK.kvm in
+  let vms = K.vms t.BK.kvm in
+  let vm = nth_mod vms a in
+  let g = K.ept_graph t.BK.kvm vm in
+  match kind with
+  | 0 ->
+      Phys_mem.write_u64 mem
+        (Int64.add (Addr.maddr_of_mfn vm.K.vmcs_mfn) (Int64.of_int (8 * (b land 3))))
+        (Int64.of_int b)
+  | 1 ->
+      (* remap a leaf in the last-level table onto a host frame or a
+         neighbour's frame *)
+      let l1 = List.nth g.K.eg_tables (List.length g.K.eg_tables - 1) in
+      let target =
+        match b land 3 with
+        | 0 -> (nth_mod vms (b lsr 2)).K.vmcs_mfn
+        | 1 -> (nth_mod vms (b lsr 2)).K.ept_root
+        | _ -> (b lsr 2) mod Phys_mem.total_frames mem
+      in
+      Phys_mem.write_u64 mem
+        (Int64.add (Addr.maddr_of_mfn l1) (Int64.of_int (8 * ((b lsr 4) land 63))))
+        (Pte.make ~mfn:target ~flags:[ Pte.Present; Pte.Rw; Pte.User ])
+  | 2 ->
+      let _, leaf = nth_mod g.K.eg_leaves b in
+      Phys_mem.set_owner mem leaf
+        (match b land 3 with
+        | 0 -> Phys_mem.Xen
+        | 1 -> Phys_mem.Free
+        | _ -> Phys_mem.Dom (nth_mod vms (b lsr 2)).K.vm_id)
+  | 3 | 4 | 5 -> BK.reset t
+  | _ -> BK.tick_all t
+
+let prop_kvm_testbed_cache =
+  QCheck.Test.make ~name:"kvm: testbed cache = recomputed" ~count:25 scan_ops (fun ops ->
+      let t = BK.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default BK.Stock in
+      let agree () = kvm_cached t = kvm_recomputed t in
+      agree ()
+      && List.for_all
+           (fun op ->
+             kvm_scan_op t op;
+             agree ())
+           ops)
+
+(* Siblings forked from one template each own a cache, and dirtying one
+   never shows up in the other's cached snapshots. *)
+let test_fork_cache_isolation () =
+  let a = xen_scan_tb () and b = xen_scan_tb () in
+  check_bool "xen forks own distinct caches" true (a.Testbed.scan_cache != b.Testbed.scan_cache);
+  let pristine = Substrate_xen.snapshot b in
+  ignore (Substrate_xen.snapshot a);
+  List.iter (xen_scan_op a) [ (0, (1, 77)); (1, (2, 5)); (2, (1, 40)); (0, (2, 1 lsl 12)) ];
+  check_bool "xen: the dirtied fork diverged" true (Substrate_xen.snapshot a <> pristine);
+  check_bool "xen: the dirtied fork agrees with the oracle" true
+    (Substrate_xen.snapshot a = Monitor.snapshot a);
+  check_bool "xen: the sibling is untouched" true
+    (Substrate_xen.snapshot b = pristine && Monitor.snapshot b = pristine);
+  let ka = BK.create_pooled ~domains:4 BK.Stock and kb = BK.create_pooled ~domains:4 BK.Stock in
+  check_bool "kvm forks own distinct caches" true (ka.BK.scans != kb.BK.scans);
+  let kpristine = kvm_cached kb in
+  ignore (kvm_cached ka);
+  List.iter (kvm_scan_op ka) [ (0, (0, 9)); (1, (1, 0)); (2, (2, 4)) ];
+  check_bool "kvm: the dirtied fork diverged" true (kvm_cached ka <> kpristine);
+  check_bool "kvm: the dirtied fork agrees with the recomputation" true
+    (kvm_cached ka = kvm_recomputed ka);
+  check_bool "kvm: the sibling is untouched" true
+    (kvm_cached kb = kpristine && kvm_recomputed kb = kpristine)
+
+(* The memo itself: a new baseline epoch drops what the old one cached,
+   and an attached provenance shadow disables the memo outright. *)
+let test_scan_memo_anchor () =
+  let mem = Phys_mem.create ~frames:4 in
+  Phys_mem.capture_baseline mem;
+  let memo = Scan_memo.anchored mem in
+  let scan note =
+    note 1;
+    Phys_mem.read_u64 mem (Addr.maddr_of_mfn 1)
+  in
+  let get () = Scan_memo.get memo mem ~key:0 ~root:1 scan in
+  check_bool "usable at its baseline" true (Scan_memo.usable memo mem ());
+  check_bool "first scan" true (get () = 0L);
+  Phys_mem.write_u64 mem (Addr.maddr_of_mfn 1) 7L;
+  check_bool "a dirty dependency forces a rescan" true (get () = 7L);
+  Phys_mem.capture_baseline mem;
+  check_bool "usable at the new baseline" true (Scan_memo.usable memo mem ());
+  check_bool "the new baseline's value" true (get () = 7L);
+  ignore (Phys_mem.reset_to_baseline mem : int);
+  check_bool "a higher generation is unusable" false (Scan_memo.usable memo mem ~gen:1 ());
+  Phys_mem.set_provenance mem (Some (Ii_trace.Provenance.create ()));
+  check_bool "provenance bypasses the memo" false (Scan_memo.usable memo mem ())
 
 (* --- Warm pools and COW forks --------------------------------------------- *)
 
@@ -501,6 +682,56 @@ let test_run_one_words () =
   if mean > 8000. then
     Alcotest.failf "Random_campaign.run_one allocated %.0f words/trial (budget 8000)" mean
 
+(* The corpus cells of the benchmark's [corpus] workload: every use case
+   on every configuration in both modes, on long-lived pooled testbeds
+   with 4 domains under the default load. One warm-up pass, then the
+   median over a measured pass of each cell's words — the figure the
+   benchmark reports as [campaign.run_words.*]. The median, because
+   three XSA-212-priv cells allocate ~650k words each outside the
+   snapshots and would dominate a mean. *)
+let corpus_words ~configs ~use_cases ~create ~run =
+  let tbs = List.map (fun c -> (c, create c)) configs in
+  let pass () =
+    List.concat_map
+      (fun uc ->
+        List.concat_map
+          (fun (c, tb) ->
+            List.map
+              (fun mode ->
+                let w0 = Gc.minor_words () in
+                ignore (run ~tb uc mode c);
+                Gc.minor_words () -. w0)
+              [ Campaign.Real_exploit; Campaign.Injection ])
+          tbs)
+      use_cases
+  in
+  ignore (pass ());
+  let words = Array.of_list (pass ()) in
+  Array.sort compare words;
+  let n = Array.length words in
+  (words.((n - 1) / 2) +. words.(n / 2)) /. 2.
+
+let test_campaign_words_xen () =
+  let median =
+    corpus_words ~configs:Version.all ~use_cases:All.use_cases
+      ~create:(Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default)
+      ~run:(fun ~tb uc mode v -> Campaign.run ~tb uc mode v)
+  in
+  if median > 20000. then
+    Alcotest.failf "Campaign.run (xen corpus) allocated a median %.0f words/cell (budget 20000)"
+      median
+
+let test_campaign_words_kvm () =
+  let module KC = Ii_backends.Backends.Kvm_campaign in
+  let median =
+    corpus_words ~configs:Ii_backends.Backend_kvm.configs ~use_cases:All.kvm_use_cases
+      ~create:(Ii_backends.Backend_kvm.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default)
+      ~run:(fun ~tb uc mode c -> KC.run ~tb uc mode c)
+  in
+  if median > 5000. then
+    Alcotest.failf "Campaign.run (kvm corpus) allocated a median %.0f words/cell (budget 5000)"
+      median
+
 (* --- Batching scheduler ---------------------------------------------------- *)
 
 (* The flattened versions x trials queue must regroup into summaries
@@ -654,7 +885,13 @@ let () =
             test_reset_equals_create_campaign;
           Alcotest.test_case "snapshots: reset = create" `Quick test_reset_equals_create_snapshot;
         ] );
-      ("scan_cache", qsuite [ prop_scan_cache_transparent ]);
+      ( "scan_cache",
+        qsuite [ prop_scan_cache_transparent ]
+        @ qsuite_seeded 14 [ prop_xen_testbed_cache; prop_kvm_testbed_cache ]
+        @ [
+            Alcotest.test_case "fork isolation" `Quick test_fork_cache_isolation;
+            Alcotest.test_case "memo anchor and bypass" `Quick test_scan_memo_anchor;
+          ] );
       ( "pool",
         [
           Alcotest.test_case "campaign rows: pooled = fresh (xen)" `Quick
@@ -686,6 +923,8 @@ let () =
         [
           Alcotest.test_case "reset words" `Quick test_reset_words;
           Alcotest.test_case "run_one words" `Quick test_run_one_words;
+          Alcotest.test_case "campaign words (xen)" `Quick test_campaign_words_xen;
+          Alcotest.test_case "campaign words (kvm)" `Quick test_campaign_words_kvm;
         ] );
       ( "scheduler",
         [
