@@ -119,8 +119,6 @@ let extensions () =
        (Random_campaign.compare_versions ~seed:7L ~trials:200
           ~targets:Random_campaign.all_targets Version.all));
   print_newline ();
-  print_endline (Ii_devicemodel.Venom_study.render (Ii_devicemodel.Venom_study.matrix ()));
-  print_newline ();
   print_endline (Ii_devicemodel.Blk_study.render (Ii_devicemodel.Blk_study.matrix ()));
   print_newline ();
   (* the management-interface IM in one paragraph *)
@@ -693,34 +691,23 @@ let perf_report ?(full = false) ~trials () =
       (fun (k, v) -> ("cost_model_" ^ k, I (Int64.to_int v)))
       (Vclock.Cost_model.to_assoc Vclock.Cost_model.default)
   in
-  let xen_prov_keys =
+  let prov_keys =
     List.concat_map
-      (fun u ->
-        let tb = Testbed.create Version.V4_6 in
-        Substrate_xen.enable_provenance tb;
-        ignore (Campaign.run ~tb u Campaign.Injection Version.V4_6);
-        let p = Option.get (Substrate_xen.provenance tb) in
-        [
-          ("prov_edges_" ^ u.Campaign.uc_name, I (Provenance.edge_count p));
-          ("prov_tainted_bytes_" ^ u.Campaign.uc_name, I (Provenance.tainted_bytes p));
-        ])
-      All.use_cases
-  in
-  let kvm_prov_keys =
-    List.concat_map
-      (fun u ->
-        let tb = Ii_backends.Backend_kvm.create Ii_backends.Backend_kvm.Stock in
-        Ii_backends.Backend_kvm.enable_provenance tb;
-        ignore
-          (Ii_backends.Backends.Kvm_campaign.run ~tb u Campaign.Injection
-             Ii_backends.Backend_kvm.Stock);
-        let p = Option.get (Ii_backends.Backend_kvm.provenance tb) in
-        let name = u.Ii_backends.Backends.Kvm_campaign.uc_name in
-        [
-          ("prov_edges_" ^ name, I (Provenance.edge_count p));
-          ("prov_tainted_bytes_" ^ name, I (Provenance.tainted_bytes p));
-        ])
-      All.kvm_use_cases
+      (fun (module K : All.BACKEND) ->
+        let module B = K.Ops.B in
+        let module C = Campaign.Make (K.Ops.B) in
+        List.concat_map
+          (fun u ->
+            let tb = B.create B.rq1_config in
+            B.enable_provenance tb;
+            ignore (C.run ~tb u Campaign.Injection B.rq1_config);
+            let p = Option.get (B.provenance tb) in
+            [
+              ("prov_edges_" ^ u.C.uc_name, I (Provenance.edge_count p));
+              ("prov_tainted_bytes_" ^ u.C.uc_name, I (Provenance.tainted_bytes p));
+            ])
+          K.use_cases)
+      All.backends
   in
   ( [
     ("schema_version", I 9);
@@ -771,7 +758,7 @@ let perf_report ?(full = false) ~trials () =
         ("backend_kvm_state", B kvm_row.Ii_backends.Backends.Kvm_campaign.r_state);
         ("backend_kvm_replay_equal", B kvm_replay_equal);
       ]
-    @ xen_prov_keys @ kvm_prov_keys
+    @ prov_keys
     @ [
         ("prov_overhead_off_trial_s", F prov_off_trial_s);
         ("prov_overhead_on_trial_s", F prov_on_trial_s);

@@ -4,10 +4,7 @@
    (determinism check, non-empty first-run novelty, pinned bit floor). *)
 
 open Cmdliner
-
-module XV = Scenario_cmd.XV
-module KV = Scenario_cmd.KV
-module KC = Scenario_cmd.KC
+open Cli
 
 let jstr = Scenario_cmd.jstr
 let jlist = Scenario_cmd.jlist
@@ -20,66 +17,6 @@ type srow = {
   sr_novelty : int;
   sr_hash : int64;
 }
-
-let modes = [ Campaign.Real_exploit; Campaign.Injection ]
-
-let xen_run ?workers ?pooled ~domains ~load progs =
-  let ucs = List.map XV.use_case progs in
-  let acc = ref Coverage.empty in
-  let rows =
-    Campaign.run_matrix ?workers ?pooled ~domains ~load ~coverage:acc ucs
-      ~versions:[ Substrate_xen.rq1_config ] ~modes
-  in
-  let srows =
-    List.map
-      (fun r ->
-        let m = Option.value r.Campaign.r_coverage ~default:Coverage.empty in
-        {
-          sr_name = r.Campaign.r_use_case;
-          sr_mode = Campaign.mode_to_string r.Campaign.r_mode;
-          sr_bits = Coverage.popcount m;
-          sr_novelty = r.Campaign.r_cov_novelty;
-          sr_hash = Coverage.hash m;
-        })
-      rows
-  in
-  (srows, !acc)
-
-let kvm_run ?workers ?pooled ~domains ~load progs =
-  let ucs = List.map KV.use_case progs in
-  let acc = ref Coverage.empty in
-  let rows =
-    KC.run_matrix ?workers ?pooled ~domains ~load ~coverage:acc ucs
-      ~versions:[ Ii_backends.Backend_kvm.rq1_config ] ~modes
-  in
-  let srows =
-    List.map
-      (fun r ->
-        let m = Option.value r.KC.r_coverage ~default:Coverage.empty in
-        {
-          sr_name = r.KC.r_use_case;
-          sr_mode = Campaign.mode_to_string r.KC.r_mode;
-          sr_bits = Coverage.popcount m;
-          sr_novelty = r.KC.r_cov_novelty;
-          sr_hash = Coverage.hash m;
-        })
-      rows
-  in
-  (srows, !acc)
-
-(* The corpus subset a backend can execute, already checked against its
-   action table. *)
-let compatible_progs backend progs =
-  List.filter_map
-    (fun (file, p) ->
-      match backend with
-      | `Xen -> (
-          if not (XV.compatible p) then None
-          else match XV.check p with Ok () -> Some p | Error e -> failwith (file ^ ": " ^ e))
-      | `Kvm -> (
-          if not (KV.compatible p) then None
-          else match KV.check p with Ok () -> Some p | Error e -> failwith (file ^ ": " ^ e)))
-    progs
 
 let srow_json r =
   Printf.sprintf "{\"scenario\":%s,\"mode\":%s,\"bits\":%d,\"novelty\":%d,\"hash\":\"%016Lx\"}"
@@ -137,79 +74,98 @@ let run_diff file_a file_b json =
 
 (* --- the corpus sweep + gate --------------------------------------------- *)
 
-let run_corpus dir backend_s domains load json min_bits =
-  let backend =
-    match backend_s with
-    | "xen" -> Ok `Xen
-    | "kvm" -> Ok `Kvm
-    | b -> Error (Printf.sprintf "unknown backend %S (xen|kvm)" b)
+let run_corpus dir (module K : All.BACKEND) domains load json min_bits =
+  let module D = Drivers (K) in
+  (* the corpus subset the backend can execute, already checked
+     against its action table *)
+  let compatible progs =
+    List.filter_map
+      (fun (file, p) ->
+        if not (D.S.compatible p) then None
+        else match D.S.check p with Ok () -> Some p | Error e -> failwith (file ^ ": " ^ e))
+      progs
   in
-  match backend with
+  let run ?workers ?pooled progs =
+    let acc = ref Coverage.empty in
+    let rows =
+      D.C.run_matrix ?workers ?pooled ~domains ~load ~coverage:acc
+        (List.map D.S.use_case progs) ~versions:[ D.B.rq1_config ]
+        ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
+    in
+    let srow r =
+      let m = Option.value r.D.C.r_coverage ~default:Coverage.empty in
+      {
+        sr_name = r.D.C.r_use_case;
+        sr_mode = Campaign.mode_to_string r.D.C.r_mode;
+        sr_bits = Coverage.popcount m;
+        sr_novelty = r.D.C.r_cov_novelty;
+        sr_hash = Coverage.hash m;
+      }
+    in
+    (List.map srow rows, !acc)
+  in
+  match Scenario_cmd.corpus_files dir with
   | Error e -> `Error (false, e)
-  | Ok backend -> (
-      match Scenario_cmd.corpus_files dir with
+  | Ok files -> (
+      match Scenario_cmd.load_all files with
       | Error e -> `Error (false, e)
-      | Ok files -> (
-          match Scenario_cmd.load_all files with
-          | Error e -> `Error (false, e)
-          | Ok progs -> (
-              match compatible_progs backend progs with
-              | exception Failure e -> `Error (false, e)
-              | [] -> `Error (false, Printf.sprintf "no %s-compatible scenarios in %s" backend_s dir)
-              | progs ->
-                  let run = match backend with `Xen -> xen_run | `Kvm -> kvm_run in
-                  (* the run whose rows we report: sequential, fresh boots *)
-                  let srows, cum = run ~workers:1 ~domains ~load progs in
-                  (* the determinism gate re-runs the same matrix sharded
-                     (3 workers, pooled forks) and pooled-sequential; all
-                     three cumulative maps must be byte-identical *)
-                  let _, cum_sharded = run ~workers:3 ~domains ~load progs in
-                  let _, cum_pooled = run ~workers:1 ~pooled:true ~domains ~load progs in
-                  let deterministic =
-                    Coverage.equal cum cum_sharded && Coverage.equal cum cum_pooled
-                  in
-                  let no_novelty =
-                    List.filter_map
-                      (fun (name, n) -> if n = 0 then Some name else None)
-                      (novelty_by_scenario srows)
-                  in
-                  let bits = Coverage.popcount cum in
-                  if json then
-                    Printf.printf
-                      "{\"backend\":%s,\"scenarios\":%s,\"cumulative\":%s,\"deterministic\":%b,\
-                       \"scenarios_without_novelty\":%s}\n"
-                      (jstr backend_s) (jlist srow_json srows) (Coverage.to_json cum)
-                      deterministic
-                      (jlist jstr no_novelty)
-                  else begin
-                    Printf.printf "%-18s %-10s %6s %8s  %s\n" "SCENARIO" "MODE" "BITS"
-                      "NOVELTY" "HASH";
-                    List.iter
-                      (fun r ->
-                        Printf.printf "%-18s %-10s %6d %8d  %016Lx\n" r.sr_name r.sr_mode
-                          r.sr_bits r.sr_novelty r.sr_hash)
-                      srows;
-                    Printf.printf "\ncumulative: %d / %d bits (hash %016Lx)\n" bits
-                      Coverage.size_bits (Coverage.hash cum);
-                    List.iter
-                      (fun (region, n) -> Printf.printf "  %-10s %d\n" region n)
-                      (Coverage.region_bits cum);
-                    Printf.printf "deterministic (workers 1 = workers 3 = pooled): %b\n"
-                      deterministic
-                  end;
-                  if not deterministic then
-                    `Error (false, "coverage maps diverged across scheduling strategies")
-                  else if no_novelty <> [] then
-                    `Error
-                      ( false,
-                        Printf.sprintf "scenario(s) with no first-run novelty: %s"
-                          (String.concat ", " no_novelty) )
-                  else if bits < min_bits then
-                    `Error
-                      ( false,
-                        Printf.sprintf "cumulative coverage %d bit(s) below the floor (%d)" bits
-                          min_bits )
-                  else `Ok ())))
+      | Ok progs -> (
+          match compatible progs with
+          | exception Failure e -> `Error (false, e)
+          | [] -> `Error (false, Printf.sprintf "no %s-compatible scenarios in %s" D.B.name dir)
+          | progs ->
+              (* the run whose rows we report: sequential, fresh boots *)
+              let srows, cum = run ~workers:1 progs in
+              (* the determinism gate re-runs the same matrix sharded
+                 (3 workers, pooled forks) and pooled-sequential; all
+                 three cumulative maps must be byte-identical *)
+              let _, cum_sharded = run ~workers:3 progs in
+              let _, cum_pooled = run ~workers:1 ~pooled:true progs in
+              let deterministic =
+                Coverage.equal cum cum_sharded && Coverage.equal cum cum_pooled
+              in
+              let no_novelty =
+                List.filter_map
+                  (fun (name, n) -> if n = 0 then Some name else None)
+                  (novelty_by_scenario srows)
+              in
+              let bits = Coverage.popcount cum in
+              if json then
+                Printf.printf
+                  "{\"backend\":%s,\"scenarios\":%s,\"cumulative\":%s,\"deterministic\":%b,\
+                   \"scenarios_without_novelty\":%s}\n"
+                  (jstr D.B.name) (jlist srow_json srows) (Coverage.to_json cum)
+                  deterministic
+                  (jlist jstr no_novelty)
+              else begin
+                Printf.printf "%-18s %-10s %6s %8s  %s\n" "SCENARIO" "MODE" "BITS"
+                  "NOVELTY" "HASH";
+                List.iter
+                  (fun r ->
+                    Printf.printf "%-18s %-10s %6d %8d  %016Lx\n" r.sr_name r.sr_mode
+                      r.sr_bits r.sr_novelty r.sr_hash)
+                  srows;
+                Printf.printf "\ncumulative: %d / %d bits (hash %016Lx)\n" bits
+                  Coverage.size_bits (Coverage.hash cum);
+                List.iter
+                  (fun (region, n) -> Printf.printf "  %-10s %d\n" region n)
+                  (Coverage.region_bits cum);
+                Printf.printf "deterministic (workers 1 = workers 3 = pooled): %b\n"
+                  deterministic
+              end;
+              if not deterministic then
+                `Error (false, "coverage maps diverged across scheduling strategies")
+              else if no_novelty <> [] then
+                `Error
+                  ( false,
+                    Printf.sprintf "scenario(s) with no first-run novelty: %s"
+                      (String.concat ", " no_novelty) )
+              else if bits < min_bits then
+                `Error
+                  ( false,
+                    Printf.sprintf "cumulative coverage %d bit(s) below the floor (%d)" bits
+                      min_bits )
+              else `Ok ()))
 
 let cmd =
   let doc =
@@ -218,11 +174,6 @@ let cmd =
   in
   let dir_arg =
     Arg.(value & pos 0 dir "corpus" & info [] ~docv:"DIR" ~doc:"Corpus directory.")
-  in
-  let backend_arg =
-    Arg.(
-      value & opt string "xen"
-      & info [ "b"; "backend" ] ~docv:"BACKEND" ~doc:"Backend to sweep (xen|kvm).")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.") in
   let min_bits_arg =
@@ -240,17 +191,14 @@ let cmd =
             "Differential coverage: compare the cumulative maps of two saved --json reports \
              and print the bits unique to each side (no campaign runs).")
   in
-  let run dir backend_s domains load_s json min_bits diff =
+  let run dir backend domains load json min_bits diff =
     match diff with
     | Some (a, b) -> run_diff a b json
-    | None -> (
-        match Load_mix.of_string load_s with
-        | None -> `Error (false, Printf.sprintf "unknown load mix %S (none|default|heavy)" load_s)
-        | Some load -> run_corpus dir backend_s domains load json min_bits)
+    | None -> run_corpus dir backend domains load json min_bits
   in
   Cmd.v
     (Cmd.info "coverage" ~doc)
     Term.(
       ret
-        (const run $ dir_arg $ backend_arg $ Scenario_cmd.domains_arg $ Scenario_cmd.load_arg
-        $ json_arg $ min_bits_arg $ diff_arg))
+        (const run $ dir_arg $ backend $ domains_arg $ load_arg $ json_arg $ min_bits_arg
+        $ diff_arg))

@@ -3,9 +3,7 @@
    loadable data instead of OCaml modules. *)
 
 open Cmdliner
-module XV = Scn_vm.Make (Ii_exploits.Scenario_xen)
-module KV = Scn_vm.Make (Ii_backends.Scenario_kvm)
-module KC = Ii_backends.Backends.Kvm_campaign
+open Cli
 
 let backend_to_string = function
   | Scn_bytecode.Any -> "any"
@@ -22,21 +20,35 @@ let load_all files =
   in
   go [] files
 
+let admits (module K : All.BACKEND) p = Scn_check.compatible K.Ops.caps (Scn_bytecode.backend p)
+
 (* Load-time gate: a program is checked against the action table of
    every backend its header admits. *)
 let check_errors (file, p) =
-  let checks =
-    match Scn_bytecode.backend p with
-    | Scn_bytecode.Xen_only -> [ ("xen", XV.check p) ]
-    | Scn_bytecode.Kvm_only -> [ ("kvm", KV.check p) ]
-    | Scn_bytecode.Any -> [ ("xen", XV.check p); ("kvm", KV.check p) ]
-  in
   List.filter_map
-    (fun (b, r) ->
-      match r with
-      | Ok () -> None
-      | Error msg -> Some (Printf.sprintf "%s [%s]: %s" file b msg))
-    checks
+    (fun (module K : All.BACKEND) ->
+      let module S = Scn_vm.Make (K.Ops) in
+      if not (S.compatible p) then None
+      else
+        match S.check p with
+        | Ok () -> None
+        | Error msg -> Some (Printf.sprintf "%s [%s]: %s" file K.Ops.B.name msg))
+    All.backends
+
+(* The backend a run uses: the header's constraint wins; a portable
+   (any) scenario follows --backend, else the first registered backend. *)
+let backend_for p = function
+  | Some b when admits b p -> Ok b
+  | Some b ->
+      Error
+        (Printf.sprintf "scenario %s is %s-only; it cannot run on backend %S"
+           (Scn_bytecode.name p)
+           (backend_to_string (Scn_bytecode.backend p))
+           (All.backend_name b))
+  | None -> (
+      match List.find_opt (fun b -> admits b p) All.backends with
+      | Some b -> Ok b
+      | None -> Error (Printf.sprintf "no registered backend admits scenario %s" (Scn_bytecode.name p)))
 
 let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
 let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
@@ -166,167 +178,46 @@ let disasm_cmd =
 
 (* --- scenario run -------------------------------------------------------- *)
 
-let modes_of_string = function
-  | "exploit" -> Some [ Campaign.Real_exploit ]
-  | "injection" -> Some [ Campaign.Injection ]
-  | "both" -> Some [ Campaign.Real_exploit; Campaign.Injection ]
-  | _ -> None
-
-let domains_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Concurrent guest domains on the testbed (>= 2: victim + attacker).")
-
-let load_arg =
-  Arg.(
-    value & opt string "none"
-    & info [ "load" ] ~docv:"MIX"
-        ~doc:"Deterministic background workload mix every guest runs (none|default|heavy).")
-
-let row_json ~version r =
-  Printf.sprintf
-    "{\"use_case\":%s,\"version\":%s,\"mode\":%s,\"rc\":%s,\"state\":%b,\"violations\":%s,\"transcript\":%s}"
-    (jstr r.Campaign.r_use_case) (jstr version)
-    (jstr (Campaign.mode_to_string r.Campaign.r_mode))
-    (match r.Campaign.r_rc with Some rc -> string_of_int rc | None -> "null")
-    r.Campaign.r_state
-    (jlist (fun v -> jstr (Monitor.violation_to_string v)) r.Campaign.r_violations)
-    (jlist jstr r.Campaign.r_transcript)
-
-let print_xen_row ~verbose (r : Campaign.result_row) =
-  Printf.printf "use case:        %s\n" r.Campaign.r_use_case;
-  Printf.printf "Xen version:     %s\n" (Version.to_string r.Campaign.r_version);
-  Printf.printf "mode:            %s\n" (Campaign.mode_to_string r.Campaign.r_mode);
-  (match r.Campaign.r_rc with
-  | Some rc -> Printf.printf "return code:     %d\n" rc
-  | None -> ());
-  Printf.printf "erroneous state: %s\n"
-    (if r.Campaign.r_state then "PRESENT (audited)" else "absent");
-  (match r.Campaign.r_violations with
-  | [] -> Printf.printf "security:        no violation (the system handled the state)\n"
-  | vs ->
-      Printf.printf "security violations:\n";
-      List.iter (fun v -> Printf.printf "  - %s\n" (Monitor.violation_to_string v)) vs);
-  if verbose then begin
-    Printf.printf "\n--- transcript ---\n";
-    List.iter print_endline r.Campaign.r_transcript
-  end;
-  print_newline ()
-
-let print_kvm_row ~verbose (r : KC.result_row) =
-  Printf.printf "use case:        %s\n" r.KC.r_use_case;
-  Printf.printf "KVM build:       %s\n"
-    (Ii_backends.Backend_kvm.config_to_string r.KC.r_version);
-  Printf.printf "mode:            %s\n" (Campaign.mode_to_string r.KC.r_mode);
-  (match r.KC.r_rc with
-  | Some rc -> Printf.printf "return code:     %d\n" rc
-  | None -> ());
-  Printf.printf "erroneous state: %s\n"
-    (if r.KC.r_state then "PRESENT (audited)" else "absent");
-  (match r.KC.r_violations with
-  | [] -> Printf.printf "security:        no violation (the system handled the state)\n"
-  | vs ->
-      Printf.printf "security violations:\n";
-      List.iter (fun v -> Printf.printf "  - %s\n" (Monitor.violation_to_string v)) vs);
-  if verbose then begin
-    Printf.printf "\n--- transcript ---\n";
-    List.iter print_endline r.KC.r_transcript
-  end;
-  print_newline ()
-
-let kvm_row_json (r : KC.result_row) =
-  Printf.sprintf
-    "{\"use_case\":%s,\"version\":%s,\"mode\":%s,\"rc\":%s,\"state\":%b,\"violations\":%s,\"transcript\":%s}"
-    (jstr r.KC.r_use_case)
-    (jstr (Ii_backends.Backend_kvm.config_to_string r.KC.r_version))
-    (jstr (Campaign.mode_to_string r.KC.r_mode))
-    (match r.KC.r_rc with Some rc -> string_of_int rc | None -> "null")
-    r.KC.r_state
-    (jlist (fun v -> jstr (Monitor.violation_to_string v)) r.KC.r_violations)
-    (jlist jstr r.KC.r_transcript)
-
-(* The concrete backend a run uses: the header's constraint wins; a
-   portable (any) scenario follows --backend. *)
-let effective_backend p backend_s =
-  match (Scn_bytecode.backend p, backend_s) with
-  | Scn_bytecode.Xen_only, ("xen" | "") -> Ok `Xen
-  | Scn_bytecode.Kvm_only, ("kvm" | "") -> Ok `Kvm
-  | Scn_bytecode.Any, ("xen" | "") -> Ok `Xen
-  | Scn_bytecode.Any, "kvm" -> Ok `Kvm
-  | tag, b ->
-      Error
-        (Printf.sprintf "scenario %s is %s-only; it cannot run on backend %S"
-           (Scn_bytecode.name p)
-           (backend_to_string tag)
-           b)
-
 let run_cmd =
   let doc = "Execute a compiled scenario in the bytecode VM against a backend." in
-  let backend_arg =
-    Arg.(value & opt string "" & info [ "b"; "backend" ] ~docv:"BACKEND"
-           ~doc:"Backend for portable scenarios (xen|kvm); defaults to the header's constraint.")
-  in
-  let mode_arg =
-    Arg.(value & opt string "both" & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"exploit|injection|both.")
-  in
-  let version_arg =
-    let parse s =
-      match Version.of_string s with
-      | Some v -> Ok v
-      | None -> Error (`Msg (Printf.sprintf "unknown Xen version %S (use 4.6, 4.8 or 4.13)" s))
-    in
-    let vconv = Arg.conv (parse, fun ppf v -> Version.pp ppf v) in
-    Arg.(value & opt vconv Version.V4_6 & info [ "x"; "xen-version" ] ~docv:"VER"
-           ~doc:"Target Xen version (4.6, 4.8, 4.13).")
-  in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit result rows as JSON.") in
-  let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print transcripts.") in
-  let run file backend_s mode_s version domains load_s json verbose =
-    match Load_mix.of_string load_s with
-    | None -> `Error (false, Printf.sprintf "unknown load mix %S (none|default|heavy)" load_s)
-    | Some load -> (
-        match Scn_loader.load_file file with
+  let run file backend modes config domains load json verbose =
+    match Scn_loader.load_file file with
+    | Error e -> `Error (false, e)
+    | Ok p -> (
+        match backend_for p backend with
         | Error e -> `Error (false, e)
-        | Ok p -> (
-            match modes_of_string mode_s with
-            | None ->
-                `Error (false, Printf.sprintf "unknown mode %S (exploit|injection|both)" mode_s)
-            | Some modes -> (
-                match effective_backend p backend_s with
-                | Error e -> `Error (false, e)
-                | Ok `Xen -> (
-                    match XV.check p with
-                    | Error e -> `Error (false, e)
-                    | Ok () ->
-                        let uc = XV.use_case p in
-                        let rows =
-                          List.map (fun m -> Campaign.run ~domains ~load uc m version) modes
-                        in
-                        if json then
-                          print_endline
-                            (jlist (row_json ~version:(Version.to_string version)) rows)
-                        else List.iter (print_xen_row ~verbose) rows;
-                        `Ok ())
-                | Ok `Kvm -> (
-                    match KV.check p with
-                    | Error e -> `Error (false, e)
-                    | Ok () ->
-                        let uc = KV.use_case p in
-                        let rows =
-                          List.map
-                            (fun m ->
-                              KC.run ~domains ~load uc m Ii_backends.Backend_kvm.rq1_config)
-                            modes
-                        in
-                        if json then print_endline (jlist kvm_row_json rows)
-                        else List.iter (print_kvm_row ~verbose) rows;
-                        `Ok ()))))
+        | Ok (module K) -> (
+            let module D = Drivers (K) in
+            match (D.S.check p, D.config config) with
+            | Error e, _ | _, Error e -> `Error (false, e)
+            | Ok (), Ok config ->
+                let uc = D.S.use_case p in
+                let rows = List.map (fun m -> D.C.run ~domains ~load uc m config) modes in
+                let row_json r =
+                  Printf.sprintf
+                    "{\"use_case\":%s,\"version\":%s,\"mode\":%s,\"rc\":%s,\"state\":%b,\"violations\":%s,\"transcript\":%s}"
+                    (jstr r.D.C.r_use_case)
+                    (jstr (D.B.config_to_string r.D.C.r_version))
+                    (jstr (Campaign.mode_to_string r.D.C.r_mode))
+                    (match r.D.C.r_rc with Some rc -> string_of_int rc | None -> "null")
+                    r.D.C.r_state
+                    (jlist (fun v -> jstr (Monitor.violation_to_string v)) r.D.C.r_violations)
+                    (jlist jstr r.D.C.r_transcript)
+                in
+                if json then print_endline (jlist row_json rows)
+                else
+                  List.iter
+                    (fun r ->
+                      D.print_row ~verbose ~evidence:false r;
+                      print_newline ())
+                    rows;
+                `Ok ()))
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ file_arg $ backend_arg $ mode_arg $ version_arg $ domains_arg $ load_arg
+        (const run $ file_arg $ backend_arg $ modes_arg $ config_arg $ domains_arg $ load_arg
         $ json_arg $ verbose_arg))
 
 (* --- scenario gate ------------------------------------------------------- *)
@@ -336,19 +227,13 @@ let run_cmd =
    configuration must cover the header's [expect] classes. The rows
    themselves are pinned by test/golden_rows.ml. *)
 let gate_program (file, p) =
-  match check_errors (file, p) with
-  | _ :: _ as errs -> errs
-  | [] ->
-      let observed =
-        match Scn_bytecode.backend p with
-        | Scn_bytecode.Xen_only | Scn_bytecode.Any ->
-            (Campaign.run (XV.use_case p) Campaign.Injection Substrate_xen.rq1_config)
-              .Campaign.r_violations
-        | Scn_bytecode.Kvm_only ->
-            (KC.run (KV.use_case p) Campaign.Injection Ii_backends.Backend_kvm.rq1_config)
-              .KC.r_violations
-      in
-      let classes = List.map Scn_ast.violation_class observed in
+  match (check_errors (file, p), backend_for p None) with
+  | (_ :: _ as errs), _ -> errs
+  | [], Error e -> [ file ^ ": " ^ e ]
+  | [], Ok (module K) ->
+      let module D = Drivers (K) in
+      let row = D.C.run (D.S.use_case p) Campaign.Injection D.B.rq1_config in
+      let classes = List.map Scn_ast.violation_class row.D.C.r_violations in
       List.filter_map
         (fun c ->
           if List.mem c classes then None
@@ -392,42 +277,43 @@ let gate_cmd =
    for byte with every domain live, and (c) attribute every violation
    to an originating action through the provenance graph — an intrusion
    found in a bystander domain that cannot be traced to the injector is
-   a gate failure. Xen-capable scenarios only: the gate exercises the
-   grant-table/event-channel/device-model surfaces. *)
-let crossdomain_program ~domains ~load (file, p) =
+   a gate failure. It runs on the default (Xen) backend: the gate
+   exercises the grant-table/event-channel/device-model surfaces. *)
+let crossdomain_program (module K : All.BACKEND) ~domains ~load (file, p) =
+  let module D = Drivers (K) in
   let errs = ref [] in
   let fail fmt =
     Printf.ksprintf (fun m -> errs := Printf.sprintf "%s: %s" file m :: !errs) fmt
   in
-  (match XV.check p with
+  (match D.S.check p with
   | Error e -> fail "%s" e
   | Ok () -> (
-      let uc = XV.use_case p in
-      let version = Substrate_xen.rq1_config in
+      let uc = D.S.use_case p in
+      let config = D.B.rq1_config in
       (* (a) blast radius: expected classes, landing in a guest domain *)
-      let row = Campaign.run ~domains ~load uc Campaign.Injection version in
-      let classes = List.map Scn_ast.violation_class row.Campaign.r_violations in
+      let row = D.C.run ~domains ~load uc Campaign.Injection config in
+      let classes = List.map Scn_ast.violation_class row.D.C.r_violations in
       List.iter
         (fun c ->
           if not (List.mem c classes) then
             fail "expected violation class %s not observed at %d domains under %s load" c
               domains (Load_mix.to_string load))
         (Scn_bytecode.expected_violations p);
-      if not (List.exists (fun (d, vs) -> d <> "host" && vs <> []) row.Campaign.r_domains)
+      if not (List.exists (fun (d, vs) -> d <> "host" && vs <> []) row.D.C.r_domains)
       then fail "no violation landed in a guest domain (no bystander casualty)";
       (* (b) replay determinism with every domain live *)
       List.iter
         (fun mode ->
-          let r = Trace_driver.record ~domains ~load uc mode version in
-          let rp = Trace_driver.replay r in
-          if not rp.Trace_driver.rp_equal then
+          let r = D.T.record ~domains ~load uc mode config in
+          let rp = D.T.replay r in
+          if not rp.D.T.rp_equal then
             fail "replay diverged in final state (%s mode)" (Campaign.mode_to_string mode);
-          if not rp.Trace_driver.rp_vts_equal then
+          if not rp.D.T.rp_vts_equal then
             fail "replay diverged in virtual timestamps (%s mode)" (Campaign.mode_to_string mode))
         [ Campaign.Real_exploit; Campaign.Injection ];
       (* (c) attribution completeness *)
-      let report = Attribution.attribute ~domains ~load uc Campaign.Injection version in
-      if not (Attribution.complete report) then
+      let report = D.A.attribute ~domains ~load uc Campaign.Injection config in
+      if not (D.A.complete report) then
         fail "a violation in the blast radius has no attributed origin";
       match !errs with
       | [] ->
@@ -435,8 +321,8 @@ let crossdomain_program ~domains ~load (file, p) =
             "%s: %s OK at %d domains / %s load (%d violation(s), %d affected domain(s))\n"
             file (Scn_bytecode.name p)
             domains (Load_mix.to_string load)
-            (List.length row.Campaign.r_violations)
-            (List.length row.Campaign.r_domains)
+            (List.length row.D.C.r_violations)
+            (List.length row.D.C.r_domains)
       | _ -> ()));
   List.rev !errs
 
@@ -446,21 +332,17 @@ let crossdomain_cmd =
      fail unless the blast radius, replay determinism and per-violation attribution all \
      hold (the CI cross-domain step)."
   in
-  let run files domains load_s =
-    match Load_mix.of_string load_s with
-    | None -> `Error (false, Printf.sprintf "unknown load mix %S (none|default|heavy)" load_s)
-    | Some load -> (
-        if domains < 2 then `Error (false, "need at least 2 guest domains")
-        else
-          match load_all files with
-          | Error e -> `Error (false, e)
-          | Ok progs -> (
-              match List.concat_map (crossdomain_program ~domains ~load) progs with
-              | [] -> `Ok ()
-              | errs ->
-                  List.iter prerr_endline errs;
-                  `Error
-                    (false, Printf.sprintf "%d cross-domain gate failure(s)" (List.length errs))))
+  let run files domains load =
+    if domains < 2 then `Error (false, "need at least 2 guest domains")
+    else
+      match load_all files with
+      | Error e -> `Error (false, e)
+      | Ok progs -> (
+          match List.concat_map (crossdomain_program All.xen ~domains ~load) progs with
+          | [] -> `Ok ()
+          | errs ->
+              List.iter prerr_endline errs;
+              `Error (false, Printf.sprintf "%d cross-domain gate failure(s)" (List.length errs)))
   in
   Cmd.v
     (Cmd.info "crossdomain" ~doc)

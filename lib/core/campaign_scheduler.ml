@@ -116,18 +116,3 @@ let run_streamed ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?cover
           List.map (fun o -> (o, counts.((vi * n_outcomes) + outcome_slot o))) RC.all_outcomes;
       })
     versions
-
-let render_stream stats =
-  let header = "Version" :: List.map RC.outcome_to_string RC.all_outcomes in
-  let rows =
-    List.map
-      (fun s ->
-        Version.to_string s.st_version
-        :: List.map (fun o -> string_of_int (List.assoc o s.st_tally)) RC.all_outcomes)
-      stats
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf "Campaign scheduler (%d trials per version, streamed): outcome tally"
-         (match stats with s :: _ -> s.st_trials | [] -> 0))
-    ~header rows

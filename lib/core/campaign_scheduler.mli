@@ -56,5 +56,3 @@ val run_streamed :
     streaming fold; because the merge is a bitwise OR (commutative,
     idempotent), the cumulative map equals {!run}'s byte for byte even
     though the streamed merge order is scheduler-dependent. *)
-
-val render_stream : stream_stats list -> string

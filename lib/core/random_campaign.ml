@@ -23,8 +23,6 @@ let all_targets =
 let intrusion_targets =
   [ Idt_gates; Page_table_entries; M2p_entries; Arbitrary_physical; Component_hooks ]
 
-let memory_targets = [ Idt_gates; Page_table_entries; M2p_entries; Arbitrary_physical ]
-
 type outcome_class = Crashed | Violated | State_only | No_effect | Refused
 
 let outcome_to_string = function

@@ -29,9 +29,6 @@ val all_targets : target_class list
 val intrusion_targets : target_class list
 (** [all_targets] minus the accidental-fault class. *)
 
-val memory_targets : target_class list
-(** The classes the [arbitrary_access] hypercall covers. *)
-
 type outcome_class =
   | Crashed  (** hypervisor panic *)
   | Violated  (** non-crash security violation(s) *)

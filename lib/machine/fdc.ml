@@ -50,7 +50,6 @@ let inject_overflow t data =
   Bytes.blit data 0 t.memory fifo_size len
 
 let handler_intact t = handler_value t = legitimate_handler
-let memory_byte t i = Char.code (Bytes.get t.memory i)
 
 let kick t =
   if handler_intact t then `Dispatched

@@ -51,7 +51,6 @@ val inject_overflow : t -> bytes -> unit
 
 val handler_value : t -> int64
 val handler_intact : t -> bool
-val memory_byte : t -> int -> int
 
 val kick : t -> [ `Dispatched | `Hijacked of int64 | `Rejected_corrupt_handler ]
 (** Process pending requests through the handler pointer: a corrupted

@@ -20,4 +20,3 @@ let hardened_address_space = function V4_6 | V4_8 -> false | V4_13 -> true
 let grant_frame_ownership_checked = function V4_6 -> false | V4_8 | V4_13 -> true
 let venom_fixed = function V4_6 -> false | V4_8 | V4_13 -> true
 let dm_handler_validation = function V4_6 | V4_8 -> false | V4_13 -> true
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -47,5 +47,3 @@ val dm_handler_validation : t -> bool
 (** The device model validates its dispatch handler against a known-good
     value before each command kick (a 4.13-era hardening), shielding
     guests from a corrupted handler even when corruption lands. *)
-
-val pp : Format.formatter -> t -> unit

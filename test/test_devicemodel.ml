@@ -1,4 +1,4 @@
-(* Tests for the device models: the FDC (VENOM study) and the
+(* Tests for the device models: the FDC (VENOM) and the
    paravirtual block-device pair (off-by-one backend study). *)
 
 open Ii_xen
@@ -76,40 +76,33 @@ let test_reset_restores () =
   check_bool "intact after reset" true (Fdc.handler_intact fdc);
   check_bool "dispatches" true (Fdc.kick fdc = `Dispatched)
 
-(* --- the study -------------------------------------------------------------- *)
-
-let test_study_matrix () =
-  let outcomes = Venom_study.matrix () in
-  check_int "eight runs" 8 (List.length outcomes);
-  (* exploit only corrupts vulnerable builds *)
+(* The four builds (vulnerable or fixed, with or without handler
+   validation): the over-long FD_WRITE corrupts the handler iff the
+   build is vulnerable, the injected overflow corrupts it on every
+   build, and dispatch is hijacked iff the handler is corrupt and
+   unvalidated. *)
+let test_build_matrix () =
+  let handler = 0x0000_6666_c0de_c0deL in
   List.iter
-    (fun o ->
-      match o.Venom_study.o_mode with
-      | Venom_study.Exploit ->
-          check_bool "exploit state iff vulnerable" o.Venom_study.o_cfg.Fdc.venom_vulnerable
-            o.Venom_study.o_state
-      | Venom_study.Injection -> check_bool "injection always lands" true o.Venom_study.o_state)
-    outcomes;
-  (* violation iff state and no validation *)
-  List.iter
-    (fun o ->
-      let expected = o.Venom_study.o_state && not o.Venom_study.o_cfg.Fdc.handler_validation in
-      check_bool "violation rule" expected o.Venom_study.o_violation)
-    outcomes
-
-let test_study_render () =
-  let s = Venom_study.render (Venom_study.matrix ()) in
-  check_bool "mentions shield" true
-    (let n = String.length Ii_core.Report.shield in
-     let rec go i =
-       i + n <= String.length s && (String.sub s i n = Ii_core.Report.shield || go (i + 1))
-     in
-     go 0)
-
-let test_study_im () =
-  check_bool "af" true
-    (Venom_study.im.Ii_core.Intrusion_model.functionality
-    = Ii_core.Abusive_functionality.Write_unauthorized_memory)
+    (fun (venom_vulnerable, handler_validation) ->
+      let cfg = { Fdc.venom_vulnerable; handler_validation } in
+      let label = Printf.sprintf "venom=%b validation=%b" venom_vulnerable handler_validation in
+      let exploited = Fdc.create cfg in
+      let payload = Bytes.make (Fdc.fifo_size + 8) 'A' in
+      Bytes.set_int64_le payload Fdc.fifo_size handler;
+      ignore (Fdc.issue exploited (Fdc.Fd_write_data payload));
+      let injected = Fdc.create cfg in
+      let tail = Bytes.create 8 in
+      Bytes.set_int64_le tail 0 handler;
+      Fdc.inject_overflow injected tail;
+      List.iter
+        (fun (mode, fdc, state) ->
+          check_bool (label ^ " " ^ mode ^ " state") state (not (Fdc.handler_intact fdc));
+          check_bool (label ^ " " ^ mode ^ " violation")
+            (state && not handler_validation)
+            (match Fdc.kick fdc with `Hijacked _ -> true | _ -> false))
+        [ ("exploit", exploited, venom_vulnerable); ("injection", injected, true) ])
+    [ (true, false); (true, true); (false, false); (false, true) ]
 
 (* --- Blkdev --------------------------------------------------------------- *)
 
@@ -215,12 +208,7 @@ let () =
             test_injection_reproduces_overflow_state;
           Alcotest.test_case "validation shields" `Quick test_handler_validation_shields;
           Alcotest.test_case "reset restores" `Quick test_reset_restores;
-        ] );
-      ( "venom_study",
-        [
-          Alcotest.test_case "matrix" `Quick test_study_matrix;
-          Alcotest.test_case "render" `Quick test_study_render;
-          Alcotest.test_case "intrusion model" `Quick test_study_im;
+          Alcotest.test_case "build matrix" `Quick test_build_matrix;
         ] );
       ( "blkdev",
         [

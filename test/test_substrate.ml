@@ -223,9 +223,16 @@ let test_domain_indexed_view () =
     (List.length (List.concat_map snd kgrouped))
 
 let test_backend_registry () =
-  check_bool "xen known" true (Ii_backends.Backends.is_known "xen");
-  check_bool "kvm known" true (Ii_backends.Backends.is_known "kvm");
-  check_bool "vbox unknown" false (Ii_backends.Backends.is_known "vbox");
+  check_bool "xen known" true (All.find_backend "xen" <> None);
+  check_bool "kvm known" true (All.find_backend "kvm" <> None);
+  check_bool "vbox unknown" false (All.find_backend "vbox" <> None);
+  List.iter
+    (fun (module K : All.BACKEND) ->
+      let module B = K.Ops.B in
+      check_bool (B.name ^ ": rq1 config round-trips") true
+        (B.config_of_string (B.config_to_string B.rq1_config) = Some B.rq1_config);
+      check_bool (B.name ^ ": has use cases") true (K.use_cases <> []))
+    All.backends;
   let r = KC.run (kvm_uc "KVM-IDT") Campaign.Injection BK.Stock in
   check_string "r_backend kvm" "kvm" r.KC.r_backend
 
