@@ -1,19 +1,16 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (printing the same rows the paper reports) and
-   times the code paths behind each with Bechamel.
+(* The artefact runner: regenerates every table and figure of the
+   paper's evaluation, printing the same rows the paper reports. Timing
+   lives in perfbench/ (see perfbench/README.md).
 
    Usage:
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe table1     -- one artefact (table1..3, fig1..4)
-     dune exec bench/main.exe bench      -- only the Bechamel timings
+     dune exec bench/main.exe              -- every artefact
+     dune exec bench/main.exe table1       -- one artefact (table1..3, fig1..4, extensions)
 *)
 
 module All = Ii_exploits.All_exploits
 
 let hr title =
   Printf.printf "\n==================== %s ====================\n\n" title
-
-(* --- artefact regeneration -------------------------------------------- *)
 
 let table1 () =
   hr "TABLE I (abusive functionality study, §IV-D)";
@@ -143,672 +140,6 @@ let extensions () =
   print_newline ();
   print_endline (Ii_exploits.Cross_system.render (Ii_exploits.Cross_system.run ()))
 
-(* --- Bechamel timings --------------------------------------------------- *)
-
-open Bechamel
-
-let uc name = Option.get (All.find name)
-
-let bench_tests =
-  [
-    (* one Test.make per table/figure, as the harness contract asks *)
-    Test.make ~name:"table1/classify-corpus"
-      (Staged.stage (fun () ->
-           List.iter (fun e -> ignore (Ii_advisory.Classify.classify e)) Ii_advisory.Corpus.corpus));
-    Test.make ~name:"table2/derive-ims"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun a ->
-               List.iter
-                 (fun b -> ignore (Intrusion_model.compatible a.Campaign.im b.Campaign.im))
-                 All.use_cases)
-             All.use_cases));
-    Test.make ~name:"table3/injection-run"
-      (let tb = Testbed.create Version.V4_8 in
-       Staged.stage (fun () ->
-           ignore (Campaign.run ~tb (uc "XSA-182-test") Campaign.Injection Version.V4_8)));
-    Test.make ~name:"fig1/avi-chain"
-      (Staged.stage (fun () -> ignore (Avi.run Avi.Correct Avi.venom_scenario)));
-    Test.make ~name:"fig2/pipeline"
-      (let tb = Testbed.create Version.V4_8 in
-       Staged.stage (fun () ->
-           Testbed.reset tb;
-           let u = uc "XSA-182-test" in
-           ignore (Pipeline.run tb ~im:u.Campaign.im ~inject:u.Campaign.run_injection)));
-    Test.make ~name:"fig3/equivalence"
-      (Staged.stage (fun () ->
-           ignore
-             (Weird_machine.equivalent Weird_machine.xsa_example
-                ~inputs:[ "a"; "b"; "crafted-hypercall" ])));
-    Test.make ~name:"fig4/rq1-validation"
-      (Staged.stage (fun () ->
-           let u = uc "XSA-212-crash" in
-           let e = Campaign.run u Campaign.Real_exploit Version.V4_6 in
-           let i = Campaign.run u Campaign.Injection Version.V4_6 in
-           ignore (Monitor.same_class e.Campaign.r_violations i.Campaign.r_violations)));
-    (* substrate ablations: the design choices DESIGN.md calls out *)
-    Test.make ~name:"ablation/boot-hypervisor"
-      (Staged.stage (fun () -> ignore (Hv.boot ~version:Version.V4_6 ~frames:512)));
-    Test.make ~name:"ablation/build-domain"
-      (let hv = ref (Hv.boot ~version:Version.V4_6 ~frames:4096) in
-       Staged.stage (fun () ->
-           if Phys_mem.free_frames !hv.Hv.mem < 128 then
-             hv := Hv.boot ~version:Version.V4_6 ~frames:4096;
-           ignore (Builder.create_domain !hv ~name:"bench" ~privileged:false ~pages:64)));
-    Test.make ~name:"ablation/page-walk"
-      (let tb = Testbed.create Version.V4_6 in
-       let dom = Kernel.dom tb.Testbed.attacker in
-       Staged.stage (fun () ->
-           ignore
-             (Paging.walk tb.Testbed.hv.Hv.mem ~cr3:dom.Domain.l4_mfn
-                (Domain.kernel_vaddr_of_pfn 5))));
-    Test.make ~name:"ablation/mmu-update-validated"
-      (let tb = Testbed.create Version.V4_6 in
-       let k = tb.Testbed.attacker in
-       let l1 =
-         match
-           Paging.walk tb.Testbed.hv.Hv.mem ~cr3:(Kernel.dom k).Domain.l4_mfn
-             (Domain.kernel_vaddr_of_pfn 0)
-         with
-         | Ok tr -> (List.nth tr.Paging.path 3).Paging.table_mfn
-         | Error _ -> assert false
-       in
-       let mfn9 = Option.get (Domain.mfn_of_pfn (Kernel.dom k) 9) in
-       let ptr = Int64.add (Addr.maddr_of_mfn l1) (Int64.of_int (8 * 9)) in
-       let e = Pte.make ~mfn:mfn9 ~flags:[ Pte.Present; Pte.Rw; Pte.User ] in
-       Staged.stage (fun () ->
-           ignore (Kernel.hypercall_rc k (Hypercall.Mmu_update [ (ptr, e) ]))));
-    Test.make ~name:"ablation/injector-write"
-      (let tb = Testbed.create Version.V4_6 in
-       let () = Injector.install tb.Testbed.hv in
-       let k = tb.Testbed.attacker in
-       let addr =
-         Layout.directmap_of_maddr
-           (Addr.maddr_of_mfn (Option.get (Domain.mfn_of_pfn (Kernel.dom k) 5)))
-       in
-       Staged.stage (fun () ->
-           ignore (Injector.write_u64 k ~addr ~action:Injector.Arbitrary_write_linear 42L)));
-    Test.make ~name:"ablation/pt-guard-audit"
-      (let tb = Testbed.create Version.V4_6 in
-       let guard = Pt_guard.deploy tb.Testbed.hv Pt_guard.Detect_only in
-       Staged.stage (fun () -> ignore (Pt_guard.audit guard)));
-    Test.make ~name:"ablation/snapshot-capture-restore"
-      (Staged.stage (fun () ->
-           let hv = Hv.boot ~version:Version.V4_8 ~frames:1024 in
-           let g = Builder.create_domain hv ~name:"g" ~privileged:false ~pages:64 in
-           let snap = Snapshot.capture hv g in
-           ignore (Domctl.destroy hv g);
-           ignore (Snapshot.restore hv snap)));
-    Test.make ~name:"ablation/blk-ring-roundtrip"
-      (let tb = Testbed.create Version.V4_13 in
-       let dom0 = Kernel.dom tb.Testbed.dom0 in
-       let be =
-         Ii_devicemodel.Blkdev.create_backend tb.Testbed.hv ~backend_dom:dom0 ~off_by_one:false
-       in
-       let fe =
-         match
-           Ii_devicemodel.Blkdev.connect tb.Testbed.attacker ~backend_domid:dom0.Domain.id
-             ~ring_pfn:45 ~data_pfn:46
-         with
-         | Ok fe -> fe
-         | Error _ -> assert false
-       in
-       Staged.stage (fun () ->
-           ignore (Ii_devicemodel.Blkdev.submit fe ~op:Ii_devicemodel.Blkdev.Ring.op_read ~sector:1);
-           ignore (Ii_devicemodel.Blkdev.backend_poll be fe)));
-    Test.make ~name:"ablation/xenstore-write-read"
-      (let xs = Xenstore.create () in
-       Staged.stage (fun () ->
-           ignore (Xenstore.write xs ~caller:0 "/local/domain/1/bench" "v");
-           ignore (Xenstore.read xs ~caller:0 "/local/domain/1/bench")));
-    Test.make ~name:"ablation/random-campaign-30-trials"
-      (Staged.stage (fun () ->
-           ignore (Random_campaign.run ~seed:9L ~trials:30 Version.V4_8)));
-    (* throughput-engine layers: each one of the campaign fast paths *)
-    Test.make ~name:"perf/walk-uncached"
-      (let tb = Testbed.create Version.V4_8 in
-       let cr3 = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn in
-       let va = Domain.kernel_vaddr_of_pfn 5 in
-       Staged.stage (fun () ->
-           ignore
-             (Paging.translate tb.Testbed.hv.Hv.mem ~cr3 ~kind:Paging.Read ~user:false va)));
-    Test.make ~name:"perf/walk-cached"
-      (let tb = Testbed.create Version.V4_8 in
-       let tlb = Paging.Tlb.create () in
-       let cr3 = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn in
-       let va = Domain.kernel_vaddr_of_pfn 5 in
-       Staged.stage (fun () ->
-           ignore
-             (Paging.translate_cached tlb tb.Testbed.hv.Hv.mem ~cr3 ~kind:Paging.Read
-                ~user:false va)));
-    Test.make ~name:"perf/testbed-reset"
-      (let tb = Testbed.create Version.V4_8 in
-       Staged.stage (fun () -> Testbed.reset tb));
-    Test.make ~name:"perf/bulk-read-4k"
-      (let tb = Testbed.create Version.V4_8 in
-       Staged.stage (fun () -> ignore (Phys_mem.read_bytes tb.Testbed.hv.Hv.mem 0x5000L 4096)));
-    Test.make ~name:"perf/bulk-write-4k"
-      (let tb = Testbed.create Version.V4_8 in
-       let buf = Bytes.make 4096 'x' in
-       Staged.stage (fun () -> Phys_mem.write_bytes tb.Testbed.hv.Hv.mem 0x5000L buf));
-    Test.make ~name:"perf/alloc-free-churn"
-      (let tb = Testbed.create Version.V4_8 in
-       let mem = tb.Testbed.hv.Hv.mem in
-       Staged.stage (fun () ->
-           let mfns = Phys_mem.alloc_many mem Phys_mem.Xen 32 in
-           List.iter (Phys_mem.free mem) mfns));
-    Test.make ~name:"ablation/memory-scan-2048-frames"
-      (let tb = Testbed.create Version.V4_6 in
-       let () = Injector.install tb.Testbed.hv in
-       let k = tb.Testbed.attacker in
-       Staged.stage (fun () ->
-           let n = Phys_mem.total_frames tb.Testbed.hv.Hv.mem in
-           for mfn = 0 to n - 1 do
-             ignore
-               (Injector.read k
-                  ~addr:(Addr.maddr_of_mfn mfn)
-                  ~action:Injector.Arbitrary_read_physical ~len:16)
-           done));
-  ]
-
-let run_benchmarks () =
-  hr "Bechamel timings (one benchmark per table/figure + substrate ablations)";
-  (* Bechamel disables automatic heap compaction (max_overhead = 1e6)
-     for measurement stability and never restores it; a million-trial
-     stream afterwards then fragments the major heap without bound
-     (~10 GB, 2x slower). Save the caller's Gc params and restore them
-     when the bechamel phase is done. *)
-  let gc_params = Gc.get () in
-  Fun.protect ~finally:(fun () -> Gc.set gc_params; Gc.compact ()) @@ fun () ->
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ~kde:(Some 10) ()
-  in
-  let grouped = Test.make_grouped ~name:"xenrepro" ~fmt:"%s/%s" bench_tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols (List.hd instances) raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  Printf.printf "%-56s %16s %10s\n" "benchmark" "ns/run" "r^2";
-  List.iter
-    (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with Some [ e ] -> e | Some _ | None -> nan
-      in
-      let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> nan in
-      Printf.printf "%-56s %16.1f %10.4f\n" name estimate r2)
-    rows
-
-(* --- campaign throughput report ---------------------------------------
-   Wall-clock timings of the throughput-engine layers (software TLB,
-   O(dirty) reset, bulk copies, sharding) plus the end-to-end campaign,
-   emitted as a table and optionally as JSON ([--json PATH]). Manual
-   Unix.gettimeofday timing: these are one-shot seconds-scale numbers
-   Bechamel's per-run OLS is the wrong tool for. *)
-
-type metric = F of float | I of int | B of bool
-
-let ns_per_call ~n f =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    f ()
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
-
-let seconds f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Best of [reps]: one-shot wall-clock numbers at the few-ms scale carry
-   allocator/GC warm-up noise; the minimum is the standard steady-state
-   estimate. Returns the first run's result so determinism checks can
-   still compare values. *)
-let seconds_best ~reps f =
-  let r, d0 = seconds f in
-  let best = ref d0 in
-  for _ = 2 to reps do
-    let _, d = seconds f in
-    if d < !best then best := d
-  done;
-  (r, !best)
-
-let perf_report ?(full = false) ~trials () =
-  let tb = Testbed.create Version.V4_8 in
-  let hv = tb.Testbed.hv in
-  let cr3 = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn in
-  let va = Domain.kernel_vaddr_of_pfn 5 in
-  (* layer 1: software TLB vs fresh walk *)
-  let walk_uncached_ns =
-    ns_per_call ~n:20_000 (fun () ->
-        ignore (Paging.translate hv.Hv.mem ~cr3 ~kind:Paging.Read ~user:false va))
-  in
-  let tlb = Paging.Tlb.create () in
-  let walk_cached_ns =
-    ns_per_call ~n:20_000 (fun () ->
-        ignore (Paging.translate_cached tlb hv.Hv.mem ~cr3 ~kind:Paging.Read ~user:false va))
-  in
-  let tlb_stats = Paging.Tlb.stats tlb in
-  (* layer 2: O(dirty) reset vs full boot *)
-  let create_ns = ns_per_call ~n:20 (fun () -> ignore (Testbed.create Version.V4_8)) in
-  Injector.install hv;
-  ignore (Injector.write_u64 tb.Testbed.attacker ~addr:0x9000L
-            ~action:Injector.Arbitrary_write_physical 0xBEEFL);
-  let dirty_before_reset = Phys_mem.dirty_count hv.Hv.mem in
-  let reset_ns =
-    ns_per_call ~n:200 (fun () ->
-        (* dirty a page first so every iteration resets real work; the
-           reset drops the injector registration, so re-install *)
-        Injector.install hv;
-        ignore (Injector.write_u64 tb.Testbed.attacker ~addr:0x9000L
-                  ~action:Injector.Arbitrary_write_physical 0xBEEFL);
-        Testbed.reset tb)
-  in
-  (* layer 3: bulk copies *)
-  let buf = Bytes.make 4096 'x' in
-  let bulk_read_ns =
-    ns_per_call ~n:50_000 (fun () -> ignore (Phys_mem.read_bytes hv.Hv.mem 0x5000L 4096))
-  in
-  let bulk_write_ns =
-    ns_per_call ~n:50_000 (fun () -> Phys_mem.write_bytes hv.Hv.mem 0x5000L buf)
-  in
-  Testbed.reset tb;
-  (* layer 4 + end to end: the campaign pair. The sequential reference
-     keeps the historical shape (one fresh boot, then reset per trial);
-     the sharded run goes through the batching scheduler, whose workers
-     fork COW testbeds from the warm template pool. [auto_workers]
-     never oversubscribes the machine, so the pool's create-vs-fork
-     margin is a lower bound on the win. *)
-  ignore (Testbed.create_pooled Version.V4_8) (* warm the template *);
-  let fork_ns = ns_per_call ~n:200 (fun () -> ignore (Testbed.create_pooled Version.V4_8)) in
-  let campaign_workers = Shard.auto_workers () in
-  ignore (Random_campaign.run ~seed:7L ~trials Version.V4_8);
-  let seq, campaign_seq_s =
-    seconds_best ~reps:3 (fun () -> Random_campaign.run ~seed:7L ~trials Version.V4_8)
-  in
-  let sharded, campaign_sharded_s =
-    seconds_best ~reps:3 (fun () ->
-        Campaign_scheduler.run ~seed:7L ~trials ~workers:campaign_workers [ Version.V4_8 ])
-  in
-  let campaign_identical = sharded = [ seq ] in
-  let campaign_speedup = campaign_seq_s /. campaign_sharded_s in
-  (* smallest trial count at which the scheduler already beats the
-     sequential reference — the pool amortizes the boot from trial one,
-     so this should sit at the bottom of the sweep *)
-  let campaign_crossover_trials =
-    let crosses t =
-      let _, s = seconds_best ~reps:2 (fun () -> Random_campaign.run ~seed:7L ~trials:t Version.V4_8) in
-      let _, p =
-        seconds_best ~reps:2 (fun () ->
-            Campaign_scheduler.run ~seed:7L ~trials:t ~workers:campaign_workers [ Version.V4_8 ])
-      in
-      p < s
-    in
-    match List.find_opt crosses [ 1; 2; 5; 10; 25; 50; 100; trials ] with
-    | Some t -> t
-    | None -> max_int
-  in
-  (* the million-trial shape (full bench only): streamed through
-     [fold_init], so no per-trial row is ever materialized and peak heap
-     stays flat in the trial count *)
-  let campaign_1m_keys =
-    if not full then []
-    else begin
-      Gc.compact ();
-      let heap_before = (Gc.quick_stat ()).Gc.top_heap_words in
-      let n_1m = 1_000_000 in
-      let stats, s_1m =
-        seconds (fun () ->
-            Campaign_scheduler.run_streamed ~seed:7L ~trials:n_1m ~workers:campaign_workers
-              [ Version.V4_8 ])
-      in
-      let heap_after = (Gc.quick_stat ()).Gc.top_heap_words in
-      let tallied =
-        List.fold_left (fun a (_, n) -> a + n) 0 (List.hd stats).Campaign_scheduler.st_tally
-      in
-      [
-        ("campaign_1m_trials", I tallied);
-        ("campaign_1m_trials_s", F s_1m);
-        ("campaign_1m_trials_per_s", F (float_of_int tallied /. s_1m));
-        ("campaign_1m_peak_heap_words", I heap_after);
-        ("campaign_1m_heap_growth_words", I (heap_after - heap_before));
-      ]
-    end
-  in
-  List.iter (fun v -> ignore (Testbed.create_pooled v)) Version.all;
-  let seq_m, matrix_seq_s =
-    seconds (fun () ->
-        Campaign.run_matrix All.use_cases ~versions:Version.all ~modes:[ Campaign.Injection ])
-  in
-  let par_m, matrix_sharded_s =
-    seconds (fun () ->
-        Campaign.run_matrix ~workers:campaign_workers ~pooled:true All.use_cases
-          ~versions:Version.all ~modes:[ Campaign.Injection ])
-  in
-  let matrix_identical = seq_m = par_m in
-  (* layer 5: the trace subsystem. Telemetry columns come from the
-     always-on counters; the ring-on vs ring-off trial timing is the
-     overhead contract (off must stay within noise of the pre-trace
-     numbers, on is allowed to cost). *)
-  let uc148 = Option.get (All.find "XSA-148-priv") in
-  let tb_tr = Testbed.create Version.V4_6 in
-  let row, trace_off_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_tr uc148 Campaign.Injection Version.V4_6)
-  in
-  Trace.enable tb_tr.Testbed.hv.Hv.trace;
-  let row_on, trace_on_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_tr uc148 Campaign.Injection Version.V4_6)
-  in
-  Trace.disable tb_tr.Testbed.hv.Hv.trace;
-  let tm = row.Campaign.r_telemetry in
-  let telemetry_stable = tm = row_on.Campaign.r_telemetry in
-  (* layer 6: the VMI detector suite and the shared metrics registry.
-     Coverage latencies are deterministic (trace sequence deltas); the
-     dispatch-cost histogram is wall-clock and lands in the registry
-     alongside the detectors' scan-cost histogram. *)
-  let registry = Metrics.create () in
-  Campaign.publish registry row;
-  Campaign.publish registry row_on;
-  let vmi_trials =
-    Vmi_driver.coverage ~registry All.use_cases Campaign.Injection Version.V4_6
-  in
-  let vmi_latency_keys =
-    (* ns-denominated since schema 7 (virtual-clock deltas); the seq
-       distance the old vmi_latency_* keys carried is still in the
-       `xenrepro vmi --json` "latency" object *)
-    List.map
-      (fun t ->
-        ( "vmi_latency_ns_" ^ t.Vmi_driver.t_recording.Trace_driver.rec_use_case,
-          I
-            (match Vmi_driver.best_latency_ns t with
-            | Some l -> Int64.to_int l
-            | None -> -1) ))
-      vmi_trials
-  in
-  let vmi_detected_all = List.for_all Vmi_driver.covered vmi_trials in
-  let vmi_scans = List.fold_left (fun a t -> a + t.Vmi_driver.t_scans) 0 vmi_trials in
-  let vmi_frames =
-    List.fold_left (fun a t -> a + t.Vmi_driver.t_frames_read) 0 vmi_trials
-  in
-  let vmi_clean = Vmi_driver.side_effect_free uc148 Campaign.Injection Version.V4_6 in
-  let dispatch_h =
-    Metrics.histogram registry ~help:"Injector hypercall dispatch cost (ns)"
-      ~buckets:[ 100.; 300.; 1000.; 3000.; 10000. ]
-      "hypercall_dispatch_ns"
-  in
-  let tb_d = Testbed.create Version.V4_6 in
-  Injector.install tb_d.Testbed.hv;
-  for _ = 1 to 2_000 do
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (Injector.read_u64 tb_d.Testbed.attacker ~addr:0x5000L
-         ~action:Injector.Arbitrary_read_physical);
-    Metrics.observe dispatch_h ((Unix.gettimeofday () -. t0) *. 1e9)
-  done;
-  let bucket_keys name h =
-    List.map
-      (fun (le, n) ->
-        ( Printf.sprintf "%s_le_%s" name
-            (if le = infinity then "inf" else Printf.sprintf "%.0f" le),
-          I n ))
-      (Metrics.bucket_counts h)
-  in
-  let scan_frames_h =
-    Metrics.histogram registry ~buckets:Vmi.scan_buckets "vmi_scan_frames"
-  in
-  (* layer 7: the pluggable backends. The same injection trial timed
-     through the substrate-generic engine on each backend, plus the
-     KVM record/replay contract. *)
-  let _, backend_xen_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_tr uc148 Campaign.Injection Version.V4_6)
-  in
-  let kvm_tb = Ii_backends.Backend_kvm.create Ii_backends.Backend_kvm.Stock in
-  let kvm_vmcs = Option.get (All.find_kvm "KVM-VMCS") in
-  let kvm_row, backend_kvm_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb kvm_vmcs Campaign.Injection
-          Ii_backends.Backend_kvm.Stock)
-  in
-  let kvm_replay_equal =
-    let r =
-      Ii_backends.Backends.Kvm_trace.record (Option.get (All.find_kvm "KVM-IDT"))
-        Campaign.Injection Ii_backends.Backend_kvm.Stock
-    in
-    (Ii_backends.Backends.Kvm_trace.replay r).Ii_backends.Backends.Kvm_trace.rp_equal
-  in
-  (* layer 8: the provenance shadow. Detached (the default) every hook
-     is one option match, so the off timing must stay within noise of
-     the plain trial above; attached is allowed to cost. The per-use-
-     case edge/taint counts are deterministic. *)
-  let tb_prov = Testbed.create Version.V4_6 in
-  let _, prov_off_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_prov uc148 Campaign.Injection Version.V4_6)
-  in
-  Substrate_xen.enable_provenance tb_prov;
-  let _, prov_on_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_prov uc148 Campaign.Injection Version.V4_6)
-  in
-  let prov_off_within_noise =
-    prov_off_trial_s <= (2. *. trace_off_trial_s) +. 1e-4
-  in
-  (* layer 9: the virtual clock. A charge is one int64 add on the
-     machine's clock (a single branch when detached), so the attached
-     trial must stay within noise of the detached one; detaching never
-     changes trial behaviour, only freezes r_vtime_ns at 0. *)
-  let tb_vc = Testbed.create Version.V4_6 in
-  let _, vclock_attached_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_vc uc148 Campaign.Injection Version.V4_6)
-  in
-  Substrate_xen.set_vclock_attached tb_vc false;
-  let _, vclock_detached_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_vc uc148 Campaign.Injection Version.V4_6)
-  in
-  let vclock_within_noise =
-    vclock_attached_trial_s <= (2. *. vclock_detached_trial_s) +. 1e-4
-  in
-  (* layer 11: coverage observability. Detached (the default) every
-     producer is one option match; attached, a feed is a handful of FNV
-     multiplies and one bit poke into a fixed 1328-byte map — both must
-     stay within noise of the plain trial. The cumulative corpus map and
-     the per-use-case novelty are deterministic and archived. *)
-  let tb_cov = Testbed.create Version.V4_6 in
-  let _, coverage_off_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_cov uc148 Campaign.Injection Version.V4_6)
-  in
-  Trace.set_coverage tb_cov.Testbed.hv.Hv.trace (Some (Coverage.create ()));
-  let _, coverage_on_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_cov uc148 Campaign.Injection Version.V4_6)
-  in
-  let coverage_within_noise =
-    coverage_on_trial_s <= (2. *. coverage_off_trial_s) +. 1e-4
-  in
-  let cov_acc = ref Coverage.empty in
-  let cov_rows =
-    Campaign.run_matrix ~coverage:cov_acc All.use_cases ~versions:[ Version.V4_6 ]
-      ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
-  in
-  (* one key per use case: bits the pair of trials (exploit + injection)
-     added to the cumulative map on first sight *)
-  let coverage_novelty_keys =
-    List.rev
-      (List.fold_left
-         (fun acc r ->
-           let key = "coverage_novelty_per_trial_" ^ r.Campaign.r_use_case in
-           match List.assoc_opt key acc with
-           | Some (I n) ->
-               (key, I (n + r.Campaign.r_cov_novelty)) :: List.remove_assoc key acc
-           | _ -> (key, I r.Campaign.r_cov_novelty) :: acc)
-         [] cov_rows)
-  in
-  (* layer 10: multi-domain testbeds and background load. A loaded
-     4-domain trial prices the workload generator: the hypercall surplus
-     over the unloaded trial, divided by the loaded trial's wall time,
-     is the background hypercall rate a campaign sustains. Detection
-     latency is then re-measured with the extra domains live and the
-     default mix running, so the archived numbers cover the same
-     cross-domain configuration the CI gate exercises. *)
-  let tb_md = Testbed.create ~domains:4 ~load:Load_mix.default Version.V4_6 in
-  let row_md, load_trial_s =
-    seconds_best ~reps:5 (fun () ->
-        Campaign.run ~tb:tb_md uc148 Campaign.Injection Version.V4_6)
-  in
-  let load_hypercalls =
-    Trace.total_hypercalls row_md.Campaign.r_telemetry - Trace.total_hypercalls tm
-  in
-  let load_hypercalls_per_s =
-    if load_trial_s > 0. then float_of_int load_hypercalls /. load_trial_s else 0.
-  in
-  let crossdomain_trials =
-    Vmi_driver.coverage ~domains:4 ~load:Load_mix.default All.use_cases
-      Campaign.Injection Version.V4_6
-  in
-  let crossdomain_latency_keys =
-    List.map
-      (fun t ->
-        ( "crossdomain_latency_ns_"
-          ^ t.Vmi_driver.t_recording.Trace_driver.rec_use_case,
-          I
-            (match Vmi_driver.best_latency_ns t with
-            | Some l -> Int64.to_int l
-            | None -> -1) ))
-      crossdomain_trials
-  in
-  let crossdomain_detected_all = List.for_all Vmi_driver.covered crossdomain_trials in
-  (* the constants every virtual timestamp in this report derives from,
-     echoed so an artifact is self-describing *)
-  let cost_model_keys =
-    List.map
-      (fun (k, v) -> ("cost_model_" ^ k, I (Int64.to_int v)))
-      (Vclock.Cost_model.to_assoc Vclock.Cost_model.default)
-  in
-  let prov_keys =
-    List.concat_map
-      (fun (module K : All.BACKEND) ->
-        let module B = K.Ops.B in
-        let module C = Campaign.Make (K.Ops.B) in
-        List.concat_map
-          (fun u ->
-            let tb = B.create B.rq1_config in
-            B.enable_provenance tb;
-            ignore (C.run ~tb u Campaign.Injection B.rq1_config);
-            let p = Option.get (B.provenance tb) in
-            [
-              ("prov_edges_" ^ u.C.uc_name, I (Provenance.edge_count p));
-              ("prov_tainted_bytes_" ^ u.C.uc_name, I (Provenance.tainted_bytes p));
-            ])
-          K.use_cases)
-      All.backends
-  in
-  ( [
-    ("schema_version", I 9);
-    ("trials", I trials);
-    ("walk_uncached_ns", F walk_uncached_ns);
-    ("walk_cached_ns", F walk_cached_ns);
-    ("tlb_hits", I tlb_stats.Paging.Tlb.hits);
-    ("tlb_misses", I tlb_stats.Paging.Tlb.misses);
-    ("testbed_create_ns", F create_ns);
-    ("testbed_fork_ns", F fork_ns);
-    ("testbed_reset_ns", F reset_ns);
-    ("reset_dirty_frames", I dirty_before_reset);
-    ("bulk_read_4k_ns", F bulk_read_ns);
-    ("bulk_write_4k_ns", F bulk_write_ns);
-    ("campaign_workers", I campaign_workers);
-    ("campaign_sequential_s", F campaign_seq_s);
-    ("campaign_sharded_s", F campaign_sharded_s);
-    ("campaign_speedup", F campaign_speedup);
-    ("campaign_crossover_trials", I campaign_crossover_trials);
-    ("campaign_seq_shard_identical", B campaign_identical);
-    ("run_matrix_sequential_s", F matrix_seq_s);
-    ("run_matrix_sharded_s", F matrix_sharded_s);
-    ("run_matrix_seq_shard_identical", B matrix_identical);
-    ("trial_hypercalls", I (Trace.total_hypercalls tm));
-    ("trial_hypercalls_failed", I tm.Trace.tm_hypercalls_failed);
-    ("trial_faults", I tm.Trace.tm_faults);
-    ("trial_flushes", I (tm.Trace.tm_flushes + tm.Trace.tm_invlpgs));
-    ("trial_page_type_changes", I tm.Trace.tm_page_type_changes);
-    ("trial_injector_accesses", I tm.Trace.tm_injector_accesses);
-    ("trace_off_trial_s", F trace_off_trial_s);
-    ("trace_on_trial_s", F trace_on_trial_s);
-    ("trace_on_off_telemetry_identical", B telemetry_stable);
-  ]
-    @ vmi_latency_keys
-    @ [
-        ("vmi_detected_all", B vmi_detected_all);
-        ("vmi_side_effect_free", B vmi_clean);
-        ("vmi_scans_total", I vmi_scans);
-        ("vmi_scan_frames_total", I vmi_frames);
-      ]
-    @ bucket_keys "vmi_scan_frames" scan_frames_h
-    @ [ ("vmi_scan_frames_sum", F (Metrics.histogram_sum scan_frames_h)) ]
-    @ bucket_keys "hypercall_dispatch_ns" dispatch_h
-    @ [
-        ("hypercall_dispatch_ns_count", I (Metrics.histogram_count dispatch_h));
-        ("backend_xen_trial_s", F backend_xen_trial_s);
-        ("backend_kvm_trial_s", F backend_kvm_trial_s);
-        ("backend_kvm_state", B kvm_row.Ii_backends.Backends.Kvm_campaign.r_state);
-        ("backend_kvm_replay_equal", B kvm_replay_equal);
-      ]
-    @ prov_keys
-    @ [
-        ("prov_overhead_off_trial_s", F prov_off_trial_s);
-        ("prov_overhead_on_trial_s", F prov_on_trial_s);
-        ("prov_overhead_off_within_noise", B prov_off_within_noise);
-        ("vclock_overhead_attached_trial_s", F vclock_attached_trial_s);
-        ("vclock_overhead_detached_trial_s", F vclock_detached_trial_s);
-        ("vclock_overhead_within_noise", B vclock_within_noise);
-        ("coverage_off_trial_s", F coverage_off_trial_s);
-        ("coverage_on_trial_s", F coverage_on_trial_s);
-        ("coverage_overhead_within_noise", B coverage_within_noise);
-        ("coverage_bits_total", I (Coverage.popcount !cov_acc));
-        ("load_domains", I 4);
-        ("load_hypercalls_per_trial", I load_hypercalls);
-        ("load_hypercalls_per_s", F load_hypercalls_per_s);
-        ("crossdomain_detected_all", B crossdomain_detected_all);
-      ]
-    @ coverage_novelty_keys
-    @ crossdomain_latency_keys
-    @ cost_model_keys
-    @ campaign_1m_keys,
-    Metrics.render_prometheus registry )
-
-let print_report report =
-  hr "Campaign throughput engine (per-layer wall-clock timings)";
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | F f -> Printf.printf "%-34s %14.1f\n" k f
-      | I i -> Printf.printf "%-34s %14d\n" k i
-      | B b -> Printf.printf "%-34s %14b\n" k b)
-    report
-
-let json_of_report report =
-  let field (k, v) =
-    let value =
-      match v with
-      | F f -> Printf.sprintf "%.4f" f
-      | I i -> string_of_int i
-      | B b -> string_of_bool b
-    in
-    Printf.sprintf "  %S: %s" k value
-  in
-  "{\n" ^ String.concat ",\n" (List.map field report) ^ "\n}\n"
-
-let write_json path report =
-  let oc = open_out path in
-  output_string oc (json_of_report report);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
 let artefacts =
   [
     ("table1", table1);
@@ -821,52 +152,10 @@ let artefacts =
     ("extensions", extensions);
   ]
 
-(* Parse [--json PATH] before any computation: a usage error after a
-   minutes-long report run helps no one. *)
-let json_path ~usage rest =
-  match rest with
-  | [ "--json"; path ] -> Some path
-  | [] -> None
-  | _ ->
-      prerr_endline usage;
-      exit 2
-
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "bench" :: rest ->
-      let json = json_path ~usage:"usage: main.exe bench [--json PATH]" rest in
-      (* wall-clock report first: bechamel leaves the major heap ballooned
-         (OCaml 5.1 cannot compact it back), which would double the
-         million-trial stream's wall time and make its peak-heap key
-         meaningless *)
-      let report, prometheus = perf_report ~full:true ~trials:200 () in
-      (* the report's million-trial stream leaves a large dead major
-         heap; compact before bechamel samples so its baseline is the
-         live set, not the report's garbage *)
-      Gc.compact ();
-      run_benchmarks ();
-      print_report report;
-      hr "Metrics registry (Prometheus exposition)";
-      print_string prometheus;
-      Option.iter (fun path -> write_json path report) json
-  | _ :: "smoke" :: rest ->
-      let json = json_path ~usage:"usage: main.exe smoke [--json PATH]" rest in
-      (* the CI-sized variant: same layers and the full 200-trial
-         campaign pair (the pool gate needs it), but no 1M stream *)
-      let report, prometheus = perf_report ~trials:200 () in
-      print_report report;
-      hr "Metrics registry (Prometheus exposition)";
-      print_string prometheus;
-      Option.iter (fun path -> write_json path report) json
   | _ :: [ name ] when List.mem_assoc name artefacts -> (List.assoc name artefacts) ()
-  | [ _ ] | _ :: [ "all" ] ->
-      List.iter (fun (_, f) -> f ()) artefacts;
-      let report = fst (perf_report ~trials:200 ()) in
-      Gc.compact ();
-      run_benchmarks ();
-      print_report report
+  | [ _ ] | _ :: [ "all" ] -> List.iter (fun (_, f) -> f ()) artefacts
   | _ ->
-      prerr_endline
-        "usage: main.exe [all|bench|smoke|table1|table2|table3|fig1|fig2|fig3|fig4|extensions] \
-         [--json PATH]";
+      prerr_endline "usage: main.exe [all|table1|table2|table3|fig1|fig2|fig3|fig4|extensions]";
       exit 2

@@ -195,59 +195,6 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(const run $ seed_arg $ trials_arg $ flips_arg $ verbose_arg $ workers_arg)
 
-let bench_cmd =
-  let doc =
-    "Campaign scaling bench: time the batching scheduler (warm pools, COW forks, one \
-     flattened work queue) against the sequential reference at each worker count."
-  in
-  let trials_arg =
-    Arg.(value & opt int 2000 & info [ "n"; "trials" ] ~docv:"N" ~doc:"Trials per run.")
-  in
-  let sweep_arg =
-    let doc = "Comma-separated worker counts to sweep (each a positive integer or $(b,auto))." in
-    Arg.(value & opt string "1,auto" & info [ "w"; "workers" ] ~docv:"LIST" ~doc)
-  in
-  let streamed_arg =
-    Arg.(value & flag & info [ "streamed" ]
-           ~doc:"Use the streaming scheduler (flat memory; tallies only, no trial rows).")
-  in
-  let seconds f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let run trials sweep_spec streamed =
-    let specs = String.split_on_char ',' sweep_spec in
-    let parsed = List.map Shard.workers_of_string specs in
-    match List.find_opt Result.is_error parsed with
-    | Some (Error e) -> `Error (false, e)
-    | _ ->
-        let sweep =
-          List.sort_uniq compare (List.filter_map Result.to_option parsed)
-        in
-        ignore (Testbed.create_pooled Version.V4_8) (* warm the pool *);
-        let _, seq_s =
-          seconds (fun () -> ignore (Random_campaign.run ~trials Version.V4_8))
-        in
-        Printf.printf "%d trials on 4.8; sequential reference (fresh boot): %.3f s\n\n" trials
-          seq_s;
-        Printf.printf "%8s %10s %12s %8s\n" "workers" "wall s" "trials/s" "speedup";
-        List.iter
-          (fun workers ->
-            let _, s =
-              seconds (fun () ->
-                  if streamed then
-                    ignore
-                      (Campaign_scheduler.run_streamed ~trials ~workers [ Version.V4_8 ])
-                  else ignore (Campaign_scheduler.run ~trials ~workers [ Version.V4_8 ]))
-            in
-            Printf.printf "%8d %10.3f %12.0f %7.2fx\n" workers s (float_of_int trials /. s)
-              (seq_s /. s))
-          sweep;
-        `Ok ()
-  in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(ret (const run $ trials_arg $ sweep_arg $ streamed_arg))
-
 let cross_cmd =
   let doc = "Cross-system injection: the same IM into Xen and a KVM-style hypervisor (the cross-system scenario)." in
   let run () =
@@ -494,6 +441,6 @@ let main_cmd =
   let doc = "intrusion injection for virtualized systems (DSN'23 reproduction)" in
   Cmd.group
     (Cmd.info "xenrepro" ~version:"1.0.0" ~doc)
-    [ exploit_cmd; inject_cmd; campaign_cmd; tables_cmd; advisory_cmd; console_cmd; blk_cmd; fuzz_cmd; bench_cmd; ims_cmd; defense_cmd; field_study_cmd; stats_cmd; cross_cmd; trace_cmd; vmi_cmd; attribution_cmd; backends_cmd; Scenario_cmd.cmd; Coverage_cmd.cmd ]
+    [ exploit_cmd; inject_cmd; campaign_cmd; tables_cmd; advisory_cmd; console_cmd; blk_cmd; fuzz_cmd; ims_cmd; defense_cmd; field_study_cmd; stats_cmd; cross_cmd; trace_cmd; vmi_cmd; attribution_cmd; backends_cmd; Scenario_cmd.cmd; Coverage_cmd.cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -160,8 +160,7 @@ module Make (B : Substrate.S) = struct
        workers fork those testbeds copy-on-write from the warm template
        pool, so a new (version x worker) cell costs O(metadata), while
        the sequential reference run keeps the historical fresh boots.
-       [?pooled] overrides that policy either way (the bench uses it to
-       time the pooled path at [auto] workers without oversubscribing). *)
+       [?pooled] overrides that policy either way. *)
     let pooled =
       match pooled with Some p -> p | None -> Shard.worker_count workers > 1
     in

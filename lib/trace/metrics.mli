@@ -1,11 +1,10 @@
 (** A unified metrics registry: counters, gauges and fixed-bucket
     histograms, with Prometheus-text and JSON renderers.
 
-    PR 2 grew several ad-hoc observability surfaces — the always-on
-    {!Trace.Counters}, per-trial telemetry deltas, the bench report's
-    flat key/value list. This registry is the shared publication point
-    on top of them: campaign telemetry, VMI detectors and the bench all
-    register instruments here and one renderer serves them all.
+    This registry is the shared publication point on top of the
+    always-on {!Trace.Counters} and the per-trial telemetry deltas:
+    campaign telemetry and the VMI detectors register instruments here
+    and one renderer serves them all.
 
     Instruments are identified by [(name, labels)]. Asking for the same
     identity twice returns the {e same} instrument (so independent

@@ -16,7 +16,7 @@
     automatically under the origin installed by [with_origin]. Writes
     with no origin installed {e clear} taint (overwrite semantics).
     Detached (the default), the whole layer costs one option match per
-    write — provenance-off campaigns bench within noise.
+    write.
 
     Checkpoint/restore rides the machine baseline: [Phys_mem.
     capture_baseline]/[reset_to_baseline] forward to

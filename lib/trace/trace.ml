@@ -485,7 +485,7 @@ type t = {
   scratch : Buffer.t;
   mutable cov : Coverage.t option;
       (* coverage collector; detached by default — one option match per
-         instrumented site, so coverage-off campaigns bench unchanged *)
+         instrumented site *)
 }
 
 let default_capacity = 4 * 1024 * 1024

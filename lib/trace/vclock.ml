@@ -19,10 +19,11 @@ module Cost_model = struct
     dm_io : int64;
   }
 
-  (* Anchored on the bench's real-time hypercall_dispatch_ns
-     distribution (the dominant mass sits in the sub-microsecond
-     buckets); the other entries scale from published litmus numbers
-     for the same micro-operations on commodity x86. *)
+  (* Anchored on a real-time distribution of injector hypercall
+     dispatch (the dominant mass sat in the sub-microsecond buckets;
+     perfbench's hypercall.dispatch_ns measures it); the other entries
+     scale from published litmus numbers for the same micro-operations
+     on commodity x86. *)
   let default =
     {
       hypercall_dispatch = 480L;

@@ -23,9 +23,9 @@
 
 module Cost_model : sig
   (** Virtual nanoseconds charged per operation. The defaults are
-      calibrated against the real-time measurements the bench takes
-      ([hypercall_dispatch_ns]); see ARCHITECTURE.md "Virtual time"
-      for the table. *)
+      calibrated against real-time hypercall dispatch measurements
+      (perfbench's [hypercall.dispatch_ns]); see ARCHITECTURE.md
+      "Virtual time" for the table. *)
   type t = {
     hypercall_dispatch : int64;  (** one hypercall dispatch (entry to return) *)
     page_walk_step : int64;  (** one level of a page-table walk *)
@@ -51,7 +51,7 @@ module Cost_model : sig
 
   val to_assoc : t -> (string * int64) list
   (** [(key, ns)] pairs in a stable order; the keys are the field
-      names above and double as the config-file and bench-echo keys. *)
+      names above and double as the config-file keys. *)
 
   val to_string : t -> string
   (** Render as the config-file syntax {!of_string} accepts. *)

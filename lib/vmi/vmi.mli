@@ -162,7 +162,3 @@ module Scheduler : sig
   val findings : 'st t -> (string * string list) list
   (** Cumulative distinct findings per detector (firing order). *)
 end
-
-val scan_buckets : float list
-(** Histogram bucket bounds (frames read per scan) shared by the
-    scheduler and the bench. *)

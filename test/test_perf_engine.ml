@@ -803,12 +803,15 @@ let test_random_campaign_shard_identical () =
   check_bool "sequential = 3-worker summary" true (seq = sharded)
 
 let test_run_matrix_shard_identical () =
-  let seq = Campaign.run_matrix All.use_cases ~versions:[ Version.V4_6 ] ~modes:[ Campaign.Injection ] in
-  let sharded =
-    Campaign.run_matrix ~workers:2 All.use_cases ~versions:[ Version.V4_6 ]
-      ~modes:[ Campaign.Injection ]
-  in
-  check_bool "sequential = 2-worker matrix" true (seq = sharded)
+  List.iter
+    (fun (versions, shape) ->
+      let seq = Campaign.run_matrix All.use_cases ~versions ~modes:[ Campaign.Injection ] in
+      let sharded =
+        Campaign.run_matrix ~workers:2 ~pooled:true All.use_cases ~versions
+          ~modes:[ Campaign.Injection ]
+      in
+      check_bool ("sequential = 2-worker pooled matrix, " ^ shape) true (seq = sharded))
+    [ ([ Version.V4_6 ], "4.6"); (Version.all, "all versions") ]
 
 (* --- Phys_mem allocator --------------------------------------------------- *)
 

@@ -171,7 +171,14 @@ let test_telemetry_table_per_domain_rows () =
   check_bool "at least one affected domain" true (r.Campaign.r_domains <> []);
   List.iter
     (fun (d, _) -> check_bool (d ^ " rendered") true (contains ~sub:d s))
-    r.Campaign.r_domains
+    r.Campaign.r_domains;
+  (* the background mix issues hypercalls of its own: a loaded 4-domain
+     trial makes more than the unloaded single-domain one *)
+  let u = uc "XSA-148-priv" in
+  let hypercalls r = Trace.total_hypercalls r.Campaign.r_telemetry in
+  let unloaded = Campaign.run u Campaign.Injection Version.V4_6 in
+  let loaded = Campaign.run ~domains:4 ~load:Load_mix.default u Campaign.Injection Version.V4_6 in
+  check_bool "load adds hypercalls" true (hypercalls loaded > hypercalls unloaded)
 
 let () =
   Alcotest.run "trace"

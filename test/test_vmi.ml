@@ -202,15 +202,27 @@ let test_integrity_fires_on_corruption () =
 let vmi_trials =
   lazy (Vmi_driver.coverage All.use_cases Campaign.Injection Version.V4_6)
 
+(* Every injected state is detected, with a latency in trace seq and in
+   virtual ns — also with three extra guest domains live under the
+   default background mix. *)
 let test_every_state_detected () =
   List.iter
-    (fun t ->
-      let name = t.Vmi_driver.t_recording.Trace_driver.rec_use_case in
-      check_bool (name ^ " covered") true (Vmi_driver.covered t);
-      match Vmi_driver.best_latency t with
-      | Some l -> check_bool (name ^ " finite positive latency") true (l > 0)
-      | None -> Alcotest.fail (name ^ " has no latency"))
-    (Lazy.force vmi_trials)
+    (fun (shape, trials) ->
+      List.iter
+        (fun t ->
+          let name = t.Vmi_driver.t_recording.Trace_driver.rec_use_case ^ shape in
+          check_bool (name ^ " covered") true (Vmi_driver.covered t);
+          check_bool (name ^ " has a ns latency") true (Vmi_driver.best_latency_ns t <> None);
+          match Vmi_driver.best_latency t with
+          | Some l -> check_bool (name ^ " finite positive latency") true (l > 0)
+          | None -> Alcotest.fail (name ^ " has no latency"))
+        trials)
+    [
+      ("", Lazy.force vmi_trials);
+      ( " (4 domains, load)",
+        Vmi_driver.coverage ~domains:4 ~load:Load_mix.default All.use_cases Campaign.Injection
+          Version.V4_6 );
+    ]
 
 let test_expected_detectors_fire () =
   let fired name t = List.mem_assoc name t.Vmi_driver.t_first_fire in
