@@ -76,10 +76,13 @@ let vdso_mfn t =
 
 (* A top-level crossing from a script into the guest: record it as a
    boundary event. Everything the machine does underneath (faults,
-   flushes, nested hypercalls) is a consequence replay regenerates. *)
+   flushes, nested hypercalls) is a consequence replay regenerates.
+   Callers build the event only while [recording]. *)
+let recording t = Trace.recording t.hv.Hv.trace
+
 let trace_boundary t event =
   let tr = t.hv.Hv.trace in
-  if Trace.recording tr && Trace.top_level tr then Trace.emit tr (event ())
+  if Trace.top_level tr then Trace.emit tr event
 
 let pt_entry t ~table_mfn ~index =
   match Domain.pfn_of_mfn t.domain table_mfn with
@@ -91,9 +94,10 @@ let pt_entry t ~table_mfn ~index =
       (* probe reads hit the TLB like any kernel read, so they are part
          of the replayable input stream (op [Op_probe_u64]) even though
          they never deliver a fault *)
-      trace_boundary t (fun () ->
-          Trace.Guest_mem
-            { domid = t.domain.Domain.id; op = Trace.Op_probe_u64; va; len = 8; data = "" });
+      if recording t then
+        trace_boundary t
+          (Trace.Guest_mem
+             { domid = t.domain.Domain.id; op = Trace.Op_probe_u64; va; len = 8; data = "" });
       match
         Cpu.read_u64 t.hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:t.domain.Domain.l4_mfn va
       with
@@ -115,58 +119,60 @@ let guest_fault t (fault : Paging.fault) =
   | Cpu.Double_fault_panic _ | Cpu.Triple_fault -> ());
   Error fault
 
-let access t ~ring f =
-  match f ~ring ~cr3:t.domain.Domain.l4_mfn with
-  | Ok v -> Ok v
-  | Error fault -> guest_fault t fault
+let checked t = function Ok _ as r -> r | Error fault -> guest_fault t fault
 
 (* guest stores carry the writing domain as origin; a hypercall issued
-   underneath installs its own (more specific) origin on top *)
-let write_access t ~ring f =
-  Phys_mem.with_origin t.hv.Hv.mem
-    (Provenance.Guest_write t.domain.Domain.id)
-    (fun () -> access t ~ring f)
+   underneath installs its own (more specific) origin on top. Without
+   provenance attached there is no origin to carry: callers store
+   directly, with no closure. *)
+let provenance_attached t = Option.is_some (Phys_mem.provenance t.hv.Hv.mem)
+
+let with_write_origin t store =
+  Phys_mem.with_origin t.hv.Hv.mem (Provenance.Guest_write t.domain.Domain.id) store
 
 let trace_mem t op va ~len ~data =
-  trace_boundary t (fun () ->
-      Trace.Guest_mem { domid = t.domain.Domain.id; op; va; len; data })
+  trace_boundary t (Trace.Guest_mem { domid = t.domain.Domain.id; op; va; len; data })
 
-let read_u64 t va =
-  trace_mem t Trace.Op_read_u64 va ~len:8 ~data:"";
-  access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.read_u64 t.hv.Hv.cpu ~ring ~cr3 va)
+let cpu t = t.hv.Hv.cpu
+let cr3 t = t.domain.Domain.l4_mfn
 
-let write_u64 t va v =
-  (if Trace.recording t.hv.Hv.trace then
-     let data = Bytes.create 8 in
-     Bytes.set_int64_le data 0 v;
-     trace_mem t Trace.Op_write_u64 va ~len:8 ~data:(Bytes.unsafe_to_string data));
-  write_access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.write_u64 t.hv.Hv.cpu ~ring ~cr3 va v)
+let u64_data v =
+  let data = Bytes.create 8 in
+  Bytes.set_int64_le data 0 v;
+  Bytes.unsafe_to_string data
+
+let load_u64 t ~ring ~op va =
+  if recording t then trace_mem t op va ~len:8 ~data:"";
+  checked t (Cpu.read_u64 (cpu t) ~ring ~cr3:(cr3 t) va)
+
+let store_u64 t ~ring ~op va v =
+  if recording t then trace_mem t op va ~len:8 ~data:(u64_data v);
+  if provenance_attached t then
+    with_write_origin t (fun () -> checked t (Cpu.write_u64 (cpu t) ~ring ~cr3:(cr3 t) va v))
+  else checked t (Cpu.write_u64 (cpu t) ~ring ~cr3:(cr3 t) va v)
+
+let read_u64 t va = load_u64 t ~ring:Cpu.Kernel ~op:Trace.Op_read_u64 va
+let write_u64 t va v = store_u64 t ~ring:Cpu.Kernel ~op:Trace.Op_write_u64 va v
+let user_read_u64 t va = load_u64 t ~ring:Cpu.User ~op:Trace.Op_user_read_u64 va
+let user_write_u64 t va v = store_u64 t ~ring:Cpu.User ~op:Trace.Op_user_write_u64 va v
 
 let read_bytes t va len =
-  trace_mem t Trace.Op_read_bytes va ~len ~data:"";
-  access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.read_bytes t.hv.Hv.cpu ~ring ~cr3 va len)
+  if recording t then trace_mem t Trace.Op_read_bytes va ~len ~data:"";
+  checked t (Cpu.read_bytes (cpu t) ~ring:Cpu.Kernel ~cr3:(cr3 t) va len)
 
 let write_bytes t va b =
-  if Trace.recording t.hv.Hv.trace then
+  if recording t then
     trace_mem t Trace.Op_write_bytes va ~len:(Bytes.length b) ~data:(Bytes.to_string b);
-  write_access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.write_bytes t.hv.Hv.cpu ~ring ~cr3 va b)
+  if provenance_attached t then
+    with_write_origin t (fun () ->
+        checked t (Cpu.write_bytes (cpu t) ~ring:Cpu.Kernel ~cr3:(cr3 t) va b))
+  else checked t (Cpu.write_bytes (cpu t) ~ring:Cpu.Kernel ~cr3:(cr3 t) va b)
 
 (* MMUEXT_INVLPG_LOCAL: a PV kernel (or an exploit running in it) drops
    the cached translation of a page it just remapped by hand. *)
 let invlpg t va =
-  trace_boundary t (fun () -> Trace.Guest_invlpg { domid = t.domain.Domain.id; va });
-  Cpu.tlb_invlpg t.hv.Hv.cpu ~cr3:t.domain.Domain.l4_mfn va
-
-let user_write_u64 t va v =
-  (if Trace.recording t.hv.Hv.trace then
-     let data = Bytes.create 8 in
-     Bytes.set_int64_le data 0 v;
-     trace_mem t Trace.Op_user_write_u64 va ~len:8 ~data:(Bytes.unsafe_to_string data));
-  write_access t ~ring:Cpu.User (fun ~ring ~cr3 -> Cpu.write_u64 t.hv.Hv.cpu ~ring ~cr3 va v)
-
-let user_read_u64 t va =
-  trace_mem t Trace.Op_user_read_u64 va ~len:8 ~data:"";
-  access t ~ring:Cpu.User (fun ~ring ~cr3 -> Cpu.read_u64 t.hv.Hv.cpu ~ring ~cr3 va)
+  if recording t then trace_boundary t (Trace.Guest_invlpg { domid = t.domain.Domain.id; va });
+  Cpu.tlb_invlpg (cpu t) ~cr3:(cr3 t) va
 
 (* --- shell ------------------------------------------------------------ *)
 
@@ -284,7 +290,7 @@ let balloon t =
 
 let tick t =
   let tr = t.hv.Hv.trace in
-  trace_boundary t (fun () -> Trace.Kernel_tick { domid = t.domain.Domain.id });
+  if recording t then trace_boundary t (Trace.Kernel_tick { domid = t.domain.Domain.id });
   Trace.enter tr;
   Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () ->
   if not (Hv.is_crashed t.hv) then begin

@@ -26,7 +26,10 @@ let canonical a =
     Int64.logor low48 0xFFFF_0000_0000_0000L
   else low48
 
-let is_canonical a = canonical a = a
+(* bits 47..63 all equal: a sign test, no canonical copy to allocate *)
+let is_canonical a =
+  let top = Int64.shift_right a 47 in
+  top = 0L || top = -1L
 
 let index level va =
   let shift = page_shift + (9 * (level - 1)) in

@@ -53,19 +53,18 @@ let resolve t ~ring ~cr3 ~kind va =
       match Layout.maddr_of_directmap va with
       | Some ma when Phys_mem.is_valid_mfn t.mem (Addr.mfn_of_maddr ma) -> Ok ma
       | Some _ | None -> fault va kind (Paging.Not_present 4))
-  | Kernel | User ->
+  | Kernel | User -> (
       let access = Layout.guest_access ~hardened:t.hardened va in
       if not (layout_permits access kind) then
         fault va kind (Paging.Layout_denied (Layout.region_of_vaddr va))
       else
-        let user = ring = User in
-        Result.map
-          (fun tr -> tr.Paging.t_maddr)
-          (Paging.translate_cached t.tlb t.mem ~cr3 ~kind ~user va)
+        match Paging.translate_cached t.tlb t.mem ~cr3 ~kind ~user:(ring = User) va with
+        | Ok leaf -> Ok (Paging.leaf_maddr leaf va)
+        | Error e -> Error e)
 
 (* Every architectural memory access costs one [Guest_mem_op] on the
    machine's virtual clock (page-walk and TLB costs accrue separately
-   inside [translate_cached]). Charged here, at the CPU, so the record
+   inside [Paging.walk_cached]). Charged here, at the CPU, so the record
    path (guest kernel accessors) and the replay path (direct CPU reads
    for probe events) price identically. *)
 let charge_mem t =
@@ -75,43 +74,51 @@ let charge_mem t =
 
 let read_u64 t ~ring ~cr3 va =
   charge_mem t;
-  Result.map (Phys_mem.read_u64 t.mem) (resolve t ~ring ~cr3 ~kind:Paging.Read va)
+  match resolve t ~ring ~cr3 ~kind:Paging.Read va with
+  | Ok ma -> Ok (Phys_mem.read_u64 t.mem ma)
+  | Error e -> Error e
 
 let write_u64 t ~ring ~cr3 va v =
   charge_mem t;
-  Result.map (fun ma -> Phys_mem.write_u64 t.mem ma v) (resolve t ~ring ~cr3 ~kind:Paging.Write va)
+  match resolve t ~ring ~cr3 ~kind:Paging.Write va with
+  | Ok ma -> Ok (Phys_mem.write_u64 t.mem ma v)
+  | Error e -> Error e
 
 (* Byte-range transfers translate page by page, so a range crossing a page
-   boundary succeeds only when every page translates. *)
-let rec fold_pages t ~ring ~cr3 ~kind va len f =
-  if len <= 0 then Ok ()
+   boundary succeeds only when every page translates. A plain loop over
+   the chunks: no closure, no ref, and one translation for the common
+   range within a page. *)
+let rec read_pages t ~ring ~cr3 va buf pos =
+  let len = Bytes.length buf - pos in
+  if len <= 0 then Ok buf
   else
-    let in_page = Addr.page_size - Addr.page_offset va in
-    let chunk = min len in_page in
-    match resolve t ~ring ~cr3 ~kind va with
+    let chunk = min len (Addr.page_size - Addr.page_offset va) in
+    match resolve t ~ring ~cr3 ~kind:Paging.Read va with
     | Error e -> Error e
     | Ok ma ->
-        f ma chunk;
-        fold_pages t ~ring ~cr3 ~kind (Int64.add va (Int64.of_int chunk)) (len - chunk) f
+        Phys_mem.read_into t.mem ma buf pos chunk;
+        if chunk = len then Ok buf
+        else read_pages t ~ring ~cr3 (Int64.add va (Int64.of_int chunk)) buf (pos + chunk)
+
+let rec write_pages t ~ring ~cr3 va data pos =
+  let len = Bytes.length data - pos in
+  if len <= 0 then Ok ()
+  else
+    let chunk = min len (Addr.page_size - Addr.page_offset va) in
+    match resolve t ~ring ~cr3 ~kind:Paging.Write va with
+    | Error e -> Error e
+    | Ok ma ->
+        Phys_mem.write_from t.mem ma data pos chunk;
+        if chunk = len then Ok ()
+        else write_pages t ~ring ~cr3 (Int64.add va (Int64.of_int chunk)) data (pos + chunk)
 
 let read_bytes t ~ring ~cr3 va len =
   charge_mem t;
-  let buf = Bytes.create len in
-  let pos = ref 0 in
-  let copy ma chunk =
-    Phys_mem.read_into t.mem ma buf !pos chunk;
-    pos := !pos + chunk
-  in
-  Result.map (fun () -> buf) (fold_pages t ~ring ~cr3 ~kind:Paging.Read va len copy)
+  read_pages t ~ring ~cr3 va (Bytes.create len) 0
 
 let write_bytes t ~ring ~cr3 va data =
   charge_mem t;
-  let pos = ref 0 in
-  let copy ma chunk =
-    Phys_mem.write_from t.mem ma data !pos chunk;
-    pos := !pos + chunk
-  in
-  fold_pages t ~ring ~cr3 ~kind:Paging.Write va (Bytes.length data) copy
+  write_pages t ~ring ~cr3 va data 0
 
 type exception_outcome =
   | Handled of { vector : int; handler : Addr.vaddr; handler_label : string }

@@ -26,12 +26,6 @@ let set_u64 t off v =
 let get_entry t i = get_u64 t (8 * i)
 let set_entry t i v = set_u64 t (8 * i) v
 
-(* The present bit is bit 0 of a little-endian entry: one byte read,
-   no int64 boxing — what makes full-table scans cheap. *)
-let entry_present t i =
-  check (8 * i) 8;
-  Char.code (Bytes.unsafe_get t (8 * i)) land 1 <> 0
-
 let iter_present t f =
   for i = 0 to 511 do
     if Char.code (Bytes.unsafe_get t (8 * i)) land 1 <> 0 then
@@ -65,18 +59,6 @@ let restore_image t img =
   Bytes.blit img 0 t 0 Addr.page_size
 
 let restore_from t ~src = Bytes.blit src 0 t 0 Addr.page_size
-
-let find_string t pat =
-  let n = String.length pat in
-  if n = 0 then Some 0
-  else
-    let limit = Addr.page_size - n in
-    let rec scan i =
-      if i > limit then None
-      else if String.equal (Bytes.sub_string t i n) pat then Some i
-      else scan (i + 1)
-    in
-    scan 0
 
 let equal = Bytes.equal
 let to_bytes t = Bytes.copy t

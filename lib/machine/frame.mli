@@ -5,7 +5,9 @@
     indistinguishable from legitimate data — exactly the property the
     exploits rely on. *)
 
-type t
+type t = private bytes
+(** Readable in place as [bytes] (the page walker decodes entries
+    straight from the frame); built only through this module. *)
 
 val create : unit -> t
 (** A zero-filled frame. *)
@@ -24,10 +26,6 @@ val get_entry : t -> int -> int64
 (** Read page-table entry [i] (0..511): [get_u64 t (8*i)]. *)
 
 val set_entry : t -> int -> int64 -> unit
-
-val entry_present : t -> int -> bool
-(** [entry_present t i] = [Pte.is_present (get_entry t i)], via a single
-    byte load — the fast path for scanning mostly-empty tables. *)
 
 val iter_present : t -> (int -> int64 -> unit) -> unit
 (** [iter_present t f] calls [f i entry] for every present page-table
@@ -56,9 +54,6 @@ val restore_image : t -> bytes -> unit
 val restore_from : t -> src:t -> unit
 (** Overwrite the whole frame with [src]'s bytes — the fork reset path,
     which reads pre-images straight from the template's frames. *)
-
-val find_string : t -> string -> int option
-(** Offset of the first occurrence of a byte pattern, if any. *)
 
 val equal : t -> t -> bool
 val to_bytes : t -> bytes

@@ -25,11 +25,16 @@ let directmap_end_slot = 271
 let guest_kernel_slot = 272
 let guest_kernel_base = Addr.l4_slot_base guest_kernel_slot
 
+(* On the VA's low 48 bits as an int (all that canonicalization keeps):
+   every guest access asks, so it must not allocate. *)
+let linear_pt_slot_offset = Int64.to_int (Int64.sub linear_pt_base m2p_base)
+
 let region_of_vaddr va =
-  let va = Addr.canonical va in
-  let slot = Addr.l4_index va in
-  if Int64.logand va 0x8000_0000_0000L = 0L then Guest_low
-  else if slot = m2p_slot then if va < linear_pt_base then M2p else Linear_pt
+  let vi = Int64.to_int va in
+  let slot = (vi lsr 39) land 0x1ff in
+  if vi land 0x8000_0000_0000 = 0 then Guest_low
+  else if slot = m2p_slot then
+    if vi land ((1 lsl 39) - 1) < linear_pt_slot_offset then M2p else Linear_pt
   else if slot >= 257 && slot <= 259 then Xen_extra
   else if slot >= 260 && slot <= 261 then Xen_private
   else if slot >= directmap_slot && slot <= directmap_end_slot then Direct_map

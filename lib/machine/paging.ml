@@ -21,120 +21,137 @@ type translation = {
   path : step list;
 }
 
-let index_at level va =
-  match level with
-  | 4 -> Addr.l4_index va
-  | 3 -> Addr.l3_index va
-  | 2 -> Addr.l2_index va
-  | 1 -> Addr.l1_index va
-  | _ -> invalid_arg "Paging.index_at"
+type leaf = {
+  page_maddr : Addr.maddr;
+  l_writable : bool;
+  l_user : bool;
+  l_executable : bool;
+  l_superpage : bool;
+  l_gen : int;
+}
 
-let read_entry mem table_mfn index =
-  if Phys_mem.is_valid_mfn mem table_mfn then begin
-    Phys_mem.observe mem ~consumer:Provenance.Pt_walk ~mfn:table_mfn ~off:(8 * index) ~len:8;
-    Frame.get_entry (Phys_mem.frame_ro mem table_mfn) index
-  end
-  else Pte.none
+let leaf_maddr l va = Int64.add l.page_maddr (Int64.of_int (Addr.page_offset va))
 
-(* Superpage base frame: hardware ignores/requires-zero the low 9 MFN bits
-   of a PSE L2 entry; we round down, so an exploit forging a PSE mapping
-   over its page-table pages covers the whole 2 MiB-aligned group. *)
-let superpage_base_mfn entry = Pte.mfn entry land lnot 0x1ff
+(* PTE frame number field: bits 12..51, as [Pte.mfn] decodes it. *)
+let mfn_bits = (1 lsl 40) - 1
+
+(* Every walk charges one [Page_walk_step] per level it decoded: the
+   levels 4..[level], including the one it stopped at. *)
+let charge_steps tracer level r =
+  (match tracer with
+  | None -> ()
+  | Some tr -> Trace.charge_n tr Vclock.Page_walk_step (5 - level));
+  r
+
+let leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx =
+  if not (Phys_mem.is_valid_mfn mem mfn) then charge_steps tracer level (Error (Bad_physical mfn))
+  else
+    charge_steps tracer level
+      (Ok
+         {
+           page_maddr = Addr.maddr_of_mfn mfn;
+           l_writable = rw;
+           l_user = us;
+           l_executable = not nx;
+           l_superpage = level = 2;
+           l_gen = Phys_mem.generation mem;
+         })
+
+(* The one page-table walker. Each level reads its entry straight out of
+   the table frame and tests bits on it, so a walk allocates nothing but
+   its leaf; [sink], when given, sees every decoded step outermost first
+   — the audit path of [walk] and [walk_path]. [vi] holds the VA's bits
+   0..62, which carry every index and the page offset. *)
+let rec descend mem ~sink ~tracer vi level table_mfn ~rw ~us ~nx =
+  let index = (vi lsr (Addr.page_shift + (9 * (level - 1)))) land 0x1ff in
+  let raw = Bytes.get_int64_le (Phys_mem.pt_frame mem table_mfn ~index :> bytes) (8 * index) in
+  (match sink with None -> () | Some f -> f { level; table_mfn; index; entry = raw });
+  let bits = Int64.to_int raw in
+  if bits land 1 = 0 then charge_steps tracer level (Error (Not_present level))
+  else
+    let rw = rw && bits land 0x2 <> 0 in
+    let us = us && bits land 0x4 <> 0 in
+    let nx = nx || raw < 0L (* NX is bit 63 *) in
+    let mfn = (bits lsr Addr.page_shift) land mfn_bits in
+    if level = 1 then
+      (* a forged leaf can point anywhere; outside installed RAM the
+         bus access aborts, so surface a fault, not an exception *)
+      leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx
+    else if level = 2 && bits land 0x80 <> 0 then
+      (* Superpage base frame: hardware ignores/requires-zero the low 9
+         MFN bits of a PSE L2 entry; we round down, so an exploit forging
+         a PSE mapping over its page-table pages covers the whole 2 MiB-
+         aligned group. The leaf is the 4 KiB frame [va] falls in. *)
+      let mfn = (mfn land lnot 0x1ff) + ((vi lsr Addr.page_shift) land 0x1ff) in
+      leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx
+    else descend mem ~sink ~tracer vi (level - 1) mfn ~rw ~us ~nx
+
+let walk_leaf ?sink ?tracer mem ~cr3 va =
+  descend mem ~sink ~tracer (Int64.to_int va) 4 cr3 ~rw:true ~us:true ~nx:false
 
 let walk_general mem ~cr3 va =
-  let va = Addr.canonical va in
-  let rec go level table_mfn acc ~rw ~us ~nx =
-    let index = index_at level va in
-    let entry = read_entry mem table_mfn index in
-    let acc = { level; table_mfn; index; entry } :: acc in
-    if not (Pte.is_present entry) then (List.rev acc, Error (Not_present level))
-    else
-      let rw = rw && Pte.test Pte.Rw entry in
-      let us = us && Pte.test Pte.User entry in
-      let nx = nx || Pte.test Pte.Nx entry in
-      if level = 1 then
-        (* a forged leaf can point anywhere; outside installed RAM the
-           bus access aborts, so surface a fault, not an exception *)
-        if not (Phys_mem.is_valid_mfn mem (Pte.mfn entry)) then
-          (List.rev acc, Error (Bad_physical (Pte.mfn entry)))
-        else
-        let maddr =
-          Int64.add (Addr.maddr_of_mfn (Pte.mfn entry)) (Int64.of_int (Addr.page_offset va))
-        in
-        ( List.rev acc,
-          Ok
-            {
-              t_maddr = maddr;
-              writable = rw;
-              user = us;
-              executable = not nx;
-              superpage = false;
-              path = List.rev acc;
-            } )
-      else if level = 2 && Pte.test Pte.Pse entry then
-        let base = Addr.maddr_of_mfn (superpage_base_mfn entry) in
-        let offset = Int64.logand va (Int64.of_int (Addr.superpage_size - 1)) in
-        let maddr = Int64.add base offset in
-        if not (Phys_mem.is_valid_mfn mem (Addr.mfn_of_maddr maddr)) then
-          (List.rev acc, Error (Bad_physical (Addr.mfn_of_maddr maddr)))
-        else
-        ( List.rev acc,
-          Ok
-            {
-              t_maddr = maddr;
-              writable = rw;
-              user = us;
-              executable = not nx;
-              superpage = true;
-              path = List.rev acc;
-            } )
-      else go (level - 1) (Pte.mfn entry) acc ~rw ~us ~nx
-  in
-  go 4 cr3 [] ~rw:true ~us:true ~nx:false
+  let path = ref [] in
+  let result = walk_leaf ~sink:(fun s -> path := s :: !path) mem ~cr3 va in
+  (List.rev !path, result)
+
+let translation path va l =
+  {
+    t_maddr = leaf_maddr l va;
+    writable = l.l_writable;
+    user = l.l_user;
+    executable = l.l_executable;
+    superpage = l.l_superpage;
+    path;
+  }
 
 let walk mem ~cr3 va =
-  let _, result = walk_general mem ~cr3 va in
-  result
+  let path, result = walk_general mem ~cr3 va in
+  Result.map (translation path va) result
 
-let walk_path mem ~cr3 va =
-  let path, _ = walk_general mem ~cr3 va in
-  path
+let walk_path mem ~cr3 va = fst (walk_general mem ~cr3 va)
 
-let check_perms ~kind ~user va tr =
-  let fault reason = Error { fault_vaddr = va; fault_kind = kind; reason } in
-  if user && not tr.user then fault User_access_to_supervisor
-  else if kind = Write && not tr.writable then fault Write_to_readonly
-  else if kind = Exec && not tr.executable then fault Nx_violation
-  else Ok tr
+let leaf_denied ~kind ~user l =
+  if user && not l.l_user then Some User_access_to_supervisor
+  else
+    match kind with
+    | Write when not l.l_writable -> Some Write_to_readonly
+    | Exec when not l.l_executable -> Some Nx_violation
+    | Read | Write | Exec -> None
+
+let fault va kind reason = Error { fault_vaddr = va; fault_kind = kind; reason }
 
 let translate mem ~cr3 ~kind ~user va =
-  let fault reason = Error { fault_vaddr = va; fault_kind = kind; reason } in
-  if not (Addr.is_canonical va) then fault Non_canonical
+  if not (Addr.is_canonical va) then fault va kind Non_canonical
   else
-    match walk mem ~cr3 va with
-    | Error reason -> fault reason
-    | Ok tr -> check_perms ~kind ~user va tr
+    let path, result = walk_general mem ~cr3 va in
+    match result with
+    | Error reason -> fault va kind reason
+    | Ok l -> (
+        match leaf_denied ~kind ~user l with
+        | None -> Ok (translation path va l)
+        | Some reason -> fault va kind reason)
 
 (* --- software TLB ----------------------------------------------------- *)
 
 module Tlb = struct
-  (* What the hardware TLB caches per (address space, page): the final
-     page frame plus the accumulated permission bits. The walk path is
-     kept too so a cache hit is bit-for-bit equal to a fresh walk. *)
-  type cached = {
-    c_page_maddr : Addr.maddr;  (** machine address of byte 0 of the page *)
-    c_writable : bool;
-    c_user : bool;
-    c_executable : bool;
-    c_superpage : bool;
-    c_path : step list;
-    c_gen : int;  (** Phys_mem generation the walk was performed under *)
-  }
+  (* What the hardware TLB caches per (address space, page): the leaf a
+     walk ended at — page frame, accumulated permission bits, superpage
+     flag — stamped with the Phys_mem generation it was walked under.
+     The key packs cr3 above the 36-bit virtual page number (VA bits
+     12..47, injective on canonical addresses) into one int. *)
+  module Entries = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+
+    (* fold cr3 into the low bits the table indexes by *)
+    let hash k = (k lxor (k lsr 36)) land max_int
+  end)
 
   type stats = { hits : int; misses : int; flushes : int; invlpgs : int }
 
   type t = {
-    entries : (Addr.mfn * int, cached) Hashtbl.t;  (* (cr3, vpn) *)
+    entries : leaf Entries.t;
     capacity : int;
     mutable hits : int;
     mutable misses : int;
@@ -146,7 +163,7 @@ module Tlb = struct
   let create ?(capacity = 4096) () =
     if capacity <= 0 then invalid_arg "Paging.Tlb.create: capacity must be positive";
     {
-      entries = Hashtbl.create 256;
+      entries = Entries.create 256;
       capacity;
       hits = 0;
       misses = 0;
@@ -158,10 +175,16 @@ module Tlb = struct
   let set_tracer t tr = t.tracer <- Some tr
   let tracer t = t.tracer
 
-  let vpn va = Int64.to_int (Int64.shift_right_logical (Addr.canonical va) Addr.page_shift)
+  let vpn_bits = 36
+  let max_cr3 = (1 lsl (Sys.int_size - 1 - vpn_bits)) - 1
+
+  let key ~cr3 va =
+    if cr3 < 0 || cr3 > max_cr3 then
+      invalid_arg (Printf.sprintf "Paging.Tlb: cr3 %#x outside the packable range" cr3);
+    (cr3 lsl vpn_bits) lor ((Int64.to_int va lsr Addr.page_shift) land ((1 lsl vpn_bits) - 1))
 
   let flush_all t =
-    if Hashtbl.length t.entries > 0 then Hashtbl.reset t.entries;
+    if Entries.length t.entries > 0 then Entries.reset t.entries;
     t.flushes <- t.flushes + 1;
     match t.tracer with
     | None -> ()
@@ -170,7 +193,7 @@ module Tlb = struct
         if Trace.recording tr then Trace.emit tr Trace.Tlb_flush_all
 
   let invlpg t ~cr3 va =
-    Hashtbl.remove t.entries (cr3, vpn va);
+    Entries.remove t.entries (key ~cr3 va);
     t.invlpgs <- t.invlpgs + 1;
     match t.tracer with
     | None -> ()
@@ -179,62 +202,35 @@ module Tlb = struct
         if Trace.recording tr then Trace.emit tr (Trace.Tlb_invlpg { va })
 
   let stats t = { hits = t.hits; misses = t.misses; flushes = t.flushes; invlpgs = t.invlpgs }
-  let size t = Hashtbl.length t.entries
+  let size t = Entries.length t.entries
 end
 
 let walk_cached tlb mem ~cr3 va =
-  let va = Addr.canonical va in
-  let key = (cr3, Tlb.vpn va) in
-  let gen = Phys_mem.generation mem in
-  let hit =
-    match Hashtbl.find_opt tlb.Tlb.entries key with
-    | Some c when c.Tlb.c_gen = gen -> Some c
-    | Some _ | None -> None
-  in
-  let charge op = match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr op in
-  match hit with
-  | Some c ->
+  let key = Tlb.key ~cr3 va in
+  (* [find_opt], not [find]: a miss raising [Not_found] costs more than
+     the [Some] a hit allocates *)
+  match Tlb.Entries.find_opt tlb.Tlb.entries key with
+  | Some l when l.l_gen = Phys_mem.generation mem ->
       tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-      charge Vclock.Tlb_hit;
-      Ok
-        {
-          t_maddr = Int64.add c.Tlb.c_page_maddr (Int64.of_int (Addr.page_offset va));
-          writable = c.Tlb.c_writable;
-          user = c.Tlb.c_user;
-          executable = c.Tlb.c_executable;
-          superpage = c.Tlb.c_superpage;
-          path = c.Tlb.c_path;
-        }
-  | None -> (
+      (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_hit);
+      Ok l
+  | Some _ | None -> (
       tlb.Tlb.misses <- tlb.Tlb.misses + 1;
-      charge Vclock.Tlb_miss;
-      let path, result = walk_general mem ~cr3 va in
-      (match tlb.Tlb.tracer with
-      | None -> ()
-      | Some tr -> Trace.charge_n tr Vclock.Page_walk_step (List.length path));
-      match result with
+      (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_miss);
+      match walk_leaf ?tracer:tlb.Tlb.tracer mem ~cr3 va with
       | Error _ as e -> e (* faults are never cached, like real hardware *)
-      | Ok tr ->
-          if Hashtbl.length tlb.Tlb.entries >= tlb.Tlb.capacity then Tlb.flush_all tlb;
-          Hashtbl.replace tlb.Tlb.entries key
-            {
-              Tlb.c_page_maddr = Int64.sub tr.t_maddr (Int64.of_int (Addr.page_offset va));
-              c_writable = tr.writable;
-              c_user = tr.user;
-              c_executable = tr.executable;
-              c_superpage = tr.superpage;
-              c_path = tr.path;
-              c_gen = gen;
-            };
-          Ok tr)
+      | Ok l as ok ->
+          if Tlb.Entries.length tlb.Tlb.entries >= tlb.Tlb.capacity then Tlb.flush_all tlb;
+          Tlb.Entries.replace tlb.Tlb.entries key l;
+          ok)
 
 let translate_cached tlb mem ~cr3 ~kind ~user va =
-  if not (Addr.is_canonical va) then
-    Error { fault_vaddr = va; fault_kind = kind; reason = Non_canonical }
+  if not (Addr.is_canonical va) then fault va kind Non_canonical
   else
     match walk_cached tlb mem ~cr3 va with
-    | Error reason -> Error { fault_vaddr = va; fault_kind = kind; reason }
-    | Ok tr -> check_perms ~kind ~user va tr
+    | Error reason -> fault va kind reason
+    | Ok l -> (
+        match leaf_denied ~kind ~user l with None -> Ok l | Some reason -> fault va kind reason)
 
 let pp_fault_reason ppf = function
   | Not_present level -> Format.fprintf ppf "not-present at L%d" level

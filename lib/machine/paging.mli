@@ -39,12 +39,28 @@ type translation = {
   path : step list;  (** outermost (L4) first *)
 }
 
+(** What a walk ends at, and all the software TLB caches: the page the
+    address falls in plus the permission bits accumulated along the way.
+    A [translation] without its byte offset and path. *)
+type leaf = {
+  page_maddr : Addr.maddr;  (** machine address of byte 0 of the 4 KiB page *)
+  l_writable : bool;
+  l_user : bool;
+  l_executable : bool;
+  l_superpage : bool;
+  l_gen : int;  (** {!Phys_mem.generation} the walk was performed under *)
+}
+
+val leaf_maddr : leaf -> Addr.vaddr -> Addr.maddr
+(** The machine address of [va]'s byte within the leaf's page. *)
+
 val walk :
   Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (translation, fault_reason) result
 (** Pure translation: decode entries from physical memory, no permission
     check beyond presence. An L2 entry with [Pse] terminates the walk as
     a 2 MiB superpage whose base frame is the entry's MFN rounded down to
-    a 512-frame boundary (hardware alignment). *)
+    a 512-frame boundary (hardware alignment). {!walk}, {!walk_path} and
+    the TLB's fills are one walker; only these two record the path. *)
 
 val walk_path : Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> step list
 (** The steps actually decoded, even when the walk faults — the audit
@@ -65,13 +81,18 @@ val pp_fault_reason : Format.formatter -> fault_reason -> unit
 
 (** {1 Software TLB}
 
-    A walk cache keyed by [(cr3, virtual page number)], mirroring what
-    the hardware TLB keeps per address space. The model is faithful in
-    both directions: a hit returns exactly what a fresh walk would (and
-    auto-invalidates when {!Phys_mem.generation} moves, i.e. when frames
-    are recycled), while a PTE rewritten {e without} the architectural
-    invalidation ([invlpg] / CR3 reload) keeps serving the stale
-    translation — real XSA exploits interact with exactly that window. *)
+    A walk cache mirroring what the hardware TLB keeps per address
+    space: the {!leaf} — page frame and accumulated permissions — never
+    the walk path. Its key is one int, cr3 packed above the 36-bit
+    virtual page number (VA bits 12..47, injective on canonical
+    addresses). The model is faithful in both directions: a hit equals a
+    fresh walk on every field it caches (and auto-invalidates when
+    {!Phys_mem.generation} moves, i.e. when frames are recycled), while a
+    PTE rewritten {e without} the architectural invalidation ([invlpg] /
+    CR3 reload) keeps serving the stale translation — real XSA exploits
+    interact with exactly that window. A cr3 above 2{^26}-1 cannot be
+    packed: every TLB operation on one raises [Invalid_argument] rather
+    than alias another address space. *)
 
 module Tlb : sig
   type t
@@ -102,8 +123,9 @@ module Tlb : sig
 end
 
 val walk_cached :
-  Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (translation, fault_reason) result
-(** {!walk} through the cache. Faults are never cached. *)
+  Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (leaf, fault_reason) result
+(** {!walk} through the cache, returning the cached leaf. Faults are
+    never cached. *)
 
 val translate_cached :
   Tlb.t ->
@@ -112,6 +134,6 @@ val translate_cached :
   kind:access_kind ->
   user:bool ->
   Addr.vaddr ->
-  (translation, fault) result
+  (leaf, fault) result
 (** {!translate} through the cache. Permission checks always rerun on
     the cached bits, so a hit faults exactly when a fresh walk would. *)

@@ -300,6 +300,16 @@ let frame_ro t mfn =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));
   t.frames.(mfn)
 
+(* shared by every memory, never written *)
+let absent_frame = Frame.create ()
+
+let pt_frame t mfn ~index =
+  if is_valid_mfn t mfn then begin
+    observe t ~consumer:Provenance.Pt_walk ~mfn ~off:(8 * index) ~len:8;
+    t.frames.(mfn)
+  end
+  else absent_frame
+
 let frame_hash t mfn = Frame.fnv64 (frame_ro t mfn)
 
 let owner t mfn =
@@ -386,30 +396,27 @@ let frames_owned_by t o =
   done;
   !acc
 
-let split t ma len =
+(* A scalar access must lie in one valid frame; returns its number. *)
+let span_mfn t ma len =
   let mfn = Addr.mfn_of_maddr ma in
-  if not (is_valid_mfn t mfn) then raise (Bad_maddr ma);
-  let off = Addr.page_offset ma in
-  if off + len > Addr.page_size then raise (Bad_maddr ma) else (mfn, off)
+  if not (is_valid_mfn t mfn) || Addr.page_offset ma + len > Addr.page_size then
+    raise (Bad_maddr ma);
+  mfn
 
-let read_u8 t ma =
-  let mfn, off = split t ma 1 in
-  Frame.get_u8 t.frames.(mfn) off
+let read_u8 t ma = Frame.get_u8 t.frames.(span_mfn t ma 1) (Addr.page_offset ma)
 
 let write_u8 t ma v =
-  let mfn, off = split t ma 1 in
+  let mfn = span_mfn t ma 1 and off = Addr.page_offset ma in
   mark_written t mfn;
   Frame.set_u8 t.frames.(mfn) off v;
   match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:1
 
 (* 64-bit accesses are required to be contained in one frame, as natural
    alignment guarantees on real hardware. *)
-let read_u64 t ma =
-  let mfn, off = split t ma 8 in
-  Frame.get_u64 t.frames.(mfn) off
+let read_u64 t ma = Frame.get_u64 t.frames.(span_mfn t ma 8) (Addr.page_offset ma)
 
 let write_u64 t ma v =
-  let mfn, off = split t ma 8 in
+  let mfn = span_mfn t ma 8 and off = Addr.page_offset ma in
   mark_written t mfn;
   Frame.set_u64 t.frames.(mfn) off v;
   match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:8

@@ -36,6 +36,12 @@ val frame_ro : t -> Addr.mfn -> Frame.t
 (** Like {!frame} but does not mark the frame dirty. The caller promises
     not to write through the returned view. *)
 
+val pt_frame : t -> Addr.mfn -> index:int -> Frame.t
+(** The frame a page walk reads entry [index] (0..511) of, the read
+    observed as a [Pt_walk] consumption. A table frame outside installed
+    RAM reads as all zeroes (every entry not present), as an aborted bus
+    read would. The caller promises not to write through the view. *)
+
 val frame_hash : t -> Addr.mfn -> int64
 (** {!Frame.fnv64} of the frame via the read-only path — the VMI
     integrity primitive. Never marks the frame dirty. *)

@@ -109,6 +109,9 @@ module Cost_model = struct
                 | None -> err lineno (Printf.sprintf "bad value %S for %s" v k)
                 | Some ns when ns < 0L ->
                     err lineno (Printf.sprintf "negative cost for %s" k)
+                | Some ns when ns > Int64.of_int max_int ->
+                    (* the clock counts in a native int *)
+                    err lineno (Printf.sprintf "cost for %s exceeds %d ns" k max_int)
                 | Some ns -> (
                     match with_key m k ns with
                     | None -> err lineno (Printf.sprintf "unknown key %S" k)
@@ -173,17 +176,18 @@ let cost (m : Cost_model.t) = function
   | Evtchn_send -> m.Cost_model.evtchn_send
   | Dm_io -> m.Cost_model.dm_io
 
-type t = { mutable now : int64; mutable model : Cost_model.t; mutable attached : bool }
+(* [now] is an unboxed int of ns, so a charge allocates nothing; the
+   API stays int64. *)
+type t = { mutable now : int; mutable model : Cost_model.t; mutable attached : bool }
 
-let create ?(model = Cost_model.default) () = { now = 0L; model; attached = true }
-let now t = t.now
-let set t ns = t.now <- ns
+let create ?(model = Cost_model.default) () = { now = 0; model; attached = true }
+let now t = Int64.of_int t.now
+let set t ns = t.now <- Int64.to_int ns
 let attached t = t.attached
 let set_attached t on = t.attached <- on
 let model t = t.model
 let set_model t m = t.model <- m
-let charge t op = if t.attached then t.now <- Int64.add t.now (cost t.model op)
+let charge t op = if t.attached then t.now <- t.now + Int64.to_int (cost t.model op)
 
 let charge_n t op n =
-  if t.attached && n > 0 then
-    t.now <- Int64.add t.now (Int64.mul (Int64.of_int n) (cost t.model op))
+  if t.attached && n > 0 then t.now <- t.now + (n * Int64.to_int (cost t.model op))

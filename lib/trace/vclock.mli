@@ -58,9 +58,9 @@ module Cost_model : sig
 
   val of_string : ?base:t -> string -> (t, string) result
   (** Parse a cost-model config: one [key = ns] per line, [#] comments
-      and blank lines ignored. Unknown keys and non-integer or negative
-      values are errors (never raises). Missing keys keep the value
-      from [base] (default: {!default}). *)
+      and blank lines ignored. Unknown keys and non-integer, negative or
+      above-[max_int] values are errors (never raises). Missing keys keep
+      the value from [base] (default: {!default}). *)
 
   val load : ?base:t -> string -> (t, string) result
   (** {!of_string} over a file's contents; I/O failures are [Error]. *)

@@ -8,8 +8,15 @@ open Ii_trace
 module Make (B : Substrate.S) = struct
   module C = Campaign.Make (B)
 
+  (* every [Trace.telemetry] field *)
+  let telemetry (t : Trace.telemetry) =
+    Printf.sprintf "%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
+      (String.concat "," (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
+      t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults t.Trace.tm_flushes
+      t.Trace.tm_invlpgs t.Trace.tm_page_type_changes t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops
+      t.Trace.tm_injector_accesses t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames
+
   let row (r : C.result_row) =
-    let t = r.C.r_telemetry in
     String.concat "\n"
       ([ Printf.sprintf "use_case=%s" r.C.r_use_case;
          Printf.sprintf "version=%s" (B.config_to_string r.C.r_version);
@@ -22,13 +29,7 @@ module Make (B : Substrate.S) = struct
           (fun v -> "violation=" ^ Monitor.violation_to_string v)
           r.C.r_violations
       @ List.map (fun l -> "transcript=" ^ l) r.C.r_transcript
-      @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-            (String.concat ","
-               (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-            t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
-            t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
-            t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
-            t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
+      @ [ "telemetry=" ^ telemetry r.C.r_telemetry ])
 
   let config_of_string s = List.find (fun c -> B.config_to_string c = s) B.configs
 end

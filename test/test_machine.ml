@@ -120,13 +120,6 @@ let test_frame_bounds () =
   Alcotest.check_raises "negative" (Invalid_argument "Frame: access [-1,+1) out of page")
     (fun () -> ignore (Frame.get_u8 f (-1)))
 
-let test_frame_find_string () =
-  let f = Frame.create () in
-  Frame.write_string f 100 "needle";
-  check_bool "found" true (Frame.find_string f "needle" = Some 100);
-  check_bool "missing" true (Frame.find_string f "absent" = None);
-  check_bool "empty" true (Frame.find_string f "" = Some 0)
-
 let test_frame_copy_independent () =
   let f = Frame.create () in
   Frame.set_u8 f 0 1;
@@ -522,7 +515,6 @@ let () =
           Alcotest.test_case "u64 little endian" `Quick test_frame_u64;
           Alcotest.test_case "entries" `Quick test_frame_entry;
           Alcotest.test_case "bounds" `Quick test_frame_bounds;
-          Alcotest.test_case "find string" `Quick test_frame_find_string;
           Alcotest.test_case "copy independence" `Quick test_frame_copy_independent;
         ] );
       ( "phys_mem",

@@ -31,6 +31,28 @@ let l1_slot mem ~cr3 va =
 
 (* --- Software TLB --------------------------------------------------------- *)
 
+(* What a TLB leaf and a fresh walk (or translation) have in common:
+   every field but the walk path, which the TLB does not cache. *)
+let leaf_view va = function
+  | Ok l ->
+      Ok
+        ( Paging.leaf_maddr l va,
+          l.Paging.l_writable,
+          l.Paging.l_user,
+          l.Paging.l_executable,
+          l.Paging.l_superpage )
+  | Error e -> Error e
+
+let walk_view = function
+  | Ok tr ->
+      Ok
+        ( tr.Paging.t_maddr,
+          tr.Paging.writable,
+          tr.Paging.user,
+          tr.Paging.executable,
+          tr.Paging.superpage )
+  | Error e -> Error e
+
 (* Under the architectural contract — every PTE rewrite followed by
    invlpg, plus arbitrary interleaved flushes — a cached walk must be
    indistinguishable from a fresh one, for any operation sequence. *)
@@ -57,9 +79,9 @@ let prop_tlb_transparent_under_invalidation =
               Frame.set_entry frame index e';
               Paging.Tlb.invlpg tlb ~cr3 va
           | _ -> Paging.Tlb.flush_all tlb);
-          Paging.walk_cached tlb mem ~cr3 va = Paging.walk mem ~cr3 va
-          && Paging.translate_cached tlb mem ~cr3 ~kind:Paging.Write ~user:false va
-             = Paging.translate mem ~cr3 ~kind:Paging.Write ~user:false va)
+          leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
+          && leaf_view va (Paging.translate_cached tlb mem ~cr3 ~kind:Paging.Write ~user:false va)
+             = walk_view (Paging.translate mem ~cr3 ~kind:Paging.Write ~user:false va))
         ops)
 
 (* The other half of faithfulness: a raw PTE rewrite *without* invlpg
@@ -71,7 +93,7 @@ let test_stale_tlb_without_invlpg () =
   let cr3 = attacker_cr3 tb in
   let va = Domain.kernel_vaddr_of_pfn 5 in
   let tlb = Paging.Tlb.create () in
-  let cached_before = Paging.walk_cached tlb mem ~cr3 va in
+  let cached_before = leaf_view va (Paging.walk_cached tlb mem ~cr3 va) in
   let table_mfn, index = l1_slot mem ~cr3 va in
   let frame = Phys_mem.frame mem table_mfn in
   let old = Frame.get_entry frame index in
@@ -81,11 +103,13 @@ let test_stale_tlb_without_invlpg () =
     | None -> Alcotest.fail "pfn 6 unpopulated"
   in
   Frame.set_entry frame index (Pte.make ~mfn:mfn6 ~flags:(Pte.flags old));
-  let fresh = Paging.walk mem ~cr3 va in
+  let fresh = walk_view (Paging.walk mem ~cr3 va) in
   check_bool "fresh walk sees the rewrite" true (fresh <> cached_before);
-  check_bool "cached walk is stale" true (Paging.walk_cached tlb mem ~cr3 va = cached_before);
+  check_bool "cached walk is stale" true
+    (leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = cached_before);
   Paging.Tlb.flush_all tlb;
-  check_bool "flush restores agreement" true (Paging.walk_cached tlb mem ~cr3 va = fresh)
+  check_bool "flush restores agreement" true
+    (leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = fresh)
 
 (* Testbed.reset recycles frames (generation bump), so even a TLB that
    saw pre-reset state must agree with fresh walks afterwards with no
@@ -102,8 +126,79 @@ let test_tlb_survives_reset () =
   List.iter
     (fun va ->
       check_bool "post-reset agreement" true
-        (Paging.walk_cached tlb mem ~cr3:cr3' va = Paging.walk mem ~cr3:cr3' va))
+        (leaf_view va (Paging.walk_cached tlb mem ~cr3:cr3' va)
+        = walk_view (Paging.walk mem ~cr3:cr3' va)))
     vas
+
+(* The packed key: cr3 above the virtual page number. Over canonical VAs
+   in both halves — mapped kernel pages and arbitrary addresses, so both
+   leaves and faults, each beside its twin in the other half — and three
+   address spaces sharing one TLB, a cached resolve equals a fresh walk;
+   [invlpg] in one address space leaves the same VA cached in another (a
+   hit), and re-walks only its own (a miss). *)
+let packed_key_tb = lazy (Testbed.create Version.V4_8)
+
+let canonical_va (form, r) =
+  match form with
+  | 0 -> Int64.add (Domain.kernel_vaddr_of_pfn (abs (Int64.to_int (Int64.rem r 90L)))) 0x18L
+  | 1 -> Int64.logand r 0x7FFF_FFFF_FFFFL
+  | _ -> Int64.logor r 0xFFFF_8000_0000_0000L
+
+(* the same low 47 bits in the other half *)
+let twin va = Addr.canonical (Int64.logxor va 0x8000_0000_0000L)
+
+let prop_tlb_packed_key =
+  QCheck.Test.make ~name:"tlb: packed key = fresh walk" ~count:60
+    QCheck.(
+      pair (int_bound 2) (list_of_size (Gen.int_range 1 8) (pair (int_bound 2) int64)))
+    (fun (a, specs) ->
+      let tb = Lazy.force packed_key_tb in
+      let mem = tb.Testbed.hv.Hv.mem in
+      let cr3s =
+        List.map (fun k -> (Kernel.dom k).Domain.l4_mfn) Testbed.[ tb.dom0; tb.attacker; tb.victim ]
+      in
+      let cr3_a = List.nth cr3s a and cr3_b = List.nth cr3s ((a + 1) mod 3) in
+      let vas = List.concat_map (fun spec -> let va = canonical_va spec in [ va; twin va ]) specs in
+      let tlb = Paging.Tlb.create () in
+      let agrees cr3 va =
+        leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
+        && List.for_all
+             (fun (kind, user) ->
+               leaf_view va (Paging.translate_cached tlb mem ~cr3 ~kind ~user va)
+               = walk_view (Paging.translate mem ~cr3 ~kind ~user va))
+             [ (Paging.Read, false); (Paging.Write, true); (Paging.Exec, true) ]
+      in
+      let all_agree () = List.for_all (fun va -> List.for_all (fun cr3 -> agrees cr3 va) cr3s) vas in
+      let hits () = (Paging.Tlb.stats tlb).Paging.Tlb.hits in
+      let misses () = (Paging.Tlb.stats tlb).Paging.Tlb.misses in
+      let invlpg_spares_b va =
+        Paging.Tlb.invlpg tlb ~cr3:cr3_a va;
+        let h0 = hits () and m0 = misses () in
+        let b_cached = Result.is_ok (Paging.walk_cached tlb mem ~cr3:cr3_b va) in
+        let b_hit = if b_cached then hits () = h0 + 1 else misses () = m0 + 1 in
+        let m1 = misses () in
+        ignore (Paging.walk_cached tlb mem ~cr3:cr3_a va);
+        b_hit && misses () = m1 + 1
+      in
+      all_agree () && List.for_all invlpg_spares_b vas && all_agree ())
+
+(* A cr3 the key cannot hold is refused, never folded onto another
+   address space's entries. *)
+let test_tlb_unpackable_cr3 () =
+  let tb = Testbed.create Version.V4_8 in
+  let mem = tb.Testbed.hv.Hv.mem in
+  let va = Domain.kernel_vaddr_of_pfn 5 in
+  let tlb = Paging.Tlb.create () in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun cr3 ->
+      check_bool (Printf.sprintf "walk_cached cr3 %#x" cr3) true
+        (raises (fun () -> Paging.walk_cached tlb mem ~cr3 va));
+      check_bool (Printf.sprintf "invlpg cr3 %#x" cr3) true
+        (raises (fun () -> Paging.Tlb.invlpg tlb ~cr3 va)))
+    [ 1 lsl 26; (1 lsl 26) + attacker_cr3 tb; -1; max_int ];
+  check_bool "largest packable cr3 accepted" false
+    (raises (fun () -> Paging.Tlb.invlpg tlb ~cr3:((1 lsl 26) - 1) va))
 
 (* --- Reset = create ------------------------------------------------------- *)
 
@@ -682,13 +777,57 @@ let test_run_one_words () =
   if mean > 8000. then
     Alcotest.failf "Random_campaign.run_one allocated %.0f words/trial (budget 8000)" mean
 
+(* The guest memory access path on the benchmark's corpus shape: a
+   4-domain 4.6 pooled testbed under the default load. [f] runs once to
+   warm the TLB and dirty tracking, then [n] times measured. *)
+let words_per_call ?(n = 1000) f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let loaded_46 () = Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default Version.V4_6
+
+let within_budget what budget words =
+  if words > budget then Alcotest.failf "%s allocated %.1f words (budget %.0f)" what words budget
+
+let test_read_hit_words () =
+  let k = (loaded_46 ()).Testbed.attacker in
+  let va = Domain.kernel_vaddr_of_pfn 6 in
+  within_budget "TLB-hit Kernel.read_u64" 24.
+    (words_per_call (fun () -> ignore (Kernel.read_u64 k va)))
+
+let test_write_hit_words () =
+  let k = (loaded_46 ()).Testbed.attacker in
+  let va = Domain.kernel_vaddr_of_pfn 6 in
+  within_budget "TLB-hit Kernel.write_u64" 24.
+    (words_per_call (fun () -> ignore (Kernel.write_u64 k va 0xA11CEL)))
+
+let test_invlpg_read_words () =
+  let k = (loaded_46 ()).Testbed.attacker in
+  let va = Domain.kernel_vaddr_of_pfn 6 in
+  within_budget "invlpg + Kernel.read_u64" 64.
+    (words_per_call (fun () ->
+         Kernel.invlpg k va;
+         ignore (Kernel.read_u64 k va)))
+
+(* The cell the vDSO scan dominates: every machine frame through the
+   linear-PT window, a PTE write, an invlpg and a read each. *)
+let test_xsa212_priv_words () =
+  let tb = loaded_46 () in
+  let uc = List.find (fun uc -> uc.Campaign.uc_name = "XSA-212-priv") All.use_cases in
+  within_budget "XSA-212-priv 4.6 injection Campaign.run" 300_000.
+    (words_per_call ~n:1 (fun () -> ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6)))
+
 (* The corpus cells of the benchmark's [corpus] workload: every use case
    on every configuration in both modes, on long-lived pooled testbeds
    with 4 domains under the default load. One warm-up pass, then the
    median over a measured pass of each cell's words — the figure the
    benchmark reports as [campaign.run_words.*]. The median, because
-   three XSA-212-priv cells allocate ~650k words each outside the
-   snapshots and would dominate a mean. *)
+   three XSA-212-priv cells allocate ~160k words each in the vDSO scan
+   and would dominate a mean. *)
 let corpus_words ~configs ~use_cases ~create ~run =
   let tbs = List.map (fun c -> (c, create c)) configs in
   let pass () =
@@ -880,8 +1019,9 @@ let () =
         [
           Alcotest.test_case "stale without invlpg" `Quick test_stale_tlb_without_invlpg;
           Alcotest.test_case "coherent across reset" `Quick test_tlb_survives_reset;
+          Alcotest.test_case "unpackable cr3 rejected" `Quick test_tlb_unpackable_cr3;
         ]
-        @ qsuite [ prop_tlb_transparent_under_invalidation ] );
+        @ qsuite [ prop_tlb_transparent_under_invalidation; prop_tlb_packed_key ] );
       ( "reset",
         [
           Alcotest.test_case "campaign rows: reset = create" `Quick
@@ -928,6 +1068,10 @@ let () =
           Alcotest.test_case "run_one words" `Quick test_run_one_words;
           Alcotest.test_case "campaign words (xen)" `Quick test_campaign_words_xen;
           Alcotest.test_case "campaign words (kvm)" `Quick test_campaign_words_kvm;
+          Alcotest.test_case "read_u64 hit words" `Quick test_read_hit_words;
+          Alcotest.test_case "write_u64 hit words" `Quick test_write_hit_words;
+          Alcotest.test_case "invlpg+read words" `Quick test_invlpg_read_words;
+          Alcotest.test_case "XSA-212-priv words" `Quick test_xsa212_priv_words;
         ] );
       ( "scheduler",
         [

@@ -225,6 +225,48 @@ let test_golden_kvm_rows () =
       Fingerprint.Kvm.row
         (KC.run (kvm_program name) mode (Fingerprint.Kvm.config_of_string config)))
 
+(* Every corpus cell at the benchmark's [corpus] shape — 4 domains
+   under the default load, one long-lived pooled testbed per
+   configuration — reproduces the virtual time and the full telemetry
+   [Golden_cells] captured: the per-cell counts a speed-only change
+   must leave identical. *)
+let test_golden_corpus_cells () =
+  let programs = List.map snd (Lazy.force corpus_programs) in
+  let kvm_only p = Scn_bytecode.backend p = Scn_bytecode.Kvm_only in
+  let find name =
+    match List.find_opt (fun p -> Scn_bytecode.name p = name) programs with
+    | Some p -> p
+    | None -> Alcotest.failf "no corpus program %s" name
+  in
+  let check_cells fixture ~configs ~config_to_string ~create ~run =
+    let tbs = List.map (fun c -> (config_to_string c, (c, create c))) configs in
+    List.iter
+      (fun (name, config, mode, vtime, tm) ->
+        let c, tb = List.assoc config tbs in
+        let vtime', tm' = run ~tb (find name) (mode_of_string mode) c in
+        let cell = Printf.sprintf "%s %s %s" name config mode in
+        Alcotest.(check int64) (cell ^ ": r_vtime_ns") vtime vtime';
+        Alcotest.(check string) (cell ^ ": telemetry") tm tm')
+      fixture
+  in
+  let load = Ii_trace.Load_mix.default in
+  let count f = List.length (List.filter f programs) in
+  check_int "xen cells pinned"
+    (count (fun p -> not (kvm_only p)) * List.length Version.all * 2)
+    (List.length Golden_cells.xen);
+  check_int "kvm cells pinned" (count kvm_only * List.length BK.configs * 2)
+    (List.length Golden_cells.kvm);
+  check_cells Golden_cells.xen ~configs:Version.all ~config_to_string:Version.to_string
+    ~create:(Substrate_xen.create_pooled ~domains:4 ~load)
+    ~run:(fun ~tb p mode v ->
+      let r = Campaign.run ~tb (XV.use_case p) mode v in
+      (r.Campaign.r_vtime_ns, Fingerprint.Xen.telemetry r.Campaign.r_telemetry));
+  check_cells Golden_cells.kvm ~configs:BK.configs ~config_to_string:BK.config_to_string
+    ~create:(BK.create_pooled ~domains:4 ~load)
+    ~run:(fun ~tb p mode c ->
+      let r = KC.run ~tb (KV.use_case p) mode c in
+      (r.KC.r_vtime_ns, Fingerprint.Kvm.telemetry r.KC.r_telemetry))
+
 (* Every corpus program's [expect] classes show up in its injection run
    on the vulnerable configuration of its backend; Xen programs also at
    four domains under the default background load. *)
@@ -395,6 +437,7 @@ let () =
         [
           Alcotest.test_case "xen result rows" `Quick test_golden_xen_rows;
           Alcotest.test_case "kvm result rows" `Quick test_golden_kvm_rows;
+          Alcotest.test_case "corpus-shape cells" `Quick test_golden_corpus_cells;
           Alcotest.test_case "expected violations" `Quick test_expected_violations;
           Alcotest.test_case "scheduler path" `Quick test_run_corpus_matches_run;
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;

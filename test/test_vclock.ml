@@ -66,6 +66,20 @@ let test_cost_model_parsing () =
   check_bool "missing file is an Error, not an exception" true
     (Result.is_error (Vclock.Cost_model.load "/nonexistent/cost.model"))
 
+(* The clock counts in a native int: a per-op cost it cannot hold is
+   refused at parse time, and the largest it can hold charges exactly. *)
+let test_cost_bound () =
+  let max_cost = Int64.of_int max_int in
+  check_bool "cost above max_int rejected" true
+    (Result.is_error
+       (Vclock.Cost_model.of_string (Printf.sprintf "tlb_hit = %Ld" (Int64.succ max_cost))));
+  match Vclock.Cost_model.of_string (Printf.sprintf "tlb_hit = %Ld" max_cost) with
+  | Error e -> Alcotest.fail e
+  | Ok model ->
+      let c = Vclock.create ~model () in
+      Vclock.charge c Vclock.Tlb_hit;
+      check_i64 "max_int cost charged" max_cost (Vclock.now c)
+
 let test_charge_mechanics () =
   let c = Vclock.create () in
   check_i64 "starts at zero" 0L (Vclock.now c);
@@ -292,6 +306,7 @@ let () =
         [
           Alcotest.test_case "default roundtrip" `Quick test_cost_model_roundtrip;
           Alcotest.test_case "config parsing" `Quick test_cost_model_parsing;
+          Alcotest.test_case "cost bound" `Quick test_cost_bound;
           Alcotest.test_case "charge mechanics" `Quick test_charge_mechanics;
         ] );
       ( "replay",

@@ -4,14 +4,24 @@
    (test/golden_xen.ml: trace bytes and row fingerprints on Xen 4.6).
    [goldgen rows] prints test/golden_rows.ml: the row fingerprint of
    every use case on every configuration of its backend, in both
-   modes. Both were captured once; do not regenerate them from code
-   whose behaviour they are meant to pin. *)
+   modes. [goldgen cells], run from the repository root, prints
+   test/golden_cells.ml: the virtual time and telemetry of every
+   corpus/*.scn cell at the perfbench [corpus] shape (4 domains under
+   the default load, long-lived pooled testbeds). All
+   were captured once; do not regenerate them from code whose
+   behaviour they are meant to pin. *)
 
 module Fingerprint (B : Substrate.S) = struct
   module C = Campaign.Make (B)
 
+  let telemetry (t : Trace.telemetry) =
+    Printf.sprintf "%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
+      (String.concat "," (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
+      t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults t.Trace.tm_flushes
+      t.Trace.tm_invlpgs t.Trace.tm_page_type_changes t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops
+      t.Trace.tm_injector_accesses t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames
+
   let row (r : C.result_row) =
-    let t = r.C.r_telemetry in
     String.concat "\n"
       ([ Printf.sprintf "use_case=%s" r.C.r_use_case;
          Printf.sprintf "version=%s" (B.config_to_string r.C.r_version);
@@ -24,13 +34,7 @@ module Fingerprint (B : Substrate.S) = struct
           (fun v -> "violation=" ^ Monitor.violation_to_string v)
           r.C.r_violations
       @ List.map (fun l -> "transcript=" ^ l) r.C.r_transcript
-      @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-            (String.concat ","
-               (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-            t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
-            t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
-            t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
-            t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
+      @ [ "telemetry=" ^ telemetry r.C.r_telemetry ])
 
   (* every (use case, config, mode) cell, in matrix order *)
   let cells ucs =
@@ -45,9 +49,33 @@ module Fingerprint (B : Substrate.S) = struct
               [ Campaign.Real_exploit; Campaign.Injection ])
           B.configs)
       ucs
+
+  (* every cell at the corpus benchmark's shape, in matrix order, each
+     configuration on one long-lived pooled testbed *)
+  let corpus_cells ucs =
+    let tbs =
+      List.map (fun c -> (c, B.create_pooled ~domains:4 ~load:Load_mix.default c)) B.configs
+    in
+    List.concat_map
+      (fun uc ->
+        List.concat_map
+          (fun (config, tb) ->
+            List.map
+              (fun mode ->
+                let r = C.run ~tb uc mode config in
+                ( uc.C.uc_name,
+                  B.config_to_string config,
+                  Campaign.mode_to_string mode,
+                  r.C.r_vtime_ns,
+                  telemetry r.C.r_telemetry ))
+              [ Campaign.Real_exploit; Campaign.Injection ])
+          tbs)
+      ucs
 end
 
 module Xen_fp = Fingerprint (Substrate_xen)
+module XV = Ii_scenario.Scn_vm.Make (Ii_exploits.Scenario_xen)
+module KV = Ii_scenario.Scn_vm.Make (Ii_backends.Scenario_kvm)
 module Kvm_fp = Fingerprint (Ii_backends.Backend_kvm)
 
 let fingerprint = Xen_fp.row
@@ -120,10 +148,44 @@ let emit_rows () =
   emit "xen" (Xen_fp.cells Ii_exploits.All_exploits.use_cases);
   emit "kvm" (Kvm_fp.cells Ii_exploits.All_exploits.kvm_use_cases)
 
+let emit_cells () =
+  print_endline "(* Golden virtual time and telemetry of every corpus cell at the";
+  print_endline "   perfbench [corpus] shape: 4 domains under the default load, each";
+  print_endline "   configuration on one long-lived pooled testbed, cells in matrix";
+  print_endline "   order. (use case, config, mode, r_vtime_ns, telemetry). A";
+  print_endline "   speed-only change must leave every entry identical; do not";
+  print_endline "   regenerate. *)";
+  let emit name cells =
+    Printf.printf "\nlet %s =\n  [\n" name;
+    List.iter
+      (fun (uc, config, mode, vtime, tm) ->
+        Printf.printf "    (%S, %S, %S, %LdL,\n     %S);\n" uc config mode vtime tm)
+      cells;
+    print_endline "  ]"
+  in
+  (* every corpus/*.scn program, split by backend as the benchmark does *)
+  let programs =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.sort compare
+    |> List.map (fun f ->
+           match Ii_scenario.Scn_loader.load_file (Filename.concat "corpus" f) with
+           | Ok p -> p
+           | Error e -> failwith e)
+  in
+  let kvm_only p = Ii_scenario.Scn_bytecode.backend p = Ii_scenario.Scn_bytecode.Kvm_only in
+  emit "xen"
+    (Xen_fp.corpus_cells
+       (List.filter_map (fun p -> if kvm_only p then None else Some (XV.use_case p)) programs));
+  emit "kvm"
+    (Kvm_fp.corpus_cells
+       (List.filter_map (fun p -> if kvm_only p then Some (KV.use_case p) else None) programs))
+
 let () =
   match Sys.argv with
   | [| _ |] -> emit_xen ()
   | [| _; "rows" |] -> emit_rows ()
+  | [| _; "cells" |] -> emit_cells ()
   | _ ->
-      prerr_endline "usage: goldgen [rows]";
+      prerr_endline "usage: goldgen [rows|cells]";
       exit 2
