@@ -113,8 +113,8 @@ let extensions () =
   hr "EXTENSIONS (beyond the paper's prototype)";
   print_endline
     (Random_campaign.render
-       (Random_campaign.compare_versions ~seed:7L ~trials:200
-          ~targets:Random_campaign.all_targets Version.all));
+       (Campaign_scheduler.run ~seed:7L ~trials:200 ~targets:Random_campaign.all_targets
+          Version.all));
   print_newline ();
   print_endline (Ii_devicemodel.Blk_study.render (Ii_devicemodel.Blk_study.matrix ()));
   print_newline ();

@@ -60,9 +60,23 @@ let workers_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (Shard.workers_of_string s) in
   Arg.(value & opt (conv (parse, Format.pp_print_int)) 1 & info [ "w"; "workers" ] ~docv:"N|auto" ~doc)
 
+(* An integer flag with a floor: a value below it (or not an integer)
+   is a usage error naming the flag, not an exception from deep in a
+   run. *)
+let at_least floor =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= floor -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s floor))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let trials_arg ~floor ~default ~doc =
+  Arg.(value & opt (at_least floor) default & info [ "n"; "trials" ] ~docv:"N" ~doc)
+
 let domains_arg =
   let doc = "Concurrent guest domains on each testbed (>= 2: victim + attacker)." in
-  Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (at_least 2) 2 & info [ "domains" ] ~docv:"N" ~doc)
 
 let load_arg =
   let parse s =

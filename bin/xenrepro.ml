@@ -40,11 +40,10 @@ let inject_cmd =
 let campaign_cmd =
   let doc = "Run the full evaluation campaign and print Table III." in
   let trials_arg =
-    let doc =
-      "Also run N randomized trials per version through the batching scheduler \
-       (versions x trials flattened into one work queue) and print the outcome tally."
-    in
-    Arg.(value & opt int 0 & info [ "n"; "trials" ] ~docv:"N" ~doc)
+    trials_arg ~floor:0 ~default:0
+      ~doc:
+        "Also run N randomized trials per version through the batching scheduler \
+         (versions x trials flattened into one work queue) and print the outcome tally."
   in
   let run verbose (module K : All.BACKEND) workers domains load trials =
     let module D = Drivers (K) in
@@ -159,9 +158,7 @@ let fuzz_cmd =
   let seed_arg =
     Arg.(value & opt int64 7L & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Campaign PRNG seed.")
   in
-  let trials_arg =
-    Arg.(value & opt int 200 & info [ "n"; "trials" ] ~docv:"N" ~doc:"Trials per version.")
-  in
+  let trials_arg = trials_arg ~floor:1 ~default:200 ~doc:"Trials per version." in
   let flips_arg =
     Arg.(value & flag & info [ "soft-errors" ] ~doc:"Include accidental single-bit flips.")
   in

@@ -11,7 +11,6 @@ let description = "KVM-style hardware-assisted host (EPT isolation, per-VM VMCS)
 type config = Stock
 
 let configs = [ Stock ]
-let default_config = Stock
 let rq1_config = Stock
 let config_to_string Stock = "stock"
 let config_of_string = function "stock" -> Some Stock | _ -> None
@@ -99,9 +98,6 @@ let create_pooled ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock 
     scans = Scan_memo.anchored (Kvm.mem kvm);
   }
 
-let domains t =
-  List.map (fun vm -> vm.Kvm.vm_name) (t.victim :: t.bystander :: t.extras)
-
 let reset t =
   ignore (Kvm.restore t.kvm t.ck);
   t.injector_on <- false;
@@ -114,8 +110,6 @@ let reset t =
 let trace t = t.tr
 let vclock t = Trace.vts t.tr
 let set_cost_model t m = Vclock.set_model (Trace.vclock t.tr) m
-let set_vclock_attached t on = Vclock.set_attached (Trace.vclock t.tr) on
-let console t = Kvm.console t.kvm
 
 let enable_provenance t =
   let mem = Kvm.mem t.kvm in
@@ -124,7 +118,6 @@ let enable_provenance t =
 
 let provenance t = Phys_mem.provenance (Kvm.mem t.kvm)
 let install_injector t = t.injector_on <- true
-let injector_installed t = t.injector_on
 
 (* Backend_op discriminants: this backend's replayable boundary ops. *)
 let op_ioctl = 0 (* arg1 = addr, arg2 = action code, data = payload/buffer *)
@@ -402,20 +395,8 @@ let violations_by_domain ~before ~after =
 (* KVM kills the offending VM at the failed entry; the host never dies
    in this model — the cross-backend blast-radius contrast with Xen. *)
 let host_alive _ = true
-let guests_alive s = List.length (List.filter (fun (_, _, alive, _) -> alive) s.s_vms)
 
 (* --- out-of-band monitoring (VMI) -------------------------------------- *)
-
-let frame_hash t mfn = Phys_mem.frame_hash (Kvm.mem t.kvm) mfn
-
-let critical_frames t =
-  List.concat_map
-    (fun vm ->
-      [
-        (Printf.sprintf "vmcs[vm%d]" vm.Kvm.vm_id, vm.Kvm.vmcs_mfn);
-        (Printf.sprintf "ept-root[vm%d]" vm.Kvm.vm_id, vm.Kvm.ept_root);
-      ])
-    (Kvm.vms t.kvm)
 
 let vmcs_integrity_detector () =
   let baseline = ref [] in

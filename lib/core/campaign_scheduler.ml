@@ -12,28 +12,36 @@
    Determinism: job j is (version j/trials, trial j mod trials), and a
    trial depends only on (seed, trial index, targets) plus a pristine
    testbed — so the materialized output regroups into per-version
-   summaries byte-identical to running each version sequentially. *)
+   summaries byte-identical to running each version's trials in order
+   on a freshly booted testbed (test/golden_random.ml pins them). *)
 
 module RC = Random_campaign
 
 (* Per-worker testbed table, one slot per version, filled on first use.
-   [coverage] attaches a collector to each testbed so trials return
-   per-trial coverage maps. *)
+   [coverage] attaches a collector to each testbed; the job reads the
+   trial's map from it. *)
 let worker_pool ~coverage versions =
   let tbs = Array.make (Array.length versions) None in
   fun vi ->
     match tbs.(vi) with
-    | Some w -> w
+    | Some slot -> slot
     | None ->
         let w = RC.make_worker ~pooled:true versions.(vi) in
-        if coverage then RC.attach_coverage w;
-        tbs.(vi) <- Some w;
-        w
+        let slot = (w, if coverage then Some (RC.attach_coverage w) else None) in
+        tbs.(vi) <- Some slot;
+        slot
 
 let check_args ~trials ~targets versions =
   if versions = [] then invalid_arg "Campaign_scheduler: no versions";
   if trials <= 0 then invalid_arg "Campaign_scheduler: trials must be positive";
   if targets = [] then invalid_arg "Campaign_scheduler: no targets"
+
+(* Job j: trial [j mod trials] of version [j / trials], with the
+   trial's coverage map when collectors are attached. *)
+let job ~seed ~targets ~trials pool j =
+  let w, cov = pool (j / trials) in
+  let t = RC.run_one w ~seed ~targets (j mod trials) in
+  (t, Option.map Coverage.snapshot cov)
 
 let run ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials versions =
   check_args ~trials ~targets versions;
@@ -42,7 +50,7 @@ let run ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?coverage ~tria
   let pairs =
     Shard.map_init ?workers
       ~init:(fun () -> worker_pool ~coverage:(coverage <> None) varr)
-      (fun pool j () -> RC.run_one_cov (pool (j / trials)) ~seed ~targets (j mod trials))
+      (fun pool j () -> job ~seed ~targets ~trials pool j)
       (List.init n (fun _ -> ()))
   in
   (* merge per-trial maps into the caller's cumulative map in job order —
@@ -95,12 +103,10 @@ let run_streamed ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?cover
   let counts =
     Shard.fold_init ?workers ~n
       ~init:(fun () -> worker_pool ~coverage:(coverage <> None) varr)
-      ~f:(fun pool j ->
-        let vi = j / trials in
-        let t, m = RC.run_one_cov (pool vi) ~seed ~targets (j mod trials) in
-        (vi, t.RC.outcome, m))
-      ~merge:(fun counts (vi, outcome, m) ->
-        counts.((vi * n_outcomes) + outcome_slot outcome) <- counts.((vi * n_outcomes) + outcome_slot outcome) + 1;
+      ~f:(fun pool j -> (j / trials, job ~seed ~targets ~trials pool j))
+      ~merge:(fun counts (vi, (t, m)) ->
+        let slot = (vi * n_outcomes) + outcome_slot t.RC.outcome in
+        counts.(slot) <- counts.(slot) + 1;
         (match (coverage, m) with
         | Some acc, Some m -> acc := Coverage.merge !acc m
         | _ -> ());

@@ -1,9 +1,10 @@
-(** The batching campaign scheduler: one work queue over one worker pool.
+(** The batching campaign scheduler: one work queue over one worker pool,
+    and the only driver of randomized campaigns ({!Random_campaign}
+    supplies the trial).
 
-    Running each version's campaign as its own sharded job (the shape
-    {!Random_campaign.compare_versions} has) pays a pool spin-up per
-    version and drains workers at every version boundary. This module
-    instead flattens versions x trials into a single queue of
+    Running each version's campaign as its own sharded job pays a pool
+    spin-up per version and drains workers at every version boundary.
+    This module instead flattens versions x trials into a single queue of
     independent jobs dealt in chunks ({!Shard}); each worker lazily
     forks one testbed per version it encounters — copy-on-write from
     the warm template pool — and reuses it for every trial of that
@@ -21,13 +22,14 @@ val run :
   trials:int ->
   Version.t list ->
   Random_campaign.summary list
-(** Materializing scheduler: byte-identical summaries to
-    [List.map (Random_campaign.run ~seed ~trials ~targets) versions],
-    whatever the worker count. Defaults: seed 42, intrusion targets,
-    1 worker.
+(** Materializing scheduler: one summary per version, byte-identical to
+    running that version's trials in order on one freshly booted
+    testbed, whatever the worker count. Defaults: seed 42, intrusion
+    targets, 1 worker. Raises [Invalid_argument] on no versions, no
+    targets or [trials <= 0].
 
-    [coverage] accumulates every trial's coverage map
-    ({!Random_campaign.run_one_cov}) into the referenced cumulative map
+    [coverage] accumulates every trial's coverage map (the collector
+    {!Random_campaign.run_one} fills) into the referenced cumulative map
     by a deterministic positional fold; the final map is byte-identical
     whatever the worker count. *)
 

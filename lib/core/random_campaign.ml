@@ -98,80 +98,73 @@ let activate (tb : Testbed.t) =
   Testbed.tick_all tb
 
 (* Non-memory injector hooks, exercised through the catalog's component
-   interfaces; hangs are released after observation so trials stay
-   independent (a real campaign would reboot). *)
+   interfaces. Returns the vcpu a hang hook stopped: it is released
+   after observation so trials stay independent (a real campaign would
+   reboot). *)
 let run_hook (tb : Testbed.t) choice =
   let hv = tb.Testbed.hv in
   let victim = Kernel.dom tb.Testbed.victim in
   match Int64.to_int choice land 3 with
   | 0 ->
       ignore (Sched.hang_vcpu hv.Hv.sched ~dom:victim.Domain.id ~reason:"fuzzed hang");
-      `Unhang_after victim.Domain.id
+      Some victim.Domain.id
   | 1 ->
       ignore (Event_channel.force_pending_all victim.Domain.events);
-      `Nothing
+      None
   | 2 ->
       Xenstore.inject_write hv.Hv.xenstore
         (Xenstore.domain_path victim.Domain.id "memory/target")
         "48";
-      `Nothing
+      None
   | _ ->
       ignore (Hv.exhaust_memory hv ~leave:(Phys_mem.free_frames hv.Hv.mem / 4));
-      `Nothing
+      None
+
+(* Put the synthesized erroneous state in place: [Error] when the
+   injector refuses the target, otherwise the vcpu to unhang once the
+   trial has been observed. *)
+let inject (tb : Testbed.t) target addr value =
+  let mem = tb.Testbed.hv.Hv.mem in
+  match target with
+  | Component_hooks -> Ok (run_hook tb addr)
+  | Soft_error_bit_flip ->
+      (* an accidental fault: flip one bit directly, no injector *)
+      let bit = Int64.to_int (Int64.logand value 63L) in
+      let word = Phys_mem.read_u64 mem addr in
+      Phys_mem.write_u64 mem addr (Int64.logxor word (Int64.shift_left 1L bit));
+      Ok None
+  | Idt_gates | Page_table_entries | M2p_entries | Arbitrary_physical -> (
+      match
+        Injector.write_u64 tb.Testbed.attacker ~addr ~action:Injector.Arbitrary_write_physical value
+      with
+      | Ok () -> Ok None
+      | Error e -> Error e)
+
+let is_crash = function Monitor.Hypervisor_crash _ -> true | _ -> false
 
 let run_trial rng index (tb : Testbed.t) ~before target =
   let hv = tb.Testbed.hv in
   let addr, value = synthesize rng tb target in
-  if target = Component_hooks then begin
-    let cleanup = run_hook tb addr in
-    activate tb;
-    let after = Substrate_xen.snapshot tb in
-    let violations = Monitor.violations ~before ~after in
-    (match cleanup with
-    | `Unhang_after dom -> ignore (Sched.unhang_vcpu hv.Hv.sched ~dom)
-    | `Nothing -> ());
-    let crashed = List.exists (function Monitor.Hypervisor_crash _ -> true | _ -> false) violations in
-    let outcome =
-      if crashed then Crashed else if violations <> [] then Violated else No_effect
-    in
-    { index; target; t_addr = addr; t_value = value; outcome; t_violations = violations }
-  end
-  else
-  let injected =
-    match target with
-    | Soft_error_bit_flip ->
-        (* an accidental fault: flip one bit directly, no injector *)
-        let bit = Int64.to_int (Int64.logand value 63L) in
-        let word = Phys_mem.read_u64 hv.Hv.mem addr in
-        Phys_mem.write_u64 hv.Hv.mem addr (Int64.logxor word (Int64.shift_left 1L bit));
-        Ok ()
-    | Component_hooks -> Ok () (* handled above *)
-    | Idt_gates | Page_table_entries | M2p_entries | Arbitrary_physical -> (
-        match
-          Injector.write_u64 tb.Testbed.attacker ~addr
-            ~action:Injector.Arbitrary_write_physical value
-        with
-        | Ok () -> Ok ()
-        | Error e -> Error e)
-  in
-  match injected with
+  match inject tb target addr value with
   | Error _ ->
       { index; target; t_addr = addr; t_value = value; outcome = Refused; t_violations = [] }
-  | Ok () ->
+  | Ok hung ->
       activate tb;
       let after = Substrate_xen.snapshot tb in
       let violations = Monitor.violations ~before ~after in
-      let crashed = List.exists (function Monitor.Hypervisor_crash _ -> true | _ -> false) violations in
       let outcome =
-        if crashed then Crashed
+        if List.exists is_crash violations then Crashed
         else if violations <> [] then Violated
-        else if
-          (* is the corruption still sitting in live state, or was it
-             scrubbed/overwritten during activation? *)
-          target <> Soft_error_bit_flip && Phys_mem.read_u64 hv.Hv.mem addr = value
-        then State_only
-        else No_effect
+        else
+          match target with
+          | Idt_gates | Page_table_entries | M2p_entries | Arbitrary_physical
+            when Phys_mem.read_u64 hv.Hv.mem addr = value ->
+              (* the corruption still sits in live state: it was neither
+                 scrubbed nor overwritten during activation *)
+              State_only
+          | _ -> No_effect
       in
+      (match hung with Some dom -> ignore (Sched.unhang_vcpu hv.Hv.sched ~dom) | None -> ());
       { index; target; t_addr = addr; t_value = value; outcome; t_violations = violations }
 
 (* Per-trial PRNG seeding (a splitmix64-style mix of campaign seed and
@@ -194,15 +187,24 @@ type worker = {
   mutable w_before : Monitor.snapshot option;
 }
 
+(* Reset, reinstall the injector and clear an attached coverage
+   collector: the pristine point, exactly where {!Campaign.Make.run}
+   clears its own, so per-trial maps depend only on the trial. *)
 let pristine w =
   Testbed.reset w.w_tb;
   Injector.install w.w_tb.Testbed.hv;
-  match w.w_before with
-  | Some before -> before
-  | None ->
-      let before = Substrate_xen.snapshot w.w_tb in
-      w.w_before <- Some before;
-      before
+  let before =
+    match w.w_before with
+    | Some before -> before
+    | None ->
+        let before = Substrate_xen.snapshot w.w_tb in
+        w.w_before <- Some before;
+        before
+  in
+  (match Trace.coverage w.w_tb.Testbed.hv.Hv.trace with
+  | Some c -> Coverage.clear c
+  | None -> ());
+  before
 
 let make_worker ?(pooled = false) version =
   {
@@ -210,56 +212,29 @@ let make_worker ?(pooled = false) version =
     w_before = None;
   }
 
-(* Coverage-aware trial: when a {!Coverage} collector is attached to the
-   worker testbed's trace, clear it at the pristine point — after reset
-   and injector install, mirroring Campaign.run's protocol, so pooled
-   and freshly-booted workers produce identical per-trial maps — then
-   run the trial, feed the violation axis (these trials observe
-   host-level violations), and snapshot. Collector-free workers pay
-   nothing and get [None]. *)
-let run_one_cov w ~seed ~targets index =
+let run_one w ~seed ~targets index =
   let before = pristine w in
-  let cov = Trace.coverage w.w_tb.Testbed.hv.Hv.trace in
-  (match cov with Some c -> Coverage.clear c | None -> ());
   let rng = Prng.create ~seed:(trial_seed seed index) in
   let target = Prng.choose rng targets in
   let t = run_trial rng index w.w_tb ~before target in
-  let m =
-    match cov with
-    | None -> None
-    | Some c ->
-        List.iter
-          (fun v -> Coverage.note_violation c ~cls:(Monitor.class_index v) ~domain:"host")
-          t.t_violations;
-        Some (Coverage.snapshot c)
-  in
-  (t, m)
+  (* these trials observe host-level violations *)
+  (match Trace.coverage w.w_tb.Testbed.hv.Hv.trace with
+  | Some c ->
+      List.iter
+        (fun v -> Coverage.note_violation c ~cls:(Monitor.class_index v) ~domain:"host")
+        t.t_violations
+  | None -> ());
+  t
 
-let run_one w ~seed ~targets index = fst (run_one_cov w ~seed ~targets index)
-
-let attach_coverage w = Trace.set_coverage w.w_tb.Testbed.hv.Hv.trace (Some (Coverage.create ()))
+let attach_coverage w =
+  let c = Coverage.create () in
+  Trace.set_coverage w.w_tb.Testbed.hv.Hv.trace (Some c);
+  c
 
 let tally_of trials_list =
   List.map
     (fun o -> (o, List.length (List.filter (fun t -> t.outcome = o) trials_list)))
     all_outcomes
-
-let run ?(seed = 42L) ?(trials = 60) ?(targets = intrusion_targets) ?workers version =
-  if targets = [] then invalid_arg "Random_campaign.run: no targets";
-  (* Sharded workers fork from the warm template pool; the sequential
-     reference run keeps the historical fresh boot (it pays it once). *)
-  let pooled = Shard.worker_count workers > 1 in
-  let trials_list =
-    Shard.map_init ?workers
-      ~init:(fun () -> make_worker ~pooled version)
-      (fun w index () -> run_one w ~seed ~targets index)
-      (List.init trials (fun _ -> ()))
-  in
-  { s_version = version; s_seed = seed; s_trials = trials; tally = tally_of trials_list;
-    trials = trials_list }
-
-let compare_versions ?seed ?trials ?targets ?workers versions =
-  List.map (fun v -> run ?seed ?trials ?targets ?workers v) versions
 
 let render summaries =
   let header =

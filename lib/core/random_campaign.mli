@@ -12,7 +12,10 @@
 
     Campaigns are deterministic in their seed, so the same trial
     sequence can be replayed against different hypervisor versions for
-    comparison (the risk-assessment scenario of §III-C). *)
+    comparison (the risk-assessment scenario of §III-C). Trials draw
+    from independent per-trial PRNG streams derived from the seed and
+    the trial index, so the result is insensitive to how trials are
+    dealt to workers. *)
 
 type target_class =
   | Idt_gates  (** overwrite descriptor-table handler words *)
@@ -56,13 +59,12 @@ type summary = {
   trials : trial list;
 }
 
-(** {1 Worker state}
+(** {1 Trials}
 
-    The building blocks {!run} itself is made of, exported so the
-    campaign scheduler ({!Campaign_scheduler}) can drive trials from a
-    flattened multi-version work queue: one long-lived testbed per
-    worker (reset between trials, its own scan cache riding along) and
-    the memoized pristine before-snapshot. *)
+    {!Campaign_scheduler} is the driver: it deals trials to workers,
+    one long-lived testbed per worker and version (reset between
+    trials, its own scan cache riding along) with the memoized
+    pristine before-snapshot. *)
 
 type worker
 
@@ -74,43 +76,22 @@ val make_worker : ?pooled:bool -> Version.t -> worker
 
 val run_one : worker -> seed:int64 -> targets:target_class list -> int -> trial
 (** Run trial [index] on a pristine testbed (reset + injector install +
-    memoized before-snapshot). Deterministic in [(seed, index, targets)]
-    alone — the positional-determinism contract sharded runs rely on. *)
+    memoized before-snapshot): synthesize a state in a target class,
+    inject it, activate, observe, classify. Deterministic in
+    [(seed, index, targets)] alone — the positional-determinism
+    contract sharded runs rely on.
 
-val attach_coverage : worker -> unit
-(** Attach a fresh {!Coverage} collector to the worker testbed's trace;
-    subsequent {!run_one_cov} calls return per-trial maps. *)
+    When a collector is attached ({!attach_coverage}), it is cleared at
+    the pristine point (exactly where {!Campaign.Make.run} clears its
+    own) and the trial's violations are noted on it, so after the call
+    it holds the trial's map, which depends only on
+    [(seed, index, targets)]. *)
 
-val run_one_cov :
-  worker -> seed:int64 -> targets:target_class list -> int -> trial * Coverage.map option
-(** {!run_one} plus the trial's coverage map when the worker has a
-    collector attached ({!attach_coverage}). The collector is cleared at
-    the pristine point (after reset + injector install, exactly where
-    {!Campaign.Make.run} clears its own), so the map depends only on
-    [(seed, index, targets)] — never on the worker, its fork origin, or
-    scheduling. *)
+val attach_coverage : worker -> Coverage.t
+(** Attach a fresh {!Coverage} collector to the worker testbed's trace
+    and return it. *)
 
 val tally_of : trial list -> (outcome_class * int) list
 (** Outcome counts in [all_outcomes] order. *)
-
-val run :
-  ?seed:int64 -> ?trials:int -> ?targets:target_class list -> ?workers:int ->
-  Version.t -> summary
-(** Defaults: seed 42, 60 trials, all intrusion targets, 1 worker.
-
-    Each trial runs against a pristine testbed: one testbed per worker
-    is created up front and rolled back between trials with
-    {!Testbed.reset} — O(dirty pages) instead of the boot per trial (or
-    per crash) a real campaign pays to power-cycle the machine.
-
-    Trials draw from independent per-trial PRNG streams derived from
-    [seed] and the trial index, so the campaign is deterministic in its
-    seed {e and} insensitive to [workers]: a sharded run returns
-    byte-identical summaries to the sequential one. *)
-
-val compare_versions :
-  ?seed:int64 -> ?trials:int -> ?targets:target_class list -> ?workers:int ->
-  Version.t list -> summary list
-(** The same trial sequence against each version. *)
 
 val render : summary list -> string

@@ -95,8 +95,6 @@ let map_init ?workers ~init f xs =
          out)
   end
 
-let map ?workers f xs = map_init ?workers ~init:(fun () -> ()) (fun () _ x -> f x) xs
-
 let fold_init ?workers ~n ~init ~f ~merge acc0 =
   if n < 0 then invalid_arg "Shard.fold_init: n must be >= 0";
   let workers = worker_count workers in

@@ -35,9 +35,6 @@ val map_init : ?workers:int -> init:(unit -> 's) -> ('s -> int -> 'a -> 'b) -> '
     the remaining workers stop dealing new chunks, every domain is
     joined, and the {e first} exception is re-raised on the caller. *)
 
-val map : ?workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_init] without per-worker state. *)
-
 val fold_init :
   ?workers:int ->
   n:int ->

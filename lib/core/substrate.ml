@@ -29,7 +29,6 @@ module type S = sig
   val configs : config list
   (** Every configuration the backend can boot, campaign order. *)
 
-  val default_config : config
   val rq1_config : config
   (** The configuration RQ1 validation runs on (the one the real
       exploits were written against). *)
@@ -72,9 +71,6 @@ module type S = sig
       and load-free: the load mix is runtime-only state installed on the
       fork, so pooled ≡ fresh holds for loaded multi-domain testbeds. *)
 
-  val domains : t -> string list
-  (** Hostnames of the guest domains, stable per-domain row order. *)
-
   val reset : t -> unit
   (** Roll back to the post-boot checkpoint in O(frames dirtied);
       observably equivalent to a fresh [create]. *)
@@ -95,11 +91,6 @@ module type S = sig
   (** Swap the per-operation cost model (e.g. one loaded from a
       cost-model config file). Affects future charges only. *)
 
-  val set_vclock_attached : t -> bool -> unit
-  (** Detach/re-attach the clock. Detached, every charge is a no-op and
-      {!vclock} stays frozen; machine behaviour is unchanged either
-      way (the vclock-off ≡ vclock-on neutrality invariant). *)
-
   val enable_provenance : t -> unit
   (** Attach a byte-granular taint shadow ({!Provenance}) to the host's
       physical memory, wired to {!trace} so interpretation edges land in
@@ -109,7 +100,6 @@ module type S = sig
   val provenance : t -> Provenance.t option
   (** The attached shadow, if {!enable_provenance} has run. *)
 
-  val console : t -> string list
   val tick_all : t -> unit
   (** One scheduler round over every guest. *)
 
@@ -123,8 +113,6 @@ module type S = sig
   val install_injector : t -> unit
   (** Idempotent; a no-op for backends whose port is always present. *)
 
-  val injector_installed : t -> bool
-
   val inject_write :
     t -> addr:int64 -> Access.action -> bytes -> (unit, Errno.t) result
 
@@ -135,7 +123,7 @@ module type S = sig
   (** The device-model injection surface: write bytes past the FDC FIFO
       end inside the device-model process (the VENOM erroneous state),
       counted and recorded like any injector access. Gated on
-      {!injector_installed} ([ENOSYS] otherwise); [ENOSYS] on backends
+      {!install_injector} ([ENOSYS] before it); [ENOSYS] on backends
       without a device model. *)
 
   (** {1 Erroneous-state auditing} *)
@@ -161,18 +149,7 @@ module type S = sig
       (host-level conditions under ["host"]) — the per-domain blast
       radius rows of multi-domain campaigns. *)
 
-  val host_alive : snapshot -> bool
-  val guests_alive : snapshot -> int
-  (** Blast-radius primitives for the cross-backend matrix. *)
-
   (** {1 Out-of-band monitoring (VMI)} *)
-
-  val frame_hash : t -> Addr.mfn -> int64
-  (** Read-only FNV-1a of a host frame — the integrity primitive. *)
-
-  val critical_frames : t -> (string * Addr.mfn) list
-  (** The backend's host-critical structures, named: IDT/text/M2P on
-      Xen, EPT roots and VMCSs on KVM. *)
 
   val detectors : unit -> t Vmi.Detector.t list
   (** Fresh instances of the backend's detector suite. *)

@@ -10,7 +10,6 @@ let description = "Xen PV testbed (paper's §IX environment: dom0 + attacker + v
 type config = Version.t
 
 let configs = Version.all
-let default_config = Version.V4_6
 let rq1_config = Version.V4_6
 let config_to_string = Version.to_string
 let config_of_string = Version.of_string
@@ -26,12 +25,9 @@ let create_pooled ?frames ?domains ?load version =
   Testbed.create_pooled ?frames ?domains ?load version
 
 let reset = Testbed.reset
-let domains = Testbed.domain_names
 let trace tb = tb.Testbed.hv.Hv.trace
 let vclock tb = Trace.vts (trace tb)
 let set_cost_model tb m = Vclock.set_model (Trace.vclock (trace tb)) m
-let set_vclock_attached tb on = Vclock.set_attached (Trace.vclock (trace tb)) on
-let console tb = Hv.console_lines tb.Testbed.hv
 
 let enable_provenance tb =
   let mem = tb.Testbed.hv.Hv.mem in
@@ -41,7 +37,6 @@ let enable_provenance tb =
 let provenance tb = Phys_mem.provenance tb.Testbed.hv.Hv.mem
 let tick_all = Testbed.tick_all
 let install_injector tb = Injector.install tb.Testbed.hv
-let injector_installed tb = Injector.installed tb.Testbed.hv
 
 (* The injection port is the arbitrary_access hypercall, issued from
    the attacker guest's kernel exactly as an injection script would. *)
@@ -64,22 +59,6 @@ type snapshot = Monitor.snapshot
 let snapshot tb = Monitor.snapshot ~cache:tb.Testbed.scan_cache tb
 let violations = Monitor.violations
 let violations_by_domain = Monitor.violations_by_domain
-let host_alive (s : snapshot) = not s.Monitor.crashed
-
-let guests_alive (s : snapshot) =
-  (* every guest domain the snapshot saw, minus the crashed ones; dom0
-     is not a guest *)
-  List.length (List.filter (fun (h, _) -> h <> "xen3") s.Monitor.domain_pages)
-  - List.length s.Monitor.guest_crashes
-let frame_hash tb mfn = Phys_mem.frame_hash tb.Testbed.hv.Hv.mem mfn
-
-let critical_frames tb =
-  let hv = tb.Testbed.hv in
-  ("idt", hv.Hv.idt_mfn) :: ("xen-text", hv.Hv.text_mfn)
-  :: List.mapi
-       (fun i mfn -> (Printf.sprintf "m2p[%d]" i, mfn))
-       (Array.to_list hv.Hv.m2p_mfns)
-
 let detectors () =
   List.map (Vmi.Detector.contramap (fun tb -> tb.Testbed.hv)) (Vmi.Detector.all ())
 

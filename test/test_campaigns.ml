@@ -63,8 +63,14 @@ let prop_prng_int_distribution =
 
 (* --- Random_campaign ------------------------------------------------------ *)
 
+(* One version's randomized campaign, through the scheduler. *)
+let campaign ~seed ~trials ~targets version =
+  match Campaign_scheduler.run ~seed ~trials ~targets [ version ] with
+  | [ s ] -> s
+  | _ -> Alcotest.fail "one summary per version"
+
 let small ?(targets = Random_campaign.intrusion_targets) ?(seed = 7L) version =
-  Random_campaign.run ~seed ~trials:30 ~targets version
+  campaign ~seed ~trials:30 ~targets version
 
 let test_campaign_shape () =
   let s = small Version.V4_6 in
@@ -86,7 +92,7 @@ let test_campaign_deterministic () =
     = List.map (fun t -> t.Random_campaign.t_addr) b.Random_campaign.trials)
 
 let test_campaign_same_trials_across_versions () =
-  let sums = Random_campaign.compare_versions ~seed:7L ~trials:30 Version.all in
+  let sums = Campaign_scheduler.run ~seed:7L ~trials:30 Version.all in
   match sums with
   | [ a; b; c ] ->
       let addrs s = List.map (fun t -> t.Random_campaign.t_addr) s.Random_campaign.trials in
@@ -96,7 +102,7 @@ let test_campaign_same_trials_across_versions () =
 
 let test_campaign_idt_class_crashes () =
   let s =
-    Random_campaign.run ~seed:42L ~trials:60 ~targets:[ Random_campaign.Idt_gates ] Version.V4_6
+    campaign ~seed:42L ~trials:60 ~targets:[ Random_campaign.Idt_gates ] Version.V4_6
   in
   check_bool "some crashes" true (List.assoc Random_campaign.Crashed s.Random_campaign.tally > 0);
   (* crashes must come with a crash violation recorded *)
@@ -111,7 +117,7 @@ let test_campaign_idt_class_crashes () =
 
 let test_campaign_m2p_class_violates_integrity () =
   let s =
-    Random_campaign.run ~seed:11L ~trials:40 ~targets:[ Random_campaign.M2p_entries ] Version.V4_8
+    campaign ~seed:11L ~trials:40 ~targets:[ Random_campaign.M2p_entries ] Version.V4_8
   in
   check_bool "m2p corruption observable" true
     (List.assoc Random_campaign.Violated s.Random_campaign.tally > 0)
@@ -120,7 +126,7 @@ let test_campaign_soft_errors_are_latent () =
   (* single accidental bit flips mostly stay latent: never Refused, and
      the campaign survives them without exceptions *)
   let s =
-    Random_campaign.run ~seed:3L ~trials:50 ~targets:[ Random_campaign.Soft_error_bit_flip ]
+    campaign ~seed:3L ~trials:50 ~targets:[ Random_campaign.Soft_error_bit_flip ]
       Version.V4_6
   in
   check_int "nothing refused" 0 (List.assoc Random_campaign.Refused s.Random_campaign.tally);
@@ -131,13 +137,13 @@ let test_campaign_reboots_after_crash () =
   (* with only the IDT class and many trials, several crashes occur; the
      campaign must keep making progress (fresh testbeds) *)
   let s =
-    Random_campaign.run ~seed:42L ~trials:80 ~targets:[ Random_campaign.Idt_gates ] Version.V4_6
+    campaign ~seed:42L ~trials:80 ~targets:[ Random_campaign.Idt_gates ] Version.V4_6
   in
   check_int "all trials ran" 80 (List.length s.Random_campaign.trials)
 
 let test_campaign_component_hooks () =
   let s =
-    Random_campaign.run ~seed:5L ~trials:40 ~targets:[ Random_campaign.Component_hooks ]
+    campaign ~seed:5L ~trials:40 ~targets:[ Random_campaign.Component_hooks ]
       Version.V4_8
   in
   check_int "all trials ran" 40 (List.length s.Random_campaign.trials);
@@ -149,7 +155,7 @@ let test_campaign_component_hooks () =
     > 10);
   (* determinism still holds with hooks in the mix *)
   let s2 =
-    Random_campaign.run ~seed:5L ~trials:40 ~targets:[ Random_campaign.Component_hooks ]
+    campaign ~seed:5L ~trials:40 ~targets:[ Random_campaign.Component_hooks ]
       Version.V4_8
   in
   check_bool "deterministic" true
@@ -157,11 +163,11 @@ let test_campaign_component_hooks () =
     = List.map (fun t -> t.Random_campaign.outcome) s2.Random_campaign.trials)
 
 let test_campaign_rejects_empty_targets () =
-  Alcotest.check_raises "no targets" (Invalid_argument "Random_campaign.run: no targets")
-    (fun () -> ignore (Random_campaign.run ~targets:[] Version.V4_6))
+  Alcotest.check_raises "no targets" (Invalid_argument "Campaign_scheduler: no targets")
+    (fun () -> ignore (Campaign_scheduler.run ~targets:[] ~trials:60 [ Version.V4_6 ]))
 
 let test_campaign_render () =
-  let sums = Random_campaign.compare_versions ~seed:7L ~trials:10 [ Version.V4_6; Version.V4_13 ] in
+  let sums = Campaign_scheduler.run ~seed:7L ~trials:10 [ Version.V4_6; Version.V4_13 ] in
   let s = Random_campaign.render sums in
   check_bool "mentions versions" true
     (let has needle =

@@ -873,23 +873,88 @@ let test_campaign_words_kvm () =
 
 (* --- Batching scheduler ---------------------------------------------------- *)
 
-(* The flattened versions x trials queue must regroup into summaries
-   byte-identical to running each version's campaign on its own,
-   whatever the worker count; the streaming variant must agree on the
-   tallies it keeps. *)
+(* test/golden_random.ml pins every (seed, target set, version) summary
+   of the randomized campaign as a tally and an MD5 over each trial's
+   fields, captured from per-version runs on freshly booted testbeds. *)
+let target_sets =
+  [ ("intrusion", Random_campaign.intrusion_targets); ("all", Random_campaign.all_targets) ]
+
+(* The line tools/goldgen digests: every field of a trial. *)
+let trial_line (t : Random_campaign.trial) =
+  Printf.sprintf "%d|%s|%Lx|%Lx|%s|%s" t.Random_campaign.index
+    (Random_campaign.target_to_string t.Random_campaign.target)
+    t.Random_campaign.t_addr t.Random_campaign.t_value
+    (Random_campaign.outcome_to_string t.Random_campaign.outcome)
+    (String.concat ";" (List.map Monitor.violation_to_string t.Random_campaign.t_violations))
+
+let tally_string tally = String.concat "," (List.map (fun (_, n) -> string_of_int n) tally)
+
+let golden seed set version =
+  match
+    List.find_opt
+      (fun (s, n, v, _, _) -> s = seed && n = set && v = Version.to_string version)
+      Golden_random.cases
+  with
+  | Some (_, _, _, tally, digest) -> (tally, digest)
+  | None -> Alcotest.failf "no golden case for seed %Ld, %s, %s" seed set (Version.to_string version)
+
+(* [check] runs once per (seed, target set) pair of the fixture. *)
+let each_golden_pair check =
+  List.iter
+    (fun seed -> List.iter (fun (set, targets) -> check ~seed ~set ~targets) target_sets)
+    [ 1L; 7L; 42L ]
+
+let check_golden_summaries ~what ~seed ~set versions summaries =
+  check_int (what ^ ": one summary per version") (List.length versions) (List.length summaries);
+  List.iter2
+    (fun version (s : Random_campaign.summary) ->
+      let label = Printf.sprintf "%s, seed %Ld, %s, %s" what seed set (Version.to_string version) in
+      let tally, digest = golden seed set version in
+      check_bool (label ^ ": version") true (s.Random_campaign.s_version = version);
+      check_bool (label ^ ": seed") true (s.Random_campaign.s_seed = seed);
+      check_int (label ^ ": trials") Golden_random.trials (List.length s.Random_campaign.trials);
+      Alcotest.(check string) (label ^ ": tally") tally (tally_string s.Random_campaign.tally);
+      Alcotest.(check string)
+        (label ^ ": trial digest") digest
+        (Digest.to_hex
+           (Digest.string (String.concat "\n" (List.map trial_line s.Random_campaign.trials)))))
+    versions summaries
+
+(* The flattened versions x trials queue must regroup into the golden
+   per-version summaries whatever the worker count; the streaming
+   variant must agree on the tallies it keeps. *)
 let test_scheduler_matches_per_version () =
-  let versions = [ Version.V4_6; Version.V4_8 ] in
-  let seq = List.map (Random_campaign.run ~seed:7L ~trials:10) versions in
-  check_bool "scheduler w1 = per-version runs" true
-    (Campaign_scheduler.run ~seed:7L ~trials:10 ~workers:1 versions = seq);
-  check_bool "scheduler w3 = per-version runs" true
-    (Campaign_scheduler.run ~seed:7L ~trials:10 ~workers:3 versions = seq);
-  let streamed = Campaign_scheduler.run_streamed ~seed:7L ~trials:10 ~workers:3 versions in
-  check_bool "streamed tallies = materialized tallies" true
-    (List.for_all2
-       (fun (s : Random_campaign.summary) t ->
-         s.Random_campaign.tally = t.Campaign_scheduler.st_tally)
-       seq streamed)
+  let trials = Golden_random.trials and versions = Version.all in
+  each_golden_pair (fun ~seed ~set ~targets ->
+      List.iter
+        (fun workers ->
+          check_golden_summaries
+            ~what:(Printf.sprintf "scheduler w%d" workers)
+            ~seed ~set versions
+            (Campaign_scheduler.run ~seed ~targets ~workers ~trials versions))
+        [ 1; 3 ];
+      List.iter2
+        (fun version (st : Campaign_scheduler.stream_stats) ->
+          Alcotest.(check string)
+            (Printf.sprintf "streamed tally, seed %Ld, %s, %s" seed set (Version.to_string version))
+            (fst (golden seed set version))
+            (tally_string st.Campaign_scheduler.st_tally))
+        versions
+        (Campaign_scheduler.run_streamed ~seed ~targets ~workers:3 ~trials versions))
+
+(* A pooled worker (forked from the warm template) and a freshly booted
+   one must return equal trials. *)
+let test_random_worker_pooled_equals_fresh () =
+  List.iter
+    (fun version ->
+      let fresh = Random_campaign.make_worker ~pooled:false version in
+      let pooled = Random_campaign.make_worker ~pooled:true version in
+      for index = 0 to 199 do
+        let run w = Random_campaign.run_one w ~seed:7L ~targets:Random_campaign.all_targets index in
+        if run fresh <> run pooled then
+          Alcotest.failf "trial %d on %s: pooled <> fresh" index (Version.to_string version)
+      done)
+    Version.all
 
 (* --- Shard engine ---------------------------------------------------------- *)
 
@@ -936,10 +1001,12 @@ let test_workers_of_string () =
 
 (* --- Sharding determinism ------------------------------------------------- *)
 
+(* One version sharded over three workers: the golden summaries. *)
 let test_random_campaign_shard_identical () =
-  let seq = Random_campaign.run ~seed:7L ~trials:30 Version.V4_8 in
-  let sharded = Random_campaign.run ~seed:7L ~trials:30 ~workers:3 Version.V4_8 in
-  check_bool "sequential = 3-worker summary" true (seq = sharded)
+  each_golden_pair (fun ~seed ~set ~targets ->
+      check_golden_summaries ~what:"3-worker single-version run" ~seed ~set [ Version.V4_8 ]
+        (Campaign_scheduler.run ~seed ~targets ~workers:3 ~trials:Golden_random.trials
+           [ Version.V4_8 ]))
 
 let test_run_matrix_shard_identical () =
   List.iter
@@ -1047,6 +1114,8 @@ let () =
           Alcotest.test_case "provenance on a fork" `Quick test_pooled_provenance;
           Alcotest.test_case "scan-cache anchoring on a fork" `Quick
             test_fork_scan_cache_anchoring;
+          Alcotest.test_case "random trials: pooled = fresh" `Quick
+            test_random_worker_pooled_equals_fresh;
         ] );
       ( "cow_fork",
         [

@@ -239,10 +239,9 @@ let prop_campaign_partition =
   QCheck.Test.make ~name:"campaign tallies partition the trials" ~count:10
     QCheck.(int_bound 1000)
     (fun seed ->
-      let s =
-        Random_campaign.run ~seed:(Int64.of_int (seed + 1)) ~trials:20 Version.V4_8
-      in
-      List.fold_left (fun a (_, n) -> a + n) 0 s.Random_campaign.tally = 20)
+      match Campaign_scheduler.run ~seed:(Int64.of_int (seed + 1)) ~trials:20 [ Version.V4_8 ] with
+      | [ s ] -> List.fold_left (fun a (_, n) -> a + n) 0 s.Random_campaign.tally = 20
+      | _ -> false)
 
 let () =
   Alcotest.run "properties"

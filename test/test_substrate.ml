@@ -109,7 +109,7 @@ let test_kvm_errno () =
        Access.Arbitrary_write_physical b
     = Error Errno.ENOSYS);
   BK.install_injector t;
-  check_bool "installed" true (BK.injector_installed t);
+  check_bool "installed" true t.BK.injector_on;
   (* unmapped target: EINVAL, same as the Xen injector *)
   check_bool "einval" true
     (BK.inject_write t ~addr:0x7fff_ffff_0000L Access.Arbitrary_write_physical b
@@ -122,15 +122,16 @@ let test_kvm_errno () =
 let test_kvm_checkpoint_reset () =
   let t = BK.create BK.Stock in
   let vmcs_mfn = t.BK.victim.Ii_kvm.Kvm.vmcs_mfn in
-  let clean_hash = BK.frame_hash t vmcs_mfn in
+  let vmcs_hash () = Phys_mem.frame_hash (Ii_kvm.Kvm.mem t.BK.kvm) vmcs_mfn in
+  let clean_hash = vmcs_hash () in
   let r = KC.run ~tb:t (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock in
   check_bool "state injected" true r.KC.r_state;
   check_bool "victim died" true (t.BK.victim.Ii_kvm.Kvm.state <> Ii_kvm.Kvm.Vm_running);
-  check_bool "hash moved" true (BK.frame_hash t vmcs_mfn <> clean_hash);
+  check_bool "hash moved" true (vmcs_hash () <> clean_hash);
   BK.reset t;
-  check_bool "hash restored" true (BK.frame_hash t vmcs_mfn = clean_hash);
+  check_bool "hash restored" true (vmcs_hash () = clean_hash);
   check_bool "victim revived" true (t.BK.victim.Ii_kvm.Kvm.state = Ii_kvm.Kvm.Vm_running);
-  check_bool "injector disarmed" true (not (BK.injector_installed t));
+  check_bool "injector disarmed" true (not t.BK.injector_on);
   (* a reset testbed audits clean and produces the same row again *)
   let audit = BK.audit t (BK.Vmcs_entry_tampered t.BK.victim.Ii_kvm.Kvm.vm_id) in
   check_bool "audit clean" false audit.Erroneous_state.holds;
@@ -180,13 +181,14 @@ let test_kvm_detectors_cover () =
     All.kvm_use_cases
 
 (* The domain-indexed view of Substrate.S, exercised on both backends:
-   [domains] names every guest in stable row order, scaling with
-   ?domains, and [violations_by_domain] partitions exactly the flat
+   the guest population scales with ?domains, and [violations_by_domain] partitions exactly the flat
    [violations] list — same multiset, every group keyed by a known
    domain name or "host", no empty groups. *)
+let kvm_names t = List.map (fun vm -> vm.Ii_kvm.Kvm.vm_name) (Ii_kvm.Kvm.vms t.BK.kvm)
+
 let test_domain_indexed_view () =
   let xen_tb = Ii_guest.Testbed.create ~domains:4 ~load:Load_mix.default Version.V4_6 in
-  check_int "xen: four guest domains" 4 (List.length (Substrate_xen.domains xen_tb));
+  check_int "xen: four guest domains" 4 (List.length (Ii_guest.Testbed.domain_names xen_tb));
   let uc = Option.get (All.find "XSA-212-priv") in
   let before = Substrate_xen.snapshot xen_tb in
   ignore (Campaign.run ~tb:xen_tb uc Campaign.Injection Version.V4_6);
@@ -195,7 +197,7 @@ let test_domain_indexed_view () =
   let flat = Substrate_xen.violations ~before ~after in
   let grouped = Substrate_xen.violations_by_domain ~before ~after in
   (* valid group keys: "host", plus any domain on the machine — dom0
-     included, which is not in the guest-row [domains] list *)
+     included, which is not in [Testbed.domain_names] *)
   let names =
     "host" :: List.map Ii_guest.Kernel.hostname (Ii_guest.Testbed.kernels xen_tb)
   in
@@ -207,13 +209,13 @@ let test_domain_indexed_view () =
   check_int "xen: groups partition the flat list" (List.length flat)
     (List.length (List.concat_map snd grouped));
   let kvm_tb = BK.create ~domains:3 BK.Stock in
-  check_int "kvm: three guest domains" 3 (List.length (BK.domains kvm_tb));
+  check_int "kvm: three guest domains" 3 (List.length (kvm_names kvm_tb));
   let kb = BK.snapshot kvm_tb in
   ignore (KC.run ~tb:kvm_tb (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock);
   let ka = BK.snapshot kvm_tb in
   let kflat = BK.violations ~before:kb ~after:ka in
   let kgrouped = BK.violations_by_domain ~before:kb ~after:ka in
-  let knames = "host" :: BK.domains kvm_tb in
+  let knames = "host" :: kvm_names kvm_tb in
   List.iter
     (fun (d, vs) ->
       check_bool ("kvm: known domain " ^ d) true (List.mem d knames);

@@ -271,7 +271,8 @@ let test_detached_clock_does_not_change_results () =
       let on = Trace_driver.record uc0 Campaign.Injection Version.V4_6 in
       let off =
         Trace_driver.record
-          ~prepare:(fun tb -> Substrate_xen.set_vclock_attached tb false)
+          ~prepare:(fun tb ->
+            Vclock.set_attached (Trace.vclock tb.Ii_guest.Testbed.hv.Hv.trace) false)
           uc0 Campaign.Injection Version.V4_6
       in
       check_bool (uc0.Campaign.uc_name ^ ": row unchanged modulo vtime") true

@@ -7,7 +7,10 @@
    modes. [goldgen cells], run from the repository root, prints
    test/golden_cells.ml: the virtual time and telemetry of every
    corpus/*.scn cell at the perfbench [corpus] shape (4 domains under
-   the default load, long-lived pooled testbeds). All
+   the default load, long-lived pooled testbeds). [goldgen random]
+   prints test/golden_random.ml: the outcome tally and a digest of
+   every trial of the randomized campaign, per seed, target set and
+   version, each version run on its own freshly booted testbed. All
    were captured once; do not regenerate them from code whose
    behaviour they are meant to pin. *)
 
@@ -181,11 +184,47 @@ let emit_cells () =
     (Kvm_fp.corpus_cells
        (List.filter_map (fun p -> if kvm_only p then Some (KV.use_case p) else None) programs))
 
+(* One line per trial: every field of [Random_campaign.trial]. The
+   test suite digests trials with the same function. *)
+let trial_line (t : Random_campaign.trial) =
+  Printf.sprintf "%d|%s|%Lx|%Lx|%s|%s" t.Random_campaign.index
+    (Random_campaign.target_to_string t.Random_campaign.target)
+    t.Random_campaign.t_addr t.Random_campaign.t_value
+    (Random_campaign.outcome_to_string t.Random_campaign.outcome)
+    (String.concat ";" (List.map Monitor.violation_to_string t.Random_campaign.t_violations))
+
+let emit_random () =
+  print_endline "(* Golden randomized-campaign outcomes: (seed, target set, version,";
+  print_endline "   tally in all_outcomes order, MD5 of every trial's fields), 200";
+  print_endline "   trials per version, each version on its own freshly booted";
+  print_endline "   testbed (the sequential reference the batching scheduler must";
+  print_endline "   reproduce). Do not regenerate. *)";
+  print_endline "\nlet trials = 200\n\nlet cases =\n  [";
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (set, targets) ->
+          List.iter
+            (fun version ->
+              (* each version's trials in order on one freshly booted testbed *)
+              let w = Random_campaign.make_worker version in
+              let trials = List.init 200 (Random_campaign.run_one w ~seed ~targets) in
+              Printf.printf "    (%LdL, %S, %S,\n     %S,\n     %S);\n" seed set
+                (Version.to_string version)
+                (String.concat ","
+                   (List.map (fun (_, n) -> string_of_int n) (Random_campaign.tally_of trials)))
+                (Digest.to_hex (Digest.string (String.concat "\n" (List.map trial_line trials)))))
+            Version.all)
+        [ ("intrusion", Random_campaign.intrusion_targets); ("all", Random_campaign.all_targets) ])
+    [ 1L; 7L; 42L ];
+  print_endline "  ]"
+
 let () =
   match Sys.argv with
   | [| _ |] -> emit_xen ()
   | [| _; "rows" |] -> emit_rows ()
   | [| _; "cells" |] -> emit_cells ()
+  | [| _; "random" |] -> emit_random ()
   | _ ->
-      prerr_endline "usage: goldgen [rows|cells]";
+      prerr_endline "usage: goldgen [rows|cells|random]";
       exit 2
