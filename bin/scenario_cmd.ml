@@ -5,11 +5,6 @@
 open Cmdliner
 open Cli
 
-let backend_to_string = function
-  | Scn_bytecode.Any -> "any"
-  | Scn_bytecode.Xen_only -> "xen"
-  | Scn_bytecode.Kvm_only -> "kvm"
-
 let load_all files =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -43,7 +38,7 @@ let backend_for p = function
       Error
         (Printf.sprintf "scenario %s is %s-only; it cannot run on backend %S"
            (Scn_bytecode.name p)
-           (backend_to_string (Scn_bytecode.backend p))
+           (Scn_bytecode.backend_tag_to_string (Scn_bytecode.backend p))
            (All.backend_name b))
   | None -> (
       match List.find_opt (fun b -> admits b p) All.backends with
@@ -90,7 +85,7 @@ let list_cmd =
                        (jstr f)
                        (jstr (Scn_bytecode.name p))
                        (jstr (Scn_bytecode.xsa p))
-                       (jstr (backend_to_string (Scn_bytecode.backend p)))
+                       (jstr (Scn_bytecode.backend_tag_to_string (Scn_bytecode.backend p)))
                        (Array.length p.Scn_bytecode.exploit
                        + Array.length p.Scn_bytecode.inject)
                        (jlist jstr (Scn_bytecode.expected_violations p)))
@@ -102,7 +97,7 @@ let list_cmd =
                 (fun (f, p) ->
                   Printf.printf "%-14s %-8s %-7s %6d  %-22s %s\n" (Scn_bytecode.name p)
                     (Scn_bytecode.xsa p)
-                    (backend_to_string (Scn_bytecode.backend p))
+                    (Scn_bytecode.backend_tag_to_string (Scn_bytecode.backend p))
                     (Array.length p.Scn_bytecode.exploit
                     + Array.length p.Scn_bytecode.inject)
                     (String.concat "," (Scn_bytecode.expected_violations p))

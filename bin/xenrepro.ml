@@ -68,7 +68,7 @@ let campaign_cmd =
         print_endline (D.C.telemetry_table rows);
         print_newline ();
         Printf.printf "RQ1 validation on %s (exploit vs injection):\n"
-          (D.B.config_label D.B.rq1_config);
+          (D.C.config_label D.B.rq1_config);
         List.iter
           (fun (name, st, viol) ->
             Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n" name st
@@ -292,7 +292,9 @@ let trace_cmd =
     | Error e, _, _ -> `Error (false, "cost-model: " ^ e)
     | _, Error e, _ | _, _, Error e -> `Error (false, e)
     | Ok model, Ok config, Ok uc ->
-        let prepare = Option.map (fun m tb -> D.B.set_cost_model tb m) model in
+        let prepare =
+          Option.map (fun m tb -> Vclock.set_model (Trace.vclock (D.B.trace tb)) m) model
+        in
         let r = D.T.record ?prepare uc mode config in
         if json then print_string (D.T.to_json r)
         else begin

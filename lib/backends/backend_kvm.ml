@@ -14,7 +14,6 @@ let configs = [ Stock ]
 let rq1_config = Stock
 let config_to_string Stock = "stock"
 let config_of_string = function "stock" -> Some Stock | _ -> None
-let config_label Stock = "KVM stock"
 let config_heading = "KVM"
 let port_heading = "Ioctls"
 
@@ -27,16 +26,12 @@ type t = {
   mutable injector_on : bool;
   mutable load : Load_mix.t;
   ck : Kvm.checkpoint;
-  ck_counters : Trace.Counters.snapshot;
-  ck_vts : int64;  (* virtual clock at the reset checkpoint *)
+  ck_trace : Trace.mark;  (* counters and virtual clock at the reset checkpoint *)
   scans : int64 Scan_memo.t;
       (* baseline scan cache for [snapshot], one per host (fresh on
          create and on every fork): keys 2*id hold a VM's VMCS hash,
          2*id+1 its EPT exposure *)
 }
-
-(* Extra guests follow the Xen testbed's naming scheme: guest05, ... *)
-let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
 (* Mirrors Testbed.create: a host plus its standard guest population,
    with the reset checkpoint captured at the end of boot. *)
@@ -46,14 +41,13 @@ let create ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
   let victim = Kvm.create_vm kvm ~name:"guest03" ~pages:64 in
   let bystander = Kvm.create_vm kvm ~name:"guest01" ~pages:64 in
   let extras =
-    List.init (domains - 2) (fun i -> Kvm.create_vm kvm ~name:(extra_name i) ~pages:64)
+    List.init (domains - 2) (fun i -> Kvm.create_vm kvm ~name:(Testbed.extra_name i) ~pages:64)
   in
   let tr = Trace.create () in
   let ck = Kvm.checkpoint kvm in
-  let ck_counters = Trace.Counters.snapshot (Trace.counters tr) in
-  let ck_vts = Trace.vts tr in
   let scans = Scan_memo.anchored (Kvm.mem kvm) in
-  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_counters; ck_vts; scans }
+  let ck_trace = Trace.mark tr in
+  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_trace; scans }
 
 (* The warm pool, mirroring {!Testbed.create_pooled}: one frozen
    template per (frame count, domain count), forked copy-on-write per
@@ -75,12 +69,7 @@ let template frames domains =
 let create_pooled ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
   let tmpl = template frames domains in
   let kvm, ck = Kvm.fork tmpl.kvm tmpl.ck in
-  let tr = Trace.create () in
-  (* the fork starts at the template's checkpointed virtual time under
-     the template's cost model, exactly like Hv.fork on Xen *)
-  Vclock.set (Trace.vclock tr) tmpl.ck_vts;
-  Vclock.set_model (Trace.vclock tr) (Vclock.model (Trace.vclock tmpl.tr));
-  Vclock.set_attached (Trace.vclock tr) (Vclock.attached (Trace.vclock tmpl.tr));
+  let tr = Trace.fork tmpl.tr tmpl.ck_trace in
   let vm_of old =
     List.find (fun vm -> vm.Kvm.vm_id = old.Kvm.vm_id) (Kvm.vms kvm)
   in
@@ -93,30 +82,17 @@ let create_pooled ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock 
     injector_on = false;
     load;
     ck;
-    ck_counters = Trace.Counters.snapshot (Trace.counters tr);
-    ck_vts = tmpl.ck_vts;
+    ck_trace = tmpl.ck_trace;
     scans = Scan_memo.anchored (Kvm.mem kvm);
   }
 
 let reset t =
   ignore (Kvm.restore t.kvm t.ck);
   t.injector_on <- false;
-  (* Hv.restore rolls the Xen counters and virtual clock back with the
-     checkpoint; match that so per-trial telemetry deltas stay
-     comparable. *)
-  Trace.Counters.restore (Trace.counters t.tr) t.ck_counters;
-  Vclock.set (Trace.vclock t.tr) t.ck_vts
+  Trace.rewind t.tr t.ck_trace
 
 let trace t = t.tr
-let vclock t = Trace.vts t.tr
-let set_cost_model t m = Vclock.set_model (Trace.vclock t.tr) m
-
-let enable_provenance t =
-  let mem = Kvm.mem t.kvm in
-  if Phys_mem.provenance mem = None then
-    Phys_mem.set_provenance mem (Some (Provenance.create ~tr:t.tr ()))
-
-let provenance t = Phys_mem.provenance (Kvm.mem t.kvm)
+let mem t = Kvm.mem t.kvm
 let install_injector t = t.injector_on <- true
 
 (* Backend_op discriminants: this backend's replayable boundary ops. *)
@@ -148,7 +124,7 @@ let ioctl t ~addr action data =
                { action = Int64.to_int (Access.code action); addr; len = Bytes.length data });
         (* same origin scheme as the Xen hypercall port: the access
            ordinal names the injecting action in attribution output *)
-        let n = Trace.Counters.injector_accesses (Trace.counters t.tr) in
+        let n = Trace.injector_accesses t.tr in
         let r =
           Phys_mem.with_origin (Kvm.mem t.kvm) (Provenance.Injector_action n) (fun () ->
               Kvm.arbitrary_access t.kvm ~addr action ~data)
@@ -382,15 +358,6 @@ let violations_tagged ~before ~after =
   crashes @ vmcs_tampered @ ept_exposed
 
 let violations ~before ~after = List.map snd (violations_tagged ~before ~after)
-
-let violations_by_domain ~before ~after =
-  let tagged = violations_tagged ~before ~after in
-  let doms =
-    List.fold_left (fun acc (d, _) -> if List.mem d acc then acc else d :: acc) [] tagged
-  in
-  List.rev_map
-    (fun d -> (d, List.filter_map (fun (d', v) -> if d' = d then Some v else None) tagged))
-    doms
 
 (* KVM kills the offending VM at the failed entry; the host never dies
    in this model — the cross-backend blast-radius contrast with Xen. *)

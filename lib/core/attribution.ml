@@ -103,7 +103,7 @@ module Make (B : Substrate.S) = struct
         uc mode config
     in
     let tb = match !tbr with Some tb -> tb | None -> assert false in
-    let p = match B.provenance tb with Some p -> p | None -> assert false in
+    let p = match Phys_mem.provenance (B.mem tb) with Some p -> p | None -> assert false in
     (match registry with Some reg -> Provenance.publish reg p | None -> ());
     let violation_rows =
       List.map

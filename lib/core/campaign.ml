@@ -32,6 +32,9 @@ let hypercall_name = function
   | n -> Printf.sprintf "hypercall_%d" n
 
 module Make (B : Substrate.S) = struct
+  (** Human form of a configuration for report headings ("Xen 4.6",
+      "KVM stock"). *)
+  let config_label c = B.config_heading ^ " " ^ B.config_to_string c
   type attempt = {
     transcript : string list;  (** guest/attacker console output *)
     states : B.state_spec list;  (** states this attempt should establish *)
@@ -97,8 +100,8 @@ module Make (B : Substrate.S) = struct
        ran before — the property that keeps sharded ≡ sequential. *)
     let cov = Trace.coverage tr in
     (match cov with Some c -> Coverage.clear c | None -> ());
-    let counters_before = Trace.Counters.snapshot (Trace.counters tr) in
-    let vts_before = B.vclock tb in
+    let counters_before = Trace.telemetry tr in
+    let vts_before = Trace.vts tr in
     let before = B.snapshot tb in
     let observe () = match observer with Some f -> f tb | None -> () in
     let attempt =
@@ -115,8 +118,9 @@ module Make (B : Substrate.S) = struct
     let r_state = attempt.states <> [] && List.for_all (fun a -> a.Erroneous_state.holds) audits in
     let r_state_evidence = List.concat_map (fun a -> a.Erroneous_state.evidence) audits in
     let after = B.snapshot tb in
-    let r_violations = B.violations ~before ~after in
-    let r_domains = B.violations_by_domain ~before ~after in
+    let tagged = B.violations_tagged ~before ~after in
+    let r_violations = List.map snd tagged in
+    let r_domains = Monitor.by_domain tagged in
     if Trace.recording tr then
       Trace.emit tr
         (Trace.Monitor_verdict
@@ -143,10 +147,8 @@ module Make (B : Substrate.S) = struct
       r_domains;
       r_transcript = attempt.transcript;
       r_rc = attempt.rc;
-      r_telemetry =
-        Trace.delta ~before:counters_before
-          ~after:(Trace.Counters.snapshot (Trace.counters tr));
-      r_vtime_ns = Int64.sub (B.vclock tb) vts_before;
+      r_telemetry = Trace.delta ~before:counters_before ~after:(Trace.telemetry tr);
+      r_vtime_ns = Int64.sub (Trace.vts tr) vts_before;
       r_backend = B.name;
       r_coverage;
       r_cov_novelty = 0;

@@ -43,7 +43,7 @@ let handler hv dom (args : int64 array) =
                      attribution can name the injecting action; the counter
                      was just bumped by [note_injector] and is restored
                      with machine checkpoints, so the id is replay-stable *)
-                  let n = Trace.Counters.injector_accesses (Trace.counters tr) in
+                  let n = Trace.injector_accesses tr in
                   Phys_mem.with_origin hv.Hv.mem (Provenance.Injector_action n) (fun () ->
                       Phys_mem.write_bytes hv.Hv.mem ma data);
                   Ok 0L)

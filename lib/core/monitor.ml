@@ -236,39 +236,36 @@ let snapshot ?cache (tb : Testbed.t) =
 
 let subtract l before = List.filter (fun x -> not (List.mem x before)) l
 
-(* Every violation, tagged with the domain (hostname) it was observed
-   in — [None] for host-level conditions (hypervisor crash, M2P
-   divergence, scheduler stalls, memory exhaustion). The tagged list is
-   the source of truth; [violations] projects the tags away, so the
-   historical ordering is preserved exactly. *)
+(* The tagged list is the source of truth; [violations] projects the
+   tags away, so the historical ordering is preserved exactly. *)
 let violations_tagged ~before ~after =
   let crash =
     if after.crashed && not before.crashed then
-      [ (None, Hypervisor_crash (Option.value ~default:"crash" after.crash_reason)) ]
+      [ ("host", Hypervisor_crash (Option.value ~default:"crash" after.crash_reason)) ]
     else []
   in
   let escalations =
     List.map
       (fun (host, path) ->
-        (Some host, Privilege_escalation (Printf.sprintf "root file %s on %s" path host)))
+        (host, Privilege_escalation (Printf.sprintf "root file %s on %s" path host)))
       (subtract after.root_artifacts before.root_artifacts)
     @ List.map
         (fun (victim, remote) ->
-          (Some victim, Privilege_escalation (Printf.sprintf "root shell from %s to %s" victim remote)))
+          (victim, Privilege_escalation (Printf.sprintf "root shell from %s to %s" victim remote)))
         (subtract after.root_shells before.root_shells)
   in
   let disclosures =
     List.map
       (fun s ->
         let host = match String.index_opt s ':' with
-          | Some i -> Some (String.sub s 0 i)
-          | None -> None
+          | Some i -> String.sub s 0 i
+          | None -> "host"
         in
         (host, Unauthorized_disclosure s))
       (subtract after.disclosed before.disclosed)
   in
   let guest_crashes =
-    List.map (fun h -> (Some h, Guest_crash h)) (subtract after.guest_crashes before.guest_crashes)
+    List.map (fun h -> (h, Guest_crash h)) (subtract after.guest_crashes before.guest_crashes)
   in
   let storms =
     List.filter_map
@@ -276,7 +273,7 @@ let violations_tagged ~before ~after =
         match List.assoc_opt host before.pending_events with
         | Some n0 when n - n0 >= 16 ->
             Some
-              ( Some host,
+              ( host,
                 Availability_degradation
                   (Printf.sprintf "interrupt storm on %s (+%d)" host (n - n0)) )
         | Some _ | None -> None)
@@ -288,7 +285,7 @@ let violations_tagged ~before ~after =
         match List.assoc_opt host before.pt_exposure with
         | Some n0 when n > n0 ->
             Some
-              ( Some host,
+              ( host,
                 Integrity_violation
                   (Printf.sprintf "guest-writable page-table mappings on %s (+%d)" host (n - n0))
               )
@@ -298,7 +295,7 @@ let violations_tagged ~before ~after =
   let m2p =
     if after.m2p_mismatches > before.m2p_mismatches then
       [
-        ( None,
+        ( "host",
           Integrity_violation
             (Printf.sprintf "M2P/P2M divergence (+%d entries)"
                (after.m2p_mismatches - before.m2p_mismatches)) );
@@ -311,7 +308,7 @@ let violations_tagged ~before ~after =
         match List.assoc_opt host before.domain_pages with
         | Some n0 when n0 - n >= 8 ->
             Some
-              ( Some host,
+              ( host,
                 Availability_degradation
                   (Printf.sprintf "%s lost %d pages to balloon pressure" host (n0 - n)) )
         | Some _ | None -> None)
@@ -320,7 +317,7 @@ let violations_tagged ~before ~after =
   let stalls =
     if after.sched_stalled > before.sched_stalled then
       [
-        ( None,
+        ( "host",
           Availability_degradation
             (Printf.sprintf "pCPU stalled for %d scheduler slices" after.sched_stalled) );
       ]
@@ -329,7 +326,7 @@ let violations_tagged ~before ~after =
   let exhaustion =
     if before.free_frames > 0 && after.free_frames * 2 < before.free_frames then
       [
-        ( None,
+        ( "host",
           Availability_degradation
             (Printf.sprintf "host memory exhaustion (%d -> %d free frames)" before.free_frames
                after.free_frames) );
@@ -341,21 +338,14 @@ let violations_tagged ~before ~after =
 
 let violations ~before ~after = List.map snd (violations_tagged ~before ~after)
 
-(* Group the tagged list by domain, preserving first-appearance order of
-   the domains and the within-domain violation order. Host-level
-   violations group under "host". *)
-let violations_by_domain ~before ~after =
-  let tagged = violations_tagged ~before ~after in
-  let key = function Some h -> h | None -> "host" in
+(* Group by domain, preserving first-appearance order of the domains
+   and the within-domain violation order. *)
+let by_domain tagged =
   let doms =
-    List.fold_left
-      (fun acc (tag, _) ->
-        let k = key tag in
-        if List.mem k acc then acc else k :: acc)
-      [] tagged
+    List.fold_left (fun acc (d, _) -> if List.mem d acc then acc else d :: acc) [] tagged
   in
   List.rev_map
-    (fun d -> (d, List.filter_map (fun (tag, v) -> if key tag = d then Some v else None) tagged))
+    (fun d -> (d, List.filter_map (fun (d', v) -> if d' = d then Some v else None) tagged))
     doms
 
 let violation_to_string = function

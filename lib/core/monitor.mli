@@ -80,13 +80,15 @@ val violations : before:snapshot -> after:snapshot -> violation list
     first. An empty list means the system handled the state (the
     shield of Table III). *)
 
-val violations_by_domain :
-  before:snapshot -> after:snapshot -> (string * violation list) list
-(** The same violations as {!violations}, grouped by the domain
-    (hostname) each one was observed in. Host-level conditions — a
-    hypervisor crash, M2P divergence, scheduler stalls, frame
-    exhaustion — group under ["host"]. Domains appear in
-    first-violation order; within a domain the {!violations} order is
+val violations_tagged : before:snapshot -> after:snapshot -> (string * violation) list
+(** The same violations as {!violations}, in the same order, each
+    tagged with the domain (hostname) it was observed in. Host-level
+    conditions — a hypervisor crash, M2P divergence, scheduler stalls,
+    frame exhaustion — are tagged ["host"]. *)
+
+val by_domain : (string * violation) list -> (string * violation list) list
+(** Group a tagged list by domain, for every backend: domains appear
+    in first-violation order, and within a domain the list order is
     preserved. Domains with no violations do not appear. *)
 
 val violation_to_string : violation -> string

@@ -38,11 +38,10 @@ module type S = sig
 
   val config_of_string : string -> config option
 
-  val config_label : config -> string
-  (** Human form for report headings ("Xen 4.6"). *)
-
   val config_heading : string
-  (** Column title for the configuration in telemetry tables. *)
+  (** Column title for the configuration in telemetry tables; with
+      {!config_to_string}, the human form for report headings ("Xen
+      4.6", {!Campaign.Make.config_label}). *)
 
   val port_heading : string
   (** Column title for the injection-port call counters in telemetry
@@ -76,29 +75,17 @@ module type S = sig
       observably equivalent to a fresh [create]. *)
 
   val trace : t -> Trace.t
-  (** The host's tracer — counters and (when enabled) the event ring. *)
+  (** The host's tracer: counters, the deterministic {!Vclock} that
+      per-operation cost models advance, and (when enabled) the event
+      ring. [reset] rewinds its counters and clock to the checkpoint's
+      {!Trace.mark}, and a pooled fork starts from it ({!Trace.fork}),
+      so virtual time is [Trace.vts (trace t)] and the cost model is
+      swapped with [Vclock.set_model (Trace.vclock (trace t))] on every
+      backend. *)
 
-  (** {1 Virtual time}
-
-      Every backend owns a deterministic {!Vclock} (embedded in its
-      tracer) that per-operation cost models advance; checkpoint,
-      reset and pooled forks carry it with machine state. *)
-
-  val vclock : t -> int64
-  (** Current virtual time of the machine, in simulated ns. *)
-
-  val set_cost_model : t -> Vclock.Cost_model.t -> unit
-  (** Swap the per-operation cost model (e.g. one loaded from a
-      cost-model config file). Affects future charges only. *)
-
-  val enable_provenance : t -> unit
-  (** Attach a byte-granular taint shadow ({!Provenance}) to the host's
-      physical memory, wired to {!trace} so interpretation edges land in
-      the event ring when it records. Idempotent; detached by default,
-      where every provenance hook is a single option match. *)
-
-  val provenance : t -> Provenance.t option
-  (** The attached shadow, if {!enable_provenance} has run. *)
+  val mem : t -> Phys_mem.t
+  (** The host's physical memory. A byte-granular taint shadow attaches
+      to it with [Phys_mem.enable_provenance (mem t) ~tr:(trace t)]. *)
 
   val tick_all : t -> unit
   (** One scheduler round over every guest. *)
@@ -143,11 +130,12 @@ module type S = sig
   (** Diff two snapshots into the shared violation vocabulary
       ({!Monitor.violation}), so rows compare across backends. *)
 
-  val violations_by_domain :
-    before:snapshot -> after:snapshot -> (string * Monitor.violation list) list
-  (** The same violations grouped by the domain each was observed in
-      (host-level conditions under ["host"]) — the per-domain blast
-      radius rows of multi-domain campaigns. *)
+  val violations_tagged :
+    before:snapshot -> after:snapshot -> (string * Monitor.violation) list
+  (** The same violations, in the same order, each tagged with the
+      domain it was observed in (host-level conditions under
+      ["host"]). {!Monitor.by_domain} groups them into the per-domain
+      blast radius rows of multi-domain campaigns. *)
 
   (** {1 Out-of-band monitoring (VMI)} *)
 

@@ -13,7 +13,6 @@ let configs = Version.all
 let rq1_config = Version.V4_6
 let config_to_string = Version.to_string
 let config_of_string = Version.of_string
-let config_label v = "Xen " ^ Version.to_string v
 let config_heading = "Xen"
 let port_heading = "Hypercalls"
 
@@ -26,15 +25,7 @@ let create_pooled ?frames ?domains ?load version =
 
 let reset = Testbed.reset
 let trace tb = tb.Testbed.hv.Hv.trace
-let vclock tb = Trace.vts (trace tb)
-let set_cost_model tb m = Vclock.set_model (Trace.vclock (trace tb)) m
-
-let enable_provenance tb =
-  let mem = tb.Testbed.hv.Hv.mem in
-  if Phys_mem.provenance mem = None then
-    Phys_mem.set_provenance mem (Some (Provenance.create ~tr:(trace tb) ()))
-
-let provenance tb = Phys_mem.provenance tb.Testbed.hv.Hv.mem
+let mem tb = tb.Testbed.hv.Hv.mem
 let tick_all = Testbed.tick_all
 let install_injector tb = Injector.install tb.Testbed.hv
 
@@ -58,7 +49,7 @@ type snapshot = Monitor.snapshot
 
 let snapshot tb = Monitor.snapshot ~cache:tb.Testbed.scan_cache tb
 let violations = Monitor.violations
-let violations_by_domain = Monitor.violations_by_domain
+let violations_tagged = Monitor.violations_tagged
 let detectors () =
   List.map (Vmi.Detector.contramap (fun tb -> tb.Testbed.hv)) (Vmi.Detector.all ())
 

@@ -60,13 +60,13 @@ module Make (B : Substrate.S) = struct
             causal graph *)
   }
 
-  let prov_export tb =
-    match B.provenance tb with Some p -> Some (Provenance.to_json p) | None -> None
+  let prov_export tb = Option.map Provenance.to_json (Phys_mem.provenance (B.mem tb))
+  let enable_provenance tb = Phys_mem.enable_provenance (B.mem tb) ~tr:(B.trace tb)
 
   let record ?frames ?domains ?load ?capacity_bytes ?(provenance = false) ?(coverage = false)
       ?prepare ?observer uc mode version =
     let tb = B.create ?frames ?domains ?load version in
-    if provenance then B.enable_provenance tb;
+    if provenance then enable_provenance tb;
     (* [prepare] runs before the ring opens (and before Campaign.run's
        reset, which returns to this very state): the place to arm VMI
        detector baselines against the known-good testbed. *)
@@ -141,8 +141,8 @@ module Make (B : Substrate.S) = struct
     let tb =
       B.create ?frames:r.rec_frames ?domains:r.rec_domains ?load:r.rec_load r.rec_version
     in
-    B.set_cost_model tb r.rec_model;
-    if r.rec_prov <> None then B.enable_provenance tb;
+    Vclock.set_model (Trace.vclock (B.trace tb)) r.rec_model;
+    if r.rec_prov <> None then enable_provenance tb;
     (* record the replay too: re-driven boundary events re-emit through
        the same instrumentation, so their (vts, event) stream must come
        back byte-identical. Sized so nothing drops (the replayed stream
@@ -189,7 +189,7 @@ module Make (B : Substrate.S) = struct
               List.iter
                 (fun v -> Coverage.note_violation c ~cls:(Monitor.class_index v) ~domain:dom)
                 vs)
-            (B.violations_by_domain ~before ~after:rp_final);
+            (Monitor.by_domain (B.violations_tagged ~before ~after:rp_final));
           Some (Coverage.snapshot c)
     in
     {
@@ -216,7 +216,7 @@ module Make (B : Substrate.S) = struct
     Buffer.add_string buf
       (Printf.sprintf "trace: %s / %s / %s\n" r.rec_use_case
          (Campaign.mode_to_string r.rec_mode)
-         (B.config_label r.rec_version));
+         (C.config_label r.rec_version));
     Buffer.add_string buf
       (Printf.sprintf "records: %d (%d dropped)\n" (List.length recs) r.rec_dropped);
     List.iter
@@ -263,6 +263,3 @@ module Make (B : Substrate.S) = struct
 end
 
 include Make (Substrate_xen)
-
-let apply = Substrate_xen.apply_event
-(** Kept under its historical name for direct callers. *)

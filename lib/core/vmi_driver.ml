@@ -135,15 +135,7 @@ module Make (B : Substrate.S) = struct
       List.concat_map
         (fun t ->
           let latency =
-            match
-              List.fold_left
-                (fun best (_, l) ->
-                  match (best, l) with
-                  | None, l -> l
-                  | Some b, Some l -> Some (if Int64.compare l b < 0 then l else b)
-                  | Some b, None -> Some b)
-                None t.t_latency_ns
-            with
+            match best_latency_ns t with
             | Some ns -> Printf.sprintf "%Ldns" ns
             | None -> "-"
           in

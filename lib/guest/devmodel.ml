@@ -83,7 +83,7 @@ let inject t data =
       (Trace.Injector_access
          { action = dm_action_code; addr = Int64.of_int Fdc.handler_offset;
            len = Bytes.length data });
-  let n = Trace.Counters.injector_accesses (Trace.counters tr) in
+  let n = Trace.injector_accesses tr in
   Fdc.inject_overflow t.fdc data;
   note_corruption t n;
   Ok ()

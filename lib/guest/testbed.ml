@@ -25,8 +25,6 @@ let reseed_load t =
         (Kernel.domid k, Load_mix.stream ~seed:(Load_mix.seed_for_domain (Kernel.domid k))))
       (guest_kernels t)
 
-(* Extra guest domains beyond the paper's attacker/victim pair follow
-   the same naming scheme: guest05, guest07, ... *)
 let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
 (* Every testbed, fresh or forked, gets its own scan cache, anchored at

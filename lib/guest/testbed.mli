@@ -84,6 +84,11 @@ val domains : t -> int
 val domain_names : t -> string list
 (** Hostnames of the guest domains, {!guest_kernels} order. *)
 
+val extra_name : int -> string
+(** Hostname of the [i]-th guest beyond the victim/attacker pair
+    (0-based): guest05, guest07, ... Other backends name their extra
+    guests the same way, so per-domain rows line up. *)
+
 val tick_all : t -> unit
 (** One scheduler round on every domain (vDSO hooks run), then the
     background-load ops for each guest domain, then one device-model

@@ -90,6 +90,9 @@ let set_provenance t p =
   t.prov <- p
 let provenance t = t.prov
 
+let enable_provenance t ~tr =
+  if t.prov = None then set_provenance t (Some (Provenance.create ~tr ()))
+
 let taint t ~mfn ~off ~len =
   match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len
 

@@ -165,6 +165,11 @@ val write_from : t -> Addr.maddr -> bytes -> int -> int -> unit
 val set_provenance : t -> Provenance.t option -> unit
 val provenance : t -> Provenance.t option
 
+val enable_provenance : t -> tr:Trace.t -> unit
+(** Attach a fresh shadow wired to [tr], so interpretation edges land
+    in its event ring when it records. Idempotent: a no-op when a
+    shadow is already attached. *)
+
 val with_origin : t -> Provenance.origin -> (unit -> 'a) -> 'a
 (** Label writes in [f]'s dynamic extent; identity when detached. *)
 

@@ -2,9 +2,9 @@
     histograms, with Prometheus-text and JSON renderers.
 
     This registry is the shared publication point on top of the
-    always-on {!Trace.Counters} and the per-trial telemetry deltas:
-    campaign telemetry and the VMI detectors register instruments here
-    and one renderer serves them all.
+    always-on tracer counters ({!Trace.telemetry}) and the per-trial
+    telemetry deltas: campaign telemetry and the VMI detectors register
+    instruments here and one renderer serves them all.
 
     Instruments are identified by [(name, labels)]. Asking for the same
     identity twice returns the {e same} instrument (so independent

@@ -32,7 +32,7 @@ type origin =
   | Baseline  (** label 0: untouched since the machine baseline *)
   | Injector_action of int
       (** the [n]-th injector access of the trial (1-based, from
-          [Trace.Counters.injector_accesses]) *)
+          [Trace.injector_accesses]) *)
   | Hypercall_arg of int  (** bytes written while dispatching hypercall [nr] *)
   | Guest_write of int  (** an ordinary guest kernel write from domain [domid] *)
   | Backend_write of int  (** a backend-private write port (KVM [host_write]) *)

@@ -1,114 +1,6 @@
 (* Event tracer: always-on scalar counters plus an optional binary ring
    of typed records (xentrace style). See trace.mli for the contract. *)
 
-(* --- counters --------------------------------------------------------- *)
-
-module Counters = struct
-  type t = {
-    tbl : (int, int) Hashtbl.t;  (* hypercalls by number *)
-    mutable failed : int;
-    mutable faults : int;
-    mutable double_faults : int;
-    mutable flushes : int;
-    mutable invlpgs : int;
-    mutable page_type_changes : int;
-    mutable grant_ops : int;
-    mutable evtchn_ops : int;
-    mutable injector_accesses : int;
-    mutable console_lines : int;
-    mutable vmi_scans : int;
-    mutable vmi_findings : int;
-    mutable vmi_frames : int;
-  }
-
-  type snapshot = {
-    s_hypercalls : (int * int) list;
-    s_failed : int;
-    s_faults : int;
-    s_double_faults : int;
-    s_flushes : int;
-    s_invlpgs : int;
-    s_page_type_changes : int;
-    s_grant_ops : int;
-    s_evtchn_ops : int;
-    s_injector_accesses : int;
-    s_console_lines : int;
-    s_vmi_scans : int;
-    s_vmi_findings : int;
-    s_vmi_frames : int;
-  }
-
-  let create () =
-    {
-      tbl = Hashtbl.create 17;
-      failed = 0;
-      faults = 0;
-      double_faults = 0;
-      flushes = 0;
-      invlpgs = 0;
-      page_type_changes = 0;
-      grant_ops = 0;
-      evtchn_ops = 0;
-      injector_accesses = 0;
-      console_lines = 0;
-      vmi_scans = 0;
-      vmi_findings = 0;
-      vmi_frames = 0;
-    }
-
-  let hypercalls t =
-    List.sort compare (Hashtbl.fold (fun n c acc -> (n, c) :: acc) t.tbl [])
-
-  let hypercalls_failed t = t.failed
-  let faults t = t.faults
-  let double_faults t = t.double_faults
-  let flushes t = t.flushes
-  let invlpgs t = t.invlpgs
-  let page_type_changes t = t.page_type_changes
-  let grant_ops t = t.grant_ops
-  let evtchn_ops t = t.evtchn_ops
-  let injector_accesses t = t.injector_accesses
-  let console_lines t = t.console_lines
-  let vmi_scans t = t.vmi_scans
-  let vmi_findings t = t.vmi_findings
-  let vmi_frames t = t.vmi_frames
-
-  let snapshot t =
-    {
-      s_hypercalls = hypercalls t;
-      s_failed = t.failed;
-      s_faults = t.faults;
-      s_double_faults = t.double_faults;
-      s_flushes = t.flushes;
-      s_invlpgs = t.invlpgs;
-      s_page_type_changes = t.page_type_changes;
-      s_grant_ops = t.grant_ops;
-      s_evtchn_ops = t.evtchn_ops;
-      s_injector_accesses = t.injector_accesses;
-      s_console_lines = t.console_lines;
-      s_vmi_scans = t.vmi_scans;
-      s_vmi_findings = t.vmi_findings;
-      s_vmi_frames = t.vmi_frames;
-    }
-
-  let restore t s =
-    Hashtbl.reset t.tbl;
-    List.iter (fun (n, c) -> Hashtbl.replace t.tbl n c) s.s_hypercalls;
-    t.failed <- s.s_failed;
-    t.faults <- s.s_faults;
-    t.double_faults <- s.s_double_faults;
-    t.flushes <- s.s_flushes;
-    t.invlpgs <- s.s_invlpgs;
-    t.page_type_changes <- s.s_page_type_changes;
-    t.grant_ops <- s.s_grant_ops;
-    t.evtchn_ops <- s.s_evtchn_ops;
-    t.injector_accesses <- s.s_injector_accesses;
-    t.console_lines <- s.s_console_lines;
-    t.vmi_scans <- s.s_vmi_scans;
-    t.vmi_findings <- s.s_vmi_findings;
-    t.vmi_frames <- s.s_vmi_frames
-end
-
 (* --- events ----------------------------------------------------------- *)
 
 type mem_op =
@@ -480,12 +372,25 @@ type t = {
   mutable seq_next : int;
   mutable dropped : int;
   mutable depth : int;
-  counters : Counters.t;
   vclock : Vclock.t;
   scratch : Buffer.t;
   mutable cov : Coverage.t option;
       (* coverage collector; detached by default — one option match per
          instrumented site *)
+  (* the always-on counters; {!mark} and {!rewind} carry every one *)
+  hypercalls : (int, int) Hashtbl.t;  (* calls by hypercall number *)
+  mutable hypercalls_failed : int;
+  mutable faults : int;
+  mutable double_faults : int;
+  mutable flushes : int;
+  mutable invlpgs : int;
+  mutable page_type_changes : int;
+  mutable grant_ops : int;
+  mutable evtchn_ops : int;
+  mutable injector_accesses : int;
+  mutable vmi_scans : int;
+  mutable vmi_findings : int;
+  mutable vmi_frames : int;
 }
 
 let default_capacity = 4 * 1024 * 1024
@@ -499,14 +404,25 @@ let create () =
     seq_next = 0;
     dropped = 0;
     depth = 0;
-    counters = Counters.create ();
     vclock = Vclock.create ();
     scratch = Buffer.create 256;
     cov = None;
+    hypercalls = Hashtbl.create 17;
+    hypercalls_failed = 0;
+    faults = 0;
+    double_faults = 0;
+    flushes = 0;
+    invlpgs = 0;
+    page_type_changes = 0;
+    grant_ops = 0;
+    evtchn_ops = 0;
+    injector_accesses = 0;
+    vmi_scans = 0;
+    vmi_findings = 0;
+    vmi_frames = 0;
   }
 
 let recording t = t.enabled
-let counters t = t.counters
 let coverage t = t.cov
 let set_coverage t c = t.cov <- c
 let dropped t = t.dropped
@@ -646,41 +562,29 @@ let strip_vts src =
   in
   go ()
 
-(* --- counters API ----------------------------------------------------- *)
+(* --- counters ----------------------------------------------------------- *)
 
 let note_hypercall t ~number ~failed =
-  let c = t.counters in
-  Hashtbl.replace c.Counters.tbl number
-    (1 + Option.value ~default:0 (Hashtbl.find_opt c.Counters.tbl number));
-  if failed then c.Counters.failed <- c.Counters.failed + 1
+  Hashtbl.replace t.hypercalls number
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.hypercalls number));
+  if failed then t.hypercalls_failed <- t.hypercalls_failed + 1
 
 let note_fault t ~double =
-  let c = t.counters in
-  c.Counters.faults <- c.Counters.faults + 1;
-  if double then c.Counters.double_faults <- c.Counters.double_faults + 1
+  t.faults <- t.faults + 1;
+  if double then t.double_faults <- t.double_faults + 1
 
-let note_flush t = t.counters.Counters.flushes <- t.counters.Counters.flushes + 1
-let note_invlpg t = t.counters.Counters.invlpgs <- t.counters.Counters.invlpgs + 1
-
-let note_page_type t =
-  t.counters.Counters.page_type_changes <- t.counters.Counters.page_type_changes + 1
-
-let note_grant t = t.counters.Counters.grant_ops <- t.counters.Counters.grant_ops + 1
-let note_evtchn t = t.counters.Counters.evtchn_ops <- t.counters.Counters.evtchn_ops + 1
-
-let note_injector t =
-  t.counters.Counters.injector_accesses <- t.counters.Counters.injector_accesses + 1
-
-let note_console t =
-  t.counters.Counters.console_lines <- t.counters.Counters.console_lines + 1
+let note_flush t = t.flushes <- t.flushes + 1
+let note_invlpg t = t.invlpgs <- t.invlpgs + 1
+let note_page_type t = t.page_type_changes <- t.page_type_changes + 1
+let note_grant t = t.grant_ops <- t.grant_ops + 1
+let note_evtchn t = t.evtchn_ops <- t.evtchn_ops + 1
+let note_injector t = t.injector_accesses <- t.injector_accesses + 1
+let injector_accesses t = t.injector_accesses
 
 let note_vmi_scan t ~findings ~frames =
-  let c = t.counters in
-  c.Counters.vmi_scans <- c.Counters.vmi_scans + 1;
-  c.Counters.vmi_findings <- c.Counters.vmi_findings + findings;
-  c.Counters.vmi_frames <- c.Counters.vmi_frames + frames
-
-(* --- telemetry -------------------------------------------------------- *)
+  t.vmi_scans <- t.vmi_scans + 1;
+  t.vmi_findings <- t.vmi_findings + findings;
+  t.vmi_frames <- t.vmi_frames + frames
 
 type telemetry = {
   tm_hypercalls : (int * int) list;
@@ -698,36 +602,77 @@ type telemetry = {
   tm_vmi_frames : int;
 }
 
-let delta ~(before : Counters.snapshot) ~(after : Counters.snapshot) =
-  let base n =
-    Option.value ~default:0 (List.assoc_opt n before.Counters.s_hypercalls)
-  in
-  let tm_hypercalls =
-    List.filter_map
-      (fun (n, c) ->
-        let d = c - base n in
-        if d > 0 then Some (n, d) else None)
-      after.Counters.s_hypercalls
-  in
+let telemetry t =
   {
-    tm_hypercalls;
-    tm_hypercalls_failed = after.Counters.s_failed - before.Counters.s_failed;
-    tm_faults = after.Counters.s_faults - before.Counters.s_faults;
-    tm_double_faults = after.Counters.s_double_faults - before.Counters.s_double_faults;
-    tm_flushes = after.Counters.s_flushes - before.Counters.s_flushes;
-    tm_invlpgs = after.Counters.s_invlpgs - before.Counters.s_invlpgs;
-    tm_page_type_changes =
-      after.Counters.s_page_type_changes - before.Counters.s_page_type_changes;
-    tm_grant_ops = after.Counters.s_grant_ops - before.Counters.s_grant_ops;
-    tm_evtchn_ops = after.Counters.s_evtchn_ops - before.Counters.s_evtchn_ops;
-    tm_injector_accesses =
-      after.Counters.s_injector_accesses - before.Counters.s_injector_accesses;
-    tm_vmi_scans = after.Counters.s_vmi_scans - before.Counters.s_vmi_scans;
-    tm_vmi_findings = after.Counters.s_vmi_findings - before.Counters.s_vmi_findings;
-    tm_vmi_frames = after.Counters.s_vmi_frames - before.Counters.s_vmi_frames;
+    tm_hypercalls = List.sort compare (Hashtbl.fold (fun n c acc -> (n, c) :: acc) t.hypercalls []);
+    tm_hypercalls_failed = t.hypercalls_failed;
+    tm_faults = t.faults;
+    tm_double_faults = t.double_faults;
+    tm_flushes = t.flushes;
+    tm_invlpgs = t.invlpgs;
+    tm_page_type_changes = t.page_type_changes;
+    tm_grant_ops = t.grant_ops;
+    tm_evtchn_ops = t.evtchn_ops;
+    tm_injector_accesses = t.injector_accesses;
+    tm_vmi_scans = t.vmi_scans;
+    tm_vmi_findings = t.vmi_findings;
+    tm_vmi_frames = t.vmi_frames;
+  }
+
+let delta ~before ~after =
+  let base n = Option.value ~default:0 (List.assoc_opt n before.tm_hypercalls) in
+  {
+    tm_hypercalls =
+      List.filter_map
+        (fun (n, c) ->
+          let d = c - base n in
+          if d > 0 then Some (n, d) else None)
+        after.tm_hypercalls;
+    tm_hypercalls_failed = after.tm_hypercalls_failed - before.tm_hypercalls_failed;
+    tm_faults = after.tm_faults - before.tm_faults;
+    tm_double_faults = after.tm_double_faults - before.tm_double_faults;
+    tm_flushes = after.tm_flushes - before.tm_flushes;
+    tm_invlpgs = after.tm_invlpgs - before.tm_invlpgs;
+    tm_page_type_changes = after.tm_page_type_changes - before.tm_page_type_changes;
+    tm_grant_ops = after.tm_grant_ops - before.tm_grant_ops;
+    tm_evtchn_ops = after.tm_evtchn_ops - before.tm_evtchn_ops;
+    tm_injector_accesses = after.tm_injector_accesses - before.tm_injector_accesses;
+    tm_vmi_scans = after.tm_vmi_scans - before.tm_vmi_scans;
+    tm_vmi_findings = after.tm_vmi_findings - before.tm_vmi_findings;
+    tm_vmi_frames = after.tm_vmi_frames - before.tm_vmi_frames;
   }
 
 let total_hypercalls tm = List.fold_left (fun acc (_, c) -> acc + c) 0 tm.tm_hypercalls
+
+(* --- rollback ----------------------------------------------------------- *)
+
+type mark = { m_counters : telemetry; m_vts : int64 }
+
+let mark t = { m_counters = telemetry t; m_vts = vts t }
+
+let rewind t { m_counters = c; m_vts } =
+  Hashtbl.reset t.hypercalls;
+  List.iter (fun (n, k) -> Hashtbl.replace t.hypercalls n k) c.tm_hypercalls;
+  t.hypercalls_failed <- c.tm_hypercalls_failed;
+  t.faults <- c.tm_faults;
+  t.double_faults <- c.tm_double_faults;
+  t.flushes <- c.tm_flushes;
+  t.invlpgs <- c.tm_invlpgs;
+  t.page_type_changes <- c.tm_page_type_changes;
+  t.grant_ops <- c.tm_grant_ops;
+  t.evtchn_ops <- c.tm_evtchn_ops;
+  t.injector_accesses <- c.tm_injector_accesses;
+  t.vmi_scans <- c.tm_vmi_scans;
+  t.vmi_findings <- c.tm_vmi_findings;
+  t.vmi_frames <- c.tm_vmi_frames;
+  Vclock.set t.vclock m_vts
+
+let fork template m =
+  let t = create () in
+  rewind t m;
+  Vclock.set_model t.vclock (Vclock.model template.vclock);
+  Vclock.set_attached t.vclock (Vclock.attached template.vclock);
+  t
 
 (* --- detection latency ------------------------------------------------ *)
 

@@ -184,7 +184,7 @@ val seq : t -> int
 
 val vclock : t -> Vclock.t
 (** The machine's virtual clock (checkpoint/restore goes through
-    {!Vclock.now}/{!Vclock.set} on this handle). *)
+    {!mark}/{!rewind}). *)
 
 val vts : t -> int64
 (** [Vclock.now (vclock t)]: current virtual time in nanoseconds. *)
@@ -228,38 +228,6 @@ val detection_latency_ns : record list -> int64 option
 
 (** {1 Counters} *)
 
-module Counters : sig
-  type t
-
-  (** An immutable copy, for checkpoint/restore and for computing
-      per-trial deltas. *)
-  type snapshot
-
-  val snapshot : t -> snapshot
-  val restore : t -> snapshot -> unit
-  val hypercalls : t -> (int * int) list
-  (** (hypercall number, calls), ascending by number. *)
-
-  val hypercalls_failed : t -> int
-  val faults : t -> int
-  val double_faults : t -> int
-  val flushes : t -> int
-  val invlpgs : t -> int
-  val page_type_changes : t -> int
-  val grant_ops : t -> int
-  val evtchn_ops : t -> int
-  val injector_accesses : t -> int
-  val console_lines : t -> int
-  val vmi_scans : t -> int
-  val vmi_findings : t -> int
-
-  val vmi_frames : t -> int
-  (** Frames read across all VMI scans — the detectors' cost in
-      deterministic units. *)
-end
-
-val counters : t -> Counters.t
-
 val note_hypercall : t -> number:int -> failed:bool -> unit
 val note_fault : t -> double:bool -> unit
 val note_flush : t -> unit
@@ -268,15 +236,20 @@ val note_page_type : t -> unit
 val note_grant : t -> unit
 val note_evtchn : t -> unit
 val note_injector : t -> unit
-val note_console : t -> unit
+
+val injector_accesses : t -> int
+(** The injector-access count so far, without building a {!telemetry}:
+    the injection port reads it on every access to name the acting
+    injector ({!Provenance.Injector_action}). *)
 
 val note_vmi_scan : t -> findings:int -> frames:int -> unit
 (** One detector scan: bumps the scan count and accumulates findings
     and frames-read. *)
 
-(** {1 Per-trial telemetry} *)
+(** {1 Telemetry} *)
 
-(** The counter delta over one campaign trial. *)
+(** The counters as a value: read with {!telemetry}, or the delta over
+    one campaign trial with {!delta}. *)
 type telemetry = {
   tm_hypercalls : (int * int) list;  (** by hypercall number, ascending *)
   tm_hypercalls_failed : int;
@@ -291,10 +264,42 @@ type telemetry = {
   tm_vmi_scans : int;
   tm_vmi_findings : int;
   tm_vmi_frames : int;
+      (** frames read across all VMI scans — the detectors' cost in
+          deterministic units *)
 }
 
-val delta : before:Counters.snapshot -> after:Counters.snapshot -> telemetry
+val telemetry : t -> telemetry
+(** The counters now. *)
+
+val delta : before:telemetry -> after:telemetry -> telemetry
+(** [after - before], counter by counter; hypercall numbers whose count
+    did not grow are dropped. *)
+
 val total_hypercalls : telemetry -> int
+
+(** {1 Rollback}
+
+    A machine checkpoint carries its tracer's state as a {!mark}: every
+    counter and the virtual time. Restoring the machine {!rewind}s the
+    tracer to it, and a copy-on-write fork starts its own tracer from
+    it with {!fork}, so a reset or pooled trial reads the same
+    telemetry and timestamps as a fresh boot. The ring is not part of
+    a mark: a recording deliberately spans resets, which replay
+    re-executes. *)
+
+type mark
+
+val mark : t -> mark
+(** The counters and virtual time now. A mark is immutable. *)
+
+val rewind : t -> mark -> unit
+(** Set every counter and the virtual clock back to the mark. The
+    ring, the recording state and the cost model are unchanged. *)
+
+val fork : t -> mark -> t
+(** [fork template m]: a fresh tracer (ring disabled, no coverage)
+    rewound to [m], charging under [template]'s live cost model and
+    attached flag. *)
 
 (** {1 Helpers} *)
 

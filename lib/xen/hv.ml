@@ -27,7 +27,6 @@ let log t line =
   Buffer.add_string t.console "(XEN) ";
   Buffer.add_string t.console line;
   Buffer.add_char t.console '\n';
-  Trace.note_console t.trace;
   if Trace.recording t.trace then
     Trace.emit t.trace
       (Trace.Console { len = String.length line; digest = Trace.digest line })
@@ -93,8 +92,8 @@ let notify_pt_write t mfn = match t.pt_write_hook with Some hook -> hook mfn | N
 (* The hypercall bookkeeping is a thin view over the trace counters
    (which are always on), so the historical API keeps working. *)
 let count_hypercall t ~number ~failed = Trace.note_hypercall t.trace ~number ~failed
-let hypercall_stats t = Trace.Counters.hypercalls (Trace.counters t.trace)
-let hypercalls_failed t = Trace.Counters.hypercalls_failed (Trace.counters t.trace)
+let hypercall_stats t = (Trace.telemetry t.trace).Trace.tm_hypercalls
+let hypercalls_failed t = (Trace.telemetry t.trace).Trace.tm_hypercalls_failed
 
 let exhaust_memory t ~leave =
   let taken = ref 0 in
@@ -210,8 +209,7 @@ type checkpoint = {
   ck_sched : Sched.checkpoint;
   ck_extra : (int * string * hypercall_handler) list;
   ck_hook : (Addr.mfn -> unit) option;
-  ck_counters : Trace.Counters.snapshot;
-  ck_vts : int64;  (* virtual clock, restored with the machine *)
+  ck_trace : Trace.mark;  (* counters and virtual clock, restored with the machine *)
   ck_pages : Page_info.checkpoint;
   ck_handlers : (Addr.vaddr * string) list;
 }
@@ -227,8 +225,7 @@ let checkpoint t =
     ck_sched = Sched.checkpoint t.sched;
     ck_extra = t.extra_hypercalls;
     ck_hook = t.pt_write_hook;
-    ck_counters = Trace.Counters.snapshot (Trace.counters t.trace);
-    ck_vts = Trace.vts t.trace;
+    ck_trace = Trace.mark t.trace;
     ck_pages = Page_info.checkpoint t.pages;
     ck_handlers = Cpu.handlers_dump t.cpu;
   }
@@ -269,8 +266,7 @@ let restore t ck =
   (* the counters and virtual clock roll back with the machine; the
      trace ring does not — a recording deliberately spans resets,
      which replay re-executes *)
-  Trace.Counters.restore (Trace.counters t.trace) ck.ck_counters;
-  Vclock.set (Trace.vclock t.trace) ck.ck_vts;
+  Trace.rewind t.trace ck.ck_trace;
   Cpu.handlers_restore t.cpu ck.ck_handlers;
   (* reset_to_baseline bumped the generation, but flush anyway so the
      restored machine starts from a cold TLB like a rebooted host *)
@@ -287,7 +283,10 @@ let restore t ck =
    with an armed baseline equal to the checkpointed state. *)
 let fork (template : t) ck =
   let mem = Phys_mem.fork template.mem in
-  let trace = Trace.create () in
+  (* the fork starts at the template's checkpointed counters and virtual
+     time under the template's live cost model, so a pooled trial reads
+     the same timestamps a fresh boot would *)
+  let trace = Trace.fork template.trace ck.ck_trace in
   let cpu =
     Cpu.create ~tracer:trace mem ~hardened:(Version.hardened_address_space template.version)
   in
@@ -318,13 +317,6 @@ let fork (template : t) ck =
       trace;
     }
   in
-  Trace.Counters.restore (Trace.counters trace) ck.ck_counters;
-  (* the fork starts at the template's checkpointed virtual time under
-     the template's live cost model, so a pooled trial reads the same
-     timestamps a fresh boot would *)
-  Vclock.set (Trace.vclock trace) ck.ck_vts;
-  Vclock.set_model (Trace.vclock trace) (Vclock.model (Trace.vclock template.trace));
-  Vclock.set_attached (Trace.vclock trace) (Vclock.attached (Trace.vclock template.trace));
   Cpu.set_idt cpu t.idt_mfn;
   Cpu.handlers_restore cpu ck.ck_handlers;
   t

@@ -504,9 +504,9 @@ let test_pooled_interleaved_scans () =
 let test_pooled_provenance () =
   let uc = Option.get (All.find "XSA-182-test") in
   let stats tb =
-    Substrate_xen.enable_provenance tb;
+    Phys_mem.enable_provenance (Substrate_xen.mem tb) ~tr:(Substrate_xen.trace tb);
     ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6);
-    let p = Option.get (Substrate_xen.provenance tb) in
+    let p = Option.get (Phys_mem.provenance (Substrate_xen.mem tb)) in
     (Ii_trace.Provenance.edge_count p, Ii_trace.Provenance.tainted_bytes p)
   in
   let fresh = stats (Testbed.create Version.V4_6) in

@@ -181,7 +181,8 @@ let test_kvm_detectors_cover () =
     All.kvm_use_cases
 
 (* The domain-indexed view of Substrate.S, exercised on both backends:
-   the guest population scales with ?domains, and [violations_by_domain] partitions exactly the flat
+   the guest population scales with ?domains, and [Monitor.by_domain] of
+   [violations_tagged] partitions exactly the flat
    [violations] list — same multiset, every group keyed by a known
    domain name or "host", no empty groups. *)
 let kvm_names t = List.map (fun vm -> vm.Ii_kvm.Kvm.vm_name) (Ii_kvm.Kvm.vms t.BK.kvm)
@@ -195,7 +196,7 @@ let test_domain_indexed_view () =
   Ii_guest.Testbed.tick_all xen_tb;
   let after = Substrate_xen.snapshot xen_tb in
   let flat = Substrate_xen.violations ~before ~after in
-  let grouped = Substrate_xen.violations_by_domain ~before ~after in
+  let grouped = Monitor.by_domain (Substrate_xen.violations_tagged ~before ~after) in
   (* valid group keys: "host", plus any domain on the machine — dom0
      included, which is not in [Testbed.domain_names] *)
   let names =
@@ -214,7 +215,7 @@ let test_domain_indexed_view () =
   ignore (KC.run ~tb:kvm_tb (kvm_uc "KVM-VMCS") Campaign.Injection BK.Stock);
   let ka = BK.snapshot kvm_tb in
   let kflat = BK.violations ~before:kb ~after:ka in
-  let kgrouped = BK.violations_by_domain ~before:kb ~after:ka in
+  let kgrouped = Monitor.by_domain (BK.violations_tagged ~before:kb ~after:ka) in
   let knames = "host" :: kvm_names kvm_tb in
   List.iter
     (fun (d, vs) ->

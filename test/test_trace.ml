@@ -12,9 +12,13 @@ module All = Ii_exploits.All_exploits
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
+let check_i64 = Alcotest.(check int64)
 
 let uc name =
   match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+
+let kvm_uc name =
+  match All.find_kvm name with Some uc -> uc | None -> Alcotest.fail ("no KVM use case " ^ name)
 
 (* --- ring mechanics ------------------------------------------------------ *)
 
@@ -69,7 +73,7 @@ let test_disabled_ring_records_nothing () =
   check_int "no records" 0 (List.length (Trace.records tr));
   (* counters tick regardless of the ring *)
   Trace.note_fault tr ~double:false;
-  check_int "counter" 1 (Trace.Counters.faults (Trace.counters tr))
+  check_int "counter" 1 (Trace.telemetry tr).Trace.tm_faults
 
 let test_depth_suppression () =
   let tr = Trace.create () in
@@ -180,6 +184,87 @@ let test_telemetry_table_per_domain_rows () =
   let loaded = Campaign.run ~domains:4 ~load:Load_mix.default u Campaign.Injection Version.V4_6 in
   check_bool "load adds hypercalls" true (hypercalls loaded > hypercalls unloaded)
 
+(* --- rollback --------------------------------------------------------------- *)
+
+(* Bump every counter, so a field [Trace.rewind] skips shows in the
+   telemetry comparison whatever the trial itself touched. *)
+let bump_every_counter tr =
+  Trace.note_hypercall tr ~number:1 ~failed:true;
+  Trace.note_fault tr ~double:true;
+  Trace.note_flush tr;
+  Trace.note_invlpg tr;
+  Trace.note_page_type tr;
+  Trace.note_grant tr;
+  Trace.note_evtchn tr;
+  Trace.note_injector tr;
+  Trace.note_vmi_scan tr ~findings:1 ~frames:1
+
+module Rollback (B : Substrate.S) = struct
+  module C = Campaign.Make (B)
+
+  (* A trial plus [reset] leaves the counters and the clock where a
+     reset of the fresh boot left them (on Xen the reset's own TLB flush
+     counts, so that is one flush past the boot); the ring keeps what it
+     recorded. *)
+  let reset uc =
+    let tb = B.create B.rq1_config in
+    let tr = B.trace tb in
+    B.reset tb;
+    let boot_tm = Trace.telemetry tr and boot_vts = Trace.vts tr in
+    Trace.enable tr;
+    ignore (C.run ~tb uc Campaign.Injection B.rq1_config);
+    bump_every_counter tr;
+    let recs = Trace.records tr in
+    check_bool (B.name ^ ": the trial moved the clock") true (Trace.vts tr <> boot_vts);
+    B.reset tb;
+    check_bool (B.name ^ ": reset rewinds every counter") true (Trace.telemetry tr = boot_tm);
+    check_i64 (B.name ^ ": reset rewinds the clock") boot_vts (Trace.vts tr);
+    check_bool (B.name ^ ": the ring survives the reset") true
+      (recs <> [] && List.filteri (fun i _ -> i < List.length recs) (Trace.records tr) = recs)
+
+  (* A pooled fork's tracer starts where a fresh boot's does. *)
+  let fork () =
+    let fresh = B.trace (B.create B.rq1_config) in
+    let pooled = B.trace (B.create_pooled B.rq1_config) in
+    check_bool (B.name ^ ": fork telemetry") true (Trace.telemetry pooled = Trace.telemetry fresh);
+    check_i64 (B.name ^ ": fork vts") (Trace.vts fresh) (Trace.vts pooled);
+    check_bool (B.name ^ ": fork cost model") true
+      (Vclock.model (Trace.vclock pooled) = Vclock.model (Trace.vclock fresh));
+    check_bool (B.name ^ ": fork attached flag")
+      (Vclock.attached (Trace.vclock fresh))
+      (Vclock.attached (Trace.vclock pooled))
+end
+
+module Xen_rollback = Rollback (Substrate_xen)
+module Kvm_rollback = Rollback (Ii_backends.Backend_kvm)
+
+let test_reset_rewinds () =
+  Xen_rollback.reset (uc "XSA-148-priv");
+  Kvm_rollback.reset (kvm_uc "KVM-VMCS")
+
+let test_pooled_fork_starts_at_boot () =
+  Xen_rollback.fork ();
+  Kvm_rollback.fork ()
+
+(* [Trace.fork] takes counters and time from the mark, and the cost
+   model and attached flag from the template's live clock. *)
+let test_fork_from_mark () =
+  let tmpl = Trace.create () in
+  bump_every_counter tmpl;
+  Trace.charge tmpl Vclock.Hypercall_dispatch;
+  let m = Trace.mark tmpl in
+  let at_mark = Trace.telemetry tmpl and vts_at_mark = Trace.vts tmpl in
+  let model = { Vclock.Cost_model.default with Vclock.Cost_model.hypercall_dispatch = 7L } in
+  Vclock.set_model (Trace.vclock tmpl) model;
+  Vclock.set_attached (Trace.vclock tmpl) false;
+  bump_every_counter tmpl;
+  let f = Trace.fork tmpl m in
+  check_bool "fork counters are the mark's" true (Trace.telemetry f = at_mark);
+  check_i64 "fork vts is the mark's" vts_at_mark (Trace.vts f);
+  check_bool "fork cost model is the template's" true (Vclock.model (Trace.vclock f) = model);
+  check_bool "fork attached flag is the template's" false (Vclock.attached (Trace.vclock f));
+  check_bool "fork ring is off" false (Trace.recording f)
+
 let () =
   Alcotest.run "trace"
     [
@@ -203,5 +288,11 @@ let () =
           Alcotest.test_case "injector counted" `Quick test_telemetry_counts_injector;
           Alcotest.test_case "table renders" `Quick test_telemetry_table_renders;
           Alcotest.test_case "per-domain rows" `Quick test_telemetry_table_per_domain_rows;
+        ] );
+      ( "rollback",
+        [
+          Alcotest.test_case "reset rewinds counters and clock" `Quick test_reset_rewinds;
+          Alcotest.test_case "pooled fork starts at boot" `Quick test_pooled_fork_starts_at_boot;
+          Alcotest.test_case "fork from a mark" `Quick test_fork_from_mark;
         ] );
     ]

@@ -141,28 +141,28 @@ let test_records_carry_vts () =
 
 let test_reset_restores_clock () =
   let tb = Substrate_xen.create Version.V4_6 in
-  let v0 = Substrate_xen.vclock tb in
+  let v0 = Trace.vts (Substrate_xen.trace tb) in
   ignore (Campaign.run ~tb (uc "XSA-148-priv") Campaign.Injection Version.V4_6);
   Substrate_xen.reset tb;
-  check_i64 "xen reset restores post-boot vts" v0 (Substrate_xen.vclock tb);
+  check_i64 "xen reset restores post-boot vts" v0 (Trace.vts (Substrate_xen.trace tb));
   let ktb = K.create K.Stock in
-  let kv0 = K.vclock ktb in
+  let kv0 = Trace.vts (K.trace ktb) in
   ignore (B.Kvm_campaign.run ~tb:ktb (kvm_uc "KVM-IDT") Campaign.Injection K.Stock);
   K.reset ktb;
-  check_i64 "kvm reset restores post-boot vts" kv0 (K.vclock ktb)
+  check_i64 "kvm reset restores post-boot vts" kv0 (Trace.vts (K.trace ktb))
 
 let test_pooled_equals_fresh_with_clock () =
   let fresh = Substrate_xen.create Version.V4_6 in
   let pooled = Substrate_xen.create_pooled Version.V4_6 in
-  check_i64 "xen fork inherits post-boot clock" (Substrate_xen.vclock fresh)
-    (Substrate_xen.vclock pooled);
+  check_i64 "xen fork inherits post-boot clock" (Trace.vts (Substrate_xen.trace fresh))
+    (Trace.vts (Substrate_xen.trace pooled));
   let a = Campaign.run ~tb:fresh (uc "XSA-148-priv") Campaign.Injection Version.V4_6 in
   let b = Campaign.run ~tb:pooled (uc "XSA-148-priv") Campaign.Injection Version.V4_6 in
   check_i64 "xen pooled trial vtime identical" a.Campaign.r_vtime_ns b.Campaign.r_vtime_ns;
   check_bool "xen vtime positive" true (Int64.compare a.Campaign.r_vtime_ns 0L > 0);
   let kf = K.create K.Stock in
   let kp = K.create_pooled K.Stock in
-  check_i64 "kvm fork inherits post-boot clock" (K.vclock kf) (K.vclock kp);
+  check_i64 "kvm fork inherits post-boot clock" (Trace.vts (K.trace kf)) (Trace.vts (K.trace kp));
   let ka = B.Kvm_campaign.run ~tb:kf (kvm_uc "KVM-VMCS") Campaign.Injection K.Stock in
   let kb = B.Kvm_campaign.run ~tb:kp (kvm_uc "KVM-VMCS") Campaign.Injection K.Stock in
   check_i64 "kvm pooled trial vtime identical" ka.B.Kvm_campaign.r_vtime_ns

@@ -186,7 +186,7 @@ let test_scan_reads_only_and_counts () =
   check_int "five detectors scanned" 5 (Vmi.Scheduler.scans_run sched);
   check_bool "scan cost counted" true (Vmi.Scheduler.frames_read sched > 0);
   (* satellite wiring: the always-on trace counters saw the scans *)
-  check_int "counters" 5 (Trace.Counters.vmi_scans (Trace.counters hv.Hv.trace))
+  check_int "counters" 5 (Trace.telemetry hv.Hv.trace).Trace.tm_vmi_scans
 
 let test_integrity_fires_on_corruption () =
   let tb = Testbed.create Version.V4_6 in
