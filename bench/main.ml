@@ -52,10 +52,28 @@ let fig1 () =
 
 let fig2 () =
   hr "FIG 2 (methodology key components, end to end)";
+  (* one injection trial, narrated stage by stage from its result row *)
   let tb = Testbed.create Version.V4_8 in
   let uc = Option.get (All.find "XSA-182-test") in
-  let trace = Pipeline.run tb ~im:uc.Campaign.im ~inject:uc.Campaign.run_injection in
-  Format.printf "%a@." Pipeline.pp trace
+  let r = Campaign.run ~tb uc Campaign.Injection Version.V4_8 in
+  let stage name lines =
+    Printf.printf "== %s ==\n" name;
+    List.iter (Printf.printf "   %s\n") lines
+  in
+  stage "intrusion-model" [ Format.asprintf "%a" Intrusion_model.pp uc.Campaign.im ];
+  stage "injector" [ Printf.sprintf "hypercall %d installed" Injector.hypercall_number ];
+  stage "erroneous-state" r.Campaign.r_transcript;
+  stage "audit"
+    (List.map
+       (fun s ->
+         let a = Erroneous_state.audit tb.Testbed.hv s in
+         Erroneous_state.describe s ^ if a.Erroneous_state.holds then ": present" else ": absent")
+       r.Campaign.r_states);
+  stage "monitor"
+    (match r.Campaign.r_violations with
+    | [] -> [ "no security violation: the system handled the erroneous state" ]
+    | vs -> List.map Monitor.violation_to_string vs);
+  print_newline ()
 
 let fig3 () =
   hr "FIG 3 (intrusion internal impact vs abusive-functionality abstraction)";

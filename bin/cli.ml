@@ -63,13 +63,16 @@ let workers_arg =
 (* An integer flag with a floor: a value below it (or not an integer)
    is a usage error naming the flag, not an exception from deep in a
    run. *)
-let at_least floor =
+let floored of_string pp floor =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= floor -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer >= %d" s floor))
+    match of_string s with
+    | Some n when compare n floor >= 0 -> Ok n
+    | _ -> Error (`Msg (Format.asprintf "invalid value '%s', expected an integer >= %a" s pp floor))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
+
+let at_least = floored int_of_string_opt Format.pp_print_int
+let at_least64 = floored Int64.of_string_opt (fun ppf n -> Format.fprintf ppf "%Ld" n)
 
 let trials_arg ~floor ~default ~doc =
   Arg.(value & opt (at_least floor) default & info [ "n"; "trials" ] ~docv:"N" ~doc)

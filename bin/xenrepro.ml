@@ -330,12 +330,14 @@ let vmi_cmd =
      on a vulnerable version, or when a scan perturbs the machine."
   in
   let period_arg =
-    Arg.(value & opt int 1 & info [ "p"; "period" ] ~docv:"N" ~doc:"Scan every N trial steps.")
+    Arg.(
+      value & opt (at_least 1) 1
+      & info [ "p"; "period" ] ~docv:"N" ~doc:"Scan every N trial steps.")
   in
   let every_ns_arg =
     Arg.(
       value
-      & opt (some int64) None
+      & opt (some (at_least64 1L)) None
       & info [ "every-ns" ] ~docv:"NS"
           ~doc:
             "Rate-based scheduling: scan when $(docv) simulated ns have elapsed on the \

@@ -12,13 +12,9 @@ let () =
     (Version.to_string tb.Testbed.hv.Hv.version)
     (List.length tb.Testbed.hv.Hv.domains);
 
-  (* 2. Install the injector: a new hypercall in the call table. *)
-  Injector.install tb.Testbed.hv;
-  Printf.printf "injector installed as hypercall %d (%s)\n\n" Injector.hypercall_number
-    Injector.hypercall_name;
-
-  (* 3. Pick an intrusion model and run the Fig-2 pipeline: corrupt the
-        page-fault gate of the IDT, the XSA-212-crash erroneous state. *)
+  (* 2. Pick an intrusion model and write the trial's act: corrupt the
+        page-fault gate of the IDT, the XSA-212-crash erroneous state,
+        through the injector's arbitrary-access hypercall. *)
   let im =
     Intrusion_model.make ~name:"IM-write-arbitrary-memory"
       ~source:Intrusion_model.Unprivileged_guest
@@ -28,7 +24,7 @@ let () =
       ~representative_of:[ "XSA-212" ]
       "Overwrite a descriptor-table handler from an unprivileged guest."
   in
-  let inject (tb : Testbed.t) =
+  let act (tb : Testbed.t) =
     let k = tb.Testbed.attacker in
     let gate =
       Int64.add (Kernel.sidt k) (Int64.of_int (Idt.handler_offset Idt.vector_page_fault))
@@ -44,8 +40,22 @@ let () =
       rc = None;
     }
   in
-  let trace = Pipeline.run tb ~im ~inject in
-  Format.printf "%a@." Pipeline.pp trace;
+
+  (* 3. Run one Fig-2 trial: the executor resets the testbed, installs
+        the injector (a new hypercall in the call table), snapshots the
+        monitor, runs the act, audits the declared states and diffs the
+        snapshots into security violations. *)
+  let r = Campaign.trial tb ~name:im.Intrusion_model.im_name Campaign.Injection Version.V4_8 act in
+  Format.printf "intrusion model: %a@." Intrusion_model.pp im;
+  Printf.printf "injector: hypercall %d (%s)\n" Injector.hypercall_number Injector.hypercall_name;
+  List.iter (Printf.printf "erroneous state: %s\n") r.Campaign.r_transcript;
+  Printf.printf "audit: %s: %s\n"
+    (String.concat ", " (List.map Erroneous_state.describe r.Campaign.r_states))
+    (if r.Campaign.r_state then "present" else "absent");
+  (match r.Campaign.r_violations with
+  | [] -> print_endline "monitor: no security violation: the system handled the erroneous state"
+  | vs -> List.iter (fun v -> Printf.printf "monitor: %s\n" (Monitor.violation_to_string v)) vs);
+  print_newline ();
 
   (* 4. The Xen console shows what the operator would see. *)
   print_endline "--- Xen console ---";

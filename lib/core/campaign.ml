@@ -54,6 +54,7 @@ module Make (B : Substrate.S) = struct
     r_use_case : string;
     r_version : B.config;
     r_mode : mode;
+    r_states : B.state_spec list;  (** the states the attempt declared *)
     r_state : bool;  (** the erroneous state holds (audited) *)
     r_state_evidence : string list;
     r_violations : Monitor.violation list;
@@ -82,38 +83,28 @@ module Make (B : Substrate.S) = struct
             over positional row order) *)
   }
 
-  let run ?frames ?domains ?load ?tb ?observer uc mode version =
-    let tb =
-      match tb with
-      | Some tb ->
-          B.reset tb;
-          tb
-      | None -> B.create ?frames ?domains ?load version
-    in
+  (* The trial executor [run] and [Trace_driver.replay] drive. [act]
+     brings the erroneous state about (inject or exploit, then
+     activate; or re-drive a recorded boundary stream) and declares
+     the states to audit. Everything around it is the same for every
+     driver, so a replay's snapshots and audits land where the
+     recording's did. *)
+  let trial tb ~name mode config act =
+    B.reset tb;
     if mode = Injection then B.install_injector tb;
     (* Telemetry comes only from the always-on counters, never the ring,
        so a trial's result is identical with recording on or off. *)
     let tr = B.trace tb in
     (* A trial's coverage map is absolute: clearing here (after reset +
-       injector install, the point replay mirrors) makes the map a pure
-       function of the trial, independent of what the worker's testbed
-       ran before — the property that keeps sharded ≡ sequential. *)
+       injector install) makes the map a pure function of the trial,
+       independent of what the worker's testbed ran before — the
+       property that keeps sharded ≡ sequential. *)
     let cov = Trace.coverage tr in
     (match cov with Some c -> Coverage.clear c | None -> ());
     let counters_before = Trace.telemetry tr in
     let vts_before = Trace.vts tr in
     let before = B.snapshot tb in
-    let observe () = match observer with Some f -> f tb | None -> () in
-    let attempt =
-      match mode with Real_exploit -> uc.run_exploit tb | Injection -> uc.run_injection tb
-    in
-    observe ();
-    (* Let every domain run: vDSO hooks (and thus installed backdoors)
-       execute during normal scheduling. *)
-    for _ = 1 to scheduler_rounds do
-      B.tick_all tb;
-      observe ()
-    done;
+    let attempt = act tb in
     let audits = List.map (B.audit tb) attempt.states in
     let r_state = attempt.states <> [] && List.for_all (fun a -> a.Erroneous_state.holds) audits in
     let r_state_evidence = List.concat_map (fun a -> a.Erroneous_state.evidence) audits in
@@ -138,9 +129,10 @@ module Make (B : Substrate.S) = struct
       | None -> None
     in
     {
-      r_use_case = uc.uc_name;
-      r_version = version;
+      r_use_case = name;
+      r_version = config;
       r_mode = mode;
+      r_states = attempt.states;
       r_state;
       r_state_evidence;
       r_violations;
@@ -153,6 +145,25 @@ module Make (B : Substrate.S) = struct
       r_coverage;
       r_cov_novelty = 0;
     }
+
+  (* A use-case trial: the attempt, then [scheduler_rounds] rounds in
+     which every domain runs (vDSO hooks, and thus installed backdoors,
+     execute during normal scheduling), [observer] after each step. A
+     fresh testbed is reset before use, which the substrate contract
+     makes equivalent to a fresh boot. *)
+  let run ?frames ?domains ?load ?tb ?observer uc mode version =
+    let tb = match tb with Some tb -> tb | None -> B.create ?frames ?domains ?load version in
+    let observe () = match observer with Some f -> f tb | None -> () in
+    trial tb ~name:uc.uc_name mode version (fun tb ->
+        let attempt =
+          match mode with Real_exploit -> uc.run_exploit tb | Injection -> uc.run_injection tb
+        in
+        observe ();
+        for _ = 1 to scheduler_rounds do
+          B.tick_all tb;
+          observe ()
+        done;
+        attempt)
 
   let run_matrix ?workers ?pooled ?frames ?domains ?load ?coverage ucs ~versions ~modes =
     (* One cell per (uc, version, mode), in that nesting order; cells are

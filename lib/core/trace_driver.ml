@@ -67,7 +67,7 @@ module Make (B : Substrate.S) = struct
       ?prepare ?observer uc mode version =
     let tb = B.create ?frames ?domains ?load version in
     if provenance then enable_provenance tb;
-    (* [prepare] runs before the ring opens (and before Campaign.run's
+    (* [prepare] runs before the ring opens (and before the trial's
        reset, which returns to this very state): the place to arm VMI
        detector baselines against the known-good testbed. *)
     (match prepare with Some f -> f tb | None -> ());
@@ -90,7 +90,7 @@ module Make (B : Substrate.S) = struct
       rec_model = Vclock.model (Trace.vclock tr);
       rec_final;
       rec_prov = prov_export tb;
-      (* Campaign.run already snapshotted the collector (violation axis
+      (* the trial already snapshotted the collector (violation axis
          included) into the row — that snapshot is the map replay must
          reproduce *)
       rec_cov = row.C.r_coverage;
@@ -106,9 +106,8 @@ module Make (B : Substrate.S) = struct
     rp_vts_equal : bool;
         (** the replay reproduced the recording's virtual timestamps
             byte-for-byte: re-driving the boundary stream re-emitted
-            the same (event, vts) sequence, modulo the records only
-            the recording side produces (VMI scans, the final monitor
-            verdict) *)
+            the same (event, vts) sequence, modulo the VMI scans only
+            the recording's observer produces *)
     rp_prov : string option;
         (** the replay's own canonical graph (provenance-enabled
             recordings only) *)
@@ -118,22 +117,25 @@ module Make (B : Substrate.S) = struct
     rp_cov : Coverage.map option;
         (** the replay's own coverage map (coverage recordings only) *)
     rp_cov_equal : bool;
-        (** coverage maps are byte-identical; vacuously true for
-            recordings made without coverage *)
+        (** coverage maps are byte-identical (both absent for
+            recordings made without coverage) *)
   }
 
   (* The records a replay regenerates: everything except detector scans
-     (observer-driven, never re-run) and the campaign's closing monitor
-     verdict. Comparing (vts, event) pairs over this stream is the
-     virtual-time determinism contract. *)
+     (observer-driven, never re-run). Comparing (vts, event) pairs over
+     this stream is the virtual-time determinism contract. *)
   let vts_stream recs =
     List.filter_map
       (fun { Trace.vts; event; _ } ->
         match event with
-        | Trace.Vmi_scan _ | Trace.Monitor_verdict _ -> None
+        | Trace.Vmi_scan _ -> None
         | _ -> Some (vts, event))
       recs
 
+  (* A driver of {!Campaign.Make.trial}, like the recording: its act
+     re-drives the recorded boundary stream and declares the recorded
+     states, so every record the trial's own steps emit (provenance
+     edges of snapshot and audit reads included) recurs at its stamp. *)
   let replay r =
     if r.rec_dropped > 0 then
       invalid_arg
@@ -143,55 +145,27 @@ module Make (B : Substrate.S) = struct
     in
     Vclock.set_model (Trace.vclock (B.trace tb)) r.rec_model;
     if r.rec_prov <> None then enable_provenance tb;
+    let tr = B.trace tb in
+    if r.rec_cov <> None then Trace.set_coverage tr (Some (Coverage.create ()));
     (* record the replay too: re-driven boundary events re-emit through
        the same instrumentation, so their (vts, event) stream must come
        back byte-identical. Sized so nothing drops (the replayed stream
        is a subset of the recorded one). *)
-    let tr = B.trace tb in
     Trace.enable ~capacity_bytes:(max (4 * 1024 * 1024) (2 * String.length r.rec_bytes + 64)) tr;
-    (* mirror the recording's trial preamble with the ring already open:
-       Campaign.run resets the testbed (whose TLB flush lands in the
-       ring) and only then installs the injector, so the replayed stream
-       starts on the same records and stamps as the recorded one *)
-    B.reset tb;
-    if r.rec_mode = Campaign.Injection then B.install_injector tb;
-    (* mirror Campaign.run's coverage protocol: a fresh collector,
-       cleared at the same point in the preamble, and a before-snapshot
-       from the same pristine state (its provenance observes land in the
-       map exactly where the recording's did) *)
-    let cov =
-      match r.rec_cov with
-      | None -> None
-      | Some _ ->
-          let c = Coverage.create () in
-          Trace.set_coverage tr (Some c);
-          Coverage.clear c;
-          Some (c, B.snapshot tb)
-    in
     let applied = ref 0 and skipped = ref 0 in
-    List.iter
-      (fun { Trace.event; _ } ->
-        if Trace.is_boundary event && B.apply_event tb event then incr applied
-        else incr skipped)
-      (events r);
+    let act tb =
+      List.iter
+        (fun { Trace.event; _ } ->
+          if Trace.is_boundary event && B.apply_event tb event then incr applied else incr skipped)
+        (events r);
+      let row = r.rec_row in
+      { C.transcript = row.C.r_transcript; states = row.C.r_states; rc = row.C.r_rc }
+    in
+    let rp_cov = (C.trial tb ~name:r.rec_use_case r.rec_mode r.rec_version act).C.r_coverage in
     Trace.disable tr;
     let replayed = Trace.records_of_string (Trace.to_bytes tr) in
     let rp_final = B.snapshot tb in
     let rp_prov = prov_export tb in
-    let rp_cov =
-      match cov with
-      | None -> None
-      | Some (c, before) ->
-          (* the violation axis is fed from the final verdict, exactly
-             as Campaign.run fed it before snapshotting *)
-          List.iter
-            (fun (dom, vs) ->
-              List.iter
-                (fun v -> Coverage.note_violation c ~cls:(Monitor.class_index v) ~domain:dom)
-                vs)
-            (Monitor.by_domain (B.violations_tagged ~before ~after:rp_final));
-          Some (Coverage.snapshot c)
-    in
     {
       rp_applied = !applied;
       rp_skipped = !skipped;
@@ -201,11 +175,7 @@ module Make (B : Substrate.S) = struct
       rp_prov;
       rp_prov_equal = rp_prov = r.rec_prov;
       rp_cov;
-      rp_cov_equal =
-        (match (r.rec_cov, rp_cov) with
-        | None, _ -> true
-        | Some a, Some b -> Coverage.equal a b
-        | Some _, None -> false);
+      rp_cov_equal = Option.equal Coverage.equal r.rec_cov rp_cov;
     }
 
   (* --- reporting ------------------------------------------------------- *)

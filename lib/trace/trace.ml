@@ -476,9 +476,9 @@ let emit t event =
   if t.enabled then begin
     (match t.cov with
     | Some c ->
-        (* feed every code a replay regenerates; detector scans and the
-           closing monitor verdict exist only on the recording side, so
-           they must not shape the map *)
+        (* feed every record code except detector scans (only a
+           recording's observer emits them; replay never re-runs it)
+           and the monitor verdict (the violation axis carries it) *)
         let code = code_of_event event in
         if code <> 25 && code <> 27 then Coverage.note_record c code
     | None -> ());

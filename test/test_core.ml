@@ -426,7 +426,7 @@ let test_catalog_coverage () =
      let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
      go 0)
 
-(* --- Report / Pipeline ----------------------------------------------------------------- *)
+(* --- Report / trial -------------------------------------------------------------------- *)
 
 let test_report_table () =
   let s = Report.table ~title:"T" ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ] in
@@ -435,28 +435,24 @@ let test_report_table () =
   check_str "check" "Y" (Report.check true);
   check_str "empty" "" (Report.check false)
 
-let test_pipeline_stages () =
+(* Fig 2 is one trial: the planted L4 self-map is the erroneous state,
+   and [Campaign.trial] audits it and diffs the monitor snapshots. *)
+let test_campaign_trial () =
   let tb = tb () in
-  let im = im_a in
-  let inject (tb : Testbed.t) =
-    let hv = tb.Testbed.hv in
-    let l4 = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn in
-    Frame.set_entry (Phys_mem.frame hv.Hv.mem l4) Layout.xen_extra_slot
-      (Pte.make ~mfn:l4 ~flags:[ Pte.Present; Pte.User; Pte.Rw ]);
-    {
-      Campaign.transcript = [ "planted self-map" ];
-      states = [ Erroneous_state.L4_selfmap_writable { l4_mfn = l4; slot = Layout.xen_extra_slot } ];
-      rc = None;
-    }
+  let selfmap tb =
+    Erroneous_state.L4_selfmap_writable
+      { l4_mfn = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn; slot = Layout.xen_extra_slot }
   in
-  let trace = Pipeline.run tb ~im ~inject in
-  check_bool "injected" true trace.Pipeline.p_injected;
-  check_int "five stages" 5 (List.length trace.Pipeline.p_stages);
-  check_bool "violation observed" true (trace.Pipeline.p_violations <> []);
-  Alcotest.(check (list string))
-    "stage names"
-    [ "intrusion-model"; "injector"; "erroneous-state"; "audit"; "monitor" ]
-    (List.map (fun s -> s.Pipeline.stage) trace.Pipeline.p_stages)
+  let act (tb : Testbed.t) =
+    let l4 = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn in
+    Frame.set_entry (Phys_mem.frame tb.Testbed.hv.Hv.mem l4) Layout.xen_extra_slot
+      (Pte.make ~mfn:l4 ~flags:[ Pte.Present; Pte.User; Pte.Rw ]);
+    { Campaign.transcript = [ "planted self-map" ]; states = [ selfmap tb ]; rc = None }
+  in
+  let r = Campaign.trial tb ~name:"planted-selfmap" Campaign.Injection Version.V4_6 act in
+  check_bool "declared states" true (r.Campaign.r_states = [ selfmap tb ]);
+  check_bool "state holds" true r.Campaign.r_state;
+  check_bool "violation observed" true (r.Campaign.r_violations <> [])
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -529,6 +525,6 @@ let () =
       ( "report+pipeline",
         [
           Alcotest.test_case "table rendering" `Quick test_report_table;
-          Alcotest.test_case "pipeline stages" `Quick test_pipeline_stages;
+          Alcotest.test_case "campaign trial" `Quick test_campaign_trial;
         ] );
     ]

@@ -383,6 +383,7 @@ let test_replay_reproduces_map_kvm () =
       | Some m -> check_bool "recorded map non-empty" false (Coverage.is_empty m));
       let rp = KT.replay r in
       check_bool "replay final state equal" true rp.KT.rp_equal;
+      check_bool "replay vts equal" true rp.KT.rp_vts_equal;
       check_bool "replay coverage map byte-identical" true rp.KT.rp_cov_equal)
     [ Campaign.Real_exploit; Campaign.Injection ]
 

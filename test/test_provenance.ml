@@ -121,28 +121,54 @@ let test_attribution_deterministic () =
 
 (* --- replay: the causal graph must reproduce byte for byte --------------- *)
 
+(* A provenance-attached recording must replay whole: final state,
+   (vts, event) stream, causal graph and (with coverage attached too)
+   coverage map, in both modes, at the default shape and at 4 loaded
+   domains. [run] records and replays one trial and returns whether the
+   recording exported a graph plus the replay's four verdicts. *)
+let check_replays name run =
+  List.iter
+    (fun (shape, domains, load) ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun coverage ->
+              let label =
+                Printf.sprintf "%s %s %s%s: " name (Campaign.mode_to_string mode) shape
+                  (if coverage then " +coverage" else "")
+              in
+              let exported, (equal, vts_equal, prov_equal, cov_equal) =
+                run ~domains ~load ~coverage mode
+              in
+              check_bool (label ^ "graph exported") true exported;
+              check_bool (label ^ "final state reproduced") true equal;
+              check_bool (label ^ "vts stream reproduced") true vts_equal;
+              check_bool (label ^ "graph byte-for-byte") true prov_equal;
+              check_bool (label ^ "coverage map reproduced") true cov_equal)
+            [ false; true ])
+        [ Campaign.Real_exploit; Campaign.Injection ])
+    [ ("default shape", None, None); ("4 loaded domains", Some 4, Some Load_mix.default) ]
+
 let test_replay_graph_identical () =
   List.iter
     (fun uc0 ->
-      let r = Trace_driver.record ~provenance:true uc0 Campaign.Injection Version.V4_6 in
-      check_bool (uc0.Campaign.uc_name ^ ": graph exported") true
-        (r.Trace_driver.rec_prov <> None);
-      let o = Trace_driver.replay r in
-      check_bool (uc0.Campaign.uc_name ^ ": final state reproduced") true
-        o.Trace_driver.rp_equal;
-      check_bool (uc0.Campaign.uc_name ^ ": graph byte-for-byte") true
-        o.Trace_driver.rp_prov_equal)
+      check_replays uc0.Campaign.uc_name (fun ~domains ~load ~coverage mode ->
+          let r =
+            Trace_driver.record ?domains ?load ~provenance:true ~coverage uc0 mode Version.V4_6
+          in
+          let o = Trace_driver.replay r in
+          ( r.Trace_driver.rec_prov <> None,
+            Trace_driver.(o.rp_equal, o.rp_vts_equal, o.rp_prov_equal, o.rp_cov_equal) )))
     All.use_cases
 
 let test_kvm_replay_graph_identical () =
   List.iter
     (fun kuc ->
-      let r = B.Kvm_trace.record ~provenance:true kuc Campaign.Injection K.Stock in
-      check_bool (kuc.B.Kvm_campaign.uc_name ^ ": graph exported") true
-        (r.B.Kvm_trace.rec_prov <> None);
-      let o = B.Kvm_trace.replay r in
-      check_bool (kuc.B.Kvm_campaign.uc_name ^ ": graph byte-for-byte") true
-        o.B.Kvm_trace.rp_prov_equal)
+      check_replays kuc.B.Kvm_campaign.uc_name (fun ~domains ~load ~coverage mode ->
+          let r = B.Kvm_trace.record ?domains ?load ~provenance:true ~coverage kuc mode K.Stock in
+          let o = B.Kvm_trace.replay r in
+          ( r.B.Kvm_trace.rec_prov <> None,
+            B.Kvm_trace.(o.rp_equal, o.rp_vts_equal, o.rp_prov_equal, o.rp_cov_equal) )))
     All.kvm_use_cases
 
 (* --- purity: the shadow must not perturb trials -------------------------- *)
