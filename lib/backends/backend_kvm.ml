@@ -278,12 +278,12 @@ type snapshot = {
 let snapshot t =
   let vms = Kvm.vms t.kvm in
   let mem = Kvm.mem t.kvm in
-  let cached = Scan_memo.usable t.scans mem () in
+  let cached = Scan_memo.usable t.scans mem in
   let vmcs vm =
     if not cached then Kvm.vmcs_hash t.kvm vm
     else
-      Scan_memo.get t.scans mem ~key:(2 * vm.Kvm.vm_id) ~root:vm.Kvm.vmcs_mfn (fun note ->
-          note vm.Kvm.vmcs_mfn;
+      Scan_memo.get t.scans mem ~key:(2 * vm.Kvm.vm_id) ~root:vm.Kvm.vmcs_mfn (fun deps ->
+          Scan_memo.note_read deps vm.Kvm.vmcs_mfn;
           Kvm.vmcs_hash t.kvm vm)
   in
   let ept vm =
@@ -291,7 +291,7 @@ let snapshot t =
     else
       Int64.to_int
         (Scan_memo.get t.scans mem ~key:((2 * vm.Kvm.vm_id) + 1) ~root:vm.Kvm.ept_root
-           (fun note -> Int64.of_int (Kvm.ept_exposure ~note t.kvm vm)))
+           (fun deps -> Int64.of_int (Kvm.ept_exposure ~note:(Scan_memo.note_read deps) t.kvm vm)))
   in
   {
     s_vms =

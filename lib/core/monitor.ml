@@ -23,12 +23,11 @@ type snapshot = {
 
 (* --- cross-trial scan cache ------------------------------------------
    The page-table walks and the M2P inverse check are memoized in a
-   {!Scan_memo} anchored at (baseline epoch, Page_info generation).
-   Restore rewinds the generation to the checkpointed value and every
-   type/ownership mutation bumps it, so generation = anchor iff the type
-   state equals the baseline's; the frames each scan read are checked
-   against the dirty list. Page-table scans are keyed by domain id and
-   checked against the L4; the M2P count is keyed by [m2p_key]. *)
+   {!Scan_memo} anchored at the baseline epoch. Each entry records the
+   frames the scan read and the frames whose Page_info it consulted; it
+   holds while none of the first is dirty and none of the second is
+   touched since the checkpoint. Page-table scans are keyed by domain id
+   and checked against the L4; the M2P count is keyed by [m2p_key]. *)
 
 type scan_cache = int Scan_memo.t
 
@@ -38,97 +37,101 @@ let m2p_key = -1
 (* The M2P must stay the inverse of every domain's P2M — a hypervisor
    invariant any auditing monitor can check from outside the guests. *)
 let m2p_mismatch_fresh hv =
-  List.fold_left
-    (fun acc dom ->
-      List.fold_left
-        (fun acc pfn ->
-          match Domain.mfn_of_pfn dom pfn with
-          | Some mfn when Hv.m2p_lookup hv mfn <> Some pfn ->
-              (* the verdict depends on the inconsistent M2P entry *)
-              let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
-              Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off
-                ~len:8;
-              acc + 1
-          | Some _ | None -> acc)
-        acc (Domain.populated_pfns dom))
-    0 hv.Hv.domains
+  let count dom =
+    let n = ref 0 in
+    Array.iteri
+      (fun pfn -> function
+        | Some mfn when Hv.m2p_lookup hv mfn <> Some pfn ->
+            (* the verdict depends on the inconsistent M2P entry *)
+            let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
+            Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off ~len:8;
+            incr n
+        | Some _ | None -> ())
+      dom.Domain.p2m;
+    !n
+  in
+  List.fold_left (fun acc dom -> acc + count dom) 0 hv.Hv.domains
 
-(* Every P2M mutation in the hypervisor goes through an allocation or a
-   release (both bump the Page_info generation, i.e. break the anchor),
-   so with the anchor held the count can only change through raw writes
-   to the M2P frames themselves — which the dirty list exposes. *)
+(* The count reads the M2P frames and every domain's P2M. The hypervisor
+   changes a P2M entry (building, destroying, ballooning or exchanging
+   memory) only together with the M2P entry of the same frame, so a P2M
+   could have changed only if an M2P frame is dirty: the M2P frames are
+   the whole dependency set. *)
 let m2p_mismatch_cached cache hv =
-  Scan_memo.get cache hv.Hv.mem ~key:m2p_key ~root:0 (fun note ->
-      Array.iter note hv.Hv.m2p_mfns;
+  Scan_memo.get cache hv.Hv.mem ~key:m2p_key ~root:0 (fun deps ->
+      Array.iter (Scan_memo.note_read deps) hv.Hv.m2p_mfns;
       m2p_mismatch_fresh hv)
+
+(* PTE frame number field: bits 12..51, as [Pte.mfn] decodes it. *)
+let mfn_bits = (1 lsl 40) - 1
+
+let guest_writable ~hardened va =
+  Layout.region_access ~hardened (Layout.region_of_bits va) = Layout.Read_write
+
+(* Whether [mfn] is typed as a page table; [deps], when given, notes that
+   the verdict consulted its type. *)
+let typed_pt hv deps mfn =
+  Phys_mem.is_valid_mfn hv.Hv.mem mfn
+  && begin
+       (match deps with None -> () | Some d -> Scan_memo.note_type d mfn);
+       let info = Page_info.get hv.Hv.pages mfn in
+       info.Page_info.type_count > 0
+       &&
+       match info.Page_info.ptype with
+       | Page_info.PGT_l1 | Page_info.PGT_l2 | Page_info.PGT_l3 | Page_info.PGT_l4 -> true
+       | Page_info.PGT_none | Page_info.PGT_writable | Page_info.PGT_seg -> false
+     end
+
+(* a flagged mapping is evidence read out of this entry *)
+let flag hv table_mfn index =
+  Phys_mem.observe hv.Hv.mem ~consumer:Provenance.Monitor_scan ~mfn:table_mfn ~off:(8 * index)
+    ~len:8
 
 (* Walk a domain's live page tables exactly like the MMU would, counting
    leaf (and PSE superpage) mappings that grant guest-privilege write
    access to frames currently typed as page tables. The address-space
    layout filter is what lets hardened versions "handle" states that
-   older layouts expose. *)
-(* [memo] caches subtree counts within one snapshot, keyed by
-   everything the count depends on — table frame, level, VA prefix and
-   the accumulated RW permission — so the Xen structures mapped into all
-   three domains at the same slots are scanned once, not per domain. *)
-let writable_pt_exposure ?memo ?note hv dom =
-  let mem = hv.Hv.mem in
-  let hardened = Hv.hardened hv in
-  let typed_pt mfn =
-    Phys_mem.is_valid_mfn mem mfn
-    &&
-    let info = Page_info.get hv.Hv.pages mfn in
-    Page_info.table_level info.Page_info.ptype <> None && info.Page_info.type_count > 0
-  in
-  let guest_writable va = Layout.guest_access ~hardened (Addr.canonical va) = Layout.Read_write in
-  let shift level = Addr.page_shift + (9 * (level - 1)) in
-  let rec scan level table_mfn va_prefix rw =
-    if not (Phys_mem.is_valid_mfn mem table_mfn) then 0
-    else begin
-      (match note with Some f -> f table_mfn | None -> ());
-      let frame = Phys_mem.frame_ro mem table_mfn in
-      let count = ref 0 in
-      (* iter_present probes the present bit with byte loads inside
-         Frame, so absent entries (most of any table) cost neither an
-         int64 decode nor a cross-module call *)
-      Frame.iter_present frame (fun index e ->
-          let va = Int64.logor va_prefix (Int64.shift_left (Int64.of_int index) (shift level)) in
-          let rw = rw && Pte.test Pte.Rw e in
-          let flag () =
-            (* a flagged mapping is evidence read out of this entry *)
-            Phys_mem.observe mem ~consumer:Provenance.Monitor_scan ~mfn:table_mfn
-              ~off:(8 * index) ~len:8;
+   older layouts expose. One table per call, entries decoded in place
+   (the present bit probed with a byte load, the VA an int), so a scan
+   allocates nothing; the layout is asked before any Page_info. *)
+let rec exposure hv ~hardened deps level table_mfn va_prefix rw =
+  if not (Phys_mem.is_valid_mfn hv.Hv.mem table_mfn) then 0
+  else begin
+    (match deps with None -> () | Some d -> Scan_memo.note_read d table_mfn);
+    let frame = (Phys_mem.frame_ro hv.Hv.mem table_mfn :> bytes) in
+    let shift = Addr.page_shift + (9 * (level - 1)) in
+    let count = ref 0 in
+    for index = 0 to Addr.entries_per_table - 1 do
+      if Char.code (Bytes.unsafe_get frame (8 * index)) land 1 <> 0 then begin
+        let bits = Int64.to_int (Bytes.get_int64_le frame (8 * index)) in
+        let va = va_prefix lor (index lsl shift) in
+        let rw = rw && bits land 0x2 <> 0 in
+        let mfn = (bits lsr Addr.page_shift) land mfn_bits in
+        if level = 1 then begin
+          if rw && guest_writable ~hardened va && typed_pt hv deps mfn then begin
+            flag hv table_mfn index;
             incr count
-          in
-          if level = 1 then begin
-            if rw && typed_pt (Pte.mfn e) && guest_writable va then flag ()
           end
-          else if level = 2 && Pte.test Pte.Pse e then begin
-            if rw && guest_writable va then begin
-              let base = Pte.mfn e land lnot 0x1ff in
-              for m = base to base + 511 do
-                if typed_pt m then flag ()
-              done
-            end
+        end
+        else if level = 2 && bits land 0x80 <> 0 then begin
+          if rw && guest_writable ~hardened va then begin
+            let base = mfn land lnot 0x1ff in
+            for m = base to base + 511 do
+              if typed_pt hv deps m then begin
+                flag hv table_mfn index;
+                incr count
+              end
+            done
           end
-          else count := !count + scan_memo (level - 1) (Pte.mfn e) va rw);
-      !count
-    end
-  and scan_memo level table_mfn va_prefix rw =
-    (* the memo shortcut would skip dependency recording, so it is only
-       taken when nobody is noting the frames read *)
-    match (memo, note) with
-    | None, _ | Some _, Some _ -> scan level table_mfn va_prefix rw
-    | Some tbl, None -> (
-        let key = (level, table_mfn, va_prefix, rw) in
-        match Hashtbl.find_opt tbl key with
-        | Some n -> n
-        | None ->
-            let n = scan level table_mfn va_prefix rw in
-            Hashtbl.add tbl key n;
-            n)
-  in
-  scan_memo 4 dom.Domain.l4_mfn 0L true
+        end
+        else count := !count + exposure hv ~hardened deps (level - 1) mfn va rw
+      end
+    done;
+    !count
+  end
+
+let writable_pt_exposure ?deps hv dom =
+  exposure hv ~hardened:(Hv.hardened hv) deps 4 dom.Domain.l4_mfn 0 true
 
 let root_secrets kernel =
   let fs = Kernel.fs kernel in
@@ -190,28 +193,22 @@ let snapshot ?cache (tb : Testbed.t) =
       kernels
   in
   let cached =
-    match cache with
-    | Some c when Scan_memo.usable c hv.Hv.mem ~gen:(Page_info.generation hv.Hv.pages) () ->
-        Some c
-    | Some _ | None -> None
+    match cache with Some c when Scan_memo.usable c hv.Hv.mem -> Some c | Some _ | None -> None
+  in
+  let touched =
+    if Page_info.any_touched hv.Hv.pages then Some (Page_info.touched hv.Hv.pages) else None
   in
   let pt_exposure =
-    (* With a usable cross-trial cache, reuse baseline scans; otherwise
-       share a memo across the domains so Xen mappings mapped at the
-       same slots are walked once per snapshot instead of once per
-       domain. *)
-    match cached with
-    | Some c ->
-        List.map
-          (fun k ->
-            let dom = Kernel.dom k in
-            ( Kernel.hostname k,
-              Scan_memo.get c hv.Hv.mem ~key:dom.Domain.id ~root:dom.Domain.l4_mfn (fun note ->
-                  writable_pt_exposure ~note hv dom) ))
-          kernels
-    | None ->
-        let memo = Hashtbl.create 64 in
-        List.map (fun k -> (Kernel.hostname k, writable_pt_exposure ~memo hv (Kernel.dom k))) kernels
+    List.map
+      (fun k ->
+        let dom = Kernel.dom k in
+        ( Kernel.hostname k,
+          match cached with
+          | Some c ->
+              Scan_memo.get c hv.Hv.mem ?touched ~key:dom.Domain.id ~root:dom.Domain.l4_mfn
+                (fun deps -> writable_pt_exposure ~deps hv dom)
+          | None -> writable_pt_exposure hv dom ))
+      kernels
   in
   {
     crashed = Hv.is_crashed hv;

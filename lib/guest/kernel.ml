@@ -156,9 +156,15 @@ let write_u64 t va v = store_u64 t ~ring:Cpu.Kernel ~op:Trace.Op_write_u64 va v
 let user_read_u64 t va = load_u64 t ~ring:Cpu.User ~op:Trace.Op_user_read_u64 va
 let user_write_u64 t va v = store_u64 t ~ring:Cpu.User ~op:Trace.Op_user_write_u64 va v
 
-let read_bytes t va len =
+(* [read_bytes] into a caller's buffer: the same boundary event, so a
+   replay re-drives it as [read_bytes] at the same cost *)
+let read_into t va buf pos len =
   if recording t then trace_mem t Trace.Op_read_bytes va ~len ~data:"";
-  checked t (Cpu.read_bytes (cpu t) ~ring:Cpu.Kernel ~cr3:(cr3 t) va len)
+  checked t (Cpu.read_into (cpu t) ~ring:Cpu.Kernel ~cr3:(cr3 t) va buf pos len)
+
+let read_bytes t va len =
+  let buf = Bytes.create len in
+  match read_into t va buf 0 len with Ok () -> Ok buf | Error _ as e -> e
 
 let write_bytes t va b =
   if recording t then

@@ -59,6 +59,14 @@ val pt_entry : t -> table_mfn:Addr.mfn -> index:int -> Pte.t option
 val read_u64 : t -> Addr.vaddr -> (int64, Paging.fault) result
 val write_u64 : t -> Addr.vaddr -> int64 -> (unit, Paging.fault) result
 val read_bytes : t -> Addr.vaddr -> int -> (bytes, Paging.fault) result
+
+val read_into : t -> Addr.vaddr -> bytes -> int -> int -> (unit, Paging.fault) result
+(** [read_into t va buf pos len] is {!read_bytes} of [len] bytes into
+    [buf] at [pos], with no buffer allocated: it records the same
+    [Op_read_bytes] boundary event and makes the same virtual-clock
+    charge, faults the same way, and leaves [buf] unspecified on a
+    fault. *)
+
 val write_bytes : t -> Addr.vaddr -> bytes -> (unit, Paging.fault) result
 
 val invlpg : t -> Addr.vaddr -> unit

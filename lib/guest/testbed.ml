@@ -29,7 +29,7 @@ let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
 (* Every testbed, fresh or forked, gets its own scan cache, anchored at
    the baseline it was just born at. *)
-let fresh_scan_cache hv = Scan_memo.anchored ~gen:(Page_info.generation hv.Hv.pages) hv.Hv.mem
+let fresh_scan_cache hv = Scan_memo.anchored hv.Hv.mem
 
 let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 2)
     ?(load = Load_mix.none) version =

@@ -37,8 +37,6 @@ let handlers_restore t dump =
   Hashtbl.reset t.handlers;
   List.iter (fun (va, label) -> Hashtbl.replace t.handlers va label) dump
 
-let fault va kind reason = Error { Paging.fault_vaddr = va; fault_kind = kind; reason }
-
 let layout_permits access kind =
   match (access, kind) with
   | Layout.Read_write, _ -> true
@@ -46,21 +44,33 @@ let layout_permits access kind =
   | Layout.Read_only, Paging.Write -> false
   | Layout.No_access, _ -> false
 
-let resolve t ~ring ~cr3 ~kind va =
-  let va = Addr.canonical va in
+(* Raised by [locate] on a translation fault only, and caught by the
+   accessor that called it: the resolved path returns a bare int. *)
+exception Fault of Paging.fault
+
+let fault va kind reason = raise_notrace (Fault { Paging.fault_vaddr = va; fault_kind = kind; reason })
+
+(* [va]'s machine address as an immediate int. The common canonical
+   address is used as given, so resolving allocates nothing beyond the
+   TLB's own lookup. *)
+let locate t ~ring ~cr3 ~kind va =
+  let va = if Addr.is_canonical va then va else Addr.canonical va in
   match ring with
   | Hyp -> (
       match Layout.maddr_of_directmap va with
-      | Some ma when Phys_mem.is_valid_mfn t.mem (Addr.mfn_of_maddr ma) -> Ok ma
+      | Some ma when Phys_mem.is_valid_mfn t.mem (Addr.mfn_of_maddr ma) -> Int64.to_int ma
       | Some _ | None -> fault va kind (Paging.Not_present 4))
   | Kernel | User -> (
       let access = Layout.guest_access ~hardened:t.hardened va in
       if not (layout_permits access kind) then
         fault va kind (Paging.Layout_denied (Layout.region_of_vaddr va))
       else
-        match Paging.translate_cached t.tlb t.mem ~cr3 ~kind ~user:(ring = User) va with
-        | Ok leaf -> Ok (Paging.leaf_maddr leaf va)
-        | Error e -> Error e)
+        match Paging.walk_cached t.tlb t.mem ~cr3 va with
+        | Error reason -> fault va kind reason
+        | Ok leaf -> (
+            match Paging.leaf_denied ~kind ~user:(ring = User) leaf with
+            | None -> (leaf.Paging.l_mfn lsl Addr.page_shift) lor Addr.page_offset va
+            | Some reason -> fault va kind reason))
 
 (* Every architectural memory access costs one [Guest_mem_op] on the
    machine's virtual clock (page-walk and TLB costs accrue separately
@@ -72,53 +82,58 @@ let charge_mem t =
   | None -> ()
   | Some tr -> Trace.charge tr Vclock.Guest_mem_op
 
+let page_mask = Addr.page_size - 1
+
 let read_u64 t ~ring ~cr3 va =
   charge_mem t;
-  match resolve t ~ring ~cr3 ~kind:Paging.Read va with
-  | Ok ma -> Ok (Phys_mem.read_u64 t.mem ma)
-  | Error e -> Error e
+  match locate t ~ring ~cr3 ~kind:Paging.Read va with
+  | ma -> Ok (Phys_mem.get_u64 t.mem (ma lsr Addr.page_shift) (ma land page_mask))
+  | exception Fault f -> Error f
 
 let write_u64 t ~ring ~cr3 va v =
   charge_mem t;
-  match resolve t ~ring ~cr3 ~kind:Paging.Write va with
-  | Ok ma -> Ok (Phys_mem.write_u64 t.mem ma v)
-  | Error e -> Error e
+  match locate t ~ring ~cr3 ~kind:Paging.Write va with
+  | ma ->
+      Phys_mem.set_u64 t.mem (ma lsr Addr.page_shift) (ma land page_mask) v;
+      Ok ()
+  | exception Fault f -> Error f
 
-(* Byte-range transfers translate page by page, so a range crossing a page
-   boundary succeeds only when every page translates. A plain loop over
-   the chunks: no closure, no ref, and one translation for the common
-   range within a page. *)
-let rec read_pages t ~ring ~cr3 va buf pos =
-  let len = Bytes.length buf - pos in
-  if len <= 0 then Ok buf
-  else
-    let chunk = min len (Addr.page_size - Addr.page_offset va) in
-    match resolve t ~ring ~cr3 ~kind:Paging.Read va with
-    | Error e -> Error e
-    | Ok ma ->
-        Phys_mem.read_into t.mem ma buf pos chunk;
-        if chunk = len then Ok buf
-        else read_pages t ~ring ~cr3 (Int64.add va (Int64.of_int chunk)) buf (pos + chunk)
+(* Byte-range transfers translate page by page, so a range crossing a
+   page boundary succeeds only when every page translates; one
+   translation for the common range within a page. *)
+let rec read_pages t ~ring ~cr3 va buf pos stop =
+  let ma = locate t ~ring ~cr3 ~kind:Paging.Read va in
+  let off = ma land page_mask in
+  let chunk = min (stop - pos) (Addr.page_size - off) in
+  Phys_mem.blit_out t.mem (ma lsr Addr.page_shift) off buf pos chunk;
+  if pos + chunk < stop then
+    read_pages t ~ring ~cr3 (Int64.add va (Int64.of_int chunk)) buf (pos + chunk) stop
 
-let rec write_pages t ~ring ~cr3 va data pos =
-  let len = Bytes.length data - pos in
-  if len <= 0 then Ok ()
-  else
-    let chunk = min len (Addr.page_size - Addr.page_offset va) in
-    match resolve t ~ring ~cr3 ~kind:Paging.Write va with
-    | Error e -> Error e
-    | Ok ma ->
-        Phys_mem.write_from t.mem ma data pos chunk;
-        if chunk = len then Ok ()
-        else write_pages t ~ring ~cr3 (Int64.add va (Int64.of_int chunk)) data (pos + chunk)
+let rec write_pages t ~ring ~cr3 va data pos stop =
+  let ma = locate t ~ring ~cr3 ~kind:Paging.Write va in
+  let off = ma land page_mask in
+  let chunk = min (stop - pos) (Addr.page_size - off) in
+  Phys_mem.blit_in t.mem data pos (ma lsr Addr.page_shift) off chunk;
+  if pos + chunk < stop then
+    write_pages t ~ring ~cr3 (Int64.add va (Int64.of_int chunk)) data (pos + chunk) stop
+
+let read_into t ~ring ~cr3 va buf pos len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then invalid_arg "Cpu.read_into";
+  charge_mem t;
+  match if len > 0 then read_pages t ~ring ~cr3 va buf pos (pos + len) with
+  | () -> Ok ()
+  | exception Fault f -> Error f
 
 let read_bytes t ~ring ~cr3 va len =
-  charge_mem t;
-  read_pages t ~ring ~cr3 va (Bytes.create len) 0
+  let buf = Bytes.create len in
+  match read_into t ~ring ~cr3 va buf 0 len with Ok () -> Ok buf | Error _ as e -> e
 
 let write_bytes t ~ring ~cr3 va data =
   charge_mem t;
-  write_pages t ~ring ~cr3 va data 0
+  let len = Bytes.length data in
+  match if len > 0 then write_pages t ~ring ~cr3 va data 0 len with
+  | () -> Ok ()
+  | exception Fault f -> Error f
 
 type exception_outcome =
   | Handled of { vector : int; handler : Addr.vaddr; handler_label : string }

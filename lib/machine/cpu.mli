@@ -51,19 +51,29 @@ val tlb_flush_all : t -> unit
 val tlb_invlpg : t -> cr3:Addr.mfn -> Addr.vaddr -> unit
 val tlb_stats : t -> Paging.Tlb.stats
 
-(** {1 Memory access} *)
+(** {1 Memory access}
+
+    Each access resolves its address once to an immediate-int machine
+    address — through the direct map for [Hyp], through the TLB and the
+    layout filter otherwise — and moves bytes by (frame, offset). A
+    range crossing a page boundary translates page by page and succeeds
+    only when every page does. Every access charges one [Guest_mem_op]
+    on the machine's virtual clock. *)
 
 type 'a access_result = ('a, Paging.fault) result
 
 val read_u64 : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> int64 access_result
 val write_u64 : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> int64 -> unit access_result
 val read_bytes : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> int -> bytes access_result
-val write_bytes : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> bytes -> unit access_result
 
-val resolve :
-  t -> ring:ring -> cr3:Addr.mfn -> kind:Paging.access_kind -> Addr.vaddr ->
-  Addr.maddr access_result
-(** Translation only, no data transfer. *)
+val read_into :
+  t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> bytes -> int -> int -> unit access_result
+(** [read_into t ~ring ~cr3 va buf pos len] is {!read_bytes} into
+    [buf] at [pos]: the same translations, faults and charge, with no
+    buffer allocated. Raises [Invalid_argument] when the range is not
+    within [buf]. *)
+
+val write_bytes : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> bytes -> unit access_result
 
 (** {1 Exceptions} *)
 

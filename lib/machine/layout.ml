@@ -29,8 +29,7 @@ let guest_kernel_base = Addr.l4_slot_base guest_kernel_slot
    every guest access asks, so it must not allocate. *)
 let linear_pt_slot_offset = Int64.to_int (Int64.sub linear_pt_base m2p_base)
 
-let region_of_vaddr va =
-  let vi = Int64.to_int va in
+let region_of_bits vi =
   let slot = (vi lsr 39) land 0x1ff in
   if vi land 0x8000_0000_0000 = 0 then Guest_low
   else if slot = m2p_slot then
@@ -39,6 +38,8 @@ let region_of_vaddr va =
   else if slot >= 260 && slot <= 261 then Xen_private
   else if slot >= directmap_slot && slot <= directmap_end_slot then Direct_map
   else Guest_kernel
+
+let region_of_vaddr va = region_of_bits (Int64.to_int va)
 
 let region_name = function
   | Guest_low -> "guest-low"
@@ -49,12 +50,13 @@ let region_name = function
   | Direct_map -> "direct-map"
   | Guest_kernel -> "guest-kernel"
 
-let guest_access ~hardened va =
-  match region_of_vaddr va with
+let region_access ~hardened = function
   | Guest_low | Guest_kernel -> Read_write
   | M2p -> Read_only
   | Linear_pt | Xen_extra -> if hardened then No_access else Read_write
   | Xen_private | Direct_map -> No_access
+
+let guest_access ~hardened va = region_access ~hardened (region_of_vaddr va)
 
 let hypervisor_access va =
   match region_of_vaddr va with

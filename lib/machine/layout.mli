@@ -26,11 +26,19 @@ type region =
 
 val region_of_vaddr : Addr.vaddr -> region
 
+val region_of_bits : int -> region
+(** {!region_of_vaddr} of an address held in an int: only bits 0..47
+    are read, so the address need not be canonical. *)
+
 val region_name : region -> string
 
 val guest_access : hardened:bool -> Addr.vaddr -> access
 (** Strongest access a guest-privilege memory reference may perform at
     this address, before the page walk is even consulted. *)
+
+val region_access : hardened:bool -> region -> access
+(** The strongest guest access anywhere in a region:
+    [guest_access ~hardened va = region_access ~hardened (region_of_vaddr va)]. *)
 
 val hypervisor_access : Addr.vaddr -> access
 

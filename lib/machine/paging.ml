@@ -22,7 +22,7 @@ type translation = {
 }
 
 type leaf = {
-  page_maddr : Addr.maddr;
+  l_mfn : Addr.mfn;
   l_writable : bool;
   l_user : bool;
   l_executable : bool;
@@ -30,7 +30,7 @@ type leaf = {
   l_gen : int;
 }
 
-let leaf_maddr l va = Int64.add l.page_maddr (Int64.of_int (Addr.page_offset va))
+let leaf_maddr l va = Int64.add (Addr.maddr_of_mfn l.l_mfn) (Int64.of_int (Addr.page_offset va))
 
 (* PTE frame number field: bits 12..51, as [Pte.mfn] decodes it. *)
 let mfn_bits = (1 lsl 40) - 1
@@ -49,7 +49,7 @@ let leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx =
     charge_steps tracer level
       (Ok
          {
-           page_maddr = Addr.maddr_of_mfn mfn;
+           l_mfn = mfn;
            l_writable = rw;
            l_user = us;
            l_executable = not nx;
@@ -64,14 +64,17 @@ let leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx =
    0..62, which carry every index and the page offset. *)
 let rec descend mem ~sink ~tracer vi level table_mfn ~rw ~us ~nx =
   let index = (vi lsr (Addr.page_shift + (9 * (level - 1)))) land 0x1ff in
-  let raw = Bytes.get_int64_le (Phys_mem.pt_frame mem table_mfn ~index :> bytes) (8 * index) in
-  (match sink with None -> () | Some f -> f { level; table_mfn; index; entry = raw });
-  let bits = Int64.to_int raw in
+  let frame = (Phys_mem.pt_frame mem table_mfn ~index :> bytes) in
+  (* the entry is decoded unboxed; only a sink sees it as an int64 *)
+  (match sink with
+  | None -> ()
+  | Some f -> f { level; table_mfn; index; entry = Bytes.get_int64_le frame (8 * index) });
+  let bits = Int64.to_int (Bytes.get_int64_le frame (8 * index)) in
   if bits land 1 = 0 then charge_steps tracer level (Error (Not_present level))
   else
     let rw = rw && bits land 0x2 <> 0 in
     let us = us && bits land 0x4 <> 0 in
-    let nx = nx || raw < 0L (* NX is bit 63 *) in
+    let nx = nx || Bytes.get_int64_le frame (8 * index) < 0L (* NX is bit 63 *) in
     let mfn = (bits lsr Addr.page_shift) land mfn_bits in
     if level = 1 then
       (* a forged leaf can point anywhere; outside installed RAM the
@@ -151,7 +154,7 @@ module Tlb = struct
   type stats = { hits : int; misses : int; flushes : int; invlpgs : int }
 
   type t = {
-    entries : leaf Entries.t;
+    entries : (leaf, fault_reason) result Entries.t;  (* only [Ok] walks *)
     capacity : int;
     mutable hits : int;
     mutable misses : int;
@@ -205,32 +208,25 @@ module Tlb = struct
   let size t = Entries.length t.entries
 end
 
+(* A hit returns the stored walk result itself, so it allocates only
+   [find_opt]'s option; a miss raises nothing ([find_opt], not [find]:
+   raising [Not_found] on every miss costs more than that option). *)
 let walk_cached tlb mem ~cr3 va =
   let key = Tlb.key ~cr3 va in
-  (* [find_opt], not [find]: a miss raising [Not_found] costs more than
-     the [Some] a hit allocates *)
   match Tlb.Entries.find_opt tlb.Tlb.entries key with
-  | Some l when l.l_gen = Phys_mem.generation mem ->
+  | Some (Ok l as hit) when l.l_gen = Phys_mem.generation mem ->
       tlb.Tlb.hits <- tlb.Tlb.hits + 1;
       (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_hit);
-      Ok l
+      hit
   | Some _ | None -> (
       tlb.Tlb.misses <- tlb.Tlb.misses + 1;
       (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_miss);
       match walk_leaf ?tracer:tlb.Tlb.tracer mem ~cr3 va with
       | Error _ as e -> e (* faults are never cached, like real hardware *)
-      | Ok l as ok ->
+      | Ok _ as ok ->
           if Tlb.Entries.length tlb.Tlb.entries >= tlb.Tlb.capacity then Tlb.flush_all tlb;
-          Tlb.Entries.replace tlb.Tlb.entries key l;
+          Tlb.Entries.replace tlb.Tlb.entries key ok;
           ok)
-
-let translate_cached tlb mem ~cr3 ~kind ~user va =
-  if not (Addr.is_canonical va) then fault va kind Non_canonical
-  else
-    match walk_cached tlb mem ~cr3 va with
-    | Error reason -> fault va kind reason
-    | Ok l -> (
-        match leaf_denied ~kind ~user l with None -> Ok l | Some reason -> fault va kind reason)
 
 let pp_fault_reason ppf = function
   | Not_present level -> Format.fprintf ppf "not-present at L%d" level

@@ -43,7 +43,7 @@ type translation = {
     address falls in plus the permission bits accumulated along the way.
     A [translation] without its byte offset and path. *)
 type leaf = {
-  page_maddr : Addr.maddr;  (** machine address of byte 0 of the 4 KiB page *)
+  l_mfn : Addr.mfn;  (** the 4 KiB frame the address falls in *)
   l_writable : bool;
   l_user : bool;
   l_executable : bool;
@@ -53,6 +53,11 @@ type leaf = {
 
 val leaf_maddr : leaf -> Addr.vaddr -> Addr.maddr
 (** The machine address of [va]'s byte within the leaf's page. *)
+
+val leaf_denied : kind:access_kind -> user:bool -> leaf -> fault_reason option
+(** The permission check {!translate} runs on a leaf: [Some] the fault
+    an access of [kind] (at guest privilege when [user]) takes, [None]
+    when it may proceed. *)
 
 val walk :
   Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (translation, fault_reason) result
@@ -125,15 +130,7 @@ end
 val walk_cached :
   Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (leaf, fault_reason) result
 (** {!walk} through the cache, returning the cached leaf. Faults are
-    never cached. *)
-
-val translate_cached :
-  Tlb.t ->
-  Phys_mem.t ->
-  cr3:Addr.mfn ->
-  kind:access_kind ->
-  user:bool ->
-  Addr.vaddr ->
-  (leaf, fault) result
-(** {!translate} through the cache. Permission checks always rerun on
-    the cached bits, so a hit faults exactly when a fresh walk would. *)
+    never cached. A hit returns the stored result, allocation-free but
+    for the table's option; permission checks are the caller's, with
+    {!leaf_denied} on the cached bits, so a hit faults exactly when a
+    fresh {!translate} would. *)

@@ -399,6 +399,38 @@ let frames_owned_by t o =
   done;
   !acc
 
+(* --- access by (frame, offset) ------------------------------------------
+   The CPU's path: it resolves a guest address to a frame and an offset
+   once, then moves bytes with no machine address in between. Every
+   access must lie within its frame; one that does not raises
+   [Bad_maddr] at its machine address. *)
+
+let check_span t mfn off len =
+  if not (is_valid_mfn t mfn) || off < 0 || off + len > Addr.page_size then
+    raise (Bad_maddr (Int64.add (Addr.maddr_of_mfn mfn) (Int64.of_int off)))
+
+let get_u64 t mfn off =
+  check_span t mfn off 8;
+  Frame.get_u64 t.frames.(mfn) off
+
+let set_u64 t mfn off v =
+  check_span t mfn off 8;
+  mark_written t mfn;
+  Frame.set_u64 t.frames.(mfn) off v;
+  match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:8
+
+let blit_out t mfn off buf pos len =
+  check_span t mfn off len;
+  Frame.blit_to_bytes t.frames.(mfn) off buf pos len
+
+let blit_in t buf pos mfn off len =
+  check_span t mfn off len;
+  mark_written t mfn;
+  Frame.blit_from_bytes buf pos t.frames.(mfn) off len;
+  match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len
+
+(* --- access by machine address ----------------------------------------- *)
+
 (* A scalar access must lie in one valid frame; returns its number. *)
 let span_mfn t ma len =
   let mfn = Addr.mfn_of_maddr ma in
@@ -417,12 +449,7 @@ let write_u8 t ma v =
 (* 64-bit accesses are required to be contained in one frame, as natural
    alignment guarantees on real hardware. *)
 let read_u64 t ma = Frame.get_u64 t.frames.(span_mfn t ma 8) (Addr.page_offset ma)
-
-let write_u64 t ma v =
-  let mfn = span_mfn t ma 8 and off = Addr.page_offset ma in
-  mark_written t mfn;
-  Frame.set_u64 t.frames.(mfn) off v;
-  match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:8
+let write_u64 t ma v = set_u64 t (span_mfn t ma 8) (Addr.page_offset ma) v
 
 (* --- bulk transfers ---------------------------------------------------
    Blit frame-sized chunks instead of going byte by byte; a range that
@@ -436,7 +463,7 @@ let read_into t ma buf pos len =
       if not (is_valid_mfn t mfn) then raise (Bad_maddr ma);
       let off = Addr.page_offset ma in
       let chunk = min len (Addr.page_size - off) in
-      Frame.blit_to_bytes t.frames.(mfn) off buf pos chunk;
+      blit_out t mfn off buf pos chunk;
       go (Int64.add ma (Int64.of_int chunk)) (pos + chunk) (len - chunk)
     end
   in
@@ -449,11 +476,7 @@ let write_from t ma buf pos len =
       if not (is_valid_mfn t mfn) then raise (Bad_maddr ma);
       let off = Addr.page_offset ma in
       let chunk = min len (Addr.page_size - off) in
-      mark_written t mfn;
-      Frame.blit_from_bytes buf pos t.frames.(mfn) off chunk;
-      (match t.prov with
-      | None -> ()
-      | Some p -> Provenance.taint p ~mfn ~off ~len:chunk);
+      blit_in t buf pos mfn off chunk;
       go (Int64.add ma (Int64.of_int chunk)) (pos + chunk) (len - chunk)
     end
   in

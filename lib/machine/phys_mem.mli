@@ -131,6 +131,25 @@ val shared_frames : t -> int
 (** Frames still physically shared with the fork's template (equals
     [total_frames] right after {!fork}, 0 for non-forked memories). *)
 
+(** {1 Access by frame and offset}
+
+    The CPU's access path: it resolves a guest address to a frame and an
+    offset once, then moves bytes with no machine address in between.
+    Each access must lie within frame [mfn] ([0 <= off], [off + len <=
+    page_size]); one that does not raises [Bad_maddr] at its machine
+    address. Writes dirty and taint exactly as the machine-address
+    writes below do. *)
+
+val get_u64 : t -> Addr.mfn -> int -> int64
+val set_u64 : t -> Addr.mfn -> int -> int64 -> unit
+
+val blit_out : t -> Addr.mfn -> int -> bytes -> int -> int -> unit
+(** [blit_out t mfn off buf pos len] copies [len] frame bytes from [off]
+    into [buf] at [pos]. *)
+
+val blit_in : t -> bytes -> int -> Addr.mfn -> int -> int -> unit
+(** [blit_in t buf pos mfn off len]: the store counterpart. *)
+
 (** {1 Byte access by machine address}
 
     These primitives cross frame boundaries transparently. *)

@@ -1,39 +1,93 @@
+(* A growable int buffer, reused by every scan of one memo. *)
+type buf = { mutable a : int array; mutable n : int }
+
+let push b m =
+  if b.n = Array.length b.a then begin
+    let a = Array.make (2 * b.n) 0 in
+    Array.blit b.a 0 a 0 b.n;
+    b.a <- a
+  end;
+  Array.unsafe_set b.a b.n m;
+  b.n <- b.n + 1
+
+type deps = { reads : buf; types : buf }
+
+let note_read d m = push d.reads m
+let note_type d m = push d.types m
+
 type 'a entry = {
   root : int;
-  deps : Addr.mfn array;  (* every frame the scan read *)
+  reads : Addr.mfn array;  (* frames whose bytes the scan read *)
+  types : Addr.mfn array;  (* frames whose type state the scan consulted *)
   value : 'a;
 }
 
 type 'a t = {
   entries : (int, 'a entry) Hashtbl.t;
-  mutable anchor : (int * int) option;  (* baseline epoch, extra generation *)
+  mutable epoch : int;  (* the baseline epoch anchored at; -1 before the first use *)
+  deps : deps;
 }
 
-let create () = { entries = Hashtbl.create 8; anchor = None }
+let make epoch =
+  {
+    entries = Hashtbl.create 8;
+    epoch;
+    deps = { reads = { a = Array.make 64 0; n = 0 }; types = { a = Array.make 256 0; n = 0 } };
+  }
 
-let anchored ?(gen = 0) mem =
-  { entries = Hashtbl.create 8; anchor = Some (Phys_mem.baseline_epoch mem, gen) }
+let create () = make (-1)
+let anchored mem = make (Phys_mem.baseline_epoch mem)
 
-let usable t mem ?(gen = 0) () =
+let usable t mem =
   Phys_mem.provenance mem = None
   &&
   let e = Phys_mem.baseline_epoch mem in
-  match t.anchor with
-  | Some (ae, ag) when ae = e && ag = gen -> true
-  | Some (ae, ag) when ae = e && gen > ag -> false
-  | _ ->
-      Hashtbl.reset t.entries;
-      t.anchor <- Some (e, gen);
-      true
+  if t.epoch <> e then begin
+    Hashtbl.reset t.entries;
+    t.epoch <- e
+  end;
+  true
 
-let clean mem deps = Array.for_all (fun m -> not (Phys_mem.is_dirty mem m)) deps
+(* The one validity rule: no frame read is dirty and no frame consulted
+   is type-touched since the baseline. An empty dirty list (every
+   snapshot straight after a reset) and an absent [touched] answer
+   without looking at the sets. *)
+let rec none_dirty mem a n i = i >= n || ((not (Phys_mem.is_dirty mem a.(i))) && none_dirty mem a n (i + 1))
+let rec none_touched f a n i = i >= n || ((not (f a.(i))) && none_touched f a n (i + 1))
 
-let get t mem ~key ~root scan =
+let holds mem touched ~reads ~nreads ~types ~ntypes =
+  (match Phys_mem.dirty_list mem with [] -> true | _ :: _ -> none_dirty mem reads nreads 0)
+  && match touched with None -> true | Some f -> none_touched f types ntypes 0
+
+(* Sorted and deduplicated: a frame is read or consulted many times in
+   one scan (the Xen tables every domain maps, a frame mapped twice). *)
+let compact b =
+  let a = Array.sub b.a 0 b.n in
+  Array.sort Int.compare a;
+  let n = ref 0 in
+  Array.iteri
+    (fun i m ->
+      if i = 0 || m <> a.(i - 1) then begin
+        a.(!n) <- m;
+        incr n
+      end)
+    a;
+  Array.sub a 0 !n
+
+let get t mem ?touched ~key ~root scan =
   match Hashtbl.find_opt t.entries key with
-  | Some e when e.root = root && clean mem e.deps -> e.value
-  | _ ->
-      let read = ref [] in
-      let value = scan (fun m -> read := m :: !read) in
-      let deps = Array.of_list !read in
-      if clean mem deps then Hashtbl.replace t.entries key { root; deps; value };
+  | Some e
+    when e.root = root
+         && holds mem touched ~reads:e.reads ~nreads:(Array.length e.reads) ~types:e.types
+              ~ntypes:(Array.length e.types) ->
+      e.value
+  | Some _ | None ->
+      let d = t.deps in
+      d.reads.n <- 0;
+      d.types.n <- 0;
+      let value = scan d in
+      if holds mem touched ~reads:d.reads.a ~nreads:d.reads.n ~types:d.types.a ~ntypes:d.types.n
+      then
+        Hashtbl.replace t.entries key
+          { root; reads = compact d.reads; types = compact d.types; value };
       value

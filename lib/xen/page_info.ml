@@ -11,13 +11,9 @@ type info = {
 
 type t = {
   infos : info array;
-  (* Bumped on every type/ownership mutation (see [touch]); monitors use
-     it to tell whether cached type-dependent scans are still valid.
-     [restore] puts it back to the checkpointed value — sound because
-     the whole array returns to exactly that state. *)
-  mutable gen : int;
-  (* frames mutated since the last [checkpoint], so [restore] replays
-     O(touched) entries instead of the whole array *)
+  (* frames mutated since the last [checkpoint] or [restore], so
+     [restore] replays O(touched) entries instead of the whole array,
+     and scans cached at the checkpoint know which infos moved *)
   touched : Bytes.t;
   mutable touched_list : int list;
 }
@@ -26,10 +22,13 @@ let fresh () =
   { owner = Phys_mem.Free; ptype = PGT_none; type_count = 0; ref_count = 0;
     validated = false; pinned = false }
 
+let copy i =
+  { owner = i.owner; ptype = i.ptype; type_count = i.type_count; ref_count = i.ref_count;
+    validated = i.validated; pinned = i.pinned }
+
 let create ~frames =
   {
     infos = Array.init frames (fun _ -> fresh ());
-    gen = 0;
     touched = Bytes.make frames '\000';
     touched_list = [];
   }
@@ -38,17 +37,14 @@ let get t mfn =
   if mfn < 0 || mfn >= Array.length t.infos then invalid_arg "Page_info.get: bad mfn";
   t.infos.(mfn)
 
-let generation t = t.gen
-
-let mark t mfn =
+let touch t mfn =
   if Bytes.unsafe_get t.touched mfn = '\000' then begin
     Bytes.unsafe_set t.touched mfn '\001';
     t.touched_list <- mfn :: t.touched_list
   end
 
-let touch t mfn =
-  t.gen <- t.gen + 1;
-  mark t mfn
+let touched t mfn = mfn >= 0 && mfn < Bytes.length t.touched && Bytes.unsafe_get t.touched mfn = '\001'
+let any_touched t = t.touched_list <> []
 
 let table_level = function
   | PGT_l1 -> Some 1
@@ -84,13 +80,13 @@ let ptype_to_string = function
 
 let get_page t mfn =
   let i = get t mfn in
-  mark t mfn;
+  touch t mfn;
   i.ref_count <- i.ref_count + 1
 
 let put_page t mfn =
   let i = get t mfn in
   if i.ref_count <= 0 then invalid_arg "Page_info.put_page: refcount underflow";
-  mark t mfn;
+  touch t mfn;
   i.ref_count <- i.ref_count - 1
 
 let get_page_type t mfn ptype =
@@ -117,35 +113,27 @@ let put_page_type t mfn =
     i.pinned <- false)
 
 let set_validated t mfn v =
-  mark t mfn;
+  touch t mfn;
   (get t mfn).validated <- v
 
-type checkpoint = { ck_infos : info array; ck_gen : int }
+type checkpoint = info array
 
 let checkpoint t =
   (* also resets the touched set: from here on it records divergence
      from exactly this checkpoint, which is what [restore] replays *)
   List.iter (fun mfn -> Bytes.set t.touched mfn '\000') t.touched_list;
   t.touched_list <- [];
-  {
-    ck_infos =
-      Array.map
-        (fun i ->
-          { owner = i.owner; ptype = i.ptype; type_count = i.type_count;
-            ref_count = i.ref_count; validated = i.validated; pinned = i.pinned })
-        t.infos;
-    ck_gen = t.gen;
-  }
+  Array.map copy t.infos
 
 (* Restore by field assignment: existing [info] records stay aliased
    from wherever they are held. *)
 let restore t ck =
-  if Array.length ck.ck_infos <> Array.length t.infos then
+  if Array.length ck <> Array.length t.infos then
     invalid_arg "Page_info.restore: size mismatch";
   (* only frames mutated since [checkpoint] can differ *)
   List.iter
     (fun mfn ->
-      let s = ck.ck_infos.(mfn) in
+      let s = ck.(mfn) in
       let i = t.infos.(mfn) in
       i.owner <- s.owner;
       i.ptype <- s.ptype;
@@ -155,26 +143,13 @@ let restore t ck =
       i.pinned <- s.pinned;
       Bytes.set t.touched mfn '\000')
     t.touched_list;
-  t.touched_list <- [];
-  (* state is back to exactly the checkpointed one, so the generation
-     returns too: equal generations mean equal type state *)
-  t.gen <- ck.ck_gen
+  t.touched_list <- []
 
 (* A full instance built from a checkpoint — the forked-testbed path,
    where [restore] does not apply (a fresh [create] has an empty touched
    set, so replaying it would copy nothing). *)
 let of_checkpoint ck =
-  {
-    infos =
-      Array.map
-        (fun i ->
-          { owner = i.owner; ptype = i.ptype; type_count = i.type_count;
-            ref_count = i.ref_count; validated = i.validated; pinned = i.pinned })
-        ck.ck_infos;
-    gen = ck.ck_gen;
-    touched = Bytes.make (Array.length ck.ck_infos) '\000';
-    touched_list = [];
-  }
+  { infos = Array.map copy ck; touched = Bytes.make (Array.length ck) '\000'; touched_list = [] }
 
 let counts_consistent t =
   Array.for_all

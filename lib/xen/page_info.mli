@@ -62,19 +62,22 @@ val counts_consistent : t -> bool
 (** Every frame has non-negative counts and [type_count = 0] implies no
     pin — the invariant checked by property tests. *)
 
-(** {1 Type-state generation} *)
-
-val generation : t -> int
-(** Monotonic counter over type/ownership mutations. Two equal readings
-    (with no {!restore} in between going to a {e different} state) mean
-    the type state monitors depend on has not changed — the validity
-    test for cached page-table scans. *)
+(** {1 Changes since the checkpoint} *)
 
 val touch : t -> Addr.mfn -> unit
 (** Record an out-of-band mutation of [mfn]'s info. Call sites that
     assign [info] fields directly (allocation, release, promotion) must
-    call this so {!generation} stays honest and {!restore} knows to
-    replay the frame. *)
+    call this so {!restore} knows to replay the frame and {!touched}
+    reports it. Every mutator above calls it too. *)
+
+val touched : t -> Addr.mfn -> bool
+(** Whether [mfn]'s info may have changed since the last {!checkpoint}
+    or {!restore}, in O(1): false means it certainly equals the
+    checkpointed info — the validity test for cached scans that
+    consulted it. False for an mfn outside the table. *)
+
+val any_touched : t -> bool
+(** Whether any frame is {!touched}, in O(1). *)
 
 (** {1 Checkpointing} *)
 

@@ -53,6 +53,17 @@ let walk_view = function
           tr.Paging.superpage )
   | Error e -> Error e
 
+(* [Paging.translate] through the TLB: the cached leaf under the
+   permission check the CPU runs on it. *)
+let translate_cached tlb mem ~cr3 ~kind ~user va =
+  let fault reason = Error { Paging.fault_vaddr = va; fault_kind = kind; reason } in
+  if not (Addr.is_canonical va) then fault Paging.Non_canonical
+  else
+    match Paging.walk_cached tlb mem ~cr3 va with
+    | Error reason -> fault reason
+    | Ok l -> (
+        match Paging.leaf_denied ~kind ~user l with None -> Ok l | Some reason -> fault reason)
+
 (* Under the architectural contract — every PTE rewrite followed by
    invlpg, plus arbitrary interleaved flushes — a cached walk must be
    indistinguishable from a fresh one, for any operation sequence. *)
@@ -80,7 +91,7 @@ let prop_tlb_transparent_under_invalidation =
               Paging.Tlb.invlpg tlb ~cr3 va
           | _ -> Paging.Tlb.flush_all tlb);
           leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
-          && leaf_view va (Paging.translate_cached tlb mem ~cr3 ~kind:Paging.Write ~user:false va)
+          && leaf_view va (translate_cached tlb mem ~cr3 ~kind:Paging.Write ~user:false va)
              = walk_view (Paging.translate mem ~cr3 ~kind:Paging.Write ~user:false va))
         ops)
 
@@ -164,7 +175,7 @@ let prop_tlb_packed_key =
         leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
         && List.for_all
              (fun (kind, user) ->
-               leaf_view va (Paging.translate_cached tlb mem ~cr3 ~kind ~user va)
+               leaf_view va (translate_cached tlb mem ~cr3 ~kind ~user va)
                = walk_view (Paging.translate mem ~cr3 ~kind ~user va))
              [ (Paging.Read, false); (Paging.Write, true); (Paging.Exec, true) ]
       in
@@ -199,6 +210,144 @@ let test_tlb_unpackable_cr3 () =
     [ 1 lsl 26; (1 lsl 26) + attacker_cr3 tb; -1; max_int ];
   check_bool "largest packable cr3 accepted" false
     (raises (fun () -> Paging.Tlb.invlpg tlb ~cr3:((1 lsl 26) - 1) va))
+
+(* The TLB against a reference model: a plain [Hashtbl] of (cr3, page)
+   entries stamped with the generation they were filled under. A lookup
+   hits only an entry of the current generation; a miss that translates
+   fills, flushing the whole table first when it already holds
+   [capacity] entries (stale ones included); a fault caches nothing.
+   The hand-built machine maps [pages] consecutive pages from VA 0
+   through one L3, one L2 and nine L1s, in two address spaces sharing
+   those tables; pages past the ninth L1 fault at L2. *)
+module Tlb_model = struct
+  let pages = 9 * 512
+
+  type t = {
+    entries : (int * int, int) Hashtbl.t;
+    capacity : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable flushes : int;
+    mutable invlpgs : int;
+  }
+
+  let create capacity =
+    { entries = Hashtbl.create 64; capacity; hits = 0; misses = 0; flushes = 0; invlpgs = 0 }
+
+  let flush m =
+    Hashtbl.reset m.entries;
+    m.flushes <- m.flushes + 1
+
+  let lookup m ~gen ~cr3 page =
+    match Hashtbl.find_opt m.entries (cr3, page) with
+    | Some g when g = gen -> m.hits <- m.hits + 1
+    | Some _ | None ->
+        m.misses <- m.misses + 1;
+        if page < pages then begin
+          if Hashtbl.length m.entries >= m.capacity then flush m;
+          Hashtbl.replace m.entries (cr3, page) gen
+        end
+
+  let invlpg m ~cr3 page =
+    Hashtbl.remove m.entries (cr3, page);
+    m.invlpgs <- m.invlpgs + 1
+
+  let stats m = { Paging.Tlb.hits = m.hits; misses = m.misses; flushes = m.flushes; invlpgs = m.invlpgs }
+
+  (* two L4s over shared L3/L2/L1s, every leaf mapping one data frame;
+     frame [spare] is free, so alloc+free bumps the generation *)
+  let machine () =
+    let mem = Phys_mem.create ~frames:32 in
+    let alloc () = Phys_mem.alloc mem Phys_mem.Xen in
+    let l4a = alloc () and l4b = alloc () and l3 = alloc () and l2 = alloc () in
+    let l1s = List.init 9 (fun _ -> alloc ()) in
+    let data = alloc () in
+    let link table i target =
+      Frame.set_entry (Phys_mem.frame mem table) i
+        (Pte.make ~mfn:target ~flags:[ Pte.Present; Pte.Rw; Pte.User ])
+    in
+    link l4a 0 l3;
+    link l4b 0 l3;
+    link l3 0 l2;
+    List.iteri
+      (fun j l1 ->
+        link l2 j l1;
+        for i = 0 to 511 do
+          link l1 i data
+        done)
+      l1s;
+    (mem, l4a, l4b)
+
+  let va page = Int64.of_int (page * Addr.page_size)
+
+  let bump_generation mem = Phys_mem.free mem (Phys_mem.alloc mem Phys_mem.Xen)
+end
+
+let tlb_agrees tlb tr model =
+  let tm = Ii_trace.Trace.telemetry tr in
+  Paging.Tlb.stats tlb = Tlb_model.stats model
+  && Paging.Tlb.size tlb = Hashtbl.length model.Tlb_model.entries
+  && tm.Ii_trace.Trace.tm_flushes = model.Tlb_model.flushes
+  && tm.Ii_trace.Trace.tm_invlpgs = model.Tlb_model.invlpgs
+
+let prop_tlb_reference_model =
+  QCheck.Test.make ~name:"tlb: counts and contents = reference model" ~count:40
+    QCheck.(
+      pair (int_range 1 24)
+        (list_of_size (Gen.int_range 1 120) (triple (int_bound 9) bool (int_bound 40))))
+    (fun (capacity, ops) ->
+      let mem, l4a, l4b = Tlb_model.machine () in
+      let tlb = Paging.Tlb.create ~capacity () in
+      let tr = Ii_trace.Trace.create () in
+      Paging.Tlb.set_tracer tlb tr;
+      let model = Tlb_model.create capacity in
+      List.for_all
+        (fun (op, b, p) ->
+          let cr3 = if b then l4a else l4b in
+          (* pages 0..35 translate; 36..40 stand in for faults *)
+          let page = if p > 35 then Tlb_model.pages + p else p in
+          let va = Tlb_model.va page in
+          (match op with
+          | 0 ->
+              Paging.Tlb.invlpg tlb ~cr3 va;
+              Tlb_model.invlpg model ~cr3 page
+          | 1 ->
+              Paging.Tlb.flush_all tlb;
+              Tlb_model.flush model
+          | 2 -> Tlb_model.bump_generation mem
+          | _ ->
+              let fresh = walk_view (Paging.walk mem ~cr3 va) in
+              let cached = leaf_view va (Paging.walk_cached tlb mem ~cr3 va) in
+              Tlb_model.lookup model ~gen:(Phys_mem.generation mem) ~cr3 page;
+              if cached <> fresh then QCheck.Test.fail_report "cached walk differs");
+          tlb_agrees tlb tr model)
+        ops)
+
+(* Filling one page past the default capacity flushes exactly once. *)
+let test_tlb_capacity_flush () =
+  let mem, l4a, _ = Tlb_model.machine () in
+  let tlb = Paging.Tlb.create () in
+  let tr = Ii_trace.Trace.create () in
+  Paging.Tlb.set_tracer tlb tr;
+  let model = Tlb_model.create 4096 in
+  let walk page =
+    ignore (Paging.walk_cached tlb mem ~cr3:l4a (Tlb_model.va page));
+    Tlb_model.lookup model ~gen:(Phys_mem.generation mem) ~cr3:l4a page
+  in
+  for page = 0 to 4095 do
+    walk page
+  done;
+  check_int "full, no flush yet" 0 (Paging.Tlb.stats tlb).Paging.Tlb.flushes;
+  check_int "4096 cached pages" 4096 (Paging.Tlb.size tlb);
+  walk 4096;
+  check_int "one page past capacity: one flush" 1 (Paging.Tlb.stats tlb).Paging.Tlb.flushes;
+  check_int "one flush in the telemetry" 1 (Ii_trace.Trace.telemetry tr).Ii_trace.Trace.tm_flushes;
+  check_int "only the new page cached" 1 (Paging.Tlb.size tlb);
+  walk 4096;
+  walk 0;
+  check_bool "hits, misses and flushes = model" true (tlb_agrees tlb tr model);
+  check_bool "the new page hits, an evicted one misses" true
+    (Paging.Tlb.stats tlb = { Paging.Tlb.hits = 1; misses = 4098; flushes = 1; invlpgs = 0 })
 
 (* --- Reset = create ------------------------------------------------------- *)
 
@@ -406,28 +555,49 @@ let test_fork_cache_isolation () =
   check_bool "kvm: the sibling is untouched" true
     (kvm_cached kb = kpristine && kvm_recomputed kb = kpristine)
 
-(* The memo itself: a new baseline epoch drops what the old one cached,
-   and an attached provenance shadow disables the memo outright. *)
+(* The memo itself: a dirty read dependency or a touched type
+   dependency forces a rescan, a change to any other frame does not, a
+   rescan under a broken dependency is not stored, a new baseline epoch
+   drops what the old one cached, and an attached provenance shadow
+   disables the memo outright. *)
 let test_scan_memo_anchor () =
   let mem = Phys_mem.create ~frames:4 in
   Phys_mem.capture_baseline mem;
   let memo = Scan_memo.anchored mem in
-  let scan note =
-    note 1;
+  let scans = ref 0 in
+  let scan deps =
+    incr scans;
+    Scan_memo.note_read deps 1;
+    Scan_memo.note_type deps 2;
     Phys_mem.read_u64 mem (Addr.maddr_of_mfn 1)
   in
-  let get () = Scan_memo.get memo mem ~key:0 ~root:1 scan in
-  check_bool "usable at its baseline" true (Scan_memo.usable memo mem ());
+  let get ?touched () = Scan_memo.get memo mem ?touched ~key:0 ~root:1 scan in
+  let scanned what n = check_int what n !scans in
+  check_bool "usable at its baseline" true (Scan_memo.usable memo mem);
   check_bool "first scan" true (get () = 0L);
+  scanned "first scan ran" 1;
+  ignore (get ());
+  scanned "clean: a hit" 1;
+  Phys_mem.write_u64 mem (Addr.maddr_of_mfn 3) 9L;
+  ignore (get ~touched:(fun m -> m = 3) ());
+  scanned "another frame dirty and touched: a hit" 1;
+  ignore (get ~touched:(fun m -> m = 2) ());
+  scanned "a touched type dependency forces a rescan" 2;
+  ignore (get ());
+  scanned "that rescan was not stored" 2;
   Phys_mem.write_u64 mem (Addr.maddr_of_mfn 1) 7L;
-  check_bool "a dirty dependency forces a rescan" true (get () = 7L);
+  check_bool "a dirty read dependency forces a rescan" true (get () = 7L);
+  scanned "rescanned" 3;
   Phys_mem.capture_baseline mem;
-  check_bool "usable at the new baseline" true (Scan_memo.usable memo mem ());
+  check_bool "usable at the new baseline" true (Scan_memo.usable memo mem);
   check_bool "the new baseline's value" true (get () = 7L);
+  scanned "the new epoch dropped the old entry" 4;
   ignore (Phys_mem.reset_to_baseline mem : int);
-  check_bool "a higher generation is unusable" false (Scan_memo.usable memo mem ~gen:1 ());
+  check_bool "usable after a reset" true (Scan_memo.usable memo mem);
+  ignore (get ());
+  scanned "a hit after the reset" 4;
   Phys_mem.set_provenance mem (Some (Ii_trace.Provenance.create ()));
-  check_bool "provenance bypasses the memo" false (Scan_memo.usable memo mem ())
+  check_bool "provenance bypasses the memo" false (Scan_memo.usable memo mem)
 
 (* --- Warm pools and COW forks --------------------------------------------- *)
 
@@ -1052,20 +1222,30 @@ let test_free_frames_counter () =
 
 (* --- Page_info generation and checkpointing ------------------------------- *)
 
-let test_page_info_generation () =
+(* The touched set: every mutation marks its frame, refcount-only ones
+   included, and a checkpoint or a restore clears it. *)
+let test_page_info_touched () =
   let pages = Page_info.create ~frames:8 in
-  let g0 = Page_info.generation pages in
+  let ck = Page_info.checkpoint pages in
+  check_bool "nothing touched at the checkpoint" false (Page_info.any_touched pages);
   Page_info.get_page pages 3;
-  check_int "plain refcounting does not move the generation" g0 (Page_info.generation pages);
-  (match Page_info.get_page_type pages 3 Page_info.PGT_l1 with
+  check_bool "refcounting touches its frame" true (Page_info.touched pages 3);
+  check_bool "and no other" false (Page_info.touched pages 4);
+  (match Page_info.get_page_type pages 5 Page_info.PGT_l1 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "typing a fresh frame");
-  check_bool "typing bumps the generation" true (Page_info.generation pages > g0)
+  check_bool "typing touches its frame" true (Page_info.touched pages 5);
+  check_bool "outside the table: untouched" false (Page_info.touched pages 8);
+  Page_info.restore pages ck;
+  check_bool "a restore clears the set" false
+    (Page_info.any_touched pages || Page_info.touched pages 3 || Page_info.touched pages 5);
+  Page_info.touch pages 6;
+  ignore (Page_info.checkpoint pages);
+  check_bool "a checkpoint clears the set" false (Page_info.any_touched pages)
 
 let test_page_info_checkpoint_restore () =
   let pages = Page_info.create ~frames:8 in
   let ck = Page_info.checkpoint pages in
-  let g0 = Page_info.generation pages in
   (match Page_info.get_page_type pages 2 Page_info.PGT_l2 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "typing a fresh frame");
@@ -1076,7 +1256,7 @@ let test_page_info_checkpoint_restore () =
   check_int "type count rolled back" 0 (Page_info.get pages 2).Page_info.type_count;
   check_bool "out-of-band write rolled back" true
     ((Page_info.get pages 5).Page_info.ptype = Page_info.PGT_none);
-  check_int "generation rolled back" g0 (Page_info.generation pages);
+  check_bool "touched set cleared" false (Page_info.any_touched pages);
   check_bool "counts consistent" true (Page_info.counts_consistent pages)
 
 let () =
@@ -1087,8 +1267,10 @@ let () =
           Alcotest.test_case "stale without invlpg" `Quick test_stale_tlb_without_invlpg;
           Alcotest.test_case "coherent across reset" `Quick test_tlb_survives_reset;
           Alcotest.test_case "unpackable cr3 rejected" `Quick test_tlb_unpackable_cr3;
+          Alcotest.test_case "capacity overflow flushes once" `Quick test_tlb_capacity_flush;
         ]
-        @ qsuite [ prop_tlb_transparent_under_invalidation; prop_tlb_packed_key ] );
+        @ qsuite [ prop_tlb_transparent_under_invalidation; prop_tlb_packed_key ]
+        @ qsuite_seeded 21 [ prop_tlb_reference_model ] );
       ( "reset",
         [
           Alcotest.test_case "campaign rows: reset = create" `Quick
@@ -1166,7 +1348,7 @@ let () =
         ] );
       ( "page_info",
         [
-          Alcotest.test_case "generation" `Quick test_page_info_generation;
+          Alcotest.test_case "touched set" `Quick test_page_info_touched;
           Alcotest.test_case "checkpoint/restore" `Quick test_page_info_checkpoint_restore;
         ] );
     ]
