@@ -141,20 +141,23 @@ module Tlb = struct
      walk ended at — page frame, accumulated permission bits, superpage
      flag — stamped with the Phys_mem generation it was walked under.
      The key packs cr3 above the 36-bit virtual page number (VA bits
-     12..47, injective on canonical addresses) into one int. *)
-  module Entries = Hashtbl.Make (struct
-    type t = int
+     12..47, injective on canonical addresses) into one int.
 
-    let equal = Int.equal
-
-    (* fold cr3 into the low bits the table indexes by *)
-    let hash k = (k lxor (k lsr 36)) land max_int
-  end)
-
+     The table is open-addressed with linear probing over a power-of-two
+     slot array kept at most half full: a lookup is a few int compares
+     and allocates nothing. A slot is live while its stamp equals the
+     table's epoch, so a flush is one increment; a removal shifts the
+     rest of its probe run back, leaving no tombstones. The slot array
+     starts small and doubles as live entries grow, up to twice the
+     capacity. *)
   type stats = { hits : int; misses : int; flushes : int; invlpgs : int }
 
   type t = {
-    entries : (leaf, fault_reason) result Entries.t;  (* only [Ok] walks *)
+    mutable keys : int array;
+    mutable vals : (leaf, fault_reason) result array;  (* only [Ok] walks *)
+    mutable stamps : int array;
+    mutable epoch : int;
+    mutable size : int;  (* live slots *)
     capacity : int;
     mutable hits : int;
     mutable misses : int;
@@ -163,10 +166,18 @@ module Tlb = struct
     mutable tracer : Trace.t option;
   }
 
+  let vacant = Error Non_canonical
+  let dead = -1 (* a stamp no epoch equals *)
+
   let create ?(capacity = 4096) () =
     if capacity <= 0 then invalid_arg "Paging.Tlb.create: capacity must be positive";
+    let slots = 256 in
     {
-      entries = Entries.create 256;
+      keys = Array.make slots 0;
+      vals = Array.make slots vacant;
+      stamps = Array.make slots dead;
+      epoch = 0;
+      size = 0;
       capacity;
       hits = 0;
       misses = 0;
@@ -186,8 +197,68 @@ module Tlb = struct
       invalid_arg (Printf.sprintf "Paging.Tlb: cr3 %#x outside the packable range" cr3);
     (cr3 lsl vpn_bits) lor ((Int64.to_int va lsr Addr.page_shift) land ((1 lsl vpn_bits) - 1))
 
+  (* fold cr3 into the low bits the slot index takes *)
+  let home t k = (k lxor (k lsr vpn_bits)) land (Array.length t.keys - 1)
+  let live t i = Array.unsafe_get t.stamps i = t.epoch
+
+  (* The slot holding [k], or the vacant slot ending its probe run. *)
+  let rec probe t k i =
+    if live t i && Array.unsafe_get t.keys i <> k then probe t k ((i + 1) land (Array.length t.keys - 1))
+    else i
+
+  let slot t k = probe t k (home t k)
+
+  let found t i k = live t i && Array.unsafe_get t.keys i = k
+
+  let set t i k v =
+    t.keys.(i) <- k;
+    t.vals.(i) <- v;
+    t.stamps.(i) <- t.epoch
+
+  let grow t =
+    let keys = t.keys and vals = t.vals and stamps = t.stamps and epoch = t.epoch in
+    let slots = 2 * Array.length keys in
+    t.keys <- Array.make slots 0;
+    t.vals <- Array.make slots vacant;
+    t.stamps <- Array.make slots dead;
+    Array.iteri (fun i k -> if stamps.(i) = epoch then set t (slot t k) k vals.(i)) keys
+
+  (* Bind [k] to [v], which must be absent or stale. *)
+  let add t k v =
+    let i = slot t k in
+    if found t i k then t.vals.(i) <- v
+    else if 2 * (t.size + 1) > Array.length t.keys then begin
+      grow t;
+      set t (slot t k) k v;
+      t.size <- t.size + 1
+    end
+    else begin
+      set t i k v;
+      t.size <- t.size + 1
+    end
+
+  (* Vacate slot [i] and shift back every later entry of its probe run
+     that may move into the hole (its home is not cyclically within
+     (hole, j]), so no lookup ever stops short of its key. *)
+  let rec shift t hole j =
+    let j = (j + 1) land (Array.length t.keys - 1) in
+    if not (live t j) then t.stamps.(hole) <- dead
+    else
+      let h = home t t.keys.(j) in
+      let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
+      if stays then shift t hole j
+      else begin
+        set t hole t.keys.(j) t.vals.(j);
+        shift t j j
+      end
+
+  let remove_at t i =
+    shift t i i;
+    t.size <- t.size - 1
+
   let flush_all t =
-    if Entries.length t.entries > 0 then Entries.reset t.entries;
+    t.epoch <- t.epoch + 1;
+    t.size <- 0;
     t.flushes <- t.flushes + 1;
     match t.tracer with
     | None -> ()
@@ -196,7 +267,9 @@ module Tlb = struct
         if Trace.recording tr then Trace.emit tr Trace.Tlb_flush_all
 
   let invlpg t ~cr3 va =
-    Entries.remove t.entries (key ~cr3 va);
+    let k = key ~cr3 va in
+    let i = slot t k in
+    if found t i k then remove_at t i;
     t.invlpgs <- t.invlpgs + 1;
     match t.tracer with
     | None -> ()
@@ -205,27 +278,27 @@ module Tlb = struct
         if Trace.recording tr then Trace.emit tr (Trace.Tlb_invlpg { va })
 
   let stats t = { hits = t.hits; misses = t.misses; flushes = t.flushes; invlpgs = t.invlpgs }
-  let size t = Entries.length t.entries
+  let size t = t.size
 end
 
-(* A hit returns the stored walk result itself, so it allocates only
-   [find_opt]'s option; a miss raises nothing ([find_opt], not [find]:
-   raising [Not_found] on every miss costs more than that option). *)
+(* A hit returns the stored walk result itself and allocates nothing; a
+   miss raises nothing. *)
 let walk_cached tlb mem ~cr3 va =
   let key = Tlb.key ~cr3 va in
-  match Tlb.Entries.find_opt tlb.Tlb.entries key with
-  | Some (Ok l as hit) when l.l_gen = Phys_mem.generation mem ->
+  let i = Tlb.slot tlb key in
+  match if Tlb.found tlb i key then tlb.Tlb.vals.(i) else Tlb.vacant with
+  | Ok l as hit when l.l_gen = Phys_mem.generation mem ->
       tlb.Tlb.hits <- tlb.Tlb.hits + 1;
       (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_hit);
       hit
-  | Some _ | None -> (
+  | Ok _ | Error _ -> (
       tlb.Tlb.misses <- tlb.Tlb.misses + 1;
       (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_miss);
       match walk_leaf ?tracer:tlb.Tlb.tracer mem ~cr3 va with
       | Error _ as e -> e (* faults are never cached, like real hardware *)
       | Ok _ as ok ->
-          if Tlb.Entries.length tlb.Tlb.entries >= tlb.Tlb.capacity then Tlb.flush_all tlb;
-          Tlb.Entries.replace tlb.Tlb.entries key ok;
+          if tlb.Tlb.size >= tlb.Tlb.capacity then Tlb.flush_all tlb;
+          Tlb.add tlb key ok;
           ok)
 
 let pp_fault_reason ppf = function
