@@ -291,10 +291,10 @@ let tlb_agrees tlb tr model =
   && tm.Ii_trace.Trace.tm_invlpgs = model.Tlb_model.invlpgs
 
 let prop_tlb_reference_model =
-  QCheck.Test.make ~name:"tlb: counts and contents = reference model" ~count:40
+  QCheck.Test.make ~name:"tlb: counts and contents = reference model" ~count:60
     QCheck.(
-      pair (int_range 1 24)
-        (list_of_size (Gen.int_range 1 120) (triple (int_bound 9) bool (int_bound 40))))
+      pair (int_range 1 48)
+        (list_of_size (Gen.int_range 1 300) (triple (int_bound 99) bool (int_bound 40))))
     (fun (capacity, ops) ->
       let mem, l4a, l4b = Tlb_model.machine () in
       let tlb = Paging.Tlb.create ~capacity () in
@@ -307,19 +307,24 @@ let prop_tlb_reference_model =
           (* pages 0..35 translate; 36..40 stand in for faults *)
           let page = if p > 35 then Tlb_model.pages + p else p in
           let va = Tlb_model.va page in
-          (match op with
-          | 0 ->
-              Paging.Tlb.invlpg tlb ~cr3 va;
-              Tlb_model.invlpg model ~cr3 page
-          | 1 ->
-              Paging.Tlb.flush_all tlb;
-              Tlb_model.flush model
-          | 2 -> Tlb_model.bump_generation mem
-          | _ ->
-              let fresh = walk_view (Paging.walk mem ~cr3 va) in
-              let cached = leaf_view va (Paging.walk_cached tlb mem ~cr3 va) in
-              Tlb_model.lookup model ~gen:(Phys_mem.generation mem) ~cr3 page;
-              if cached <> fresh then QCheck.Test.fail_report "cached walk differs");
+          (* invlpg 25%, flush 2%, generation bump 3%, lookup 70%: the
+             two address spaces' keys share probe runs, which invlpg
+             must leave intact *)
+          (if op < 25 then begin
+             Paging.Tlb.invlpg tlb ~cr3 va;
+             Tlb_model.invlpg model ~cr3 page
+           end
+           else if op < 27 then begin
+             Paging.Tlb.flush_all tlb;
+             Tlb_model.flush model
+           end
+           else if op < 30 then Tlb_model.bump_generation mem
+           else begin
+             let fresh = walk_view (Paging.walk mem ~cr3 va) in
+             let cached = leaf_view va (Paging.walk_cached tlb mem ~cr3 va) in
+             Tlb_model.lookup model ~gen:(Phys_mem.generation mem) ~cr3 page;
+             if cached <> fresh then QCheck.Test.fail_report "cached walk differs"
+           end);
           tlb_agrees tlb tr model)
         ops)
 
@@ -459,10 +464,26 @@ let xen_scan_op (tb : Testbed.t) (kind, (a, b)) =
       (* a root switch that dirties no frame: the domain now walks
          another domain's tables *)
       dom.Domain.l4_mfn <- (Kernel.dom (nth_mod (Testbed.kernels tb) b)).Domain.l4_mfn
+  | 6 ->
+      (* a refcount-only change on a mapped frame: the frame's Page_info
+         is touched while its type stays *)
+      let mfn = populated_mfn dom b in
+      if b land 1 = 0 then Page_info.get_page hv.Hv.pages mfn
+      else if (Page_info.get hv.Hv.pages mfn).Page_info.ref_count > 0 then
+        Page_info.put_page hv.Hv.pages mfn
+  | 7 ->
+      (* a P2M change, the balloon driver's way: unmap a data page, then
+         hand it back through Decrease_reservation *)
+      let k = nth_mod (Testbed.kernels tb) a in
+      let pfn = 3 + (b mod max 1 (Domain.max_pfn dom - 3)) in
+      ignore
+        (Kernel.hypercall k
+           (Hypercall.Update_va_mapping { va = Domain.kernel_vaddr_of_pfn pfn; value = Pte.none }));
+      ignore (Kernel.hypercall k (Hypercall.Decrease_reservation [ pfn ]))
   | _ -> Testbed.tick_all tb
 
 let scan_ops =
-  QCheck.(list_of_size (Gen.int_range 1 20) (pair (int_bound 6) (pair small_nat (int_bound (1 lsl 30)))))
+  QCheck.(list_of_size (Gen.int_range 1 20) (pair (int_bound 8) (pair small_nat (int_bound (1 lsl 30)))))
 
 let prop_xen_testbed_cache =
   QCheck.Test.make ~name:"xen: testbed cache = uncached oracle" ~count:25 scan_ops (fun ops ->
@@ -530,6 +551,48 @@ let prop_kvm_testbed_cache =
              kvm_scan_op t op;
              agree ())
            ops)
+
+(* Every corpus cell on both backends, every configuration, both modes,
+   on long-lived pooled testbeds with 4 domains under the default load
+   (the benchmark's [corpus] shape): after each cell, the cached
+   snapshot equals the uncached oracle. The cells retype, remap,
+   balloon and exchange pages, so every dependency the cache records
+   is exercised by real hypercall paths. *)
+let test_corpus_cache_oracle () =
+  let modes = [ Campaign.Real_exploit; Campaign.Injection ] in
+  List.iter
+    (fun v ->
+      let tb = Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default v in
+      List.iter
+        (fun uc ->
+          List.iter
+            (fun mode ->
+              ignore (Campaign.run ~tb uc mode v);
+              check_bool
+                (Printf.sprintf "xen %s/%s/%s" uc.Campaign.uc_name (Version.to_string v)
+                   (Campaign.mode_to_string mode))
+                true
+                (Substrate_xen.snapshot tb = Monitor.snapshot tb))
+            modes)
+        All.use_cases)
+    Version.all;
+  let module KC = Ii_backends.Backends.Kvm_campaign in
+  List.iter
+    (fun c ->
+      let tb = BK.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default c in
+      List.iter
+        (fun uc ->
+          List.iter
+            (fun mode ->
+              ignore (KC.run ~tb uc mode c);
+              check_bool
+                (Printf.sprintf "kvm %s/%s/%s" uc.KC.uc_name (BK.config_to_string c)
+                   (Campaign.mode_to_string mode))
+                true
+                (kvm_cached tb = kvm_recomputed tb))
+            modes)
+        All.kvm_use_cases)
+    BK.configs
 
 (* Siblings forked from one template each own a cache, and dirtying one
    never shows up in the other's cached snapshots. *)
@@ -683,9 +746,10 @@ let test_pooled_provenance () =
   let pooled = stats (Testbed.create_pooled Version.V4_6) in
   check_bool "provenance on fork = on fresh boot" true (fresh = pooled)
 
-(* Scan-cache anchoring survives the fork: the cache keys on
-   (baseline epoch, page-info generation), both of which the fork
-   copies, so passing a cache never changes a snapshot — across
+(* Scan-cache anchoring survives the fork: the cache anchors on the
+   baseline epoch, which the fork copies, and checks its entries
+   against dirty frames and touched page infos, which the fork starts
+   without, so passing a cache never changes a snapshot — across
    corruption and resets. *)
 let test_fork_scan_cache_anchoring () =
   let tb = Testbed.create_pooled Version.V4_8 in
@@ -1220,7 +1284,7 @@ let test_free_frames_counter () =
   List.iter (Phys_mem.free mem) ms;
   check_int "after freeing" 12 (Phys_mem.free_frames mem)
 
-(* --- Page_info generation and checkpointing ------------------------------- *)
+(* --- Page_info touched set and checkpointing ------------------------------ *)
 
 (* The touched set: every mutation marks its frame, refcount-only ones
    included, and a checkpoint or a restore clears it. *)
@@ -1281,6 +1345,7 @@ let () =
         qsuite [ prop_scan_cache_transparent ]
         @ qsuite_seeded 14 [ prop_xen_testbed_cache; prop_kvm_testbed_cache ]
         @ [
+            Alcotest.test_case "corpus cells = uncached oracle" `Quick test_corpus_cache_oracle;
             Alcotest.test_case "fork isolation" `Quick test_fork_cache_isolation;
             Alcotest.test_case "memo anchor and bypass" `Quick test_scan_memo_anchor;
           ] );

@@ -122,6 +122,72 @@ let test_replay_equivalent () =
         [ Campaign.Real_exploit; Campaign.Injection ])
     All.use_cases
 
+(* The vDSO scan replayed: thousands of guest PTE writes, invlpgs and
+   window reads through the traced accessors, in both modes. The
+   recording is byte-identical run to run, and its replay reaches the
+   recorded final state with the recorded (vts, event) stream. *)
+let test_replay_vdso_scan () =
+  List.iter
+    (fun mode ->
+      let what = "XSA-212-priv/" ^ Campaign.mode_to_string mode in
+      let r = Trace_driver.record (uc "XSA-212-priv") mode Version.V4_6 in
+      let again = Trace_driver.record (uc "XSA-212-priv") mode Version.V4_6 in
+      check_string (what ^ ": byte-identical recordings") r.Trace_driver.rec_bytes
+        again.Trace_driver.rec_bytes;
+      check_int (what ^ ": nothing dropped") 0 r.Trace_driver.rec_dropped;
+      let o = Trace_driver.replay r in
+      check_bool (what ^ ": final state reproduced") true o.Trace_driver.rp_equal;
+      check_bool (what ^ ": vts stream reproduced") true o.Trace_driver.rp_vts_equal;
+      check_bool (what ^ ": the scan was replayed") true (o.Trace_driver.rp_applied > 2048))
+    [ Campaign.Real_exploit; Campaign.Injection ]
+
+(* --- Kernel.read_into = Kernel.read_bytes --------------------------------- *)
+
+(* [read_into] is [read_bytes] into a caller's buffer: over reads within
+   a page, across a page boundary, into unmapped memory, across into
+   unmapped memory, into a layout-denied region and of zero bytes, both
+   return the same bytes or fault, leave the same vclock and record the
+   same boundary events (the trace bytes compare whole). [read_into]
+   writes nothing outside its range. *)
+let test_read_into_equals_read_bytes () =
+  let kva = Domain.kernel_vaddr_of_pfn in
+  let reads =
+    [
+      (kva 5, 45);
+      (Int64.add (kva 5) 4090L, 20);
+      (kva 5000, 8);
+      (Int64.add (kva 95) 4000L, 200);
+      (Layout.linear_pt_base, 45);
+      (kva 6, 0);
+    ]
+  in
+  let run version read =
+    let tb = Ii_guest.Testbed.create version in
+    let k = tb.Ii_guest.Testbed.attacker and tr = tb.Ii_guest.Testbed.hv.Hv.trace in
+    Trace.enable tr;
+    let results = List.map (fun (va, len) -> read k va len) reads in
+    Trace.disable tr;
+    (results, Trace.vts tr, Trace.to_bytes tr)
+  in
+  let read_bytes k va len = Result.map Bytes.to_string (Ii_guest.Kernel.read_bytes k va len) in
+  let read_into k va len =
+    let buf = Bytes.make (len + 6) '?' in
+    let r = Ii_guest.Kernel.read_into k va buf 3 len in
+    check_bool "nothing written outside the range" true
+      (Bytes.sub_string buf 0 3 = "???" && Bytes.sub_string buf (len + 3) 3 = "???");
+    Result.map (fun () -> Bytes.sub_string buf 3 len) r
+  in
+  List.iter
+    (fun version ->
+      let v = Version.to_string version in
+      let b_results, b_vts, b_trace = run version read_bytes in
+      let i_results, i_vts, i_trace = run version read_into in
+      check_bool (v ^ ": same bytes or fault") true (b_results = i_results);
+      check_bool (v ^ ": some read faults") true (List.exists Result.is_error b_results);
+      check_i64 (v ^ ": same vclock") b_vts i_vts;
+      check_string (v ^ ": same boundary events") b_trace i_trace)
+    [ Version.V4_6; Version.V4_13 ]
+
 (* --- tracing must not perturb results ------------------------------------ *)
 
 let strip_row (r : Campaign.result_row) =
@@ -280,7 +346,11 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "same trial, same bytes" `Quick test_record_deterministic ] );
       ( "replay",
-        [ Alcotest.test_case "replay = record, all use cases" `Quick test_replay_equivalent ] );
+        [
+          Alcotest.test_case "replay = record, all use cases" `Quick test_replay_equivalent;
+          Alcotest.test_case "vDSO scan replays byte-identically" `Quick test_replay_vdso_scan;
+          Alcotest.test_case "read_into = read_bytes" `Quick test_read_into_equals_read_bytes;
+        ] );
       ( "telemetry",
         [
           Alcotest.test_case "tracing does not change results" `Quick

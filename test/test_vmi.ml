@@ -300,10 +300,11 @@ let test_matrix_render () =
 
 (* --- monitor scan cache under VMI/campaign interleaving ------------------- *)
 
-(* Satellite: the cross-trial scan cache keys on the dirty list and the
-   type-state generation. VMI scans touch neither (pure reads), a trial
-   injection touches both, and a campaign reset rolls them back — the
-   cache must stay transparent across every interleaving. *)
+(* Satellite: the cross-trial scan cache checks its entries against
+   dirty frames and touched page infos. VMI scans touch neither (pure
+   reads), a trial injection touches both, and a campaign reset rolls
+   them back — the cache must stay transparent across every
+   interleaving. *)
 let test_scan_cache_vmi_interleave () =
   let tb = Testbed.create Version.V4_6 in
   let hv = tb.Testbed.hv in
