@@ -45,9 +45,19 @@ let create ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
   in
   let tr = Trace.create () in
   let ck = Kvm.checkpoint kvm in
-  let scans = Scan_memo.anchored (Kvm.mem kvm) in
   let ck_trace = Trace.mark tr in
-  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_trace; scans }
+  {
+    kvm;
+    tr;
+    victim;
+    bystander;
+    extras;
+    injector_on = false;
+    load;
+    ck;
+    ck_trace;
+    scans = Scan_memo.create ();
+  }
 
 (* The warm pool, mirroring {!Testbed.create_pooled}: one frozen
    template per (frame count, domain count), forked copy-on-write per
@@ -83,7 +93,7 @@ let create_pooled ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock 
     load;
     ck;
     ck_trace = tmpl.ck_trace;
-    scans = Scan_memo.anchored (Kvm.mem kvm);
+    scans = Scan_memo.create ();
   }
 
 let reset t =

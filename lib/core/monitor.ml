@@ -41,12 +41,16 @@ let m2p_mismatch_fresh hv =
     let n = ref 0 in
     Array.iteri
       (fun pfn -> function
-        | Some mfn when Hv.m2p_lookup hv mfn <> Some pfn ->
-            (* the verdict depends on the inconsistent M2P entry *)
-            let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
-            Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off ~len:8;
-            incr n
-        | Some _ | None -> ())
+        | None -> ()
+        | Some mfn -> (
+            match Hv.m2p_lookup hv mfn with
+            | Some p when p = pfn -> ()
+            | Some _ | None ->
+                (* the verdict depends on the inconsistent M2P entry *)
+                let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
+                Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off
+                  ~len:8;
+                incr n))
       dom.Domain.p2m;
     !n
   in

@@ -27,10 +27,6 @@ let reseed_load t =
 
 let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
-(* Every testbed, fresh or forked, gets its own scan cache, anchored at
-   the baseline it was just born at. *)
-let fresh_scan_cache hv = Scan_memo.anchored hv.Hv.mem
-
 let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 2)
     ?(load = Load_mix.none) version =
   if domains < 2 then invalid_arg "Testbed.create: need at least victim + attacker";
@@ -60,7 +56,7 @@ let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 
       load_streams = [];
       remote_host = "xen2";
       checkpoint;
-      scan_cache = fresh_scan_cache hv;
+      scan_cache = Scan_memo.create ();
     }
   in
   reseed_load t;
@@ -95,7 +91,7 @@ let fork ?load template =
       load_streams = [];
       remote_host = template.remote_host;
       checkpoint = template.checkpoint;
-      scan_cache = fresh_scan_cache hv;
+      scan_cache = Scan_memo.create ();
     }
   in
   reseed_load t;

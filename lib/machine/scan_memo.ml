@@ -28,15 +28,12 @@ type 'a t = {
   deps : deps;
 }
 
-let make epoch =
+let create () =
   {
     entries = Hashtbl.create 8;
-    epoch;
+    epoch = -1;
     deps = { reads = { a = Array.make 64 0; n = 0 }; types = { a = Array.make 256 0; n = 0 } };
   }
-
-let create () = make (-1)
-let anchored mem = make (Phys_mem.baseline_epoch mem)
 
 let usable t mem =
   Phys_mem.provenance mem = None

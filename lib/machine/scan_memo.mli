@@ -28,12 +28,9 @@
 type 'a t
 
 val create : unit -> 'a t
-(** An unanchored memo; the first {!usable} call anchors it. *)
-
-val anchored : Phys_mem.t -> 'a t
-(** A memo anchored at the memory's current baseline epoch. Make it
-    while the machine sits at its baseline, as a testbed does at boot
-    and fork. *)
+(** An empty memo; the first {!usable} call anchors it. Entries are
+    checked against the baseline, not against the state the memo was
+    made or first used in, so it may be made and first used anywhere. *)
 
 val usable : 'a t -> Phys_mem.t -> bool
 (** Whether entries may be read and stored now, re-anchoring (and
