@@ -65,11 +65,12 @@ let locate t ~ring ~cr3 ~kind va =
       if not (layout_permits access kind) then
         fault va kind (Paging.Layout_denied (Layout.region_of_vaddr va))
       else
-        match Paging.walk_cached t.tlb t.mem ~cr3 va with
-        | Error reason -> fault va kind reason
-        | Ok leaf -> (
-            match Paging.leaf_denied ~kind ~user:(ring = User) leaf with
-            | None -> (leaf.Paging.l_mfn lsl Addr.page_shift) lor Addr.page_offset va
+        let o = Paging.walk_cached t.tlb t.mem ~cr3 va in
+        match Paging.outcome_fault o with
+        | Some reason -> fault va kind reason
+        | None -> (
+            match Paging.denied ~kind ~user:(ring = User) o with
+            | None -> (Paging.outcome_mfn o lsl Addr.page_shift) lor Addr.page_offset va
             | Some reason -> fault va kind reason))
 
 (* Every architectural memory access costs one [Guest_mem_op] on the

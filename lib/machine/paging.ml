@@ -27,41 +27,74 @@ type leaf = {
   l_user : bool;
   l_executable : bool;
   l_superpage : bool;
-  l_gen : int;
 }
 
 let leaf_maddr l va = Int64.add (Addr.maddr_of_mfn l.l_mfn) (Int64.of_int (Addr.page_offset va))
+
+(* A walk's outcome as an immediate int, which the TLB stores and hands
+   back without allocating. A leaf is its frame number above four bits:
+   writable (bit 0), user (bit 1), executable (bit 2), superpage (bit 3).
+   A fault is negative: [-level] for a not-present entry at [level]
+   (1..4), [-(5 + mfn)] for a leaf frame outside installed RAM. *)
+type outcome = int
+
+let writable_bit = 1
+let user_bit = 2
+let exec_bit = 4
+let superpage_bit = 8
+let outcome_mfn o = o lsr 4
+
+let outcome_fault o =
+  if o >= 0 then None else if o >= -4 then Some (Not_present (-o)) else Some (Bad_physical (-o - 5))
+
+let outcome_leaf o =
+  match outcome_fault o with
+  | Some reason -> Error reason
+  | None ->
+      Ok
+        {
+          l_mfn = outcome_mfn o;
+          l_writable = o land writable_bit <> 0;
+          l_user = o land user_bit <> 0;
+          l_executable = o land exec_bit <> 0;
+          l_superpage = o land superpage_bit <> 0;
+        }
+
+let denied ~kind ~user o =
+  if user && o land user_bit = 0 then Some User_access_to_supervisor
+  else
+    match kind with
+    | Write when o land writable_bit = 0 -> Some Write_to_readonly
+    | Exec when o land exec_bit = 0 -> Some Nx_violation
+    | Read | Write | Exec -> None
 
 (* PTE frame number field: bits 12..51, as [Pte.mfn] decodes it. *)
 let mfn_bits = (1 lsl 40) - 1
 
 (* Every walk charges one [Page_walk_step] per level it decoded: the
    levels 4..[level], including the one it stopped at. *)
-let charge_steps tracer level r =
+let charge_steps tracer level o =
   (match tracer with
   | None -> ()
   | Some tr -> Trace.charge_n tr Vclock.Page_walk_step (5 - level));
-  r
+  o
 
 let leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx =
-  if not (Phys_mem.is_valid_mfn mem mfn) then charge_steps tracer level (Error (Bad_physical mfn))
+  if not (Phys_mem.is_valid_mfn mem mfn) then charge_steps tracer level (-(5 + mfn))
   else
     charge_steps tracer level
-      (Ok
-         {
-           l_mfn = mfn;
-           l_writable = rw;
-           l_user = us;
-           l_executable = not nx;
-           l_superpage = level = 2;
-           l_gen = Phys_mem.generation mem;
-         })
+      ((mfn lsl 4)
+      lor (if rw then writable_bit else 0)
+      lor (if us then user_bit else 0)
+      lor (if nx then 0 else exec_bit)
+      lor if level = 2 then superpage_bit else 0)
 
 (* The one page-table walker. Each level reads its entry straight out of
-   the table frame and tests bits on it, so a walk allocates nothing but
-   its leaf; [sink], when given, sees every decoded step outermost first
-   — the audit path of [walk] and [walk_path]. [vi] holds the VA's bits
-   0..62, which carry every index and the page offset. *)
+   the table frame and tests bits on it, and the outcome is an int, so a
+   walk allocates nothing; [sink], when given, sees every decoded step
+   outermost first — the audit path of [walk] and [walk_path]. [vi]
+   holds the VA's bits 0..62, which carry every index and the page
+   offset. *)
 let rec descend mem ~sink ~tracer vi level table_mfn ~rw ~us ~nx =
   let index = (vi lsr (Addr.page_shift + (9 * (level - 1)))) land 0x1ff in
   let frame = (Phys_mem.pt_frame mem table_mfn ~index :> bytes) in
@@ -70,7 +103,7 @@ let rec descend mem ~sink ~tracer vi level table_mfn ~rw ~us ~nx =
   | None -> ()
   | Some f -> f { level; table_mfn; index; entry = Bytes.get_int64_le frame (8 * index) });
   let bits = Int64.to_int (Bytes.get_int64_le frame (8 * index)) in
-  if bits land 1 = 0 then charge_steps tracer level (Error (Not_present level))
+  if bits land 1 = 0 then charge_steps tracer level (-level)
   else
     let rw = rw && bits land 0x2 <> 0 in
     let us = us && bits land 0x4 <> 0 in
@@ -89,13 +122,13 @@ let rec descend mem ~sink ~tracer vi level table_mfn ~rw ~us ~nx =
       leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx
     else descend mem ~sink ~tracer vi (level - 1) mfn ~rw ~us ~nx
 
-let walk_leaf ?sink ?tracer mem ~cr3 va =
+let walk_outcome ?sink ?tracer mem ~cr3 va =
   descend mem ~sink ~tracer (Int64.to_int va) 4 cr3 ~rw:true ~us:true ~nx:false
 
 let walk_general mem ~cr3 va =
   let path = ref [] in
-  let result = walk_leaf ~sink:(fun s -> path := s :: !path) mem ~cr3 va in
-  (List.rev !path, result)
+  let o = walk_outcome ~sink:(fun s -> path := s :: !path) mem ~cr3 va in
+  (List.rev !path, o)
 
 let translation path va l =
   {
@@ -108,29 +141,21 @@ let translation path va l =
   }
 
 let walk mem ~cr3 va =
-  let path, result = walk_general mem ~cr3 va in
-  Result.map (translation path va) result
+  let path, o = walk_general mem ~cr3 va in
+  Result.map (translation path va) (outcome_leaf o)
 
 let walk_path mem ~cr3 va = fst (walk_general mem ~cr3 va)
-
-let leaf_denied ~kind ~user l =
-  if user && not l.l_user then Some User_access_to_supervisor
-  else
-    match kind with
-    | Write when not l.l_writable -> Some Write_to_readonly
-    | Exec when not l.l_executable -> Some Nx_violation
-    | Read | Write | Exec -> None
 
 let fault va kind reason = Error { fault_vaddr = va; fault_kind = kind; reason }
 
 let translate mem ~cr3 ~kind ~user va =
   if not (Addr.is_canonical va) then fault va kind Non_canonical
   else
-    let path, result = walk_general mem ~cr3 va in
-    match result with
+    let path, o = walk_general mem ~cr3 va in
+    match outcome_leaf o with
     | Error reason -> fault va kind reason
     | Ok l -> (
-        match leaf_denied ~kind ~user l with
+        match denied ~kind ~user o with
         | None -> Ok (translation path va l)
         | Some reason -> fault va kind reason)
 
@@ -143,9 +168,10 @@ module Tlb = struct
      The key packs cr3 above the 36-bit virtual page number (VA bits
      12..47, injective on canonical addresses) into one int.
 
-     The table is open-addressed with linear probing over a power-of-two
-     slot array kept at most half full: a lookup is a few int compares
-     and allocates nothing. A slot is live while its stamp equals the
+     The table is open-addressed with linear probing over power-of-two
+     int arrays kept at most half full, the leaf held as its packed
+     outcome: a lookup is a few int compares, and neither a lookup nor
+     a fill allocates or leaves the GC anything to trace. A slot is live while its stamp equals the
      table's epoch, so a flush is one increment; a removal shifts the
      rest of its probe run back, leaving no tombstones. The slot array
      starts small and doubles as live entries grow, up to twice the
@@ -154,7 +180,8 @@ module Tlb = struct
 
   type t = {
     mutable keys : int array;
-    mutable vals : (leaf, fault_reason) result array;  (* only [Ok] walks *)
+    mutable leaves : outcome array;  (* leaf outcomes only *)
+    mutable gens : int array;  (* the Phys_mem generation each was walked under *)
     mutable stamps : int array;
     mutable epoch : int;
     mutable size : int;  (* live slots *)
@@ -166,7 +193,6 @@ module Tlb = struct
     mutable tracer : Trace.t option;
   }
 
-  let vacant = Error Non_canonical
   let dead = -1 (* a stamp no epoch equals *)
 
   let create ?(capacity = 4096) () =
@@ -174,7 +200,8 @@ module Tlb = struct
     let slots = 256 in
     {
       keys = Array.make slots 0;
-      vals = Array.make slots vacant;
+      leaves = Array.make slots 0;
+      gens = Array.make slots 0;
       stamps = Array.make slots dead;
       epoch = 0;
       size = 0;
@@ -210,30 +237,33 @@ module Tlb = struct
 
   let found t i k = live t i && Array.unsafe_get t.keys i = k
 
-  let set t i k v =
+  let set t i k leaf gen =
     t.keys.(i) <- k;
-    t.vals.(i) <- v;
+    t.leaves.(i) <- leaf;
+    t.gens.(i) <- gen;
     t.stamps.(i) <- t.epoch
 
   let grow t =
-    let keys = t.keys and vals = t.vals and stamps = t.stamps and epoch = t.epoch in
+    let keys = t.keys and leaves = t.leaves and gens = t.gens in
+    let stamps = t.stamps and epoch = t.epoch in
     let slots = 2 * Array.length keys in
     t.keys <- Array.make slots 0;
-    t.vals <- Array.make slots vacant;
+    t.leaves <- Array.make slots 0;
+    t.gens <- Array.make slots 0;
     t.stamps <- Array.make slots dead;
-    Array.iteri (fun i k -> if stamps.(i) = epoch then set t (slot t k) k vals.(i)) keys
+    Array.iteri (fun i k -> if stamps.(i) = epoch then set t (slot t k) k leaves.(i) gens.(i)) keys
 
-  (* Bind [k] to [v], which must be absent or stale. *)
-  let add t k v =
+  (* Bind [k], absent or stale, to a leaf walked under [gen]. *)
+  let add t k leaf gen =
     let i = slot t k in
-    if found t i k then t.vals.(i) <- v
+    if found t i k then set t i k leaf gen
     else if 2 * (t.size + 1) > Array.length t.keys then begin
       grow t;
-      set t (slot t k) k v;
+      set t (slot t k) k leaf gen;
       t.size <- t.size + 1
     end
     else begin
-      set t i k v;
+      set t i k leaf gen;
       t.size <- t.size + 1
     end
 
@@ -248,7 +278,7 @@ module Tlb = struct
       let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
       if stays then shift t hole j
       else begin
-        set t hole t.keys.(j) t.vals.(j);
+        set t hole t.keys.(j) t.leaves.(j) t.gens.(j);
         shift t j j
       end
 
@@ -281,25 +311,28 @@ module Tlb = struct
   let size t = t.size
 end
 
-(* A hit returns the stored walk result itself and allocates nothing; a
-   miss raises nothing. *)
+(* Neither a hit nor a miss allocates or raises: the cached leaf is an
+   int, and so is the outcome of a fill. *)
 let walk_cached tlb mem ~cr3 va =
   let key = Tlb.key ~cr3 va in
   let i = Tlb.slot tlb key in
-  match if Tlb.found tlb i key then tlb.Tlb.vals.(i) else Tlb.vacant with
-  | Ok l as hit when l.l_gen = Phys_mem.generation mem ->
-      tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-      (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_hit);
-      hit
-  | Ok _ | Error _ -> (
-      tlb.Tlb.misses <- tlb.Tlb.misses + 1;
-      (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_miss);
-      match walk_leaf ?tracer:tlb.Tlb.tracer mem ~cr3 va with
-      | Error _ as e -> e (* faults are never cached, like real hardware *)
-      | Ok _ as ok ->
-          if tlb.Tlb.size >= tlb.Tlb.capacity then Tlb.flush_all tlb;
-          Tlb.add tlb key ok;
-          ok)
+  let gen = Phys_mem.generation mem in
+  if Tlb.found tlb i key && tlb.Tlb.gens.(i) = gen then begin
+    tlb.Tlb.hits <- tlb.Tlb.hits + 1;
+    (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_hit);
+    tlb.Tlb.leaves.(i)
+  end
+  else begin
+    tlb.Tlb.misses <- tlb.Tlb.misses + 1;
+    (match tlb.Tlb.tracer with None -> () | Some tr -> Trace.charge tr Vclock.Tlb_miss);
+    let o = walk_outcome ?tracer:tlb.Tlb.tracer mem ~cr3 va in
+    (* faults are never cached, like real hardware *)
+    if o >= 0 then begin
+      if tlb.Tlb.size >= tlb.Tlb.capacity then Tlb.flush_all tlb;
+      Tlb.add tlb key o gen
+    end;
+    o
+  end
 
 let pp_fault_reason ppf = function
   | Not_present level -> Format.fprintf ppf "not-present at L%d" level

@@ -48,13 +48,27 @@ type leaf = {
   l_user : bool;
   l_executable : bool;
   l_superpage : bool;
-  l_gen : int;  (** {!Phys_mem.generation} the walk was performed under *)
 }
 
 val leaf_maddr : leaf -> Addr.vaddr -> Addr.maddr
 (** The machine address of [va]'s byte within the leaf's page. *)
 
-val leaf_denied : kind:access_kind -> user:bool -> leaf -> fault_reason option
+type outcome = private int
+(** A walk's outcome packed into an immediate int, so the TLB stores
+    and returns it without allocating: a leaf (non-negative) or the
+    fault that stopped the walk (negative). *)
+
+val outcome_fault : outcome -> fault_reason option
+(** [None] for a leaf; the fault ([Not_present] or [Bad_physical])
+    otherwise. *)
+
+val outcome_mfn : outcome -> Addr.mfn
+(** A leaf's frame. *)
+
+val outcome_leaf : outcome -> (leaf, fault_reason) result
+(** The outcome unpacked. *)
+
+val denied : kind:access_kind -> user:bool -> outcome -> fault_reason option
 (** The permission check {!translate} runs on a leaf: [Some] the fault
     an access of [kind] (at guest privilege when [user]) takes, [None]
     when it may proceed. *)
@@ -127,10 +141,8 @@ module Tlb : sig
   val size : t -> int
 end
 
-val walk_cached :
-  Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (leaf, fault_reason) result
-(** {!walk} through the cache, returning the cached leaf. Faults are
-    never cached. A hit returns the stored result, allocation-free but
-    for the table's option; permission checks are the caller's, with
-    {!leaf_denied} on the cached bits, so a hit faults exactly when a
+val walk_cached : Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> outcome
+(** {!walk} through the cache. Faults are never cached. Neither a hit
+    nor a miss allocates or raises. Permission checks are the caller's,
+    with {!denied} on the cached bits, so a hit faults exactly when a
     fresh {!translate} would. *)

@@ -53,16 +53,19 @@ let walk_view = function
           tr.Paging.superpage )
   | Error e -> Error e
 
+(* The cached walk, unpacked. *)
+let walk_cached tlb mem ~cr3 va = Paging.outcome_leaf (Paging.walk_cached tlb mem ~cr3 va)
+
 (* [Paging.translate] through the TLB: the cached leaf under the
    permission check the CPU runs on it. *)
 let translate_cached tlb mem ~cr3 ~kind ~user va =
   let fault reason = Error { Paging.fault_vaddr = va; fault_kind = kind; reason } in
   if not (Addr.is_canonical va) then fault Paging.Non_canonical
   else
-    match Paging.walk_cached tlb mem ~cr3 va with
-    | Error reason -> fault reason
-    | Ok l -> (
-        match Paging.leaf_denied ~kind ~user l with None -> Ok l | Some reason -> fault reason)
+    let o = Paging.walk_cached tlb mem ~cr3 va in
+    match (Paging.outcome_leaf o, Paging.denied ~kind ~user o) with
+    | Error reason, _ | Ok _, Some reason -> fault reason
+    | (Ok _ as leaf), None -> leaf
 
 (* Under the architectural contract — every PTE rewrite followed by
    invlpg, plus arbitrary interleaved flushes — a cached walk must be
@@ -90,7 +93,7 @@ let prop_tlb_transparent_under_invalidation =
               Frame.set_entry frame index e';
               Paging.Tlb.invlpg tlb ~cr3 va
           | _ -> Paging.Tlb.flush_all tlb);
-          leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
+          leaf_view va (walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
           && leaf_view va (translate_cached tlb mem ~cr3 ~kind:Paging.Write ~user:false va)
              = walk_view (Paging.translate mem ~cr3 ~kind:Paging.Write ~user:false va))
         ops)
@@ -104,7 +107,7 @@ let test_stale_tlb_without_invlpg () =
   let cr3 = attacker_cr3 tb in
   let va = Domain.kernel_vaddr_of_pfn 5 in
   let tlb = Paging.Tlb.create () in
-  let cached_before = leaf_view va (Paging.walk_cached tlb mem ~cr3 va) in
+  let cached_before = leaf_view va (walk_cached tlb mem ~cr3 va) in
   let table_mfn, index = l1_slot mem ~cr3 va in
   let frame = Phys_mem.frame mem table_mfn in
   let old = Frame.get_entry frame index in
@@ -117,10 +120,10 @@ let test_stale_tlb_without_invlpg () =
   let fresh = walk_view (Paging.walk mem ~cr3 va) in
   check_bool "fresh walk sees the rewrite" true (fresh <> cached_before);
   check_bool "cached walk is stale" true
-    (leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = cached_before);
+    (leaf_view va (walk_cached tlb mem ~cr3 va) = cached_before);
   Paging.Tlb.flush_all tlb;
   check_bool "flush restores agreement" true
-    (leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = fresh)
+    (leaf_view va (walk_cached tlb mem ~cr3 va) = fresh)
 
 (* Testbed.reset recycles frames (generation bump), so even a TLB that
    saw pre-reset state must agree with fresh walks afterwards with no
@@ -137,7 +140,7 @@ let test_tlb_survives_reset () =
   List.iter
     (fun va ->
       check_bool "post-reset agreement" true
-        (leaf_view va (Paging.walk_cached tlb mem ~cr3:cr3' va)
+        (leaf_view va (walk_cached tlb mem ~cr3:cr3' va)
         = walk_view (Paging.walk mem ~cr3:cr3' va)))
     vas
 
@@ -172,7 +175,7 @@ let prop_tlb_packed_key =
       let vas = List.concat_map (fun spec -> let va = canonical_va spec in [ va; twin va ]) specs in
       let tlb = Paging.Tlb.create () in
       let agrees cr3 va =
-        leaf_view va (Paging.walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
+        leaf_view va (walk_cached tlb mem ~cr3 va) = walk_view (Paging.walk mem ~cr3 va)
         && List.for_all
              (fun (kind, user) ->
                leaf_view va (translate_cached tlb mem ~cr3 ~kind ~user va)
@@ -185,7 +188,7 @@ let prop_tlb_packed_key =
       let invlpg_spares_b va =
         Paging.Tlb.invlpg tlb ~cr3:cr3_a va;
         let h0 = hits () and m0 = misses () in
-        let b_cached = Result.is_ok (Paging.walk_cached tlb mem ~cr3:cr3_b va) in
+        let b_cached = Result.is_ok (walk_cached tlb mem ~cr3:cr3_b va) in
         let b_hit = if b_cached then hits () = h0 + 1 else misses () = m0 + 1 in
         let m1 = misses () in
         ignore (Paging.walk_cached tlb mem ~cr3:cr3_a va);
@@ -321,7 +324,7 @@ let prop_tlb_reference_model =
            else if op < 30 then Tlb_model.bump_generation mem
            else begin
              let fresh = walk_view (Paging.walk mem ~cr3 va) in
-             let cached = leaf_view va (Paging.walk_cached tlb mem ~cr3 va) in
+             let cached = leaf_view va (walk_cached tlb mem ~cr3 va) in
              Tlb_model.lookup model ~gen:(Phys_mem.generation mem) ~cr3 page;
              if cached <> fresh then QCheck.Test.fail_report "cached walk differs"
            end);
