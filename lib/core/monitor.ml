@@ -80,10 +80,7 @@ let typed_pt hv deps mfn =
        (match deps with None -> () | Some d -> Scan_memo.note_type d mfn);
        let info = Page_info.get hv.Hv.pages mfn in
        info.Page_info.type_count > 0
-       &&
-       match info.Page_info.ptype with
-       | Page_info.PGT_l1 | Page_info.PGT_l2 | Page_info.PGT_l3 | Page_info.PGT_l4 -> true
-       | Page_info.PGT_none | Page_info.PGT_writable | Page_info.PGT_seg -> false
+       && match Page_info.table_level info.Page_info.ptype with Some _ -> true | None -> false
      end
 
 (* a flagged mapping is evidence read out of this entry *)

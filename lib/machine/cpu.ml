@@ -48,7 +48,8 @@ let layout_permits access kind =
    accessor that called it: the resolved path returns a bare int. *)
 exception Fault of Paging.fault
 
-let fault va kind reason = raise_notrace (Fault { Paging.fault_vaddr = va; fault_kind = kind; reason })
+let fault va kind reason =
+  raise_notrace (Fault { Paging.fault_vaddr = va; fault_kind = kind; reason })
 
 (* [va]'s machine address as an immediate int. The common canonical
    address is used as given, so resolving allocates nothing beyond the

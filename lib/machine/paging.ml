@@ -230,7 +230,8 @@ module Tlb = struct
 
   (* The slot holding [k], or the vacant slot ending its probe run. *)
   let rec probe t k i =
-    if live t i && Array.unsafe_get t.keys i <> k then probe t k ((i + 1) land (Array.length t.keys - 1))
+    if live t i && Array.unsafe_get t.keys i <> k then
+      probe t k ((i + 1) land (Array.length t.keys - 1))
     else i
 
   let slot t k = probe t k (home t k)

@@ -49,7 +49,9 @@ let usable t mem =
    is type-touched since the baseline. An empty dirty list (every
    snapshot straight after a reset) and an absent [touched] answer
    without looking at the sets. *)
-let rec none_dirty mem a n i = i >= n || ((not (Phys_mem.is_dirty mem a.(i))) && none_dirty mem a n (i + 1))
+let rec none_dirty mem a n i =
+  i >= n || ((not (Phys_mem.is_dirty mem a.(i))) && none_dirty mem a n (i + 1))
+
 let rec none_touched f a n i = i >= n || ((not (f a.(i))) && none_touched f a n (i + 1))
 
 let holds mem touched ~reads ~nreads ~types ~ntypes =
@@ -62,9 +64,9 @@ let compact b =
   let a = Array.sub b.a 0 b.n in
   Array.sort Int.compare a;
   let n = ref 0 in
-  Array.iteri
-    (fun i m ->
-      if i = 0 || m <> a.(i - 1) then begin
+  Array.iter
+    (fun m ->
+      if !n = 0 || m <> a.(!n - 1) then begin
         a.(!n) <- m;
         incr n
       end)

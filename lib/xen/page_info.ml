@@ -43,8 +43,10 @@ let touch t mfn =
     t.touched_list <- mfn :: t.touched_list
   end
 
-let touched t mfn = mfn >= 0 && mfn < Bytes.length t.touched && Bytes.unsafe_get t.touched mfn = '\001'
-let any_touched t = t.touched_list <> []
+let touched t mfn =
+  mfn >= 0 && mfn < Bytes.length t.touched && Bytes.unsafe_get t.touched mfn = '\001'
+
+let any_touched t = match t.touched_list with [] -> false | _ :: _ -> true
 
 let table_level = function
   | PGT_l1 -> Some 1

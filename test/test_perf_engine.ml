@@ -255,7 +255,8 @@ module Tlb_model = struct
     Hashtbl.remove m.entries (cr3, page);
     m.invlpgs <- m.invlpgs + 1
 
-  let stats m = { Paging.Tlb.hits = m.hits; misses = m.misses; flushes = m.flushes; invlpgs = m.invlpgs }
+  let stats m =
+    { Paging.Tlb.hits = m.hits; misses = m.misses; flushes = m.flushes; invlpgs = m.invlpgs }
 
   (* two L4s over shared L3/L2/L1s, every leaf mapping one data frame;
      frame [spare] is free, so alloc+free bumps the generation *)
@@ -486,7 +487,8 @@ let xen_scan_op (tb : Testbed.t) (kind, (a, b)) =
   | _ -> Testbed.tick_all tb
 
 let scan_ops =
-  QCheck.(list_of_size (Gen.int_range 1 20) (pair (int_bound 8) (pair small_nat (int_bound (1 lsl 30)))))
+  QCheck.(
+    list_of_size (Gen.int_range 1 20) (pair (int_bound 8) (pair small_nat (int_bound (1 lsl 30)))))
 
 let prop_xen_testbed_cache =
   QCheck.Test.make ~name:"xen: testbed cache = uncached oracle" ~count:25 scan_ops (fun ops ->
