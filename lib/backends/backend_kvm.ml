@@ -45,19 +45,9 @@ let create ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
   in
   let tr = Trace.create () in
   let ck = Kvm.checkpoint kvm in
+  let scans = Scan_memo.create () in
   let ck_trace = Trace.mark tr in
-  {
-    kvm;
-    tr;
-    victim;
-    bystander;
-    extras;
-    injector_on = false;
-    load;
-    ck;
-    ck_trace;
-    scans = Scan_memo.create ();
-  }
+  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_trace; scans }
 
 (* The warm pool, mirroring {!Testbed.create_pooled}: one frozen
    template per (frame count, domain count), forked copy-on-write per
@@ -301,7 +291,8 @@ let snapshot t =
     else
       Int64.to_int
         (Scan_memo.get t.scans mem ~key:((2 * vm.Kvm.vm_id) + 1) ~root:vm.Kvm.ept_root
-           (fun deps -> Int64.of_int (Kvm.ept_exposure ~note:(Scan_memo.note_read deps) t.kvm vm)))
+           (fun deps ->
+             Int64.of_int (Kvm.ept_exposure ~note:(Scan_memo.note_read deps) t.kvm vm)))
   in
   {
     s_vms =

@@ -52,8 +52,8 @@ let fault va kind reason =
   raise_notrace (Fault { Paging.fault_vaddr = va; fault_kind = kind; reason })
 
 (* [va]'s machine address as an immediate int. The common canonical
-   address is used as given, so resolving allocates nothing beyond the
-   TLB's own lookup. *)
+   address is used as given, so a guest-privilege resolve allocates
+   nothing. *)
 let locate t ~ring ~cr3 ~kind va =
   let va = if Addr.is_canonical va then va else Addr.canonical va in
   match ring with

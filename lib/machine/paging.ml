@@ -169,13 +169,13 @@ module Tlb = struct
      12..47, injective on canonical addresses) into one int.
 
      The table is open-addressed with linear probing over power-of-two
-     int arrays kept at most half full, the leaf held as its packed
+     int arrays kept at most half full, each leaf held as its packed
      outcome: a lookup is a few int compares, and neither a lookup nor
-     a fill allocates or leaves the GC anything to trace. A slot is live while its stamp equals the
-     table's epoch, so a flush is one increment; a removal shifts the
-     rest of its probe run back, leaving no tombstones. The slot array
-     starts small and doubles as live entries grow, up to twice the
-     capacity. *)
+     a fill allocates or leaves the GC anything to trace. A slot is
+     live while its stamp equals the table's epoch, so a flush is one
+     increment; a removal shifts the rest of its probe run back,
+     leaving no tombstones. The arrays start small and double as live
+     entries grow, up to twice the capacity. *)
   type stats = { hits : int; misses : int; flushes : int; invlpgs : int }
 
   type t = {

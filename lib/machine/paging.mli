@@ -101,8 +101,8 @@ val pp_fault_reason : Format.formatter -> fault_reason -> unit
 (** {1 Software TLB}
 
     A walk cache mirroring what the hardware TLB keeps per address
-    space: the {!leaf} — page frame and accumulated permissions — never
-    the walk path. Its key is one int, cr3 packed above the 36-bit
+    space: the leaf a walk ends at, as its packed {!outcome} — page
+    frame and accumulated permissions — never the walk path. Its key is one int, cr3 packed above the 36-bit
     virtual page number (VA bits 12..47, injective on canonical
     addresses). The model is faithful in both directions: a hit equals a
     fresh walk on every field it caches (and auto-invalidates when
