@@ -259,7 +259,8 @@ module Tlb_model = struct
     { Paging.Tlb.hits = m.hits; misses = m.misses; flushes = m.flushes; invlpgs = m.invlpgs }
 
   (* two L4s over shared L3/L2/L1s, every leaf mapping one data frame;
-     frame [spare] is free, so alloc+free bumps the generation *)
+     most frames stay free, so allocating and freeing one bumps the
+     generation *)
   let machine () =
     let mem = Phys_mem.create ~frames:32 in
     let alloc () = Phys_mem.alloc mem Phys_mem.Xen in
