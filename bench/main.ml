@@ -137,18 +137,19 @@ let extensions () =
   print_endline (Ii_devicemodel.Blk_study.render (Ii_devicemodel.Blk_study.matrix ()));
   print_newline ();
   (* the management-interface IM in one paragraph *)
-  let tb = Testbed.create Version.V4_13 in
-  let victim_id = Kernel.domid tb.Testbed.victim in
-  let before = Monitor.snapshot tb in
-  Xenstore.inject_write tb.Testbed.hv.Hv.xenstore
-    (Xenstore.domain_path victim_id "memory/target")
-    "40";
-  Testbed.tick_all tb;
-  let after = Monitor.snapshot tb in
+  let r =
+    Campaign.trial (Testbed.create Version.V4_13) ~name:"xenstore-tamper" Campaign.Injection
+      Version.V4_13 (fun tb ->
+        Xenstore.inject_write tb.Testbed.hv.Hv.xenstore
+          (Xenstore.domain_path (Kernel.domid tb.Testbed.victim) "memory/target")
+          "40";
+        Testbed.tick_all tb;
+        { Campaign.transcript = []; states = []; rc = None })
+  in
   print_endline "Management-interface IM (tampered memory/target, victim balloons itself):";
   List.iter
     (fun v -> Printf.printf "  violation: %s\n" (Monitor.violation_to_string v))
-    (Monitor.violations ~before ~after);
+    r.Campaign.r_violations;
   print_newline ();
   print_endline (Ii_exploits.Defense_eval.render (Ii_exploits.Defense_eval.matrix ()));
   print_newline ();

@@ -124,18 +124,19 @@ let advisory_cmd =
   in
   Cmd.v (Cmd.info "advisory" ~doc) Term.(const run $ const ())
 
-(* Run a use case on a fresh Xen testbed, for the commands that read
-   Xen host state afterwards. *)
+(* Run a use case's attempt as one trial on a fresh Xen testbed, for
+   the commands that read Xen host state afterwards. *)
 let run_xen name mode version k =
   match Xen.use_case name with
   | Error e -> `Error (false, e)
   | Ok uc ->
       let tb = Testbed.create version in
-      if mode = Campaign.Injection then Injector.install tb.Testbed.hv;
-      ignore
-        (match mode with
-        | Campaign.Real_exploit -> uc.Xen.C.run_exploit tb
-        | Campaign.Injection -> uc.Xen.C.run_injection tb);
+      let attempt =
+        match mode with
+        | Campaign.Real_exploit -> uc.Xen.C.run_exploit
+        | Campaign.Injection -> uc.Xen.C.run_injection
+      in
+      ignore (Xen.C.trial tb ~name:uc.Xen.C.uc_name mode version attempt);
       k tb;
       `Ok ()
 

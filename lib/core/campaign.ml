@@ -83,12 +83,31 @@ module Make (B : Substrate.S) = struct
             over positional row order) *)
   }
 
-  (* The trial executor [run] and [Trace_driver.replay] drive. [act]
-     brings the erroneous state about (inject or exploit, then
-     activate; or re-drive a recorded boundary stream) and declares
-     the states to audit. Everything around it is the same for every
-     driver, so a replay's snapshots and audits land where the
-     recording's did. *)
+  (* The pristine before-snapshot, one slot per worker domain. The
+     state after [B.reset] (and the injector install) depends only on
+     the testbed, so a trial on the testbed and in the mode of the last
+     miss reuses the snapshot that miss took. Never with provenance
+     attached: such a snapshot observes the bytes it reads.
+     ([Ii_xen.Domain] shadows [Domain].) *)
+  let pristine : (B.t * mode * B.snapshot) option Stdlib.Domain.DLS.key =
+    Stdlib.Domain.DLS.new_key (fun () -> None)
+
+  let before_snapshot tb mode =
+    if Phys_mem.provenance (B.mem tb) <> None then B.snapshot tb
+    else
+      match Stdlib.Domain.DLS.get pristine with
+      | Some (tb', mode', before) when tb' == tb && mode' = mode -> before
+      | Some _ | None ->
+          let before = B.snapshot tb in
+          Stdlib.Domain.DLS.set pristine (Some (tb, mode, before));
+          before
+
+  (* The trial executor every driver runs: use-case cells, randomized
+     trials, replays and the CLI's one-off runs. [act] brings the
+     erroneous state about (inject or exploit, then activate; or
+     re-drive a recorded boundary stream) and declares the states to
+     audit. Everything around it is the same for every driver, so a
+     replay's snapshots and audits land where the recording's did. *)
   let trial tb ~name mode config act =
     B.reset tb;
     if mode = Injection then B.install_injector tb;
@@ -103,7 +122,7 @@ module Make (B : Substrate.S) = struct
     (match cov with Some c -> Coverage.clear c | None -> ());
     let counters_before = Trace.telemetry tr in
     let vts_before = Trace.vts tr in
-    let before = B.snapshot tb in
+    let before = before_snapshot tb mode in
     let attempt = act tb in
     let audits = List.map (B.audit tb) attempt.states in
     let r_state = attempt.states <> [] && List.for_all (fun a -> a.Erroneous_state.holds) audits in
@@ -165,6 +184,24 @@ module Make (B : Substrate.S) = struct
         done;
         attempt)
 
+  (* One testbed per configuration, built on first use and reset by
+     every trial run on it: the per-worker table of [run_matrix] and
+     {!Campaign_scheduler}. [coverage] attaches a collector to each;
+     [trial] clears it per trial, so each row's map is absolute. *)
+  let testbeds ~pooled ?frames ?domains ?load ~coverage () =
+    let tbs = Hashtbl.create 4 in
+    fun config ->
+      match Hashtbl.find_opt tbs config with
+      | Some tb -> tb
+      | None ->
+          let tb =
+            if pooled then B.create_pooled ?frames ?domains ?load config
+            else B.create ?frames ?domains ?load config
+          in
+          if coverage then Trace.set_coverage (B.trace tb) (Some (Coverage.create ()));
+          Hashtbl.replace tbs config tb;
+          tb
+
   let run_matrix ?workers ?pooled ?frames ?domains ?load ?coverage ucs ~versions ~modes =
     (* One cell per (uc, version, mode), in that nesting order; cells are
        independent, so they shard: the flattened queue is dealt in chunks
@@ -185,24 +222,8 @@ module Make (B : Substrate.S) = struct
     in
     let rows =
       Shard.map_init ?workers
-        ~init:(fun () -> Hashtbl.create 4)
-        (fun testbeds _ (uc, version, mode) ->
-          let tb =
-            match Hashtbl.find_opt testbeds version with
-            | Some tb -> tb
-            | None ->
-                let tb =
-                  if pooled then B.create_pooled ?frames ?domains ?load version
-                  else B.create ?frames ?domains ?load version
-                in
-                (* attach one collector per worker testbed; [run] clears
-                   it per trial, so each row's map is absolute *)
-                if coverage <> None then
-                  Trace.set_coverage (B.trace tb) (Some (Coverage.create ()));
-                Hashtbl.replace testbeds version tb;
-                tb
-          in
-          run ~tb uc mode version)
+        ~init:(testbeds ~pooled ?frames ?domains ?load ~coverage:(coverage <> None))
+        (fun testbed _ (uc, version, mode) -> run ~tb:(testbed version) uc mode version)
         cells
     in
     match coverage with

@@ -17,31 +17,19 @@
 
 module RC = Random_campaign
 
-(* Per-worker testbed table, one slot per version, filled on first use.
-   [coverage] attaches a collector to each testbed; the job reads the
-   trial's map from it. *)
-let worker_pool ~coverage versions =
-  let tbs = Array.make (Array.length versions) None in
-  fun vi ->
-    match tbs.(vi) with
-    | Some slot -> slot
-    | None ->
-        let w = RC.make_worker ~pooled:true versions.(vi) in
-        let slot = (w, if coverage then Some (RC.attach_coverage w) else None) in
-        tbs.(vi) <- Some slot;
-        slot
-
 let check_args ~trials ~targets versions =
   if versions = [] then invalid_arg "Campaign_scheduler: no versions";
   if trials <= 0 then invalid_arg "Campaign_scheduler: trials must be positive";
   if targets = [] then invalid_arg "Campaign_scheduler: no targets"
 
-(* Job j: trial [j mod trials] of version [j / trials], with the
-   trial's coverage map when collectors are attached. *)
-let job ~seed ~targets ~trials pool j =
-  let w, cov = pool (j / trials) in
-  let t = RC.run_one w ~seed ~targets (j mod trials) in
-  (t, Option.map Coverage.snapshot cov)
+(* Job j: trial [j mod trials] of version [j / trials] on the worker's
+   testbed table ({!Campaign.testbeds}, one pooled testbed per
+   version), with the trial's coverage map when collectors are
+   attached. *)
+let job ~seed ~targets ~trials versions testbed j =
+  let tb = testbed versions.(j / trials) in
+  let t = RC.run_one tb ~seed ~targets (j mod trials) in
+  (t, Option.map Coverage.snapshot (Trace.coverage (Substrate_xen.trace tb)))
 
 let run ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials versions =
   check_args ~trials ~targets versions;
@@ -49,8 +37,8 @@ let run ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?coverage ~tria
   let n = Array.length varr * trials in
   let pairs =
     Shard.map_init ?workers
-      ~init:(fun () -> worker_pool ~coverage:(coverage <> None) varr)
-      (fun pool j () -> job ~seed ~targets ~trials pool j)
+      ~init:(Campaign.testbeds ~pooled:true ~coverage:(coverage <> None))
+      (fun testbed j () -> job ~seed ~targets ~trials varr testbed j)
       (List.init n (fun _ -> ()))
   in
   (* merge per-trial maps into the caller's cumulative map in job order —
@@ -102,8 +90,8 @@ let run_streamed ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?cover
      {!Shard.fold_init} requires. *)
   let counts =
     Shard.fold_init ?workers ~n
-      ~init:(fun () -> worker_pool ~coverage:(coverage <> None) varr)
-      ~f:(fun pool j -> (j / trials, job ~seed ~targets ~trials pool j))
+      ~init:(Campaign.testbeds ~pooled:true ~coverage:(coverage <> None))
+      ~f:(fun testbed j -> (j / trials, job ~seed ~targets ~trials varr testbed j))
       ~merge:(fun counts (vi, (t, m)) ->
         let slot = (vi * n_outcomes) + outcome_slot t.RC.outcome in
         counts.(slot) <- counts.(slot) + 1;

@@ -5,10 +5,11 @@
     Running each version's campaign as its own sharded job pays a pool
     spin-up per version and drains workers at every version boundary.
     This module instead flattens versions x trials into a single queue of
-    independent jobs dealt in chunks ({!Shard}); each worker lazily
-    forks one testbed per version it encounters — copy-on-write from
-    the warm template pool — and reuses it for every trial of that
-    version it is dealt.
+    independent jobs dealt in chunks ({!Shard}); each worker keeps the
+    testbed table {!Campaign.run_matrix} keeps ({!Campaign.Make.testbeds}):
+    one testbed per version, forked copy-on-write from the warm template
+    pool on first use and reused for every trial of that version it is
+    dealt.
 
     Job [j] is (version [j / trials], trial [j mod trials]). Trials are
     deterministic in [(seed, index, targets)] alone, so scheduling is
@@ -29,8 +30,9 @@ val run :
     targets or [trials <= 0].
 
     [coverage] accumulates every trial's coverage map (the collector
-    {!Random_campaign.run_one} fills) into the referenced cumulative map
-    by a deterministic positional fold; the final map is byte-identical
+    {!Campaign.Make.trial} fills, each violation under the domain it
+    was observed in) into the referenced cumulative map by a
+    deterministic positional fold; the final map is byte-identical
     whatever the worker count. *)
 
 type stream_stats = {

@@ -142,31 +142,6 @@ let inject (tb : Testbed.t) target addr value =
 
 let is_crash = function Monitor.Hypervisor_crash _ -> true | _ -> false
 
-let run_trial rng index (tb : Testbed.t) ~before target =
-  let hv = tb.Testbed.hv in
-  let addr, value = synthesize rng tb target in
-  match inject tb target addr value with
-  | Error _ ->
-      { index; target; t_addr = addr; t_value = value; outcome = Refused; t_violations = [] }
-  | Ok hung ->
-      activate tb;
-      let after = Substrate_xen.snapshot tb in
-      let violations = Monitor.violations ~before ~after in
-      let outcome =
-        if List.exists is_crash violations then Crashed
-        else if violations <> [] then Violated
-        else
-          match target with
-          | Idt_gates | Page_table_entries | M2p_entries | Arbitrary_physical
-            when Phys_mem.read_u64 hv.Hv.mem addr = value ->
-              (* the corruption still sits in live state: it was neither
-                 scrubbed nor overwritten during activation *)
-              State_only
-          | _ -> No_effect
-      in
-      (match hung with Some dom -> ignore (Sched.unhang_vcpu hv.Hv.sched ~dom) | None -> ());
-      { index; target; t_addr = addr; t_value = value; outcome; t_violations = violations }
-
 (* Per-trial PRNG seeding (a splitmix64-style mix of campaign seed and
    trial index): every trial owns an independent random stream, so
    trials can run in any order — or on any worker — and still draw
@@ -177,59 +152,53 @@ let trial_seed seed index =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Per-worker campaign state: one long-lived testbed, reset between
-   trials (O(dirty pages), replacing the boot-per-crash of earlier
-   revisions), and the pristine before-snapshot taken once — the state
-   after reset + injector install is identical on every trial, so the
-   snapshot is too. *)
-type worker = {
-  w_tb : Testbed.t;
-  mutable w_before : Monitor.snapshot option;
-}
-
-(* Reset, reinstall the injector and clear an attached coverage
-   collector: the pristine point, exactly where {!Campaign.Make.run}
-   clears its own, so per-trial maps depend only on the trial. *)
-let pristine w =
-  Testbed.reset w.w_tb;
-  Injector.install w.w_tb.Testbed.hv;
-  let before =
-    match w.w_before with
-    | Some before -> before
-    | None ->
-        let before = Substrate_xen.snapshot w.w_tb in
-        w.w_before <- Some before;
-        before
-  in
-  (match Trace.coverage w.w_tb.Testbed.hv.Hv.trace with
-  | Some c -> Coverage.clear c
-  | None -> ());
-  before
+(* A worker is one long-lived testbed, reset between trials by
+   {!Campaign.trial} in O(dirty pages). *)
+type worker = Testbed.t
 
 let make_worker ?(pooled = false) version =
-  {
-    w_tb = (if pooled then Testbed.create_pooled version else Testbed.create version);
-    w_before = None;
-  }
+  if pooled then Testbed.create_pooled version else Testbed.create version
 
-let run_one w ~seed ~targets index =
-  let before = pristine w in
+let no_attempt = { Campaign.transcript = []; states = []; rc = None }
+
+(* One randomized trial as a driver of {!Campaign.trial}: the act
+   synthesizes a state in the target class (after the reset, from the
+   pristine testbed), injects it and, unless the injector refused it,
+   activates. The row's violations and a read-back of live memory then
+   classify the outcome. *)
+let run_one (tb : worker) ~seed ~targets index =
   let rng = Prng.create ~seed:(trial_seed seed index) in
   let target = Prng.choose rng targets in
-  let t = run_trial rng index w.w_tb ~before target in
-  (* these trials observe host-level violations *)
-  (match Trace.coverage w.w_tb.Testbed.hv.Hv.trace with
-  | Some c ->
-      List.iter
-        (fun v -> Coverage.note_violation c ~cls:(Monitor.class_index v) ~domain:"host")
-        t.t_violations
-  | None -> ());
-  t
-
-let attach_coverage w =
-  let c = Coverage.create () in
-  Trace.set_coverage w.w_tb.Testbed.hv.Hv.trace (Some c);
-  c
+  let hv = tb.Testbed.hv in
+  let drawn = ref None in
+  let row =
+    Campaign.trial tb ~name:(target_to_string target) Campaign.Injection hv.Hv.version (fun tb ->
+        let addr, value = synthesize rng tb target in
+        let injected = inject tb target addr value in
+        if Result.is_ok injected then activate tb;
+        drawn := Some (addr, value, injected);
+        no_attempt)
+  in
+  let addr, value, injected = Option.get !drawn in
+  let violations = row.Campaign.r_violations in
+  let outcome =
+    match injected with
+    | Error _ -> Refused
+    | Ok _ when List.exists is_crash violations -> Crashed
+    | Ok _ when violations <> [] -> Violated
+    | Ok _ -> (
+        match target with
+        | Idt_gates | Page_table_entries | M2p_entries | Arbitrary_physical
+          when Phys_mem.read_u64 hv.Hv.mem addr = value ->
+            (* the corruption still sits in live state: it was neither
+               scrubbed nor overwritten during activation *)
+            State_only
+        | _ -> No_effect)
+  in
+  (match injected with
+  | Ok (Some dom) -> ignore (Sched.unhang_vcpu hv.Hv.sched ~dom)
+  | Ok None | Error _ -> ());
+  { index; target; t_addr = addr; t_value = value; outcome; t_violations = violations }
 
 let tally_of trials_list =
   List.map

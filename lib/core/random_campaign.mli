@@ -62,34 +62,27 @@ type summary = {
 (** {1 Trials}
 
     {!Campaign_scheduler} is the driver: it deals trials to workers,
-    one long-lived testbed per worker and version (reset between
-    trials, its own scan cache riding along) with the memoized
-    pristine before-snapshot. *)
+    one long-lived testbed per worker and version, and each trial runs
+    on {!Campaign.trial}, the executor every other trial runs on. *)
 
-type worker
+type worker = Testbed.t
 
 val make_worker : ?pooled:bool -> Version.t -> worker
-(** Per-worker campaign state around one testbed. [pooled] (default
-    false) forks the testbed from the warm template pool
-    ({!Testbed.create_pooled}) instead of booting fresh — observably
-    equivalent, O(metadata) instead of a full build. *)
+(** One campaign testbed. [pooled] (default false) forks it from the
+    warm template pool ({!Testbed.create_pooled}) instead of booting
+    fresh — observably equivalent, O(metadata) instead of a full
+    build. *)
 
 val run_one : worker -> seed:int64 -> targets:target_class list -> int -> trial
-(** Run trial [index] on a pristine testbed (reset + injector install +
-    memoized before-snapshot): synthesize a state in a target class,
-    inject it, activate, observe, classify. Deterministic in
-    [(seed, index, targets)] alone — the positional-determinism
-    contract sharded runs rely on.
+(** Run trial [index] as a driver of {!Campaign.trial}: on the pristine
+    testbed, synthesize a state in a target class, inject it, activate,
+    observe, classify. Deterministic in [(seed, index, targets)] alone —
+    the positional-determinism contract sharded runs rely on.
 
-    When a collector is attached ({!attach_coverage}), it is cleared at
-    the pristine point (exactly where {!Campaign.Make.run} clears its
-    own) and the trial's violations are noted on it, so after the call
-    it holds the trial's map, which depends only on
-    [(seed, index, targets)]. *)
-
-val attach_coverage : worker -> Coverage.t
-(** Attach a fresh {!Coverage} collector to the worker testbed's trace
-    and return it. *)
+    A coverage collector attached to the testbed's trace holds the
+    trial's map after the call ({!Campaign.trial} clears it at the
+    pristine point and notes each violation under the domain it was
+    observed in), so the map depends only on [(seed, index, targets)]. *)
 
 val tally_of : trial list -> (outcome_class * int) list
 (** Outcome counts in [all_outcomes] order. *)

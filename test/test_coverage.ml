@@ -324,6 +324,35 @@ let test_scheduler_coverage_invariant () =
   ignore (Campaign_scheduler.run_streamed ~workers:3 ~coverage:acc ~trials versions);
   check_bool "streamed = materialized" true (Coverage.equal c1 !acc)
 
+(* A randomized trial runs on [Campaign.trial], so its coverage map
+   credits each violation to the domain [Monitor.violations_tagged]
+   names, like every other trial: the interrupt-storm hook's violation
+   is observed in the victim guest, not the host. *)
+let test_random_trial_violation_domain () =
+  let storm v = contains ~affix:"interrupt storm on guest01" (Monitor.violation_to_string v) in
+  (* the first seed whose one trial's only violation is a storm *)
+  let rec find seed =
+    if seed >= 64L then Alcotest.fail "no lone interrupt-storm trial in 64 seeds"
+    else
+      let acc = ref Coverage.empty in
+      match
+        Campaign_scheduler.run ~seed ~targets:[ Random_campaign.Component_hooks ] ~coverage:acc
+          ~trials:1 [ Version.V4_6 ]
+      with
+      | [ { Random_campaign.trials = [ { Random_campaign.t_violations = [ v ]; _ } ]; _ } ]
+        when storm v ->
+          (v, !acc)
+      | _ -> find (Int64.succ seed)
+  in
+  let v, m = find 0L in
+  let bit domain =
+    let one = Coverage.create () in
+    Coverage.note_violation one ~cls:(Monitor.class_index v) ~domain;
+    Coverage.snapshot one
+  in
+  check_int "the victim's violation bit is set" 0 (Coverage.novelty (bit "guest01") ~against:m);
+  check_int "the host's is not" 1 (Coverage.novelty (bit "host") ~against:m)
+
 (* --- record/replay ------------------------------------------------------- *)
 
 let test_replay_reproduces_map_xen () =
@@ -463,6 +492,8 @@ let () =
           Alcotest.test_case "detached rows unchanged" `Quick test_matrix_detached_rows;
           Alcotest.test_case "scheduler workers + streamed" `Quick
             test_scheduler_coverage_invariant;
+          Alcotest.test_case "random trial violations credit their domain" `Quick
+            test_random_trial_violation_domain;
         ] );
       ( "record/replay",
         [
