@@ -2,6 +2,7 @@ type file = { content : string; uid : int; gid : int }
 type t = (string, file) Hashtbl.t
 
 let create () = Hashtbl.create 17
+let reset t = Hashtbl.reset t
 let write t ~path ~uid content = Hashtbl.replace t path { content; uid; gid = uid }
 let read t path = Hashtbl.find_opt t path
 let exists t path = Hashtbl.mem t path

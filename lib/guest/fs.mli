@@ -9,6 +9,10 @@ type file = { content : string; uid : int; gid : int }
 type t
 
 val create : unit -> t
+
+val reset : t -> unit
+(** Empty the filesystem in place: {!create}'s state, same object. *)
+
 val write : t -> path:string -> uid:int -> string -> unit
 val read : t -> string -> file option
 val exists : t -> string -> bool

@@ -1,32 +1,59 @@
+(* A log line is kept as its jiffies stamp and the parts of its text,
+   and formatted only when {!klog} reads it: printing costs more than
+   most trials do otherwise, and most logs are never read. *)
+type line =
+  | Msg of int * string
+  | Tagged of int * string * string  (* jiffies, tag, message *)
+  | Paging_request of int * int64  (* the faulting address *)
+  | Balloon_release of int * int * int  (* pfn, target *)
+
 type t = {
   hv : Hv.t;
   domain : Domain.t;
   target_path : string;  (* the balloon's xenstore key, read every tick *)
   guest_fs : Fs.t;
   net : Netsim.t;
-  mutable klog_rev : string list;
+  mutable klog_rev : line list;
   mutable jiffies : int;
   irq_handlers : (int, unit -> unit) Hashtbl.t;
   mutable irqs_handled : int;
   procs : Process.t;
 }
 
+let root_msg_path = "/root/root_msg"
+let root_msg = "Confidential content in root folder!"
+
+let boot_fs t =
+  if t.domain.Domain.privileged then Fs.write t.guest_fs ~path:root_msg_path ~uid:0 root_msg
+
 let create hv domain net =
-  let guest_fs = Fs.create () in
-  if domain.Domain.privileged then
-    Fs.write guest_fs ~path:"/root/root_msg" ~uid:0 "Confidential content in root folder!";
-  {
-    hv;
-    domain;
-    target_path = Xenstore.domain_path domain.Domain.id "memory/target";
-    guest_fs;
-    net;
-    klog_rev = [];
-    jiffies = 0;
-    irq_handlers = Hashtbl.create 7;
-    irqs_handled = 0;
-    procs = Process.create ();
-  }
+  let t =
+    {
+      hv;
+      domain;
+      target_path = Xenstore.domain_path domain.Domain.id "memory/target";
+      guest_fs = Fs.create ();
+      net;
+      klog_rev = [];
+      jiffies = 0;
+      irq_handlers = Hashtbl.create 7;
+      irqs_handled = 0;
+      procs = Process.create ();
+    }
+  in
+  boot_fs t;
+  t
+
+(* Back to the state [create] leaves, in the same objects. The caller
+   restores the domain record and the network. *)
+let reset t =
+  Fs.reset t.guest_fs;
+  boot_fs t;
+  t.klog_rev <- [];
+  t.jiffies <- 0;
+  Hashtbl.reset t.irq_handlers;
+  t.irqs_handled <- 0;
+  Process.reset t.procs
 
 let hv t = t.hv
 let dom t = t.domain
@@ -39,14 +66,23 @@ let ip t = Printf.sprintf "10.3.1.%d" (180 + domid t)
 
 let stamp t =
   t.jiffies <- t.jiffies + 17;
-  Printf.sprintf "[  %3d.%04d]" (116 + (t.jiffies / 1000)) (t.jiffies mod 10000)
+  t.jiffies
 
-let printk t msg = t.klog_rev <- Printf.sprintf "%s %s" (stamp t) msg :: t.klog_rev
+let log t line = t.klog_rev <- line :: t.klog_rev
+let printk t msg = log t (Msg (stamp t, msg))
+let printk_tagged t ~tag msg = log t (Tagged (stamp t, tag, msg))
 
-let printk_tagged t ~tag msg =
-  t.klog_rev <- Printf.sprintf "%s %s:\t%s" (stamp t) tag msg :: t.klog_rev
+let format_line line =
+  let stamp j = Printf.sprintf "[  %3d.%04d]" (116 + (j / 1000)) (j mod 10000) in
+  match line with
+  | Msg (j, msg) -> Printf.sprintf "%s %s" (stamp j) msg
+  | Tagged (j, tag, msg) -> Printf.sprintf "%s %s:\t%s" (stamp j) tag msg
+  | Paging_request (j, va) ->
+      Printf.sprintf "%s BUG: unable to handle kernel paging request at 0x%016Lx" (stamp j) va
+  | Balloon_release (j, pfn, target) ->
+      Printf.sprintf "%s balloon: released pfn %d (target %d)" (stamp j) pfn target
 
-let klog t = List.rev t.klog_rev
+let klog t = List.rev_map format_line t.klog_rev
 
 (* --- hypercalls ------------------------------------------------------ *)
 
@@ -112,10 +148,7 @@ let pt_entry t ~table_mfn ~index =
    logs it and fails the access. *)
 let guest_fault t (fault : Paging.fault) =
   (match Hv.deliver_fault t.hv ~vector:Idt.vector_page_fault ~detail:"guest page fault" with
-  | Cpu.Handled _ ->
-      printk t
-        (Printf.sprintf "BUG: unable to handle kernel paging request at 0x%016Lx"
-           fault.Paging.fault_vaddr)
+  | Cpu.Handled _ -> log t (Paging_request (stamp t, fault.Paging.fault_vaddr))
   | Cpu.Double_fault_panic _ | Cpu.Triple_fault -> ());
   Error fault
 
@@ -245,15 +278,16 @@ let irq_budget = 8
 
 let drain_events t =
   let events = t.domain.Domain.events in
-  (* most ticks find nothing pending: skip building the port list *)
+  (* most ticks find nothing pending; a storm's backlog beyond the
+     budget stays pending, unread *)
   if Event_channel.any_pending events then
-    List.iteri
-      (fun i port ->
-        if i < irq_budget && Event_channel.consume events port then begin
+    List.iter
+      (fun port ->
+        if Event_channel.consume events port then begin
           t.irqs_handled <- t.irqs_handled + 1;
           match Hashtbl.find_opt t.irq_handlers port with Some f -> f () | None -> ()
         end)
-      (Event_channel.pending_ports events)
+      (Event_channel.first_pending events ~limit:irq_budget)
 
 (* The balloon driver: honour the toolstack's memory/target by
    releasing the highest releasable data pages. Page-table and special
@@ -266,6 +300,9 @@ let balloon t =
   | Ok target_str -> (
       match int_of_string_opt (String.trim target_str) with
       | None -> ()
+      (* populated <= max_pfn, so a target at or above max_pfn (the
+         boot target) releases nothing: skip counting *)
+      | Some target when target >= Domain.max_pfn t.domain -> ()
       | Some target ->
           let populated = Domain.populated_count t.domain in
           if target < populated then begin
@@ -288,30 +325,33 @@ let balloon t =
                        (Hypercall.Update_va_mapping
                           { va = Domain.kernel_vaddr_of_pfn pfn; value = Pte.none }));
                   match hypercall t (Hypercall.Decrease_reservation [ pfn ]) with
-                  | Ok _ -> printk t (Printf.sprintf "balloon: released pfn %d (target %d)" pfn target)
+                  | Ok _ -> log t (Balloon_release (stamp t, pfn, target))
                   | Error _ -> ()
                 end)
               candidates
           end)
 
-let tick t =
-  let tr = t.hv.Hv.trace in
-  if recording t then trace_boundary t (Trace.Kernel_tick { domid = t.domain.Domain.id });
-  Trace.enter tr;
-  Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () ->
-  if not (Hv.is_crashed t.hv) then begin
-    drain_events t;
-    balloon t;
-    (* user processes run and call into the vDSO *)
-    Process.on_tick t.procs;
-    let vdso = vdso_mfn t in
-    (* user code *executes* these bytes: the causal edge a bystander
-       compromise is attributed through *)
-    Phys_mem.observe t.hv.Hv.mem ~consumer:Provenance.Vdso_exec ~mfn:vdso
-      ~off:Builder.Vdso.code_off ~len:Builder.Vdso.code_len;
-    let frame = Phys_mem.frame_ro t.hv.Hv.mem vdso in
-    let blob = Frame.read_bytes frame Builder.Vdso.code_off Builder.Vdso.code_len in
-    match Backdoor.decode blob with
+(* The vDSO code area carries the backdoor magic: compared in place,
+   so a clean vDSO costs no copy *)
+let has_magic frame =
+  let b = (frame : Frame.t :> bytes) in
+  let m = Backdoor.magic and off = Builder.Vdso.code_off in
+  Bytes.unsafe_get b off = String.unsafe_get m 0
+  && Bytes.unsafe_get b (off + 1) = String.unsafe_get m 1
+  && Bytes.unsafe_get b (off + 2) = String.unsafe_get m 2
+  && Bytes.unsafe_get b (off + 3) = String.unsafe_get m 3
+
+let run_vdso t =
+  let vdso = vdso_mfn t in
+  (* user code *executes* these bytes: the causal edge a bystander
+     compromise is attributed through *)
+  Phys_mem.observe t.hv.Hv.mem ~consumer:Provenance.Vdso_exec ~mfn:vdso
+    ~off:Builder.Vdso.code_off ~len:Builder.Vdso.code_len;
+  let frame = Phys_mem.frame_ro t.hv.Hv.mem vdso in
+  if has_magic frame then
+    match
+      Backdoor.decode (Frame.read_bytes frame Builder.Vdso.code_off Builder.Vdso.code_len)
+    with
     | None -> ()
     | Some (Backdoor.Run_as_root cmd) -> ignore (shell t ~uid:0 cmd)
     | Some (Backdoor.Reverse_shell { host; port }) ->
@@ -325,4 +365,23 @@ let tick t =
           ignore
             (Netsim.connect t.net ~from_host:(hostname t) ~from_ip:(ip t) ~host ~port ~uid:0
                ~exec:(fun cmd -> shell t ~uid:0 cmd))
+
+let run_tick t =
+  if not (Hv.is_crashed t.hv) then begin
+    drain_events t;
+    balloon t;
+    (* user processes run and call into the vDSO *)
+    Process.on_tick t.procs;
+    run_vdso t
   end
+
+let tick t =
+  let tr = t.hv.Hv.trace in
+  if recording t then trace_boundary t (Trace.Kernel_tick { domid = t.domain.Domain.id });
+  Trace.enter tr;
+  match run_tick t with
+  | () -> Trace.leave tr
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trace.leave tr;
+      Printexc.raise_with_backtrace e bt

@@ -10,6 +10,13 @@
 type t
 
 val create : Hv.t -> Domain.t -> Netsim.t -> t
+
+val reset : t -> unit
+(** Return [t] to the state {!create} left it in, in place: empty log
+    and jiffies, boot filesystem, boot process table, no irq handlers,
+    no events handled. The domain record and the network are the
+    caller's to restore ({!Testbed.reset} does both). *)
+
 val hv : t -> Hv.t
 val dom : t -> Domain.t
 val fs : t -> Fs.t
@@ -25,7 +32,9 @@ val printk_tagged : t -> tag:string -> string -> unit
     ["[  ...] xen_exploit:   ..."] like the paper's transcripts. *)
 
 val klog : t -> string list
-(** Log lines, oldest first. *)
+(** Log lines, oldest first. Each line is stored as its jiffies stamp
+    and the parts of its text, and formatted here, on read: a trial
+    that logs and is never read pays no formatting. *)
 
 (** {1 Hypercalls and privileged instructions} *)
 

@@ -20,6 +20,11 @@ type t = {
 let create () = { listeners = []; connections = []; next_id = 0; tracer = None }
 let set_tracer t tr = t.tracer <- Some tr
 
+let reset t =
+  t.listeners <- [];
+  t.connections <- [];
+  t.next_id <- 0
+
 (* Opening a listener is a management-plane input, so it is a boundary
    event — emitted here (not in Testbed) so that replaying the record
    through [Substrate.apply_event] re-emits it at the same stamp. *)

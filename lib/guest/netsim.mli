@@ -26,6 +26,10 @@ val set_tracer : t -> Trace.t -> unit
 (** Connections opened after this carry the tracer, so commands typed
     over them are recorded as boundary events. *)
 
+val reset : t -> unit
+(** Drop every listener and connection and restart connection ids, in
+    place; the tracer stays set. *)
+
 val listen : t -> host:string -> port:int -> unit
 (** Start (or restart) a listener; its banner is recorded in the
     transcript of connections it later accepts. *)

@@ -8,12 +8,27 @@ let spawn t ~uid ~cmdline =
   t.procs <- t.procs @ [ p ];
   p
 
-let create () =
-  let t = { procs = []; next_pid = 1 } in
+let boot t =
+  t.procs <- [];
+  t.next_pid <- 1;
   ignore (spawn t ~uid:0 ~cmdline:"/sbin/init");
   t.next_pid <- 1000;
-  ignore (spawn t ~uid:1000 ~cmdline:"-bash");
+  ignore (spawn t ~uid:1000 ~cmdline:"-bash")
+
+let create () =
+  let t = { procs = []; next_pid = 1 } in
+  boot t;
   t
+
+(* pids are never reused, so a table holding pids 1 and 1000 alone
+   holds the two boot residents: only their counters changed *)
+let reset t =
+  match t.procs with
+  | [ init; shell ] when init.pid = 1 && shell.pid = 1000 ->
+      init.vdso_calls <- 0;
+      shell.vdso_calls <- 0;
+      t.next_pid <- 1001
+  | _ -> boot t
 
 let kill t ~pid =
   let before = List.length t.procs in

@@ -14,6 +14,10 @@ val create : unit -> t
 (** A fresh table holding the two canonical residents: [init] (pid 1,
     root) and the [xen] user's shell (pid 1000, uid 1000). *)
 
+val reset : t -> unit
+(** Back to {!create}'s table, in place: the two residents keep their
+    records (vDSO call counts zeroed) unless the table lost one. *)
+
 val spawn : t -> uid:int -> cmdline:string -> proc
 val kill : t -> pid:int -> bool
 val find : t -> pid:int -> proc option

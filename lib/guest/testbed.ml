@@ -121,24 +121,33 @@ let create_pooled ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(dom
     ?(load = Load_mix.none) version =
   fork ~load (template ~frames ~dom0_pages ~guest_pages ~domains version)
 
+(* The kernel of [k]'s domain after a restore: [k] itself, back in boot
+   state, while its domain record survived; rebuilt around the fresh
+   record when the trial destroyed the domain. *)
+let reset_kernel t k =
+  match Hv.find_domain t.hv (Kernel.domid k) with
+  | Some dom when dom == Kernel.dom k ->
+      Kernel.reset k;
+      k
+  | Some dom -> Kernel.create t.hv dom t.net
+  | None -> invalid_arg "Testbed.reset: checkpoint lost a domain"
+
+let rec reset_kernels t = function
+  | [] -> []
+  | k :: rest as ks ->
+      let k' = reset_kernel t k and rest' = reset_kernels t rest in
+      if k' == k && rest' == rest then ks else k' :: rest'
+
 let reset t =
   Hv.restore t.hv t.checkpoint;
-  (* the restore rolled the Domain.t records back in place, but the
-     kernels' own state (klog, processes, filesystem, irq handlers) must
-     return to boot state too, so they are rebuilt around the restored
-     records — by domid, exactly as after [create] *)
-  let net = Netsim.create () in
-  Netsim.set_tracer net t.hv.Hv.trace;
-  let rebuild stale =
-    match Hv.find_domain t.hv (Kernel.domid stale) with
-    | Some dom -> Kernel.create t.hv dom net
-    | None -> invalid_arg "Testbed.reset: checkpoint lost a domain"
-  in
-  t.net <- net;
-  t.dom0 <- rebuild t.dom0;
-  t.victim <- rebuild t.victim;
-  t.attacker <- rebuild t.attacker;
-  t.extras <- List.map rebuild t.extras;
+  (* the restore rolled the Domain.t records back in place; the network
+     and the kernels' own state (klog, processes, filesystem, irq
+     handlers) return to boot state in place too *)
+  Netsim.reset t.net;
+  t.dom0 <- reset_kernel t t.dom0;
+  t.victim <- reset_kernel t t.victim;
+  t.attacker <- reset_kernel t t.attacker;
+  t.extras <- reset_kernels t t.extras;
   Devmodel.reset t.dm;
   reseed_load t
 
@@ -146,8 +155,15 @@ let kernels t = t.dom0 :: t.victim :: t.attacker :: t.extras
 let domains t = List.length (guest_kernels t)
 let domain_names t = List.map Kernel.hostname (guest_kernels t)
 
+let rec find_kernel domid = function
+  | [] -> None
+  | k :: rest -> if Kernel.domid k = domid then Some k else find_kernel domid rest
+
 let kernel_of t domid =
-  List.find_opt (fun k -> Kernel.domid k = domid) (kernels t)
+  if Kernel.domid t.dom0 = domid then Some t.dom0
+  else if Kernel.domid t.victim = domid then Some t.victim
+  else if Kernel.domid t.attacker = domid then Some t.attacker
+  else find_kernel domid t.extras
 
 (* One background-load operation, drawn from the domain's stream: a mix
    of guest memory traffic, event-channel round trips and grant-table
@@ -198,12 +214,8 @@ let run_load t =
    vcpu pins the pCPU and nobody else runs. Background load and the
    device-model turn run inside the round, so a replayed [Sched_round]
    regenerates them deterministically. *)
-let tick_all t =
-  let tr = t.hv.Hv.trace in
-  if Trace.recording tr && Trace.top_level tr then Trace.emit tr Trace.Sched_round;
-  Trace.enter tr;
-  Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () ->
-  for _ = 1 to List.length (kernels t) do
+let round t =
+  for _ = 1 to 3 + List.length t.extras do
     match Hv.sched_tick t.hv with
     | Sched.Scheduled domid -> (
         match kernel_of t domid with Some k -> Kernel.tick k | None -> ())
@@ -211,6 +223,17 @@ let tick_all t =
   done;
   run_load t;
   Devmodel.kick t.dm
+
+let tick_all t =
+  let tr = t.hv.Hv.trace in
+  if Trace.recording tr && Trace.top_level tr then Trace.emit tr Trace.Sched_round;
+  Trace.enter tr;
+  match round t with
+  | () -> Trace.leave tr
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trace.leave tr;
+      Printexc.raise_with_backtrace e bt
 
 let remote_listen t ~port =
   (* the boundary emit happens inside Netsim.listen, where replay also

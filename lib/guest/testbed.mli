@@ -65,11 +65,12 @@ val create_pooled :
 
 val reset : t -> unit
 (** Roll the testbed back to the state captured at [create]: hypervisor
-    restored from the checkpoint (only dirty frames rewritten), fresh
-    network, fresh guest kernels around the restored domains, pristine
-    device model, re-seeded load streams. After [reset t], the testbed
-    is observably equivalent to [create version] — the property the
-    equivalence tests pin down. *)
+    restored from the checkpoint (only dirty frames rewritten), and the
+    network, the guest kernels ({!Kernel.reset}) and the device model
+    returned to boot state in place; load streams re-seeded. A kernel
+    whose domain the trial destroyed is rebuilt around the restored
+    record. After [reset t], the testbed is observably equivalent to
+    [create version] — the property the equivalence tests pin down. *)
 
 val kernels : t -> Kernel.t list
 (** All guest kernels, dom0 first, extras last. *)

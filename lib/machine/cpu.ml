@@ -5,6 +5,9 @@ type t = {
   hardened : bool;
   mutable idt : Addr.mfn option;
   handlers : (Addr.vaddr, string) Hashtbl.t;
+  mutable handlers_synced : (Addr.vaddr * string) list option;
+      (* a dump the handler table still equals (by physical identity),
+         until the next registration *)
   tlb : Paging.Tlb.t;
 }
 
@@ -13,7 +16,7 @@ type 'a access_result = ('a, Paging.fault) result
 let create ?tracer mem ~hardened =
   let tlb = Paging.Tlb.create () in
   (match tracer with Some tr -> Paging.Tlb.set_tracer tlb tr | None -> ());
-  { mem; hardened; idt = None; handlers = Hashtbl.create 31; tlb }
+  { mem; hardened; idt = None; handlers = Hashtbl.create 31; handlers_synced = None; tlb }
 
 let mem t = t.mem
 let hardened t = t.hardened
@@ -29,13 +32,24 @@ let sidt t =
   | Some mfn -> Layout.directmap_of_maddr (Addr.maddr_of_mfn mfn)
   | None -> failwith "Cpu.sidt: no IDT installed"
 
-let register_handler t va label = Hashtbl.replace t.handlers va label
+let register_handler t va label =
+  t.handlers_synced <- None;
+  Hashtbl.replace t.handlers va label
+
 let handler_name t va = Hashtbl.find_opt t.handlers va
-let handlers_dump t = Hashtbl.fold (fun va label acc -> (va, label) :: acc) t.handlers []
+
+let handlers_dump t =
+  let d = Hashtbl.fold (fun va label acc -> (va, label) :: acc) t.handlers [] in
+  t.handlers_synced <- Some d;
+  d
 
 let handlers_restore t dump =
-  Hashtbl.reset t.handlers;
-  List.iter (fun (va, label) -> Hashtbl.replace t.handlers va label) dump
+  match t.handlers_synced with
+  | Some d when d == dump -> ()
+  | Some _ | None ->
+      Hashtbl.reset t.handlers;
+      List.iter (fun (va, label) -> Hashtbl.replace t.handlers va label) dump;
+      t.handlers_synced <- Some dump
 
 let layout_permits access kind =
   match (access, kind) with

@@ -38,6 +38,10 @@ val handlers_dump : t -> (Addr.vaddr * string) list
 (** The registered handler table, for checkpointing. *)
 
 val handlers_restore : t -> (Addr.vaddr * string) list -> unit
+(** Replace the table with a previous {!handlers_dump}. Change-gated:
+    a no-op when no handler was registered since the table last matched
+    this very list — the one {!handlers_dump} returned or
+    [handlers_restore] was last given, compared by physical identity. *)
 
 (** {1 Software TLB}
 

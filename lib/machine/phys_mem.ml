@@ -333,12 +333,22 @@ let set_owner t mfn o =
   | _, _ -> ());
   t.owners.(mfn) <- o
 
+(* The index of [word]'s lowest set bit ([word <> 0]), in six steps:
+   isolate the bit, then halve the window it can be in. *)
 let lowest_bit word =
-  let rec go b = if word land (1 lsl b) <> 0 then b else go (b + 1) in
-  go 0
+  let x = ref (word land -word) and b = ref 0 in
+  if !x land 0xFFFF_FFFF = 0 then begin x := !x lsr 32; b := 32 end;
+  if !x land 0xFFFF = 0 then begin x := !x lsr 16; b := !b + 16 end;
+  if !x land 0xFF = 0 then begin x := !x lsr 8; b := !b + 8 end;
+  if !x land 0xF = 0 then begin x := !x lsr 4; b := !b + 4 end;
+  if !x land 0x3 = 0 then begin x := !x lsr 2; b := !b + 2 end;
+  if !x land 0x1 = 0 then b := !b + 1;
+  !b
 
 let alloc t o =
-  if o = Free then invalid_arg "Phys_mem.alloc: cannot allocate to Free";
+  (match o with
+  | Free -> invalid_arg "Phys_mem.alloc: cannot allocate to Free"
+  | Xen | Dom _ -> ());
   let words = Array.length t.free_bits in
   let w = ref t.next_hint in
   while !w < words && t.free_bits.(!w) = 0 do incr w done;

@@ -52,6 +52,10 @@ val alloc : t -> owner -> Addr.mfn
 (** Allocate the lowest free frame, zeroed. Raises [Failure] when memory
     is exhausted and [Invalid_argument] when asked to allocate [Free]. *)
 
+val lowest_bit : int -> int
+(** The index of the lowest set bit of a non-zero int, in constant time:
+    the free-bitmap step of {!alloc}. *)
+
 val alloc_many : t -> owner -> int -> Addr.mfn list
 val free : t -> Addr.mfn -> unit
 val owner : t -> Addr.mfn -> owner

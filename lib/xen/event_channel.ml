@@ -97,7 +97,15 @@ let pending_count t =
   done;
   !n
 
-let any_pending t = Array.exists (fun p -> p.pending) t
+let rec pending_from t i = i < Array.length t && (t.(i).pending || pending_from t (i + 1))
+let any_pending t = pending_from t 0
+
+let rec collect_pending t ~limit i acc =
+  if limit = 0 || i >= Array.length t then List.rev acc
+  else if t.(i).pending then collect_pending t ~limit:(limit - 1) (i + 1) (i :: acc)
+  else collect_pending t ~limit (i + 1) acc
+
+let first_pending t ~limit = collect_pending t ~limit 0 []
 let bound_ports t = collect t (fun p -> p.binding <> None)
 
 let force_pending_all t =

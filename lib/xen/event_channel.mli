@@ -49,6 +49,11 @@ val pending_count : t -> int
 (** [List.length (pending_ports t)], without building the list. *)
 
 val any_pending : t -> bool
+
+val first_pending : t -> limit:int -> int list
+(** The lowest [limit] pending ports, ascending: the first [limit]
+    elements of {!pending_ports}, found without walking past them. *)
+
 val bound_ports : t -> int list
 
 val force_pending_all : t -> int

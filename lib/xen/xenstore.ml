@@ -1,15 +1,35 @@
 type t = {
   tbl : (string, string) Hashtbl.t;
   mutable tracer : Trace.t option;
+  mutable synced : (string * string) list option;
+      (* a dump the table still equals (by physical identity), until
+         the next mutation *)
 }
 
-let create () = { tbl = Hashtbl.create 31; tracer = None }
+let create () = { tbl = Hashtbl.create 31; tracer = None; synced = None }
 let set_tracer t tr = t.tracer <- Some tr
 let domain_path id key = Printf.sprintf "/local/domain/%d/%s" id key
 
+let domain_root = "/local/domain/"
+
+(* [path] starts with ["/local/domain/<caller>/"], checked in place with
+   no string built. Digits are compared from the last one back, on the
+   non-positive [n] (= -|caller|), so [min_int] needs no special case. *)
+let rec digit_count n acc = if n > -10 then acc else digit_count (n / 10) (acc + 1)
+
+let rec digits_match path ~first n i =
+  path.[i] = Char.unsafe_chr (48 - (n mod 10))
+  && (i = first || digits_match path ~first (n / 10) (i - 1))
+
 let own_subtree caller path =
-  let prefix = Printf.sprintf "/local/domain/%d/" caller in
-  String.length path >= String.length prefix && String.sub path 0 (String.length prefix) = prefix
+  let first = String.length domain_root + if caller < 0 then 1 else 0 in
+  let n = if caller < 0 then caller else -caller in
+  let slash = first + digit_count n 1 in
+  String.length path > slash
+  && path.[slash] = '/'
+  && String.starts_with ~prefix:domain_root path
+  && (caller >= 0 || path.[first - 1] = '-')
+  && digits_match path ~first n (slash - 1)
 
 let may_access ~caller path = caller = 0 || own_subtree caller path
 
@@ -32,6 +52,7 @@ let write t ~caller path value =
   if may_access ~caller path then begin
     trace_write t ~caller ~injected:false path value;
     charge t;
+    t.synced <- None;
     Hashtbl.replace t.tbl path value;
     Ok ()
   end
@@ -44,6 +65,7 @@ let read t ~caller path =
 let rm t ~caller path =
   if not (may_access ~caller path) then Error Errno.EACCES
   else if Hashtbl.mem t.tbl path then begin
+    t.synced <- None;
     Hashtbl.remove t.tbl path;
     Ok ()
   end
@@ -66,10 +88,20 @@ let list_prefix t ~caller prefix =
 let inject_write t path value =
   trace_write t ~caller:(-1) ~injected:true path value;
   charge t;
+  t.synced <- None;
   Hashtbl.replace t.tbl path value
 
-let dump t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
+(* the returned list is what the table holds now, so it is also the
+   dump a later [restore_dump] may skip on *)
+let dump t =
+  let d = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []) in
+  t.synced <- Some d;
+  d
 
 let restore_dump t entries =
-  Hashtbl.reset t.tbl;
-  List.iter (fun (k, v) -> Hashtbl.replace t.tbl k v) entries
+  match t.synced with
+  | Some d when d == entries -> ()
+  | Some _ | None ->
+      Hashtbl.reset t.tbl;
+      List.iter (fun (k, v) -> Hashtbl.replace t.tbl k v) entries;
+      t.synced <- Some entries

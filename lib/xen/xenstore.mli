@@ -24,6 +24,11 @@ val set_tracer : t -> Trace.t -> unit
 val domain_path : int -> string -> string
 (** [domain_path 3 "memory/target"] is ["/local/domain/3/memory/target"]. *)
 
+val may_access : caller:int -> string -> bool
+(** Dom0 ([caller = 0]) may access every path; any other caller only
+    paths below ["/local/domain/<caller>/"]. Checked in place, with no
+    string built, for every int [caller]. *)
+
 val write : t -> caller:int -> string -> string -> (unit, Errno.t) result
 (** Dom0 may write anywhere; other domains only below their own
     subtree ([EACCES] otherwise). *)
@@ -44,4 +49,8 @@ val dump : t -> (string * string) list
 
 val restore_dump : t -> (string * string) list -> unit
 (** Replace the whole store with a previous {!dump} (checkpoint
-    restore). *)
+    restore). Change-gated: a no-op when the store has not been
+    mutated since it last matched this very list — the one {!dump}
+    returned or [restore_dump] was last given, compared by physical
+    identity. A checkpoint's dump is its identity, so restoring two
+    checkpoints of one store in turn rewrites it each time. *)

@@ -983,6 +983,149 @@ let test_restore_destroyed_domain () =
         (old != victim) (old == now))
     records hv.Hv.domains
 
+(* In-place kernel and network reset: a seeded mix of guest-side state
+   changes, then [Testbed.reset], must leave every kernel and the
+   network equal to a fresh fork's, in the same objects unless the
+   trial destroyed the kernel's domain. *)
+let write_vdso (tb : Testbed.t) k payload =
+  let dom = Kernel.dom k in
+  match Domain.mfn_of_pfn dom dom.Domain.vdso_pfn with
+  | None -> ()
+  | Some mfn ->
+      let ma = Int64.add (Addr.maddr_of_mfn mfn) (Int64.of_int Builder.Vdso.code_off) in
+      Phys_mem.write_bytes tb.Testbed.hv.Hv.mem ma (Kernel.Backdoor.encode payload)
+
+let listen_ports = [ 1234; 1235; 1236 ]
+
+let apply_mix (tb : Testbed.t) (op, (pick, n)) =
+  let hv = tb.Testbed.hv in
+  let ks = Array.of_list (Testbed.kernels tb) in
+  let k = ks.(pick mod Array.length ks) in
+  let guests = Array.of_list (Testbed.guest_kernels tb) in
+  let g = guests.(pick mod Array.length guests) in
+  let live k = Option.is_some (Hv.find_domain hv (Kernel.domid k)) in
+  let port = List.nth listen_ports (n mod 3) in
+  if live k then
+    match op with
+    | 0 -> Kernel.printk k (Printf.sprintf "mix %d" n)
+    | 1 ->
+        write_vdso tb k
+          (Kernel.Backdoor.Run_as_root (Printf.sprintf "echo %d > /tmp/mix%d" n (n mod 4)));
+        Testbed.tick_all tb
+    | 2 -> ignore (Process.spawn (Kernel.processes k) ~uid:(n mod 2 * 1000) ~cmdline:"mix")
+    | 3 -> ignore (Process.kill (Kernel.processes k) ~pid:(List.nth [ 1; 1000; 1001 ] (n mod 3)))
+    | 4 ->
+        Kernel.bind_irq_handler k ~port:(n mod 64) (fun () -> Kernel.printk k "irq");
+        ignore (Event_channel.force_pending_all (Kernel.dom k).Domain.events);
+        Testbed.tick_all tb
+    | 5 -> Testbed.remote_listen tb ~port
+    | 6 ->
+        write_vdso tb k (Kernel.Backdoor.Reverse_shell { host = tb.Testbed.remote_host; port });
+        Testbed.tick_all tb
+    | 7 ->
+        Xenstore.inject_write hv.Hv.xenstore
+          (Xenstore.domain_path (Kernel.domid k) "memory/target")
+          (string_of_int (48 + (n mod 48)));
+        Testbed.tick_all tb
+    | 8 -> ignore (Sched.hang_vcpu hv.Hv.sched ~dom:(Kernel.domid k) ~reason:"mix")
+    | 9 -> ignore (Sched.unhang_vcpu hv.Hv.sched ~dom:(Kernel.domid k))
+    | 10 -> if live g then ignore (Domctl.destroy hv (Kernel.dom g))
+    | _ -> Testbed.tick_all tb
+
+let fs_view fs = List.map (fun p -> (p, Fs.read fs p)) (Fs.paths fs)
+
+let kernel_view k =
+  ( (Kernel.hostname k, Kernel.domid k, Kernel.klog k, Kernel.irqs_handled k),
+    fs_view (Kernel.fs k),
+    List.map
+      (fun p -> (p.Process.pid, p.Process.uid, p.Process.cmdline, p.Process.vdso_calls))
+      (Process.list (Kernel.processes k)) )
+
+let net_view (tb : Testbed.t) =
+  List.map
+    (fun port ->
+      let host = tb.Testbed.remote_host in
+      ( Netsim.is_listening tb.Testbed.net ~host ~port,
+        List.map
+          (fun c -> (c.Netsim.conn_id, c.Netsim.from_host, c.Netsim.conn_uid, Netsim.transcript c))
+          (Netsim.connections_to tb.Testbed.net ~host ~port) ))
+    listen_ports
+
+let testbed_view tb = (List.map kernel_view (Testbed.kernels tb), net_view tb)
+
+(* The same workload on both testbeds exposes what a view cannot read
+   directly: leftover irq handlers (they log), the process and
+   connection counters (the next pid and connection id). *)
+let probe (tb : Testbed.t) =
+  Testbed.remote_listen tb ~port:1234;
+  List.iter
+    (fun k ->
+      Kernel.printk k "probe";
+      ignore (Process.spawn (Kernel.processes k) ~uid:0 ~cmdline:"probe");
+      ignore (Event_channel.force_pending_all (Kernel.dom k).Domain.events))
+    (Testbed.kernels tb);
+  ignore
+    (Netsim.connect tb.Testbed.net ~from_host:"probe" ~from_ip:"10.0.0.1"
+       ~host:tb.Testbed.remote_host ~port:1234 ~uid:0 ~exec:(fun _ -> ""));
+  Testbed.tick_all tb
+
+let mix_ops = QCheck.(list_of_size (Gen.int_range 1 10) (pair (int_bound 11) (pair small_nat small_nat)))
+
+let prop_reset_in_place =
+  QCheck.Test.make ~name:"kernels and network reset in place = fresh fork" ~count:40
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 3) mix_ops)
+    (fun mixes ->
+      let make () = Testbed.create_pooled ~domains:3 Version.V4_8 in
+      let tb = make () in
+      List.for_all
+        (fun mix ->
+          let before = Testbed.kernels tb in
+          List.iter (apply_mix tb) mix;
+          let destroyed =
+            List.map (fun k -> Hv.find_domain tb.Testbed.hv (Kernel.domid k) = None) before
+          in
+          Testbed.reset tb;
+          let fresh = make () in
+          let same_objects =
+            List.for_all2
+              (fun (k, gone) k' -> if gone then k != k' else k == k')
+              (List.combine before destroyed) (Testbed.kernels tb)
+          in
+          let equal_now = testbed_view tb = testbed_view fresh in
+          probe tb;
+          probe fresh;
+          let equal_probed = testbed_view tb = testbed_view fresh in
+          Testbed.reset tb;
+          same_objects && equal_now && equal_probed)
+        mixes)
+
+(* Log lines keep their bytes now that they are formatted on read: the
+   stamps, a tagged line, and the balloon driver's line (the fault line
+   is pinned in test_guest "fault klog line"). *)
+let test_klog_lines () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  let k = tb.Testbed.victim in
+  Kernel.printk k "hello";
+  Kernel.printk_tagged k ~tag:"xen_exploit" "xen version = 4.6";
+  Xenstore.inject_write tb.Testbed.hv.Hv.xenstore
+    (Xenstore.domain_path (Kernel.domid k) "memory/target")
+    "93";
+  Kernel.balloon k;
+  Alcotest.(check (list string))
+    "lines"
+    [
+      "[  116.0017] hello";
+      "[  116.0034] xen_exploit:\txen version = 4.6";
+      "[  116.0051] balloon: released pfn 88 (target 93)";
+      "[  116.0068] balloon: released pfn 87 (target 93)";
+      "[  116.0085] balloon: released pfn 86 (target 93)";
+    ]
+    (Kernel.klog k);
+  for _ = 1 to 70 do
+    Kernel.printk k "x"
+  done;
+  Alcotest.(check string) "past 1000 jiffies" "[  117.1275] x" (List.nth (Kernel.klog k) 74)
+
 (* --- Allocation budgets ------------------------------------------------------ *)
 
 (* Minor-heap words are deterministic for a given compiler, so these
@@ -1007,7 +1150,7 @@ let test_reset_words () =
   let w0 = Gc.minor_words () in
   Testbed.reset tb;
   let words = Gc.minor_words () -. w0 in
-  if words > 1000. then Alcotest.failf "Testbed.reset allocated %.0f words (budget 1000)" words
+  if words > 400. then Alcotest.failf "Testbed.reset allocated %.0f words (budget 400)" words
 
 let test_run_one_words () =
   let w = Random_campaign.make_worker ~pooled:true Version.V4_8 in
@@ -1019,8 +1162,19 @@ let test_run_one_words () =
     run i
   done;
   let mean = (Gc.minor_words () -. w0) /. float_of_int trials in
-  if mean > 8000. then
-    Alcotest.failf "Random_campaign.run_one allocated %.0f words/trial (budget 8000)" mean
+  if mean > 3700. then
+    Alcotest.failf "Random_campaign.run_one allocated %.0f words/trial (budget 3700)" mean
+
+(* A scheduler round in which nothing happens: every kernel drains no
+   event, reads its balloon target, finds no backdoor in its vDSO. *)
+let test_quiet_tick_all_words () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  Testbed.tick_all tb;
+  let w0 = Gc.minor_words () in
+  Testbed.tick_all tb;
+  let words = Gc.minor_words () -. w0 in
+  if words > 120. then
+    Alcotest.failf "quiet Testbed.tick_all allocated %.0f words (budget 120)" words
 
 (* The guest memory access path on the benchmark's corpus shape: a
    4-domain 4.6 pooled testbed under the default load. [f] runs once to
@@ -1277,6 +1431,22 @@ let test_alloc_lowest_free () =
   Phys_mem.free mem b;
   check_int "freed slot is reused first" b (Phys_mem.alloc mem Phys_mem.Xen)
 
+(* [lowest_bit] against the bit-by-bit scan it replaced *)
+let lowest_bit_reference word =
+  let rec go b = if word land (1 lsl b) <> 0 then b else go (b + 1) in
+  go 0
+
+let test_lowest_bit_single () =
+  for b = 0 to Sys.int_size - 1 do
+    check_int (Printf.sprintf "bit %d" b) b (Phys_mem.lowest_bit (1 lsl b))
+  done
+
+(* random words, shifted so the lowest set bit lands anywhere *)
+let prop_lowest_bit =
+  QCheck.Test.make ~name:"lowest_bit = linear scan" ~count:2000
+    QCheck.(make ~print:string_of_int Gen.(map2 (fun w s -> w lsl s) int (int_bound 62)))
+    (fun w -> w = 0 || Phys_mem.lowest_bit w = lowest_bit_reference w)
+
 let test_alloc_zeroed_after_dirty_free () =
   let mem = Phys_mem.create ~frames:8 in
   let m = Phys_mem.alloc mem Phys_mem.Xen in
@@ -1388,11 +1558,14 @@ let () =
           Alcotest.test_case "fresh testbed" `Quick
             (test_restore_in_place (fun () -> Testbed.create Version.V4_8));
           Alcotest.test_case "destroyed domain" `Quick test_restore_destroyed_domain;
-        ] );
+          Alcotest.test_case "klog lines" `Quick test_klog_lines;
+        ]
+        @ qsuite_seeded 23 [ prop_reset_in_place ] );
       ( "alloc",
         [
           Alcotest.test_case "reset words" `Quick test_reset_words;
           Alcotest.test_case "run_one words" `Quick test_run_one_words;
+          Alcotest.test_case "quiet tick_all words" `Quick test_quiet_tick_all_words;
           Alcotest.test_case "campaign words (xen)" `Quick test_campaign_words_xen;
           Alcotest.test_case "campaign words (kvm)" `Quick test_campaign_words_kvm;
           Alcotest.test_case "read_u64 hit words" `Quick test_read_hit_words;
@@ -1419,9 +1592,11 @@ let () =
       ( "allocator",
         [
           Alcotest.test_case "lowest free first" `Quick test_alloc_lowest_free;
+          Alcotest.test_case "lowest_bit single bits" `Quick test_lowest_bit_single;
           Alcotest.test_case "zeroed after dirty free" `Quick test_alloc_zeroed_after_dirty_free;
           Alcotest.test_case "free counter" `Quick test_free_frames_counter;
-        ] );
+        ]
+        @ qsuite [ prop_lowest_bit ] );
       ( "page_info",
         [
           Alcotest.test_case "touched set" `Quick test_page_info_touched;

@@ -971,6 +971,113 @@ let prop_p2m_m2p_inverse =
           | Some mfn -> Hv.m2p_lookup hv mfn = Some pfn)
         (Domain.populated_pfns guest))
 
+(* --- XenStore permissions and change-gated restores ---------------------- *)
+
+(* The reference [may_access]: build the caller's prefix and compare. *)
+let may_access_reference ~caller path =
+  caller = 0
+  ||
+  let prefix = Printf.sprintf "/local/domain/%d/" caller in
+  String.length path >= String.length prefix && String.sub path 0 (String.length prefix) = prefix
+
+let test_may_access_cases () =
+  List.iter
+    (fun (caller, path) ->
+      check_bool
+        (Printf.sprintf "%d %S" caller path)
+        (may_access_reference ~caller path) (Xenstore.may_access ~caller path))
+    [
+      (1, "/local/domain/12/memory/target");
+      (12, "/local/domain/1/memory/target");
+      (1, "/local/domain/1/");
+      (1, "/local/domain/1");
+      (1, "/local/domain/");
+      (-1, "/local/domain/-1/x");
+      (-1, "/local/domain/1/x");
+      (1, "/local/domain/-1/x");
+      (min_int, Printf.sprintf "/local/domain/%d/x" min_int);
+      (max_int, Printf.sprintf "/local/domain/%d/x" max_int);
+      (10, "/local/domain/10/x");
+      (10, "/local/domain/01/x");
+      (0, "anything");
+      (3, "");
+    ]
+
+(* Paths near the caller's own prefix, so a match is common: a domain
+   path for a nearby id (or a mangled prefix) with a random tail. *)
+let caller_path =
+  QCheck.Gen.(
+    let* caller =
+      oneof [ int; int_range (-20) 120; oneofl [ min_int; max_int; 0; -1; 1 ] ]
+    in
+    let* id =
+      oneof
+        [
+          return caller; return (caller * 10); return (caller / 10); return (-caller);
+          int_range (-20) 120;
+        ]
+    in
+    let* root = oneofl [ "/local/domain/"; "/local/domain"; "/local/domian/"; ""; "/" ] in
+    let* tail = oneofl [ "/"; "/memory/target"; ""; "x/"; "0/"; "/a/b" ] in
+    let* cut = int_range 0 3 in
+    let path = Printf.sprintf "%s%d%s" root id tail in
+    let path = String.sub path 0 (String.length path - min cut (String.length path)) in
+    oneof [ return (caller, path); map (fun junk -> (caller, junk)) string ])
+
+let prop_may_access =
+  QCheck.Test.make ~name:"may_access = sprintf-prefix reference" ~count:2000
+    (QCheck.make ~print:(fun (c, p) -> Printf.sprintf "%d %S" c p) caller_path)
+    (fun (caller, path) -> Xenstore.may_access ~caller path = may_access_reference ~caller path)
+
+let handler_va = 0xFFFF_8300_0000_1000L
+
+(* Two checkpoints of one hypervisor: each restore must land on its own
+   checkpoint's store and handler table, whatever the previous restore
+   left, and a restore after a mutation must undo it. *)
+let test_restore_two_checkpoints () =
+  let hv = Hv.boot ~version:Version.V4_8 ~frames:512 in
+  ignore (Builder.create_domain hv ~name:"g" ~privileged:false ~pages:32);
+  (* views that read without dumping: a dump would itself re-key the
+     gate, and the skip path would go untested *)
+  let store () =
+    match Xenstore.list_prefix hv.Hv.xenstore ~caller:0 "" with
+    | Ok paths -> List.map (fun p -> (p, Xenstore.read hv.Hv.xenstore ~caller:0 p)) paths
+    | Error _ -> Alcotest.fail "list_prefix"
+  in
+  let vas = handler_va :: 0x1000L :: List.map fst (Cpu.handlers_dump hv.Hv.cpu) in
+  let handlers () = List.map (Cpu.handler_name hv.Hv.cpu) vas in
+  let ck1 = Hv.checkpoint hv in
+  let store1 = store () and handlers1 = handlers () in
+  Xenstore.inject_write hv.Hv.xenstore "/local/domain/1/memory/target" "48";
+  Cpu.register_handler hv.Hv.cpu handler_va "planted";
+  let ck2 = Hv.checkpoint hv in
+  let store2 = store () and handlers2 = handlers () in
+  check_bool "checkpoints differ" true (store1 <> store2 && handlers1 <> handlers2);
+  let expect what (s, h) =
+    check_bool (what ^ ": store") true (store () = s);
+    check_bool (what ^ ": handlers") true (handlers () = h)
+  in
+  Hv.restore hv ck1;
+  expect "ck1" (store1, handlers1);
+  Hv.restore hv ck1;
+  expect "ck1 again" (store1, handlers1);
+  Hv.restore hv ck2;
+  expect "ck2" (store2, handlers2);
+  Hv.restore hv ck2;
+  expect "ck2 again" (store2, handlers2);
+  Hv.restore hv ck1;
+  expect "back to ck1" (store1, handlers1);
+  ignore (Xenstore.write hv.Hv.xenstore ~caller:0 "/tool/x" "1");
+  Cpu.register_handler hv.Hv.cpu 0x1000L "stray";
+  Hv.restore hv ck1;
+  expect "ck1 after mutation" (store1, handlers1);
+  ignore (Xenstore.rm hv.Hv.xenstore ~caller:0 "/local/domain/1/memory/target");
+  Hv.restore hv ck2;
+  expect "ck2 after ck1" (store2, handlers2);
+  ignore (Xenstore.rm hv.Hv.xenstore ~caller:0 "/local/domain/1/memory/target");
+  Hv.restore hv ck2;
+  expect "ck2 after rm" (store2, handlers2)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -1019,6 +1126,12 @@ let () =
             test_sched_smp_degradation_vs_freeze;
           Alcotest.test_case "hv watchdog panics" `Quick test_hv_watchdog_panics;
         ] );
+      ( "xenstore",
+        [
+          Alcotest.test_case "may_access cases" `Quick test_may_access_cases;
+          Alcotest.test_case "restore two checkpoints" `Quick test_restore_two_checkpoints;
+        ]
+        @ qsuite [ prop_may_access ] );
       ( "hv",
         [
           Alcotest.test_case "boot structures" `Quick test_boot_structures;
