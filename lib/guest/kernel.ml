@@ -73,14 +73,14 @@ let printk t msg = log t (Msg (stamp t, msg))
 let printk_tagged t ~tag msg = log t (Tagged (stamp t, tag, msg))
 
 let format_line line =
-  let stamp j = Printf.sprintf "[  %3d.%04d]" (116 + (j / 1000)) (j mod 10000) in
+  let at j = Printf.sprintf "[  %3d.%04d]" (116 + (j / 1000)) (j mod 10000) in
   match line with
-  | Msg (j, msg) -> Printf.sprintf "%s %s" (stamp j) msg
-  | Tagged (j, tag, msg) -> Printf.sprintf "%s %s:\t%s" (stamp j) tag msg
+  | Msg (j, msg) -> Printf.sprintf "%s %s" (at j) msg
+  | Tagged (j, tag, msg) -> Printf.sprintf "%s %s:\t%s" (at j) tag msg
   | Paging_request (j, va) ->
-      Printf.sprintf "%s BUG: unable to handle kernel paging request at 0x%016Lx" (stamp j) va
+      Printf.sprintf "%s BUG: unable to handle kernel paging request at 0x%016Lx" (at j) va
   | Balloon_release (j, pfn, target) ->
-      Printf.sprintf "%s balloon: released pfn %d (target %d)" (stamp j) pfn target
+      Printf.sprintf "%s balloon: released pfn %d (target %d)" (at j) pfn target
 
 let klog t = List.rev_map format_line t.klog_rev
 
