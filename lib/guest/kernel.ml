@@ -20,11 +20,9 @@ type t = {
   procs : Process.t;
 }
 
-let root_msg_path = "/root/root_msg"
-let root_msg = "Confidential content in root folder!"
-
 let boot_fs t =
-  if t.domain.Domain.privileged then Fs.write t.guest_fs ~path:root_msg_path ~uid:0 root_msg
+  if t.domain.Domain.privileged then
+    Fs.write t.guest_fs ~path:"/root/root_msg" ~uid:0 "Confidential content in root folder!"
 
 let create hv domain net =
   let t =

@@ -20,15 +20,7 @@ let create () =
   boot t;
   t
 
-(* pids are never reused, so a table holding pids 1 and 1000 alone
-   holds the two boot residents: only their counters changed *)
-let reset t =
-  match t.procs with
-  | [ init; shell ] when init.pid = 1 && shell.pid = 1000 ->
-      init.vdso_calls <- 0;
-      shell.vdso_calls <- 0;
-      t.next_pid <- 1001
-  | _ -> boot t
+let reset = boot
 
 let kill t ~pid =
   let before = List.length t.procs in

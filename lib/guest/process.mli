@@ -15,8 +15,7 @@ val create : unit -> t
     root) and the [xen] user's shell (pid 1000, uid 1000). *)
 
 val reset : t -> unit
-(** Back to {!create}'s table, in place: the two residents keep their
-    records (vDSO call counts zeroed) unless the table lost one. *)
+(** Back to {!create}'s table, in place. *)
 
 val spawn : t -> uid:int -> cmdline:string -> proc
 val kill : t -> pid:int -> bool

@@ -132,12 +132,6 @@ let reset_kernel t k =
   | Some dom -> Kernel.create t.hv dom t.net
   | None -> invalid_arg "Testbed.reset: checkpoint lost a domain"
 
-let rec reset_kernels t = function
-  | [] -> []
-  | k :: rest as ks ->
-      let k' = reset_kernel t k and rest' = reset_kernels t rest in
-      if k' == k && rest' == rest then ks else k' :: rest'
-
 let reset t =
   Hv.restore t.hv t.checkpoint;
   (* the restore rolled the Domain.t records back in place; the network
@@ -147,7 +141,7 @@ let reset t =
   t.dom0 <- reset_kernel t t.dom0;
   t.victim <- reset_kernel t t.victim;
   t.attacker <- reset_kernel t t.attacker;
-  t.extras <- reset_kernels t t.extras;
+  t.extras <- List.map (reset_kernel t) t.extras;
   Devmodel.reset t.dm;
   reseed_load t
 
@@ -215,6 +209,7 @@ let run_load t =
    device-model turn run inside the round, so a replayed [Sched_round]
    regenerates them deterministically. *)
 let round t =
+  (* one slice per kernel: [List.length (kernels t)], without the list *)
   for _ = 1 to 3 + List.length t.extras do
     match Hv.sched_tick t.hv with
     | Sched.Scheduled domid -> (

@@ -6,8 +6,7 @@ type t = {
   mutable idt : Addr.mfn option;
   handlers : (Addr.vaddr, string) Hashtbl.t;
   mutable handlers_synced : (Addr.vaddr * string) list option;
-      (* a dump the handler table still equals (by physical identity),
-         until the next registration *)
+      (* the dump last restored, while no registration followed *)
   tlb : Paging.Tlb.t;
 }
 
@@ -38,10 +37,7 @@ let register_handler t va label =
 
 let handler_name t va = Hashtbl.find_opt t.handlers va
 
-let handlers_dump t =
-  let d = Hashtbl.fold (fun va label acc -> (va, label) :: acc) t.handlers [] in
-  t.handlers_synced <- Some d;
-  d
+let handlers_dump t = Hashtbl.fold (fun va label acc -> (va, label) :: acc) t.handlers []
 
 let handlers_restore t dump =
   match t.handlers_synced with

@@ -39,9 +39,8 @@ val handlers_dump : t -> (Addr.vaddr * string) list
 
 val handlers_restore : t -> (Addr.vaddr * string) list -> unit
 (** Replace the table with a previous {!handlers_dump}. Change-gated:
-    a no-op when no handler was registered since the table last matched
-    this very list — the one {!handlers_dump} returned or
-    [handlers_restore] was last given, compared by physical identity. *)
+    a no-op when this very list (compared by physical identity) was the
+    last one restored and no handler was registered since. *)
 
 (** {1 Software TLB}
 

@@ -2,8 +2,8 @@ type t = {
   tbl : (string, string) Hashtbl.t;
   mutable tracer : Trace.t option;
   mutable synced : (string * string) list option;
-      (* a dump the table still equals (by physical identity), until
-         the next mutation *)
+      (* the dump last restored, while no mutation followed: compared
+         by physical identity, so it names the checkpoint it came from *)
 }
 
 let create () = { tbl = Hashtbl.create 31; tracer = None; synced = None }
@@ -91,12 +91,7 @@ let inject_write t path value =
   t.synced <- None;
   Hashtbl.replace t.tbl path value
 
-(* the returned list is what the table holds now, so it is also the
-   dump a later [restore_dump] may skip on *)
-let dump t =
-  let d = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []) in
-  t.synced <- Some d;
-  d
+let dump t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
 
 let restore_dump t entries =
   match t.synced with

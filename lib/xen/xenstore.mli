@@ -49,8 +49,8 @@ val dump : t -> (string * string) list
 
 val restore_dump : t -> (string * string) list -> unit
 (** Replace the whole store with a previous {!dump} (checkpoint
-    restore). Change-gated: a no-op when the store has not been
-    mutated since it last matched this very list — the one {!dump}
-    returned or [restore_dump] was last given, compared by physical
-    identity. A checkpoint's dump is its identity, so restoring two
-    checkpoints of one store in turn rewrites it each time. *)
+    restore). Change-gated: a no-op when this very list (compared by
+    physical identity) was the last one restored and the store has not
+    been mutated since. A checkpoint's dump is its identity, so
+    restoring two checkpoints of one store in turn rewrites it each
+    time. *)
