@@ -64,7 +64,7 @@ let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 
 
 (* Fork a new testbed from [template] without re-running the builder:
    the hypervisor is an {!Hv.fork} (memory shared copy-on-write), and the
-   kernels are rebuilt around the forked domains exactly as [reset] does.
+   kernels are built around the forked domains, by domid.
    The fork shares the template's checkpoint record — restores only read
    it — so [reset] on a forked testbed works unchanged. *)
 let fork ?load template =

@@ -106,6 +106,7 @@ let rec collect_pending t ~limit i acc =
   else collect_pending t ~limit (i + 1) acc
 
 let first_pending t ~limit = collect_pending t ~limit 0 []
+
 let bound_ports t = collect t (fun p -> p.binding <> None)
 
 let force_pending_all t =
