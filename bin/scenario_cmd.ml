@@ -1,5 +1,5 @@
 (* The scenario subcommand: the .scn corpus as first-class input —
-   list, check, compile, disassemble, run and gate use cases that are
+   list, check, disassemble, run and gate use cases that are
    loadable data instead of OCaml modules. *)
 
 open Cmdliner
@@ -56,8 +56,7 @@ let corpus_files dir =
   | entries ->
       let files =
         Array.to_list entries
-        |> List.filter (fun f ->
-               Filename.check_suffix f ".scn" || Filename.check_suffix f ".scnc")
+        |> List.filter (fun f -> Filename.check_suffix f ".scn")
         |> List.sort compare
         |> List.map (Filename.concat dir)
       in
@@ -111,7 +110,7 @@ let list_cmd =
 (* --- scenario check ------------------------------------------------------ *)
 
 let files_arg =
-  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Scenario files (.scn or .scnc).")
+  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Scenario files (.scn).")
 
 let check_cmd =
   let doc = "Parse, compile and gate scenarios against the backend action tables." in
@@ -134,31 +133,10 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(ret (const run $ files_arg))
 
-(* --- scenario compile / disasm ------------------------------------------- *)
+(* --- scenario disasm ----------------------------------------------------- *)
 
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Scenario file (.scn or .scnc).")
-
-let compile_cmd =
-  let doc = "Compile a scenario to flat bytecode (.scnc)." in
-  let out_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output path.")
-  in
-  let run file out =
-    match Scn_loader.load_file file with
-    | Error e -> `Error (false, e)
-    | Ok p ->
-        let out =
-          match out with
-          | Some o -> o
-          | None -> Filename.remove_extension file ^ ".scnc"
-        in
-        Scn_loader.save_bytecode out p;
-        Printf.printf "%s: %s -> %s (%d bytes)\n" file (Scn_bytecode.name p) out
-          (String.length (Scn_bytecode.encode p));
-        `Ok ()
-  in
-  Cmd.v (Cmd.info "compile" ~doc) Term.(ret (const run $ file_arg $ out_arg))
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Scenario file (.scn).")
 
 let disasm_cmd =
   let doc = "Disassemble a scenario back to canonical surface text." in
@@ -345,4 +323,4 @@ let cmd =
   let doc = "Work with compiled intrusion scenarios (.scn corpus)." in
   Cmd.group
     (Cmd.info "scenario" ~doc)
-    [ list_cmd; check_cmd; compile_cmd; disasm_cmd; run_cmd; gate_cmd; crossdomain_cmd ]
+    [ list_cmd; check_cmd; disasm_cmd; run_cmd; gate_cmd; crossdomain_cmd ]

@@ -265,10 +265,6 @@ let trace_cmd =
     in
     Arg.(required & opt (some string) None & info [ "use-case" ] ~docv:"USE-CASE" ~doc)
   in
-  let seed_arg =
-    let doc = "Campaign seed (echoed in the header; the trial itself is deterministic)." in
-    Arg.(value & opt int64 7L & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
-  in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit the recording as JSON.") in
   let replay_arg =
     Arg.(value & flag & info [ "replay" ] ~doc:"Replay the recording and check final-state equivalence.")
@@ -282,7 +278,7 @@ let trace_cmd =
             "Load per-operation virtual-clock costs from $(docv) (one 'key = ns' per line, \
              '#' comments); unknown keys keep their defaults out — the loader rejects them.")
   in
-  let run name mode seed config json replay cost_model (module K : All.BACKEND) =
+  let run name mode config json replay cost_model (module K : All.BACKEND) =
     let module D = Drivers (K) in
     let model =
       match cost_model with
@@ -297,11 +293,7 @@ let trace_cmd =
           Option.map (fun m tb -> Vclock.set_model (Trace.vclock (D.B.trace tb)) m) model
         in
         let r = D.T.record ?prepare uc mode config in
-        if json then print_string (D.T.to_json r)
-        else begin
-          Printf.printf "seed: %Ld\n" seed;
-          print_string (D.T.render r)
-        end;
+        print_string (if json then D.T.to_json r else D.T.render r);
         if replay then begin
           let o = D.T.replay r in
           Printf.printf "replay: %d boundary events applied, %d records skipped\n"
@@ -321,7 +313,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       ret
-        (const run $ uc_opt_arg $ mode_arg $ seed_arg $ config_arg $ json_arg $ replay_arg
+        (const run $ uc_opt_arg $ mode_arg $ config_arg $ json_arg $ replay_arg
        $ cost_model_arg $ backend))
 
 let vmi_cmd =
@@ -330,11 +322,6 @@ let vmi_cmd =
      and the metrics registry. Exits non-zero when a use-case state escapes every detector \
      on a vulnerable version, or when a scan perturbs the machine."
   in
-  let period_arg =
-    Arg.(
-      value & opt (at_least 1) 1
-      & info [ "p"; "period" ] ~docv:"N" ~doc:"Scan every N trial steps.")
-  in
   let every_ns_arg =
     Arg.(
       value
@@ -342,16 +329,16 @@ let vmi_cmd =
       & info [ "every-ns" ] ~docv:"NS"
           ~doc:
             "Rate-based scheduling: scan when $(docv) simulated ns have elapsed on the \
-             machine's virtual clock (overrides $(b,--period)).")
+             machine's virtual clock (default: scan at every trial step).")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit per-trial latencies as JSON.") in
-  let run mode period every_ns config json (module K : All.BACKEND) =
+  let run mode every_ns config json (module K : All.BACKEND) =
     let module D = Drivers (K) in
     match D.config config with
     | Error e -> `Error (false, e)
     | Ok config ->
         let registry = Metrics.create () in
-        let trials = D.V.coverage ~period ?every_ns ~registry K.use_cases mode config in
+        let trials = D.V.coverage ?every_ns ~registry K.use_cases mode config in
         let name t = t.D.V.t_recording.D.T.rec_use_case in
         if json then print_string (D.V.to_json trials)
         else begin
@@ -390,7 +377,7 @@ let vmi_cmd =
   in
   Cmd.v (Cmd.info "vmi" ~doc)
     Term.(
-      ret (const run $ mode_arg $ period_arg $ every_ns_arg $ config_arg $ json_arg $ backend))
+      ret (const run $ mode_arg $ every_ns_arg $ config_arg $ json_arg $ backend))
 
 let attribution_cmd =
   let doc =

@@ -90,9 +90,9 @@ module Make (B : Substrate.S) = struct
     in
     List.map Provenance.origin_to_string chosen
 
-  let attribute ?frames ?domains ?load ?period ?registry uc mode config =
+  let attribute ?frames ?domains ?load ?registry uc mode config =
     let detectors = B.detectors () in
-    let sched = Vmi.Scheduler.create ?period ?registry detectors in
+    let sched = Vmi.Scheduler.create ?registry detectors in
     let tbr = ref None in
     let recording =
       T.record ?frames ?domains ?load ~provenance:true
@@ -160,8 +160,8 @@ module Make (B : Substrate.S) = struct
   let complete r =
     List.for_all (fun row -> row.a_kind = "silent" || row.a_origins <> []) r.ar_rows
 
-  let attribute_all ?frames ?domains ?load ?period ?registry ucs mode config =
-    List.map (fun uc -> attribute ?frames ?domains ?load ?period ?registry uc mode config) ucs
+  let attribute_all ?frames ?domains ?load ?registry ucs mode config =
+    List.map (fun uc -> attribute ?frames ?domains ?load ?registry uc mode config) ucs
 
   let table reports =
     let body =

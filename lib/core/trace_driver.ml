@@ -202,12 +202,9 @@ module Make (B : Substrate.S) = struct
       (fun (n, count) ->
         Buffer.add_string buf (Printf.sprintf "  %-20s %d\n" (hypercall_name n) count))
       t.Trace.tm_hypercalls;
-    (match (Trace.detection_latency recs, Trace.detection_latency_ns recs) with
-    | Some d, Some ns ->
-        Buffer.add_string buf
-          (Printf.sprintf "detection latency: %Ld virtual ns (%d events)\n" ns d)
-    | Some d, None -> Buffer.add_string buf (Printf.sprintf "detection latency: %d events\n" d)
-    | None, _ -> ());
+    (match Trace.detection_latency_ns recs with
+    | Some ns -> Buffer.add_string buf (Printf.sprintf "detection latency: %Ld virtual ns\n" ns)
+    | None -> ());
     Buffer.add_string buf
       (Printf.sprintf "verdict: state=%b violations=%d\n" r.rec_row.C.r_state
          (List.length r.rec_row.C.r_violations));
@@ -217,13 +214,12 @@ module Make (B : Substrate.S) = struct
     let recs = events r in
     Printf.sprintf
       "{\"use_case\":\"%s\",\"mode\":\"%s\",\"version\":\"%s\",\"records\":%d,\"dropped\":%d,\
-       \"detection_latency\":%s,\"detection_latency_ns\":%s,\"vtime_ns\":%Ld,\"state\":%b,\
+       \"detection_latency_ns\":%s,\"vtime_ns\":%Ld,\"state\":%b,\
        \"violations\":%d,\"telemetry\":%s,\"events\":%s}"
       (Metrics.json_escape r.rec_use_case)
       (Campaign.mode_to_string r.rec_mode)
       (Metrics.json_escape (B.config_to_string r.rec_version))
       (List.length recs) r.rec_dropped
-      (match Trace.detection_latency recs with Some d -> string_of_int d | None -> "null")
       (match Trace.detection_latency_ns recs with Some d -> Int64.to_string d | None -> "null")
       r.rec_row.C.r_vtime_ns
       r.rec_row.C.r_state

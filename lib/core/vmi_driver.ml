@@ -1,6 +1,6 @@
 (** Driving VMI detectors against campaign trials: coverage and
     detection latency (which detectors catch which erroneous states,
-    and how many trace events after injection).
+    and how many virtual ns after injection).
 
     A functor over {!Substrate.S} like the rest of the stack — a trial
     arms the backend's detector suite ({!Substrate.S.detectors}), steps
@@ -20,9 +20,6 @@ let inject_record mode records =
           match r.Trace.event with Trace.Injector_access _ -> true | _ -> false)
   | Campaign.Real_exploit -> first (fun r -> Trace.is_boundary r.Trace.event)
 
-let inject_seq mode records =
-  Option.map (fun r -> r.Trace.seq) (inject_record mode records)
-
 (* Strip the VMI contribution out of a telemetry delta so detector-on
    and detector-off trials compare equal everywhere else. *)
 let telemetry_sans_vmi (t : Trace.telemetry) =
@@ -37,10 +34,8 @@ module Make (B : Substrate.S) = struct
     t_inject_seq : int option;
     t_inject_vts : int64 option;
     t_first_fire : (string * int) list;
-    t_latency : (string * int option) list;
-        (** legacy denomination: trace events between injection and fire *)
     t_latency_ns : (string * int64 option) list;
-        (** the same interval on the virtual clock, in simulated ns *)
+        (** injection to first fire on the virtual clock, in simulated ns *)
     t_findings : (string * string list) list;
     t_scans : int;
     t_frames_read : int;
@@ -49,9 +44,9 @@ module Make (B : Substrate.S) = struct
         (** per-domain blast radius of the trial (from the result row) *)
   }
 
-  let run_trial ?frames ?domains ?load ?capacity_bytes ?period ?every_ns ?registry
+  let run_trial ?frames ?domains ?load ?capacity_bytes ?every_ns ?registry
       ?(detectors = B.detectors ()) uc mode version =
-    let sched = Vmi.Scheduler.create ?period ?every_ns ?registry detectors in
+    let sched = Vmi.Scheduler.create ?every_ns ?registry detectors in
     let recording =
       T.record ?frames ?domains ?load ?capacity_bytes
         ~prepare:(fun tb -> Vmi.Scheduler.arm sched tb)
@@ -69,14 +64,9 @@ module Make (B : Substrate.S) = struct
     let t_inject_vts = Option.map (fun r -> r.Trace.vts) inject in
     let first_fire = Vmi.Scheduler.first_fire sched in
     let first_fire_vts = Vmi.Scheduler.first_fire_vts sched in
-    let latency_of name =
-      match (List.assoc_opt name first_fire, t_inject_seq) with
-      | Some fire, Some inj when fire > inj -> Some (fire - inj)
-      | _ -> None
-    in
-    (* ns latency is gated on the same seq comparison: the clock can
-       stand still across events (zero-cost records), so [fire > inj]
-       on seq is the authoritative "fired after injection" test. *)
+    (* The latency is gated on a seq comparison: the clock can stand
+       still across events (zero-cost records), so [fire > inj] on seq
+       is the authoritative "fired after injection" test. *)
     let latency_ns_of name =
       match (List.assoc_opt name first_fire, t_inject_seq, t_inject_vts) with
       | Some fire, Some inj, Some ivts when fire > inj ->
@@ -90,7 +80,6 @@ module Make (B : Substrate.S) = struct
       t_inject_seq;
       t_inject_vts;
       t_first_fire = first_fire;
-      t_latency = List.map (fun d -> (d.Vmi.Detector.name, latency_of d.Vmi.Detector.name)) detectors;
       t_latency_ns =
         List.map (fun d -> (d.Vmi.Detector.name, latency_ns_of d.Vmi.Detector.name)) detectors;
       t_findings = Vmi.Scheduler.findings sched;
@@ -100,16 +89,7 @@ module Make (B : Substrate.S) = struct
       t_domains = recording.T.rec_row.C.r_domains;
     }
 
-  let covered t = List.exists (fun (_, l) -> l <> None) t.t_latency
-
-  let best_latency t =
-    List.fold_left
-      (fun best (_, l) ->
-        match (best, l) with
-        | None, l -> l
-        | Some b, Some l -> Some (min b l)
-        | Some b, None -> Some b)
-      None t.t_latency
+  let covered t = List.exists (fun (_, l) -> l <> None) t.t_latency_ns
 
   let best_latency_ns t =
     List.fold_left
@@ -120,9 +100,9 @@ module Make (B : Substrate.S) = struct
         | Some b, None -> Some b)
       None t.t_latency_ns
 
-  let coverage ?frames ?domains ?load ?period ?every_ns ?registry ucs mode version =
+  let coverage ?frames ?domains ?load ?every_ns ?registry ucs mode version =
     List.map
-      (fun uc -> run_trial ?frames ?domains ?load ?period ?every_ns ?registry uc mode version)
+      (fun uc -> run_trial ?frames ?domains ?load ?every_ns ?registry uc mode version)
       ucs
 
   (* Per-domain blast radius and detection latency: one row per (trial,
@@ -158,7 +138,7 @@ module Make (B : Substrate.S) = struct
 
   let matrix_table trials =
     let detectors =
-      match trials with [] -> [] | t :: _ -> List.map fst t.t_latency
+      match trials with [] -> [] | t :: _ -> List.map fst t.t_latency_ns
     in
     let header =
       "Detector" :: List.map (fun t -> t.t_recording.T.rec_use_case) trials
@@ -204,17 +184,6 @@ module Make (B : Substrate.S) = struct
 
   let to_json trials =
     let one t =
-      (* per-detector latency under both denominations: "latency"
-         (trace events, the legacy key, kept for one release of
-         overlap) and "latency_ns" (virtual ns, the new currency) *)
-      let lat =
-        String.concat ","
-          (List.map
-             (fun (d, l) ->
-               Printf.sprintf "\"%s\":%s" (Metrics.json_escape d)
-                 (match l with Some l -> string_of_int l | None -> "null"))
-             t.t_latency)
-      in
       let lat_ns =
         String.concat ","
           (List.map
@@ -226,13 +195,13 @@ module Make (B : Substrate.S) = struct
       Printf.sprintf
         "{\"use_case\":\"%s\",\"mode\":\"%s\",\"version\":\"%s\",\"inject_seq\":%s,\
          \"inject_vts\":%s,\"scans\":%d,\"frames_read\":%d,\"scan_cost_ns\":%Ld,\
-         \"covered\":%b,\"latency\":{%s},\"latency_ns\":{%s}}"
+         \"covered\":%b,\"latency_ns\":{%s}}"
         (Metrics.json_escape t.t_recording.T.rec_use_case)
         (Campaign.mode_to_string t.t_recording.T.rec_mode)
         (Metrics.json_escape (B.config_to_string t.t_recording.T.rec_version))
         (match t.t_inject_seq with Some s -> string_of_int s | None -> "null")
         (match t.t_inject_vts with Some s -> Int64.to_string s | None -> "null")
-        t.t_scans t.t_frames_read t.t_scan_cost_ns (covered t) lat lat_ns
+        t.t_scans t.t_frames_read t.t_scan_cost_ns (covered t) lat_ns
     in
     "[" ^ String.concat ",\n " (List.map one trials) ^ "]"
 end

@@ -1,13 +1,13 @@
-(* Compact flat bytecode for compiled scenarios.
+(* Compact flat bytecode for compiled scenarios: the in-memory program
+   the compiler produces and the VM runs. The [.scn] surface text is
+   its only serialized form.
 
-   One instruction is 16 bytes: opcode, three register operands, an
-   arity, a string-pool id, and a 64-bit immediate. All names (log
-   strings, env symbols, payload/hypercall/guest/state names) live in
-   a shared string pool so the instruction stream stays fixed-width and
-   a fuzzer can mutate it without re-laying-out the program. The
-   on-disk form ([.scnc]) is the pool plus the header plus the two
-   sections behind a versioned magic; the decoder is fully
-   bounds-checked and never raises on hostile bytes. *)
+   One instruction is a fixed-width record: opcode, three register
+   operands, an arity, a string-pool id, and a 64-bit immediate. All
+   names (log strings, env symbols, payload/hypercall/guest/state
+   names) live in a shared string pool so the instruction stream stays
+   fixed-width and a fuzzer can mutate it without re-laying-out the
+   program; {!Scn_check} validates whatever it holds. *)
 
 type instr = {
   op : int;  (* u8 *)
@@ -50,13 +50,17 @@ let op_rcreg = 24 (* rc <- Some (reg a) *)
 let op_rcnone = 25
 let num_opcodes = 26
 
-let op_name op =
+let op_names =
   [|
     "halt"; "loadi"; "add"; "env"; "pte"; "entry-maddr"; "entry-linear"; "log"; "logf1";
     "logf2"; "log-errno"; "inject"; "inject-read"; "host-w64"; "hypercall"; "guest";
     "payload"; "state"; "tick-all"; "jmp"; "jmp-err"; "jmp-neg"; "rc-errno"; "rc-result";
     "rc-reg"; "rc-none";
-  |].(op)
+  |]
+
+(* Total: a mutated or generated program may carry any opcode, and the
+   checker names it in its error. *)
+let op_name op = if op >= 0 && op < num_opcodes then op_names.(op) else Printf.sprintf "op%d" op
 
 type backend_tag = Any | Xen_only | Kvm_only
 
@@ -86,8 +90,6 @@ type header = {
 }
 
 type program = { strings : string array; header : header; exploit : instr array; inject : instr array }
-
-let magic = "IISCNC1\n"
 
 let str p sid = if sid >= 0 && sid < Array.length p.strings then p.strings.(sid) else ""
 
@@ -174,233 +176,6 @@ let render_errno fmt s =
   in
   go 0;
   Buffer.contents buf
-
-(* --- binary codec -------------------------------------------------------- *)
-
-let encode_instr buf i =
-  Buffer.add_uint8 buf (i.op land 0xff);
-  Buffer.add_uint8 buf (i.a land 0xff);
-  Buffer.add_uint8 buf (i.b land 0xff);
-  Buffer.add_uint8 buf (i.c land 0xff);
-  Buffer.add_uint8 buf (i.n land 0xff);
-  Buffer.add_uint8 buf 0;
-  Buffer.add_uint16_le buf (i.sid land 0xffff);
-  Buffer.add_int64_le buf i.imm
-
-let encode p =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_int32_le buf (Int32.of_int (Array.length p.strings));
-  Array.iter
-    (fun s ->
-      Buffer.add_int32_le buf (Int32.of_int (String.length s));
-      Buffer.add_string buf s)
-    p.strings;
-  let h = p.header in
-  let u16 v = Buffer.add_uint16_le buf (v land 0xffff) in
-  let u8 v = Buffer.add_uint8 buf (v land 0xff) in
-  u16 h.h_name;
-  u16 h.h_xsa;
-  u16 h.h_description;
-  u8 (match h.h_backend with Any -> 0 | Xen_only -> 1 | Kvm_only -> 2);
-  u16 h.h_model_name;
-  u8 h.h_source;
-  u8 h.h_iface_kind;
-  u16 h.h_iface_str;
-  u8 h.h_target;
-  u8 h.h_functionality;
-  u16 (List.length h.h_represents);
-  List.iter u16 h.h_represents;
-  u16 h.h_summary;
-  u8 (List.length h.h_expect);
-  List.iter u8 h.h_expect;
-  let section a =
-    Buffer.add_int32_le buf (Int32.of_int (Array.length a));
-    Array.iter (encode_instr buf) a
-  in
-  section p.exploit;
-  section p.inject;
-  Buffer.contents buf
-
-(* Bounds-checked little-endian reader over an immutable string. *)
-type rd = { data : string; mutable pos : int }
-
-let need r n what =
-  if r.pos + n <= String.length r.data then Ok ()
-  else Error (Printf.sprintf "truncated bytecode: %s at offset %d" what r.pos)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let ru8 r what =
-  let* () = need r 1 what in
-  let v = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  Ok v
-
-let ru16 r what =
-  let* () = need r 2 what in
-  let v = Char.code r.data.[r.pos] lor (Char.code r.data.[r.pos + 1] lsl 8) in
-  r.pos <- r.pos + 2;
-  Ok v
-
-let ru32 r what =
-  let* () = need r 4 what in
-  let v =
-    Char.code r.data.[r.pos]
-    lor (Char.code r.data.[r.pos + 1] lsl 8)
-    lor (Char.code r.data.[r.pos + 2] lsl 16)
-    lor (Char.code r.data.[r.pos + 3] lsl 24)
-  in
-  r.pos <- r.pos + 4;
-  Ok v
-
-let ri64 r what =
-  let* () = need r 8 what in
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.pos + i]))
-  done;
-  r.pos <- r.pos + 8;
-  Ok !v
-
-let rstr r len what =
-  if len < 0 || len > String.length r.data - r.pos then
-    Error (Printf.sprintf "truncated bytecode: %s at offset %d" what r.pos)
-  else (
-    let s = String.sub r.data r.pos len in
-    r.pos <- r.pos + len;
-    Ok s)
-
-let decode_instr r =
-  let* op = ru8 r "instruction opcode" in
-  let* a = ru8 r "instruction operand a" in
-  let* b = ru8 r "instruction operand b" in
-  let* c = ru8 r "instruction operand c" in
-  let* n = ru8 r "instruction arity" in
-  let* _pad = ru8 r "instruction padding" in
-  let* sid = ru16 r "instruction string id" in
-  let* imm = ri64 r "instruction immediate" in
-  if op >= num_opcodes then Error (Printf.sprintf "unknown opcode %d" op)
-  else Ok { op; a; b; c; n; sid; imm }
-
-let decode data : (program, string) result =
-  let r = { data; pos = 0 } in
-  let* m = rstr r (String.length magic) "magic" in
-  if m <> magic then Error (Printf.sprintf "bad magic (expected %S)" magic)
-  else
-    let* nstr = ru32 r "string count" in
-    if nstr > 0xffff then Error (Printf.sprintf "string pool too large (%d)" nstr)
-    else
-      let strings = Array.make nstr "" in
-      let rec load i =
-        if i >= nstr then Ok ()
-        else
-          let* len = ru32 r "string length" in
-          let* s = rstr r len "string bytes" in
-          strings.(i) <- s;
-          load (i + 1)
-      in
-      let* () = load 0 in
-      let sid what v = if v < nstr then Ok v else Error (Printf.sprintf "%s string id %d out of range" what v) in
-      let* h_name = ru16 r "name sid" in
-      let* h_name = sid "name" h_name in
-      let* h_xsa = ru16 r "xsa sid" in
-      let* h_xsa = sid "xsa" h_xsa in
-      let* h_description = ru16 r "description sid" in
-      let* h_description = sid "description" h_description in
-      let* bk = ru8 r "backend tag" in
-      let* h_backend =
-        match bk with
-        | 0 -> Ok Any
-        | 1 -> Ok Xen_only
-        | 2 -> Ok Kvm_only
-        | n -> Error (Printf.sprintf "unknown backend tag %d" n)
-      in
-      let* h_model_name = ru16 r "model name sid" in
-      let* h_model_name = sid "model name" h_model_name in
-      let* h_source = ru8 r "source tag" in
-      let* h_source =
-        if h_source < List.length Scn_ast.sources then Ok h_source
-        else Error (Printf.sprintf "unknown trigger-source tag %d" h_source)
-      in
-      let* h_iface_kind = ru8 r "interface tag" in
-      let* h_iface_kind =
-        if h_iface_kind < 3 then Ok h_iface_kind
-        else Error (Printf.sprintf "unknown interface tag %d" h_iface_kind)
-      in
-      let* h_iface_str = ru16 r "interface string sid" in
-      let* h_iface_str = sid "interface" h_iface_str in
-      let* h_target = ru8 r "target tag" in
-      let* h_target =
-        if h_target < List.length Scn_ast.targets then Ok h_target
-        else Error (Printf.sprintf "unknown target tag %d" h_target)
-      in
-      let* h_functionality = ru8 r "functionality tag" in
-      let* h_functionality =
-        if h_functionality < List.length Abusive_functionality.all then Ok h_functionality
-        else Error (Printf.sprintf "unknown functionality tag %d" h_functionality)
-      in
-      let* nrep = ru16 r "represents count" in
-      let rec reps i acc =
-        if i >= nrep then Ok (List.rev acc)
-        else
-          let* v = ru16 r "represents sid" in
-          let* v = sid "represents" v in
-          reps (i + 1) (v :: acc)
-      in
-      let* h_represents = reps 0 [] in
-      let* h_summary = ru16 r "summary sid" in
-      let* h_summary = sid "summary" h_summary in
-      let* nexp = ru8 r "expect count" in
-      let rec exps i acc =
-        if i >= nexp then Ok (List.rev acc)
-        else
-          let* v = ru8 r "expect tag" in
-          if v >= List.length Scn_ast.violation_classes then
-            Error (Printf.sprintf "unknown violation-class tag %d" v)
-          else exps (i + 1) (v :: acc)
-      in
-      let* h_expect = exps 0 [] in
-      let section what =
-        let* count = ru32 r (what ^ " instruction count") in
-        if count > 0x10000 then Error (Printf.sprintf "%s section too large (%d)" what count)
-        else
-          let rec instrs i acc =
-            if i >= count then Ok (Array.of_list (List.rev acc))
-            else
-              let* ins = decode_instr r in
-              let* _ = sid "instruction" ins.sid in
-              instrs (i + 1) (ins :: acc)
-          in
-          instrs 0 []
-      in
-      let* exploit = section "exploit" in
-      let* inject = section "inject" in
-      if r.pos <> String.length data then
-        Error (Printf.sprintf "trailing garbage after bytecode at offset %d" r.pos)
-      else
-        Ok
-          {
-            strings;
-            header =
-              {
-                h_name;
-                h_xsa;
-                h_description;
-                h_backend;
-                h_model_name;
-                h_source;
-                h_iface_kind;
-                h_iface_str;
-                h_target;
-                h_functionality;
-                h_represents;
-                h_summary;
-                h_expect;
-              };
-            exploit;
-            inject;
-          }
 
 (* --- header accessors ---------------------------------------------------- *)
 

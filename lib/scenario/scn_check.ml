@@ -1,11 +1,12 @@
 (* Load-time checking of compiled programs against a backend capability
-   table. Programs arrive from two places — the compiler and raw
-   [.scnc] bytes off disk — so the checks run on bytecode, not the AST:
-   register and jump bounds, string-pool references, format arities,
-   and the three backend-dependent judgments the paper's gating calls
-   for: does this backend know the environment symbol / hypercall /
-   payload / state being named, is the port action admitted, and may a
-   scenario marked for one backend run on another at all. *)
+   table. The checks run on bytecode, not the AST, so they hold for any
+   in-memory program — compiled from [.scn] text, or generated or
+   mutated directly: opcodes, register and jump bounds, string-pool
+   references, format arities, and the three backend-dependent
+   judgments the paper's gating calls for: does this backend know the
+   environment symbol / hypercall / payload / state being named, is the
+   port action admitted, and may a scenario marked for one backend run
+   on another at all. *)
 
 open Scn_bytecode
 

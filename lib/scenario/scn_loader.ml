@@ -1,20 +1,10 @@
-(* Loading scenarios from disk: [.scn] surface text compiles, [.scnc]
-   bytecode decodes — told apart by the versioned magic, not the file
-   name, so either form travels under either extension. *)
-
-let is_bytecode data =
-  String.length data >= String.length Scn_bytecode.magic
-  && String.sub data 0 (String.length Scn_bytecode.magic) = Scn_bytecode.magic
+(* Loading scenarios: [.scn] surface text, compiled on load. The text is
+   the only serialized form of a program; errors name the input. *)
 
 let load_string ?(name = "<string>") data : (Scn_bytecode.program, string) result =
-  if is_bytecode data then
-    match Scn_bytecode.decode data with
-    | Ok p -> Ok p
-    | Error msg -> Error (Printf.sprintf "%s: %s" name msg)
-  else
-    match Scn_compile.compile_string data with
-    | Ok p -> Ok p
-    | Error e -> Error (Printf.sprintf "%s: %s" name (Scn_ast.error_to_string e))
+  match Scn_compile.compile_string data with
+  | Ok p -> Ok p
+  | Error e -> Error (Printf.sprintf "%s: %s" name (Scn_ast.error_to_string e))
 
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -25,7 +15,3 @@ let load_file path : (Scn_bytecode.program, string) result =
   match read_file path with
   | Error msg -> Error msg
   | Ok data -> load_string ~name:path data
-
-let save_bytecode path p =
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (Scn_bytecode.encode p))

@@ -84,7 +84,6 @@ let all_consumers =
 (* --- the shadow map ----------------------------------------------------- *)
 
 type edge = {
-  e_seq : int;
   e_vts : int64;  (* virtual ns when the read happened (0 when no trace) *)
   e_consumer : consumer;
   e_mfn : int;
@@ -95,7 +94,6 @@ type edge = {
 
 type label_info = {
   li_origin : origin;
-  li_seq : int;  (* trace seq when the label was first used *)
   li_vts : int64;  (* virtual ns when the label was first used *)
   mutable li_bytes : int;  (* bytes currently carrying this label *)
   mutable li_read : bool;  (* some consumer interpreted one of them *)
@@ -108,7 +106,7 @@ let max_labels = 255
 
 type baseline = {
   b_shadow : (int, Bytes.t) Hashtbl.t;
-  b_labels : (origin * int * int64 * int * bool) list;  (* in id order, from 1 *)
+  b_labels : (origin * int64 * int * bool) list;  (* in id order, from 1 *)
   b_tainted : int;
 }
 
@@ -151,7 +149,6 @@ let intern t origin =
   match Hashtbl.find_opt t.intern origin with
   | Some id -> id
   | None ->
-      let seq = match t.tr with Some tr -> Trace.seq tr | None -> 0 in
       let vts = match t.tr with Some tr -> Trace.vts tr | None -> 0L in
       if t.n_labels >= max_labels - 1 then begin
         (* saturated: everything else shares the overflow label *)
@@ -159,7 +156,7 @@ let intern t origin =
         | Some id -> Hashtbl.replace t.intern origin id
         | None ->
             t.labels <-
-              { li_origin = Overflow; li_seq = seq; li_vts = vts; li_bytes = 0; li_read = false }
+              { li_origin = Overflow; li_vts = vts; li_bytes = 0; li_read = false }
               :: t.labels;
             t.n_labels <- t.n_labels + 1;
             Hashtbl.replace t.intern Overflow t.n_labels;
@@ -168,7 +165,7 @@ let intern t origin =
       end
       else begin
         t.labels <-
-          { li_origin = origin; li_seq = seq; li_vts = vts; li_bytes = 0; li_read = false }
+          { li_origin = origin; li_vts = vts; li_bytes = 0; li_read = false }
           :: t.labels;
         t.n_labels <- t.n_labels + 1;
         Hashtbl.replace t.intern origin t.n_labels;
@@ -248,11 +245,9 @@ let observe t ~consumer ~mfn ~off ~len =
       | [] -> ()
       | labels ->
           List.iter (fun l -> (label_info t l).li_read <- true) labels;
-          let seq = match t.tr with Some tr -> Trace.seq tr | None -> 0 in
           let vts = match t.tr with Some tr -> Trace.vts tr | None -> 0L in
           t.edges_rev <-
             {
-              e_seq = seq;
               e_vts = vts;
               e_consumer = consumer;
               e_mfn = mfn;
@@ -286,7 +281,7 @@ let capture_baseline t =
   let b_shadow = Hashtbl.create (max 16 (Hashtbl.length t.shadow)) in
   Hashtbl.iter (fun mfn row -> Hashtbl.replace b_shadow mfn (Bytes.copy row)) t.shadow;
   let b_labels =
-    List.rev_map (fun li -> (li.li_origin, li.li_seq, li.li_vts, li.li_bytes, li.li_read)) t.labels
+    List.rev_map (fun li -> (li.li_origin, li.li_vts, li.li_bytes, li.li_read)) t.labels
   in
   t.base <- Some { b_shadow; b_labels; b_tainted = t.tainted }
 
@@ -309,8 +304,8 @@ let reset_to_baseline t =
       t.n_labels <- 0;
       Hashtbl.reset t.intern;
       List.iter
-        (fun (origin, li_seq, li_vts, li_bytes, li_read) ->
-          t.labels <- { li_origin = origin; li_seq; li_vts; li_bytes; li_read } :: t.labels;
+        (fun (origin, li_vts, li_bytes, li_read) ->
+          t.labels <- { li_origin = origin; li_vts; li_bytes; li_read } :: t.labels;
           t.n_labels <- t.n_labels + 1;
           Hashtbl.replace t.intern origin t.n_labels)
         b.b_labels;
@@ -322,7 +317,6 @@ let tainted_bytes t = t.tainted
 let edge_count t = t.n_edges
 let edges t = List.rev t.edges_rev
 
-let label_seq t id = if id = 0 then 0 else (label_info t id).li_seq
 let label_vts t id = if id = 0 then 0L else (label_info t id).li_vts
 
 let labels t =
@@ -345,7 +339,7 @@ let silent t =
 
 (* --- canonical graph export -------------------------------------------- *)
 
-(* The canonical graph is seq-free: replay re-drives the boundary
+(* The canonical graph carries no timestamps: replay re-drives the boundary
    stream on a fresh machine, which reproduces the same writes and the
    same reads but at different ring positions and (for scans) with a
    different repetition count. Distinct (consumer, location, origin
@@ -431,7 +425,6 @@ let to_dot t =
 
 (* --- metrics ------------------------------------------------------------ *)
 
-let read_distance_buckets = [ 1.; 4.; 16.; 64.; 256.; 1024.; 4096. ]
 let read_distance_ns_buckets = [ 100.; 1_000.; 10_000.; 100_000.; 1e6; 1e7; 1e8 ]
 
 let publish registry t =
@@ -450,10 +443,6 @@ let publish registry t =
   in
   Metrics.set s (float_of_int (List.length (silent t)));
   let h =
-    Metrics.histogram registry ~help:"Trace-seq distance from taint to first interpreting read"
-      ~buckets:read_distance_buckets "provenance_read_distance"
-  in
-  let hns =
     Metrics.histogram registry
       ~help:"Virtual-ns distance from taint to first interpreting read"
       ~buckets:read_distance_ns_buckets "provenance_read_distance_ns"
@@ -462,8 +451,7 @@ let publish registry t =
     (fun e ->
       List.iter
         (fun id ->
-          Metrics.observe h (float_of_int (max 0 (e.e_seq - label_seq t id)));
-          Metrics.observe hns
+          Metrics.observe h
             (Int64.to_float (Int64.max 0L (Int64.sub e.e_vts (label_vts t id)))))
         e.e_labels)
     (edges t)

@@ -72,7 +72,6 @@ val consumer_name : consumer -> string
 val all_consumers : consumer list
 
 type edge = {
-  e_seq : int;  (** ring seq when the read happened (0 when no trace) *)
   e_vts : int64;
       (** virtual timestamp (simulated ns) when the read happened (0
           when no trace is attached) *)
@@ -87,7 +86,7 @@ type edge = {
 
 val create : ?tr:Trace.t -> unit -> t
 (** An empty map. [tr] (also settable later with {!set_trace}) supplies
-    edge seqs and the ring the [Provenance_edge] records go to. *)
+    edge and label timestamps and the ring the [Provenance_edge] records go to. *)
 
 val set_trace : t -> Trace.t -> unit
 
@@ -134,7 +133,6 @@ val edges : t -> edge list
 (** Oldest first. *)
 
 val origin_of_label : t -> int -> origin
-val label_seq : t -> int -> int
 
 val label_vts : t -> int -> int64
 (** Virtual timestamp at which the label was interned (first taint from
@@ -159,7 +157,7 @@ val silent : t -> (origin * int) list
 type gedge = { g_consumer : string; g_mfn : int; g_off : int; g_len : int; g_origins : string list }
 
 val graph : t -> gedge list
-(** The canonical (seq-free, deduplicated, sorted) causal graph. Replay
+(** The canonical (timestamp-free, deduplicated, sorted) causal graph. Replay
     of the same boundary stream reproduces it exactly. *)
 
 val to_json : t -> string
@@ -173,13 +171,10 @@ val to_dot : t -> string
 
 (** {1 Metrics} *)
 
-val read_distance_buckets : float list
-
 val read_distance_ns_buckets : float list
 (** Bucket bounds (virtual ns) for the ns-denominated taint→read
     distance histogram. *)
 
 val publish : Metrics.registry -> t -> unit
 (** Publish edges-total, live tainted bytes, silent-label count and the
-    taint→read distance histograms — both the legacy seq-denominated
-    one and its virtual-ns counterpart. *)
+    taint→read distance histogram in virtual ns. *)

@@ -676,21 +676,6 @@ let fork template m =
 
 (* --- detection latency ------------------------------------------------ *)
 
-let detection_latency records =
-  let injection =
-    List.find_opt (fun r -> match r.event with Injector_access _ -> true | _ -> false) records
-  in
-  match injection with
-  | None -> None
-  | Some inj ->
-      List.find_map
-        (fun r ->
-          match r.event with
-          | Monitor_verdict { violations; _ } when violations > 0 && r.seq > inj.seq ->
-              Some (r.seq - inj.seq)
-          | _ -> None)
-        records
-
 let detection_latency_ns records =
   let injection =
     List.find_opt (fun r -> match r.event with Injector_access _ -> true | _ -> false) records

@@ -216,15 +216,11 @@ val strip_vts : string -> string
     verbatim. Lets fixtures captured under v1 keep pinning the
     seq/code/payload content of current recordings. *)
 
-val detection_latency : record list -> int option
-(** Sequence distance from the first injector access to the first
-    non-empty monitor verdict after it — the trace-level
-    detection-latency metric (None when either end is missing). *)
-
 val detection_latency_ns : record list -> int64 option
-(** Same two endpoints as {!detection_latency}, measured on the
-    virtual clock: how long (simulated ns) the injected state survived
-    before a monitor saw it. *)
+(** The trace-level detection latency, on the virtual clock: how long
+    (simulated ns) the injected state survived between the first
+    injector access and the first non-empty monitor verdict after it
+    in sequence order (None when either end is missing). *)
 
 (** {1 Counters} *)
 

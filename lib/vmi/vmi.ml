@@ -280,10 +280,8 @@ end
 module Scheduler = struct
   type 'st t = {
     detectors : 'st Detector.t list;
-    period : int;
     every_ns : int64 option;  (* rate-based mode: scan every N virtual ns *)
     registry : Metrics.registry option;
-    mutable steps : int;
     mutable deadline : int64 option;  (* next virtual-time scan deadline *)
     mutable scans_run : int;
     mutable frames_read : int;
@@ -293,18 +291,15 @@ module Scheduler = struct
     mutable found : (string * string list) list;
   }
 
-  let create ?(period = 1) ?every_ns ?registry detectors =
-    if period < 1 then invalid_arg "Vmi.Scheduler.create: period must be >= 1";
+  let create ?every_ns ?registry detectors =
     (match every_ns with
     | Some ns when Int64.compare ns 1L < 0 ->
         invalid_arg "Vmi.Scheduler.create: every_ns must be >= 1"
     | _ -> ());
     {
       detectors;
-      period;
       every_ns;
       registry;
-      steps = 0;
       deadline = None;
       scans_run = 0;
       frames_read = 0;
@@ -337,8 +332,8 @@ module Scheduler = struct
         let n = List.length r.Detector.findings in
         (* capture the sequence number and virtual timestamp this scan's
            own record will get: they sit after every machine event the
-           detector could have reacted to, so [fire - inject] is a true
-           latency in both denominations *)
+           detector could have reacted to: the seq orders the firing
+           against the injection, the vts gives the latency *)
         let s = Trace.seq tr in
         let vts = Trace.vts tr in
         if Trace.recording tr then
@@ -372,7 +367,7 @@ module Scheduler = struct
       t.detectors
 
   let step t tr st =
-    (match t.every_ns with
+    match t.every_ns with
     | Some ns -> (
         (* rate-based: scan when the machine's virtual clock has crossed
            the deadline; the first step always scans and arms it. Purely
@@ -387,8 +382,7 @@ module Scheduler = struct
             scan_now t tr st;
             t.deadline <- Some (Int64.add now ns)
         | Some _ -> ())
-    | None -> if t.steps mod t.period = 0 then scan_now t tr st);
-    t.steps <- t.steps + 1
+    | None -> scan_now t tr st
 
   let scans_run t = t.scans_run
   let frames_read t = t.frames_read

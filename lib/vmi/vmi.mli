@@ -11,10 +11,11 @@
 
     On top of the views sits a pluggable {!Detector} abstraction — the
     monitoring tools the paper's intrusion-injection campaigns are meant
-    to assess — and a {!Scheduler} that interleaves periodic scans with
-    campaign trial steps and reports {e detection latency}: the trace
-    sequence number at which each detector first fired, correlated
-    against the injector's access records. *)
+    to assess — and a {!Scheduler} that scans at every campaign trial
+    step (or at a virtual-time rate) and reports {e detection latency}:
+    the virtual timestamp at which each detector first fired, with the
+    trace sequence number that orders it against the injector's access
+    records. *)
 
 (** {1 Semantic views over raw frames} *)
 
@@ -106,17 +107,15 @@ module Scheduler : sig
   type 'st t
 
   val create :
-    ?period:int ->
     ?every_ns:int64 ->
     ?registry:Metrics.registry ->
     'st Detector.t list ->
     'st t
-  (** [period] (default 1) is how many {!step} calls elapse between
-      scans; the first step always scans. When [every_ns] is given the
-      scheduler is {e rate-based} instead: a step scans iff the
-      machine's virtual clock ({!Trace.vts}) has reached the deadline
-      armed [every_ns] simulated ns after the previous scan ([period]
-      is then ignored). Because the deadline is a pure function of the
+  (** Without [every_ns] every {!step} scans. When [every_ns] is given
+      the scheduler is {e rate-based}: the first step scans, and a later
+      step scans iff the machine's virtual clock ({!Trace.vts}) has
+      reached the deadline armed [every_ns] simulated ns after the
+      previous scan. Because the deadline is a pure function of the
       deterministic clock, sharded/pooled campaigns fire scans at
       identical virtual instants. When [registry] is given, every scan
       publishes [vmi_scans_total]/[vmi_findings_total] (labelled by
@@ -126,9 +125,9 @@ module Scheduler : sig
   (** Arm every detector against the current (known-good) state. *)
 
   val step : 'st t -> Trace.t -> 'st -> unit
-  (** One interleaving point in a trial; scans when the period elapses
-      (step-count mode) or the virtual-time deadline has passed
-      (rate-based mode). [Trace.t] is where scan records and counters
+  (** One interleaving point in a trial; scans always, or, in
+      rate-based mode, when the virtual-time deadline has passed.
+      [Trace.t] is where scan records and counters
       land — the monitored system's trace, passed explicitly since
       ['st] is opaque here. *)
 

@@ -1,11 +1,11 @@
 (* The scenario subsystem (lib/scenario): the DSL front end, the flat
    bytecode, the load-time checker and the register VM.
 
-   - corpus roundtrips: parse -> compile -> encode -> decode and
-     parse -> compile -> disasm -> reparse -> recompile are identities
-     over every file in corpus/
-   - totality: the parser, decoder and checker never raise on arbitrary
-     or mutated input — they return [Error] with a position
+   - corpus roundtrip: parse -> compile -> disasm -> reparse -> recompile
+     is the identity over every file in corpus/
+   - totality: the parser never raises on arbitrary or mutated text and
+     the checker never raises on a mutated in-memory program — they
+     return [Error] (the parser's with a position)
    - golden result rows: each Table III and KVM program reproduces the
      row fingerprints in [Golden_rows] on every configuration of its
      backend, in both modes
@@ -76,14 +76,6 @@ let test_corpus_checks () =
 
 (* --- roundtrips ------------------------------------------------------------ *)
 
-let test_encode_decode_roundtrip () =
-  List.iter
-    (fun (f, p) ->
-      match Scn_bytecode.decode (Scn_bytecode.encode p) with
-      | Ok p' -> check_bool (f ^ ": decode . encode = id") true (p' = p)
-      | Error e -> Alcotest.failf "%s: decode failed: %s" f e)
-    (Lazy.force corpus_programs)
-
 let test_disasm_reparse_roundtrip () =
   List.iter
     (fun (f, p) ->
@@ -94,17 +86,13 @@ let test_disasm_reparse_roundtrip () =
                      (Scn_ast.error_to_string e) text)
     (Lazy.force corpus_programs)
 
-let test_loader_accepts_both_forms () =
-  List.iter
-    (fun (f, p) ->
-      match Scn_loader.load_string (Scn_bytecode.encode p) with
-      | Ok p' -> check_bool (f ^ ": loader takes bytecode") true (p' = p)
-      | Error e -> Alcotest.failf "%s: loader rejected bytecode: %s" f e)
-    (Lazy.force corpus_programs);
+let test_loader_takes_source () =
   List.iter
     (fun (f, text) ->
       match Scn_loader.load_string text with
-      | Ok _ -> ()
+      | Ok p ->
+          check_bool (f ^ ": loader = compiler") true
+            (p = List.assoc f (Lazy.force corpus_programs))
       | Error e -> Alcotest.failf "%s: loader rejected source: %s" f e)
     (Lazy.force corpus_texts)
 
@@ -146,35 +134,34 @@ let prop_parser_total_mutated =
     (QCheck.make mutated_corpus_gen)
     (fun m -> ok_error_with_position (mutate m))
 
-let decode_total s =
-  match Scn_bytecode.decode s with Ok _ | Error _ -> true | exception _ -> false
-
-let prop_decoder_total_random =
-  QCheck.Test.make ~name:"decoder is total on arbitrary bytes" ~count:500
-    QCheck.(string)
-    decode_total
-
-let prop_decoder_total_magic =
-  QCheck.Test.make ~name:"decoder is total behind a valid magic" ~count:500
-    QCheck.(string)
-    (fun s -> decode_total (Scn_bytecode.magic ^ s))
-
-(* Corrupt real bytecode: whatever still decodes must also pass through
-   the checker without raising. *)
+(* Corrupt a real program in memory — one field of one instruction set
+   to an arbitrary value, as a mutating fuzzer or a program generator
+   may — and the checker still answers without raising. *)
 let prop_checker_total_corrupted =
   QCheck.Test.make ~name:"checker is total on corrupted bytecode" ~count:500
-    QCheck.(triple (int_bound 5) (int_bound 65535) (int_bound 255))
-    (fun (which, pos, byte) ->
+    QCheck.(quad (int_bound 7) (int_bound 4095) (int_bound 6) (int_range (-1) 0xffff))
+    (fun (which, pos, field, v) ->
       let progs = Lazy.force corpus_programs in
       let _, p = List.nth progs (which mod List.length progs) in
-      let data = Bytes.of_string (Scn_bytecode.encode p) in
-      let pos = pos mod Bytes.length data in
-      Bytes.set data pos (Char.chr byte);
-      match Scn_bytecode.decode (Bytes.to_string data) with
-      | Error _ -> true
-      | Ok p' -> (
-          match (XV.check p', KV.check p') with
-          | (Ok () | Error _), (Ok () | Error _) -> true)
+      let exploit = Array.copy p.Scn_bytecode.exploit
+      and inject = Array.copy p.Scn_bytecode.inject in
+      let pos = pos mod (Array.length exploit + Array.length inject) in
+      let sec, pc =
+        if pos < Array.length exploit then (exploit, pos) else (inject, pos - Array.length exploit)
+      in
+      let i = sec.(pc) in
+      sec.(pc) <-
+        (match field with
+        | 0 -> { i with op = v }
+        | 1 -> { i with a = v }
+        | 2 -> { i with b = v }
+        | 3 -> { i with c = v }
+        | 4 -> { i with n = v }
+        | 5 -> { i with sid = v }
+        | _ -> { i with imm = Int64.of_int v });
+      let p' = { p with exploit; inject } in
+      match (XV.check p', KV.check p') with
+      | (Ok () | Error _), (Ok () | Error _) -> true
       | exception _ -> false)
 
 (* --- golden result rows ---------------------------------------------------- *)
@@ -420,17 +407,14 @@ let () =
         [
           Alcotest.test_case "complete" `Quick test_corpus_complete;
           Alcotest.test_case "checks" `Quick test_corpus_checks;
-          Alcotest.test_case "encode/decode roundtrip" `Quick test_encode_decode_roundtrip;
           Alcotest.test_case "disasm/reparse roundtrip" `Quick test_disasm_reparse_roundtrip;
-          Alcotest.test_case "loader both forms" `Quick test_loader_accepts_both_forms;
+          Alcotest.test_case "loader takes source" `Quick test_loader_takes_source;
         ] );
       ( "totality",
         qsuite
           [
             prop_parser_total_random;
             prop_parser_total_mutated;
-            prop_decoder_total_random;
-            prop_decoder_total_magic;
             prop_checker_total_corrupted;
           ] );
       ( "golden",

@@ -87,14 +87,23 @@ let test_depth_suppression () =
 let test_detection_latency () =
   let inj = Trace.Injector_access { action = 1; addr = 0L; len = 8 } in
   let verdict n = Trace.Monitor_verdict { violations = n; classes = 1 } in
-  let recs evs = List.mapi (fun seq event -> { Trace.seq; vts = 0L; event }) evs in
+  let stamped evs = List.mapi (fun seq (vts, event) -> { Trace.seq; vts; event }) evs in
   check_bool "missing injector" true
-    (Trace.detection_latency (recs [ verdict 1 ]) = None);
+    (Trace.detection_latency_ns (stamped [ (0L, verdict 1) ]) = None);
   check_bool "empty verdict ignored" true
-    (Trace.detection_latency (recs [ inj; verdict 0 ]) = None);
-  check_bool "latency is the seq distance" true
-    (Trace.detection_latency (recs [ inj; Trace.Tlb_flush_all; Trace.Sched_round; verdict 2 ])
-    = Some 3)
+    (Trace.detection_latency_ns (stamped [ (5L, inj); (9L, verdict 0) ]) = None);
+  check_bool "verdict before the injection ignored" true
+    (Trace.detection_latency_ns (stamped [ (0L, verdict 1); (5L, inj) ]) = None);
+  check_bool "latency is the vts distance" true
+    (Trace.detection_latency_ns
+       (stamped
+          [
+            (100L, inj); (150L, Trace.Tlb_flush_all); (150L, Trace.Sched_round); (420L, verdict 2);
+          ])
+    = Some 320L);
+  (* the clock can stand still across records: seq orders them *)
+  check_bool "zero-cost verdict after the injection" true
+    (Trace.detection_latency_ns (stamped [ (100L, inj); (100L, verdict 1) ]) = Some 0L)
 
 (* --- determinism --------------------------------------------------------- *)
 

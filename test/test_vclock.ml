@@ -242,14 +242,14 @@ let test_latency_ns_reported () =
       | Some ns -> check_bool (name ^ ": ns latency non-negative") true (Int64.compare ns 0L >= 0)
       | None -> Alcotest.fail (name ^ ": no ns latency despite coverage"))
     trials;
-  (* the JSON carries both denominations for the overlap release *)
+  (* the JSON carries one denomination: virtual ns *)
   let json = Vmi_driver.to_json trials in
   let contains s sub =
     let n = String.length sub in
     let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  check_bool "legacy events key present" true (contains json "\"latency\":");
+  check_bool "event-count key gone" false (contains json "\"latency\":");
   check_bool "ns key present" true (contains json "\"latency_ns\":")
 
 (* --- neutrality: detached = attached ------------------------------------- *)
