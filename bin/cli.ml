@@ -74,9 +74,6 @@ let floored of_string pp floor =
 let at_least = floored int_of_string_opt Format.pp_print_int
 let at_least64 = floored Int64.of_string_opt (fun ppf n -> Format.fprintf ppf "%Ld" n)
 
-let trials_arg ~floor ~default ~doc =
-  Arg.(value & opt (at_least floor) default & info [ "n"; "trials" ] ~docv:"N" ~doc)
-
 let domains_arg =
   let doc = "Concurrent guest domains on each testbed (>= 2: victim + attacker)." in
   Arg.(value & opt (at_least 2) 2 & info [ "domains" ] ~docv:"N" ~doc)

@@ -39,65 +39,36 @@ let inject_cmd =
 
 let campaign_cmd =
   let doc = "Run the full evaluation campaign and print Table III." in
-  let trials_arg =
-    trials_arg ~floor:0 ~default:0
-      ~doc:
-        "Also run N randomized trials per version through the batching scheduler \
-         (versions x trials flattened into one work queue) and print the outcome tally."
-  in
-  let run verbose (module K : All.BACKEND) workers domains load trials =
+  let run verbose (module K : All.BACKEND) workers domains load =
     let module D = Drivers (K) in
-    match K.randomized with
-    | None when trials > 0 ->
-        `Error
-          ( false,
-            Printf.sprintf "--trials %d: backend %s has no randomized campaign (available on: %s)"
-              trials D.B.name
-              (String.concat ", "
-                 (List.filter_map
-                    (fun ((module R : All.BACKEND) as b) ->
-                      Option.map (fun _ -> All.backend_name b) R.randomized)
-                    All.backends)) )
-    | randomized ->
-        let rows =
-          D.C.run_matrix ~workers ~domains ~load K.use_cases ~versions:D.B.configs
-            ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
-        in
-        print_endline (D.C.table3 rows);
-        print_newline ();
-        print_endline (D.C.telemetry_table rows);
-        print_newline ();
-        Printf.printf "RQ1 validation on %s (exploit vs injection):\n"
-          (D.C.config_label D.B.rq1_config);
-        List.iter
-          (fun (name, st, viol) ->
-            Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n" name st
-              viol)
-          (D.C.validate_rq1 ~domains ~load K.use_cases);
-        if verbose then begin
-          print_newline ();
-          List.iter
-            (fun r ->
-              Printf.printf "=== %s / %s / %s ===\n" r.D.C.r_use_case
-                (D.B.config_to_string r.D.C.r_version)
-                (Campaign.mode_to_string r.D.C.r_mode);
-              List.iter print_endline r.D.C.r_transcript;
-              print_newline ())
-            rows
-        end;
-        Option.iter
-          (fun render ->
-            if trials > 0 then begin
-              print_newline ();
-              print_endline (render ~workers ~trials)
-            end)
-          randomized;
-        `Ok ()
+    let rows =
+      D.C.run_matrix ~workers ~domains ~load K.use_cases ~versions:D.B.configs
+        ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
+    in
+    print_endline (D.C.table3 rows);
+    print_newline ();
+    print_endline (D.C.telemetry_table rows);
+    print_newline ();
+    Printf.printf "RQ1 validation on %s (exploit vs injection):\n"
+      (D.C.config_label D.B.rq1_config);
+    List.iter
+      (fun (name, st, viol) ->
+        Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n" name st viol)
+      (D.C.validate_rq1 ~domains ~load K.use_cases);
+    if verbose then begin
+      print_newline ();
+      List.iter
+        (fun r ->
+          Printf.printf "=== %s / %s / %s ===\n" r.D.C.r_use_case
+            (D.B.config_to_string r.D.C.r_version)
+            (Campaign.mode_to_string r.D.C.r_mode);
+          List.iter print_endline r.D.C.r_transcript;
+          print_newline ())
+        rows
+    end
   in
   Cmd.v (Cmd.info "campaign" ~doc)
-    Term.(
-      ret
-        (const run $ verbose_arg $ backend $ workers_arg $ domains_arg $ load_arg $ trials_arg))
+    Term.(const run $ verbose_arg $ backend $ workers_arg $ domains_arg $ load_arg)
 
 let tables_cmd =
   let doc = "Regenerate the paper's tables (I, II, III)." in
@@ -159,7 +130,9 @@ let fuzz_cmd =
   let seed_arg =
     Arg.(value & opt int64 7L & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Campaign PRNG seed.")
   in
-  let trials_arg = trials_arg ~floor:1 ~default:200 ~doc:"Trials per version." in
+  let trials_arg =
+    Arg.(value & opt (at_least 1) 200 & info [ "n"; "trials" ] ~docv:"N" ~doc:"Trials per version.")
+  in
   let flips_arg =
     Arg.(value & flag & info [ "soft-errors" ] ~doc:"Include accidental single-bit flips.")
   in

@@ -35,9 +35,9 @@ type t = {
 
 (* Mirrors Testbed.create: a host plus its standard guest population,
    with the reset checkpoint captured at the end of boot. *)
-let create ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
+let create ?(domains = 2) ?(load = Load_mix.none) Stock =
   if domains < 2 then invalid_arg "Backend_kvm.create: need at least victim + bystander";
-  let kvm = Kvm.boot ~frames in
+  let kvm = Kvm.boot ~frames:2048 in
   let victim = Kvm.create_vm kvm ~name:"guest03" ~pages:64 in
   let bystander = Kvm.create_vm kvm ~name:"guest01" ~pages:64 in
   let extras =
@@ -50,24 +50,24 @@ let create ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
   { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_trace; scans }
 
 (* The warm pool, mirroring {!Testbed.create_pooled}: one frozen
-   template per (frame count, domain count), forked copy-on-write per
-   worker. The load mix is runtime-only, installed on the fork. *)
+   template per domain count, forked copy-on-write per worker. The load
+   mix is runtime-only, installed on the fork. *)
 let pool_lock = Mutex.create ()
-let pool : (int * int, t) Hashtbl.t = Hashtbl.create 4
+let pool : (int, t) Hashtbl.t = Hashtbl.create 4
 
-let template frames domains =
+let template domains =
   Mutex.lock pool_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock pool_lock) @@ fun () ->
-  match Hashtbl.find_opt pool (frames, domains) with
+  match Hashtbl.find_opt pool domains with
   | Some tmpl -> tmpl
   | None ->
-      let tmpl = create ~frames ~domains Stock in
+      let tmpl = create ~domains Stock in
       Phys_mem.freeze (Kvm.mem tmpl.kvm);
-      Hashtbl.replace pool (frames, domains) tmpl;
+      Hashtbl.replace pool domains tmpl;
       tmpl
 
-let create_pooled ?(frames = 2048) ?(domains = 2) ?(load = Load_mix.none) Stock =
-  let tmpl = template frames domains in
+let create_pooled ?(domains = 2) ?(load = Load_mix.none) Stock =
+  let tmpl = template domains in
   let kvm, ck = Kvm.fork tmpl.kvm tmpl.ck in
   let tr = Trace.fork tmpl.tr tmpl.ck_trace in
   let vm_of old =

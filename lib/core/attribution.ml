@@ -90,12 +90,12 @@ module Make (B : Substrate.S) = struct
     in
     List.map Provenance.origin_to_string chosen
 
-  let attribute ?frames ?domains ?load ?registry uc mode config =
+  let attribute ?domains ?load ?registry uc mode config =
     let detectors = B.detectors () in
     let sched = Vmi.Scheduler.create ?registry detectors in
     let tbr = ref None in
     let recording =
-      T.record ?frames ?domains ?load ~provenance:true
+      T.record ?domains ?load ~provenance:true
         ~prepare:(fun tb ->
           tbr := Some tb;
           Vmi.Scheduler.arm sched tb)
@@ -160,8 +160,8 @@ module Make (B : Substrate.S) = struct
   let complete r =
     List.for_all (fun row -> row.a_kind = "silent" || row.a_origins <> []) r.ar_rows
 
-  let attribute_all ?frames ?domains ?load ?registry ucs mode config =
-    List.map (fun uc -> attribute ?frames ?domains ?load ?registry uc mode config) ucs
+  let attribute_all ?domains ?load ?registry ucs mode config =
+    List.map (fun uc -> attribute ?domains ?load ?registry uc mode config) ucs
 
   let table reports =
     let body =

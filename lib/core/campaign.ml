@@ -170,8 +170,8 @@ module Make (B : Substrate.S) = struct
      execute during normal scheduling), [observer] after each step. A
      fresh testbed is reset before use, which the substrate contract
      makes equivalent to a fresh boot. *)
-  let run ?frames ?domains ?load ?tb ?observer uc mode version =
-    let tb = match tb with Some tb -> tb | None -> B.create ?frames ?domains ?load version in
+  let run ?domains ?load ?tb ?observer uc mode version =
+    let tb = match tb with Some tb -> tb | None -> B.create ?domains ?load version in
     let observe () = match observer with Some f -> f tb | None -> () in
     trial tb ~name:uc.uc_name mode version (fun tb ->
         let attempt =
@@ -188,21 +188,21 @@ module Make (B : Substrate.S) = struct
      every trial run on it: the per-worker table of [run_matrix] and
      {!Campaign_scheduler}. [coverage] attaches a collector to each;
      [trial] clears it per trial, so each row's map is absolute. *)
-  let testbeds ~pooled ?frames ?domains ?load ~coverage () =
+  let testbeds ~pooled ?domains ?load ~coverage () =
     let tbs = Hashtbl.create 4 in
     fun config ->
       match Hashtbl.find_opt tbs config with
       | Some tb -> tb
       | None ->
           let tb =
-            if pooled then B.create_pooled ?frames ?domains ?load config
-            else B.create ?frames ?domains ?load config
+            if pooled then B.create_pooled ?domains ?load config
+            else B.create ?domains ?load config
           in
           if coverage then Trace.set_coverage (B.trace tb) (Some (Coverage.create ()));
           Hashtbl.replace tbs config tb;
           tb
 
-  let run_matrix ?workers ?pooled ?frames ?domains ?load ?coverage ucs ~versions ~modes =
+  let run_matrix ?workers ?pooled ?domains ?load ?coverage ucs ~versions ~modes =
     (* One cell per (uc, version, mode), in that nesting order; cells are
        independent, so they shard: the flattened queue is dealt in chunks
        over one worker pool. Each worker keeps one testbed per version
@@ -222,7 +222,7 @@ module Make (B : Substrate.S) = struct
     in
     let rows =
       Shard.map_init ?workers
-        ~init:(testbeds ~pooled ?frames ?domains ?load ~coverage:(coverage <> None))
+        ~init:(testbeds ~pooled ?domains ?load ~coverage:(coverage <> None))
         (fun testbed _ (uc, version, mode) -> run ~tb:(testbed version) uc mode version)
         cells
     in
@@ -245,8 +245,8 @@ module Make (B : Substrate.S) = struct
 
   let violated r = r.r_violations <> []
 
-  let validate_rq1 ?frames ?domains ?load ucs =
-    let tb = B.create ?frames ?domains ?load B.rq1_config in
+  let validate_rq1 ?domains ?load ucs =
+    let tb = B.create ?domains ?load B.rq1_config in
     List.map
       (fun uc ->
         let e = run ~tb uc Real_exploit B.rq1_config in
@@ -337,36 +337,6 @@ module Make (B : Substrate.S) = struct
     in
     Report.table ~title:"Per-trial telemetry (counter deltas; one row per affected domain)"
       ~header body
-
-  let publish reg row =
-    let t = row.r_telemetry in
-    let bump ?(labels = []) ~help name by =
-      if by > 0 then Metrics.inc ~by (Metrics.counter reg ~help ~labels name)
-    in
-    Metrics.inc
-      (Metrics.counter reg ~help:"Campaign trials run"
-         ~labels:[ ("mode", mode_to_string row.r_mode) ]
-         "campaign_trials_total");
-    List.iter
-      (fun (n, calls) ->
-        bump
-          ~labels:[ ("name", hypercall_name n) ]
-          ~help:"Hypercalls dispatched" "hypercalls_total" calls)
-      t.Trace.tm_hypercalls;
-    bump ~help:"Hypercalls that returned an error" "hypercalls_failed_total"
-      t.Trace.tm_hypercalls_failed;
-    bump ~help:"Hardware exceptions delivered" "faults_total" t.Trace.tm_faults;
-    bump ~help:"TLB flushes and invlpgs" "tlb_flushes_total"
-      (t.Trace.tm_flushes + t.Trace.tm_invlpgs);
-    bump ~help:"Page_info type transitions" "page_type_changes_total"
-      t.Trace.tm_page_type_changes;
-    bump ~help:"Raw injector memory accesses" "injector_accesses_total"
-      t.Trace.tm_injector_accesses;
-    bump ~help:"Monitor violations observed" "violations_total"
-      (List.length row.r_violations);
-    bump ~help:"VMI detector scans" "campaign_vmi_scans_total" t.Trace.tm_vmi_scans;
-    bump ~help:"VMI detector findings" "campaign_vmi_findings_total" t.Trace.tm_vmi_findings;
-    bump ~help:"Frames read by VMI scans" "campaign_vmi_frames_total" t.Trace.tm_vmi_frames
 end
 
 (* The default instantiation: the historical [Campaign] interface, on

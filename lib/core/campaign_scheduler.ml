@@ -31,7 +31,7 @@ let job ~seed ~targets ~trials versions testbed j =
   let t = RC.run_one tb ~seed ~targets (j mod trials) in
   (t, Option.map Coverage.snapshot (Trace.coverage (Substrate_xen.trace tb)))
 
-let run ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials versions =
+let run ~seed ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials versions =
   check_args ~trials ~targets versions;
   let varr = Array.of_list versions in
   let n = Array.length varr * trials in
@@ -76,7 +76,7 @@ let outcome_slot = function
 
 let n_outcomes = List.length RC.all_outcomes
 
-let run_streamed ?(seed = 42L) ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials
+let run_streamed ~seed ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials
     versions =
   check_args ~trials ~targets versions;
   let varr = Array.of_list versions in

@@ -16,7 +16,7 @@
     invisible in the output. *)
 
 val run :
-  ?seed:int64 ->
+  seed:int64 ->
   ?targets:Random_campaign.target_class list ->
   ?workers:int ->
   ?coverage:Coverage.map ref ->
@@ -25,8 +25,8 @@ val run :
   Random_campaign.summary list
 (** Materializing scheduler: one summary per version, byte-identical to
     running that version's trials in order on one freshly booted
-    testbed, whatever the worker count. Defaults: seed 42, intrusion
-    targets, 1 worker. Raises [Invalid_argument] on no versions, no
+    testbed, whatever the worker count. Defaults: intrusion targets,
+    1 worker. Raises [Invalid_argument] on no versions, no
     targets or [trials <= 0].
 
     [coverage] accumulates every trial's coverage map (the collector
@@ -43,7 +43,7 @@ type stream_stats = {
 }
 
 val run_streamed :
-  ?seed:int64 ->
+  seed:int64 ->
   ?targets:Random_campaign.target_class list ->
   ?workers:int ->
   ?coverage:Coverage.map ref ->

@@ -189,12 +189,6 @@ let audit ?dm hv spec =
               ];
           })
 
-let pp_audit ppf { holds; evidence } =
-  Format.fprintf ppf "@[<v2>%s:@ %a@]"
-    (if holds then "erroneous state PRESENT" else "erroneous state absent")
-    (Format.pp_print_list Format.pp_print_string)
-    evidence
-
 let walk_evidence hv ~cr3 va =
   let steps = Paging.walk_path hv.Hv.mem ~cr3 va in
   List.map

@@ -43,7 +43,6 @@ val audit : ?dm:Fdc.t -> Hv.t -> spec -> audit
     {!Dm_handler_corrupted} audits; without it that spec never holds. *)
 
 val describe : spec -> string
-val pp_audit : Format.formatter -> audit -> unit
 
 val walk_evidence : Hv.t -> cr3:Addr.mfn -> Addr.vaddr -> string list
 (** A page-table walk rendered step by step — the audit primitive used

@@ -11,7 +11,6 @@ type action = Access.action =
 
 let action_code = Access.code
 let action_of_code = Access.of_code
-let action_to_string = Access.to_string
 let scratch_pfn = 2
 
 let resolve_target hv ~addr ~len ~physical =

@@ -31,7 +31,6 @@ type action = Access.action =
 
 val action_code : action -> int64
 val action_of_code : int64 -> action option
-val action_to_string : action -> string
 
 val install : Hv.t -> unit
 (** Patch the hypercall table (idempotent). Logs the version-specific

@@ -354,8 +354,6 @@ let violation_to_string = function
   | Guest_crash h -> Printf.sprintf "guest crash (%s)" h
   | Availability_degradation e -> Printf.sprintf "availability degradation (%s)" e
 
-let pp_violation ppf v = Format.pp_print_string ppf (violation_to_string v)
-
 let class_of = function
   | Hypervisor_crash _ -> 0
   | Privilege_escalation _ -> 1

@@ -90,7 +90,6 @@ val by_domain : (string * violation) list -> (string * violation list) list
     preserved. Domains with no violations do not appear. *)
 
 val violation_to_string : violation -> string
-val pp_violation : Format.formatter -> violation -> unit
 
 val same_class : violation list -> violation list -> bool
 (** Same multiset of violation classes (ignoring evidence strings) —

@@ -53,7 +53,7 @@ module type S = sig
 
   type t
 
-  val create : ?frames:int -> ?domains:int -> ?load:Load_mix.t -> config -> t
+  val create : ?domains:int -> ?load:Load_mix.t -> config -> t
   (** Boot a fresh testbed: host plus its standard population of
       guests, with a reset checkpoint captured at the end. [?domains]
       is the number of concurrent guest domains (default 2, the
@@ -61,7 +61,7 @@ module type S = sig
       deterministic background workload every guest runs per scheduler
       round (default {!Load_mix.none}). *)
 
-  val create_pooled : ?frames:int -> ?domains:int -> ?load:Load_mix.t -> config -> t
+  val create_pooled : ?domains:int -> ?load:Load_mix.t -> config -> t
   (** Like [create], but forked copy-on-write from a process-wide frozen
       template for this configuration (built once, on first use) — the
       warm-pool path campaign workers use so every shard and matrix cell

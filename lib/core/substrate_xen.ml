@@ -18,10 +18,8 @@ let port_heading = "Hypercalls"
 
 type t = Testbed.t
 
-let create ?frames ?domains ?load version = Testbed.create ?frames ?domains ?load version
-
-let create_pooled ?frames ?domains ?load version =
-  Testbed.create_pooled ?frames ?domains ?load version
+let create = Testbed.create
+let create_pooled = Testbed.create_pooled
 
 let reset = Testbed.reset
 let trace tb = tb.Testbed.hv.Hv.trace

@@ -37,7 +37,6 @@ module Make (B : Substrate.S) = struct
     rec_use_case : string;
     rec_mode : Campaign.mode;
     rec_version : B.config;
-    rec_frames : int option;
     rec_domains : int option;
     rec_load : Load_mix.t option;
         (** the testbed shape (guest-domain count, background-load mix)
@@ -63,9 +62,9 @@ module Make (B : Substrate.S) = struct
   let prov_export tb = Option.map Provenance.to_json (Phys_mem.provenance (B.mem tb))
   let enable_provenance tb = Phys_mem.enable_provenance (B.mem tb) ~tr:(B.trace tb)
 
-  let record ?frames ?domains ?load ?capacity_bytes ?(provenance = false) ?(coverage = false)
+  let record ?domains ?load ?capacity_bytes ?(provenance = false) ?(coverage = false)
       ?prepare ?observer uc mode version =
-    let tb = B.create ?frames ?domains ?load version in
+    let tb = B.create ?domains ?load version in
     if provenance then enable_provenance tb;
     (* [prepare] runs before the ring opens (and before the trial's
        reset, which returns to this very state): the place to arm VMI
@@ -81,7 +80,6 @@ module Make (B : Substrate.S) = struct
       rec_use_case = uc.C.uc_name;
       rec_mode = mode;
       rec_version = version;
-      rec_frames = frames;
       rec_domains = domains;
       rec_load = load;
       rec_row = row;
@@ -140,9 +138,7 @@ module Make (B : Substrate.S) = struct
     if r.rec_dropped > 0 then
       invalid_arg
         (Printf.sprintf "Trace_driver.replay: recording dropped %d records" r.rec_dropped);
-    let tb =
-      B.create ?frames:r.rec_frames ?domains:r.rec_domains ?load:r.rec_load r.rec_version
-    in
+    let tb = B.create ?domains:r.rec_domains ?load:r.rec_load r.rec_version in
     Vclock.set_model (Trace.vclock (B.trace tb)) r.rec_model;
     if r.rec_prov <> None then enable_provenance tb;
     let tr = B.trace tb in

@@ -40,15 +40,13 @@ module Make (B : Substrate.S) = struct
     t_scans : int;
     t_frames_read : int;
     t_scan_cost_ns : int64;
-    t_domains : (string * Monitor.violation list) list;
-        (** per-domain blast radius of the trial (from the result row) *)
   }
 
-  let run_trial ?frames ?domains ?load ?capacity_bytes ?every_ns ?registry
-      ?(detectors = B.detectors ()) uc mode version =
+  let run_trial ?domains ?load ?capacity_bytes ?every_ns ?registry uc mode version =
+    let detectors = B.detectors () in
     let sched = Vmi.Scheduler.create ?every_ns ?registry detectors in
     let recording =
-      T.record ?frames ?domains ?load ?capacity_bytes
+      T.record ?domains ?load ?capacity_bytes
         ~prepare:(fun tb -> Vmi.Scheduler.arm sched tb)
         ~observer:(fun tb -> Vmi.Scheduler.step sched (B.trace tb) tb)
         uc mode version
@@ -86,7 +84,6 @@ module Make (B : Substrate.S) = struct
       t_scans = Vmi.Scheduler.scans_run sched;
       t_frames_read = Vmi.Scheduler.frames_read sched;
       t_scan_cost_ns = Vmi.Scheduler.scan_cost_ns sched;
-      t_domains = recording.T.rec_row.C.r_domains;
     }
 
   let covered t = List.exists (fun (_, l) -> l <> None) t.t_latency_ns
@@ -100,41 +97,8 @@ module Make (B : Substrate.S) = struct
         | Some b, None -> Some b)
       None t.t_latency_ns
 
-  let coverage ?frames ?domains ?load ?every_ns ?registry ucs mode version =
-    List.map
-      (fun uc -> run_trial ?frames ?domains ?load ?every_ns ?registry uc mode version)
-      ucs
-
-  (* Per-domain blast radius and detection latency: one row per (trial,
-     affected domain). The latency is the trial's best (first) detector
-     fire — detectors watch host-critical structures, so the same
-     latency bounds every domain's exposure window under that trial. *)
-  let domain_table trials =
-    let header = [ "Use Case"; "Mode"; "Dom"; "Violations"; "Latency" ] in
-    let rows =
-      List.concat_map
-        (fun t ->
-          let latency =
-            match best_latency_ns t with
-            | Some ns -> Printf.sprintf "%Ldns" ns
-            | None -> "-"
-          in
-          let prefix =
-            [
-              t.t_recording.T.rec_use_case;
-              Campaign.mode_to_string t.t_recording.T.rec_mode;
-            ]
-          in
-          match t.t_domains with
-          | [] -> [ prefix @ [ "-"; "0"; latency ] ]
-          | doms ->
-              List.map
-                (fun (dom, viols) ->
-                  prefix @ [ dom; string_of_int (List.length viols); latency ])
-                doms)
-        trials
-    in
-    Report.table ~title:"Per-domain blast radius x detection latency" ~header rows
+  let coverage ?domains ?load ?every_ns ?registry ucs mode version =
+    List.map (fun uc -> run_trial ?domains ?load ?every_ns ?registry uc mode version) ucs
 
   let matrix_table trials =
     let detectors =
@@ -165,9 +129,9 @@ module Make (B : Substrate.S) = struct
         match r.Trace.event with Trace.Vmi_scan _ -> None | e -> Some e)
       (T.events recording)
 
-  let side_effect_free ?frames uc mode version =
-    let plain = T.record ?frames uc mode version in
-    let t = run_trial ?frames uc mode version in
+  let side_effect_free uc mode version =
+    let plain = T.record uc mode version in
+    let t = run_trial uc mode version in
     let watched = t.t_recording in
     let row_equal =
       let a = plain.T.rec_row and b = watched.T.rec_row in

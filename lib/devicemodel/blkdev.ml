@@ -22,7 +22,6 @@ type backend = {
   off_by_one : bool;
 }
 
-let disk_frame be group = be.frames.(group)
 let secret_frame be = be.frames.(disk_frames)
 
 let create_backend hv ~backend_dom ~off_by_one =

@@ -42,9 +42,6 @@ val create_backend :
 (** Allocate the disk frames (and the adjacent secret frame) from the
     Xen heap and fill the disk with a recognizable pattern. *)
 
-val disk_frame : backend -> int -> Addr.mfn
-(** Frame holding the given 8-sector group (for injection targeting). *)
-
 val secret_frame : backend -> Addr.mfn
 
 type frontend

@@ -87,8 +87,6 @@ let klog t = List.rev_map format_line t.klog_rev
 let hypercall t call = Hypercall.dispatch t.hv t.domain call
 let hypercall_rc t call = Hypercall.return_code (hypercall t call)
 
-let raw_hypercall t ~number ?rdi ?rsi ?rdx ?r10 () =
-  Abi.dispatch t.hv t.domain ~number ?rdi ?rsi ?rdx ?r10 ()
 let sidt t = Cpu.sidt t.hv.Hv.cpu
 
 let start_info_vaddr t = Domain.kernel_vaddr_of_pfn t.domain.Domain.start_info_pfn

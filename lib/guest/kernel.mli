@@ -42,11 +42,6 @@ val hypercall : t -> Hypercall.call -> (int64, Errno.t) result
 val hypercall_rc : t -> Hypercall.call -> int
 (** Guest-visible return code ([-14] for [EFAULT]...). *)
 
-val raw_hypercall :
-  t -> number:int -> ?rdi:int64 -> ?rsi:int64 -> ?rdx:int64 -> ?r10:int64 -> unit -> int
-(** The register-level path ({!Ii_xen.Abi}): argument structures are
-    fetched from this kernel's memory, exactly like a real PV stub. *)
-
 val sidt : t -> Addr.vaddr
 val pt_base_mfn : t -> Addr.mfn
 (** From the start_info page, like a real PV kernel learns it. *)

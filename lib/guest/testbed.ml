@@ -27,8 +27,11 @@ let reseed_load t =
 
 let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
-let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 2)
-    ?(load = Load_mix.none) version =
+let frames = 2048
+let dom0_pages = 128
+let guest_pages = 96
+
+let create ?(domains = 2) ?(load = Load_mix.none) version =
   if domains < 2 then invalid_arg "Testbed.create: need at least victim + attacker";
   let hv = Hv.boot ~version ~frames in
   let net = Netsim.create () in
@@ -103,23 +106,22 @@ let fork ?load template =
    mix is runtime-only state (it never touches boot), so templates are
    pooled load-free and each fork installs its own mix. *)
 let pool_lock = Mutex.create ()
-let pool : (Version.t * int * int * int * int, t) Hashtbl.t = Hashtbl.create 8
+let pool : (Version.t * int, t) Hashtbl.t = Hashtbl.create 8
 
-let template ~frames ~dom0_pages ~guest_pages ~domains version =
-  let key = (version, frames, dom0_pages, guest_pages, domains) in
+let template ~domains version =
+  let key = (version, domains) in
   Mutex.lock pool_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock pool_lock) @@ fun () ->
   match Hashtbl.find_opt pool key with
   | Some tmpl -> tmpl
   | None ->
-      let tmpl = create ~frames ~dom0_pages ~guest_pages ~domains version in
+      let tmpl = create ~domains version in
       Phys_mem.freeze tmpl.hv.Hv.mem;
       Hashtbl.replace pool key tmpl;
       tmpl
 
-let create_pooled ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 2)
-    ?(load = Load_mix.none) version =
-  fork ~load (template ~frames ~dom0_pages ~guest_pages ~domains version)
+let create_pooled ?(domains = 2) ?(load = Load_mix.none) version =
+  fork ~load (template ~domains version)
 
 (* The kernel of [k]'s domain after a restore: [k] itself, back in boot
    state, while its domain record survived; rebuilt around the fresh

@@ -39,11 +39,9 @@ type t = {
           one per testbed, fresh on [create] and on every [fork] *)
 }
 
-val create :
-  ?frames:int -> ?dom0_pages:int -> ?guest_pages:int -> ?domains:int -> ?load:Load_mix.t ->
-  Version.t -> t
-(** Defaults: 2048 frames, 128 dom0 pages, 96 pages per guest, 2 guest
-    domains, no background load. *)
+val create : ?domains:int -> ?load:Load_mix.t -> Version.t -> t
+(** A host of 2048 frames with 128 dom0 pages and 96 pages per guest.
+    Defaults: 2 guest domains, no background load. *)
 
 val fork : ?load:Load_mix.t -> t -> t
 (** A new testbed forked from [t] in O(metadata): the hypervisor memory
@@ -53,11 +51,9 @@ val fork : ?load:Load_mix.t -> t -> t
     overrides the template's mix (load is runtime-only state).
     Observably equivalent to [create] with the template's parameters. *)
 
-val create_pooled :
-  ?frames:int -> ?dom0_pages:int -> ?guest_pages:int -> ?domains:int -> ?load:Load_mix.t ->
-  Version.t -> t
-(** Like {!create}, but forked from a process-wide frozen template for
-    the given configuration (built once, on first use). Amortizes the
+val create_pooled : ?domains:int -> ?load:Load_mix.t -> Version.t -> t
+(** Like {!create}, but forked from a process-wide frozen template per
+    (version, domain count), built once, on first use. Amortizes the
     builder cost across every shard and matrix cell of a campaign;
     thread-safe, so worker domains may call it concurrently. The result
     is observably equivalent to a fresh {!create} — the property the

@@ -50,5 +50,4 @@ let of_indices ~l4 ~l3 ~l2 ~l1 ~offset =
   canonical raw
 
 let l4_slot_base slot = of_indices ~l4:slot ~l3:0 ~l2:0 ~l1:0 ~offset:0
-let pp_maddr ppf a = Format.fprintf ppf "0x%012Lx" a
 let pp_vaddr ppf a = Format.fprintf ppf "0x%016Lx" a

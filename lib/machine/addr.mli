@@ -68,5 +68,4 @@ val of_indices : l4:int -> l3:int -> l2:int -> l1:int -> offset:int -> vaddr
 val l4_slot_base : int -> vaddr
 (** Base virtual address of the 512 GiB region covered by an L4 slot. *)
 
-val pp_maddr : Format.formatter -> maddr -> unit
 val pp_vaddr : Format.formatter -> vaddr -> unit

@@ -24,7 +24,6 @@ let idt_mfn t = t.idt
 let tlb t = t.tlb
 let tlb_flush_all t = Paging.Tlb.flush_all t.tlb
 let tlb_invlpg t ~cr3 va = Paging.Tlb.invlpg t.tlb ~cr3 va
-let tlb_stats t = Paging.Tlb.stats t.tlb
 
 let sidt t =
   match t.idt with

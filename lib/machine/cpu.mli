@@ -52,7 +52,6 @@ val handlers_restore : t -> (Addr.vaddr * string) list -> unit
 val tlb : t -> Paging.Tlb.t
 val tlb_flush_all : t -> unit
 val tlb_invlpg : t -> cr3:Addr.mfn -> Addr.vaddr -> unit
-val tlb_stats : t -> Paging.Tlb.stats
 
 (** {1 Memory access}
 

@@ -264,8 +264,6 @@ let freeze t =
     invalid_arg "Phys_mem.freeze: template diverged from its baseline";
   t.frozen <- true
 
-let is_frozen t = t.frozen
-
 let fork template =
   if not template.frozen then invalid_arg "Phys_mem.fork: template must be frozen";
   let n = Array.length template.frames in

@@ -116,8 +116,6 @@ val freeze : t -> unit
     baseline with no divergence ([dirty_count t = 0]); after freezing,
     any mutation raises [Invalid_argument]. Irreversible. *)
 
-val is_frozen : t -> bool
-
 val fork : t -> t
 (** [fork template] is a new memory whose frames physically alias the
     frozen template's. The first content write to a frame detaches it

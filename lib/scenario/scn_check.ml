@@ -158,6 +158,28 @@ let check_section caps p section instrs =
   in
   go 0
 
+(* The header's indices into the fixed tables {!Scn_bytecode.model} and
+   {!Scn_bytecode.expected_violations} read, and the interface kind
+   (0 hypercall, 1 device emulation, 2 instruction interception). *)
+let check_header h =
+  let index field table v =
+    let n = List.length table in
+    if v >= 0 && v < n then Ok ()
+    else Error (Printf.sprintf "header: %s index %d out of range (0..%d)" field v (n - 1))
+  in
+  let* () = index "source" Scn_ast.sources h.h_source in
+  let* () = index "target" Scn_ast.targets h.h_target in
+  let* () = index "functionality" Abusive_functionality.all h.h_functionality in
+  let* () =
+    if h.h_iface_kind >= 0 && h.h_iface_kind <= 2 then Ok ()
+    else Error (Printf.sprintf "header: interface kind %d out of range (0..2)" h.h_iface_kind)
+  in
+  List.fold_left
+    (fun acc v ->
+      let* () = acc in
+      index "expect" Scn_ast.violation_classes v)
+    (Ok ()) h.h_expect
+
 (* Full load-time check of one program against one backend. *)
 let check caps (p : program) : (unit, string) result =
   if not (compatible caps p.header.h_backend) then
@@ -166,5 +188,6 @@ let check caps (p : program) : (unit, string) result =
          (backend_tag_to_string p.header.h_backend)
          (backend_tag_to_string caps.cap_backend))
   else
+    let* () = check_header p.header in
     let* () = check_section caps p "exploit" p.exploit in
     check_section caps p "inject" p.inject

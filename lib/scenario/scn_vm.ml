@@ -216,10 +216,4 @@ module Make (O : Scn_ops.OPS) = struct
 
   let check p = Scn_check.check O.caps p
   let compatible p = Scn_check.compatible O.caps p.header.h_backend
-
-  (* The whole corpus through the campaign scheduler's batching path:
-     one warm pooled testbed per (worker x version), reset between
-     cells — [Campaign.run_matrix] already implements exactly that. *)
-  let run_corpus ?workers ?frames progs ~versions ~modes =
-    C.run_matrix ?workers ?frames (List.map use_case progs) ~versions ~modes
 end

@@ -64,7 +64,6 @@ let gauge reg ?(help = "") ?(labels = []) name =
   | v -> wrong_kind name v
 
 let set g v = g := v
-let gauge_value g = !g
 
 let histogram reg ?(help = "") ?(labels = []) ~buckets name =
   let rec increasing = function

@@ -42,7 +42,6 @@ val gauge :
   registry -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   registry ->

@@ -177,8 +177,6 @@ let with_origin t origin f =
   t.current <- intern t origin;
   Fun.protect ~finally:(fun () -> t.current <- saved) f
 
-let current_origin t = if t.current = 0 then None else Some (origin_of_label t t.current)
-
 let taint t ~mfn ~off ~len =
   let lab = t.current in
   let row =

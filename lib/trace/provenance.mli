@@ -97,8 +97,6 @@ val with_origin : t -> origin -> (unit -> 'a) -> 'a
     its dynamic extent. Nests: the innermost origin wins (an injector
     action issued through a hypercall labels as the injector action). *)
 
-val current_origin : t -> origin option
-
 val taint : t -> mfn:int -> off:int -> len:int -> unit
 (** Label [len] bytes at [off] in frame [mfn] with the installed
     origin. With no origin installed this {e clears} existing taint on

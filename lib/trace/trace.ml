@@ -671,7 +671,6 @@ let fork template m =
   let t = create () in
   rewind t m;
   Vclock.set_model t.vclock (Vclock.model template.vclock);
-  Vclock.set_attached t.vclock (Vclock.attached template.vclock);
   t
 
 (* --- detection latency ------------------------------------------------ *)

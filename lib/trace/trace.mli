@@ -191,8 +191,7 @@ val vts : t -> int64
 
 val charge : t -> Vclock.op -> unit
 val charge_n : t -> Vclock.op -> int -> unit
-(** Advance the clock by the cost model's price for an operation
-    (no-ops when the clock is detached). *)
+(** Advance the clock by the cost model's price for an operation. *)
 
 (** {1 Reading a trace} *)
 
@@ -294,8 +293,7 @@ val rewind : t -> mark -> unit
 
 val fork : t -> mark -> t
 (** [fork template m]: a fresh tracer (ring disabled, no coverage)
-    rewound to [m], charging under [template]'s live cost model and
-    attached flag. *)
+    rewound to [m], charging under [template]'s live cost model. *)
 
 (** {1 Helpers} *)
 

@@ -88,14 +88,6 @@ let owned t = Phys_mem.Dom t.id
 let kernel_vaddr_of_pfn pfn =
   Int64.add Layout.guest_kernel_base (Int64.of_int (pfn * Addr.page_size))
 
-let pfn_of_kernel_vaddr va =
-  let va = Addr.canonical va in
-  if va >= Layout.guest_kernel_base then
-    let delta = Int64.sub va Layout.guest_kernel_base in
-    let pfn = Int64.to_int (Int64.shift_right_logical delta Addr.page_shift) in
-    Some pfn
-  else None
-
 let pp ppf t =
   Format.fprintf ppf "dom%d(%s%s, %d pages)" t.id t.name
     (if t.privileged then ", privileged" else "")

@@ -51,5 +51,4 @@ val owned : t -> Phys_mem.owner
 val kernel_vaddr_of_pfn : Addr.pfn -> Addr.vaddr
 (** Where the builder maps guest page [pfn] in the PV kernel area. *)
 
-val pfn_of_kernel_vaddr : Addr.vaddr -> Addr.pfn option
 val pp : Format.formatter -> t -> unit

@@ -208,7 +208,6 @@ let unmap t ~handle =
 
 let mappings t = Hashtbl.fold (fun _ r acc -> r :: acc) t.maptrack []
 let find_mapping t ~handle = Hashtbl.find_opt t.maptrack handle
-let active_grants t = Array.fold_left (fun acc e -> if e.permit then acc + 1 else acc) 0 t.entries
 
 (* Structural copy for hypervisor checkpointing: every mutable cell is
    duplicated so the checkpoint is immune to later mutation. *)

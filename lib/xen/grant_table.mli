@@ -94,7 +94,6 @@ val map : t -> granter:int -> mapper:int -> gref:int -> (map_record, Errno.t) re
 val unmap : t -> handle:int -> (unit, Errno.t) result
 val mappings : t -> map_record list
 val find_mapping : t -> handle:int -> map_record option
-val active_grants : t -> int
 
 val deep_copy : t -> t
 (** Structural copy (for hypervisor checkpointing). *)

@@ -42,17 +42,6 @@ let number_of_call = function
   | Event_channel_op _ -> 32
   | Raw { number; _ } -> number
 
-let name_of_call = function
-  | Mmu_update _ -> "mmu_update"
-  | Update_va_mapping _ -> "update_va_mapping"
-  | Memory_exchange _ -> "memory_op(XENMEM_exchange)"
-  | Decrease_reservation _ -> "memory_op(XENMEM_decrease_reservation)"
-  | Console_io _ -> "console_io"
-  | Grant_table_op _ -> "grant_table_op"
-  | Mmuext_op _ -> "mmuext_op"
-  | Event_channel_op _ -> "event_channel_op"
-  | Raw { number; _ } -> Printf.sprintf "hypercall#%d" number
-
 (* --- binary serialization (trace payloads) --------------------------- *)
 
 (* A recorded hypercall carries its full argument structure, so a
@@ -431,9 +420,6 @@ let dispatch hv dom call =
          { domid = dom.Domain.id; number; rc; failed = Result.is_error result })
   end;
   result
-
-let dispatch_unit hv dom call =
-  match dispatch hv dom call with Ok _ -> Ok () | Error e -> Error e
 
 let return_code = function
   | Ok v -> Int64.to_int v

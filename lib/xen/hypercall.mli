@@ -46,8 +46,6 @@ type call =
 val number_of_call : call -> int
 (** Real Xen hypercall numbers (mmu_update = 1, memory_op = 12, ...). *)
 
-val name_of_call : call -> string
-
 val encode_call : call -> string
 (** The binary serialization recorded as a traced hypercall's payload
     ({!Trace.event.Hypercall}); [decode_call] inverts it, which is what
@@ -70,6 +68,5 @@ val dispatch : Hv.t -> Domain.t -> call -> (int64, Errno.t) result
     payload-less record for nested calls) plus an exit record with the
     return value. *)
 
-val dispatch_unit : Hv.t -> Domain.t -> call -> (unit, Errno.t) result
 val return_code : (int64, Errno.t) result -> int
 (** The guest-visible return value ([-EFAULT] style). *)

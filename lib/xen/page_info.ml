@@ -71,15 +71,6 @@ let ptype_code = function
   | PGT_l4 -> 5
   | PGT_seg -> 6
 
-let ptype_to_string = function
-  | PGT_none -> "none"
-  | PGT_writable -> "writable"
-  | PGT_l1 -> "l1_table"
-  | PGT_l2 -> "l2_table"
-  | PGT_l3 -> "l3_table"
-  | PGT_l4 -> "l4_table"
-  | PGT_seg -> "seg_desc"
-
 let get_page t mfn =
   let i = get t mfn in
   touch t mfn;
@@ -113,10 +104,6 @@ let put_page_type t mfn =
   if i.type_count = 0 then (
     i.validated <- false;
     i.pinned <- false)
-
-let set_validated t mfn v =
-  touch t mfn;
-  (get t mfn).validated <- v
 
 type checkpoint = info array
 

@@ -41,8 +41,6 @@ val ptype_code : ptype -> int
 (** A stable small-integer encoding (the one trace [Page_type] records
     carry). *)
 
-val ptype_to_string : ptype -> string
-
 val get_page : t -> Addr.mfn -> unit
 (** Take a general reference. *)
 
@@ -55,8 +53,6 @@ val get_page_type : t -> Addr.mfn -> ptype -> (unit, Errno.t) result
     that keeps page tables unwritable. *)
 
 val put_page_type : t -> Addr.mfn -> unit
-
-val set_validated : t -> Addr.mfn -> bool -> unit
 
 val counts_consistent : t -> bool
 (** Every frame has non-negative counts and [type_count = 0] implies no

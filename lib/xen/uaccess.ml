@@ -36,9 +36,3 @@ let copy_to_guest_unchecked hv dom va data =
          Ok ()
        with Phys_mem.Bad_maddr _ -> Error Errno.EFAULT)
   | None -> via_guest_tables_write hv dom va data
-
-let copy_from_guest_unchecked hv dom va len =
-  match Layout.maddr_of_directmap va with
-  | Some ma -> (
-      try Ok (Phys_mem.read_bytes hv.Hv.mem ma len) with Phys_mem.Bad_maddr _ -> Error Errno.EFAULT)
-  | None -> via_guest_tables_read hv dom va len

@@ -18,8 +18,6 @@ val copy_to_guest_unchecked : Hv.t -> Domain.t -> Addr.vaddr -> bytes -> (unit, 
     mapping; other addresses fall back to the guest path without the
     [__addr_ok] filter. *)
 
-val copy_from_guest_unchecked : Hv.t -> Domain.t -> Addr.vaddr -> int -> (bytes, Errno.t) result
-
 val guest_range_ok : Hv.t -> Addr.vaddr -> int -> bool
 (** The correct [__addr_ok] predicate: the whole range sits in
     guest-low or guest-kernel space. *)

@@ -164,7 +164,7 @@ let test_campaign_component_hooks () =
 
 let test_campaign_rejects_empty_targets () =
   Alcotest.check_raises "no targets" (Invalid_argument "Campaign_scheduler: no targets")
-    (fun () -> ignore (Campaign_scheduler.run ~targets:[] ~trials:60 [ Version.V4_6 ]))
+    (fun () -> ignore (Campaign_scheduler.run ~seed:42L ~targets:[] ~trials:60 [ Version.V4_6 ]))
 
 let test_campaign_render () =
   let sums = Campaign_scheduler.run ~seed:7L ~trials:10 [ Version.V4_6; Version.V4_13 ] in

@@ -312,7 +312,7 @@ let test_scheduler_coverage_invariant () =
   let trials = 6 in
   let cum workers =
     let acc = ref Coverage.empty in
-    ignore (Campaign_scheduler.run ~workers ~coverage:acc ~trials versions);
+    ignore (Campaign_scheduler.run ~seed:42L ~workers ~coverage:acc ~trials versions);
     !acc
   in
   let c1 = cum 1 and c3 = cum 3 in
@@ -321,7 +321,7 @@ let test_scheduler_coverage_invariant () =
   (* the streamed path merges in scheduler order; OR-merge makes that
      invisible *)
   let acc = ref Coverage.empty in
-  ignore (Campaign_scheduler.run_streamed ~workers:3 ~coverage:acc ~trials versions);
+  ignore (Campaign_scheduler.run_streamed ~seed:42L ~workers:3 ~coverage:acc ~trials versions);
   check_bool "streamed = materialized" true (Coverage.equal c1 !acc)
 
 (* A randomized trial runs on [Campaign.trial], so its coverage map

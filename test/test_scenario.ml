@@ -164,6 +164,36 @@ let prop_checker_total_corrupted =
       | (Ok () | Error _), (Ok () | Error _) -> true
       | exception _ -> false)
 
+(* Corrupt one header index of a real program — source, target,
+   functionality, interface kind or an expected violation class — and
+   the checker either refuses the program or the program's use case and
+   expectations build without raising. *)
+let prop_checker_guards_header =
+  QCheck.Test.make ~name:"checker guards header indices" ~count:500
+    QCheck.(triple (int_bound 7) (int_bound 4) (oneof [ int_range (-2) 40; int ]))
+    (fun (which, field, v) ->
+      let progs = Lazy.force corpus_programs in
+      let _, p = List.nth progs (which mod List.length progs) in
+      let h = p.Scn_bytecode.header in
+      let header =
+        match field with
+        | 0 -> { h with h_source = v }
+        | 1 -> { h with h_target = v }
+        | 2 -> { h with h_functionality = v }
+        | 3 -> { h with h_iface_kind = v }
+        | _ -> { h with h_expect = (match h.h_expect with _ :: tl -> v :: tl | [] -> [ v ]) }
+      in
+      let p' = { p with header } in
+      let usable check use_case =
+        match check p' with
+        | Error _ -> true
+        | Ok () -> (
+            match (use_case p', Scn_bytecode.expected_violations p') with
+            | _ -> true
+            | exception _ -> false)
+      in
+      usable XV.check XV.use_case && usable KV.check KV.use_case)
+
 (* --- golden result rows ---------------------------------------------------- *)
 
 let modes = [ Campaign.Real_exploit; Campaign.Injection ]
@@ -292,7 +322,9 @@ let test_run_corpus_matches_run () =
         match Scn_bytecode.backend p with Scn_bytecode.Xen_only -> Some p | _ -> None)
       (Lazy.force corpus_programs)
   in
-  let rows = XV.run_corpus ~workers:2 progs ~versions:[ Version.V4_6 ] ~modes in
+  let rows =
+    Campaign.run_matrix ~workers:2 (List.map XV.use_case progs) ~versions:[ Version.V4_6 ] ~modes
+  in
   List.iter
     (fun p ->
       let uc = XV.use_case p in
@@ -396,7 +428,12 @@ let test_checker_gates () =
   | Ok _ -> Alcotest.fail "undefined label accepted");
   (* env argument range: kernel-l1 takes 0..511 *)
   let p = compile_str (minimal ~backend:"xen" ~body:"    r0 = kernel-l1 9999") in
-  check_bool "env arg out of range rejected" true (Result.is_error (XV.check p))
+  check_bool "env arg out of range rejected" true (Result.is_error (XV.check p));
+  (* an interface kind beyond 0..2 would silently read as instruction
+     interception *)
+  let p = compile_str (minimal ~backend:"xen" ~body:"    halt") in
+  let p = { p with header = { p.header with h_iface_kind = 3 } } in
+  check_bool "interface kind out of range rejected" true (Result.is_error (XV.check p))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -416,6 +453,7 @@ let () =
             prop_parser_total_random;
             prop_parser_total_mutated;
             prop_checker_total_corrupted;
+            prop_checker_guards_header;
           ] );
       ( "golden",
         [

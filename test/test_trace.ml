@@ -304,10 +304,7 @@ module Rollback (B : Substrate.S) = struct
     check_bool (B.name ^ ": fork telemetry") true (Trace.telemetry pooled = Trace.telemetry fresh);
     check_i64 (B.name ^ ": fork vts") (Trace.vts fresh) (Trace.vts pooled);
     check_bool (B.name ^ ": fork cost model") true
-      (Vclock.model (Trace.vclock pooled) = Vclock.model (Trace.vclock fresh));
-    check_bool (B.name ^ ": fork attached flag")
-      (Vclock.attached (Trace.vclock fresh))
-      (Vclock.attached (Trace.vclock pooled))
+      (Vclock.model (Trace.vclock pooled) = Vclock.model (Trace.vclock fresh))
 end
 
 module Xen_rollback = Rollback (Substrate_xen)
@@ -322,22 +319,20 @@ let test_pooled_fork_starts_at_boot () =
   Kvm_rollback.fork ()
 
 (* [Trace.fork] takes counters and time from the mark, and the cost
-   model and attached flag from the template's live clock. *)
+   model from the template's live clock. *)
 let test_fork_from_mark () =
   let tmpl = Trace.create () in
   bump_every_counter tmpl;
   Trace.charge tmpl Vclock.Hypercall_dispatch;
   let m = Trace.mark tmpl in
   let at_mark = Trace.telemetry tmpl and vts_at_mark = Trace.vts tmpl in
-  let model = { Vclock.Cost_model.default with Vclock.Cost_model.hypercall_dispatch = 7L } in
+  let model = Result.get_ok (Vclock.Cost_model.of_string "hypercall_dispatch = 7") in
   Vclock.set_model (Trace.vclock tmpl) model;
-  Vclock.set_attached (Trace.vclock tmpl) false;
   bump_every_counter tmpl;
   let f = Trace.fork tmpl m in
   check_bool "fork counters are the mark's" true (Trace.telemetry f = at_mark);
   check_i64 "fork vts is the mark's" vts_at_mark (Trace.vts f);
   check_bool "fork cost model is the template's" true (Vclock.model (Trace.vclock f) = model);
-  check_bool "fork attached flag is the template's" false (Vclock.attached (Trace.vclock f));
   check_bool "fork ring is off" false (Trace.recording f)
 
 let () =

@@ -80,6 +80,12 @@ let test_cost_bound () =
       Vclock.charge c Vclock.Tlb_hit;
       check_i64 "max_int cost charged" max_cost (Vclock.now c)
 
+(* Every operation priced at 0 ns: the clock never moves. *)
+let zero_model =
+  let keys = List.map fst (Vclock.Cost_model.to_assoc Vclock.Cost_model.default) in
+  Result.get_ok
+    (Vclock.Cost_model.of_string (String.concat "" (List.map (fun k -> k ^ " = 0\n") keys)))
+
 let test_charge_mechanics () =
   let c = Vclock.create () in
   check_i64 "starts at zero" 0L (Vclock.now c);
@@ -92,12 +98,12 @@ let test_charge_mechanics () =
        (Int64.mul 4L (Vclock.cost (Vclock.model c) Vclock.Page_walk_step)))
     (Vclock.now c);
   let frozen = Vclock.now c in
-  Vclock.set_attached c false;
+  Vclock.set_model c zero_model;
   Vclock.charge c Vclock.Fault_delivery;
-  check_i64 "detached charges are no-ops" frozen (Vclock.now c);
-  Vclock.set_attached c true;
+  check_i64 "zero-priced charges are no-ops" frozen (Vclock.now c);
+  Vclock.set_model c Vclock.Cost_model.default;
   Vclock.charge c Vclock.Fault_delivery;
-  check_bool "re-attached charges land" true (Int64.compare (Vclock.now c) frozen > 0)
+  check_bool "re-priced charges land" true (Int64.compare (Vclock.now c) frozen > 0)
 
 (* --- replay reproduces virtual timestamps -------------------------------- *)
 
@@ -252,7 +258,7 @@ let test_latency_ns_reported () =
   check_bool "event-count key gone" false (contains json "\"latency\":");
   check_bool "ns key present" true (contains json "\"latency_ns\":")
 
-(* --- neutrality: detached = attached ------------------------------------- *)
+(* --- neutrality: zero-cost = priced ---------------------------------------- *)
 
 let strip_row (r : Campaign.result_row) =
   ( r.Campaign.r_use_case,
@@ -265,21 +271,21 @@ let strip_row (r : Campaign.result_row) =
     r.Campaign.r_rc,
     r.Campaign.r_telemetry )
 
-let test_detached_clock_does_not_change_results () =
+let test_zero_cost_clock_does_not_change_results () =
   List.iter
     (fun uc0 ->
       let on = Trace_driver.record uc0 Campaign.Injection Version.V4_6 in
       let off =
         Trace_driver.record
           ~prepare:(fun tb ->
-            Vclock.set_attached (Trace.vclock tb.Ii_guest.Testbed.hv.Hv.trace) false)
+            Vclock.set_model (Trace.vclock tb.Ii_guest.Testbed.hv.Hv.trace) zero_model)
           uc0 Campaign.Injection Version.V4_6
       in
       check_bool (uc0.Campaign.uc_name ^ ": row unchanged modulo vtime") true
         (strip_row on.Trace_driver.rec_row = strip_row off.Trace_driver.rec_row);
-      check_bool (uc0.Campaign.uc_name ^ ": detached vtime is zero") true
+      check_bool (uc0.Campaign.uc_name ^ ": zero-cost vtime is zero") true
         (off.Trace_driver.rec_row.Campaign.r_vtime_ns = 0L);
-      check_bool (uc0.Campaign.uc_name ^ ": attached vtime positive") true
+      check_bool (uc0.Campaign.uc_name ^ ": priced vtime positive") true
         (Int64.compare on.Trace_driver.rec_row.Campaign.r_vtime_ns 0L > 0);
       check_bool (uc0.Campaign.uc_name ^ ": final snapshot unchanged") true
         (on.Trace_driver.rec_final = off.Trace_driver.rec_final);
@@ -334,8 +340,8 @@ let () =
         ] );
       ( "neutrality",
         [
-          Alcotest.test_case "detached clock does not change results" `Quick
-            test_detached_clock_does_not_change_results;
+          Alcotest.test_case "zero-cost clock does not change results" `Quick
+            test_zero_cost_clock_does_not_change_results;
           Alcotest.test_case "tracing off vtime identical" `Quick
             test_tracing_off_vtime_identical;
         ] );
