@@ -40,7 +40,8 @@ let modes_arg =
     & opt (enum (List.map (fun (s, m) -> (s, [ m ])) modes @ [ ("both", both) ])) both
     & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"exploit|injection|both.")
 
-let config_arg =
+(* -x, documented over the given backends *)
+let config_opt backends =
   let doc =
     Printf.sprintf "Backend configuration (%s); defaults to the backend's RQ1 configuration."
       (String.concat "; "
@@ -48,9 +49,11 @@ let config_arg =
             (fun (module K : All.BACKEND) ->
               Printf.sprintf "%s %s" K.config_noun
                 (String.concat ", " (List.map K.Ops.B.config_to_string K.Ops.B.configs)))
-            All.backends))
+            backends))
   in
   Arg.(value & opt (some string) None & info [ "x"; "xen-version" ] ~docv:"VER" ~doc)
+
+let config_arg = config_opt All.backends
 
 let workers_arg =
   let doc =

@@ -1,5 +1,6 @@
 (* The xenrepro command-line tool: run exploits, injections, campaigns
-   and regenerate the paper's tables from the terminal. *)
+   and the engine's observers from the terminal. The paper's tables and
+   figures are bench/main.exe's. *)
 
 open Cmdliner
 open Cli
@@ -7,7 +8,7 @@ open Cli
 module Xen = Drivers (All.Xen)
 
 (* -x for the Xen-only commands, parsed like every other backend's *)
-let version_arg = Term.(term_result' (const Xen.config $ config_arg))
+let version_arg = Term.(term_result' (const Xen.config $ config_opt [ All.xen ]))
 
 let use_case_arg =
   let doc =
@@ -52,8 +53,9 @@ let campaign_cmd =
     Printf.printf "RQ1 validation on %s (exploit vs injection):\n"
       (D.C.config_label D.B.rq1_config);
     List.iter
-      (fun (name, st, viol) ->
-        Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n" name st viol)
+      (fun q ->
+        Printf.printf "  %-14s same erroneous state: %b   same violation class: %b\n"
+          q.D.C.rq1_exploit.D.C.r_use_case q.D.C.rq1_state q.D.C.rq1_violation)
       (D.C.validate_rq1 ~domains ~load K.use_cases);
     if verbose then begin
       print_newline ();
@@ -70,33 +72,8 @@ let campaign_cmd =
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(const run $ verbose_arg $ backend $ workers_arg $ domains_arg $ load_arg)
 
-let tables_cmd =
-  let doc = "Regenerate the paper's tables (I, II, III)." in
-  let run () =
-    print_endline (Ii_advisory.Corpus.table1 ());
-    print_newline ();
-    print_endline (Campaign.table2 All.use_cases);
-    print_newline ();
-    let rows =
-      Campaign.run_matrix All.use_cases ~versions:Version.all
-        ~modes:[ Campaign.Injection ]
-    in
-    print_endline (Campaign.table3 rows)
-  in
-  Cmd.v (Cmd.info "tables" ~doc) Term.(const run $ const ())
-
-let advisory_cmd =
-  let doc = "Inspect the advisory corpus and classifier." in
-  let run () =
-    print_endline (Ii_advisory.Corpus.table1 ());
-    Printf.printf "\ncorpus: %d CVEs, %d classifications, classifier accuracy %.1f%%\n"
-      Ii_advisory.Corpus.size Ii_advisory.Corpus.classifications
-      (100. *. Ii_advisory.Classify.accuracy ())
-  in
-  Cmd.v (Cmd.info "advisory" ~doc) Term.(const run $ const ())
-
 (* Run a use case's attempt as one trial on a fresh Xen testbed, for
-   the commands that read Xen host state afterwards. *)
+   the command that reads Xen host state afterwards. *)
 let run_xen name mode version k =
   match Xen.use_case name with
   | Error e -> `Error (false, e)
@@ -112,16 +89,33 @@ let run_xen name mode version k =
       `Ok ()
 
 let console_cmd =
-  let doc = "Run a use case and dump the Xen console (crash dumps etc.)." in
+  let doc =
+    "Run a use case, dump the Xen console (crash dumps etc.), then print a xentop-style host \
+     summary (domains, memory, hypercalls)."
+  in
   let run name mode version =
-    run_xen name mode version (fun tb -> List.iter print_endline (Hv.console_lines tb.Testbed.hv))
+    run_xen name mode version (fun tb ->
+        let hv = tb.Testbed.hv in
+        List.iter print_endline (Hv.console_lines hv);
+        Testbed.tick_all tb;
+        Printf.printf "xentop - Xen %s%s\n" (Version.to_string version)
+          (if Hv.is_crashed hv then "   *** HOST CRASHED ***" else "");
+        Printf.printf "free frames: %d / %d\n" (Phys_mem.free_frames hv.Hv.mem)
+          (Phys_mem.total_frames hv.Hv.mem);
+        Printf.printf "%-5s %-10s %8s %8s %6s\n" "DOMID" "NAME" "PAGES" "VCPURUNS" "PROCS";
+        List.iter
+          (fun k ->
+            let d = Kernel.dom k in
+            Printf.printf "%-5d %-10s %8d %8d %6d\n" d.Domain.id d.Domain.name
+              (Domain.populated_count d)
+              (Sched.runs_of hv.Hv.sched ~dom:d.Domain.id)
+              (List.length (Process.list (Kernel.processes k))))
+          (Testbed.kernels tb);
+        Printf.printf "hypercalls (nr: calls):";
+        List.iter (fun (n, c) -> Printf.printf " %d:%d" n c) (Hv.hypercall_stats hv);
+        Printf.printf "   failed: %d\n" (Hv.hypercalls_failed hv))
   in
   Cmd.v (Cmd.info "console" ~doc) Term.(ret (const run $ use_case_arg $ mode_arg $ version_arg))
-
-let blk_cmd =
-  let doc = "Run the block-backend study (off-by-one exploit vs injection over real grants)." in
-  let run () = print_endline (Ii_devicemodel.Blk_study.render (Ii_devicemodel.Blk_study.matrix ())) in
-  Cmd.v (Cmd.info "blk" ~doc) Term.(const run $ const ())
 
 let fuzz_cmd =
   let doc =
@@ -173,36 +167,6 @@ let cross_cmd =
     print_endline (Ii_exploits.Cross_system.render (Ii_exploits.Cross_system.run ()))
   in
   Cmd.v (Cmd.info "cross" ~doc) Term.(const run $ const ())
-
-let stats_cmd =
-  let doc = "Run a use case and print a xentop-style host summary (domains, memory, hypercalls)." in
-  let run name mode version =
-    run_xen name mode version (fun tb ->
-        Testbed.tick_all tb;
-        let hv = tb.Testbed.hv in
-        Printf.printf "xentop - Xen %s%s\n" (Version.to_string version)
-          (if Hv.is_crashed hv then "   *** HOST CRASHED ***" else "");
-        Printf.printf "free frames: %d / %d\n" (Phys_mem.free_frames hv.Hv.mem)
-          (Phys_mem.total_frames hv.Hv.mem);
-        Printf.printf "%-5s %-10s %8s %8s %6s\n" "DOMID" "NAME" "PAGES" "VCPURUNS" "PROCS";
-        List.iter
-          (fun k ->
-            let d = Kernel.dom k in
-            Printf.printf "%-5d %-10s %8d %8d %6d\n" d.Domain.id d.Domain.name
-              (Domain.populated_count d)
-              (Sched.runs_of hv.Hv.sched ~dom:d.Domain.id)
-              (List.length (Process.list (Kernel.processes k))))
-          (Testbed.kernels tb);
-        Printf.printf "hypercalls (nr: calls):";
-        List.iter (fun (n, c) -> Printf.printf " %d:%d" n c) (Hv.hypercall_stats hv);
-        Printf.printf "   failed: %d\n" (Hv.hypercalls_failed hv))
-  in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(ret (const run $ use_case_arg $ mode_arg $ version_arg))
-
-let field_study_cmd =
-  let doc = "Render the advisory field study and the risk-driven campaign plan." in
-  let run () = print_endline (Ii_advisory.Field_study.render ()) in
-  Cmd.v (Cmd.info "field-study" ~doc) Term.(const run $ const ())
 
 let defense_cmd =
   let doc =
@@ -266,7 +230,7 @@ let trace_cmd =
           Option.map (fun m tb -> Vclock.set_model (Trace.vclock (D.B.trace tb)) m) model
         in
         let r = D.T.record ?prepare uc mode config in
-        print_string (if json then D.T.to_json r else D.T.render r);
+        if json then print_endline (D.T.to_json r) else print_string (D.T.render r);
         if replay then begin
           let o = D.T.replay r in
           Printf.printf "replay: %d boundary events applied, %d records skipped\n"
@@ -313,7 +277,7 @@ let vmi_cmd =
         let registry = Metrics.create () in
         let trials = D.V.coverage ?every_ns ~registry K.use_cases mode config in
         let name t = t.D.V.t_recording.D.T.rec_use_case in
-        if json then print_string (D.V.to_json trials)
+        if json then print_endline (D.V.to_json trials)
         else begin
           print_endline (D.V.matrix_table trials);
           List.iter
@@ -371,7 +335,7 @@ let attribution_cmd =
     | Ok config ->
         let registry = Metrics.create () in
         let reports = D.A.attribute_all ~registry K.use_cases Campaign.Injection config in
-        if json then print_string (D.A.to_json reports)
+        if json then print_endline (D.A.to_json reports)
         else if dot then print_string (D.A.to_dot reports)
         else begin
           print_endline (D.A.table reports);
@@ -403,6 +367,6 @@ let main_cmd =
   let doc = "intrusion injection for virtualized systems (DSN'23 reproduction)" in
   Cmd.group
     (Cmd.info "xenrepro" ~version:"1.0.0" ~doc)
-    [ exploit_cmd; inject_cmd; campaign_cmd; tables_cmd; advisory_cmd; console_cmd; blk_cmd; fuzz_cmd; ims_cmd; defense_cmd; field_study_cmd; stats_cmd; cross_cmd; trace_cmd; vmi_cmd; attribution_cmd; backends_cmd; Scenario_cmd.cmd; Coverage_cmd.cmd ]
+    [ exploit_cmd; inject_cmd; campaign_cmd; console_cmd; fuzz_cmd; ims_cmd; defense_cmd; cross_cmd; trace_cmd; vmi_cmd; attribution_cmd; backends_cmd; Scenario_cmd.cmd; Coverage_cmd.cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -40,26 +40,28 @@ let () =
         into each Xen version and compare. *)
   List.iter
     (fun version ->
-      let tb = Testbed.create version in
-      Injector.install tb.Testbed.hv;
-      let k = tb.Testbed.attacker in
-      let before = Monitor.snapshot tb in
-      let gate =
-        Int64.add (Kernel.sidt k) (Int64.of_int (Idt.handler_offset Idt.vector_page_fault))
+      let r =
+        Campaign.trial (Testbed.create version) ~name:"ported-venom" Campaign.Injection version
+          (fun tb ->
+            let k = tb.Testbed.attacker in
+            let gate =
+              Int64.add (Kernel.sidt k) (Int64.of_int (Idt.handler_offset Idt.vector_page_fault))
+            in
+            (match
+               Injector.write_u64 k ~addr:gate ~action:Injector.Arbitrary_write_linear 0x1337L
+             with
+            | Ok () -> ()
+            | Error e -> failwith (Errno.to_string e));
+            ignore (Kernel.read_u64 k 0xdead_0000L);
+            {
+              Campaign.transcript = [];
+              states = [ Erroneous_state.Idt_gate_corrupted { vector = Idt.vector_page_fault } ];
+              rc = None;
+            })
       in
-      (match Injector.write_u64 k ~addr:gate ~action:Injector.Arbitrary_write_linear 0x1337L with
-      | Ok () -> ()
-      | Error e -> failwith (Errno.to_string e));
-      ignore (Kernel.read_u64 k 0xdead_0000L);
-      let audit =
-        Erroneous_state.audit tb.Testbed.hv
-          (Erroneous_state.Idt_gate_corrupted { vector = Idt.vector_page_fault })
-      in
-      let after = Monitor.snapshot tb in
-      let violations = Monitor.violations ~before ~after in
       Printf.printf "Xen %-5s state=%-7s violations=[%s]\n" (Version.to_string version)
-        (if audit.Erroneous_state.holds then "present" else "absent")
-        (String.concat "; " (List.map Monitor.violation_to_string violations)))
+        (if r.Campaign.r_state then "present" else "absent")
+        (String.concat "; " (List.map Monitor.violation_to_string r.Campaign.r_violations)))
     Version.all;
   print_newline ();
   print_endline

@@ -245,15 +245,28 @@ module Make (B : Substrate.S) = struct
 
   let violated r = r.r_violations <> []
 
+  (* RQ1 for one use case on [B.rq1_config]: both rows, and the two
+     verdicts — the only place an exploit row is compared with an
+     injection row (Fig 4 and the campaign's RQ1 lines print these). *)
+  type rq1 = {
+    rq1_exploit : result_row;
+    rq1_injection : result_row;
+    rq1_state : bool;  (** both attempts establish their erroneous state *)
+    rq1_violation : bool;  (** the same violation classes *)
+  }
+
   let validate_rq1 ?domains ?load ucs =
     let tb = B.create ?domains ?load B.rq1_config in
     List.map
       (fun uc ->
         let e = run ~tb uc Real_exploit B.rq1_config in
         let i = run ~tb uc Injection B.rq1_config in
-        let same_state = e.r_state && i.r_state in
-        let same_violation = Monitor.same_class e.r_violations i.r_violations in
-        (uc.uc_name, same_state, same_violation))
+        {
+          rq1_exploit = e;
+          rq1_injection = i;
+          rq1_state = e.r_state && i.r_state;
+          rq1_violation = Monitor.same_class e.r_violations i.r_violations;
+        })
       ucs
 
   let table2 ucs =

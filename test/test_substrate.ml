@@ -142,9 +142,10 @@ let test_kvm_checkpoint_reset () =
 
 let test_kvm_rq1 () =
   List.iter
-    (fun (name, same_state, same_violation) ->
-      check_bool (name ^ " state") true same_state;
-      check_bool (name ^ " violation") true same_violation)
+    (fun q ->
+      let name = q.KC.rq1_exploit.KC.r_use_case in
+      check_bool (name ^ " state") true q.KC.rq1_state;
+      check_bool (name ^ " violation") true q.KC.rq1_violation)
     (KC.validate_rq1 All.kvm_use_cases)
 
 let test_kvm_trace_deterministic () =
