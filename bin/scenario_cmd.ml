@@ -37,13 +37,13 @@ let backend_for p = function
   | Some b ->
       Error
         (Printf.sprintf "scenario %s is %s-only; it cannot run on backend %S"
-           (Scn_bytecode.name p)
+           p.Scn_bytecode.name
            (Scn_bytecode.backend_tag_to_string (Scn_bytecode.backend p))
            (All.backend_name b))
   | None -> (
       match List.find_opt (fun b -> admits b p) All.backends with
       | Some b -> Ok b
-      | None -> Error (Printf.sprintf "no registered backend admits scenario %s" (Scn_bytecode.name p)))
+      | None -> Error (Printf.sprintf "no registered backend admits scenario %s" p.Scn_bytecode.name))
 
 let jstr s = "\"" ^ Metrics.json_escape s ^ "\""
 let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
@@ -82,8 +82,8 @@ let list_cmd =
                      Printf.sprintf
                        "{\"file\":%s,\"name\":%s,\"xsa\":%s,\"backend\":%s,\"instructions\":%d,\"expect\":%s}"
                        (jstr f)
-                       (jstr (Scn_bytecode.name p))
-                       (jstr (Scn_bytecode.xsa p))
+                       (jstr p.Scn_bytecode.name)
+                       (jstr p.Scn_bytecode.xsa)
                        (jstr (Scn_bytecode.backend_tag_to_string (Scn_bytecode.backend p)))
                        (Array.length p.Scn_bytecode.exploit
                        + Array.length p.Scn_bytecode.inject)
@@ -94,8 +94,8 @@ let list_cmd =
                 "INSTRS" "EXPECT" "FILE";
               List.iter
                 (fun (f, p) ->
-                  Printf.printf "%-14s %-8s %-7s %6d  %-22s %s\n" (Scn_bytecode.name p)
-                    (Scn_bytecode.xsa p)
+                  Printf.printf "%-14s %-8s %-7s %6d  %-22s %s\n" p.Scn_bytecode.name
+                    p.Scn_bytecode.xsa
                     (Scn_bytecode.backend_tag_to_string (Scn_bytecode.backend p))
                     (Array.length p.Scn_bytecode.exploit
                     + Array.length p.Scn_bytecode.inject)
@@ -113,7 +113,7 @@ let files_arg =
   Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Scenario files (.scn).")
 
 let check_cmd =
-  let doc = "Parse, compile and gate scenarios against the backend action tables." in
+  let doc = "Parse scenarios and gate them against the backend action tables." in
   let run files =
     match load_all files with
     | Error e -> `Error (false, e)
@@ -122,7 +122,7 @@ let check_cmd =
         | [] ->
             List.iter
               (fun (f, p) ->
-                Printf.printf "%s: %s OK (%d instructions)\n" f (Scn_bytecode.name p)
+                Printf.printf "%s: %s OK (%d instructions)\n" f p.Scn_bytecode.name
                   (Array.length p.Scn_bytecode.exploit
                   + Array.length p.Scn_bytecode.inject))
               progs;
@@ -152,7 +152,7 @@ let disasm_cmd =
 (* --- scenario run -------------------------------------------------------- *)
 
 let run_cmd =
-  let doc = "Execute a compiled scenario in the bytecode VM against a backend." in
+  let doc = "Execute a scenario in the scenario VM against a backend." in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit result rows as JSON.") in
   let run file backend modes config domains load json verbose =
     match Scn_loader.load_file file with
@@ -232,7 +232,7 @@ let gate_cmd =
             List.iter
               (fun (f, p) ->
                 Printf.printf "%s: %s checks and shows its expected violations\n" f
-                  (Scn_bytecode.name p))
+                  p.Scn_bytecode.name)
               progs;
             `Ok ()
         | errs ->
@@ -292,7 +292,7 @@ let crossdomain_program (module K : All.BACKEND) ~domains ~load (file, p) =
       | [] ->
           Printf.printf
             "%s: %s OK at %d domains / %s load (%d violation(s), %d affected domain(s))\n"
-            file (Scn_bytecode.name p)
+            file p.Scn_bytecode.name
             domains (Load_mix.to_string load)
             (List.length row.D.C.r_violations)
             (List.length row.D.C.r_domains)
@@ -320,7 +320,7 @@ let crossdomain_cmd =
     Term.(ret (const run $ files_arg $ domains_arg $ load_arg))
 
 let cmd =
-  let doc = "Work with compiled intrusion scenarios (.scn corpus)." in
+  let doc = "Work with intrusion scenarios (.scn corpus)." in
   Cmd.group
     (Cmd.info "scenario" ~doc)
     [ list_cmd; check_cmd; disasm_cmd; run_cmd; gate_cmd; crossdomain_cmd ]

@@ -472,7 +472,7 @@ let apply_event t (ev : Trace.event) =
       tick_all t;
       true
   | Trace.Scn_edge { section; prev; pc } ->
-      (* scenario-bytecode edge: refeed the coverage map and re-emit,
+      (* scenario-VM edge: refeed the coverage map and re-emit,
          exactly as the Xen substrate does — the VM never runs during
          replay *)
       (match Trace.coverage t.tr with

@@ -150,7 +150,7 @@ let apply_event tb (ev : Trace.event) =
       ignore (Devmodel.inject tb.Testbed.dm (Bytes.of_string data));
       true
   | Trace.Scn_edge { section; prev; pc } ->
-      (* a scenario-bytecode edge: the VM does not run during replay, so
+      (* a scenario-VM edge: the VM does not run during replay, so
          refeed the coverage map (and re-emit, like Op_probe_u64 — the
          replayed stream must carry the edge at the recorded stamp) *)
       let tr = hv.Hv.trace in

@@ -1,4 +1,4 @@
-(* The scenario language's typed AST (§IV as data).
+(* The scenario language's shared vocabulary (§IV as data).
 
    A scenario is the paper's intrusion model written down as a loadable
    artifact: a header declaring where the intrusion comes from (trigger
@@ -6,18 +6,16 @@
    it corrupts (target component / abusive functionality), plus two
    step bodies — the third-party exploit path and the injection path —
    over the shared four-action codec, guest workload ops and named
-   library payloads. Hand-written OCaml use-case modules carry exactly
-   the same information; here it is data, so a corpus can grow without
-   recompiling and a fuzzer can mutate it. *)
+   library payloads. This module holds the header record, the source
+   positions the front end reports errors with, and the name tables the
+   parser, the checker and the disassembler share; the program itself
+   is {!Scn_bytecode.program}. *)
 
 type pos = { line : int; col : int }
 
-let pp_pos ppf p = Format.fprintf ppf "line %d, column %d" p.line p.col
-let pos_to_string p = Format.asprintf "%a" pp_pos p
-
 type error = { msg : string; at : pos }
 
-let error_to_string e = Printf.sprintf "%s at %s" e.msg (pos_to_string e.at)
+let error_to_string e = Printf.sprintf "%s at line %d, column %d" e.msg e.at.line e.at.col
 
 (* The intrusion-model header, mapped 1:1 onto {!Intrusion_model.t}. *)
 type model = {
@@ -33,57 +31,6 @@ type model = {
 type reg = int (* 0..15; the surface syntax spells r0..r15 and rc (= r15) *)
 
 let num_regs = 16
-
-(* Right-hand sides of [rN = ...] assignments. Environment symbols
-   ([Env]) are runtime lookups the backend resolves against the live
-   testbed (own page-table frames, IDT base, VMCS address, ...) — the
-   part of an injection script that cannot be a compile-time constant
-   because the paper's targets are discovered, not hardcoded. *)
-type expr =
-  | Lit of int64
-  | Add of reg * int64
-  | Pte_of of reg * Pte.flag list
-  | Entry_maddr of reg * reg  (* table mfn reg, index reg *)
-  | Entry_linear of reg * reg
-  | Env of string * int64  (* symbol, numeric argument (0 when absent) *)
-  | Hypercall of string * reg list  (* return code lands in the dst reg *)
-  | Inject_read of Access.action * reg  (* 8-byte read through the port *)
-
-type stmt =
-  | Set of reg * expr
-  | Log of string
-  | Logf of string * reg list  (* 1 or 2 register arguments *)
-  | Log_errno of string  (* one %s, filled with the last port errno *)
-  | Inject of { addr : reg; value : reg; action : Access.action }
-  | Host_write of { addr : reg; value : reg }
-  | Guest of string * reg list  (* guest workload op, effects only *)
-  | Payload of string * reg list  (* named abusive-functionality routine *)
-  | State of string * reg list  (* declare an expected erroneous state *)
-  | Tick_all
-  | Rc_errno  (* attempt rc := Some (return code of last port errno) *)
-  | Rc_result  (* attempt rc := Some 0 / Some errno-rc, like the KVM rows *)
-  | Rc_reg of reg
-  | Rc_none
-  | Goto of string
-  | If_err of string  (* branch when the last port call failed *)
-  | If_neg of reg * string  (* branch when a register is negative *)
-  | Label of string
-  | Halt
-
-type 'a loc = { v : 'a; at : pos }
-
-type body = stmt loc list
-
-type t = {
-  s_name : string;
-  s_xsa : string;
-  s_description : string;
-  s_backend : string;  (* "xen" | "kvm" | "any" *)
-  s_model : model;
-  s_expect : string list;  (* expected violation classes, rq1 injection *)
-  s_exploit : body;
-  s_inject : body;
-}
 
 (* --- small shared vocabularies ----------------------------------------- *)
 
@@ -148,7 +95,9 @@ let violation_class = function
   | Monitor.Guest_crash _ -> "guest-crash"
   | Monitor.Availability_degradation _ -> "availability-degradation"
 
-let rev_assoc v l = List.find_map (fun (k, x) -> if x = v then Some k else None) l
+(* The surface name of a value; every table above lists each
+   constructor of its type. *)
+let name_of v l = fst (List.find (fun (_, x) -> x = v) l)
 
 let intrusion_model (m : model) =
   Intrusion_model.make ~name:m.m_name ~source:m.m_source ~interface:m.m_interface

@@ -1,66 +1,42 @@
-(* Compact flat bytecode for compiled scenarios: the in-memory program
-   the compiler produces and the VM runs. The [.scn] surface text is
-   its only serialized form.
+(* The scenario program: what {!Scn_parser} produces, {!Scn_check}
+   checks against a backend, {!Scn_vm} runs and {!Scn_disasm} prints.
+   The [.scn] surface text is its only serialized form.
 
-   One instruction is a fixed-width record: opcode, three register
-   operands, an arity, a string-pool id, and a 64-bit immediate. All
-   names (log strings, env symbols, payload/hypercall/guest/state
-   names) live in a shared string pool so the instruction stream stays
-   fixed-width and a fuzzer can mutate it without re-laying-out the
-   program; {!Scn_check} validates whatever it holds. *)
+   A section is an array of typed instructions with every name inline.
+   Labels take no slot: the parser resolves them to the pc of the next
+   instruction, so a jump carries its target pc and the pcs the
+   coverage edges record are the instruction indices. Registers and
+   jump targets are plain ints a generated program may set to
+   anything; {!Scn_check} bounds them. *)
 
-type instr = {
-  op : int;  (* u8 *)
-  a : int;  (* u8, register or small operand *)
-  b : int;  (* u8 *)
-  c : int;  (* u8 *)
-  n : int;  (* u8, call arity / operand count *)
-  sid : int;  (* u16 string-pool index *)
-  imm : int64;
-}
+type reg = Scn_ast.reg
 
-let nop = { op = 0; a = 0; b = 0; c = 0; n = 0; sid = 0; imm = 0L }
-
-(* Opcode assignments — stable; the disassembler and VM switch on them. *)
-let op_halt = 0
-let op_loadi = 1 (* a <- imm *)
-let op_add = 2 (* a <- b + imm *)
-let op_env = 3 (* a <- env str[sid] (imm) *)
-let op_pte = 4 (* a <- pte(mfn = b, flags = imm bitmask over flag table) *)
-let op_emaddr = 5 (* a <- entry_maddr(table = b, index = c) *)
-let op_elin = 6 (* a <- entry_linear(table = b, index = c) *)
-let op_log = 7 (* log str[sid] *)
-let op_logf1 = 8 (* log fmt[sid] % a *)
-let op_logf2 = 9 (* log fmt[sid] % (a, b) *)
-let op_logerr = 10 (* log fmt[sid] % errno string *)
-let op_inject = 11 (* port write: addr = a, value = b, action = imm *)
-let op_injectr = 12 (* a <- port read: addr = b, action = imm *)
-let op_hostw = 13 (* host 64-bit write: addr = a, value = b *)
-let op_hc = 14 (* a <- hypercall str[sid] (args a.. per n from b, c) *)
-let op_guest = 15 (* guest op str[sid] (args per n from a, b, c) *)
-let op_payload = 16 (* payload str[sid] (args per n from a, b, c) *)
-let op_state = 17 (* declare state str[sid] (args per n from a, b, c) *)
-let op_tick = 18
-let op_jmp = 19 (* pc <- imm *)
-let op_jerr = 20 (* pc <- imm when the error flag is set *)
-let op_jneg = 21 (* pc <- imm when reg a < 0 *)
-let op_rcerr = 22 (* rc <- Some (rc of last errno) *)
-let op_rcres = 23 (* rc <- Some (0 | rc of last errno) *)
-let op_rcreg = 24 (* rc <- Some (reg a) *)
-let op_rcnone = 25
-let num_opcodes = 26
-
-let op_names =
-  [|
-    "halt"; "loadi"; "add"; "env"; "pte"; "entry-maddr"; "entry-linear"; "log"; "logf1";
-    "logf2"; "log-errno"; "inject"; "inject-read"; "host-w64"; "hypercall"; "guest";
-    "payload"; "state"; "tick-all"; "jmp"; "jmp-err"; "jmp-neg"; "rc-errno"; "rc-result";
-    "rc-reg"; "rc-none";
-  |]
-
-(* Total: a mutated or generated program may carry any opcode, and the
-   checker names it in its error. *)
-let op_name op = if op >= 0 && op < num_opcodes then op_names.(op) else Printf.sprintf "op%d" op
+type instr =
+  | Halt
+  | Set of reg * int64  (* rN = k *)
+  | Add of reg * reg * int64  (* rN = add rM k *)
+  | Env of reg * string * int64  (* rN = symbol [k]: resolved by the backend *)
+  | Pte_of of reg * reg * Pte.flag list  (* rN = pte rM flags *)
+  | Entry_maddr of reg * reg * reg  (* rN = entry-maddr table index *)
+  | Entry_linear of reg * reg * reg
+  | Hypercall of reg * string * reg array  (* rN = hypercall name args: the return code *)
+  | Inject_read of reg * Access.action * reg  (* rN = 8-byte port read at rM *)
+  | Log of string
+  | Logf of string * reg array
+  | Log_errno of string  (* one %s, filled with the last port errno *)
+  | Inject of Access.action * reg * reg  (* port write: address, value *)
+  | Host_write of reg * reg  (* host 64-bit write: address, value *)
+  | Guest of string * reg array  (* guest workload op, effects only *)
+  | Payload of string * reg array  (* named abusive-functionality routine *)
+  | State of string * reg array  (* declare an expected erroneous state *)
+  | Tick_all
+  | Goto of int
+  | If_err of int  (* branch when the last port call failed *)
+  | If_neg of reg * int  (* branch when a register is negative *)
+  | Rc_errno  (* attempt rc := Some (return code of the last port errno) *)
+  | Rc_result  (* attempt rc := Some 0 / Some errno-rc, like the KVM rows *)
+  | Rc_reg of reg
+  | Rc_none
 
 type backend_tag = Any | Xen_only | Kvm_only
 
@@ -72,26 +48,20 @@ let backend_tag_of_string = function
   | "kvm" -> Some Kvm_only
   | _ -> None
 
-(* The compiled header mirrors {!Scn_ast.model} with every name interned. *)
-type header = {
-  h_name : int;
-  h_xsa : int;
-  h_description : int;
-  h_backend : backend_tag;
-  h_model_name : int;
-  h_source : int;  (* index into Scn_ast.sources *)
-  h_iface_kind : int;  (* 0 hypercall, 1 device-emulation, 2 instruction-interception *)
-  h_iface_str : int;  (* sid; interns "" for instruction-interception *)
-  h_target : int;  (* index into Scn_ast.targets *)
-  h_functionality : int;  (* index into Abusive_functionality.all *)
-  h_represents : int list;
-  h_summary : int;
-  h_expect : int list;  (* indices into Scn_ast.violation_classes *)
+type program = {
+  name : string;
+  xsa : string;
+  description : string;
+  backend : backend_tag;
+  model : Scn_ast.model;
+  expect : string list;  (* violation classes the injection run must show *)
+  exploit : instr array;
+  inject : instr array;
 }
 
-type program = { strings : string array; header : header; exploit : instr array; inject : instr array }
-
-let str p sid = if sid >= 0 && sid < Array.length p.strings then p.strings.(sid) else ""
+(* Field readers for callers that pass them as functions. *)
+let backend p = p.backend
+let expected_violations p = p.expect
 
 (* --- log format mini-language ------------------------------------------- *)
 
@@ -176,46 +146,3 @@ let render_errno fmt s =
   in
   go 0;
   Buffer.contents buf
-
-(* --- header accessors ---------------------------------------------------- *)
-
-let name p = str p p.header.h_name
-let xsa p = str p p.header.h_xsa
-let description p = str p p.header.h_description
-let backend p = p.header.h_backend
-
-let model p : Scn_ast.model =
-  let h = p.header in
-  {
-    m_name = str p h.h_model_name;
-    m_source = snd (List.nth Scn_ast.sources h.h_source);
-    m_interface =
-      (match h.h_iface_kind with
-      | 0 -> Intrusion_model.Hypercall_interface (str p h.h_iface_str)
-      | 1 -> Intrusion_model.Device_emulation (str p h.h_iface_str)
-      | _ -> Intrusion_model.Instruction_interception);
-    m_target = snd (List.nth Scn_ast.targets h.h_target);
-    m_functionality = List.nth Abusive_functionality.all h.h_functionality;
-    m_represents = List.map (str p) h.h_represents;
-    m_summary = str p h.h_summary;
-  }
-
-let intrusion_model p = Scn_ast.intrusion_model (model p)
-let expected_violations p = List.map (List.nth Scn_ast.violation_classes) p.header.h_expect
-
-(* Pte flag bitmask: bit i of [imm] = membership of the i-th entry of
-   {!Scn_ast.pte_flags} — an index mask, not the architectural bits, so
-   the disassembler recovers the surface flag names exactly. *)
-let pte_mask flags =
-  List.fold_left
-    (fun m f ->
-      let rec idx i = function
-        | [] -> m
-        | (_, g) :: tl -> if g = f then Int64.logor m (Int64.shift_left 1L i) else idx (i + 1) tl
-      in
-      idx 0 Scn_ast.pte_flags)
-    0L flags
-
-let pte_unmask imm =
-  List.filteri (fun i _ -> Int64.logand (Int64.shift_right_logical imm i) 1L = 1L) Scn_ast.pte_flags
-  |> List.map snd

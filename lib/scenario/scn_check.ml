@@ -1,12 +1,14 @@
-(* Load-time checking of compiled programs against a backend capability
-   table. The checks run on bytecode, not the AST, so they hold for any
-   in-memory program — compiled from [.scn] text, or generated or
-   mutated directly: opcodes, register and jump bounds, string-pool
-   references, format arities, and the three backend-dependent
-   judgments the paper's gating calls for: does this backend know the
-   environment symbol / hypercall / payload / state being named, is the
-   port action admitted, and may a scenario marked for one backend run
-   on another at all. *)
+(* Load-time checking of a program against a backend capability table.
+   The parser already enforces what needs no table (labels, format and
+   call arities). These checks hold for any in-memory program — parsed
+   from [.scn] text, or generated or mutated directly — and cover what
+   such a program can still get wrong: register and jump bounds, and
+   the backend-dependent judgments the paper's gating calls for. Does
+   this backend know the environment symbol (and its argument range),
+   hypercall, guest op, payload or state being named, with that arity;
+   is the port action or the host write admitted; may a scenario marked
+   for one backend run on another at all; and are its expected
+   violation classes ones the monitor reports. *)
 
 open Scn_bytecode
 
@@ -26,168 +28,88 @@ type caps = {
 
 let compatible caps tag = tag = Any || tag = caps.cap_backend
 
-let err section pc instr fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Error (Printf.sprintf "%s section, pc %d (%s): %s" section pc (op_name instr.op) msg))
-    fmt
-
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let check_instr caps p section len pc i =
-  let reg what r =
-    if r >= 0 && r < Scn_ast.num_regs then Ok ()
-    else err section pc i "%s register %d out of range (r0..r15)" what r
+let registers = function
+  | Halt | Log _ | Log_errno _ | Tick_all | Goto _ | If_err _ | Rc_errno | Rc_result | Rc_none -> []
+  | Set (r, _) | Env (r, _, _) | If_neg (r, _) | Rc_reg r -> [ r ]
+  | Add (r, m, _) | Pte_of (r, m, _) | Inject_read (r, _, m) | Inject (_, r, m) | Host_write (r, m) ->
+      [ r; m ]
+  | Entry_maddr (r, m, i) | Entry_linear (r, m, i) -> [ r; m; i ]
+  | Hypercall (r, _, args) -> r :: Array.to_list args
+  | Logf (_, args) | Guest (_, args) | Payload (_, args) | State (_, args) -> Array.to_list args
+
+let check_instr caps section len pc i =
+  let err fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Error
+          (Printf.sprintf "%s section, pc %d (%s): %s" section pc (Scn_disasm.instr_to_string i)
+             msg))
+      fmt
   in
-  let jump () =
-    if i.imm >= 0L && i.imm <= Int64.of_int len then Ok ()
-    else err section pc i "jump target %Ld outside the section (0..%d)" i.imm len
-  in
-  let action () =
-    match Access.of_code i.imm with
-    | Some a when List.mem a caps.cap_actions -> Ok a
-    | Some a ->
-        err section pc i "action %s is gated off on backend %s" (Access.to_string a)
-          (backend_tag_to_string caps.cap_backend)
-    | None -> err section pc i "invalid action code %Ld" i.imm
-  in
-  let named table what =
-    let name = str p i.sid in
+  let backend = backend_tag_to_string caps.cap_backend in
+  let named table what name args =
     match List.assoc_opt name table with
-    | Some arity ->
-        if i.n = arity then Ok ()
-        else err section pc i "%s %S takes %d arguments, got %d" what name arity i.n
+    | Some arity when Array.length args = arity -> Ok ()
+    | Some arity -> err "%s %S takes %d arguments, got %d" what name arity (Array.length args)
     | None ->
-        err section pc i "unknown %s %S on backend %s (known: %s)" what name
-          (backend_tag_to_string caps.cap_backend)
+        err "unknown %s %S on backend %s (known: %s)" what name backend
           (match List.map fst table with [] -> "none" | l -> String.concat ", " l)
   in
-  let call_regs () =
-    let* () = reg "argument" i.a in
-    let* () = reg "argument" i.b in
-    reg "argument" i.c
+  let action a =
+    if List.mem a caps.cap_actions then Ok ()
+    else err "action %s is gated off on backend %s" (Access.to_string a) backend
   in
-  if i.op = op_halt || i.op = op_tick || i.op = op_rcerr || i.op = op_rcres || i.op = op_rcnone
-  then Ok ()
-  else if i.op = op_loadi then reg "destination" i.a
-  else if i.op = op_add then
-    let* () = reg "destination" i.a in
-    reg "source" i.b
-  else if i.op = op_env then
-    let* () = reg "destination" i.a in
-    let name = str p i.sid in
-    (match List.assoc_opt name caps.cap_env with
-    | Some (lo, hi) ->
-        if i.imm >= lo && i.imm <= hi then Ok ()
-        else err section pc i "argument %Ld to %S outside [%Ld, %Ld]" i.imm name lo hi
-    | None ->
-        err section pc i "unknown environment symbol %S on backend %s" name
-          (backend_tag_to_string caps.cap_backend))
-  else if i.op = op_pte then
-    let* () = reg "destination" i.a in
-    let* () = reg "frame" i.b in
-    let max_mask = Int64.shift_left 1L (List.length Scn_ast.pte_flags) in
-    if i.imm > 0L && i.imm < max_mask then Ok ()
-    else err section pc i "pte flag mask %Ld invalid" i.imm
-  else if i.op = op_emaddr || i.op = op_elin then
-    let* () = reg "destination" i.a in
-    let* () = reg "table" i.b in
-    reg "index" i.c
-  else if i.op = op_log then Ok ()
-  else if i.op = op_logf1 || i.op = op_logf2 then
-    let want = if i.op = op_logf1 then 1 else 2 in
-    let* () = reg "argument" i.a in
-    let* () = if want = 2 then reg "argument" i.b else Ok () in
-    (match fmt_arity (str p i.sid) with
-    | Ok a when a = want -> Ok ()
-    | Ok a -> err section pc i "format %S has %d directives, opcode supplies %d" (str p i.sid) a want
-    | Error msg -> err section pc i "%s" msg)
-  else if i.op = op_logerr then (
-    match errno_fmt_ok (str p i.sid) with
-    | Ok () -> Ok ()
-    | Error msg -> err section pc i "%s" msg)
-  else if i.op = op_inject then
-    let* () = reg "address" i.a in
-    let* () = reg "value" i.b in
-    let* _ = action () in
-    Ok ()
-  else if i.op = op_injectr then
-    let* () = reg "destination" i.a in
-    let* () = reg "address" i.b in
-    let* _ = action () in
-    Ok ()
-  else if i.op = op_hostw then
-    if not caps.cap_host_write then
-      err section pc i "host writes are not exposed on backend %s"
-        (backend_tag_to_string caps.cap_backend)
-    else
-      let* () = reg "address" i.a in
-      reg "value" i.b
-  else if i.op = op_hc then
-    let* () = reg "destination" i.a in
-    let* () = reg "argument" i.b in
-    let* () = reg "argument" i.c in
-    if i.n > 2 then err section pc i "hypercalls take at most 2 register arguments"
-    else named caps.cap_hypercalls "hypercall"
-  else if i.op = op_guest then
-    let* () = call_regs () in
-    if i.n > 3 then err section pc i "guest ops take at most 3 register arguments"
-    else named caps.cap_guest_ops "guest op"
-  else if i.op = op_payload then
-    let* () = call_regs () in
-    if i.n > 3 then err section pc i "payloads take at most 3 register arguments"
-    else named caps.cap_payloads "payload"
-  else if i.op = op_state then
-    let* () = call_regs () in
-    if i.n > 3 then err section pc i "erroneous states take at most 3 register arguments"
-    else named caps.cap_states "erroneous state"
-  else if i.op = op_jmp || i.op = op_jerr then jump ()
-  else if i.op = op_jneg then
-    let* () = reg "tested" i.a in
-    jump ()
-  else if i.op = op_rcreg then reg "return-code" i.a
-  else err section pc i "unknown opcode %d" i.op
+  let jump pc =
+    if pc >= 0 && pc <= len then Ok () else err "jump target %d outside the section (0..%d)" pc len
+  in
+  let* () =
+    match List.find_opt (fun r -> r < 0 || r >= Scn_ast.num_regs) (registers i) with
+    | Some r -> err "register %d out of range (r0..r15)" r
+    | None -> Ok ()
+  in
+  match i with
+  | Env (_, sym, arg) -> (
+      match List.assoc_opt sym caps.cap_env with
+      | Some (lo, hi) when arg >= lo && arg <= hi -> Ok ()
+      | Some (lo, hi) -> err "argument %Ld to %S outside [%Ld, %Ld]" arg sym lo hi
+      | None -> err "unknown environment symbol %S on backend %s" sym backend)
+  | Hypercall (_, name, args) -> named caps.cap_hypercalls "hypercall" name args
+  | Guest (name, args) -> named caps.cap_guest_ops "guest op" name args
+  | Payload (name, args) -> named caps.cap_payloads "payload" name args
+  | State (name, args) -> named caps.cap_states "erroneous state" name args
+  | Inject (a, _, _) | Inject_read (_, a, _) -> action a
+  | Host_write _ when not caps.cap_host_write ->
+      err "host writes are not exposed on backend %s" backend
+  | Goto pc | If_err pc | If_neg (_, pc) -> jump pc
+  | _ -> Ok ()
 
-let check_section caps p section instrs =
+let check_section caps section instrs =
   let len = Array.length instrs in
   let rec go pc =
     if pc >= len then Ok ()
     else
-      let* () = check_instr caps p section len pc instrs.(pc) in
+      let* () = check_instr caps section len pc instrs.(pc) in
       go (pc + 1)
   in
   go 0
 
-(* The header's indices into the fixed tables {!Scn_bytecode.model} and
-   {!Scn_bytecode.expected_violations} read, and the interface kind
-   (0 hypercall, 1 device emulation, 2 instruction interception). *)
-let check_header h =
-  let index field table v =
-    let n = List.length table in
-    if v >= 0 && v < n then Ok ()
-    else Error (Printf.sprintf "header: %s index %d out of range (0..%d)" field v (n - 1))
-  in
-  let* () = index "source" Scn_ast.sources h.h_source in
-  let* () = index "target" Scn_ast.targets h.h_target in
-  let* () = index "functionality" Abusive_functionality.all h.h_functionality in
-  let* () =
-    if h.h_iface_kind >= 0 && h.h_iface_kind <= 2 then Ok ()
-    else Error (Printf.sprintf "header: interface kind %d out of range (0..2)" h.h_iface_kind)
-  in
-  List.fold_left
-    (fun acc v ->
-      let* () = acc in
-      index "expect" Scn_ast.violation_classes v)
-    (Ok ()) h.h_expect
-
 (* Full load-time check of one program against one backend. *)
 let check caps (p : program) : (unit, string) result =
-  if not (compatible caps p.header.h_backend) then
+  if not (compatible caps p.backend) then
     Error
-      (Printf.sprintf "scenario %S is for backend %s, not %s" (name p)
-         (backend_tag_to_string p.header.h_backend)
+      (Printf.sprintf "scenario %S is for backend %s, not %s" p.name
+         (backend_tag_to_string p.backend)
          (backend_tag_to_string caps.cap_backend))
   else
-    let* () = check_header p.header in
-    let* () = check_section caps p "exploit" p.exploit in
-    check_section caps p "inject" p.inject
+    let* () =
+      match List.find_opt (fun c -> not (List.mem c Scn_ast.violation_classes)) p.expect with
+      | Some c ->
+          Error
+            (Printf.sprintf "header: unknown expected violation class %S (one of %s)" c
+               (String.concat ", " Scn_ast.violation_classes))
+      | None -> Ok ()
+    in
+    let* () = check_section caps "exploit" p.exploit in
+    check_section caps "inject" p.inject

@@ -1,8 +1,7 @@
-(* Bytecode → canonical surface text. The output reparses, and because
-   the compiler interns strings in the same order the disassembler
-   prints them, [compile (parse (disasm p))] reproduces [p] exactly —
-   the corpus roundtrip test holds the pipeline to that. Jump targets
-   come back as synthesized [L<pc>] labels. *)
+(* Program → canonical surface text. The output reparses to the same
+   program: [Scn_loader.load_string (disasm p) = Ok p] — the corpus
+   roundtrip test holds the pipeline to that. Jump targets come back as
+   synthesized [L<pc>] labels. *)
 
 open Scn_bytecode
 
@@ -28,121 +27,87 @@ let imm_to_string v =
   if v >= 0L && v < 4096L then Int64.to_string v else Printf.sprintf "0x%Lx" v
 
 let reg r = Printf.sprintf "r%d" r
+let regs args = List.map reg (Array.to_list args)
+let call kw name args = String.concat " " (kw :: name :: regs args)
 
-let action_name a =
-  match Scn_ast.rev_assoc a Scn_ast.actions with Some n -> n | None -> "write-linear"
-
-let pte_flag_names imm =
-  List.filteri
-    (fun i _ -> Int64.logand (Int64.shift_right_logical imm i) 1L = 1L)
-    Scn_ast.pte_flags
-  |> List.map fst
+let instr_to_string = function
+  | Halt -> "halt"
+  | Set (r, v) -> Printf.sprintf "%s = %s" (reg r) (imm_to_string v)
+  | Add (r, m, v) -> Printf.sprintf "%s = add %s %s" (reg r) (reg m) (imm_to_string v)
+  | Env (r, sym, 0L) -> Printf.sprintf "%s = %s" (reg r) sym
+  | Env (r, sym, v) -> Printf.sprintf "%s = %s %s" (reg r) sym (imm_to_string v)
+  | Pte_of (r, m, flags) ->
+      String.concat " "
+        (Printf.sprintf "%s = pte %s" (reg r) (reg m)
+        :: List.map (fun f -> Scn_ast.name_of f Scn_ast.pte_flags) flags)
+  | Entry_maddr (r, m, i) -> Printf.sprintf "%s = entry-maddr %s %s" (reg r) (reg m) (reg i)
+  | Entry_linear (r, m, i) -> Printf.sprintf "%s = entry-linear %s %s" (reg r) (reg m) (reg i)
+  | Hypercall (r, name, args) -> reg r ^ " = " ^ call "hypercall" name args
+  | Inject_read (r, a, m) ->
+      Printf.sprintf "%s = inject-read %s %s" (reg r) (Scn_ast.name_of a Scn_ast.actions) (reg m)
+  | Log msg -> Printf.sprintf "log %s" (quoted msg)
+  | Logf (fmt, args) -> String.concat " " ("logf" :: quoted fmt :: regs args)
+  | Log_errno fmt -> Printf.sprintf "log-errno %s" (quoted fmt)
+  | Inject (a, addr, value) ->
+      Printf.sprintf "inject %s %s %s" (Scn_ast.name_of a Scn_ast.actions) (reg addr) (reg value)
+  | Host_write (addr, value) -> Printf.sprintf "host-w64 %s %s" (reg addr) (reg value)
+  | Guest (name, args) -> call "guest" name args
+  | Payload (name, args) -> call "payload" name args
+  | State (name, args) -> call "state" name args
+  | Tick_all -> "tick-all"
+  | Goto pc -> Printf.sprintf "goto L%d" pc
+  | If_err pc -> Printf.sprintf "if-err L%d" pc
+  | If_neg (r, pc) -> Printf.sprintf "if-neg %s L%d" (reg r) pc
+  | Rc_errno -> "rc-errno"
+  | Rc_result -> "rc-result"
+  | Rc_reg r -> Printf.sprintf "rc-reg %s" (reg r)
+  | Rc_none -> "rc-none"
 
 let jump_targets instrs =
   Array.fold_left
-    (fun acc i ->
-      if i.op = op_jmp || i.op = op_jerr || i.op = op_jneg then Int64.to_int i.imm :: acc
-      else acc)
+    (fun acc -> function Goto pc | If_err pc | If_neg (_, pc) -> pc :: acc | _ -> acc)
     [] instrs
 
-let instr_to_string p i =
-  let s = str p i.sid in
-  let args n = [ i.a; i.b; i.c ] |> List.filteri (fun k _ -> k < n) |> List.map reg in
-  let call kw =
-    String.concat " " ((kw :: s :: args i.n) |> List.filter (fun x -> x <> ""))
-  in
-  if i.op = op_halt then "halt"
-  else if i.op = op_loadi then Printf.sprintf "%s = %s" (reg i.a) (imm_to_string i.imm)
-  else if i.op = op_add then
-    Printf.sprintf "%s = add %s %s" (reg i.a) (reg i.b) (imm_to_string i.imm)
-  else if i.op = op_env then
-    if i.imm = 0L then Printf.sprintf "%s = %s" (reg i.a) s
-    else Printf.sprintf "%s = %s %s" (reg i.a) s (imm_to_string i.imm)
-  else if i.op = op_pte then
-    Printf.sprintf "%s = pte %s %s" (reg i.a) (reg i.b)
-      (String.concat " " (pte_flag_names i.imm))
-  else if i.op = op_emaddr then
-    Printf.sprintf "%s = entry-maddr %s %s" (reg i.a) (reg i.b) (reg i.c)
-  else if i.op = op_elin then
-    Printf.sprintf "%s = entry-linear %s %s" (reg i.a) (reg i.b) (reg i.c)
-  else if i.op = op_log then Printf.sprintf "log %s" (quoted s)
-  else if i.op = op_logf1 then Printf.sprintf "logf %s %s" (quoted s) (reg i.a)
-  else if i.op = op_logf2 then Printf.sprintf "logf %s %s %s" (quoted s) (reg i.a) (reg i.b)
-  else if i.op = op_logerr then Printf.sprintf "log-errno %s" (quoted s)
-  else if i.op = op_inject then
-    Printf.sprintf "inject %s %s %s"
-      (action_name
-         (match Access.of_code i.imm with
-         | Some a -> a
-         | None -> Access.Arbitrary_write_linear))
-      (reg i.a) (reg i.b)
-  else if i.op = op_injectr then
-    Printf.sprintf "%s = inject-read %s %s" (reg i.a)
-      (action_name
-         (match Access.of_code i.imm with
-         | Some a -> a
-         | None -> Access.Arbitrary_read_linear))
-      (reg i.b)
-  else if i.op = op_hostw then Printf.sprintf "host-w64 %s %s" (reg i.a) (reg i.b)
-  else if i.op = op_hc then
-    String.concat " "
-      ([ reg i.a; "="; "hypercall"; s ] @ ([ i.b; i.c ] |> List.filteri (fun k _ -> k < i.n) |> List.map reg))
-  else if i.op = op_guest then call "guest"
-  else if i.op = op_payload then call "payload"
-  else if i.op = op_state then call "state"
-  else if i.op = op_tick then "tick-all"
-  else if i.op = op_jmp then Printf.sprintf "goto L%Ld" i.imm
-  else if i.op = op_jerr then Printf.sprintf "if-err L%Ld" i.imm
-  else if i.op = op_jneg then Printf.sprintf "if-neg %s L%Ld" (reg i.a) i.imm
-  else if i.op = op_rcerr then "rc-errno"
-  else if i.op = op_rcres then "rc-result"
-  else if i.op = op_rcreg then Printf.sprintf "rc-reg %s" (reg i.a)
-  else if i.op = op_rcnone then "rc-none"
-  else Printf.sprintf "# unknown opcode %d" i.op
-
-let section_lines p instrs =
+let section_lines instrs =
   let targets = jump_targets instrs in
   let lines = ref [] in
   let add l = lines := l :: !lines in
   Array.iteri
     (fun pc i ->
       if List.mem pc targets then add (Printf.sprintf "    label L%d" pc);
-      add ("    " ^ instr_to_string p i))
+      add ("    " ^ instr_to_string i))
     instrs;
   if List.mem (Array.length instrs) targets then
     add (Printf.sprintf "    label L%d" (Array.length instrs));
   List.rev !lines
 
 let disasm (p : program) : string =
-  let h = p.header in
-  let m = model p in
+  let m = p.model in
   let b = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "scenario %s {" (quoted (name p));
-  line "  xsa %s" (quoted (xsa p));
-  line "  backend %s" (backend_tag_to_string h.h_backend);
-  line "  description %s" (quoted (description p));
+  line "scenario %s {" (quoted p.name);
+  line "  xsa %s" (quoted p.xsa);
+  line "  backend %s" (backend_tag_to_string p.backend);
+  line "  description %s" (quoted p.description);
   line "  model {";
   line "    name %s" (quoted m.m_name);
-  line "    source %s" (Option.get (Scn_ast.rev_assoc m.m_source Scn_ast.sources));
+  line "    source %s" (Scn_ast.name_of m.m_source Scn_ast.sources);
   (match m.m_interface with
   | Intrusion_model.Hypercall_interface hc -> line "    interface hypercall %s" (quoted hc)
   | Intrusion_model.Device_emulation d -> line "    interface device-emulation %s" (quoted d)
   | Intrusion_model.Instruction_interception -> line "    interface instruction-interception");
-  line "    target %s" (Option.get (Scn_ast.rev_assoc m.m_target Scn_ast.targets));
+  line "    target %s" (Scn_ast.name_of m.m_target Scn_ast.targets);
   line "    functionality %s" (quoted (Abusive_functionality.to_string m.m_functionality));
   if m.m_represents <> [] then
     line "    represents %s" (String.concat " " (List.map quoted m.m_represents));
   line "    summary %s" (quoted m.m_summary);
   line "  }";
-  (match expected_violations p with
-  | [] -> ()
-  | cs -> line "  expect violation %s" (String.concat " " cs));
+  if p.expect <> [] then line "  expect violation %s" (String.concat " " p.expect);
   line "  exploit {";
-  List.iter (fun l -> line "%s" l) (section_lines p p.exploit);
+  List.iter (fun l -> line "%s" l) (section_lines p.exploit);
   line "  }";
   line "  inject {";
-  List.iter (fun l -> line "%s" l) (section_lines p p.inject);
+  List.iter (fun l -> line "%s" l) (section_lines p.inject);
   line "  }";
   line "}";
   Buffer.contents b

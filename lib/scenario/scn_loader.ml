@@ -1,8 +1,8 @@
-(* Loading scenarios: [.scn] surface text, compiled on load. The text is
+(* Loading scenarios: [.scn] surface text, parsed on load. The text is
    the only serialized form of a program; errors name the input. *)
 
 let load_string ?(name = "<string>") data : (Scn_bytecode.program, string) result =
-  match Scn_compile.compile_string data with
+  match Scn_parser.parse data with
   | Ok p -> Ok p
   | Error e -> Error (Printf.sprintf "%s: %s" name (Scn_ast.error_to_string e))
 

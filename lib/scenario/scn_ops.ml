@@ -4,16 +4,16 @@
    frames, the IDT base, a VMCS address); hypercalls and guest ops are
    dispatched by name; payloads are the abusive-functionality library —
    the same OCaml routines the hand-written use cases call, exposed to
-   bytecode so a ported scenario's transcript stays byte-identical to
+   scenarios so a ported scenario's transcript stays byte-identical to
    its legacy module.
 
    The [caps] table must agree with the dispatch functions: everything
    {!Scn_check.check} admits, the functions must resolve. Dispatch of a
-   name the checker would have rejected raises {!Scn_vm.Trap}. *)
+   name the checker would have rejected raises {!Trap}. *)
 
 exception Trap of string
 (** Raised by dispatch functions (and the VM) on a call the load-time
-    checker would have rejected — running unchecked bytecode is the
+    checker would have rejected — running an unchecked program is the
     only way to see it. *)
 
 let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt

@@ -1,6 +1,10 @@
-(* Recursive-descent parser over the eager token array. Total like the
+(* Recursive-descent parser over the eager token array, straight to
+   the {!Scn_bytecode.program} every later stage uses. Total like the
    lexer: malformed input becomes a positioned [Error], never an
-   exception.
+   exception. Besides the grammar it enforces what needs no backend
+   table: labels (unknown or duplicate), format arities and call
+   arities, each reported at its statement; everything that depends on
+   the backend is {!Scn_check}'s.
 
    One genuine ambiguity in the surface syntax: calls take a variadic
    register list ([payload xsa148-continue r1 r2 r3]) and the next
@@ -10,6 +14,7 @@
    express. *)
 
 open Scn_lexer
+module B = Scn_bytecode
 
 type st = { toks : ttok array; mutable idx : int }
 
@@ -99,45 +104,52 @@ let rec pte_flags s acc =
       pte_flags s (List.assoc name Scn_ast.pte_flags :: acc)
   | _ -> List.rev acc
 
+(* Register arguments of a call, at most [limit] of them. *)
+let call_args at what limit args =
+  let n = List.length args in
+  if n > limit then fail_at at "%s takes at most %d register arguments, got %d" what limit n
+  else Ok (Array.of_list args)
+
 (* --- expressions (right of [rN =]) ------------------------------------- *)
 
-let expr s : (Scn_ast.expr, Scn_ast.error) result =
+let expr s ~at (r : Scn_ast.reg) : (B.instr, Scn_ast.error) result =
   let t = cur s in
   match t.tok with
   | INT v ->
       bump s;
-      Ok (Scn_ast.Lit v)
+      Ok (B.Set (r, v))
   | IDENT "add" ->
       bump s;
-      let* r = reg s "the augend" in
+      let* m = reg s "the augend" in
       let* v, _ = int_lit s "the addend" in
-      Ok (Scn_ast.Add (r, v))
+      Ok (B.Add (r, m, v))
   | IDENT "pte" ->
       bump s;
-      let* r = reg s "the frame register" in
+      let* m = reg s "the frame register" in
       let flags = pte_flags s [] in
       if flags = [] then fail_at t.tat "pte needs at least one flag (present, rw, user, ...)"
-      else Ok (Scn_ast.Pte_of (r, flags))
+      else Ok (B.Pte_of (r, m, flags))
   | IDENT "entry-maddr" ->
       bump s;
       let* rm = reg s "the table frame register" in
       let* ri = reg s "the index register" in
-      Ok (Scn_ast.Entry_maddr (rm, ri))
+      Ok (B.Entry_maddr (r, rm, ri))
   | IDENT "entry-linear" ->
       bump s;
       let* rm = reg s "the table frame register" in
       let* ri = reg s "the index register" in
-      Ok (Scn_ast.Entry_linear (rm, ri))
+      Ok (B.Entry_linear (r, rm, ri))
   | IDENT "hypercall" ->
       bump s;
       let* name, _ = ident s "the hypercall name" in
       let* args = reg_args s [] in
-      Ok (Scn_ast.Hypercall (name, args))
+      let* args = call_args at "a hypercall" 2 args in
+      Ok (B.Hypercall (r, name, args))
   | IDENT "inject-read" ->
       bump s;
       let* a = action s in
-      let* r = reg s "the address register" in
-      Ok (Scn_ast.Inject_read (a, r))
+      let* m = reg s "the address register" in
+      Ok (B.Inject_read (r, a, m))
   | IDENT name when reg_of_ident name = None ->
       bump s;
       let arg = match (cur s).tok with
@@ -146,7 +158,7 @@ let expr s : (Scn_ast.expr, Scn_ast.error) result =
             v
         | _ -> 0L
       in
-      Ok (Scn_ast.Env (name, arg))
+      Ok (B.Env (r, name, arg))
   | other ->
       fail_at t.tat "expected an expression (literal, add, pte, entry-maddr, entry-linear, \
                      hypercall, inject-read, or an environment symbol), found %s"
@@ -154,105 +166,143 @@ let expr s : (Scn_ast.expr, Scn_ast.error) result =
 
 (* --- statements --------------------------------------------------------- *)
 
-let stmt s : (Scn_ast.stmt Scn_ast.loc, Scn_ast.error) result =
+(* A statement is an instruction, a label (which takes no slot), or a
+   jump whose target pc is known once its section ends. *)
+type item = Ins of B.instr | Label of string | Jump of string * (int -> B.instr)
+
+let stmt s : (item, Scn_ast.error) result =
   let t = cur s in
-  let ok v = Ok { Scn_ast.v; at = t.tat } in
+  let at = t.tat in
+  let ins i = Ok (Ins i) in
+  let jump mk =
+    let* l, _ = ident s "the jump label" in
+    Ok (Jump (l, mk))
+  in
+  let call ~name_what what mk =
+    bump s;
+    let* name, _ = ident s name_what in
+    let* args = reg_args s [] in
+    let* args = call_args at what 3 args in
+    ins (mk name args)
+  in
   match t.tok with
   | IDENT name when reg_of_ident name <> None && (peek2 s).tok = EQ ->
       let r = Option.get (reg_of_ident name) in
       bump s;
       bump s (* = *);
-      let* e = expr s in
-      ok (Scn_ast.Set (r, e))
+      let* i = expr s ~at r in
+      ins i
   | IDENT "log" ->
       bump s;
       let* msg, _ = string_lit s "the log message" in
-      ok (Scn_ast.Log msg)
-  | IDENT "logf" ->
+      ins (B.Log msg)
+  | IDENT "logf" -> (
       bump s;
       let* fmt, _ = string_lit s "the format string" in
       let* args = reg_args s [] in
-      if args = [] then fail_at t.tat "logf needs at least one register argument"
-      else ok (Scn_ast.Logf (fmt, args))
-  | IDENT "log-errno" ->
+      if args = [] then fail_at at "logf needs at least one register argument"
+      else
+        match B.fmt_arity fmt with
+        | Error msg -> fail_at at "%s" msg
+        | Ok arity when arity <> List.length args ->
+            fail_at at "format %S takes %d arguments, logf was given %d" fmt arity
+              (List.length args)
+        | Ok _ ->
+            let* args = call_args at "logf" 2 args in
+            ins (B.Logf (fmt, args)))
+  | IDENT "log-errno" -> (
       bump s;
       let* fmt, _ = string_lit s "the format string" in
-      ok (Scn_ast.Log_errno fmt)
+      match B.errno_fmt_ok fmt with
+      | Error msg -> fail_at at "%s" msg
+      | Ok () -> ins (B.Log_errno fmt))
   | IDENT "inject" ->
       bump s;
       let* a = action s in
       let* addr = reg s "the address register" in
       let* value = reg s "the value register" in
-      ok (Scn_ast.Inject { addr; value; action = a })
+      ins (B.Inject (a, addr, value))
   | IDENT "host-w64" ->
       bump s;
       let* addr = reg s "the address register" in
       let* value = reg s "the value register" in
-      ok (Scn_ast.Host_write { addr; value })
-  | IDENT "guest" ->
-      bump s;
-      let* name, _ = ident s "the guest op name" in
-      let* args = reg_args s [] in
-      ok (Scn_ast.Guest (name, args))
-  | IDENT "payload" ->
-      bump s;
-      let* name, _ = ident s "the payload name" in
-      let* args = reg_args s [] in
-      ok (Scn_ast.Payload (name, args))
+      ins (B.Host_write (addr, value))
+  | IDENT "guest" -> call ~name_what:"the guest op name" "a guest op" (fun n a -> B.Guest (n, a))
+  | IDENT "payload" -> call ~name_what:"the payload name" "a payload" (fun n a -> B.Payload (n, a))
   | IDENT "state" ->
-      bump s;
-      let* name, _ = ident s "the erroneous-state name" in
-      let* args = reg_args s [] in
-      ok (Scn_ast.State (name, args))
+      call ~name_what:"the erroneous-state name" "an erroneous state" (fun n a -> B.State (n, a))
   | IDENT "tick-all" ->
       bump s;
-      ok Scn_ast.Tick_all
+      ins B.Tick_all
   | IDENT "rc-errno" ->
       bump s;
-      ok Scn_ast.Rc_errno
+      ins B.Rc_errno
   | IDENT "rc-result" ->
       bump s;
-      ok Scn_ast.Rc_result
+      ins B.Rc_result
   | IDENT "rc-none" ->
       bump s;
-      ok Scn_ast.Rc_none
+      ins B.Rc_none
   | IDENT "rc-reg" ->
       bump s;
       let* r = reg s "the return-code register" in
-      ok (Scn_ast.Rc_reg r)
+      ins (B.Rc_reg r)
   | IDENT "goto" ->
       bump s;
-      let* l, _ = ident s "the jump label" in
-      ok (Scn_ast.Goto l)
+      jump (fun pc -> B.Goto pc)
   | IDENT "if-err" ->
       bump s;
-      let* l, _ = ident s "the jump label" in
-      ok (Scn_ast.If_err l)
+      jump (fun pc -> B.If_err pc)
   | IDENT "if-neg" ->
       bump s;
       let* r = reg s "the tested register" in
-      let* l, _ = ident s "the jump label" in
-      ok (Scn_ast.If_neg (r, l))
+      jump (fun pc -> B.If_neg (r, pc))
   | IDENT "label" ->
       bump s;
       let* l, _ = ident s "the label name" in
-      ok (Scn_ast.Label l)
+      Ok (Label l)
   | IDENT "halt" ->
       bump s;
-      ok Scn_ast.Halt
-  | other -> fail_at t.tat "expected a statement, found %s" (token_to_string other)
+      ins B.Halt
+  | other -> fail_at at "expected a statement, found %s" (token_to_string other)
 
-let body s : (Scn_ast.body, Scn_ast.error) result =
+(* Each label names the pc of the instruction after it; a section's
+   jumps resolve once its closing brace is read. *)
+let resolve items =
+  let labels = Hashtbl.create 8 in
+  let rec place pc = function
+    | [] -> Ok ()
+    | (Label l, at) :: tl ->
+        if Hashtbl.mem labels l then fail_at at "duplicate label %S" l
+        else (
+          Hashtbl.add labels l pc;
+          place pc tl)
+    | _ :: tl -> place (pc + 1) tl
+  in
+  let* () = place 0 items in
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | (Label _, _) :: tl -> go acc tl
+    | (Ins i, _) :: tl -> go (i :: acc) tl
+    | (Jump (l, mk), at) :: tl -> (
+        match Hashtbl.find_opt labels l with
+        | Some pc -> go (mk pc :: acc) tl
+        | None -> fail_at at "unknown label %S" l)
+  in
+  go [] items
+
+let body s : (B.instr array, Scn_ast.error) result =
   let* _ = expect s LBRACE "'{'" in
   let rec go acc =
     match (cur s).tok with
     | RBRACE ->
         bump s;
-        Ok (List.rev acc)
+        resolve (List.rev acc)
     | EOF -> fail_at (cur s).tat "unterminated block: expected '}'"
     | _ ->
-        let* st = stmt s in
-        go (st :: acc)
+        let at = (cur s).tat in
+        let* it = stmt s in
+        go ((it, at) :: acc)
   in
   go []
 
@@ -362,7 +412,7 @@ let model s : (Scn_ast.model, Scn_ast.error) result =
 
 (* --- top level ----------------------------------------------------------- *)
 
-let scenario s : (Scn_ast.t, Scn_ast.error) result =
+let scenario s : (B.program, Scn_ast.error) result =
   let* _, _ =
     match (cur s).tok with
     | IDENT "scenario" ->
@@ -370,9 +420,9 @@ let scenario s : (Scn_ast.t, Scn_ast.error) result =
         Ok ((), ())
     | other -> fail_at (cur s).tat "expected 'scenario', found %s" (token_to_string other)
   in
-  let* s_name, _ = string_lit s "the scenario name" in
+  let* name, _ = string_lit s "the scenario name" in
   let* _ = expect s LBRACE "'{'" in
-  let xsa = ref None and backend = ref "any" and description = ref None in
+  let xsa = ref None and backend = ref B.Any and description = ref None in
   let model_v = ref None and expect_v = ref [] in
   let exploit = ref None and inject = ref None in
   let rec go () =
@@ -388,10 +438,11 @@ let scenario s : (Scn_ast.t, Scn_ast.error) result =
     | IDENT "backend" ->
         bump s;
         let* v, at = ident s "the backend constraint" in
-        if List.mem v [ "xen"; "kvm"; "any" ] then (
-          backend := v;
-          go ())
-        else fail_at at "unknown backend %S (xen, kvm, any)" v
+        (match B.backend_tag_of_string v with
+        | Some b ->
+            backend := b;
+            go ()
+        | None -> fail_at at "unknown backend %S (xen, kvm, any)" v)
     | IDENT "description" ->
         bump s;
         let* v, _ = string_lit s "the description" in
@@ -445,24 +496,14 @@ let scenario s : (Scn_ast.t, Scn_ast.error) result =
     | Some v -> Ok v
     | None -> fail_at (cur s).tat "scenario is missing its %s" what
   in
-  let* s_xsa = req "xsa field" !xsa in
-  let* s_description = req "description" !description in
-  let* s_model = req "model block" !model_v in
-  let* s_exploit = req "exploit block" !exploit in
-  let* s_inject = req "inject block" !inject in
-  Ok
-    {
-      Scn_ast.s_name;
-      s_xsa;
-      s_description;
-      s_backend = !backend;
-      s_model;
-      s_expect = !expect_v;
-      s_exploit;
-      s_inject;
-    }
+  let* xsa = req "xsa field" !xsa in
+  let* description = req "description" !description in
+  let* model = req "model block" !model_v in
+  let* exploit = req "exploit block" !exploit in
+  let* inject = req "inject block" !inject in
+  Ok { B.name; xsa; description; backend = !backend; model; expect = !expect_v; exploit; inject }
 
-let parse src : (Scn_ast.t, Scn_ast.error) result =
+let parse src : (B.program, Scn_ast.error) result =
   match Scn_lexer.tokenize src with
   | Error e -> Error e
   | Ok toks ->

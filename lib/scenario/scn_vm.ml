@@ -1,18 +1,18 @@
-(* The bytecode VM: a stack-free register machine executing compiled
-   scenarios against any {!Substrate.S} through its OPS table.
+(* The scenario VM: a stack-free register machine executing scenario
+   programs against any {!Substrate.S} through its OPS table.
 
    Sixteen 64-bit registers, one error flag (the last injection-port or
    host-write errno), one return-code slot, a transcript accumulator
    and a declared-states accumulator — exactly the state a hand-written
    use case threads through its closure, made explicit. Each section
    (exploit, inject) runs start-to-[halt]/end and folds into a
-   {!Campaign.Make.attempt}, so a compiled scenario drops into every
-   consumer of campaign use cases — the campaign engine, the scheduler,
-   the trace/VMI drivers, attribution — without those layers knowing
-   bytecode exists.
+   {!Campaign.Make.attempt}, so a scenario drops into every consumer of
+   campaign use cases — the campaign engine, the scheduler, the
+   trace/VMI drivers, attribution — without those layers knowing
+   scenarios exist.
 
-   The VM assumes checked bytecode ({!Scn_check.check}); a dispatch the
-   checker would have refused raises {!Scn_ops.Trap}. *)
+   The VM assumes a checked program ({!Scn_check.check}); a dispatch
+   the checker would have refused raises {!Scn_ops.Trap}. *)
 
 open Scn_bytecode
 
@@ -40,10 +40,10 @@ module Make (O : Scn_ops.OPS) = struct
   }
 
   let fuel = 100_000
-  (* Backstop against jump loops in hostile-but-checked bytecode; the
+  (* Backstop against jump loops in hostile-but-checked programs; the
      corpus programs run tens of instructions. *)
 
-  let run_section (tb : B.t) ~section (p : program) (instrs : instr array) : C.attempt =
+  let run_section (tb : B.t) ~section (instrs : instr array) : C.attempt =
     let st = { regs = Array.make Scn_ast.num_regs 0L; err = None; rc = None; logs = []; states = [] } in
     let say line = st.logs <- line :: st.logs in
     let len = Array.length instrs in
@@ -67,14 +67,7 @@ module Make (O : Scn_ops.OPS) = struct
     in
     let reg r = st.regs.(r land 0xf) in
     let setr r v = st.regs.(r land 0xf) <- v in
-    let args i =
-      Array.init i.n (fun k -> reg (match k with 0 -> i.a | 1 -> i.b | _ -> i.c))
-    in
-    let action i =
-      match Access.of_code i.imm with
-      | Some a -> a
-      | None -> Scn_ops.trap "invalid action code %Ld" i.imm
-    in
+    let port = function Ok () -> st.err <- None | Error e -> st.err <- Some e in
     let u64_bytes v =
       let b = Bytes.create 8 in
       Bytes.set_int64_le b 0 v;
@@ -84,107 +77,67 @@ module Make (O : Scn_ops.OPS) = struct
       if pc >= len || budget <= 0 then ()
       else begin
         note_edge pc;
-        let i = instrs.(pc) in
-        let next = pc + 1 in
-        let s = str p i.sid in
-        if i.op = op_halt then ()
-        else if i.op = op_loadi then (
-          setr i.a i.imm;
-          step next (budget - 1))
-        else if i.op = op_add then (
-          setr i.a (Int64.add (reg i.b) i.imm);
-          step next (budget - 1))
-        else if i.op = op_env then (
-          (match O.env tb s i.imm with
-          | Ok v -> setr i.a v
-          | Error msg -> Scn_ops.trap "env %s: %s" s msg);
-          step next (budget - 1))
-        else if i.op = op_pte then (
-          setr i.a (Pte.make ~mfn:(Int64.to_int (reg i.b)) ~flags:(pte_unmask i.imm));
-          step next (budget - 1))
-        else if i.op = op_emaddr then (
-          setr i.a (entry_maddr ~table:(reg i.b) ~index:(reg i.c));
-          step next (budget - 1))
-        else if i.op = op_elin then (
-          setr i.a (Layout.directmap_of_maddr (entry_maddr ~table:(reg i.b) ~index:(reg i.c)));
-          step next (budget - 1))
-        else if i.op = op_log then (
-          say s;
-          step next (budget - 1))
-        else if i.op = op_logf1 then (
-          say (render s [| reg i.a |]);
-          step next (budget - 1))
-        else if i.op = op_logf2 then (
-          say (render s [| reg i.a; reg i.b |]);
-          step next (budget - 1))
-        else if i.op = op_logerr then (
+        let next = pc + 1 and budget = budget - 1 in
+        match instrs.(pc) with
+        | Halt -> ()
+        | Goto target -> step target budget
+        | If_err target -> step (if st.err <> None then target else next) budget
+        | If_neg (r, target) -> step (if reg r < 0L then target else next) budget
+        | i ->
+            exec i;
+            step next budget
+      end
+    and exec = function
+      | Set (r, v) -> setr r v
+      | Add (r, m, v) -> setr r (Int64.add (reg m) v)
+      | Env (r, sym, arg) -> (
+          match O.env tb sym arg with
+          | Ok v -> setr r v
+          | Error msg -> Scn_ops.trap "env %s: %s" sym msg)
+      | Pte_of (r, m, flags) -> setr r (Pte.make ~mfn:(Int64.to_int (reg m)) ~flags)
+      | Entry_maddr (r, m, i) -> setr r (entry_maddr ~table:(reg m) ~index:(reg i))
+      | Entry_linear (r, m, i) ->
+          setr r (Layout.directmap_of_maddr (entry_maddr ~table:(reg m) ~index:(reg i)))
+      | Log msg -> say msg
+      | Logf (fmt, args) -> say (render fmt (Array.map reg args))
+      | Log_errno fmt ->
           let e = match st.err with Some e -> e | None -> Scn_ops.trap "log-errno with no pending error" in
-          say (render_errno s (Errno.to_string e));
-          step next (budget - 1))
-        else if i.op = op_inject then (
-          (match B.inject_write tb ~addr:(reg i.a) (action i) (u64_bytes (reg i.b)) with
-          | Ok () -> st.err <- None
-          | Error e -> st.err <- Some e);
-          step next (budget - 1))
-        else if i.op = op_injectr then (
-          (match B.inject_read tb ~addr:(reg i.b) (action i) ~len:8 with
+          say (render_errno fmt (Errno.to_string e))
+      | Inject (a, addr, value) -> port (B.inject_write tb ~addr:(reg addr) a (u64_bytes (reg value)))
+      | Inject_read (r, a, addr) -> (
+          match B.inject_read tb ~addr:(reg addr) a ~len:8 with
           | Ok bytes ->
               st.err <- None;
-              setr i.a (Bytes.get_int64_le bytes 0)
+              setr r (Bytes.get_int64_le bytes 0)
           | Error e ->
               st.err <- Some e;
-              setr i.a 0L);
-          step next (budget - 1))
-        else if i.op = op_hostw then (
-          (match O.host_write tb ~addr:(reg i.a) (reg i.b) with
-          | Ok () -> st.err <- None
-          | Error e -> st.err <- Some e);
-          step next (budget - 1))
-        else if i.op = op_hc then (
-          let hc_args = Array.init i.n (fun k -> reg (if k = 0 then i.b else i.c)) in
-          (match O.hypercall tb s hc_args with
-          | Ok rc -> setr i.a rc
-          | Error msg -> Scn_ops.trap "hypercall %s: %s" s msg);
-          step next (budget - 1))
-        else if i.op = op_guest then (
-          (match O.guest_op tb s (args i) with
+              setr r 0L)
+      | Host_write (addr, value) -> port (O.host_write tb ~addr:(reg addr) (reg value))
+      | Hypercall (r, name, args) -> (
+          match O.hypercall tb name (Array.map reg args) with
+          | Ok rc -> setr r rc
+          | Error msg -> Scn_ops.trap "hypercall %s: %s" name msg)
+      | Guest (name, args) -> (
+          match O.guest_op tb name (Array.map reg args) with
           | Ok () -> ()
-          | Error msg -> Scn_ops.trap "guest op %s: %s" s msg);
-          step next (budget - 1))
-        else if i.op = op_payload then (
-          (match O.payload tb ~say s (args i) with
+          | Error msg -> Scn_ops.trap "guest op %s: %s" name msg)
+      | Payload (name, args) -> (
+          match O.payload tb ~say name (Array.map reg args) with
           | Ok () -> ()
-          | Error msg -> Scn_ops.trap "payload %s: %s" s msg);
-          step next (budget - 1))
-        else if i.op = op_state then (
-          (match O.state tb s (args i) with
+          | Error msg -> Scn_ops.trap "payload %s: %s" name msg)
+      | State (name, args) -> (
+          match O.state tb name (Array.map reg args) with
           | Ok spec -> st.states <- spec :: st.states
-          | Error msg -> Scn_ops.trap "state %s: %s" s msg);
-          step next (budget - 1))
-        else if i.op = op_tick then (
-          B.tick_all tb;
-          step next (budget - 1))
-        else if i.op = op_jmp then step (Int64.to_int i.imm) (budget - 1)
-        else if i.op = op_jerr then
-          step (if st.err <> None then Int64.to_int i.imm else next) (budget - 1)
-        else if i.op = op_jneg then
-          step (if reg i.a < 0L then Int64.to_int i.imm else next) (budget - 1)
-        else if i.op = op_rcerr then (
-          (match st.err with
+          | Error msg -> Scn_ops.trap "state %s: %s" name msg)
+      | Tick_all -> B.tick_all tb
+      | Rc_errno -> (
+          match st.err with
           | Some e -> st.rc <- Some (Errno.to_return_code e)
-          | None -> Scn_ops.trap "rc-errno with no pending error");
-          step next (budget - 1))
-        else if i.op = op_rcres then (
-          st.rc <- Some (match st.err with None -> 0 | Some e -> Errno.to_return_code e);
-          step next (budget - 1))
-        else if i.op = op_rcreg then (
-          st.rc <- Some (Int64.to_int (reg i.a));
-          step next (budget - 1))
-        else if i.op = op_rcnone then (
-          st.rc <- None;
-          step next (budget - 1))
-        else Scn_ops.trap "unknown opcode %d at pc %d" i.op pc
-      end
+          | None -> Scn_ops.trap "rc-errno with no pending error")
+      | Rc_result -> st.rc <- Some (match st.err with None -> 0 | Some e -> Errno.to_return_code e)
+      | Rc_reg r -> st.rc <- Some (Int64.to_int (reg r))
+      | Rc_none -> st.rc <- None
+      | Halt | Goto _ | If_err _ | If_neg _ -> ()
     in
     step 0 fuel;
     { C.transcript = List.rev st.logs; states = List.rev st.states; rc = st.rc }
@@ -197,23 +150,23 @@ module Make (O : Scn_ops.OPS) = struct
      exactly the recorded slots. *)
   let section_code (p : program) ~section =
     let h = ref 0 in
-    String.iter (fun ch -> h := ((!h * 131) + Char.code ch) land 0x7f) (name p);
+    String.iter (fun ch -> h := ((!h * 131) + Char.code ch) land 0x7f) p.name;
     (!h lsl 1) lor (section land 1)
 
-  (* A compiled program as a campaign use case: because [Campaign.Make]
-     is applicative, this is the very same [use_case] type the legacy
+  (* A program as a campaign use case: because [Campaign.Make] is
+     applicative, this is the very same [use_case] type the legacy
      modules build, so everything downstream of the campaign engine
      accepts scenarios unchanged. *)
   let use_case (p : program) : C.use_case =
     {
-      C.uc_name = name p;
-      uc_xsa = xsa p;
-      uc_description = description p;
-      im = intrusion_model p;
-      run_exploit = (fun tb -> run_section tb ~section:(section_code p ~section:0) p p.exploit);
-      run_injection = (fun tb -> run_section tb ~section:(section_code p ~section:1) p p.inject);
+      C.uc_name = p.name;
+      uc_xsa = p.xsa;
+      uc_description = p.description;
+      im = Scn_ast.intrusion_model p.model;
+      run_exploit = (fun tb -> run_section tb ~section:(section_code p ~section:0) p.exploit);
+      run_injection = (fun tb -> run_section tb ~section:(section_code p ~section:1) p.inject);
     }
 
   let check p = Scn_check.check O.caps p
-  let compatible p = Scn_check.compatible O.caps p.header.h_backend
+  let compatible p = Scn_check.compatible O.caps p.backend
 end

@@ -13,7 +13,7 @@
       (16 × 8 = 128 bits)
     - {b port}: hypercall/ioctl number × errno outcome
       (64 × 32 = 2048 bits)
-    - {b scn_edge}: scenario-bytecode prev-pc→pc edges, hashed into
+    - {b scn_edge}: scenario-VM prev-pc→pc edges, hashed into
       1024 slots × 8 AFL-style hit-count buckets (8192 bits)
     - {b record}: trace record codes seen on the ring (64 bits)
 
@@ -51,7 +51,7 @@ val note_port : t -> nr:int -> outcome:int -> unit
     [outcome] 0 for success or the positive {!Errno.to_int} code. *)
 
 val note_scn_edge : t -> section:int -> prev:int -> pc:int -> unit
-(** One executed scenario-bytecode instruction: the (section, prev-pc,
+(** One executed scenario-VM instruction: the (section, prev-pc,
     pc) edge, counted; counts bucketize AFL-style at snapshot time. *)
 
 val note_record : t -> int -> unit

@@ -68,9 +68,9 @@ type event =
       (* a consumer interpreted tainted bytes: links this record's seq
          to the origin labels of the bytes read (see Provenance) *)
   | Scn_edge of { section : int; prev : int; pc : int }
-      (* one executed scenario-bytecode instruction (prev-pc -> pc edge);
+      (* one executed scenario-VM instruction (prev-pc -> pc edge);
          boundary, so replay can refeed the coverage map without
-         re-running the bytecode VM *)
+         re-running the scenario VM *)
 
 let is_boundary = function
   | Hypercall { payload; _ } -> payload <> ""

@@ -108,11 +108,11 @@ type event =
           Internal — replay regenerates edges by re-driving the
           boundary stream. *)
   | Scn_edge of { section : int; prev : int; pc : int }
-      (** one executed scenario-bytecode instruction: the
+      (** one executed scenario-VM instruction: the
           (section, prev-pc → pc) control-flow edge, where [section] is
           0 for [exploit] and 1 for [inject] and the entry edge uses
           [prev = 0xffffff]. Only emitted while a {!Coverage} collector
-          is attached. Boundary — the bytecode VM does not run during
+          is attached. Boundary — the scenario VM does not run during
           replay, so replay refeeds the coverage map from these
           records. *)
 

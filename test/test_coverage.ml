@@ -376,7 +376,7 @@ let test_replay_reproduces_map_xen () =
     [ Campaign.Real_exploit; Campaign.Injection ]
 
 let test_replay_reproduces_map_scenario () =
-  (* a bytecode scenario records Scn_edge events; replay refeeds the
+  (* a corpus scenario records Scn_edge events; replay refeeds the
      scn_edge axis from the ring without running the VM *)
   let module XV = Scn_vm.Make (Ii_exploits.Scenario_xen) in
   let p =

@@ -1,11 +1,13 @@
-(* The scenario subsystem (lib/scenario): the DSL front end, the flat
-   bytecode, the load-time checker and the register VM.
+(* The scenario subsystem (lib/scenario): the DSL front end, the typed
+   program, the load-time checker and the register VM.
 
-   - corpus roundtrip: parse -> compile -> disasm -> reparse -> recompile
-     is the identity over every file in corpus/
+   - corpus roundtrip: parse -> disasm -> reparse is the identity over
+     every file in corpus/
    - totality: the parser never raises on arbitrary or mutated text and
      the checker never raises on a mutated in-memory program — they
      return [Error] (the parser's with a position)
+   - capabilities: every name a backend's [caps] table admits, its
+     dispatch functions resolve at the declared arity
    - golden result rows: each Table III and KVM program reproduces the
      row fingerprints in [Golden_rows] on every configuration of its
      backend, in both modes
@@ -40,19 +42,19 @@ let corpus_files =
 let read_file f = In_channel.with_open_bin f In_channel.input_all
 let corpus_texts = lazy (List.map (fun f -> (f, read_file f)) (Lazy.force corpus_files))
 
-let compile_exn (f, text) =
-  match Scn_compile.compile_string text with
+let parse_exn (f, text) =
+  match Scn_parser.parse text with
   | Ok p -> p
   | Error e -> Alcotest.failf "%s: %s" f (Scn_ast.error_to_string e)
 
-let corpus_programs = lazy (List.map (fun ft -> (fst ft, compile_exn ft)) (Lazy.force corpus_texts))
+let corpus_programs = lazy (List.map (fun ft -> (fst ft, parse_exn ft)) (Lazy.force corpus_texts))
 
 (* --- corpus shape --------------------------------------------------------- *)
 
 let test_corpus_complete () =
   let progs = Lazy.force corpus_programs in
   check_int "eight scenarios in the corpus" 8 (List.length progs);
-  let names = List.map (fun (_, p) -> Scn_bytecode.name p) progs in
+  let names = List.map (fun (_, p) -> p.Scn_bytecode.name) progs in
   check_bool "names are unique" true (List.sort_uniq compare names = List.sort compare names);
   List.iter
     (fun n -> check_bool (n ^ " present") true (List.mem n names))
@@ -80,10 +82,9 @@ let test_disasm_reparse_roundtrip () =
   List.iter
     (fun (f, p) ->
       let text = Scn_disasm.disasm p in
-      match Scn_compile.compile_string text with
-      | Ok p' -> check_bool (f ^ ": compile . disasm = id") true (p' = p)
-      | Error e -> Alcotest.failf "%s: disassembly does not reparse: %s\n%s" f
-                     (Scn_ast.error_to_string e) text)
+      match Scn_loader.load_string text with
+      | Ok p' -> check_bool (f ^ ": load . disasm = id") true (p' = p)
+      | Error e -> Alcotest.failf "%s: disassembly does not reparse: %s\n%s" f e text)
     (Lazy.force corpus_programs)
 
 let test_loader_takes_source () =
@@ -91,7 +92,7 @@ let test_loader_takes_source () =
     (fun (f, text) ->
       match Scn_loader.load_string text with
       | Ok p ->
-          check_bool (f ^ ": loader = compiler") true
+          check_bool (f ^ ": loader = parser") true
             (p = List.assoc f (Lazy.force corpus_programs))
       | Error e -> Alcotest.failf "%s: loader rejected source: %s" f e)
     (Lazy.force corpus_texts)
@@ -134,56 +135,71 @@ let prop_parser_total_mutated =
     (QCheck.make mutated_corpus_gen)
     (fun m -> ok_error_with_position (mutate m))
 
-(* Corrupt a real program in memory — one field of one instruction set
-   to an arbitrary value, as a mutating fuzzer or a program generator
-   may — and the checker still answers without raising. *)
-let prop_checker_total_corrupted =
-  QCheck.Test.make ~name:"checker is total on corrupted bytecode" ~count:500
-    QCheck.(quad (int_bound 7) (int_bound 4095) (int_bound 6) (int_range (-1) 0xffff))
-    (fun (which, pos, field, v) ->
-      let progs = Lazy.force corpus_programs in
-      let _, p = List.nth progs (which mod List.length progs) in
-      let exploit = Array.copy p.Scn_bytecode.exploit
-      and inject = Array.copy p.Scn_bytecode.inject in
-      let pos = pos mod (Array.length exploit + Array.length inject) in
-      let sec, pc =
-        if pos < Array.length exploit then (exploit, pos) else (inject, pos - Array.length exploit)
-      in
-      let i = sec.(pc) in
-      sec.(pc) <-
-        (match field with
-        | 0 -> { i with op = v }
-        | 1 -> { i with a = v }
-        | 2 -> { i with b = v }
-        | 3 -> { i with c = v }
-        | 4 -> { i with n = v }
-        | 5 -> { i with sid = v }
-        | _ -> { i with imm = Int64.of_int v });
-      let p' = { p with exploit; inject } in
-      match (XV.check p', KV.check p') with
-      | (Ok () | Error _), (Ok () | Error _) -> true
-      | exception _ -> false)
+(* Corrupt a real program in memory, as a program generator or a
+   mutating fuzzer may: one register operand or jump target set to any
+   int, or one call/env name or expected violation class set to any
+   string (a random one, or a name some backend knows). The checker
+   answers without raising, and a program it admits builds its use
+   case and expectations. *)
+let corrupt field v s (i : Scn_bytecode.instr) : Scn_bytecode.instr =
+  let first a = Array.mapi (fun k r -> if k = 0 then v else r) a in
+  match (field, i) with
+  | 0, Set (_, x) -> Set (v, x)
+  | 0, Add (r, _, x) -> Add (r, v, x)
+  | 0, Env (_, n, x) -> Env (v, n, x)
+  | 0, Pte_of (r, _, f) -> Pte_of (r, v, f)
+  | 0, Entry_maddr (r, m, _) -> Entry_maddr (r, m, v)
+  | 0, Entry_linear (_, m, x) -> Entry_linear (v, m, x)
+  | 0, Hypercall (r, n, a) -> Hypercall (r, n, first a)
+  | 0, Inject_read (r, a, _) -> Inject_read (r, a, v)
+  | 0, Logf (f, a) -> Logf (f, first a)
+  | 0, Inject (a, r, _) -> Inject (a, r, v)
+  | 0, Host_write (_, x) -> Host_write (v, x)
+  | 0, Guest (n, a) -> Guest (n, first a)
+  | 0, Payload (n, a) -> Payload (n, first a)
+  | 0, State (n, a) -> State (n, first a)
+  | 0, Rc_reg _ -> Rc_reg v
+  | 0, If_neg (_, pc) -> If_neg (v, pc)
+  | 1, Env (r, _, x) -> Env (r, s, x)
+  | 1, Hypercall (r, _, a) -> Hypercall (r, s, a)
+  | 1, Guest (_, a) -> Guest (s, a)
+  | 1, Payload (_, a) -> Payload (s, a)
+  | 1, State (_, a) -> State (s, a)
+  | 2, Goto _ -> Goto v
+  | 2, If_err _ -> If_err v
+  | 2, If_neg (r, _) -> If_neg (r, v)
+  | _ -> i
 
-(* Corrupt one header index of a real program — source, target,
-   functionality, interface kind or an expected violation class — and
-   the checker either refuses the program or the program's use case and
-   expectations build without raising. *)
-let prop_checker_guards_header =
-  QCheck.Test.make ~name:"checker guards header indices" ~count:500
-    QCheck.(triple (int_bound 7) (int_bound 4) (oneof [ int_range (-2) 40; int ]))
-    (fun (which, field, v) ->
+let known_names =
+  List.concat_map
+    (fun (c : Scn_check.caps) ->
+      List.map fst c.cap_env
+      @ List.concat_map (List.map fst)
+          [ c.cap_hypercalls; c.cap_guest_ops; c.cap_payloads; c.cap_states ])
+    [ SX.caps; SK.caps ]
+  @ Scn_ast.violation_classes
+
+let prop_checker_total_mutated =
+  QCheck.Test.make ~name:"checker is total on mutated programs" ~count:500
+    QCheck.(
+      quad (pair (int_bound 7) (int_bound 4095)) (int_bound 3)
+        (oneof [ int_range (-2) 40; int ])
+        (oneof [ string_printable; oneofl known_names ]))
+    (fun ((which, pos), field, v, s) ->
       let progs = Lazy.force corpus_programs in
       let _, p = List.nth progs (which mod List.length progs) in
-      let h = p.Scn_bytecode.header in
-      let header =
-        match field with
-        | 0 -> { h with h_source = v }
-        | 1 -> { h with h_target = v }
-        | 2 -> { h with h_functionality = v }
-        | 3 -> { h with h_iface_kind = v }
-        | _ -> { h with h_expect = (match h.h_expect with _ :: tl -> v :: tl | [] -> [ v ]) }
+      let p' =
+        if field = 3 then
+          { p with expect = (match p.expect with _ :: tl -> s :: tl | [] -> [ s ]) }
+        else
+          let exploit = Array.copy p.exploit and inject = Array.copy p.inject in
+          let pos = pos mod (Array.length exploit + Array.length inject) in
+          let sec, pc =
+            if pos < Array.length exploit then (exploit, pos) else (inject, pos - Array.length exploit)
+          in
+          sec.(pc) <- corrupt field v s sec.(pc);
+          { p with exploit; inject }
       in
-      let p' = { p with header } in
       let usable check use_case =
         match check p' with
         | Error _ -> true
@@ -191,6 +207,7 @@ let prop_checker_guards_header =
             match (use_case p', Scn_bytecode.expected_violations p') with
             | _ -> true
             | exception _ -> false)
+        | exception _ -> false
       in
       usable XV.check XV.use_case && usable KV.check KV.use_case)
 
@@ -200,14 +217,14 @@ let modes = [ Campaign.Real_exploit; Campaign.Injection ]
 
 let xen_program name =
   let _, p =
-    List.find (fun (_, p) -> Scn_bytecode.name p = name) (Lazy.force corpus_programs)
+    List.find (fun (_, p) -> p.Scn_bytecode.name = name) (Lazy.force corpus_programs)
   in
   check_bool (name ^ " checks") true (XV.check p = Ok ());
   XV.use_case p
 
 let kvm_program name =
   let _, p =
-    List.find (fun (_, p) -> Scn_bytecode.name p = name) (Lazy.force corpus_programs)
+    List.find (fun (_, p) -> p.Scn_bytecode.name = name) (Lazy.force corpus_programs)
   in
   check_bool (name ^ " checks") true (KV.check p = Ok ());
   KV.use_case p
@@ -251,7 +268,7 @@ let test_golden_corpus_cells () =
   let programs = List.map snd (Lazy.force corpus_programs) in
   let kvm_only p = Scn_bytecode.backend p = Scn_bytecode.Kvm_only in
   let find name =
-    match List.find_opt (fun p -> Scn_bytecode.name p = name) programs with
+    match List.find_opt (fun p -> p.Scn_bytecode.name = name) programs with
     | Some p -> p
     | None -> Alcotest.failf "no corpus program %s" name
   in
@@ -314,7 +331,7 @@ let test_expected_violations () =
     (Lazy.force corpus_programs)
 
 (* The corpus through the scheduler's batching path: same rows as the
-   one-at-a-time runs, so compiled scenarios shard like legacy modules. *)
+   one-at-a-time runs, so scenarios shard like legacy modules. *)
 let test_run_corpus_matches_run () =
   let progs =
     List.filter_map
@@ -334,11 +351,11 @@ let test_run_corpus_matches_run () =
           let sharded =
             List.find
               (fun r ->
-                r.Campaign.r_use_case = Scn_bytecode.name p && r.Campaign.r_mode = mode)
+                r.Campaign.r_use_case = p.Scn_bytecode.name && r.Campaign.r_mode = mode)
               rows
           in
           check_bool
-            (Printf.sprintf "%s %s: scheduler row = direct row" (Scn_bytecode.name p)
+            (Printf.sprintf "%s %s: scheduler row = direct row" p.Scn_bytecode.name
                (Campaign.mode_to_string mode))
             true (direct = sharded))
         modes)
@@ -382,10 +399,10 @@ let test_crossdomain_scenarios () =
 
 (* --- checker specifics ----------------------------------------------------- *)
 
-let compile_str s =
-  match Scn_compile.compile_string s with
+let parse_str s =
+  match Scn_parser.parse s with
   | Ok p -> p
-  | Error e -> Alcotest.failf "unexpected compile error: %s" (Scn_ast.error_to_string e)
+  | Error e -> Alcotest.failf "unexpected parse error: %s" (Scn_ast.error_to_string e)
 
 let minimal ~backend ~body =
   Printf.sprintf
@@ -412,28 +429,83 @@ let minimal ~backend ~body =
 
 let test_checker_gates () =
   (* an unknown payload name is a load-time error, not a VM trap *)
-  let p = compile_str (minimal ~backend:"xen" ~body:"    payload no-such-payload") in
+  let p = parse_str (minimal ~backend:"xen" ~body:"    payload no-such-payload") in
   check_bool "unknown payload rejected" true (Result.is_error (XV.check p));
   (* host writes exist on KVM but not on the Xen PV substrate *)
-  let p = compile_str (minimal ~backend:"any" ~body:"    r0 = 1\n    host-w64 r0 r0") in
+  let p = parse_str (minimal ~backend:"any" ~body:"    r0 = 1\n    host-w64 r0 r0") in
   check_bool "host-w64 rejected on xen" true (Result.is_error (XV.check p));
   check_bool "host-w64 allowed on kvm" true (KV.check p = Ok ());
   (* backend fences: a kvm-only program may not run on the xen VM *)
-  let p = compile_str (minimal ~backend:"kvm" ~body:"    halt") in
+  let p = parse_str (minimal ~backend:"kvm" ~body:"    halt") in
   check_bool "kvm-only incompatible with xen" true (not (XV.compatible p));
   check_bool "kvm-only compatible with kvm" true (KV.compatible p);
   (* jumps out of the section are load-time errors *)
-  (match Scn_compile.compile_string (minimal ~backend:"xen" ~body:"    if-err nowhere") with
+  (match Scn_parser.parse (minimal ~backend:"xen" ~body:"    if-err nowhere") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "undefined label accepted");
   (* env argument range: kernel-l1 takes 0..511 *)
-  let p = compile_str (minimal ~backend:"xen" ~body:"    r0 = kernel-l1 9999") in
-  check_bool "env arg out of range rejected" true (Result.is_error (XV.check p));
-  (* an interface kind beyond 0..2 would silently read as instruction
-     interception *)
-  let p = compile_str (minimal ~backend:"xen" ~body:"    halt") in
-  let p = { p with header = { p.header with h_iface_kind = 3 } } in
-  check_bool "interface kind out of range rejected" true (Result.is_error (XV.check p))
+  let p = parse_str (minimal ~backend:"xen" ~body:"    r0 = kernel-l1 9999") in
+  check_bool "env arg out of range rejected" true (Result.is_error (XV.check p))
+
+(* --- capabilities ------------------------------------------------------------ *)
+
+(* [Scn_ops] requires every name a backend's [caps] admits to resolve
+   in its dispatch functions. Each is called on a fresh testbed with its
+   declared arity (an env symbol with the low end of its range) and
+   zero arguments, or [args] where zeros raise. None may return the
+   backend's unknown-name error: what the same function answers for a
+   name no table holds, with the quoted name blanked. *)
+let check_caps (type tb) (module O : Scn_ops.OPS with type B.t = tb) (fresh : unit -> tb) ~args =
+  let blank name msg =
+    let q = Printf.sprintf "%S" name in
+    let n = String.length q and m = String.length msg in
+    let b = Buffer.create m in
+    let rec go i =
+      if i < m then
+        if i + n <= m && String.sub msg i n = q then (
+          Buffer.add_char b '_';
+          go (i + n))
+        else (
+          Buffer.add_char b msg.[i];
+          go (i + 1))
+    in
+    go 0;
+    Buffer.contents b
+  in
+  let c = O.caps and bogus = "no-such-name" in
+  let zeros = List.map (fun (n, arity) -> (n, Array.make arity 0L)) in
+  let kinds =
+    [
+      ( "env symbol",
+        List.map (fun (n, (lo, _)) -> (n, [| lo |])) c.cap_env,
+        fun tb n a -> Result.map ignore (O.env tb n a.(0)) );
+      ("hypercall", zeros c.cap_hypercalls, fun tb n a -> Result.map ignore (O.hypercall tb n a));
+      ("guest op", zeros c.cap_guest_ops, O.guest_op);
+      ("payload", zeros c.cap_payloads, fun tb n a -> O.payload tb ~say:ignore n a);
+      ("state", zeros c.cap_states, fun tb n a -> Result.map ignore (O.state tb n a));
+    ]
+  in
+  List.iter
+    (fun (kind, table, call) ->
+      List.iter
+        (fun (name, zeros) ->
+          let a = Option.value ~default:zeros (List.assoc_opt name args) in
+          let what = Printf.sprintf "%s %s %s" O.B.name kind name in
+          let unknown =
+            match call (fresh ()) bogus a with
+            | Error msg -> blank bogus msg
+            | Ok () -> Alcotest.failf "%s: a name no table holds resolved" what
+          in
+          match call (fresh ()) name a with
+          | Ok () -> ()
+          | Error msg -> check_bool (what ^ " resolves") false (blank name msg = unknown)
+          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+        table)
+    kinds
+
+let test_caps_agree_with_dispatch () =
+  check_caps (module SX) (fun () -> Substrate_xen.create Version.V4_6) ~args:[];
+  check_caps (module SK) (fun () -> BK.create BK.Stock) ~args:[]
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -452,8 +524,7 @@ let () =
           [
             prop_parser_total_random;
             prop_parser_total_mutated;
-            prop_checker_total_corrupted;
-            prop_checker_guards_header;
+            prop_checker_total_mutated;
           ] );
       ( "golden",
         [
@@ -464,5 +535,9 @@ let () =
           Alcotest.test_case "scheduler path" `Quick test_run_corpus_matches_run;
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;
         ] );
-      ("checker", [ Alcotest.test_case "gates" `Quick test_checker_gates ]);
+      ( "checker",
+        [
+          Alcotest.test_case "gates" `Quick test_checker_gates;
+          Alcotest.test_case "caps agree with dispatch" `Quick test_caps_agree_with_dispatch;
+        ] );
     ]
