@@ -135,12 +135,24 @@ let prop_parser_total_mutated =
     (QCheck.make mutated_corpus_gen)
     (fun m -> ok_error_with_position (mutate m))
 
-(* Corrupt a real program in memory, as a program generator or a
-   mutating fuzzer may: one register operand or jump target set to any
-   int, or one call/env name or expected violation class set to any
-   string (a random one, or a name some backend knows). The checker
-   answers without raising, and a program it admits builds its use
-   case and expectations. *)
+(* The checker answers every program a generator or a mutating fuzzer
+   may hand it without raising, and a program it admits builds its use
+   case and expectations on both backends. *)
+let usable p' =
+  let on check use_case =
+    match check p' with
+    | Error _ -> true
+    | Ok () -> (
+        match (use_case p', Scn_bytecode.expected_violations p') with
+        | _ -> true
+        | exception _ -> false)
+    | exception _ -> false
+  in
+  on XV.check XV.use_case && on KV.check KV.use_case
+
+(* Corrupt one instruction of a real program in memory: one register
+   operand or jump target set to any int, or one call/env name set to
+   any string (a random one, or a name some backend knows). *)
 let corrupt field v s (i : Scn_bytecode.instr) : Scn_bytecode.instr =
   let first a = Array.mapi (fun k r -> if k = 0 then v else r) a in
   match (field, i) with
@@ -179,37 +191,44 @@ let known_names =
     [ SX.caps; SK.caps ]
   @ Scn_ast.violation_classes
 
-let prop_checker_total_mutated =
-  QCheck.Test.make ~name:"checker is total on mutated programs" ~count:500
+let name_gen = QCheck.(oneof [ string_printable; oneofl known_names ])
+
+let prop_checker_total_corrupted =
+  QCheck.Test.make ~name:"checker is total on corrupted bytecode" ~count:500
     QCheck.(
-      quad (pair (int_bound 7) (int_bound 4095)) (int_bound 3)
+      quad (pair (int_bound 7) (int_bound 4095)) (int_bound 2)
         (oneof [ int_range (-2) 40; int ])
-        (oneof [ string_printable; oneofl known_names ]))
+        name_gen)
     (fun ((which, pos), field, v, s) ->
       let progs = Lazy.force corpus_programs in
       let _, p = List.nth progs (which mod List.length progs) in
+      let exploit = Array.copy p.exploit and inject = Array.copy p.inject in
+      let pos = pos mod (Array.length exploit + Array.length inject) in
+      let sec, pc =
+        if pos < Array.length exploit then (exploit, pos) else (inject, pos - Array.length exploit)
+      in
+      sec.(pc) <- corrupt field v s sec.(pc);
+      usable { p with exploit; inject })
+
+(* Corrupt the header of a real program: replace or add an expected
+   violation class (any string, or a name some backend knows), or
+   retag the program for another backend. *)
+let prop_checker_guards_header =
+  QCheck.Test.make ~name:"checker guards header indices" ~count:500
+    QCheck.(
+      quad (int_bound 7) (int_bound 2)
+        (oneofl Scn_bytecode.[ Any; Xen_only; Kvm_only ])
+        name_gen)
+    (fun (which, field, tag, s) ->
+      let progs = Lazy.force corpus_programs in
+      let _, p = List.nth progs (which mod List.length progs) in
       let p' =
-        if field = 3 then
-          { p with expect = (match p.expect with _ :: tl -> s :: tl | [] -> [ s ]) }
-        else
-          let exploit = Array.copy p.exploit and inject = Array.copy p.inject in
-          let pos = pos mod (Array.length exploit + Array.length inject) in
-          let sec, pc =
-            if pos < Array.length exploit then (exploit, pos) else (inject, pos - Array.length exploit)
-          in
-          sec.(pc) <- corrupt field v s sec.(pc);
-          { p with exploit; inject }
+        match field with
+        | 0 -> { p with expect = (match p.expect with _ :: tl -> s :: tl | [] -> [ s ]) }
+        | 1 -> { p with expect = p.expect @ [ s ] }
+        | _ -> { p with backend = tag }
       in
-      let usable check use_case =
-        match check p' with
-        | Error _ -> true
-        | Ok () -> (
-            match (use_case p', Scn_bytecode.expected_violations p') with
-            | _ -> true
-            | exception _ -> false)
-        | exception _ -> false
-      in
-      usable XV.check XV.use_case && usable KV.check KV.use_case)
+      usable p')
 
 (* --- golden result rows ---------------------------------------------------- *)
 
@@ -524,7 +543,8 @@ let () =
           [
             prop_parser_total_random;
             prop_parser_total_mutated;
-            prop_checker_total_mutated;
+            prop_checker_total_corrupted;
+            prop_checker_guards_header;
           ] );
       ( "golden",
         [
