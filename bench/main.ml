@@ -53,9 +53,8 @@ let fig1 () =
 let fig2 () =
   hr "FIG 2 (methodology key components, end to end)";
   (* one injection trial, narrated stage by stage from its result row *)
-  let tb = Testbed.create Version.V4_8 in
   let uc = Option.get (All.find "XSA-182-test") in
-  let r = Campaign.run ~tb uc Campaign.Injection Version.V4_8 in
+  let r = Campaign.run uc Campaign.Injection Version.V4_8 in
   let stage name lines =
     Printf.printf "== %s ==\n" name;
     List.iter (Printf.printf "   %s\n") lines
@@ -64,11 +63,10 @@ let fig2 () =
   stage "injector" [ Printf.sprintf "hypercall %d installed" Injector.hypercall_number ];
   stage "erroneous-state" r.Campaign.r_transcript;
   stage "audit"
-    (List.map
-       (fun s ->
-         let a = Erroneous_state.audit tb.Testbed.hv s in
+    (List.map2
+       (fun s a ->
          Erroneous_state.describe s ^ if a.Erroneous_state.holds then ": present" else ": absent")
-       r.Campaign.r_states);
+       r.Campaign.r_states r.Campaign.r_audits);
   stage "monitor"
     (match r.Campaign.r_violations with
     | [] -> [ "no security violation: the system handled the erroneous state" ]

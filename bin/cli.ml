@@ -150,7 +150,7 @@ module Drivers (K : All.BACKEND) = struct
       List.iter print_endline r.C.r_transcript;
       if evidence then begin
         Printf.printf "\n--- erroneous-state evidence ---\n";
-        List.iter print_endline r.C.r_state_evidence
+        List.iter (fun a -> List.iter print_endline a.Erroneous_state.evidence) r.C.r_audits
       end
     end
 end

@@ -15,9 +15,9 @@ let load_all files =
   in
   go [] files
 
-let admits (module K : All.BACKEND) p = Scn_check.compatible K.Ops.caps (Scn_bytecode.backend p)
+let admits (module K : All.BACKEND) p = Scn_check.compatible K.Ops.ops (Scn_bytecode.backend p)
 
-(* Load-time gate: a program is checked against the action table of
+(* Load-time gate: a program is checked against the op table of
    every backend its header admits. *)
 let check_errors (file, p) =
   List.filter_map
@@ -113,7 +113,7 @@ let files_arg =
   Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Scenario files (.scn).")
 
 let check_cmd =
-  let doc = "Parse scenarios and gate them against the backend action tables." in
+  let doc = "Parse scenarios and gate them against the backend op tables." in
   let run files =
     match load_all files with
     | Error e -> `Error (false, e)

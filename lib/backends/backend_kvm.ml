@@ -146,9 +146,6 @@ let inject_read t ~addr action ~len =
   | Ok None -> Error Errno.EINVAL
   | Error e -> Error e
 
-(* No testbed-resident device model on this backend. *)
-let inject_dm_write _t _data = Error Errno.ENOSYS
-
 (* The "real exploit" port: a compromised device model writing host
    memory directly — no injector involved, like a userspace process
    with /dev/mem on a broken host. *)
@@ -470,14 +467,5 @@ let apply_event t (ev : Trace.event) =
       else false
   | Trace.Sched_round ->
       tick_all t;
-      true
-  | Trace.Scn_edge { section; prev; pc } ->
-      (* scenario-VM edge: refeed the coverage map and re-emit,
-         exactly as the Xen substrate does — the VM never runs during
-         replay *)
-      (match Trace.coverage t.tr with
-      | Some cov -> Coverage.note_scn_edge cov ~section ~prev ~pc
-      | None -> ());
-      if Trace.recording t.tr && Trace.top_level t.tr then Trace.emit t.tr ev;
       true
   | _ -> false

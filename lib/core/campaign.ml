@@ -55,8 +55,10 @@ module Make (B : Substrate.S) = struct
     r_version : B.config;
     r_mode : mode;
     r_states : B.state_spec list;  (** the states the attempt declared *)
-    r_state : bool;  (** the erroneous state holds (audited) *)
-    r_state_evidence : string list;
+    r_state : bool;  (** every declared state holds (audited) *)
+    r_audits : Erroneous_state.audit list;
+        (** the trial's audit of each declared state, in [r_states]
+            order *)
     r_violations : Monitor.violation list;
     r_domains : (string * Monitor.violation list) list;
         (** the same violations grouped per domain (host-level rows
@@ -124,9 +126,8 @@ module Make (B : Substrate.S) = struct
     let vts_before = Trace.vts tr in
     let before = before_snapshot tb mode in
     let attempt = act tb in
-    let audits = List.map (B.audit tb) attempt.states in
-    let r_state = attempt.states <> [] && List.for_all (fun a -> a.Erroneous_state.holds) audits in
-    let r_state_evidence = List.concat_map (fun a -> a.Erroneous_state.evidence) audits in
+    let r_audits = List.map (B.audit tb) attempt.states in
+    let r_state = r_audits <> [] && List.for_all (fun a -> a.Erroneous_state.holds) r_audits in
     let after = B.snapshot tb in
     let tagged = B.violations_tagged ~before ~after in
     let r_violations = List.map snd tagged in
@@ -153,7 +154,7 @@ module Make (B : Substrate.S) = struct
       r_mode = mode;
       r_states = attempt.states;
       r_state;
-      r_state_evidence;
+      r_audits;
       r_violations;
       r_domains;
       r_transcript = attempt.transcript;

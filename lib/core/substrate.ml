@@ -106,13 +106,6 @@ module type S = sig
   val inject_read :
     t -> addr:int64 -> Access.action -> len:int -> (bytes, Errno.t) result
 
-  val inject_dm_write : t -> bytes -> (unit, Errno.t) result
-  (** The device-model injection surface: write bytes past the FDC FIFO
-      end inside the device-model process (the VENOM erroneous state),
-      counted and recorded like any injector access. Gated on
-      {!install_injector} ([ENOSYS] before it); [ENOSYS] on backends
-      without a device model. *)
-
   (** {1 Erroneous-state auditing} *)
 
   type state_spec
@@ -147,5 +140,7 @@ module type S = sig
   val apply_event : t -> Trace.event -> bool
   (** Re-drive one recorded boundary event against a fresh testbed;
       false when it cannot be matched (a desynchronized replay) or is
-      not a boundary this backend emits. *)
+      not a boundary this backend emits. Scenario-VM edges
+      ([Trace.Scn_edge]) never reach it: the replay driver refeeds
+      them itself, the same way on every backend. *)
 end

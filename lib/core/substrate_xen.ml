@@ -149,17 +149,8 @@ let apply_event tb (ev : Trace.event) =
          injector accesses) at the same stamp *)
       ignore (Devmodel.inject tb.Testbed.dm (Bytes.of_string data));
       true
-  | Trace.Scn_edge { section; prev; pc } ->
-      (* a scenario-VM edge: the VM does not run during replay, so
-         refeed the coverage map (and re-emit, like Op_probe_u64 — the
-         replayed stream must carry the edge at the recorded stamp) *)
-      let tr = hv.Hv.trace in
-      (match Trace.coverage tr with
-      | Some cov -> Coverage.note_scn_edge cov ~section ~prev ~pc
-      | None -> ());
-      if Trace.recording tr && Trace.top_level tr then Trace.emit tr ev;
-      true
   | Trace.Backend_op _ (* other backends' private ops *)
+  | Trace.Scn_edge _ (* refed by the replay driver *)
   | Trace.Hypercall_ret _ | Trace.Fault _ | Trace.Tlb_flush_all | Trace.Tlb_invlpg _
   | Trace.Page_type _ | Trace.Grant_op _ | Trace.Evtchn_op _ | Trace.Injector_access _
   | Trace.Console _ | Trace.Monitor_verdict _ | Trace.Panic _ | Trace.Vmi_scan _

@@ -152,7 +152,17 @@ module Make (B : Substrate.S) = struct
     let act tb =
       List.iter
         (fun { Trace.event; _ } ->
-          if Trace.is_boundary event && B.apply_event tb event then incr applied else incr skipped)
+          match event with
+          | Trace.Scn_edge { section; prev; pc } ->
+              (* the scenario VM does not run during replay: refeed its
+                 edge into the coverage map and re-emit the record, so
+                 the replayed stream carries it at the recorded stamp *)
+              Option.iter (fun cov -> Coverage.note_scn_edge cov ~section ~prev ~pc) (Trace.coverage tr);
+              if Trace.recording tr && Trace.top_level tr then Trace.emit tr event;
+              incr applied
+          | _ ->
+              if Trace.is_boundary event && B.apply_event tb event then incr applied
+              else incr skipped)
         (events r);
       let row = r.rec_row in
       { C.transcript = row.C.r_transcript; states = row.C.r_states; rc = row.C.r_rc }

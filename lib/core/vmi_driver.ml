@@ -135,8 +135,7 @@ module Make (B : Substrate.S) = struct
     let watched = t.t_recording in
     let row_equal =
       let a = plain.T.rec_row and b = watched.T.rec_row in
-      a.C.r_state = b.C.r_state
-      && a.C.r_state_evidence = b.C.r_state_evidence
+      a.C.r_audits = b.C.r_audits
       && a.C.r_violations = b.C.r_violations
       && a.C.r_transcript = b.C.r_transcript
       && a.C.r_rc = b.C.r_rc

@@ -9,7 +9,7 @@
     - {!inject} — the injection surface: write the erroneous state
       (bytes beyond the FIFO end) directly, counted and recorded like
       any other injector access. Reachability is gated by the
-      substrate ([Substrate.S.inject_dm_write] refuses unless the
+      substrate ([Substrate_xen.inject_dm_write] refuses unless the
       injection port is installed).
 
     A corrupted handler {e radiates} on the next {!kick} (run every

@@ -1,47 +1,55 @@
 (* What a backend contributes to scenario execution, beyond the
-   {!Substrate.S} it already implements: name resolution. Environment
-   symbols are runtime address discovery (the testbed's own page-table
-   frames, the IDT base, a VMCS address); hypercalls and guest ops are
-   dispatched by name; payloads are the abusive-functionality library —
-   the same OCaml routines the hand-written use cases call, exposed to
-   scenarios so a ported scenario's transcript stays byte-identical to
-   its legacy module.
+   {!Substrate.S} it already implements: its scenario ops, declared
+   once in one table per kind. Environment symbols are runtime address
+   discovery (the testbed's own page-table frames, the IDT base, a VMCS
+   address); hypercalls and guest ops are named guest actions;
+   payloads are the abusive-functionality library — the OCaml routines
+   the use cases call for the parts that are more than a straight line
+   of steps; states name the backend's erroneous-state specs.
 
-   The [caps] table must agree with the dispatch functions: everything
-   {!Scn_check.check} admits, the functions must resolve. Dispatch of a
-   name the checker would have rejected raises {!Trap}. *)
+   Each entry carries its name, what it takes (an exact arity, or an
+   env symbol's inclusive argument range) and the code it runs.
+   {!Scn_check.check} admits exactly the names and shapes the table
+   holds, and {!Scn_vm} runs exactly its code, so the checker and the
+   VM cannot disagree. A name the checker would have rejected raises
+   {!Trap} in the VM. *)
 
 exception Trap of string
-(** Raised by dispatch functions (and the VM) on a call the load-time
-    checker would have rejected — running an unchecked program is the
-    only way to see it. *)
+(** Raised by ops (and the VM) on a call the load-time checker would
+    have rejected — running an unchecked program is the only way to see
+    it. *)
 
 let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
+
+type ('takes, 'run) op = { name : string; takes : 'takes; run : 'run }
+
+type ('tb, 'spec) table = {
+  backend : Scn_bytecode.backend_tag;  (* Xen_only or Kvm_only, never Any *)
+  env : (int64 * int64, 'tb -> int64 -> (int64, string) result) op list;
+      (** [r = sym arg], [arg] within the inclusive range *)
+  hypercalls : (int, 'tb -> int64 array -> int64) op list;
+      (** issued from the attacker guest; the guest-visible return code
+          (negative errno on refusal) *)
+  guest_ops : (int, 'tb -> int64 array -> (unit, string) result) op list;
+      (** a guest workload action, effects only *)
+  payloads : (int, 'tb -> say:(string -> unit) -> int64 array -> unit) op list;
+      (** transcript lines go through [say] in order *)
+  states : (int, int64 array -> 'spec) op list;
+  host_write : ('tb -> addr:int64 -> int64 -> (unit, Errno.t) result) option;
+      (** the compromised-host write primitive ([host-w64]), where the
+          backend has one *)
+}
+
+let op name takes run = { name; takes; run }
+
+let rec find name = function
+  | [] -> None
+  | op :: rest -> if String.equal op.name name then Some op else find name rest
+
+let names ops = List.map (fun op -> op.name) ops
 
 module type OPS = sig
   module B : Substrate.S
 
-  val caps : Scn_check.caps
-
-  val env : B.t -> string -> int64 -> (int64, string) result
-  (** Resolve an environment symbol with its numeric argument. *)
-
-  val hypercall : B.t -> string -> int64 array -> (int64, string) result
-  (** Issue a named hypercall from the attacker guest; returns the
-      guest-visible return code (negative errno on refusal). *)
-
-  val guest_op : B.t -> string -> int64 array -> (unit, string) result
-  (** A named guest workload action, effects only. *)
-
-  val payload :
-    B.t -> say:(string -> unit) -> string -> int64 array -> (unit, string) result
-  (** Run a named abusive-functionality routine; transcript lines go
-      through [say] in order. *)
-
-  val state : B.t -> string -> int64 array -> (B.state_spec, string) result
-  (** Build a backend erroneous-state spec from a name and arguments. *)
-
-  val host_write : B.t -> addr:int64 -> int64 -> (unit, Errno.t) result
-  (** The compromised-host write primitive ([host-w64]); only reachable
-      when [caps.cap_host_write] admits it. *)
+  val ops : (B.t, B.state_spec) table
 end

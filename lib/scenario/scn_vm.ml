@@ -11,8 +11,10 @@
    trace/VMI drivers, attribution — without those layers knowing
    scenarios exist.
 
-   The VM assumes a checked program ({!Scn_check.check}); a dispatch
-   the checker would have refused raises {!Scn_ops.Trap}. *)
+   Named ops run through the backend's op table ({!Scn_ops.table}),
+   the same table {!Scn_check.check} admits them from. The VM assumes a
+   checked program; a call the checker would have refused raises
+   {!Scn_ops.Trap}. *)
 
 open Scn_bytecode
 
@@ -20,6 +22,12 @@ open Scn_bytecode
    the VM does not depend upward on the exploit library. *)
 let entry_maddr ~table ~index =
   Int64.add (Addr.maddr_of_mfn (Int64.to_int table)) (Int64.mul 8L index)
+
+(* The code of the op named [name] in [ops]; allocation-free, as it
+   runs for every named op the VM executes. *)
+let rec run what name = function
+  | [] -> Scn_ops.trap "unknown %s %S" what name
+  | op :: ops -> if String.equal op.Scn_ops.name name then op.run else run what name ops
 
 module Make (O : Scn_ops.OPS) = struct
   module B = O.B
@@ -91,7 +99,7 @@ module Make (O : Scn_ops.OPS) = struct
       | Set (r, v) -> setr r v
       | Add (r, m, v) -> setr r (Int64.add (reg m) v)
       | Env (r, sym, arg) -> (
-          match O.env tb sym arg with
+          match run "environment symbol" sym O.ops.env tb arg with
           | Ok v -> setr r v
           | Error msg -> Scn_ops.trap "env %s: %s" sym msg)
       | Pte_of (r, m, flags) -> setr r (Pte.make ~mfn:(Int64.to_int (reg m)) ~flags)
@@ -112,23 +120,18 @@ module Make (O : Scn_ops.OPS) = struct
           | Error e ->
               st.err <- Some e;
               setr r 0L)
-      | Host_write (addr, value) -> port (O.host_write tb ~addr:(reg addr) (reg value))
-      | Hypercall (r, name, args) -> (
-          match O.hypercall tb name (Array.map reg args) with
-          | Ok rc -> setr r rc
-          | Error msg -> Scn_ops.trap "hypercall %s: %s" name msg)
+      | Host_write (addr, value) -> (
+          match O.ops.host_write with
+          | Some write -> port (write tb ~addr:(reg addr) (reg value))
+          | None -> Scn_ops.trap "host writes are not exposed on backend %s" B.name)
+      | Hypercall (r, name, args) -> setr r (run "hypercall" name O.ops.hypercalls tb (Array.map reg args))
       | Guest (name, args) -> (
-          match O.guest_op tb name (Array.map reg args) with
+          match run "guest op" name O.ops.guest_ops tb (Array.map reg args) with
           | Ok () -> ()
           | Error msg -> Scn_ops.trap "guest op %s: %s" name msg)
-      | Payload (name, args) -> (
-          match O.payload tb ~say name (Array.map reg args) with
-          | Ok () -> ()
-          | Error msg -> Scn_ops.trap "payload %s: %s" name msg)
-      | State (name, args) -> (
-          match O.state tb name (Array.map reg args) with
-          | Ok spec -> st.states <- spec :: st.states
-          | Error msg -> Scn_ops.trap "state %s: %s" name msg)
+      | Payload (name, args) -> run "payload" name O.ops.payloads tb ~say (Array.map reg args)
+      | State (name, args) ->
+          st.states <- run "erroneous state" name O.ops.states (Array.map reg args) :: st.states
       | Tick_all -> B.tick_all tb
       | Rc_errno -> (
           match st.err with
@@ -167,6 +170,6 @@ module Make (O : Scn_ops.OPS) = struct
       run_injection = (fun tb -> run_section tb ~section:(section_code p ~section:1) p.inject);
     }
 
-  let check p = Scn_check.check O.caps p
-  let compatible p = Scn_check.compatible O.caps p.backend
+  let check p = Scn_check.check O.ops p
+  let compatible p = Scn_check.compatible O.ops p.backend
 end

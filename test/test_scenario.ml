@@ -6,8 +6,8 @@
    - totality: the parser never raises on arbitrary or mutated text and
      the checker never raises on a mutated in-memory program — they
      return [Error] (the parser's with a position)
-   - capabilities: every name a backend's [caps] table admits, its
-     dispatch functions resolve at the declared arity
+   - op tables: no name appears twice within one kind of a backend's
+     table
    - golden result rows: each Table III and KVM program reproduces the
      row fingerprints in [Golden_rows] on every configuration of its
      backend, in both modes
@@ -182,14 +182,21 @@ let corrupt field v s (i : Scn_bytecode.instr) : Scn_bytecode.instr =
   | 2, If_neg (r, _) -> If_neg (r, v)
   | _ -> i
 
+(* Every name of each kind in a backend's op table, per backend. *)
+let kinds (t : (_, _) Scn_ops.table) =
+  Scn_ops.
+    [
+      ("environment symbol", names t.env);
+      ("hypercall", names t.hypercalls);
+      ("guest op", names t.guest_ops);
+      ("payload", names t.payloads);
+      ("erroneous state", names t.states);
+    ]
+
+let tables = [ ("xen", kinds SX.ops); ("kvm", kinds SK.ops) ]
+
 let known_names =
-  List.concat_map
-    (fun (c : Scn_check.caps) ->
-      List.map fst c.cap_env
-      @ List.concat_map (List.map fst)
-          [ c.cap_hypercalls; c.cap_guest_ops; c.cap_payloads; c.cap_states ])
-    [ SX.caps; SK.caps ]
-  @ Scn_ast.violation_classes
+  List.concat_map (fun (_, ks) -> List.concat_map snd ks) tables @ Scn_ast.violation_classes
 
 let name_gen = QCheck.(oneof [ string_printable; oneofl known_names ])
 
@@ -466,65 +473,24 @@ let test_checker_gates () =
   let p = parse_str (minimal ~backend:"xen" ~body:"    r0 = kernel-l1 9999") in
   check_bool "env arg out of range rejected" true (Result.is_error (XV.check p))
 
-(* --- capabilities ------------------------------------------------------------ *)
+(* --- op tables ----------------------------------------------------------------- *)
 
-(* [Scn_ops] requires every name a backend's [caps] admits to resolve
-   in its dispatch functions. Each is called on a fresh testbed with its
-   declared arity (an env symbol with the low end of its range) and
-   zero arguments, or [args] where zeros raise. None may return the
-   backend's unknown-name error: what the same function answers for a
-   name no table holds, with the quoted name blanked. *)
-let check_caps (type tb) (module O : Scn_ops.OPS with type B.t = tb) (fresh : unit -> tb) ~args =
-  let blank name msg =
-    let q = Printf.sprintf "%S" name in
-    let n = String.length q and m = String.length msg in
-    let b = Buffer.create m in
-    let rec go i =
-      if i < m then
-        if i + n <= m && String.sub msg i n = q then (
-          Buffer.add_char b '_';
-          go (i + n))
-        else (
-          Buffer.add_char b msg.[i];
-          go (i + 1))
-    in
-    go 0;
-    Buffer.contents b
-  in
-  let c = O.caps and bogus = "no-such-name" in
-  let zeros = List.map (fun (n, arity) -> (n, Array.make arity 0L)) in
-  let kinds =
-    [
-      ( "env symbol",
-        List.map (fun (n, (lo, _)) -> (n, [| lo |])) c.cap_env,
-        fun tb n a -> Result.map ignore (O.env tb n a.(0)) );
-      ("hypercall", zeros c.cap_hypercalls, fun tb n a -> Result.map ignore (O.hypercall tb n a));
-      ("guest op", zeros c.cap_guest_ops, O.guest_op);
-      ("payload", zeros c.cap_payloads, fun tb n a -> O.payload tb ~say:ignore n a);
-      ("state", zeros c.cap_states, fun tb n a -> Result.map ignore (O.state tb n a));
-    ]
-  in
+(* A string [match] flagged a repeated case as unused at compile time;
+   a list table silently shadows the later entry. *)
+let test_op_names_unique () =
   List.iter
-    (fun (kind, table, call) ->
+    (fun (backend, kinds) ->
       List.iter
-        (fun (name, zeros) ->
-          let a = Option.value ~default:zeros (List.assoc_opt name args) in
-          let what = Printf.sprintf "%s %s %s" O.B.name kind name in
-          let unknown =
-            match call (fresh ()) bogus a with
-            | Error msg -> blank bogus msg
-            | Ok () -> Alcotest.failf "%s: a name no table holds resolved" what
+        (fun (kind, names) ->
+          let rec repeated = function
+            | [] -> None
+            | n :: rest -> if List.mem n rest then Some n else repeated rest
           in
-          match call (fresh ()) name a with
-          | Ok () -> ()
-          | Error msg -> check_bool (what ^ " resolves") false (blank name msg = unknown)
-          | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
-        table)
-    kinds
-
-let test_caps_agree_with_dispatch () =
-  check_caps (module SX) (fun () -> Substrate_xen.create Version.V4_6) ~args:[];
-  check_caps (module SK) (fun () -> BK.create BK.Stock) ~args:[]
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s %s names are unique" backend kind)
+            None (repeated names))
+        kinds)
+    tables
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -558,6 +524,6 @@ let () =
       ( "checker",
         [
           Alcotest.test_case "gates" `Quick test_checker_gates;
-          Alcotest.test_case "caps agree with dispatch" `Quick test_caps_agree_with_dispatch;
+          Alcotest.test_case "op names unique per kind" `Quick test_op_names_unique;
         ] );
     ]

@@ -201,7 +201,7 @@ let test_read_into_equals_read_bytes () =
 
 let strip_row (r : Campaign.result_row) =
   (r.Campaign.r_use_case, r.Campaign.r_version, r.Campaign.r_mode, r.Campaign.r_state,
-   r.Campaign.r_state_evidence, r.Campaign.r_violations, r.Campaign.r_transcript,
+   r.Campaign.r_audits, r.Campaign.r_violations, r.Campaign.r_transcript,
    r.Campaign.r_rc, r.Campaign.r_telemetry)
 
 let test_tracing_does_not_change_results () =

@@ -265,7 +265,7 @@ let strip_row (r : Campaign.result_row) =
     r.Campaign.r_version,
     r.Campaign.r_mode,
     r.Campaign.r_state,
-    r.Campaign.r_state_evidence,
+    r.Campaign.r_audits,
     r.Campaign.r_violations,
     r.Campaign.r_transcript,
     r.Campaign.r_rc,

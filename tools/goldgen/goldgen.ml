@@ -32,7 +32,9 @@ module Fingerprint (B : Substrate.S) = struct
          Printf.sprintf "state=%b" r.C.r_state;
          Printf.sprintf "rc=%s"
            (match r.C.r_rc with Some rc -> string_of_int rc | None -> "-") ]
-      @ List.map (fun e -> "evidence=" ^ e) r.C.r_state_evidence
+      @ List.concat_map
+          (fun a -> List.map (fun e -> "evidence=" ^ e) a.Erroneous_state.evidence)
+          r.C.r_audits
       @ List.map
           (fun v -> "violation=" ^ Monitor.violation_to_string v)
           r.C.r_violations
