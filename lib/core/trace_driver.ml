@@ -157,7 +157,9 @@ module Make (B : Substrate.S) = struct
               (* the scenario VM does not run during replay: refeed its
                  edge into the coverage map and re-emit the record, so
                  the replayed stream carries it at the recorded stamp *)
-              Option.iter (fun cov -> Coverage.note_scn_edge cov ~section ~prev ~pc) (Trace.coverage tr);
+              Option.iter
+                (fun cov -> Coverage.note_scn_edge cov ~section ~prev ~pc)
+                (Trace.coverage tr);
               if Trace.recording tr && Trace.top_level tr then Trace.emit tr event;
               incr applied
           | _ ->

@@ -39,9 +39,10 @@ let check_instr (t : (_, _) Scn_ops.table) section len pc i =
   let backend = backend_tag_to_string t.backend in
   let named ops what name args =
     match Scn_ops.find name ops with
-    | Some { takes; _ } when Array.length args = takes -> Ok ()
-    | Some { takes; _ } -> err "%s %S takes %d arguments, got %d" what name takes (Array.length args)
-    | None ->
+    | { takes; _ } when Array.length args = takes -> Ok ()
+    | { takes; _ } ->
+        err "%s %S takes %d arguments, got %d" what name takes (Array.length args)
+    | exception Not_found ->
         err "unknown %s %S on backend %s (known: %s)" what name backend
           (match Scn_ops.names ops with [] -> "none" | l -> String.concat ", " l)
   in
@@ -56,9 +57,9 @@ let check_instr (t : (_, _) Scn_ops.table) section len pc i =
   match i with
   | Env (_, sym, arg) -> (
       match Scn_ops.find sym t.env with
-      | Some { takes = lo, hi; _ } when arg >= lo && arg <= hi -> Ok ()
-      | Some { takes = lo, hi; _ } -> err "argument %Ld to %S outside [%Ld, %Ld]" arg sym lo hi
-      | None -> err "unknown environment symbol %S on backend %s" sym backend)
+      | { takes = lo, hi; _ } when arg >= lo && arg <= hi -> Ok ()
+      | { takes = lo, hi; _ } -> err "argument %Ld to %S outside [%Ld, %Ld]" arg sym lo hi
+      | exception Not_found -> err "unknown environment symbol %S on backend %s" sym backend)
   | Hypercall (_, name, args) -> named t.hypercalls "hypercall" name args
   | Guest (name, args) -> named t.guest_ops "guest op" name args
   | Payload (name, args) -> named t.payloads "payload" name args

@@ -42,9 +42,11 @@ type ('tb, 'spec) table = {
 
 let op name takes run = { name; takes; run }
 
+(* The op named [name]; raises [Not_found]. Allocation-free, as the VM
+   looks up every named op it executes. *)
 let rec find name = function
-  | [] -> None
-  | op :: rest -> if String.equal op.name name then Some op else find name rest
+  | [] -> raise Not_found
+  | op :: rest -> if String.equal op.name name then op else find name rest
 
 let names ops = List.map (fun op -> op.name) ops
 

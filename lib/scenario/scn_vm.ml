@@ -23,11 +23,11 @@ open Scn_bytecode
 let entry_maddr ~table ~index =
   Int64.add (Addr.maddr_of_mfn (Int64.to_int table)) (Int64.mul 8L index)
 
-(* The code of the op named [name] in [ops]; allocation-free, as it
-   runs for every named op the VM executes. *)
-let rec run what name = function
-  | [] -> Scn_ops.trap "unknown %s %S" what name
-  | op :: ops -> if String.equal op.Scn_ops.name name then op.run else run what name ops
+(* The code of the op named [name] in [ops]. *)
+let run what name ops =
+  match Scn_ops.find name ops with
+  | op -> op.Scn_ops.run
+  | exception Not_found -> Scn_ops.trap "unknown %s %S" what name
 
 module Make (O : Scn_ops.OPS) = struct
   module B = O.B
@@ -124,7 +124,8 @@ module Make (O : Scn_ops.OPS) = struct
           match O.ops.host_write with
           | Some write -> port (write tb ~addr:(reg addr) (reg value))
           | None -> Scn_ops.trap "host writes are not exposed on backend %s" B.name)
-      | Hypercall (r, name, args) -> setr r (run "hypercall" name O.ops.hypercalls tb (Array.map reg args))
+      | Hypercall (r, name, args) ->
+          setr r (run "hypercall" name O.ops.hypercalls tb (Array.map reg args))
       | Guest (name, args) -> (
           match run "guest op" name O.ops.guest_ops tb (Array.map reg args) with
           | Ok () -> ()
