@@ -26,7 +26,6 @@ let hypercall_name = function
   | 12 -> "memory_op"
   | 18 -> "console_io"
   | 20 -> "grant_table_op"
-  | 26 -> "mmuext_op"
   | 32 -> "event_channel_op"
   | n when n = Injector.hypercall_number -> Injector.hypercall_name
   | n -> Printf.sprintf "hypercall_%d" n

@@ -147,11 +147,12 @@ let dirty_count t = List.length t.dirty_frames
 
 let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
+  if Option.is_some t.prov then
+    invalid_arg "Phys_mem.capture_baseline: a provenance shadow is attached";
   List.iter (fun mfn -> Bytes.set t.dirty mfn '\000') t.dirty_frames;
   t.dirty_frames <- [];
   t.baseline <- Some (Captured { b_pre = Hashtbl.create 64; b_free_count = t.free_count });
-  t.baseline_epoch <- t.baseline_epoch + 1;
-  match t.prov with None -> () | Some p -> Provenance.capture_baseline p
+  t.baseline_epoch <- t.baseline_epoch + 1
 
 let baseline_epoch t = t.baseline_epoch
 

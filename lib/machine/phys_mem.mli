@@ -96,7 +96,10 @@ val capture_baseline : t -> unit
 (** Declare the current contents the baseline. Subsequent writes save a
     lazy pre-image of each frame on first touch; {!reset_to_baseline}
     replays only those. Recapturing discards the previous baseline
-    (on a {!fork}, it replaces the template as the baseline). *)
+    (on a {!fork}, it replaces the template as the baseline). Raises
+    [Invalid_argument] on a frozen template and while a provenance
+    shadow is attached: taint is tracked from a captured baseline on,
+    never across one. *)
 
 val reset_to_baseline : t -> int
 (** Restore every frame (contents and ownership) touched since
@@ -176,11 +179,11 @@ val write_from : t -> Addr.maddr -> bytes -> int -> int -> unit
     An optional byte-granular taint shadow (see {!Provenance}). When
     attached, every byte-path write ({!write_u8}, {!write_u64},
     {!write_from} and friends) taints the written range with the origin
-    installed by {!with_origin}; the shadow checkpoints and restores
-    with {!capture_baseline}/{!reset_to_baseline} and is cleared
-    per-frame whenever a frame is scrubbed. Writes that go through a
-    mutable {!frame} view bypass the byte paths and must call {!taint}
-    explicitly. Detached (the default), every hook below is a single
+    installed by {!with_origin}; {!reset_to_baseline} clears the
+    whole shadow (a baseline is never captured while one is attached),
+    and a frame's taint is cleared whenever the frame is scrubbed.
+    Writes that go through a mutable {!frame} view bypass the byte
+    paths and must call {!taint} explicitly. Detached (the default), every hook below is a single
     option match. *)
 
 val set_provenance : t -> Provenance.t option -> unit

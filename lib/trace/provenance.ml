@@ -104,12 +104,6 @@ type label_info = {
    255 is the saturation label every origin beyond the 254th maps to. *)
 let max_labels = 255
 
-type baseline = {
-  b_shadow : (int, Bytes.t) Hashtbl.t;
-  b_labels : (origin * int64 * int * bool) list;  (* in id order, from 1 *)
-  b_tainted : int;
-}
-
 type t = {
   mutable tr : Trace.t option;
   shadow : (int, Bytes.t) Hashtbl.t;  (* mfn -> one label byte per data byte *)
@@ -120,7 +114,6 @@ type t = {
   mutable edges_rev : edge list;
   mutable n_edges : int;
   mutable tainted : int;  (* total bytes with a nonzero label *)
-  mutable base : baseline option;
 }
 
 let create ?tr () =
@@ -134,7 +127,6 @@ let create ?tr () =
     edges_rev = [];
     n_edges = 0;
     tainted = 0;
-    base = None;
   }
 
 let set_trace t tr = t.tr <- Some tr
@@ -273,41 +265,19 @@ let observe t ~consumer ~mfn ~off ~len =
                      { consumer = consumer_code consumer; mfn; off; len; labels }))
           | None -> ()))
 
-(* --- checkpoint / reset ------------------------------------------------- *)
+(* --- reset ---------------------------------------------------------------- *)
 
-let capture_baseline t =
-  let b_shadow = Hashtbl.create (max 16 (Hashtbl.length t.shadow)) in
-  Hashtbl.iter (fun mfn row -> Hashtbl.replace b_shadow mfn (Bytes.copy row)) t.shadow;
-  let b_labels =
-    List.rev_map (fun li -> (li.li_origin, li.li_vts, li.li_bytes, li.li_read)) t.labels
-  in
-  t.base <- Some { b_shadow; b_labels; b_tainted = t.tainted }
-
+(* A shadow is never attached across a machine baseline capture
+   (Phys_mem refuses it), so the pre-trial state is "nothing tainted". *)
 let reset_to_baseline t =
   t.current <- 0;
   t.edges_rev <- [];
   t.n_edges <- 0;
   Hashtbl.reset t.shadow;
-  match t.base with
-  | None ->
-      (* provenance attached after the machine baseline was captured:
-         the pre-trial state is simply "nothing tainted" *)
-      t.labels <- [];
-      t.n_labels <- 0;
-      Hashtbl.reset t.intern;
-      t.tainted <- 0
-  | Some b ->
-      Hashtbl.iter (fun mfn row -> Hashtbl.replace t.shadow mfn (Bytes.copy row)) b.b_shadow;
-      t.labels <- [];
-      t.n_labels <- 0;
-      Hashtbl.reset t.intern;
-      List.iter
-        (fun (origin, li_vts, li_bytes, li_read) ->
-          t.labels <- { li_origin = origin; li_vts; li_bytes; li_read } :: t.labels;
-          t.n_labels <- t.n_labels + 1;
-          Hashtbl.replace t.intern origin t.n_labels)
-        b.b_labels;
-      t.tainted <- b.b_tainted
+  t.labels <- [];
+  t.n_labels <- 0;
+  Hashtbl.reset t.intern;
+  t.tainted <- 0
 
 (* --- queries ------------------------------------------------------------ *)
 

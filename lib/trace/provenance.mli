@@ -18,12 +18,14 @@
     Detached (the default), the whole layer costs one option match per
     write.
 
-    Checkpoint/restore rides the machine baseline: [Phys_mem.
-    capture_baseline]/[reset_to_baseline] forward to
-    {!capture_baseline}/{!reset_to_baseline}, so the O(dirty) trial
-    reset also resets taint. Labels are interned in first-use order and
-    all queries sort deterministically, so a replayed boundary stream
-    reproduces the {!graph} byte for byte. *)
+    A shadow is attached after the machine baseline is captured and
+    never across a capture ([Phys_mem.capture_baseline] raises while
+    one is attached), so the baseline holds no taint:
+    [Phys_mem.reset_to_baseline] calls {!reset_to_baseline}, and the
+    O(dirty) trial reset returns the shadow to "nothing tainted".
+    Labels are interned in first-use order and all queries sort
+    deterministically, so a replayed boundary stream reproduces the
+    {!graph} byte for byte. *)
 
 type t
 
@@ -114,14 +116,11 @@ val observe : t -> consumer:consumer -> mfn:int -> off:int -> len:int -> unit
     [Trace.Provenance_edge] when the ring is recording. No-op (one
     hashtable probe) otherwise. *)
 
-(** {1 Checkpoint / reset} *)
+(** {1 Reset} *)
 
-val capture_baseline : t -> unit
 val reset_to_baseline : t -> unit
-(** Restore the captured shadow state; without a capture, reset to
-    "nothing tainted" (the usual case: provenance is attached after the
-    machine baseline is taken). Always clears edges and the installed
-    origin. *)
+(** Back to "nothing tainted": clears the shadow, the interned labels,
+    the edges and the installed origin. *)
 
 (** {1 Queries} *)
 

@@ -132,7 +132,11 @@ let code_of_event = function
   | Provenance_edge _ -> 29
   | Scn_edge _ -> 30
 
-(* --- binary encoding -------------------------------------------------- *)
+(* --- wire codec ------------------------------------------------------- *)
+
+(* The one little-endian framing of the trace ring and of recorded
+   hypercall payloads: u8 tags, u32 scalars, i64 words, u32-length
+   strings. *)
 
 let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
 let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
@@ -224,10 +228,12 @@ let encode_payload b = function
       put_u32 b prev;
       put_u32 b pc
 
-(* A little cursor over a linearized trace image. *)
-type reader = { src : string; mutable pos : int }
+type cursor = { src : string; mutable pos : int }
 
-let need r n = if r.pos + n > String.length r.src then failwith "Trace: truncated record"
+exception Truncated
+
+let cursor src = { src; pos = 0 }
+let need r n = if n < 0 || r.pos + n > String.length r.src then raise Truncated
 
 let get_u8 r =
   need r 1;
@@ -520,7 +526,7 @@ let to_bytes t =
   end
 
 let records_of_string src =
-  let r = { src; pos = 0 } in
+  let r = cursor src in
   let rec go acc =
     if r.pos >= String.length src then List.rev acc
     else begin
@@ -534,7 +540,7 @@ let records_of_string src =
       go ({ seq; vts; event } :: acc)
     end
   in
-  go []
+  try go [] with Truncated -> failwith "Trace: truncated record"
 
 let records t = records_of_string (to_bytes t)
 
@@ -542,7 +548,7 @@ let records t = records_of_string (to_bytes t)
    fixtures captured before the format bump stay comparable: the
    seq/code/payload bytes of each frame are preserved verbatim. *)
 let strip_vts src =
-  let r = { src; pos = 0 } in
+  let r = cursor src in
   let b = Buffer.create (String.length src) in
   let rec go () =
     if r.pos >= String.length src then Buffer.contents b
@@ -560,7 +566,7 @@ let strip_vts src =
       go ()
     end
   in
-  go ()
+  try go () with Truncated -> failwith "Trace: truncated record"
 
 (* --- counters ----------------------------------------------------------- *)
 

@@ -206,7 +206,9 @@ val records : t -> record list
 
 val records_of_string : string -> record list
 (** Decode a {!to_bytes} image (e.g. one held by a
-    [Trace_driver.recording]). *)
+    [Trace_driver.recording]). Raises [Failure "Trace: truncated
+    record"] if the image ends inside a record, and [Failure] on any
+    other malformed frame. *)
 
 val strip_vts : string -> string
 (** Re-frame a {!to_bytes} image into the pre-vts v1 layout
@@ -220,6 +222,37 @@ val detection_latency_ns : record list -> int64 option
     (simulated ns) the injected state survived between the first
     injector access and the first non-empty monitor verdict after it
     in sequence order (None when either end is missing). *)
+
+(** {1 Wire codec}
+
+    The little-endian framing that {!to_bytes} frames and payloads are
+    written in, and that [Hypercall.encode_call] in [ii_xen] writes a
+    recorded call's payload in: one writer and one cursor, so a
+    recording and its replay read each byte the same way.
+
+    - [u8]: one byte, the low 8 bits of the int.
+    - [u32]: four bytes, the low 32 bits; read back sign-extended, so
+      a value outside [Int32] range does not survive a round trip.
+    - [i64]: eight bytes.
+    - [str]: a [u32] length, then that many bytes. *)
+
+val put_u8 : Buffer.t -> int -> unit
+val put_u32 : Buffer.t -> int -> unit
+val put_i64 : Buffer.t -> int64 -> unit
+val put_str : Buffer.t -> string -> unit
+
+type cursor
+(** A read position in an encoded string, starting at its first byte. *)
+
+exception Truncated
+(** Raised by a [get_*] whose value would run past the end of the
+    input, and by {!get_str} on a negative length. *)
+
+val cursor : string -> cursor
+val get_u8 : cursor -> int
+val get_u32 : cursor -> int
+val get_i64 : cursor -> int64
+val get_str : cursor -> string
 
 (** {1 Counters} *)
 

@@ -1,11 +1,3 @@
-type mmuext =
-  | Pin_l4_table of Addr.mfn
-  | Pin_l3_table of Addr.mfn
-  | Pin_l2_table of Addr.mfn
-  | Pin_l1_table of Addr.mfn
-  | Unpin_table of Addr.mfn
-  | New_baseptr of Addr.mfn
-
 type grant_op =
   | Gnttab_setup_table of { nr_frames : int }
   | Gnttab_set_version of Grant_table.gt_version
@@ -23,7 +15,6 @@ type evtchn_op =
 
 type call =
   | Mmu_update of (int64 * Pte.t) list
-  | Mmuext_op of mmuext
   | Update_va_mapping of { va : Addr.vaddr; value : Pte.t }
   | Memory_exchange of Memory_exchange.request
   | Decrease_reservation of Addr.pfn list
@@ -38,7 +29,6 @@ let number_of_call = function
   | Memory_exchange _ | Decrease_reservation _ -> 12
   | Console_io _ -> 18
   | Grant_table_op _ -> 20
-  | Mmuext_op _ -> 26
   | Event_channel_op _ -> 32
   | Raw { number; _ } -> number
 
@@ -46,26 +36,12 @@ let number_of_call = function
 
 (* A recorded hypercall carries its full argument structure, so a
    replay driver can re-issue the exact same call against a fresh
-   testbed. The encoding is the same little-endian framing the trace
-   ring uses: u8 tags, u32 scalars, i64 words, u32-length strings. *)
+   testbed. The encoding is written and read with the trace ring's own
+   wire codec; tag 1 is unassigned. *)
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
-let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let put_i64 b (v : int64) = Buffer.add_int64_le b v
-
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
-
-let encode_mmuext b = function
-  | Pin_l4_table mfn -> put_u8 b 0; put_u32 b mfn
-  | Pin_l3_table mfn -> put_u8 b 1; put_u32 b mfn
-  | Pin_l2_table mfn -> put_u8 b 2; put_u32 b mfn
-  | Pin_l1_table mfn -> put_u8 b 3; put_u32 b mfn
-  | Unpin_table mfn -> put_u8 b 4; put_u32 b mfn
-  | New_baseptr mfn -> put_u8 b 5; put_u32 b mfn
-
-let encode_grant_op b = function
+let encode_grant_op b op =
+  let open Trace in
+  match op with
   | Gnttab_setup_table { nr_frames } -> put_u8 b 0; put_u32 b nr_frames
   | Gnttab_set_version v -> put_u8 b 1; put_u8 b (match v with Grant_table.V1 -> 1 | V2 -> 2)
   | Gnttab_grant_access { gref; grantee; pfn; readonly } ->
@@ -75,7 +51,9 @@ let encode_grant_op b = function
   | Gnttab_map { granter; gref } -> put_u8 b 4; put_u32 b granter; put_u32 b gref
   | Gnttab_unmap { granter; handle } -> put_u8 b 5; put_u32 b granter; put_u32 b handle
 
-let encode_evtchn_op b = function
+let encode_evtchn_op b op =
+  let open Trace in
+  match op with
   | Evtchn_alloc_unbound { allowed_remote } -> put_u8 b 0; put_u32 b allowed_remote
   | Evtchn_bind_interdomain { remote_dom; remote_port } ->
       put_u8 b 1; put_u32 b remote_dom; put_u32 b remote_port
@@ -84,6 +62,7 @@ let encode_evtchn_op b = function
   | Evtchn_close { port } -> put_u8 b 4; put_u32 b port
 
 let encode_call call =
+  let open Trace in
   let b = Buffer.create 64 in
   (match call with
   | Mmu_update updates ->
@@ -94,7 +73,6 @@ let encode_call call =
           put_i64 b ptr;
           put_i64 b pte)
         updates
-  | Mmuext_op op -> put_u8 b 1; encode_mmuext b op
   | Update_va_mapping { va; value } -> put_u8 b 2; put_i64 b va; put_i64 b value
   | Memory_exchange { Memory_exchange.in_pfns; out_extent_start } ->
       put_u8 b 3;
@@ -115,79 +93,44 @@ let encode_call call =
       Array.iter (put_i64 b) args);
   Buffer.contents b
 
-type reader = { src : string; mutable pos : int }
-
-let fits r n = r.pos + n <= String.length r.src
-
-let get_u8 r =
-  let v = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let get_u32 r =
-  let v = Int32.to_int (String.get_int32_le r.src r.pos) in
-  r.pos <- r.pos + 4;
-  v
-
-let get_i64 r =
-  let v = String.get_int64_le r.src r.pos in
-  r.pos <- r.pos + 8;
-  v
-
-let decode_mmuext r =
-  if not (fits r 5) then None
-  else
-    let tag = get_u8 r in
-    let mfn = get_u32 r in
-    match tag with
-    | 0 -> Some (Pin_l4_table mfn)
-    | 1 -> Some (Pin_l3_table mfn)
-    | 2 -> Some (Pin_l2_table mfn)
-    | 3 -> Some (Pin_l1_table mfn)
-    | 4 -> Some (Unpin_table mfn)
-    | 5 -> Some (New_baseptr mfn)
-    | _ -> None
-
 let decode_grant_op r =
-  if not (fits r 1) then None
-  else
-    match get_u8 r with
-    | 0 when fits r 4 -> Some (Gnttab_setup_table { nr_frames = get_u32 r })
-    | 1 when fits r 1 -> (
-        match get_u8 r with
-        | 1 -> Some (Gnttab_set_version Grant_table.V1)
-        | 2 -> Some (Gnttab_set_version Grant_table.V2)
-        | _ -> None)
-    | 2 when fits r 13 ->
-        let gref = get_u32 r in
-        let grantee = get_u32 r in
-        let pfn = get_u32 r in
-        let readonly = get_u8 r = 1 in
-        Some (Gnttab_grant_access { gref; grantee; pfn; readonly })
-    | 3 when fits r 4 -> Some (Gnttab_end_access { gref = get_u32 r })
-    | 4 when fits r 8 ->
-        let granter = get_u32 r in
-        let gref = get_u32 r in
-        Some (Gnttab_map { granter; gref })
-    | 5 when fits r 8 ->
-        let granter = get_u32 r in
-        let handle = get_u32 r in
-        Some (Gnttab_unmap { granter; handle })
-    | _ -> None
+  let open Trace in
+  match get_u8 r with
+  | 0 -> Some (Gnttab_setup_table { nr_frames = get_u32 r })
+  | 1 -> (
+      match get_u8 r with
+      | 1 -> Some (Gnttab_set_version Grant_table.V1)
+      | 2 -> Some (Gnttab_set_version Grant_table.V2)
+      | _ -> None)
+  | 2 ->
+      let gref = get_u32 r in
+      let grantee = get_u32 r in
+      let pfn = get_u32 r in
+      let readonly = get_u8 r = 1 in
+      Some (Gnttab_grant_access { gref; grantee; pfn; readonly })
+  | 3 -> Some (Gnttab_end_access { gref = get_u32 r })
+  | 4 ->
+      let granter = get_u32 r in
+      let gref = get_u32 r in
+      Some (Gnttab_map { granter; gref })
+  | 5 ->
+      let granter = get_u32 r in
+      let handle = get_u32 r in
+      Some (Gnttab_unmap { granter; handle })
+  | _ -> None
 
 let decode_evtchn_op r =
-  if not (fits r 1) then None
-  else
-    match get_u8 r with
-    | 0 when fits r 4 -> Some (Evtchn_alloc_unbound { allowed_remote = get_u32 r })
-    | 1 when fits r 8 ->
-        let remote_dom = get_u32 r in
-        let remote_port = get_u32 r in
-        Some (Evtchn_bind_interdomain { remote_dom; remote_port })
-    | 2 when fits r 4 -> Some (Evtchn_bind_virq { virq = get_u32 r })
-    | 3 when fits r 4 -> Some (Evtchn_send { port = get_u32 r })
-    | 4 when fits r 4 -> Some (Evtchn_close { port = get_u32 r })
-    | _ -> None
+  let open Trace in
+  match get_u8 r with
+  | 0 -> Some (Evtchn_alloc_unbound { allowed_remote = get_u32 r })
+  | 1 ->
+      let remote_dom = get_u32 r in
+      let remote_port = get_u32 r in
+      Some (Evtchn_bind_interdomain { remote_dom; remote_port })
+  | 2 -> Some (Evtchn_bind_virq { virq = get_u32 r })
+  | 3 -> Some (Evtchn_send { port = get_u32 r })
+  | 4 -> Some (Evtchn_close { port = get_u32 r })
+  | _ -> None
 
 (* [List.init]/[Array.init] do not specify evaluation order, so lists
    read off the cursor are built with explicit left-to-right recursion. *)
@@ -196,13 +139,13 @@ let read_list n f r =
   go 0 []
 
 let decode_call src =
-  let r = { src; pos = 0 } in
-  if not (fits r 1) then None
-  else
+  let open Trace in
+  let r = cursor src in
+  try
     match get_u8 r with
-    | 0 when fits r 4 ->
+    | 0 ->
         let n = get_u32 r in
-        if n < 0 || not (fits r (16 * n)) then None
+        if n < 0 then None
         else
           Some
             (Mmu_update
@@ -212,38 +155,29 @@ let decode_call src =
                     let pte = get_i64 r in
                     (ptr, pte))
                   r))
-    | 1 -> Option.map (fun op -> Mmuext_op op) (decode_mmuext r)
-    | 2 when fits r 16 ->
+    | 2 ->
         let va = get_i64 r in
         let value = get_i64 r in
         Some (Update_va_mapping { va; value })
-    | 3 when fits r 4 ->
+    | 3 ->
         let n = get_u32 r in
-        if n < 0 || not (fits r ((4 * n) + 8)) then None
+        if n < 0 then None
         else
           let in_pfns = read_list n get_u32 r in
           let out_extent_start = get_i64 r in
           Some (Memory_exchange { Memory_exchange.in_pfns; out_extent_start })
-    | 4 when fits r 4 ->
+    | 4 ->
         let n = get_u32 r in
-        if n < 0 || not (fits r (4 * n)) then None
-        else Some (Decrease_reservation (read_list n get_u32 r))
+        if n < 0 then None else Some (Decrease_reservation (read_list n get_u32 r))
     | 5 -> Option.map (fun op -> Grant_table_op op) (decode_grant_op r)
     | 6 -> Option.map (fun op -> Event_channel_op op) (decode_evtchn_op r)
-    | 7 when fits r 4 ->
-        let n = get_u32 r in
-        if n < 0 || not (fits r n) then None
-        else begin
-          let s = String.sub r.src r.pos n in
-          r.pos <- r.pos + n;
-          Some (Console_io s)
-        end
-    | 8 when fits r 8 ->
+    | 7 -> Some (Console_io (get_str r))
+    | 8 ->
         let number = get_u32 r in
         let n = get_u32 r in
-        if n < 0 || not (fits r (8 * n)) then None
-        else Some (Raw { number; args = Array.of_list (read_list n get_i64 r) })
+        if n < 0 then None else Some (Raw { number; args = Array.of_list (read_list n get_i64 r) })
     | _ -> None
+  with Truncated -> None
 
 let grant_op_index = function
   | Gnttab_setup_table _ -> 0
@@ -263,14 +197,6 @@ let evtchn_op_index = function
 let ok0 = Ok 0L
 let of_unit = function Ok () -> ok0 | Error e -> Error e
 let of_int = function Ok n -> Ok (Int64.of_int n) | Error e -> Error e
-
-let do_mmuext hv dom = function
-  | Pin_l4_table mfn -> of_unit (Mm.pin_table hv dom ~level:4 mfn)
-  | Pin_l3_table mfn -> of_unit (Mm.pin_table hv dom ~level:3 mfn)
-  | Pin_l2_table mfn -> of_unit (Mm.pin_table hv dom ~level:2 mfn)
-  | Pin_l1_table mfn -> of_unit (Mm.pin_table hv dom ~level:1 mfn)
-  | Unpin_table mfn -> of_unit (Mm.unpin_table hv dom mfn)
-  | New_baseptr mfn -> of_unit (Mm.set_baseptr hv dom mfn)
 
 let do_grant_op hv dom = function
   | Gnttab_setup_table { nr_frames } ->
@@ -356,7 +282,6 @@ let dispatch_uncounted hv dom call =
   else
     match call with
     | Mmu_update updates -> of_int (Mm.mmu_update hv dom ~updates)
-    | Mmuext_op op -> do_mmuext hv dom op
     | Update_va_mapping { va; value } -> of_unit (Mm.update_va_mapping hv dom ~va value)
     | Memory_exchange req -> (
         match Memory_exchange.exchange hv dom req with

@@ -6,15 +6,13 @@
     hypercall numbers for reference and for the extension table, which
     is how the prototype injector registers its new hypercall
     ("small changes in the hypercalls table had to be done to add the
-    new hypercall", §V-B). *)
+    new hypercall", §V-B). Guests reach the hypervisor only through
+    {!dispatch}; register decoding and the fetch of argument
+    structures from guest memory are not modelled.
 
-type mmuext =
-  | Pin_l4_table of Addr.mfn
-  | Pin_l3_table of Addr.mfn
-  | Pin_l2_table of Addr.mfn
-  | Pin_l1_table of Addr.mfn
-  | Unpin_table of Addr.mfn
-  | New_baseptr of Addr.mfn
+    A top-level call is also a recorded input. Its encoding
+    ({!encode_call}, {!decode_call}) uses {!Trace}'s wire codec, the
+    same writer and cursor as the trace ring's own records. *)
 
 type grant_op =
   | Gnttab_setup_table of { nr_frames : int }
@@ -33,7 +31,6 @@ type evtchn_op =
 
 type call =
   | Mmu_update of (int64 * Pte.t) list
-  | Mmuext_op of mmuext
   | Update_va_mapping of { va : Addr.vaddr; value : Pte.t }
   | Memory_exchange of Memory_exchange.request
   | Decrease_reservation of Addr.pfn list
@@ -48,10 +45,14 @@ val number_of_call : call -> int
 
 val encode_call : call -> string
 (** The binary serialization recorded as a traced hypercall's payload
-    ({!Trace.event.Hypercall}); [decode_call] inverts it, which is what
-    lets a replay driver re-issue a recorded call. *)
+    ({!Trace.event.Hypercall}), written with {!Trace}'s wire codec
+    (a u8 tag per constructor, then its fields); [decode_call]
+    inverts it, which is what lets a replay driver re-issue a
+    recorded call. *)
 
 val decode_call : string -> call option
+(** [None] on input that is truncated, carries a negative count or an
+    unknown tag; never raises. *)
 
 val grant_op_index : grant_op -> int
 val evtchn_op_index : evtchn_op -> int

@@ -1,5 +1,6 @@
-(* The exact row fingerprint tools/goldgen used to cut the golden
-   fixtures, re-implemented here: any drift in row content or
+(* The row fingerprint the golden fixtures were cut with. tools/goldgen
+   compiles this same file (dune copy_files), so the generator and the
+   tests print rows with one function: any drift in row content or
    formatting shows up as a diff. *)
 
 open Ii_core

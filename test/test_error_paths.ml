@@ -221,7 +221,6 @@ let test_everything_refuses_after_crash () =
   Alcotest.check errno_t "exchange" Errno.EINVAL
     (Result.get_error
        (Memory_exchange.exchange hv guest { Memory_exchange.in_pfns = []; out_extent_start = 0L }));
-  check_int "abi" (-22) (Abi.dispatch hv guest ~number:1 ());
   check_bool "sched idles" true (Hv.sched_tick hv = Sched.Idle)
 
 let () =

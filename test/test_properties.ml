@@ -171,17 +171,125 @@ let prop_mm_sequences_consistent =
            (Domain.populated_pfns dom)
       && not (Hv.is_crashed hv))
 
-(* --- Abi: random registers never raise -------------------------------------- *)
+(* --- Hypercall payloads on the trace wire codec ------------------------------ *)
 
-let prop_abi_total =
-  QCheck.Test.make ~name:"raw hypercalls never raise on arbitrary registers" ~count:150
-    QCheck.(
-      quad (int_bound 45) (map Int64.of_int int) (map Int64.of_int int) (map Int64.of_int int))
-    (fun (number, rdi, rsi, rdx) ->
-      let hv = Hv.boot ~version:Version.V4_8 ~frames:256 in
-      let dom = Builder.create_domain hv ~name:"g" ~privileged:false ~pages:16 in
-      ignore (Abi.dispatch hv dom ~number ~rdi ~rsi ~rdx ());
+(* u32 fields are read back sign-extended, so a generated field stays
+   inside Int32 range; lists stay short so every prefix is cheap. *)
+let gen_u32 = QCheck.Gen.(map Int32.to_int int32)
+let gen_short_list g = QCheck.Gen.(list_size (0 -- 8) g)
+
+let gen_grant_op =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun nr_frames -> Hypercall.Gnttab_setup_table { nr_frames }) gen_u32;
+      map (fun v -> Hypercall.Gnttab_set_version v) (oneofl [ Grant_table.V1; Grant_table.V2 ]);
+      map
+        (fun (gref, grantee, pfn, readonly) ->
+          Hypercall.Gnttab_grant_access { gref; grantee; pfn; readonly })
+        (quad gen_u32 gen_u32 gen_u32 bool);
+      map (fun gref -> Hypercall.Gnttab_end_access { gref }) gen_u32;
+      map2 (fun granter gref -> Hypercall.Gnttab_map { granter; gref }) gen_u32 gen_u32;
+      map2 (fun granter handle -> Hypercall.Gnttab_unmap { granter; handle }) gen_u32 gen_u32;
+    ]
+
+let gen_evtchn_op =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun allowed_remote -> Hypercall.Evtchn_alloc_unbound { allowed_remote }) gen_u32;
+      map2
+        (fun remote_dom remote_port -> Hypercall.Evtchn_bind_interdomain { remote_dom; remote_port })
+        gen_u32 gen_u32;
+      map (fun virq -> Hypercall.Evtchn_bind_virq { virq }) gen_u32;
+      map (fun port -> Hypercall.Evtchn_send { port }) gen_u32;
+      map (fun port -> Hypercall.Evtchn_close { port }) gen_u32;
+    ]
+
+(* every constructor of [Hypercall.call] *)
+let gen_call =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun u -> Hypercall.Mmu_update u) (gen_short_list (pair int64 int64));
+      map2 (fun va value -> Hypercall.Update_va_mapping { va; value }) int64 int64;
+      map2
+        (fun in_pfns out_extent_start ->
+          Hypercall.Memory_exchange { Memory_exchange.in_pfns; out_extent_start })
+        (gen_short_list gen_u32) int64;
+      map (fun pfns -> Hypercall.Decrease_reservation pfns) (gen_short_list gen_u32);
+      map (fun op -> Hypercall.Grant_table_op op) gen_grant_op;
+      map (fun op -> Hypercall.Event_channel_op op) gen_evtchn_op;
+      map (fun s -> Hypercall.Console_io s) (string_size (0 -- 16));
+      map2
+        (fun number args -> Hypercall.Raw { number; args = Array.of_list args })
+        gen_u32 (gen_short_list int64);
+    ]
+
+let arb_call = QCheck.make ~print:(fun c -> String.escaped (Hypercall.encode_call c)) gen_call
+let proper_prefixes s = List.init (String.length s) (fun k -> String.sub s 0 k)
+
+let prop_call_roundtrip =
+  QCheck.Test.make ~name:"decode_call inverts encode_call" ~count:500 arb_call (fun c ->
+      Hypercall.decode_call (Hypercall.encode_call c) = Some c)
+
+(* Tag 1 is unassigned: no call's fields decode under it. *)
+let prop_call_prefixes =
+  QCheck.Test.make ~name:"decode_call refuses proper prefixes and tag 1" ~count:300 arb_call
+    (fun c ->
+      let s = Hypercall.encode_call c in
+      List.for_all (fun p -> Hypercall.decode_call p = None) (proper_prefixes s)
+      && Hypercall.decode_call ("\001" ^ String.sub s 1 (String.length s - 1)) = None)
+
+let prop_call_total =
+  QCheck.Test.make ~name:"decode_call never raises" ~count:500
+    QCheck.(pair (int_bound 9) (string_of_size Gen.(0 -- 48)))
+    (fun (tag, rest) ->
+      ignore (Hypercall.decode_call rest);
+      ignore (Hypercall.decode_call (String.make 1 (Char.chr tag) ^ rest));
       true)
+
+let gen_event =
+  let open QCheck.Gen in
+  let module T = Ii_trace.Trace in
+  oneof
+    [
+      map2
+        (fun domid c ->
+          let payload = Hypercall.encode_call c in
+          T.Hypercall
+            { domid; number = Hypercall.number_of_call c; digest = T.digest payload; payload })
+        (int_bound 7) gen_call;
+      map3
+        (fun domid va data ->
+          T.Guest_mem { domid; op = T.Op_write_bytes; va; len = String.length data; data })
+        (int_bound 7) int64 (string_size (0 -- 16));
+      map (fun domid -> T.Kernel_tick { domid }) (int_bound 7);
+      return T.Sched_round;
+      map3
+        (fun number rc failed -> T.Hypercall_ret { domid = 1; number; rc; failed })
+        (int_bound 64) int64 bool;
+      map (fun reason -> T.Panic { reason }) (string_size (0 -- 16));
+      map
+        (fun labels -> T.Provenance_edge { consumer = 1; mfn = 9; off = 8; len = 8; labels })
+        (gen_short_list (int_bound 255));
+    ]
+
+let prop_trace_prefixes =
+  QCheck.Test.make ~name:"trace images decode; their proper prefixes fail only with Failure"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (1 -- 6) gen_event))
+    (fun events ->
+      let module T = Ii_trace.Trace in
+      let tr = T.create () in
+      T.enable ~capacity_bytes:65536 tr;
+      List.iter (T.emit tr) events;
+      let img = T.to_bytes tr in
+      List.map (fun r -> r.T.event) (T.records_of_string img) = events
+      && List.for_all
+           (fun s ->
+             match T.records_of_string s with _ -> true | exception Failure _ -> true)
+           (proper_prefixes img))
 
 (* --- Snapshot ----------------------------------------------------------------- *)
 
@@ -259,7 +367,8 @@ let () =
       ("backdoor", qsuite [ prop_backdoor_roundtrip; prop_backdoor_rejects_noise ]);
       ("shell", qsuite [ prop_shell_total ]);
       ("mm", qsuite [ prop_mm_sequences_consistent ]);
-      ("abi", qsuite [ prop_abi_total ]);
+      ( "wire",
+        qsuite [ prop_call_roundtrip; prop_call_prefixes; prop_call_total; prop_trace_prefixes ] );
       ("snapshot", qsuite [ prop_snapshot_idempotent ]);
       ("nested", qsuite [ prop_nested_composition; prop_nested_isolation ]);
       ("campaign", qsuite [ prop_campaign_partition ]);

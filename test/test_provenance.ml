@@ -54,6 +54,20 @@ let test_overwrite_and_reset_clear () =
   check_int "reset clears taint" 0 (Provenance.tainted_bytes p);
   check_int "reset clears edges" 0 (Provenance.edge_count p)
 
+(* Taint is tracked from a captured baseline on, never across one: a
+   capture with a shadow attached is refused, and attaching after the
+   capture is the supported order. *)
+let test_capture_refuses_attached_shadow () =
+  let m = Phys_mem.create ~frames:4 in
+  Phys_mem.enable_provenance m ~tr:(Trace.create ());
+  Alcotest.check_raises "capture with a shadow attached"
+    (Invalid_argument "Phys_mem.capture_baseline: a provenance shadow is attached")
+    (fun () -> Phys_mem.capture_baseline m);
+  Phys_mem.set_provenance m None;
+  Phys_mem.capture_baseline m;
+  Phys_mem.enable_provenance m ~tr:(Trace.create ());
+  check_int "reset with the shadow attached" 0 (Phys_mem.reset_to_baseline m)
+
 let test_innermost_origin_wins () =
   let p = Provenance.create () in
   Provenance.with_origin p (Provenance.Hypercall_arg 13) (fun () ->
@@ -205,6 +219,8 @@ let () =
           Alcotest.test_case "taint/observe/silent" `Quick test_taint_observe_silent;
           Alcotest.test_case "overwrite and reset clear" `Quick test_overwrite_and_reset_clear;
           Alcotest.test_case "innermost origin wins" `Quick test_innermost_origin_wins;
+          Alcotest.test_case "capture refuses an attached shadow" `Quick
+            test_capture_refuses_attached_shadow;
         ] );
       ( "attribution",
         [

@@ -539,7 +539,10 @@ let test_mmu_update_remap () =
   check_bool "unmapped" true (Result.is_error (guest_read hv guest (kva 9)));
   let e = Pte.make ~mfn:mfn9 ~flags:[ Pte.Present; Pte.Rw; Pte.User ] in
   check_bool "remap" true (Mm.mmu_update hv guest ~updates:[ (entry_ptr l1 9, e) ] = Ok 1);
-  check_bool "mapped again" true (Result.is_ok (guest_read hv guest (kva 9)))
+  check_bool "mapped again" true (Result.is_ok (guest_read hv guest (kva 9)));
+  check_bool "unmap via dispatch" true
+    (Hypercall.dispatch hv guest (Hypercall.Mmu_update [ (entry_ptr l1 9, Pte.none) ]) = Ok 1L);
+  check_bool "unmapped via dispatch" true (Result.is_error (guest_read hv guest (kva 9)))
 
 let test_mmu_update_rejects_xen_frames () =
   let hv, _, guest = built () in
@@ -732,17 +735,27 @@ let test_exchange_mapped_page_busy () =
           { Memory_exchange.in_pfns = [ 9 ]; out_extent_start = kva 5 }))
 
 let test_exchange_xsa212 () =
-  let attempt version =
+  let setup version =
     let hv = Hv.boot ~version ~frames:1024 in
     let guest = Builder.create_domain hv ~name:"g" ~privileged:false ~pages:64 in
     unmap hv guest 9;
     let target = Layout.directmap_of_maddr (Addr.maddr_of_mfn hv.Hv.idt_mfn) in
-    Memory_exchange.exchange hv guest
-      { Memory_exchange.in_pfns = [ 9 ]; out_extent_start = target }
+    (hv, guest, { Memory_exchange.in_pfns = [ 9 ]; out_extent_start = target })
+  in
+  let attempt version =
+    let hv, guest, req = setup version in
+    Memory_exchange.exchange hv guest req
   in
   check_bool "4.6 vulnerable" true (Result.is_ok (attempt Version.V4_6));
   Alcotest.check errno_t "4.8 fixed" Errno.EFAULT (Result.get_error (attempt Version.V4_8));
-  Alcotest.check errno_t "4.13 fixed" Errno.EFAULT (Result.get_error (attempt Version.V4_13))
+  Alcotest.check errno_t "4.13 fixed" Errno.EFAULT (Result.get_error (attempt Version.V4_13));
+  (* the same request as a hypercall: memory_op returns the count *)
+  let dispatched version =
+    let hv, guest, req = setup version in
+    Hypercall.return_code (Hypercall.dispatch hv guest (Hypercall.Memory_exchange req))
+  in
+  check_int "4.6 dispatch accepted" 1 (dispatched Version.V4_6);
+  check_int "4.8 dispatch refused" (-14) (dispatched Version.V4_8)
 
 let test_exchange_conserves_pages () =
   let hv, _, guest = built () in
@@ -756,97 +769,6 @@ let test_exchange_conserves_pages () =
   | Ok { Memory_exchange.nr_exchanged; _ } -> check_int "two" 2 nr_exchanged
   | Error _ -> Alcotest.fail "exchange");
   check_int "conserved" before (List.length (Domain.populated_pfns guest))
-
-(* --- Abi (register-level hypercalls) ---------------------------------------- *)
-
-let scratch_va = kva 5
-
-let stage hv dom data =
-  match Cpu.write_bytes hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:dom.Domain.l4_mfn scratch_va data with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "staging buffer"
-
-let test_abi_mmu_update () =
-  let hv, _, guest = built () in
-  let l1 = l1_of hv guest in
-  stage hv guest (Abi.encode_mmu_updates [ (entry_ptr l1 9, Pte.none) ]);
-  check_int "rax" 1 (Abi.dispatch hv guest ~number:Abi.mmu_update_nr ~rdi:scratch_va ~rsi:1L ());
-  check_bool "unmapped" true (Result.is_error (guest_read hv guest (kva 9)));
-  (* bad request pointer *)
-  check_int "efault" (-14)
-    (Abi.dispatch hv guest ~number:Abi.mmu_update_nr ~rdi:Layout.directmap_base ~rsi:1L ());
-  (* unbounded count *)
-  check_int "einval" (-22)
-    (Abi.dispatch hv guest ~number:Abi.mmu_update_nr ~rdi:scratch_va ~rsi:99999L ())
-
-let test_abi_update_va_mapping () =
-  let hv, _, guest = built () in
-  check_int "rax" 0
-    (Abi.dispatch hv guest ~number:Abi.update_va_mapping_nr ~rdi:(kva 9) ~rsi:Pte.none ());
-  check_bool "unmapped" true (Result.is_error (guest_read hv guest (kva 9)))
-
-let test_abi_memory_op_decrease () =
-  let hv, _, guest = built () in
-  ignore (Mm.update_va_mapping hv guest ~va:(kva 9) Pte.none);
-  (* pfn array at scratch+64, struct at scratch *)
-  let array_va = Int64.add scratch_va 64L in
-  stage hv guest (Abi.encode_decrease ~extent_start:array_va ~nr_extents:1);
-  (match Cpu.write_bytes hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:guest.Domain.l4_mfn array_va
-           (Abi.encode_u64_array [ 9L ]) with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "array staging");
-  check_int "released" 1
-    (Abi.dispatch hv guest ~number:Abi.memory_op_nr ~rdi:Abi.subop_decrease_reservation
-       ~rsi:scratch_va ());
-  check_bool "gone" true (Domain.mfn_of_pfn guest 9 = None)
-
-let test_abi_memory_op_exchange_xsa212 () =
-  let attempt version =
-    let hv = Hv.boot ~version ~frames:1024 in
-    let guest = Builder.create_domain hv ~name:"g" ~privileged:false ~pages:64 in
-    ignore (Mm.update_va_mapping hv guest ~va:(kva 9) Pte.none);
-    let target = Layout.directmap_of_maddr (Addr.maddr_of_mfn hv.Hv.idt_mfn) in
-    let array_va = Int64.add scratch_va 64L in
-    stage hv guest (Abi.encode_exchange ~in_extent_start:array_va ~nr_in:1 ~out_extent_start:target);
-    (match Cpu.write_bytes hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:guest.Domain.l4_mfn array_va
-             (Abi.encode_u64_array [ 9L ]) with
-    | Ok () -> ()
-    | Error _ -> Alcotest.fail "array staging");
-    Abi.dispatch hv guest ~number:Abi.memory_op_nr ~rdi:Abi.subop_exchange ~rsi:scratch_va ()
-  in
-  check_int "4.6 raw breakout accepted" 1 (attempt Version.V4_6);
-  check_int "4.8 raw breakout refused" (-14) (attempt Version.V4_8)
-
-let test_abi_console_io () =
-  let hv, _, guest = built () in
-  stage hv guest (Bytes.of_string "abi hello");
-  check_int "rax" 0
-    (Abi.dispatch hv guest ~number:Abi.console_io_nr ~rdi:0L ~rsi:9L ~rdx:scratch_va ());
-  check_bool "console" true
-    (List.exists
-       (fun l -> l = Printf.sprintf "(XEN) (d%d) abi hello" guest.Domain.id)
-       (Hv.console_lines hv))
-
-let test_abi_mmuext_pin_unpin () =
-  let hv, _, guest = built () in
-  let l1 = l1_of hv guest in
-  stage hv guest (Abi.encode_mmuext [ (Abi.mmuext_pin_l1, Int64.of_int l1) ]);
-  check_int "pin rax" 1 (Abi.dispatch hv guest ~number:Abi.mmuext_op_nr ~rdi:scratch_va ~rsi:1L ());
-  check_bool "pinned" true (Page_info.get hv.Hv.pages l1).Page_info.pinned;
-  stage hv guest (Abi.encode_mmuext [ (Abi.mmuext_unpin, Int64.of_int l1) ]);
-  check_int "unpin rax" 1 (Abi.dispatch hv guest ~number:Abi.mmuext_op_nr ~rdi:scratch_va ~rsi:1L ());
-  stage hv guest (Abi.encode_mmuext [ (99L, Int64.of_int l1) ]);
-  check_int "bad cmd" (-38)
-    (Abi.dispatch hv guest ~number:Abi.mmuext_op_nr ~rdi:scratch_va ~rsi:1L ())
-
-let test_abi_extension_fallthrough () =
-  let hv, _, guest = built () in
-  Hv.register_hypercall hv ~number:40 ~name:"probe" (fun _ _ args ->
-      if Array.length args = 4 && args.(3) = 7L then Ok (Int64.add args.(0) args.(1))
-      else Error Errno.EINVAL);
-  check_int "registers forwarded" 5
-    (Abi.dispatch hv guest ~number:40 ~rdi:2L ~rsi:3L ~rdx:0L ~r10:7L ());
-  check_int "unknown" (-38) (Abi.dispatch hv guest ~number:77 ())
 
 (* --- Hypercall dispatch ---------------------------------------------------- *)
 
@@ -905,6 +827,12 @@ let test_dispatch_refuses_when_crashed () =
 
 let test_dispatch_unknown_raw () =
   let hv, _, guest = built () in
+  Hv.register_hypercall hv ~number:40 ~name:"probe" (fun _ _ args ->
+      if Array.length args = 4 && args.(3) = 7L then Ok (Int64.add args.(0) args.(1))
+      else Error Errno.EINVAL);
+  check_bool "args forwarded" true
+    (Hypercall.dispatch hv guest (Hypercall.Raw { number = 40; args = [| 2L; 3L; 0L; 7L |] })
+    = Ok 5L);
   Alcotest.check errno_t "enosys" Errno.ENOSYS
     (Result.get_error (Hypercall.dispatch hv guest (Hypercall.Raw { number = 99; args = [||] })))
 
@@ -1182,17 +1110,6 @@ let () =
           Alcotest.test_case "conserves pages" `Quick test_exchange_conserves_pages;
         ]
         @ qsuite [ prop_exchange_total; prop_p2m_m2p_inverse ] );
-      ( "abi",
-        [
-          Alcotest.test_case "mmu_update" `Quick test_abi_mmu_update;
-          Alcotest.test_case "update_va_mapping" `Quick test_abi_update_va_mapping;
-          Alcotest.test_case "memory_op decrease" `Quick test_abi_memory_op_decrease;
-          Alcotest.test_case "memory_op exchange (XSA-212 raw)" `Quick
-            test_abi_memory_op_exchange_xsa212;
-          Alcotest.test_case "console_io" `Quick test_abi_console_io;
-          Alcotest.test_case "mmuext pin/unpin" `Quick test_abi_mmuext_pin_unpin;
-          Alcotest.test_case "extension fallthrough" `Quick test_abi_extension_fallthrough;
-        ] );
       ( "hypercall",
         [
           Alcotest.test_case "numbers" `Quick test_dispatch_numbers;

@@ -14,32 +14,11 @@
    were captured once; do not regenerate them from code whose
    behaviour they are meant to pin. *)
 
-module Fingerprint (B : Substrate.S) = struct
-  module C = Campaign.Make (B)
-
-  let telemetry (t : Trace.telemetry) =
-    Printf.sprintf "%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-      (String.concat "," (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-      t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults t.Trace.tm_flushes
-      t.Trace.tm_invlpgs t.Trace.tm_page_type_changes t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops
-      t.Trace.tm_injector_accesses t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames
-
-  let row (r : C.result_row) =
-    String.concat "\n"
-      ([ Printf.sprintf "use_case=%s" r.C.r_use_case;
-         Printf.sprintf "version=%s" (B.config_to_string r.C.r_version);
-         Printf.sprintf "mode=%s" (Campaign.mode_to_string r.C.r_mode);
-         Printf.sprintf "state=%b" r.C.r_state;
-         Printf.sprintf "rc=%s"
-           (match r.C.r_rc with Some rc -> string_of_int rc | None -> "-") ]
-      @ List.concat_map
-          (fun a -> List.map (fun e -> "evidence=" ^ e) a.Erroneous_state.evidence)
-          r.C.r_audits
-      @ List.map
-          (fun v -> "violation=" ^ Monitor.violation_to_string v)
-          r.C.r_violations
-      @ List.map (fun l -> "transcript=" ^ l) r.C.r_transcript
-      @ [ "telemetry=" ^ telemetry r.C.r_telemetry ])
+(* The row fingerprint itself is test/fingerprint.ml's, copied into
+   this directory by dune, so the generator and the tests that compare
+   against its fixtures print rows with one function. *)
+module Cells (B : Substrate.S) = struct
+  include Fingerprint.Make (B)
 
   (* every (use case, config, mode) cell, in matrix order *)
   let cells ucs =
@@ -78,10 +57,10 @@ module Fingerprint (B : Substrate.S) = struct
       ucs
 end
 
-module Xen_fp = Fingerprint (Substrate_xen)
+module Xen_fp = Cells (Substrate_xen)
 module XV = Ii_scenario.Scn_vm.Make (Ii_exploits.Scenario_xen)
 module KV = Ii_scenario.Scn_vm.Make (Ii_backends.Scenario_kvm)
-module Kvm_fp = Fingerprint (Ii_backends.Backend_kvm)
+module Kvm_fp = Cells (Ii_backends.Backend_kvm)
 
 let fingerprint = Xen_fp.row
 
