@@ -23,11 +23,13 @@ type snapshot = {
 
 (* --- cross-trial scan cache ------------------------------------------
    The page-table walks and the M2P inverse check are memoized in a
-   {!Scan_memo} anchored at the baseline epoch. Each entry records the
-   frames the scan read and the frames whose Page_info it consulted; it
-   holds while none of the first is dirty and none of the second is
-   touched since the checkpoint. Page-table scans are keyed by domain id
-   and checked against the L4; the M2P count is keyed by [m2p_key]. *)
+   {!Scan_memo} anchored at the baseline epoch. Every page table is a
+   node of its own, keyed by its frame and by the level, VA prefix and
+   write permission it is reached with: its value is the exposure below
+   it, its dependencies are its own bytes and the frames whose
+   Page_info its leaves consulted, and its children are the tables its
+   entries point to. A snapshot re-probes only the tables whose node no
+   longer holds. The M2P count is one childless node under [m2p_key]. *)
 
 type scan_cache = int Scan_memo.t
 
@@ -36,25 +38,25 @@ let m2p_key = -1
 
 (* The M2P must stay the inverse of every domain's P2M — a hypervisor
    invariant any auditing monitor can check from outside the guests. *)
-let m2p_mismatch_fresh hv =
-  let count dom =
-    let n = ref 0 in
-    Array.iteri
-      (fun pfn -> function
+let rec m2p_mismatches hv n = function
+  | [] -> n
+  | dom :: rest ->
+      let p2m = dom.Domain.p2m in
+      let n = ref n in
+      for pfn = 0 to Array.length p2m - 1 do
+        match Array.unsafe_get p2m pfn with
         | None -> ()
-        | Some mfn -> (
-            match Hv.m2p_lookup hv mfn with
-            | Some p when p = pfn -> ()
-            | Some _ | None ->
-                (* the verdict depends on the inconsistent M2P entry *)
-                let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
-                Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off
-                  ~len:8;
-                incr n))
-      dom.Domain.p2m;
-    !n
-  in
-  List.fold_left (fun acc dom -> acc + count dom) 0 hv.Hv.domains
+        | Some mfn ->
+            if Hv.m2p_lookup hv mfn <> pfn then begin
+              (* the verdict depends on the inconsistent M2P entry *)
+              Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check
+                ~mfn:(Hv.m2p_frame_for hv mfn) ~off:(Hv.m2p_offset mfn) ~len:8;
+              incr n
+            end
+      done;
+      m2p_mismatches hv !n rest
+
+let m2p_mismatch_fresh hv = m2p_mismatches hv 0 hv.Hv.domains
 
 (* The count reads the M2P frames and every domain's P2M. The hypervisor
    changes a P2M entry (building, destroying, ballooning or exchanging
@@ -63,7 +65,9 @@ let m2p_mismatch_fresh hv =
    the whole dependency set. *)
 let m2p_mismatch_cached cache hv =
   Scan_memo.get cache hv.Hv.mem ~key:m2p_key ~root:0 (fun deps ->
-      Array.iter (Scan_memo.note_read deps) hv.Hv.m2p_mfns;
+      for i = 0 to Array.length hv.Hv.m2p_mfns - 1 do
+        Scan_memo.note_read deps hv.Hv.m2p_mfns.(i)
+      done;
       m2p_mismatch_fresh hv)
 
 (* PTE frame number field: bits 12..51, as [Pte.mfn] decodes it. *)
@@ -72,67 +76,135 @@ let mfn_bits = (1 lsl 40) - 1
 let guest_writable ~hardened va =
   Layout.region_access ~hardened (Layout.region_of_bits va) = Layout.Read_write
 
-(* Whether [mfn] is typed as a page table; [deps], when given, notes that
-   the verdict consulted its type. *)
-let typed_pt hv deps mfn =
-  Phys_mem.is_valid_mfn hv.Hv.mem mfn
+(* One page-table walk: the uncached oracle when [memo] is absent. *)
+type walk = {
+  hv : Hv.t;
+  mem : Phys_mem.t;
+  hardened : bool;
+  memo : scan_cache option;
+  touched : (Addr.mfn -> bool) option;  (* absent while no Page_info is touched *)
+}
+
+(* A table's key besides its frame: VA prefix (bits 12..47), level and
+   write permission, packed into one int. *)
+let tag ~level va rw = ((va lsr Addr.page_shift) lsl 3) lor ((level - 1) lsl 1) lor Bool.to_int rw
+let tag_level tag = ((tag lsr 1) land 3) + 1
+let tag_va tag = (tag lsr 3) lsl Addr.page_shift
+let tag_rw tag = tag land 1 = 1
+
+(* Whether [mfn] is typed as a page table; [note] records that the
+   verdict consulted its type. *)
+let typed_pt w ~note mfn =
+  Phys_mem.is_valid_mfn w.mem mfn
   && begin
-       (match deps with None -> () | Some d -> Scan_memo.note_type d mfn);
-       let info = Page_info.get hv.Hv.pages mfn in
+       (match w.memo with
+       | Some m when note -> Scan_memo.note_type (Scan_memo.deps m) mfn
+       | Some _ | None -> ());
+       let info = Page_info.get w.hv.Hv.pages mfn in
        info.Page_info.type_count > 0
        && match Page_info.table_level info.Page_info.ptype with Some _ -> true | None -> false
      end
 
 (* a flagged mapping is evidence read out of this entry *)
-let flag hv table_mfn index =
-  Phys_mem.observe hv.Hv.mem ~consumer:Provenance.Monitor_scan ~mfn:table_mfn ~off:(8 * index)
-    ~len:8
+let flag w table_mfn index =
+  Phys_mem.observe w.mem ~consumer:Provenance.Monitor_scan ~mfn:table_mfn ~off:(8 * index) ~len:8
 
 (* Walk a domain's live page tables exactly like the MMU would, counting
    leaf (and PSE superpage) mappings that grant guest-privilege write
    access to frames currently typed as page tables. The address-space
    layout filter is what lets hardened versions "handle" states that
-   older layouts expose. One table per call, entries decoded in place
-   (the present bit probed with a byte load, the VA an int), so a scan
-   allocates nothing; the layout is asked before any Page_info. *)
-let rec exposure hv ~hardened deps level table_mfn va_prefix rw =
-  if not (Phys_mem.is_valid_mfn hv.Hv.mem table_mfn) then 0
-  else begin
-    (match deps with None -> () | Some d -> Scan_memo.note_read d table_mfn);
-    let frame = (Phys_mem.frame_ro hv.Hv.mem table_mfn :> bytes) in
-    let shift = Addr.page_shift + (9 * (level - 1)) in
-    let count = ref 0 in
-    for index = 0 to Addr.entries_per_table - 1 do
-      if Char.code (Bytes.unsafe_get frame (8 * index)) land 1 <> 0 then begin
-        let bits = Int64.to_int (Bytes.get_int64_le frame (8 * index)) in
-        let va = va_prefix lor (index lsl shift) in
-        let rw = rw && bits land 0x2 <> 0 in
-        let mfn = (bits lsr Addr.page_shift) land mfn_bits in
-        if level = 1 then begin
-          if rw && guest_writable ~hardened va && typed_pt hv deps mfn then begin
-            flag hv table_mfn index;
-            incr count
-          end
+   older layouts expose. [probe] reads one table, entries decoded in
+   place (the present bit probed with a byte load, the VA an int), and
+   asks the layout before any Page_info; [note] says its dependencies
+   are noted because it may be stored. *)
+let rec probe w ~clean ~note level table_mfn va_prefix rw =
+  let frame = (Phys_mem.frame_ro w.mem table_mfn :> bytes) in
+  let shift = Addr.page_shift + (9 * (level - 1)) in
+  let count = ref 0 in
+  for index = 0 to Addr.entries_per_table - 1 do
+    if Char.code (Bytes.unsafe_get frame (8 * index)) land 1 <> 0 then begin
+      let bits = Int64.to_int (Bytes.get_int64_le frame (8 * index)) in
+      let va = va_prefix lor (index lsl shift) in
+      let rw = rw && bits land 0x2 <> 0 in
+      let mfn = (bits lsr Addr.page_shift) land mfn_bits in
+      if level = 1 then begin
+        if rw && guest_writable ~hardened:w.hardened va && typed_pt w ~note mfn then begin
+          flag w table_mfn index;
+          incr count
         end
-        else if level = 2 && bits land 0x80 <> 0 then begin
-          if rw && guest_writable ~hardened va then begin
-            let base = mfn land lnot 0x1ff in
-            for m = base to base + 511 do
-              if typed_pt hv deps m then begin
-                flag hv table_mfn index;
-                incr count
-              end
-            done
-          end
-        end
-        else count := !count + exposure hv ~hardened deps (level - 1) mfn va rw
       end
+      else if level = 2 && bits land 0x80 <> 0 then begin
+        if rw && guest_writable ~hardened:w.hardened va then begin
+          let base = mfn land lnot 0x1ff in
+          for m = base to base + 511 do
+            if typed_pt w ~note m then begin
+              flag w table_mfn index;
+              incr count
+            end
+          done
+        end
+      end
+      else count := !count + table w ~clean (level - 1) mfn va rw
+    end
+  done;
+  !count
+
+(* The exposure below table [mfn]: from its node, else a probe. [clean]
+   says every table above it is clean: only then may the probe be
+   stored, so the memo holds the baseline's tables and nothing a forged
+   entry points at. *)
+and table w ~clean level mfn va rw =
+  if not (Phys_mem.is_valid_mfn w.mem mfn) then 0
+  else
+    match w.memo with
+    | None -> probe w ~clean ~note:false level mfn va rw
+    | Some memo -> (
+        let tag = tag ~level va rw in
+        match Scan_memo.find memo ~root:mfn ~tag with
+        | n when Scan_memo.tree_holds w.mem ?touched:w.touched n ->
+            Scan_memo.keep memo n;
+            Scan_memo.value n
+        | n -> stale w memo ~clean ~kept:true n
+        | exception Not_found -> fresh w memo ~clean ~store:true level mfn va rw tag)
+
+(* A probe that notes dependencies only when it may be stored, so a
+   dirty table's count is returned without building a node. *)
+and fresh w memo ~clean ~store level mfn va rw tag =
+  let clean = clean && not (Phys_mem.is_dirty w.mem mfn) in
+  let store = store && clean in
+  Scan_memo.enter memo;
+  if store then Scan_memo.note_read (Scan_memo.deps memo) mfn;
+  let count = probe w ~clean ~note:store level mfn va rw in
+  Scan_memo.leave memo w.mem ?touched:w.touched ~store ~root:mfn ~tag count;
+  count
+
+(* The exposure below a stored node whose tree no longer holds. While
+   the node itself holds, it is its value corrected for each child's
+   change, and the node is [kept] for the running probe; otherwise its
+   own bytes or types moved, and a probe counts it (never stored). *)
+and stale w memo ~clean ~kept n =
+  if Scan_memo.holds w.mem ?touched:w.touched n then begin
+    if kept then Scan_memo.keep memo n;
+    let kids = Scan_memo.children n in
+    let count = ref (Scan_memo.value n) in
+    for i = 0 to Array.length kids - 1 do
+      let k = Array.unsafe_get kids i in
+      if not (Scan_memo.tree_holds w.mem ?touched:w.touched k) then
+        count := !count + stale w memo ~clean ~kept:false k - Scan_memo.value k
     done;
     !count
   end
+  else
+    let tag = Scan_memo.tag n in
+    fresh w memo ~clean ~store:false (tag_level tag) (Scan_memo.root n) (tag_va tag) (tag_rw tag)
+      tag
 
-let writable_pt_exposure ?deps hv dom =
-  exposure hv ~hardened:(Hv.hardened hv) deps 4 dom.Domain.l4_mfn 0 true
+let domain_exposure w dom = table w ~clean:true 4 dom.Domain.l4_mfn 0 true
+
+let writable_pt_exposure hv dom =
+  domain_exposure
+    { hv; mem = hv.Hv.mem; hardened = Hv.hardened hv; memo = None; touched = None }
+    dom
 
 let root_secrets kernel =
   let fs = Kernel.fs kernel in
@@ -199,17 +271,9 @@ let snapshot ?cache (tb : Testbed.t) =
   let touched =
     if Page_info.any_touched hv.Hv.pages then Some (Page_info.touched hv.Hv.pages) else None
   in
+  let w = { hv; mem = hv.Hv.mem; hardened = Hv.hardened hv; memo = cached; touched } in
   let pt_exposure =
-    List.map
-      (fun k ->
-        let dom = Kernel.dom k in
-        ( Kernel.hostname k,
-          match cached with
-          | Some c ->
-              Scan_memo.get c hv.Hv.mem ?touched ~key:dom.Domain.id ~root:dom.Domain.l4_mfn
-                (fun deps -> writable_pt_exposure ~deps hv dom)
-          | None -> writable_pt_exposure hv dom ))
-      kernels
+    List.map (fun k -> (Kernel.hostname k, domain_exposure w (Kernel.dom k))) kernels
   in
   {
     crashed = Hv.is_crashed hv;

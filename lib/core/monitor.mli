@@ -42,13 +42,14 @@ type snapshot = {
 type scan_cache = int Scan_memo.t
 (** Cross-snapshot cache for the expensive audits (page-table walks and
     the M2P inverse check). Campaign loops snapshot the same
-    reset-to-baseline testbed thousands of times; the cache reuses a
-    baseline scan while it holds under {!Scan_memo}'s one rule: none of
-    the frames the scan read is dirty, and none of the frames whose
-    [Page_info] it consulted is touched, since the checkpoint. A trial
-    that retypes or rewrites one domain's tables thus rescans that
-    domain alone. The M2P count depends on the M2P frames only: the
-    hypervisor never changes a P2M without the matching M2P entry.
+    reset-to-baseline testbed thousands of times; the cache keeps one
+    {!Scan_memo} node per page table and reuses it while it holds under
+    the memo's one rule: the table's own frame is not dirty, and none of
+    the frames whose [Page_info] its leaves consulted is touched, since
+    the checkpoint. A trial that rewrites or retypes under one table
+    thus re-probes that table alone. The M2P count depends on the M2P
+    frames only: the hypervisor never changes a P2M without the
+    matching M2P entry.
 
     Every testbed owns one ([Testbed.t.scan_cache], fresh on create and
     on every fork), and [Substrate_xen.snapshot] passes it, so each
@@ -65,13 +66,11 @@ val snapshot : ?cache:scan_cache -> Testbed.t -> snapshot
     only the cost, never the result. Without [cache] every audit is a
     fresh scan — the oracle the cache is tested against. *)
 
-val writable_pt_exposure : ?deps:Scan_memo.deps -> Hv.t -> Domain.t -> int
+val writable_pt_exposure : Hv.t -> Domain.t -> int
 (** The integrity audit behind [pt_exposure]: how many leaf (or
     superpage) mappings give this domain, at guest privilege, write
     access to frames currently typed as page tables. Always 0 on a
-    healthy direct-paging system. [deps] receives every table frame the
-    walk reads and every frame whose [Page_info] it consults — the
-    dependencies a scan cache records. *)
+    healthy direct-paging system. This is the uncached walk. *)
 
 val violations : before:snapshot -> after:snapshot -> violation list
 (** Violations that appeared between the two snapshots, most severe

@@ -33,7 +33,11 @@ and t = {
      zero-fill and lets baseline capture/reset skip 4 KiB copies for
      frames that merely changed owner — the memory-exhaustion trials
      allocate thousands of frames they never write. *)
-  mutable dirty_frames : int list;
+  dirty_stack : int array;
+  (* the frames whose [dirty] byte is set, first touch first, in
+     [dirty_stack.(0 .. ndirty - 1)]: each frame enters at most once, so
+     one slot per frame always suffices and marking allocates nothing *)
+  mutable ndirty : int;
   mutable gen : int;  (* bumped when cached translations may go stale (free/reset) *)
   mutable baseline : baseline option;
   mutable baseline_epoch : int;  (* identifies which baseline is current *)
@@ -69,7 +73,8 @@ let create ~frames =
     next_hint = 0;
     dirty = Bytes.make frames '\000';
     scrubbed = Bytes.make frames '\001';
-    dirty_frames = [];
+    dirty_stack = Array.make frames 0;
+    ndirty = 0;
     gen = 0;
     baseline = None;
     baseline_epoch = 0;
@@ -113,7 +118,8 @@ let mark_dirty t mfn =
   if t.frozen then invalid_arg "Phys_mem: frozen fork template is immutable";
   if Bytes.unsafe_get t.dirty mfn = '\000' then begin
     Bytes.unsafe_set t.dirty mfn '\001';
-    t.dirty_frames <- mfn :: t.dirty_frames;
+    Array.unsafe_set t.dirty_stack t.ndirty mfn;
+    t.ndirty <- t.ndirty + 1;
     match t.baseline with
     | Some (Captured b) ->
         let img =
@@ -143,20 +149,26 @@ let mark_written t mfn =
   unshare t mfn;
   Bytes.unsafe_set t.scrubbed mfn '\000'
 
-let dirty_count t = List.length t.dirty_frames
+let dirty_count t = t.ndirty
+
+(* Clear the dirty set, newest first, calling [f] on each frame. *)
+let drain_dirty t f =
+  for i = t.ndirty - 1 downto 0 do
+    let mfn = Array.unsafe_get t.dirty_stack i in
+    f mfn;
+    Bytes.unsafe_set t.dirty mfn '\000'
+  done;
+  t.ndirty <- 0
 
 let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
   if Option.is_some t.prov then
     invalid_arg "Phys_mem.capture_baseline: a provenance shadow is attached";
-  List.iter (fun mfn -> Bytes.set t.dirty mfn '\000') t.dirty_frames;
-  t.dirty_frames <- [];
+  drain_dirty t ignore;
   t.baseline <- Some (Captured { b_pre = Hashtbl.create 64; b_free_count = t.free_count });
   t.baseline_epoch <- t.baseline_epoch + 1
 
 let baseline_epoch t = t.baseline_epoch
-
-let dirty_list t = t.dirty_frames
 
 let is_dirty t mfn = is_valid_mfn t mfn && Bytes.unsafe_get t.dirty mfn = '\001'
 
@@ -226,22 +238,13 @@ let reset_to_baseline t =
   (match t.baseline with
   | None -> invalid_arg "Phys_mem.reset_to_baseline: no baseline captured"
   | Some (Captured b) ->
-      List.iter
-        (fun mfn ->
-          restored := !restored + reset_captured t b.b_pre mfn;
-          Bytes.unsafe_set t.dirty mfn '\000')
-        t.dirty_frames;
+      drain_dirty t (fun mfn -> restored := !restored + reset_captured t b.b_pre mfn);
       Hashtbl.reset b.b_pre;
       t.free_count <- b.b_free_count
   | Some (Template tpl) ->
-      List.iter
-        (fun mfn ->
-          reset_from_template t tpl mfn;
-          Bytes.unsafe_set t.dirty mfn '\000';
-          incr restored)
-        t.dirty_frames;
+      restored := t.ndirty;
+      drain_dirty t (reset_from_template t tpl);
       t.free_count <- tpl.free_count);
-  t.dirty_frames <- [];
   (* frames may have become free below the hint again *)
   t.next_hint <- 0;
   t.gen <- t.gen + 1;
@@ -261,7 +264,7 @@ let freeze t =
   (match t.baseline with
   | None -> invalid_arg "Phys_mem.freeze: capture a baseline first"
   | Some _ -> ());
-  if t.dirty_frames <> [] then
+  if t.ndirty <> 0 then
     invalid_arg "Phys_mem.freeze: template diverged from its baseline";
   t.frozen <- true
 
@@ -276,7 +279,8 @@ let fork template =
     next_hint = template.next_hint;
     dirty = Bytes.make n '\000';
     scrubbed = Bytes.copy template.scrubbed;
-    dirty_frames = [];
+    dirty_stack = Array.make n 0;
+    ndirty = 0;
     gen = template.gen;
     (* the fork is born exactly at the template's state, which is its
        baseline: resets work from trial one and read pre-images from
@@ -344,10 +348,31 @@ let lowest_bit word =
   if !x land 0x1 = 0 then b := !b + 1;
   !b
 
+(* Hand free frame [mfn], whose free bit the caller cleared, to [o]. *)
+let take t o mfn =
+  mark_dirty t mfn;
+  t.owners.(mfn) <- o;
+  t.free_count <- t.free_count - 1;
+  (* a scrubbed frame is already the zeroed page [alloc] promises *)
+  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
+    (if Bytes.unsafe_get t.cow mfn = '\001' then begin
+       (* shared with the template: swap in a fresh zero frame rather
+          than scrubbing (and thus corrupting) the shared bytes *)
+       Bytes.unsafe_set t.cow mfn '\000';
+       t.cow_count <- t.cow_count - 1;
+       t.frames.(mfn) <- Frame.create ()
+     end
+     else Frame.fill t.frames.(mfn) '\000');
+    Bytes.unsafe_set t.scrubbed mfn '\001';
+    prov_clear_frame t mfn
+  end
+
+let check_owner fn = function
+  | Free -> invalid_arg (fn ^ ": cannot allocate to Free")
+  | Xen | Dom _ -> ()
+
 let alloc t o =
-  (match o with
-  | Free -> invalid_arg "Phys_mem.alloc: cannot allocate to Free"
-  | Xen | Dom _ -> ());
+  check_owner "Phys_mem.alloc" o;
   let words = Array.length t.free_bits in
   let w = ref t.next_hint in
   while !w < words && t.free_bits.(!w) = 0 do incr w done;
@@ -355,27 +380,30 @@ let alloc t o =
   else begin
     t.next_hint <- !w;
     let mfn = (!w * bits_per_word) + lowest_bit t.free_bits.(!w) in
-    mark_dirty t mfn;
     clear_free_bit t mfn;
-    t.owners.(mfn) <- o;
-    t.free_count <- t.free_count - 1;
-    (* a scrubbed frame is already the zeroed page [alloc] promises *)
-    if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-      (if Bytes.unsafe_get t.cow mfn = '\001' then begin
-         (* shared with the template: swap in a fresh zero frame rather
-            than scrubbing (and thus corrupting) the shared bytes *)
-         Bytes.unsafe_set t.cow mfn '\000';
-         t.cow_count <- t.cow_count - 1;
-         t.frames.(mfn) <- Frame.create ()
-       end
-       else Frame.fill t.frames.(mfn) '\000');
-      Bytes.unsafe_set t.scrubbed mfn '\001';
-      prov_clear_frame t mfn
-    end;
+    take t o mfn;
     mfn
   end
 
-let alloc_many t o n = List.init n (fun _ -> alloc t o)
+(* [n] successive [alloc]s in one pass over the free bitmap: each word
+   is read and written back once. *)
+let claim t o n f =
+  check_owner "Phys_mem.claim" o;
+  if n > t.free_count then failwith "Phys_mem.claim: out of physical memory";
+  let left = ref n and w = ref t.next_hint in
+  while !left > 0 do
+    let bits = ref t.free_bits.(!w) in
+    while !left > 0 && !bits <> 0 do
+      let mfn = (!w * bits_per_word) + lowest_bit !bits in
+      bits := !bits land (!bits - 1);
+      take t o mfn;
+      f mfn;
+      decr left
+    done;
+    t.free_bits.(!w) <- !bits;
+    if !bits = 0 then incr w
+  done;
+  t.next_hint <- !w
 
 let free t mfn =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));

@@ -56,7 +56,12 @@ val lowest_bit : int -> int
 (** The index of the lowest set bit of a non-zero int, in constant time:
     the free-bitmap step of {!alloc}. *)
 
-val alloc_many : t -> owner -> int -> Addr.mfn list
+val claim : t -> owner -> int -> (Addr.mfn -> unit) -> unit
+(** [claim t o n f] takes the [n] frames [n] calls of {!alloc} would,
+    lowest first, in one pass over the free bitmap, and calls [f] on
+    each in that order. Raises [Failure] before taking any frame when
+    fewer than [n] are free. *)
+
 val free : t -> Addr.mfn -> unit
 val owner : t -> Addr.mfn -> owner
 val set_owner : t -> Addr.mfn -> owner -> unit
@@ -76,16 +81,15 @@ val generation : t -> int
     filled under. *)
 
 val dirty_count : t -> int
-(** Frames touched since the last {!capture_baseline} (or creation). *)
-
-val dirty_list : t -> Addr.mfn list
-(** The frames behind {!dirty_count}: everything touched since the last
-    {!capture_baseline} or {!reset_to_baseline}. *)
+(** Frames touched since the last {!capture_baseline} or
+    {!reset_to_baseline} (or creation), in O(1). The set is a
+    preallocated int stack, so marking a frame allocates nothing. *)
 
 val is_dirty : t -> Addr.mfn -> bool
-(** Whether [mfn] is on {!dirty_list}, in O(1). False for an invalid
-    frame, which nothing can touch. A {!Scan_memo} entry is valid while
-    none of the frames it read is dirty. *)
+(** Whether [mfn] is one of the frames {!dirty_count} counts, in O(1).
+    False for an invalid frame, which nothing can touch. A
+    {!Scan_memo} node is valid while none of the frames it read is
+    dirty. *)
 
 val baseline_epoch : t -> int
 (** Bumped on every {!capture_baseline}; unchanged by

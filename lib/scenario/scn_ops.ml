@@ -48,6 +48,14 @@ let rec find name = function
   | [] -> raise Not_found
   | op :: rest -> if String.equal op.name name then op else find name rest
 
+(* The position of the op named [name] in [ops], or -1. *)
+let index name ops =
+  let rec go i = function
+    | [] -> -1
+    | op :: rest -> if String.equal op.name name then i else go (i + 1) rest
+  in
+  go 0 ops
+
 let names ops = List.map (fun op -> op.name) ops
 
 module type OPS = sig

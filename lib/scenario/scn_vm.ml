@@ -12,7 +12,8 @@
    scenarios exist.
 
    Named ops run through the backend's op table ({!Scn_ops.table}),
-   the same table {!Scn_check.check} admits them from. The VM assumes a
+   the same table {!Scn_check.check} admits them from; [use_case]
+   resolves each name to its entry once per program. The VM assumes a
    checked program; a call the checker would have refused raises
    {!Scn_ops.Trap}. *)
 
@@ -23,11 +24,9 @@ open Scn_bytecode
 let entry_maddr ~table ~index =
   Int64.add (Addr.maddr_of_mfn (Int64.to_int table)) (Int64.mul 8L index)
 
-(* The code of the op named [name] in [ops]. *)
-let run what name ops =
-  match Scn_ops.find name ops with
-  | op -> op.Scn_ops.run
-  | exception Not_found -> Scn_ops.trap "unknown %s %S" what name
+(* The code of op [i] of [ops], which {!resolve} found under [name]. *)
+let run what name ops i =
+  if i < 0 then Scn_ops.trap "unknown %s %S" what name else ops.(i).Scn_ops.run
 
 module Make (O : Scn_ops.OPS) = struct
   module B = O.B
@@ -47,11 +46,28 @@ module Make (O : Scn_ops.OPS) = struct
     mutable states : B.state_spec list;  (* reversed *)
   }
 
+  let env = Array.of_list O.ops.env
+  let hypercalls = Array.of_list O.ops.hypercalls
+  let guest_ops = Array.of_list O.ops.guest_ops
+  let payloads = Array.of_list O.ops.payloads
+  let states = Array.of_list O.ops.states
+
+  (* Where an instruction's named op sits in its kind's table (-1: no
+     such op, or no named op). A program's names are fixed, so each is
+     looked up once per program, not per execution. *)
+  let resolve = function
+    | Env (_, name, _) -> Scn_ops.index name O.ops.env
+    | Hypercall (_, name, _) -> Scn_ops.index name O.ops.hypercalls
+    | Guest (name, _) -> Scn_ops.index name O.ops.guest_ops
+    | Payload (name, _) -> Scn_ops.index name O.ops.payloads
+    | State (name, _) -> Scn_ops.index name O.ops.states
+    | _ -> -1
+
   let fuel = 100_000
   (* Backstop against jump loops in hostile-but-checked programs; the
      corpus programs run tens of instructions. *)
 
-  let run_section (tb : B.t) ~section (instrs : instr array) : C.attempt =
+  let run_section (tb : B.t) ~section (instrs : instr array) (ops : int array) : C.attempt =
     let st = { regs = Array.make Scn_ast.num_regs 0L; err = None; rc = None; logs = []; states = [] } in
     let say line = st.logs <- line :: st.logs in
     let len = Array.length instrs in
@@ -92,14 +108,14 @@ module Make (O : Scn_ops.OPS) = struct
         | If_err target -> step (if st.err <> None then target else next) budget
         | If_neg (r, target) -> step (if reg r < 0L then target else next) budget
         | i ->
-            exec i;
+            exec ops.(pc) i;
             step next budget
       end
-    and exec = function
+    and exec op = function
       | Set (r, v) -> setr r v
       | Add (r, m, v) -> setr r (Int64.add (reg m) v)
       | Env (r, sym, arg) -> (
-          match run "environment symbol" sym O.ops.env tb arg with
+          match run "environment symbol" sym env op tb arg with
           | Ok v -> setr r v
           | Error msg -> Scn_ops.trap "env %s: %s" sym msg)
       | Pte_of (r, m, flags) -> setr r (Pte.make ~mfn:(Int64.to_int (reg m)) ~flags)
@@ -125,14 +141,14 @@ module Make (O : Scn_ops.OPS) = struct
           | Some write -> port (write tb ~addr:(reg addr) (reg value))
           | None -> Scn_ops.trap "host writes are not exposed on backend %s" B.name)
       | Hypercall (r, name, args) ->
-          setr r (run "hypercall" name O.ops.hypercalls tb (Array.map reg args))
+          setr r (run "hypercall" name hypercalls op tb (Array.map reg args))
       | Guest (name, args) -> (
-          match run "guest op" name O.ops.guest_ops tb (Array.map reg args) with
+          match run "guest op" name guest_ops op tb (Array.map reg args) with
           | Ok () -> ()
           | Error msg -> Scn_ops.trap "guest op %s: %s" name msg)
-      | Payload (name, args) -> run "payload" name O.ops.payloads tb ~say (Array.map reg args)
+      | Payload (name, args) -> run "payload" name payloads op tb ~say (Array.map reg args)
       | State (name, args) ->
-          st.states <- run "erroneous state" name O.ops.states (Array.map reg args) :: st.states
+          st.states <- run "erroneous state" name states op (Array.map reg args) :: st.states
       | Tick_all -> B.tick_all tb
       | Rc_errno -> (
           match st.err with
@@ -162,13 +178,15 @@ module Make (O : Scn_ops.OPS) = struct
      modules build, so everything downstream of the campaign engine
      accepts scenarios unchanged. *)
   let use_case (p : program) : C.use_case =
+    let exploit_ops = Array.map resolve p.exploit and inject_ops = Array.map resolve p.inject in
+    let exploit_code = section_code p ~section:0 and inject_code = section_code p ~section:1 in
     {
       C.uc_name = p.name;
       uc_xsa = p.xsa;
       uc_description = p.description;
       im = Scn_ast.intrusion_model p.model;
-      run_exploit = (fun tb -> run_section tb ~section:(section_code p ~section:0) p.exploit);
-      run_injection = (fun tb -> run_section tb ~section:(section_code p ~section:1) p.inject);
+      run_exploit = (fun tb -> run_section tb ~section:exploit_code p.exploit exploit_ops);
+      run_injection = (fun tb -> run_section tb ~section:inject_code p.inject inject_ops);
     }
 
   let check p = Scn_check.check O.ops p

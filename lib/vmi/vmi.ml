@@ -100,7 +100,7 @@ module View = struct
       0 g.g_leaves
 
   let m2p_raw hv mfn =
-    let frame, off = Hv.m2p_frame_for hv mfn in
+    let frame = Hv.m2p_frame_for hv mfn and off = Hv.m2p_offset mfn in
     Phys_mem.observe hv.Hv.mem ~consumer:Provenance.Vmi_view ~mfn:frame ~off ~len:8;
     Frame.get_u64 (Phys_mem.frame_ro hv.Hv.mem frame) off
 

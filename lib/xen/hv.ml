@@ -95,28 +95,34 @@ let count_hypercall t ~number ~failed = Trace.note_hypercall t.trace ~number ~fa
 let hypercall_stats t = (Trace.telemetry t.trace).Trace.tm_hypercalls
 let hypercalls_failed t = (Trace.telemetry t.trace).Trace.tm_hypercalls_failed
 
+(* The frames [alloc_xen_page] would take until [leave] are free,
+   claimed in one pass over the free bitmap. *)
 let exhaust_memory t ~leave =
-  let taken = ref 0 in
-  while Phys_mem.free_frames t.mem > max 0 leave do
-    ignore (alloc_xen_page t);
-    incr taken
-  done;
-  if !taken > 0 then
-    log t (Printf.sprintf "memory pressure: %d frames vanished into the Xen heap" !taken);
-  !taken
+  let taken = max 0 (Phys_mem.free_frames t.mem - max 0 leave) in
+  if taken > 0 then begin
+    Phys_mem.claim t.mem Phys_mem.Xen taken (fun mfn -> mark_alloc t mfn Phys_mem.Xen);
+    log t (Printf.sprintf "memory pressure: %d frames vanished into the Xen heap" taken)
+  end;
+  taken
 
 (* --- M2P table ------------------------------------------------------- *)
 
 let m2p_invalid_entry = 0x5555_5555_5555_5555L
 let entries_per_m2p_frame = Addr.page_size / 8
 
+(* Entry [mfn] of the M2P is at byte [m2p_offset mfn] of frame
+   [m2p_frame_for t mfn]: two ints, so a lookup allocates nothing. *)
+let m2p_shift = Addr.page_shift - 3
+
 let m2p_frame_for t mfn =
-  let idx = mfn / entries_per_m2p_frame in
-  if idx < 0 || idx >= Array.length t.m2p_mfns then invalid_arg "Hv.m2p_frame_for: bad mfn";
-  (t.m2p_mfns.(idx), mfn mod entries_per_m2p_frame * 8)
+  let idx = mfn lsr m2p_shift in
+  if mfn < 0 || idx >= Array.length t.m2p_mfns then invalid_arg "Hv.m2p_frame_for: bad mfn";
+  Array.unsafe_get t.m2p_mfns idx
+
+let m2p_offset mfn = (mfn land (entries_per_m2p_frame - 1)) lsl 3
 
 let m2p_set t mfn pfn =
-  let frame_mfn, off = m2p_frame_for t mfn in
+  let frame_mfn = m2p_frame_for t mfn and off = m2p_offset mfn in
   let value = match pfn with Some p -> Int64.of_int p | None -> m2p_invalid_entry in
   Frame.set_u64 (Phys_mem.frame t.mem frame_mfn) off value;
   Phys_mem.taint t.mem ~mfn:frame_mfn ~off ~len:8;
@@ -125,9 +131,9 @@ let m2p_set t mfn pfn =
   notify_pt_write t frame_mfn
 
 let m2p_lookup t mfn =
-  let frame_mfn, off = m2p_frame_for t mfn in
-  let v = Frame.get_u64 (Phys_mem.frame_ro t.mem frame_mfn) off in
-  if v = m2p_invalid_entry then None else Some (Int64.to_int v)
+  let frame = (Phys_mem.frame_ro t.mem (m2p_frame_for t mfn) :> bytes) in
+  let v = Bytes.get_int64_le frame (m2p_offset mfn) in
+  if v = m2p_invalid_entry || v < 0L then -1 else Int64.to_int v
 
 let is_m2p_frame t mfn = Array.exists (fun m -> m = mfn) t.m2p_mfns
 

@@ -65,11 +65,19 @@ val release_page : t -> Addr.mfn -> (unit, Errno.t) result
 (** {1 The M2P table} *)
 
 val m2p_set : t -> Addr.mfn -> Addr.pfn option -> unit
-val m2p_lookup : t -> Addr.mfn -> Addr.pfn option
+
+val m2p_lookup : t -> Addr.mfn -> Addr.pfn
+(** The pfn the M2P records for [mfn], or [-1] when the entry is
+    invalid (or holds a negative value, which no pfn is). Allocates
+    nothing. *)
+
 val m2p_invalid_entry : int64
-val m2p_frame_for : t -> Addr.mfn -> Addr.mfn * int
-(** Frame of the M2P table holding the entry for [mfn], and the byte
-    offset of that entry inside it. *)
+
+val m2p_frame_for : t -> Addr.mfn -> Addr.mfn
+(** Frame of the M2P table holding the entry for [mfn]. *)
+
+val m2p_offset : Addr.mfn -> int
+(** Byte offset of [mfn]'s entry inside {!m2p_frame_for}. *)
 
 val is_m2p_frame : t -> Addr.mfn -> bool
 

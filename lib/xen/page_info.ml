@@ -15,7 +15,8 @@ type t = {
      [restore] replays O(touched) entries instead of the whole array,
      and scans cached at the checkpoint know which infos moved *)
   touched : Bytes.t;
-  mutable touched_list : int list;
+  touched_stack : int array;  (* the touched frames, [ntouched] of them; one slot per frame *)
+  mutable ntouched : int;
 }
 
 let fresh () =
@@ -30,7 +31,8 @@ let create ~frames =
   {
     infos = Array.init frames (fun _ -> fresh ());
     touched = Bytes.make frames '\000';
-    touched_list = [];
+    touched_stack = Array.make frames 0;
+    ntouched = 0;
   }
 
 let get t mfn =
@@ -40,13 +42,14 @@ let get t mfn =
 let touch t mfn =
   if Bytes.unsafe_get t.touched mfn = '\000' then begin
     Bytes.unsafe_set t.touched mfn '\001';
-    t.touched_list <- mfn :: t.touched_list
+    Array.unsafe_set t.touched_stack t.ntouched mfn;
+    t.ntouched <- t.ntouched + 1
   end
 
 let touched t mfn =
   mfn >= 0 && mfn < Bytes.length t.touched && Bytes.unsafe_get t.touched mfn = '\001'
 
-let any_touched t = match t.touched_list with [] -> false | _ :: _ -> true
+let any_touched t = t.ntouched > 0
 
 let table_level = function
   | PGT_l1 -> Some 1
@@ -110,8 +113,10 @@ type checkpoint = info array
 let checkpoint t =
   (* also resets the touched set: from here on it records divergence
      from exactly this checkpoint, which is what [restore] replays *)
-  List.iter (fun mfn -> Bytes.set t.touched mfn '\000') t.touched_list;
-  t.touched_list <- [];
+  for i = 0 to t.ntouched - 1 do
+    Bytes.set t.touched t.touched_stack.(i) '\000'
+  done;
+  t.ntouched <- 0;
   Array.map copy t.infos
 
 (* Restore by field assignment: existing [info] records stay aliased
@@ -120,25 +125,31 @@ let restore t ck =
   if Array.length ck <> Array.length t.infos then
     invalid_arg "Page_info.restore: size mismatch";
   (* only frames mutated since [checkpoint] can differ *)
-  List.iter
-    (fun mfn ->
-      let s = ck.(mfn) in
-      let i = t.infos.(mfn) in
-      i.owner <- s.owner;
-      i.ptype <- s.ptype;
-      i.type_count <- s.type_count;
-      i.ref_count <- s.ref_count;
-      i.validated <- s.validated;
-      i.pinned <- s.pinned;
-      Bytes.set t.touched mfn '\000')
-    t.touched_list;
-  t.touched_list <- []
+  for k = t.ntouched - 1 downto 0 do
+    let mfn = t.touched_stack.(k) in
+    let s = ck.(mfn) in
+    let i = t.infos.(mfn) in
+    i.owner <- s.owner;
+    i.ptype <- s.ptype;
+    i.type_count <- s.type_count;
+    i.ref_count <- s.ref_count;
+    i.validated <- s.validated;
+    i.pinned <- s.pinned;
+    Bytes.set t.touched mfn '\000'
+  done;
+  t.ntouched <- 0
 
 (* A full instance built from a checkpoint — the forked-testbed path,
    where [restore] does not apply (a fresh [create] has an empty touched
    set, so replaying it would copy nothing). *)
 let of_checkpoint ck =
-  { infos = Array.map copy ck; touched = Bytes.make (Array.length ck) '\000'; touched_list = [] }
+  let frames = Array.length ck in
+  {
+    infos = Array.map copy ck;
+    touched = Bytes.make frames '\000';
+    touched_stack = Array.make frames 0;
+    ntouched = 0;
+  }
 
 let counts_consistent t =
   Array.for_all

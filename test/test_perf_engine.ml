@@ -442,7 +442,8 @@ let xen_scan_op (tb : Testbed.t) (kind, (a, b)) =
         (Int64.add (Addr.maddr_of_mfn table) (Int64.of_int (8 * ((b lsr 3) land 511))))
         (Pte.make ~mfn:target ~flags:[ Pte.Present; Pte.Rw; Pte.User ])
   | 1 ->
-      let m2p_mfn, off = Hv.m2p_frame_for hv (populated_mfn dom b) in
+      let mfn = populated_mfn dom b in
+      let m2p_mfn = Hv.m2p_frame_for hv mfn and off = Hv.m2p_offset mfn in
       Phys_mem.write_u64 mem (Int64.add (Addr.maddr_of_mfn m2p_mfn) (Int64.of_int off))
         (Int64.of_int (b land 0xfff))
   | 2 ->
@@ -623,6 +624,155 @@ let test_fork_cache_isolation () =
     (kvm_cached ka = kvm_recomputed ka);
   check_bool "kvm: the sibling is untouched" true
     (kvm_cached kb = kpristine && kvm_recomputed kb = kpristine)
+
+(* --- Per-table scan nodes ------------------------------------------------
+
+   The memo holds one node per page table, valid while the table's own
+   bytes are clean and the types its leaves consulted are untouched,
+   and stored only when every table above it is clean and every table
+   below it was stored. These cases put the tables into the shapes
+   where a node could go stale and compare against the uncached walk
+   at each step. The attacker's tables come in [Builder]'s order: L4,
+   kernel L3, kernel L2, user L3, user L2, user L1, the kernel L1, then
+   Xen's three. *)
+
+let kernel_l2 dom = List.nth dom.Domain.pt_pages 2
+let kernel_l1 dom = List.nth dom.Domain.pt_pages 6
+
+let set_pte (tb : Testbed.t) table index pte =
+  Phys_mem.write_u64 tb.Testbed.hv.Hv.mem
+    (Int64.add (Addr.maddr_of_mfn table) (Int64.of_int (8 * index)))
+    pte
+
+let rw_user mfn = Pte.make ~mfn ~flags:[ Pte.Present; Pte.Rw; Pte.User ]
+
+let attacker_exposure (tb : Testbed.t) =
+  List.assoc (Kernel.hostname tb.Testbed.attacker) (Monitor.snapshot tb).Monitor.pt_exposure
+
+let cache_agrees what (tb : Testbed.t) cache =
+  check_bool what true (Monitor.snapshot ~cache tb = Monitor.snapshot tb)
+
+(* Give frame [mfn] a page-table type without writing any frame. *)
+let retype (tb : Testbed.t) mfn =
+  let pages = tb.Testbed.hv.Hv.pages in
+  Page_info.touch pages mfn;
+  let info = Page_info.get pages mfn in
+  info.Page_info.ptype <- Page_info.PGT_l1;
+  info.Page_info.type_count <- 1
+
+(* A fresh cache's first snapshot sees a forged L1 entry: nothing probed
+   from the dirty table may be stored, or the reset would bring back a
+   clean-looking node with the forged count. *)
+let test_nodes_first_snapshot_forged () =
+  let tb = Testbed.create_pooled Version.V4_6 in
+  let dom = Kernel.dom tb.Testbed.attacker in
+  let cache = Monitor.create_scan_cache () in
+  set_pte tb (kernel_l1 dom) 200 (rw_user dom.Domain.l4_mfn);
+  check_int "the forged entry is a counted exposure" 1 (attacker_exposure tb);
+  cache_agrees "first cached snapshot, forged" tb cache;
+  Testbed.reset tb;
+  check_int "the reset removed it" 0 (attacker_exposure tb);
+  cache_agrees "after the reset" tb cache;
+  cache_agrees "after the reset, again" tb cache
+
+(* A new baseline whose kernel L2 holds three more L1s, each mapping
+   the L4 writable once; dirtying one leaves its siblings' nodes valid. *)
+let test_nodes_dirty_sibling () =
+  let tb = Testbed.create Version.V4_6 in
+  let hv = tb.Testbed.hv and dom = Kernel.dom tb.Testbed.attacker in
+  let l1s =
+    List.init 3 (fun i ->
+        let l1 = Hv.alloc_domain_page hv dom in
+        set_pte tb l1 (10 + i) (rw_user dom.Domain.l4_mfn);
+        set_pte tb (kernel_l2 dom) (1 + i) (rw_user l1);
+        l1)
+  in
+  let ck = Hv.checkpoint hv in
+  let cache = Monitor.create_scan_cache () in
+  check_int "three exposures at the baseline" 3 (attacker_exposure tb);
+  cache_agrees "baseline" tb cache;
+  set_pte tb (List.nth l1s 1) 11 Pte.none;
+  check_int "one L1 lost its exposure" 2 (attacker_exposure tb);
+  cache_agrees "one dirty L1, two clean siblings" tb cache;
+  set_pte tb (List.nth l1s 2) 300 (rw_user dom.Domain.l4_mfn);
+  cache_agrees "two dirty L1s, one clean" tb cache;
+  Hv.restore hv ck;
+  cache_agrees "restored" tb cache
+
+(* A writable PSE entry in the kernel L2 counts every page-table frame
+   in its 2 MiB; its node depends on all 512 frames' types. *)
+let test_nodes_pse () =
+  let tb = Testbed.create Version.V4_6 in
+  let hv = tb.Testbed.hv and dom = Kernel.dom tb.Testbed.attacker in
+  let base = dom.Domain.l4_mfn land lnot 511 in
+  set_pte tb (kernel_l2 dom) 7
+    (Pte.make ~mfn:base ~flags:[ Pte.Present; Pte.Rw; Pte.User; Pte.Pse ]);
+  let ck = Hv.checkpoint hv in
+  let cache = Monitor.create_scan_cache () in
+  let pse = attacker_exposure tb in
+  check_bool "the superpage exposes tables" true (pse > 0);
+  cache_agrees "PSE baseline" tb cache;
+  let untyped = ref base in
+  while (Page_info.get hv.Hv.pages !untyped).Page_info.type_count > 0 do incr untyped done;
+  retype tb !untyped;
+  check_int "a frame under the superpage retyped" (pse + 1) (attacker_exposure tb);
+  cache_agrees "retyped under the superpage" tb cache;
+  Hv.restore hv ck;
+  cache_agrees "restored" tb cache;
+  set_pte tb (kernel_l2 dom) 7 Pte.none;
+  cache_agrees "the superpage removed" tb cache;
+  Hv.restore hv ck;
+  cache_agrees "restored again" tb cache
+
+(* The kernel L1 reached at a second VA prefix through the kernel L2:
+   two nodes for one frame, both moved by one write or one retype. *)
+let test_nodes_two_prefixes () =
+  let tb = Testbed.create Version.V4_6 in
+  let hv = tb.Testbed.hv and dom = Kernel.dom tb.Testbed.attacker in
+  set_pte tb (kernel_l2 dom) 1 (rw_user (kernel_l1 dom));
+  let ck = Hv.checkpoint hv in
+  let cache = Monitor.create_scan_cache () in
+  check_int "no exposure at the baseline" 0 (attacker_exposure tb);
+  cache_agrees "baseline" tb cache;
+  set_pte tb (kernel_l1 dom) 200 (rw_user dom.Domain.l4_mfn);
+  check_int "one forged entry, seen at both prefixes" 2 (attacker_exposure tb);
+  cache_agrees "the shared L1 dirty" tb cache;
+  Hv.restore hv ck;
+  cache_agrees "restored" tb cache;
+  retype tb (Option.get (Domain.mfn_of_pfn dom 20));
+  check_int "one retyped data page, seen at both prefixes" 2 (attacker_exposure tb);
+  cache_agrees "a leaf target retyped" tb cache;
+  Hv.restore hv ck;
+  cache_agrees "restored again" tb cache
+
+(* Retyping the frames writable leaves map dirties no frame: only the
+   nodes' type dependencies can tell. *)
+let test_nodes_types_only () =
+  let tb = Testbed.create_pooled Version.V4_6 in
+  let dom = Kernel.dom tb.Testbed.attacker in
+  let cache = Monitor.create_scan_cache () in
+  cache_agrees "baseline" tb cache;
+  let mem = tb.Testbed.hv.Hv.mem in
+  let dirty = Phys_mem.dirty_count mem in
+  retype tb (Option.get (Domain.mfn_of_pfn dom 20));
+  retype tb (Option.get (Domain.mfn_of_pfn dom 21));
+  check_int "no frame dirtied" dirty (Phys_mem.dirty_count mem);
+  check_int "two retyped data pages exposed" 2 (attacker_exposure tb);
+  cache_agrees "leaf targets retyped" tb cache;
+  Testbed.reset tb;
+  cache_agrees "after the reset" tb cache
+
+(* The memo holds the pristine tree: a randomized campaign stores no
+   node the first clean snapshot did not. *)
+let test_nodes_bounded () =
+  let w = Random_campaign.make_worker ~pooled:true Version.V4_6 in
+  ignore (Substrate_xen.snapshot w);
+  let nodes = Scan_memo.size w.Testbed.scan_cache in
+  for i = 0 to 999 do
+    ignore (Random_campaign.run_one w ~seed:5L ~targets:Random_campaign.all_targets i)
+  done;
+  check_int "nodes after 1,000 trials" nodes (Scan_memo.size w.Testbed.scan_cache);
+  check_bool "and the cache still agrees" true (Substrate_xen.snapshot w = Monitor.snapshot w)
 
 (* The memo itself: a dirty read dependency or a touched type
    dependency forces a rescan, a change to any other frame does not, a
@@ -1220,6 +1370,46 @@ let test_xsa212_priv_words () =
   within_budget "XSA-212-priv 4.6 injection Campaign.run" 100_000.
     (words_per_call ~n:1 (fun () -> ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6)))
 
+(* A trial that dirties one page table or one M2P frame snapshots
+   within the clean snapshot's budget: the re-probe of the dirty table
+   and the M2P recount allocate nothing. A clean 2-domain 4.8 snapshot
+   measured 272 words. *)
+let snapshot_budget = 320.
+
+let test_snapshot_words () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  let hv = tb.Testbed.hv and dom = Kernel.dom tb.Testbed.attacker in
+  let snap () = ignore (Substrate_xen.snapshot tb) in
+  within_budget "clean snapshot" snapshot_budget (words_per_call ~n:100 snap);
+  set_pte tb (kernel_l1 dom) 300 (rw_user (Option.get (Domain.mfn_of_pfn dom 20)));
+  within_budget "snapshot with one dirty L1" snapshot_budget (words_per_call ~n:100 snap);
+  Testbed.reset tb;
+  let mfn = Option.get (Domain.mfn_of_pfn dom 20) in
+  Phys_mem.write_u64 hv.Hv.mem
+    (Int64.add (Addr.maddr_of_mfn (Hv.m2p_frame_for hv mfn)) (Int64.of_int (Hv.m2p_offset mfn)))
+    7L;
+  within_budget "snapshot with one dirty M2P frame" snapshot_budget (words_per_call ~n:100 snap)
+
+(* Exhausting memory claims its frames in one bitmap pass and marks
+   them in int stacks: the words it allocates (the console line) do not
+   grow with the frames it takes. On a pooled testbed, whose baseline
+   is its template, so dirtying saves no pre-image. *)
+let test_exhaust_memory_words () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  let hv = tb.Testbed.hv in
+  let exhaust keep =
+    Testbed.reset tb;
+    let leave = Phys_mem.free_frames hv.Hv.mem - keep in
+    let w0 = Gc.minor_words () in
+    let taken = Hv.exhaust_memory hv ~leave in
+    let words = Gc.minor_words () -. w0 in
+    check_int "frames taken" keep taken;
+    words
+  in
+  ignore (exhaust 1000);
+  within_budget "exhaust_memory taking 10 frames" 100. (exhaust 10);
+  within_budget "exhaust_memory taking 1,000 frames" 100. (exhaust 1000)
+
 (* The corpus cells of the benchmark's [corpus] workload: every use case
    on every configuration in both modes, on long-lived pooled testbeds
    with 4 domains under the default load. One warm-up pass, then the
@@ -1460,10 +1650,34 @@ let test_alloc_zeroed_after_dirty_free () =
 let test_free_frames_counter () =
   let mem = Phys_mem.create ~frames:12 in
   check_int "all free" 12 (Phys_mem.free_frames mem);
-  let ms = Phys_mem.alloc_many mem Phys_mem.Xen 5 in
-  check_int "after alloc_many" 7 (Phys_mem.free_frames mem);
-  List.iter (Phys_mem.free mem) ms;
+  let ms = ref [] in
+  Phys_mem.claim mem Phys_mem.Xen 5 (fun m -> ms := m :: !ms);
+  check_int "after claim" 7 (Phys_mem.free_frames mem);
+  List.iter (Phys_mem.free mem) !ms;
   check_int "after freeing" 12 (Phys_mem.free_frames mem)
+
+(* [claim] takes the frames successive [alloc]s take, in order, across
+   bitmap words and holes, and leaves the allocator where they do. *)
+let test_claim_equals_allocs () =
+  let holed () =
+    let mem = Phys_mem.create ~frames:200 in
+    for _ = 1 to 150 do
+      ignore (Phys_mem.alloc mem Phys_mem.Xen)
+    done;
+    List.iter (Phys_mem.free mem) [ 3; 60; 61; 62; 100; 123; 124 ];
+    mem
+  in
+  let a = holed () and b = holed () in
+  let by_alloc = List.init 40 (fun _ -> Phys_mem.alloc a (Phys_mem.Dom 2)) in
+  let by_claim = ref [] in
+  Phys_mem.claim b (Phys_mem.Dom 2) 40 (fun m -> by_claim := m :: !by_claim);
+  check_bool "same frames, same order" true (by_alloc = List.rev !by_claim);
+  check_int "same free count" (Phys_mem.free_frames a) (Phys_mem.free_frames b);
+  check_int "the next alloc agrees" (Phys_mem.alloc a Phys_mem.Xen) (Phys_mem.alloc b Phys_mem.Xen);
+  check_bool "claiming more than is free takes nothing" true
+    (match Phys_mem.claim b Phys_mem.Xen 1000 ignore with
+    | () -> false
+    | exception Failure _ -> Phys_mem.free_frames b = Phys_mem.free_frames a)
 
 (* --- Page_info touched set and checkpointing ------------------------------ *)
 
@@ -1529,6 +1743,16 @@ let () =
             Alcotest.test_case "corpus cells = uncached oracle" `Quick test_corpus_cache_oracle;
             Alcotest.test_case "fork isolation" `Quick test_fork_cache_isolation;
             Alcotest.test_case "memo anchor and bypass" `Quick test_scan_memo_anchor;
+            Alcotest.test_case "nodes: forged first snapshot" `Quick
+              test_nodes_first_snapshot_forged;
+            Alcotest.test_case "nodes: dirty L1 among clean siblings" `Quick
+              test_nodes_dirty_sibling;
+            Alcotest.test_case "nodes: PSE entries" `Quick test_nodes_pse;
+            Alcotest.test_case "nodes: one table at two VA prefixes" `Quick
+              test_nodes_two_prefixes;
+            Alcotest.test_case "nodes: types touched, nothing dirty" `Quick
+              test_nodes_types_only;
+            Alcotest.test_case "nodes: bounded over 1,000 trials" `Quick test_nodes_bounded;
           ] );
       ( "pool",
         [
@@ -1572,6 +1796,8 @@ let () =
           Alcotest.test_case "write_u64 hit words" `Quick test_write_hit_words;
           Alcotest.test_case "invlpg+read words" `Quick test_invlpg_read_words;
           Alcotest.test_case "XSA-212-priv words" `Quick test_xsa212_priv_words;
+          Alcotest.test_case "snapshot words" `Quick test_snapshot_words;
+          Alcotest.test_case "exhaust_memory words" `Quick test_exhaust_memory_words;
         ] );
       ( "scheduler",
         [
@@ -1595,6 +1821,7 @@ let () =
           Alcotest.test_case "lowest_bit single bits" `Quick test_lowest_bit_single;
           Alcotest.test_case "zeroed after dirty free" `Quick test_alloc_zeroed_after_dirty_free;
           Alcotest.test_case "free counter" `Quick test_free_frames_counter;
+          Alcotest.test_case "claim = successive allocs" `Quick test_claim_equals_allocs;
         ]
         @ qsuite [ prop_lowest_bit ] );
       ( "page_info",

@@ -167,7 +167,7 @@ let prop_mm_sequences_consistent =
            (fun pfn ->
              match Domain.mfn_of_pfn dom pfn with
              | None -> true
-             | Some mfn -> Hv.m2p_lookup hv mfn = Some pfn)
+             | Some mfn -> Hv.m2p_lookup hv mfn = pfn)
            (Domain.populated_pfns dom)
       && not (Hv.is_crashed hv))
 

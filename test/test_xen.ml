@@ -407,13 +407,13 @@ let test_boot_structures () =
 
 let test_m2p () =
   let hv = boot () in
-  check_bool "invalid initially" true (Hv.m2p_lookup hv 100 = None);
+  check_bool "invalid initially" true (Hv.m2p_lookup hv 100 = -1);
   Hv.m2p_set hv 100 (Some 7);
-  check_bool "set" true (Hv.m2p_lookup hv 100 = Some 7);
-  let frame_mfn, off = Hv.m2p_frame_for hv 100 in
+  check_bool "set" true (Hv.m2p_lookup hv 100 = 7);
+  let frame_mfn = Hv.m2p_frame_for hv 100 and off = Hv.m2p_offset 100 in
   check_i64 "raw bytes" 7L (Frame.get_u64 (Phys_mem.frame hv.Hv.mem frame_mfn) off);
   Hv.m2p_set hv 100 None;
-  check_bool "cleared" true (Hv.m2p_lookup hv 100 = None);
+  check_bool "cleared" true (Hv.m2p_lookup hv 100 = -1);
   check_bool "m2p frame recognized" true (Hv.is_m2p_frame hv frame_mfn)
 
 let test_release_page_discipline () =
@@ -492,7 +492,7 @@ let test_builder_m2p_visible () =
   let hv, _, guest = built () in
   let pfn = 3 in
   let mfn = Option.get (Domain.mfn_of_pfn guest pfn) in
-  check_bool "m2p" true (Hv.m2p_lookup hv mfn = Some pfn);
+  check_bool "m2p" true (Hv.m2p_lookup hv mfn = pfn);
   let m2p_va = Int64.add Layout.m2p_base (Int64.of_int (mfn * 8)) in
   check_bool "guest reads m2p" true (guest_read hv guest m2p_va = Ok (Int64.of_int pfn));
   check_bool "guest cannot write m2p" true (Result.is_error (guest_write hv guest m2p_va 0L))
@@ -660,7 +660,7 @@ let test_decrease_reservation () =
   let mfn = Option.get (Domain.mfn_of_pfn guest 7) in
   check_bool "released" true (Mm.decrease_reservation hv guest [ 7 ] = Ok 1);
   check_bool "p2m cleared" true (Domain.mfn_of_pfn guest 7 = None);
-  check_bool "m2p cleared" true (Hv.m2p_lookup hv mfn = None);
+  check_bool "m2p cleared" true (Hv.m2p_lookup hv mfn = -1);
   check_bool "frame freed" true (Phys_mem.owner hv.Hv.mem mfn = Phys_mem.Free);
   Alcotest.check errno_t "absent pfn" Errno.EINVAL
     (Result.get_error (Mm.decrease_reservation hv guest [ 7 ]))
@@ -720,9 +720,9 @@ let test_exchange_normal () =
       let new_mfn = List.hd new_mfns in
       ignore old_mfn (* the allocator may legitimately hand the same frame back *);
       check_bool "p2m updated" true (Domain.mfn_of_pfn guest 9 = Some new_mfn);
-      check_bool "m2p updated" true (Hv.m2p_lookup hv new_mfn = Some 9);
+      check_bool "m2p updated" true (Hv.m2p_lookup hv new_mfn = 9);
       if new_mfn <> old_mfn then
-        check_bool "old m2p cleared" true (Hv.m2p_lookup hv old_mfn = None);
+        check_bool "old m2p cleared" true (Hv.m2p_lookup hv old_mfn = -1);
       check_i64 "result word" (Memory_exchange.result_word new_mfn)
         (Result.get_ok (guest_read hv guest out))
   | Error _ -> Alcotest.fail "exchange"
@@ -896,7 +896,7 @@ let prop_p2m_m2p_inverse =
         (fun pfn ->
           match Domain.mfn_of_pfn guest pfn with
           | None -> true
-          | Some mfn -> Hv.m2p_lookup hv mfn = Some pfn)
+          | Some mfn -> Hv.m2p_lookup hv mfn = pfn)
         (Domain.populated_pfns guest))
 
 (* --- XenStore permissions and change-gated restores ---------------------- *)
