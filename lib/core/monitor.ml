@@ -154,18 +154,19 @@ let rec probe w ~clean ~note level table_mfn va_prefix rw =
    stored, so the memo holds the baseline's tables and nothing a forged
    entry points at. *)
 and table w ~clean level mfn va rw =
-  if not (Phys_mem.is_valid_mfn w.mem mfn) then 0
-  else
-    match w.memo with
-    | None -> probe w ~clean ~note:false level mfn va rw
-    | Some memo -> (
-        let tag = tag ~level va rw in
-        match Scan_memo.find memo ~root:mfn ~tag with
-        | n when Scan_memo.tree_holds w.mem ?touched:w.touched n ->
-            Scan_memo.keep memo n;
-            Scan_memo.value n
-        | n -> stale w memo ~clean ~kept:true n
-        | exception Not_found -> fresh w memo ~clean ~store:true level mfn va rw tag)
+  match w.memo with
+  | None -> if Phys_mem.is_valid_mfn w.mem mfn then probe w ~clean ~note:false level mfn va rw else 0
+  | Some memo -> (
+      let tag = tag ~level va rw in
+      (* only a valid frame has a node *)
+      match Scan_memo.find memo ~root:mfn ~tag with
+      | n when Scan_memo.tree_holds w.mem ?touched:w.touched n ->
+          Scan_memo.keep memo n;
+          Scan_memo.value n
+      | n -> stale w memo ~clean ~kept:true n
+      | exception Not_found ->
+          if Phys_mem.is_valid_mfn w.mem mfn then fresh w memo ~clean ~store:true level mfn va rw tag
+          else 0)
 
 (* A probe that notes dependencies only when it may be stored, so a
    dirty table's count is returned without building a node. *)
