@@ -1276,6 +1276,84 @@ let test_klog_lines () =
   done;
   Alcotest.(check string) "past 1000 jiffies" "[  117.1275] x" (List.nth (Kernel.klog k) 74)
 
+(* --- Component-hook trials --------------------------------------------------- *)
+
+(* The two costliest randomized hooks as trials: forging the victim's
+   balloon target (hook 2) and exhausting host memory (hook 3), each
+   followed by the randomized campaign's activation. Pinned: the
+   verdict, the telemetry and virtual time, the victim's balloon lines
+   and the free-frame count before the next reset — twice on one
+   testbed, so the second trial runs on a reset machine. *)
+let hook_activate (tb : Testbed.t) =
+  Testbed.tick_all tb;
+  let k = tb.Testbed.attacker in
+  ignore (Hv.deliver_fault tb.Testbed.hv ~vector:32 ~detail:"timer interrupt");
+  ignore (Kernel.write_u64 k (Domain.kernel_vaddr_of_pfn 6) 0xA11CEL);
+  ignore (Kernel.read_u64 k (Domain.kernel_vaddr_of_pfn 6));
+  ignore (Kernel.read_u64 k 0x0000_00ba_d000_0000L);
+  ignore (Kernel.hypercall_rc k (Hypercall.Console_io "campaign tick"));
+  Testbed.tick_all tb
+
+let balloon_hook (tb : Testbed.t) =
+  Xenstore.inject_write tb.Testbed.hv.Hv.xenstore
+    (Xenstore.domain_path (Kernel.domid tb.Testbed.victim) "memory/target")
+    "48"
+
+let exhaust_hook (tb : Testbed.t) =
+  let hv = tb.Testbed.hv in
+  ignore (Hv.exhaust_memory hv ~leave:(Phys_mem.free_frames hv.Hv.mem / 4))
+
+let hook_trial (tb : Testbed.t) hook =
+  let free = ref 0 in
+  let row =
+    Campaign.trial tb ~name:"hook" Campaign.Injection Version.V4_8 (fun tb ->
+        hook tb;
+        hook_activate tb;
+        free := Phys_mem.free_frames tb.Testbed.hv.Hv.mem;
+        { Campaign.transcript = []; states = []; rc = None })
+  in
+  let is_balloon l =
+    match String.index_opt l ']' with
+    | Some i -> String.starts_with ~prefix:"] balloon:" (String.sub l i (String.length l - i))
+    | None -> false
+  in
+  let balloon = List.filter is_balloon (Kernel.klog tb.Testbed.victim) in
+  ( List.map Monitor.violation_to_string row.Campaign.r_violations,
+    Fingerprint.Xen.telemetry row.Campaign.r_telemetry,
+    row.Campaign.r_vtime_ns,
+    balloon,
+    !free )
+
+let check_hook_trial make hook ~violations ~telemetry ~vtime ~balloon ~free () =
+  let tb = make () in
+  for round = 1 to 2 do
+    let v, tm, vt, bl, fr = hook_trial tb hook in
+    let r = Printf.sprintf "round %d: " round in
+    Alcotest.(check (list string)) (r ^ "violations") violations v;
+    Alcotest.(check string) (r ^ "telemetry") telemetry tm;
+    Alcotest.(check int64) (r ^ "vtime") vtime vt;
+    Alcotest.(check (list string)) (r ^ "balloon lines") balloon bl;
+    check_int (r ^ "free frames before reset") free fr
+  done
+
+(* The victim's balloon releases pfns 88 down to 41, one line (17
+   jiffies) each. *)
+let balloon_lines =
+  List.init 48 (fun i ->
+      Printf.sprintf "[  116.%04d] balloon: released pfn %d (target 48)" (17 * (i + 1)) (88 - i))
+
+let test_balloon_trial make =
+  check_hook_trial make balloon_hook
+    ~violations:[ "availability degradation (guest01 lost 48 pages to balloon pressure)" ]
+    ~telemetry:"3:48,12:48,18:1|f0|F2|d0|fl0|i48|p48|g0|e0|inj0|vs0|vf0|vfr0" ~vtime:53087L
+    ~balloon:balloon_lines ~free:1761
+
+let test_exhaust_trial make =
+  check_hook_trial make exhaust_hook
+    ~violations:[ "availability degradation (host memory exhaustion (1713 -> 428 free frames))" ]
+    ~telemetry:"18:1|f0|F2|d0|fl0|i0|p0|g0|e0|inj0|vs0|vf0|vfr0" ~vtime:1487L ~balloon:[]
+    ~free:428
+
 (* --- Allocation budgets ------------------------------------------------------ *)
 
 (* Minor-heap words are deterministic for a given compiler, so these
@@ -1785,6 +1863,17 @@ let () =
           Alcotest.test_case "klog lines" `Quick test_klog_lines;
         ]
         @ qsuite_seeded 23 [ prop_reset_in_place ] );
+      ( "hooks",
+        [
+          Alcotest.test_case "balloon trial (pooled)" `Quick
+            (test_balloon_trial (fun () -> Testbed.create_pooled Version.V4_8));
+          Alcotest.test_case "balloon trial (fresh)" `Quick
+            (test_balloon_trial (fun () -> Testbed.create Version.V4_8));
+          Alcotest.test_case "exhaustion trial (pooled)" `Quick
+            (test_exhaust_trial (fun () -> Testbed.create_pooled Version.V4_8));
+          Alcotest.test_case "exhaustion trial (fresh)" `Quick
+            (test_exhaust_trial (fun () -> Testbed.create Version.V4_8));
+        ] );
       ( "alloc",
         [
           Alcotest.test_case "reset words" `Quick test_reset_words;
