@@ -37,38 +37,18 @@ let create_scan_cache () = Scan_memo.create ()
 let m2p_key = -1
 
 (* The M2P must stay the inverse of every domain's P2M — a hypervisor
-   invariant any auditing monitor can check from outside the guests. *)
-let rec m2p_mismatches hv n = function
-  | [] -> n
-  | dom :: rest ->
-      let p2m = dom.Domain.p2m in
-      let n = ref n in
-      for pfn = 0 to Array.length p2m - 1 do
-        match Array.unsafe_get p2m pfn with
-        | None -> ()
-        | Some mfn ->
-            if Hv.m2p_lookup hv mfn <> pfn then begin
-              (* the verdict depends on the inconsistent M2P entry *)
-              Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check
-                ~mfn:(Hv.m2p_frame_for hv mfn) ~off:(Hv.m2p_offset mfn) ~len:8;
-              incr n
-            end
-      done;
-      m2p_mismatches hv !n rest
-
-let m2p_mismatch_fresh hv = m2p_mismatches hv 0 hv.Hv.domains
-
-(* The count reads the M2P frames and every domain's P2M. The hypervisor
-   changes a P2M entry (building, destroying, ballooning or exchanging
-   memory) only together with the M2P entry of the same frame, so a P2M
-   could have changed only if an M2P frame is dirty: the M2P frames are
-   the whole dependency set. *)
+   invariant any auditing monitor can check from outside the guests
+   ([Hv.m2p_mismatches]). The count reads the M2P frames and every
+   domain's P2M. The hypervisor changes a P2M entry (building,
+   destroying, ballooning or exchanging memory) only together with the
+   M2P entry of the same frame, so a P2M could have changed only if an
+   M2P frame is dirty: the M2P frames are the whole dependency set. *)
 let m2p_mismatch_cached cache hv =
   Scan_memo.get cache hv.Hv.mem ~key:m2p_key ~root:0 (fun deps ->
       for i = 0 to Array.length hv.Hv.m2p_mfns - 1 do
         Scan_memo.note_read deps hv.Hv.m2p_mfns.(i)
       done;
-      m2p_mismatch_fresh hv)
+      Hv.m2p_mismatches hv)
 
 (* PTE frame number field: bits 12..51, as [Pte.mfn] decodes it. *)
 let mfn_bits = (1 lsl 40) - 1
@@ -287,7 +267,7 @@ let snapshot ?cache (tb : Testbed.t) =
     pending_events;
     pt_exposure;
     m2p_mismatches =
-      (match cached with Some c -> m2p_mismatch_cached c hv | None -> m2p_mismatch_fresh hv);
+      (match cached with Some c -> m2p_mismatch_cached c hv | None -> Hv.m2p_mismatches hv);
     domain_pages =
       List.map
         (fun k ->

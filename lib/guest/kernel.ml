@@ -285,47 +285,44 @@ let drain_events t =
         end)
       (Event_channel.first_pending events ~limit:irq_budget)
 
-(* The balloon driver: honour the toolstack's memory/target by
-   releasing the highest releasable data pages. Page-table and special
-   pages are never ballooned out. *)
-let balloon t =
-  match
-    Xenstore.read t.hv.Hv.xenstore ~caller:t.domain.Domain.id t.target_path
-  with
+let rec mem_mfn (mfn : Addr.mfn) = function [] -> false | m :: rest -> m = mfn || mem_mfn mfn rest
+
+(* Unmap and hand back one page, logging it if the hypervisor took it. *)
+let balloon_out t pfn ~target =
+  ignore
+    (hypercall t
+       (Hypercall.Update_va_mapping { va = Domain.kernel_vaddr_of_pfn pfn; value = Pte.none }));
+  match hypercall t (Hypercall.Decrease_reservation [ pfn ]) with
+  | Ok _ -> log t (Balloon_release (stamp t, pfn, target))
   | Error _ -> ()
-  | Ok target_str -> (
-      match int_of_string_opt (String.trim target_str) with
-      | None -> ()
-      (* populated <= max_pfn, so a target at or above max_pfn (the
-         boot target) releases nothing: skip counting *)
-      | Some target when target >= Domain.max_pfn t.domain -> ()
-      | Some target ->
-          let populated = Domain.populated_count t.domain in
-          if target < populated then begin
-            let releasable pfn =
-              pfn > 2
-              &&
-              match Domain.mfn_of_pfn t.domain pfn with
-              | Some mfn -> not (List.mem mfn t.domain.Domain.pt_pages)
-              | None -> false
-            in
-            let candidates =
-              List.filter releasable (List.rev (Domain.populated_pfns t.domain))
-            in
-            let to_release = populated - target in
-            List.iteri
-              (fun i pfn ->
-                if i < to_release then begin
-                  ignore
-                    (hypercall t
-                       (Hypercall.Update_va_mapping
-                          { va = Domain.kernel_vaddr_of_pfn pfn; value = Pte.none }));
-                  match hypercall t (Hypercall.Decrease_reservation [ pfn ]) with
-                  | Ok _ -> log t (Balloon_release (stamp t, pfn, target))
-                  | Error _ -> ()
-                end)
-              candidates
-          end)
+
+(* The balloon driver: honour the toolstack's memory/target by
+   releasing the highest releasable data pages — populated, above pfn
+   2 and not a page-table page — [populated - target] of them, highest
+   first, whether or not the hypervisor takes each. A release changes
+   only its own pfn, so each pfn is judged when the walk down reaches
+   it. An unreadable or unparsable target releases nothing. *)
+let balloon t =
+  let dom = t.domain in
+  let target_str =
+    Xenstore.read_or t.hv.Hv.xenstore ~caller:dom.Domain.id t.target_path ~default:""
+  in
+  match int_of_string (String.trim target_str) with
+  | exception Failure _ -> ()
+  (* populated <= max_pfn, so a target at or above max_pfn (the boot
+     target) releases nothing: skip counting *)
+  | target when target >= Domain.max_pfn dom -> ()
+  | target ->
+      let populated = Domain.populated_count dom in
+      let left = ref (populated - target) and pfn = ref (Domain.max_pfn dom - 1) in
+      while !left > 0 && !pfn > 2 do
+        (match Domain.mfn_of_pfn dom !pfn with
+        | Some mfn when not (mem_mfn mfn dom.Domain.pt_pages) ->
+            decr left;
+            balloon_out t !pfn ~target
+        | Some _ | None -> ());
+        decr pfn
+      done
 
 (* The vDSO code area carries the backdoor magic: compared in place,
    so a clean vDSO costs no copy *)

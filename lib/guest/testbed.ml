@@ -151,16 +151,6 @@ let kernels t = t.dom0 :: t.victim :: t.attacker :: t.extras
 let domains t = List.length (guest_kernels t)
 let domain_names t = List.map Kernel.hostname (guest_kernels t)
 
-let rec find_kernel domid = function
-  | [] -> None
-  | k :: rest -> if Kernel.domid k = domid then Some k else find_kernel domid rest
-
-let kernel_of t domid =
-  if Kernel.domid t.dom0 = domid then Some t.dom0
-  else if Kernel.domid t.victim = domid then Some t.victim
-  else if Kernel.domid t.attacker = domid then Some t.attacker
-  else find_kernel domid t.extras
-
 (* One background-load operation, drawn from the domain's stream: a mix
    of guest memory traffic, event-channel round trips and grant-table
    round trips, all through the ordinary instrumented (and vclock-
@@ -206,6 +196,17 @@ let run_load t =
         | None -> ())
       (guest_kernels t)
 
+(* Tick the kernel of domain [domid], found without building an option. *)
+let rec tick_extra domid = function
+  | [] -> ()
+  | k :: rest -> if Kernel.domid k = domid then Kernel.tick k else tick_extra domid rest
+
+let tick_domain t domid =
+  if Kernel.domid t.dom0 = domid then Kernel.tick t.dom0
+  else if Kernel.domid t.victim = domid then Kernel.tick t.victim
+  else if Kernel.domid t.attacker = domid then Kernel.tick t.attacker
+  else tick_extra domid t.extras
+
 (* One scheduling round: every vcpu gets (at most) one slice; a hung
    vcpu pins the pCPU and nobody else runs. Background load and the
    device-model turn run inside the round, so a replayed [Sched_round]
@@ -214,8 +215,7 @@ let round t =
   (* one slice per kernel: [List.length (kernels t)], without the list *)
   for _ = 1 to 3 + List.length t.extras do
     match Hv.sched_tick t.hv with
-    | Sched.Scheduled domid -> (
-        match kernel_of t domid with Some k -> Kernel.tick k | None -> ())
+    | Sched.Scheduled domid -> tick_domain t domid
     | Sched.Cpu_stalled _ | Sched.Idle -> ()
   done;
   run_load t;

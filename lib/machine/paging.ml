@@ -146,6 +146,20 @@ let walk mem ~cr3 va =
 
 let walk_path mem ~cr3 va = fst (walk_general mem ~cr3 va)
 
+(* The machine address of the L1 entry [va]'s walk ends at, read with
+   the same [pt_frame] observations as [walk_path]; -1 when the walk
+   stops before an L1 table (an entry not present, or a superpage). *)
+let rec l1_slot mem vi level table_mfn =
+  let index = (vi lsr (Addr.page_shift + (9 * (level - 1)))) land 0x1ff in
+  let frame = (Phys_mem.pt_frame mem table_mfn ~index :> bytes) in
+  if level = 1 then (table_mfn lsl Addr.page_shift) + (8 * index)
+  else
+    let bits = Int64.to_int (Bytes.get_int64_le frame (8 * index)) in
+    if bits land 1 = 0 || (level = 2 && bits land 0x80 <> 0) then -1
+    else l1_slot mem vi (level - 1) ((bits lsr Addr.page_shift) land mfn_bits)
+
+let l1_entry_maddr mem ~cr3 va = l1_slot mem (Int64.to_int va) 4 cr3
+
 let fault va kind reason = Error { fault_vaddr = va; fault_kind = kind; reason }
 
 let translate mem ~cr3 ~kind ~user va =

@@ -85,6 +85,12 @@ val walk_path : Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> step list
 (** The steps actually decoded, even when the walk faults — the audit
     primitive used to certify injected erroneous states. *)
 
+val l1_entry_maddr : Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> int
+(** The machine address of the level-1 entry that maps [va] (the L1 step
+    of {!walk_path}), found without building the path; -1 when the walk
+    stops before level 1, at an entry not present or a superpage. Reads
+    the tables as {!walk_path} does (provenance observations included). *)
+
 val translate :
   Phys_mem.t ->
   cr3:Addr.mfn ->

@@ -1,5 +1,16 @@
 type owner = Free | Xen | Dom of int
 
+(* Owners are stored as ints, so recording one is a plain store with no
+   write barrier: [Free] is -1, [Xen] -2 and [Dom d] is [d]. *)
+let free_code = -1
+
+let code = function
+  | Free -> free_code
+  | Xen -> -2
+  | Dom d -> if d >= 0 then d else invalid_arg "Phys_mem: negative domain id"
+
+let decode c = if c >= 0 then Dom c else if c = free_code then Free else Xen
+
 (* Free frames are tracked in a bitmap, 62 frames per word (OCaml ints
    are 63-bit; the top bit stays clear so a full word is [max_int]), so
    [alloc] finds the lowest free frame with a word scan + bit scan
@@ -12,8 +23,9 @@ type baseline =
          the first write to each frame; [None] means the frame was a
          scrubbed (all-zero) frame at capture time, so no bytes need
          storing *)
-      b_pre : (int, bytes option * owner) Hashtbl.t;
+      b_pre : (int, bytes option * int) Hashtbl.t;  (* pre-image, owner code *)
       b_free_count : int;
+      b_free_bits : int array;
     }
   | Template of t
       (* a fork's birth baseline is its frozen template, which never
@@ -22,22 +34,17 @@ type baseline =
 
 and t = {
   frames : Frame.t array;
-  owners : owner array;
+  owners : int array;  (* owner codes *)
   free_bits : int array;  (* bit [b] of word [w] set iff frame [w*62+b] is Free *)
   mutable free_count : int;
   mutable next_hint : int;  (* no word below this index has a free bit *)
-  dirty : Bytes.t;  (* one byte per frame: '\001' = touched since baseline *)
+  dirty : Touched.t;  (* the frames touched since the baseline, first touch first *)
   scrubbed : Bytes.t;
   (* '\001' = the frame is known to hold all zeroes ([create]/[free]
      scrub; content writes clear the flag). Lets [alloc] skip the
      zero-fill and lets baseline capture/reset skip 4 KiB copies for
      frames that merely changed owner — the memory-exhaustion trials
      allocate thousands of frames they never write. *)
-  dirty_stack : int array;
-  (* the frames whose [dirty] byte is set, first touch first, in
-     [dirty_stack.(0 .. ndirty - 1)]: each frame enters at most once, so
-     one slot per frame always suffices and marking allocates nothing *)
-  mutable ndirty : int;
   mutable gen : int;  (* bumped when cached translations may go stale (free/reset) *)
   mutable baseline : baseline option;
   mutable baseline_epoch : int;  (* identifies which baseline is current *)
@@ -52,6 +59,7 @@ and t = {
      frozen template this memory was forked from; the first content
      write replaces it with a private copy (see [unshare]) *)
   mutable cow_count : int;
+  mutable claimed : int array;  (* [claim]'s result buffer, made on first use *)
 }
 
 exception Bad_maddr of Addr.maddr
@@ -67,14 +75,12 @@ let create ~frames =
   in
   {
     frames = Array.init frames (fun _ -> Frame.create ());
-    owners = Array.make frames Free;
+    owners = Array.make frames free_code;
     free_bits;
     free_count = frames;
     next_hint = 0;
-    dirty = Bytes.make frames '\000';
+    dirty = Touched.create frames;
     scrubbed = Bytes.make frames '\001';
-    dirty_stack = Array.make frames 0;
-    ndirty = 0;
     gen = 0;
     baseline = None;
     baseline_epoch = 0;
@@ -82,6 +88,7 @@ let create ~frames =
     frozen = false;
     cow = Bytes.make frames '\000';
     cow_count = 0;
+    claimed = [||];
   }
 
 let total_frames t = Array.length t.frames
@@ -112,14 +119,20 @@ let prov_clear_frame t mfn =
 
 (* --- dirty tracking --------------------------------------------------- *)
 
+let check_mutable t =
+  if t.frozen then invalid_arg "Phys_mem: frozen fork template is immutable"
+
+(* Whether first touches must save a pre-image: only a captured
+   baseline does; a fork's is its template. *)
+let saves_pre_images t =
+  match t.baseline with Some (Captured _) -> true | Some (Template _) | None -> false
+
 (* Conservative: anything that can mutate a frame marks it dirty first,
    so the pre-image under [baseline] is taken before the write lands. *)
 let mark_dirty t mfn =
-  if t.frozen then invalid_arg "Phys_mem: frozen fork template is immutable";
-  if Bytes.unsafe_get t.dirty mfn = '\000' then begin
-    Bytes.unsafe_set t.dirty mfn '\001';
-    Array.unsafe_set t.dirty_stack t.ndirty mfn;
-    t.ndirty <- t.ndirty + 1;
+  check_mutable t;
+  if Bytes.unsafe_get t.dirty.Touched.flags mfn = '\000' then begin
+    Touched.add t.dirty mfn;
     match t.baseline with
     | Some (Captured b) ->
         let img =
@@ -149,28 +162,23 @@ let mark_written t mfn =
   unshare t mfn;
   Bytes.unsafe_set t.scrubbed mfn '\000'
 
-let dirty_count t = t.ndirty
-
-(* Clear the dirty set, newest first, calling [f] on each frame. *)
-let drain_dirty t f =
-  for i = t.ndirty - 1 downto 0 do
-    let mfn = Array.unsafe_get t.dirty_stack i in
-    f mfn;
-    Bytes.unsafe_set t.dirty mfn '\000'
-  done;
-  t.ndirty <- 0
+let dirty_count t = t.dirty.Touched.count
 
 let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
   if Option.is_some t.prov then
     invalid_arg "Phys_mem.capture_baseline: a provenance shadow is attached";
-  drain_dirty t ignore;
-  t.baseline <- Some (Captured { b_pre = Hashtbl.create 64; b_free_count = t.free_count });
+  Touched.clear t.dirty;
+  t.baseline <-
+    Some
+      (Captured
+         { b_pre = Hashtbl.create 64; b_free_count = t.free_count;
+           b_free_bits = Array.copy t.free_bits });
   t.baseline_epoch <- t.baseline_epoch + 1
 
 let baseline_epoch t = t.baseline_epoch
 
-let is_dirty t mfn = is_valid_mfn t mfn && Bytes.unsafe_get t.dirty mfn = '\001'
+let is_dirty t mfn = Touched.mem t.dirty mfn
 
 (* --- free bitmap helpers ---------------------------------------------- *)
 
@@ -182,16 +190,6 @@ let set_free_bit t mfn =
 let clear_free_bit t mfn =
   let w = mfn / bits_per_word and b = mfn mod bits_per_word in
   t.free_bits.(w) <- t.free_bits.(w) land lnot (1 lsl b)
-
-(* Return frame [mfn]'s owner to [o], keeping the free bitmap in step
-   (the free count is restored wholesale by the caller). *)
-let restore_owner t mfn o =
-  (match (t.owners.(mfn), o) with
-  | Free, Free -> ()
-  | Free, _ -> clear_free_bit t mfn
-  | _, Free -> set_free_bit t mfn
-  | _, _ -> ());
-  t.owners.(mfn) <- o
 
 (* Zero a frame that held zeroes at baseline, if it was written since. *)
 let rescrub t mfn =
@@ -215,7 +213,7 @@ let reset_captured t b_pre mfn =
             Bytes.unsafe_set t.scrubbed mfn '\000'
           end
       | None -> rescrub t mfn);
-      restore_owner t mfn o;
+      Array.unsafe_set t.owners mfn o;
       1
   | None -> 0
 
@@ -230,21 +228,33 @@ let reset_from_template t tpl mfn =
       Bytes.unsafe_set t.scrubbed mfn '\000'
     end
   end;
-  restore_owner t mfn tpl.owners.(mfn)
+  Array.unsafe_set t.owners mfn (Array.unsafe_get tpl.owners mfn)
 
+(* Every dirty frame's bytes and owner go back to the baseline's, newest
+   first; the free bitmap, a function of the owners, is copied back
+   whole (a few dozen words). *)
 let reset_to_baseline t =
   if t.frozen then invalid_arg "Phys_mem.reset_to_baseline: template is frozen";
   let restored = ref 0 in
   (match t.baseline with
   | None -> invalid_arg "Phys_mem.reset_to_baseline: no baseline captured"
   | Some (Captured b) ->
-      drain_dirty t (fun mfn -> restored := !restored + reset_captured t b.b_pre mfn);
+      let dirty = t.dirty in
+      for i = dirty.Touched.count - 1 downto 0 do
+        restored := !restored + reset_captured t b.b_pre (Array.unsafe_get dirty.Touched.stack i)
+      done;
       Hashtbl.reset b.b_pre;
+      Array.blit b.b_free_bits 0 t.free_bits 0 (Array.length t.free_bits);
       t.free_count <- b.b_free_count
   | Some (Template tpl) ->
-      restored := t.ndirty;
-      drain_dirty t (reset_from_template t tpl);
+      let dirty = t.dirty in
+      restored := dirty.Touched.count;
+      for i = dirty.Touched.count - 1 downto 0 do
+        reset_from_template t tpl (Array.unsafe_get dirty.Touched.stack i)
+      done;
+      Array.blit tpl.free_bits 0 t.free_bits 0 (Array.length t.free_bits);
       t.free_count <- tpl.free_count);
+  Touched.clear t.dirty;
   (* frames may have become free below the hint again *)
   t.next_hint <- 0;
   t.gen <- t.gen + 1;
@@ -264,7 +274,7 @@ let freeze t =
   (match t.baseline with
   | None -> invalid_arg "Phys_mem.freeze: capture a baseline first"
   | Some _ -> ());
-  if t.ndirty <> 0 then
+  if t.dirty.Touched.count <> 0 then
     invalid_arg "Phys_mem.freeze: template diverged from its baseline";
   t.frozen <- true
 
@@ -277,10 +287,8 @@ let fork template =
     free_bits = Array.copy template.free_bits;
     free_count = template.free_count;
     next_hint = template.next_hint;
-    dirty = Bytes.make n '\000';
+    dirty = Touched.create n;
     scrubbed = Bytes.copy template.scrubbed;
-    dirty_stack = Array.make n 0;
-    ndirty = 0;
     gen = template.gen;
     (* the fork is born exactly at the template's state, which is its
        baseline: resets work from trial one and read pre-images from
@@ -291,6 +299,7 @@ let fork template =
     frozen = false;
     cow = Bytes.make n '\001';
     cow_count = n;
+    claimed = [||];
   }
 
 let shared_frames t = t.cow_count
@@ -320,20 +329,25 @@ let frame_hash t mfn = Frame.fnv64 (frame_ro t mfn)
 
 let owner t mfn =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));
-  t.owners.(mfn)
+  decode t.owners.(mfn)
+
+let is_owner t mfn o =
+  if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));
+  Array.unsafe_get t.owners mfn = code o
 
 let set_owner t mfn o =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));
+  let o = code o in
   mark_dirty t mfn;
-  (match (t.owners.(mfn), o) with
-  | Free, Free -> ()
-  | Free, _ ->
-      clear_free_bit t mfn;
-      t.free_count <- t.free_count - 1
-  | _, Free ->
-      set_free_bit t mfn;
-      t.free_count <- t.free_count + 1
-  | _, _ -> ());
+  let was = t.owners.(mfn) in
+  if was = free_code && o <> free_code then begin
+    clear_free_bit t mfn;
+    t.free_count <- t.free_count - 1
+  end
+  else if was <> free_code && o = free_code then begin
+    set_free_bit t mfn;
+    t.free_count <- t.free_count + 1
+  end;
   t.owners.(mfn) <- o
 
 (* The index of [word]'s lowest set bit ([word <> 0]), in six steps:
@@ -348,31 +362,33 @@ let lowest_bit word =
   if !x land 0x1 = 0 then b := !b + 1;
   !b
 
-(* Hand free frame [mfn], whose free bit the caller cleared, to [o]. *)
-let take t o mfn =
-  mark_dirty t mfn;
-  t.owners.(mfn) <- o;
-  t.free_count <- t.free_count - 1;
-  (* a scrubbed frame is already the zeroed page [alloc] promises *)
-  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-    (if Bytes.unsafe_get t.cow mfn = '\001' then begin
-       (* shared with the template: swap in a fresh zero frame rather
-          than scrubbing (and thus corrupting) the shared bytes *)
-       Bytes.unsafe_set t.cow mfn '\000';
-       t.cow_count <- t.cow_count - 1;
-       t.frames.(mfn) <- Frame.create ()
-     end
-     else Frame.fill t.frames.(mfn) '\000');
-    Bytes.unsafe_set t.scrubbed mfn '\001';
-    prov_clear_frame t mfn
-  end
+(* Zero a frame that is not known-zero (on [take] and [free]). *)
+let scrub t mfn =
+  (if Bytes.unsafe_get t.cow mfn = '\001' then begin
+     (* shared with the template: swap in a fresh zero frame rather
+        than scrubbing (and thus corrupting) the shared bytes *)
+     Bytes.unsafe_set t.cow mfn '\000';
+     t.cow_count <- t.cow_count - 1;
+     t.frames.(mfn) <- Frame.create ()
+   end
+   else Frame.fill t.frames.(mfn) '\000');
+  Bytes.unsafe_set t.scrubbed mfn '\001';
+  prov_clear_frame t mfn
 
-let check_owner fn = function
-  | Free -> invalid_arg (fn ^ ": cannot allocate to Free")
-  | Xen | Dom _ -> ()
+(* Hand free frame [mfn], already marked dirty and whose free bit the
+   caller cleared, to owner code [o]; the caller counts it. A scrubbed
+   frame is already the zeroed page [alloc] promises. *)
+let take t o mfn =
+  Array.unsafe_set t.owners mfn o;
+  if Bytes.unsafe_get t.scrubbed mfn = '\000' then scrub t mfn
+
+let check_owner fn o =
+  let o = code o in
+  if o = free_code then invalid_arg (fn ^ ": cannot allocate to Free");
+  o
 
 let alloc t o =
-  check_owner "Phys_mem.alloc" o;
+  let o = check_owner "Phys_mem.alloc" o in
   let words = Array.length t.free_bits in
   let w = ref t.next_hint in
   while !w < words && t.free_bits.(!w) = 0 do incr w done;
@@ -381,55 +397,56 @@ let alloc t o =
     t.next_hint <- !w;
     let mfn = (!w * bits_per_word) + lowest_bit t.free_bits.(!w) in
     clear_free_bit t mfn;
+    mark_dirty t mfn;
     take t o mfn;
+    t.free_count <- t.free_count - 1;
     mfn
   end
 
 (* [n] successive [alloc]s in one pass over the free bitmap: each word
-   is read and written back once. *)
-let claim t o n f =
-  check_owner "Phys_mem.claim" o;
+   is read and written back once. Only a captured baseline needs the
+   whole [mark_dirty]; a fork's frames just join the dirty set. *)
+let claim t o n =
+  let o = check_owner "Phys_mem.claim" o in
   if n > t.free_count then failwith "Phys_mem.claim: out of physical memory";
-  let left = ref n and w = ref t.next_hint in
-  while !left > 0 do
+  check_mutable t;
+  if Array.length t.claimed < n then t.claimed <- Array.make (total_frames t) 0;
+  let claimed = t.claimed and saves = saves_pre_images t in
+  let k = ref 0 and w = ref t.next_hint in
+  while !k < n do
     let bits = ref t.free_bits.(!w) in
-    while !left > 0 && !bits <> 0 do
+    while !k < n && !bits <> 0 do
       let mfn = (!w * bits_per_word) + lowest_bit !bits in
       bits := !bits land (!bits - 1);
+      if saves then mark_dirty t mfn else Touched.add t.dirty mfn;
       take t o mfn;
-      f mfn;
-      decr left
+      Array.unsafe_set claimed !k mfn;
+      incr k
     done;
     t.free_bits.(!w) <- !bits;
     if !bits = 0 then incr w
   done;
-  t.next_hint <- !w
+  t.free_count <- t.free_count - n;
+  t.next_hint <- !w;
+  claimed
 
 let free t mfn =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));
   mark_dirty t mfn;
-  if t.owners.(mfn) <> Free then begin
+  if t.owners.(mfn) <> free_code then begin
     set_free_bit t mfn;
     t.free_count <- t.free_count + 1
   end;
-  t.owners.(mfn) <- Free;
+  t.owners.(mfn) <- free_code;
   (* scrub on free, unless the frame is already known-zero *)
-  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-    (if Bytes.unsafe_get t.cow mfn = '\001' then begin
-       Bytes.unsafe_set t.cow mfn '\000';
-       t.cow_count <- t.cow_count - 1;
-       t.frames.(mfn) <- Frame.create ()
-     end
-     else Frame.fill t.frames.(mfn) '\000');
-    Bytes.unsafe_set t.scrubbed mfn '\001';
-    prov_clear_frame t mfn
-  end;
+  if Bytes.unsafe_get t.scrubbed mfn = '\000' then scrub t mfn;
   (* a reused frame must never hit a stale cached translation *)
   t.gen <- t.gen + 1
 
 let free_frames t = t.free_count
 
 let frames_owned_by t o =
+  let o = code o in
   let acc = ref [] in
   for i = total_frames t - 1 downto 0 do
     if t.owners.(i) = o then acc := i :: !acc

@@ -15,7 +15,7 @@
 type owner =
   | Free
   | Xen  (** owned by the hypervisor *)
-  | Dom of int  (** owned by domain [id] *)
+  | Dom of int  (** owned by domain [id] (non-negative) *)
 
 type t
 
@@ -56,14 +56,23 @@ val lowest_bit : int -> int
 (** The index of the lowest set bit of a non-zero int, in constant time:
     the free-bitmap step of {!alloc}. *)
 
-val claim : t -> owner -> int -> (Addr.mfn -> unit) -> unit
-(** [claim t o n f] takes the [n] frames [n] calls of {!alloc} would,
-    lowest first, in one pass over the free bitmap, and calls [f] on
-    each in that order. Raises [Failure] before taking any frame when
-    fewer than [n] are free. *)
+val claim : t -> owner -> int -> Addr.mfn array
+(** [claim t o n] takes the [n] frames [n] calls of {!alloc} would, in
+    one pass over the free bitmap, and returns them, lowest first, in
+    the first [n] slots of an array the memory reuses: it holds them
+    until the next [claim]. Raises [Failure] before taking any frame
+    when fewer than [n] are free. *)
 
 val free : t -> Addr.mfn -> unit
+
 val owner : t -> Addr.mfn -> owner
+(** The frame's owner. Frames are the one owner store of the machine:
+    the hypervisor's per-frame bookkeeping keeps none of its own. *)
+
+val is_owner : t -> Addr.mfn -> owner -> bool
+(** [is_owner t mfn o] is [owner t mfn = o] without building the owner:
+    owners are stored as ints, so the check allocates nothing. *)
+
 val set_owner : t -> Addr.mfn -> owner -> unit
 
 val free_frames : t -> int

@@ -370,6 +370,14 @@ let decode_payload code r =
 
 type record = { seq : int; vts : int64; event : event }
 
+(* Hypercall counts keyed by number; a number is its own hash. *)
+module Counts = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash n = n land max_int
+end)
+
 type t = {
   mutable enabled : bool;
   mutable buf : Bytes.t;
@@ -384,7 +392,7 @@ type t = {
       (* coverage collector; detached by default — one option match per
          instrumented site *)
   (* the always-on counters; {!mark} and {!rewind} carry every one *)
-  hypercalls : (int, int) Hashtbl.t;  (* calls by hypercall number *)
+  hypercalls : int ref Counts.t;  (* calls by hypercall number *)
   mutable hypercalls_failed : int;
   mutable faults : int;
   mutable double_faults : int;
@@ -413,7 +421,7 @@ let create () =
     vclock = Vclock.create ();
     scratch = Buffer.create 256;
     cov = None;
-    hypercalls = Hashtbl.create 17;
+    hypercalls = Counts.create 17;
     hypercalls_failed = 0;
     faults = 0;
     double_faults = 0;
@@ -570,9 +578,12 @@ let strip_vts src =
 
 (* --- counters ----------------------------------------------------------- *)
 
+(* one int-keyed lookup and an in-place increment: counting a call
+   allocates nothing once its number has been seen *)
 let note_hypercall t ~number ~failed =
-  Hashtbl.replace t.hypercalls number
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.hypercalls number));
+  (match Counts.find t.hypercalls number with
+  | calls -> incr calls
+  | exception Not_found -> Counts.add t.hypercalls number (ref 1));
   if failed then t.hypercalls_failed <- t.hypercalls_failed + 1
 
 let note_fault t ~double =
@@ -610,7 +621,7 @@ type telemetry = {
 
 let telemetry t =
   {
-    tm_hypercalls = List.sort compare (Hashtbl.fold (fun n c acc -> (n, c) :: acc) t.hypercalls []);
+    tm_hypercalls = List.sort compare (Counts.fold (fun n c acc -> (n, !c) :: acc) t.hypercalls []);
     tm_hypercalls_failed = t.hypercalls_failed;
     tm_faults = t.faults;
     tm_double_faults = t.double_faults;
@@ -657,8 +668,8 @@ type mark = { m_counters : telemetry; m_vts : int64 }
 let mark t = { m_counters = telemetry t; m_vts = vts t }
 
 let rewind t { m_counters = c; m_vts } =
-  Hashtbl.reset t.hypercalls;
-  List.iter (fun (n, k) -> Hashtbl.replace t.hypercalls n k) c.tm_hypercalls;
+  Counts.reset t.hypercalls;
+  List.iter (fun (n, k) -> Counts.replace t.hypercalls n (ref k)) c.tm_hypercalls;
   t.hypercalls_failed <- c.tm_hypercalls_failed;
   t.faults <- c.tm_faults;
   t.double_faults <- c.tm_double_faults;

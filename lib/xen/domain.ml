@@ -2,7 +2,9 @@ type t = {
   id : int;
   name : string;
   privileged : bool;
+  owner : Phys_mem.owner;
   p2m : Addr.mfn option array;
+  p2m_touched : Touched.t;
   mutable l4_mfn : Addr.mfn;
   mutable pt_pages : Addr.mfn list;
   start_info_pfn : Addr.pfn;
@@ -17,7 +19,9 @@ let make ~id ~name ~privileged ~max_pfn ~start_info_pfn ~vdso_pfn =
     id;
     name;
     privileged;
+    owner = Phys_mem.Dom id;
     p2m = Array.make max_pfn None;
+    p2m_touched = Touched.create max_pfn;
     l4_mfn = -1;
     pt_pages = [];
     start_info_pfn;
@@ -27,31 +31,36 @@ let make ~id ~name ~privileged ~max_pfn ~start_info_pfn ~vdso_pfn =
     dom_crashed = false;
   }
 
-(* Structural copy for hypervisor checkpointing. *)
+(* A structural copy with the given tables, nothing touched in it. *)
+let copy_with t ~grant ~events =
+  let p2m = Array.copy t.p2m in
+  { t with p2m; p2m_touched = Touched.create (Array.length p2m); grant; events }
+
 let deep_copy t =
-  {
-    t with
-    p2m = Array.copy t.p2m;
-    grant = Grant_table.deep_copy t.grant;
-    events = Event_channel.deep_copy t.events;
-  }
+  copy_with t ~grant:(Grant_table.deep_copy t.grant) ~events:(Event_channel.deep_copy t.events)
+
+let checkpoint t =
+  Touched.clear t.p2m_touched;
+  copy_with t ~grant:(Grant_table.checkpoint t.grant)
+    ~events:(Event_channel.checkpoint t.events)
 
 let max_pfn t = Array.length t.p2m
 
 (* In-place checkpoint restore: the live record keeps its identity, so
-   nothing that holds it has to be re-pointed. A P2M slot is only
-   stored when it differs: after the first restore the live slots hold
-   the checkpoint's own [Some] boxes, so an untouched slot costs a
-   pointer compare instead of a write barrier. *)
+   nothing that holds it has to be re-pointed. Only the P2M slots, grant
+   entries and ports changed since the checkpoint are copied back, so a
+   domain the trial left alone costs four checks. *)
 let restore_into t ~from =
   if t.id <> from.id || max_pfn t <> Array.length from.p2m then
     invalid_arg "Domain.restore_into: not the same domain";
-  for i = 0 to max_pfn t - 1 do
-    let m = from.p2m.(i) in
-    if t.p2m.(i) != m then t.p2m.(i) <- m
+  let touched = t.p2m_touched in
+  for k = 0 to touched.Touched.count - 1 do
+    let i = Array.unsafe_get touched.Touched.stack k in
+    t.p2m.(i) <- from.p2m.(i)
   done;
+  Touched.clear touched;
   t.l4_mfn <- from.l4_mfn;
-  t.pt_pages <- from.pt_pages;
+  if t.pt_pages != from.pt_pages then t.pt_pages <- from.pt_pages;
   Grant_table.restore_into t.grant ~from:from.grant;
   Event_channel.restore_into t.events ~from:from.events;
   t.dom_crashed <- from.dom_crashed
@@ -67,6 +76,7 @@ let pfn_of_mfn t mfn =
 
 let set_p2m t pfn mfn =
   if pfn < 0 || pfn >= max_pfn t then invalid_arg "Domain.set_p2m: pfn out of range";
+  Touched.add t.p2m_touched pfn;
   t.p2m.(pfn) <- mfn
 
 let populated_pfns t =
@@ -83,7 +93,7 @@ let populated_count t =
   done;
   !n
 
-let owned t = Phys_mem.Dom t.id
+let owned t = t.owner
 
 let kernel_vaddr_of_pfn pfn =
   Int64.add Layout.guest_kernel_base (Int64.of_int (pfn * Addr.page_size))

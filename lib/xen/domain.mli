@@ -9,7 +9,10 @@ type t = {
   id : int;
   name : string;  (** also used as the guest hostname in transcripts *)
   privileged : bool;  (** true for dom0 *)
-  p2m : Addr.mfn option array;  (** pfn -> mfn; [None] = no page *)
+  owner : Phys_mem.owner;  (** [Dom id], built once: see {!owned} *)
+  p2m : Addr.mfn option array;
+      (** pfn -> mfn; [None] = no page. Written only through {!set_p2m}. *)
+  p2m_touched : Touched.t;  (** the pfns {!set_p2m} changed since the checkpoint *)
   mutable l4_mfn : Addr.mfn;  (** page-table root (start_info.pt_base) *)
   mutable pt_pages : Addr.mfn list;  (** builder-installed table pages *)
   start_info_pfn : Addr.pfn;
@@ -25,15 +28,24 @@ val make :
 
 val deep_copy : t -> t
 (** Structural copy — P2M, grant table and event channels included —
-    so a checkpointed domain is immune to later mutation. *)
+    so a checkpointed domain is immune to later mutation. No changes
+    are recorded in the copy. *)
+
+val checkpoint : t -> t
+(** A {!deep_copy} of [t] to {!restore_into} [t] later. From here on
+    [t] records the P2M slots, grant entries and ports it changes (see
+    {!Grant_table.checkpoint}, {!Event_channel.checkpoint}), which is
+    what {!restore_into} replays; only the latest checkpoint of a
+    domain can be restored into it. *)
 
 val restore_into : t -> from:t -> unit
-(** Roll the live domain [t] back to the checkpointed copy [from] in
-    place: the P2M, the grant table and the event channels are copied
-    entry by entry, so [t] ends up structurally equal to
-    [Domain.deep_copy from] while keeping its identity. [from] is only
-    read. Raises [Invalid_argument] unless both have the same id and
-    P2M size. *)
+(** Roll the live domain [t] back in place to [from], its latest
+    {!checkpoint} (or a {!deep_copy} of it): the P2M slots, grant
+    entries and ports changed since are copied back, so [t] ends up
+    structurally equal to [from] while keeping its identity, and a
+    domain that changed nothing costs four checks. [from] is
+    only read. Raises [Invalid_argument] unless both have the same id
+    and P2M size. *)
 
 val max_pfn : t -> int
 val mfn_of_pfn : t -> Addr.pfn -> Addr.mfn option
@@ -48,6 +60,8 @@ val populated_count : t -> int
 (** [List.length (populated_pfns t)], without building the list. *)
 
 val owned : t -> Phys_mem.owner
+(** [Phys_mem.Dom id], the same value every call: allocates nothing. *)
+
 val kernel_vaddr_of_pfn : Addr.pfn -> Addr.vaddr
 (** Where the builder maps guest page [pfn] in the PV kernel area. *)
 

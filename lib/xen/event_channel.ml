@@ -9,25 +9,44 @@ type port = {
   mutable masked : bool;
 }
 
-type t = port array
+(* [touched] holds the ports written since the checkpoint: every
+   mutator below marks its port first, through [set_binding] or
+   [set_pending]. *)
+type t = { ports : port array; touched : Touched.t }
 
 let create ~max_ports =
   if max_ports <= 0 then invalid_arg "Event_channel.create";
-  Array.init max_ports (fun _ -> { binding = None; pending = false; masked = false })
+  {
+    ports = Array.init max_ports (fun _ -> { binding = None; pending = false; masked = false });
+    touched = Touched.create max_ports;
+  }
 
-let max_ports t = Array.length t
-let port t i = if i >= 0 && i < Array.length t then Some t.(i) else None
+let max_ports t = Array.length t.ports
+let port t i = if i >= 0 && i < Array.length t.ports then Some t.ports.(i) else None
+
+let set_binding t i b =
+  Touched.add t.touched i;
+  t.ports.(i).binding <- b
+
+let set_pending t i v =
+  let p = t.ports.(i) in
+  if p.pending <> v then begin
+    Touched.add t.touched i;
+    p.pending <- v
+  end
 
 let find_free t =
-  let n = Array.length t in
-  let rec go i = if i >= n then None else if t.(i).binding = None then Some i else go (i + 1) in
+  let n = Array.length t.ports in
+  let rec go i =
+    if i >= n then None else if t.ports.(i).binding = None then Some i else go (i + 1)
+  in
   go 0
 
 let alloc_unbound t ~allowed_remote =
   match find_free t with
   | None -> Error Errno.ENOSPC
   | Some i ->
-      t.(i).binding <- Some (Unbound { allowed_remote });
+      set_binding t i (Some (Unbound { allowed_remote }));
       Ok i
 
 let bind_interdomain ~local ~local_dom ~remote ~remote_dom ~remote_port =
@@ -39,8 +58,9 @@ let bind_interdomain ~local ~local_dom ~remote ~remote_dom ~remote_port =
           match find_free local with
           | None -> Error Errno.ENOSPC
           | Some lp ->
-              local.(lp).binding <- Some (Interdomain { remote_dom; remote_port });
-              rp.binding <- Some (Interdomain { remote_dom = local_dom; remote_port = lp });
+              set_binding local lp (Some (Interdomain { remote_dom; remote_port }));
+              set_binding remote remote_port
+                (Some (Interdomain { remote_dom = local_dom; remote_port = lp }));
               Ok lp)
       | Some (Unbound _) -> Error Errno.EPERM
       | Some (Interdomain _ | Virq _) -> Error Errno.EBUSY
@@ -50,7 +70,7 @@ let bind_virq t ~virq =
   match find_free t with
   | None -> Error Errno.ENOSPC
   | Some i ->
-      t.(i).binding <- Some (Virq virq);
+      set_binding t i (Some (Virq virq));
       Ok i
 
 let send t i =
@@ -59,7 +79,7 @@ let send t i =
   | Some p -> (
       match p.binding with
       | Some (Interdomain _ | Virq _) ->
-          p.pending <- true;
+          set_pending t i true;
           Ok ()
       | Some (Unbound _) | None -> Error Errno.ENOENT)
 
@@ -68,7 +88,7 @@ let consume t i =
   | None -> false
   | Some p ->
       let was = p.pending in
-      p.pending <- false;
+      set_pending t i false;
       was
 
 let close t i =
@@ -78,31 +98,33 @@ let close t i =
       match p.binding with
       | None -> Error Errno.ENOENT
       | Some _ ->
-          p.binding <- None;
+          set_binding t i None;
           p.pending <- false;
           p.masked <- false;
           Ok ())
 
 let collect t f =
   let acc = ref [] in
-  Array.iteri (fun i p -> if f p then acc := i :: !acc) t;
+  Array.iteri (fun i p -> if f p then acc := i :: !acc) t.ports;
   List.rev !acc
 
 let pending_ports t = collect t (fun p -> p.pending)
 
 let pending_count t =
   let n = ref 0 in
-  for i = 0 to Array.length t - 1 do
-    if t.(i).pending then incr n
+  for i = 0 to Array.length t.ports - 1 do
+    if t.ports.(i).pending then incr n
   done;
   !n
 
-let rec pending_from t i = i < Array.length t && (t.(i).pending || pending_from t (i + 1))
-let any_pending t = pending_from t 0
+let rec pending_from ports i =
+  i < Array.length ports && (ports.(i).pending || pending_from ports (i + 1))
+
+let any_pending t = pending_from t.ports 0
 
 let rec collect_pending t ~limit i acc =
-  if limit = 0 || i >= Array.length t then List.rev acc
-  else if t.(i).pending then collect_pending t ~limit:(limit - 1) (i + 1) (i :: acc)
+  if limit = 0 || i >= Array.length t.ports then List.rev acc
+  else if t.ports.(i).pending then collect_pending t ~limit:(limit - 1) (i + 1) (i :: acc)
   else collect_pending t ~limit (i + 1) acc
 
 let first_pending t ~limit = collect_pending t ~limit 0 []
@@ -111,24 +133,32 @@ let bound_ports t = collect t (fun p -> p.binding <> None)
 
 let force_pending_all t =
   let n = ref 0 in
-  Array.iter
-    (fun p ->
-      if not p.pending then (
-        p.pending <- true;
-        incr n))
-    t;
+  for i = 0 to Array.length t.ports - 1 do
+    if not t.ports.(i).pending then begin
+      set_pending t i true;
+      incr n
+    end
+  done;
   !n
 
 let deep_copy t =
-  Array.map (fun p -> { binding = p.binding; pending = p.pending; masked = p.masked }) t
+  let copy p = { binding = p.binding; pending = p.pending; masked = p.masked } in
+  { ports = Array.map copy t.ports; touched = Touched.create (Array.length t.ports) }
+
+let checkpoint t =
+  Touched.clear t.touched;
+  deep_copy t
 
 let restore_into t ~from =
-  if Array.length t <> Array.length from then
+  if Array.length t.ports <> Array.length from.ports then
     invalid_arg "Event_channel.restore_into: port counts differ";
-  for i = 0 to Array.length t - 1 do
-    let p = t.(i) and s = from.(i) in
+  let touched = t.touched in
+  for k = 0 to touched.Touched.count - 1 do
+    let i = Array.unsafe_get touched.Touched.stack k in
+    let p = t.ports.(i) and s = from.ports.(i) in
     (* skip the write barrier when the binding is already the same *)
     if p.binding != s.binding then p.binding <- s.binding;
     p.pending <- s.pending;
     p.masked <- s.masked
-  done
+  done;
+  Touched.clear touched

@@ -11,7 +11,7 @@ type port_binding =
   | Interdomain of { remote_dom : int; remote_port : int }
   | Virq of int
 
-type port = {
+type port = private {
   mutable binding : port_binding option;  (** [None] = free port *)
   mutable pending : bool;
   mutable masked : bool;
@@ -62,9 +62,18 @@ val force_pending_all : t -> int
     interrupt intrusion model. Never called by legitimate hypercalls. *)
 
 val deep_copy : t -> t
-(** Structural copy (for hypervisor checkpointing). *)
+(** Structural copy (for hypervisor checkpointing), with no changes
+    recorded. *)
+
+val checkpoint : t -> t
+(** A {!deep_copy} of [t] to {!restore_into} [t] later: from here on,
+    [t] records the ports its mutators change, which is what
+    {!restore_into} replays. Only the latest checkpoint of a table can
+    be restored into it. *)
 
 val restore_into : t -> from:t -> unit
-(** Copy every port of [from] into the matching port record of [t] (the
-    in-place counterpart of {!deep_copy}). Raises [Invalid_argument] if
-    the tables differ in size. *)
+(** Copy the ports changed since the latest {!checkpoint} back from
+    [from] (that checkpoint, or a {!deep_copy} of it) into the matching
+    port records of [t]: the in-place counterpart of {!deep_copy}, in
+    O(changed ports). Raises [Invalid_argument] if the tables differ in
+    size. *)

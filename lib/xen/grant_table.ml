@@ -24,6 +24,10 @@ type t = {
   mutable shared : Addr.mfn list;
   mutable maptrack : (int, map_record) Hashtbl.t;
   mutable next_handle : int;
+  (* changes since the checkpoint: the entries written, and whether
+     anything else (version, frames, maptrack, handles) was *)
+  touched : Touched.t;
+  mutable header_touched : bool;
 }
 
 module Wire = struct
@@ -68,13 +72,24 @@ let create ~grefs =
     shared = [];
     maptrack = Hashtbl.create 31;
     next_handle = 0;
+    touched = Touched.create grefs;
+    header_touched = false;
   }
 
 let version t = t.gt_version
 let entry t gref = if gref >= 0 && gref < Array.length t.entries then Some t.entries.(gref) else None
+
+(* Every mutator below marks what it writes first: an entry in
+   [touched], anything else through [touch_header]. *)
+let touch_header t = t.header_touched <- true
+
 let status_frames t = t.status
 let shared_frames t = t.shared
-let set_shared t frames = t.shared <- frames
+
+let set_shared t frames =
+  touch_header t;
+  t.shared <- frames
+
 let memory_backed t = t.shared <> []
 let any_mapped t = Hashtbl.length t.maptrack > 0
 
@@ -89,6 +104,7 @@ let wire_slot t gref =
     | None -> None
 
 let fresh_handle t =
+  touch_header t;
   let handle = t.next_handle in
   t.next_handle <- handle + 1;
   handle
@@ -129,6 +145,7 @@ let unmap_memory t ~mem ~handle =
   match Hashtbl.find_opt t.maptrack handle with
   | None -> Error Errno.ENOENT
   | Some record ->
+      touch_header t;
       Hashtbl.remove t.maptrack handle;
       (match wire_slot t record.gref with
       | Some (frame_mfn, slot) ->
@@ -145,6 +162,7 @@ let set_version t ~alloc ~release v =
     match (t.gt_version, v) with
     | V1, V1 | V2, V2 -> Ok ()
     | V1, V2 ->
+        touch_header t;
         t.status <- List.init status_frame_count (fun _ -> alloc ());
         t.gt_version <- V2;
         Ok ()
@@ -152,6 +170,7 @@ let set_version t ~alloc ~release v =
         (* The correct behaviour XSA-387 violated: status pages go back
            to Xen when leaving v2. *)
         List.iter release t.status;
+        touch_header t;
         t.status <- [];
         t.gt_version <- V1;
         Ok ()
@@ -162,6 +181,7 @@ let grant_access t ~gref ~grantee ~mfn ~readonly =
   | Some e ->
       if e.in_use > 0 then Error Errno.EBUSY
       else (
+        Touched.add t.touched gref;
         e.permit <- true;
         e.grantee <- grantee;
         e.g_mfn <- mfn;
@@ -174,6 +194,7 @@ let end_access t ~gref =
   | Some e ->
       if e.in_use > 0 then Error Errno.EBUSY
       else (
+        Touched.add t.touched gref;
         e.permit <- false;
         e.grantee <- -1;
         e.g_mfn <- -1;
@@ -186,9 +207,9 @@ let map t ~granter ~mapper ~gref =
       if not e.permit then Error Errno.ENOENT
       else if e.grantee <> mapper then Error Errno.EPERM
       else begin
+        Touched.add t.touched gref;
         e.in_use <- e.in_use + 1;
-        let handle = t.next_handle in
-        t.next_handle <- handle + 1;
+        let handle = fresh_handle t in
         let record =
           { handle; mapper; granter; gref; mapped_mfn = e.g_mfn; map_readonly = e.readonly }
         in
@@ -200,17 +221,22 @@ let unmap t ~handle =
   match Hashtbl.find_opt t.maptrack handle with
   | None -> Error Errno.ENOENT
   | Some record ->
+      touch_header t;
       Hashtbl.remove t.maptrack handle;
       (match entry t record.gref with
-      | Some e when e.in_use > 0 -> e.in_use <- e.in_use - 1
+      | Some e when e.in_use > 0 ->
+          Touched.add t.touched record.gref;
+          e.in_use <- e.in_use - 1
       | Some _ | None -> ());
       Ok ()
 
 let mappings t = Hashtbl.fold (fun _ r acc -> r :: acc) t.maptrack []
+let next_handle t = t.next_handle
 let find_mapping t ~handle = Hashtbl.find_opt t.maptrack handle
 
 (* Structural copy for hypervisor checkpointing: every mutable cell is
-   duplicated so the checkpoint is immune to later mutation. *)
+   duplicated so the checkpoint is immune to later mutation. Nothing is
+   touched in the copy. *)
 let deep_copy t =
   {
     gt_version = t.gt_version;
@@ -224,18 +250,24 @@ let deep_copy t =
     shared = t.shared;
     maptrack = Hashtbl.copy t.maptrack;
     next_handle = t.next_handle;
+    touched = Touched.create (Array.length t.entries);
+    header_touched = false;
   }
 
-(* In-place restore from a checkpointed table: the entries are copied
-   field by field into the live records. The maptrack is only replaced
-   when it can differ from the checkpoint's — every insertion takes a
-   fresh handle, so an unchanged [next_handle] with both tables empty
-   means the live one was never touched. *)
+let checkpoint t =
+  Touched.clear t.touched;
+  t.header_touched <- false;
+  deep_copy t
+
+(* In-place restore from the checkpointed table: the entries written
+   since are copied field by field into the live records, and the rest
+   of the table only if any of it was written. *)
 let restore_into t ~from =
   if Array.length t.entries <> Array.length from.entries then
     invalid_arg "Grant_table.restore_into: table sizes differ";
-  t.gt_version <- from.gt_version;
-  for i = 0 to Array.length t.entries - 1 do
+  let touched = t.touched in
+  for k = 0 to touched.Touched.count - 1 do
+    let i = Array.unsafe_get touched.Touched.stack k in
     let e = t.entries.(i) and s = from.entries.(i) in
     e.permit <- s.permit;
     e.grantee <- s.grantee;
@@ -243,11 +275,13 @@ let restore_into t ~from =
     e.readonly <- s.readonly;
     e.in_use <- s.in_use
   done;
-  t.status <- from.status;
-  t.shared <- from.shared;
-  if
-    t.next_handle <> from.next_handle
-    || Hashtbl.length t.maptrack > 0
-    || Hashtbl.length from.maptrack > 0
-  then t.maptrack <- Hashtbl.copy from.maptrack;
-  t.next_handle <- from.next_handle
+  Touched.clear touched;
+  if t.header_touched then begin
+    t.gt_version <- from.gt_version;
+    t.status <- from.status;
+    t.shared <- from.shared;
+    if Hashtbl.length t.maptrack > 0 || Hashtbl.length from.maptrack > 0 then
+      t.maptrack <- Hashtbl.copy from.maptrack;
+    t.next_handle <- from.next_handle;
+    t.header_touched <- false
+  end

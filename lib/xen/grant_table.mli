@@ -9,7 +9,7 @@
 
 type gt_version = V1 | V2
 
-type entry = {
+type entry = private {
   mutable permit : bool;  (** access currently granted *)
   mutable grantee : int;  (** domain allowed to map *)
   mutable g_mfn : Addr.mfn;
@@ -93,13 +93,26 @@ val map : t -> granter:int -> mapper:int -> gref:int -> (map_record, Errno.t) re
 
 val unmap : t -> handle:int -> (unit, Errno.t) result
 val mappings : t -> map_record list
+
+val next_handle : t -> int
+(** The handle the next mapping will get. *)
+
 val find_mapping : t -> handle:int -> map_record option
 
 val deep_copy : t -> t
-(** Structural copy (for hypervisor checkpointing). *)
+(** Structural copy (for hypervisor checkpointing), with no changes
+    recorded. *)
+
+val checkpoint : t -> t
+(** A {!deep_copy} of [t] to {!restore_into} [t] later: from here on,
+    [t] records the entries (and the rest of the table) its mutators
+    change, which is what {!restore_into} replays. Only the latest
+    checkpoint of a table can be restored into it. *)
 
 val restore_into : t -> from:t -> unit
-(** Make [t] structurally equal to [from] without rebuilding it: the
-    entries are copied field by field, and the maptrack is copied only
-    if either side holds mappings or [t] took a handle since. [from] is
-    only read. Raises [Invalid_argument] if the tables differ in size. *)
+(** Make [t] equal to [from], its latest {!checkpoint} (or a
+    {!deep_copy} of it), without rebuilding it: the entries changed
+    since are copied field by field, and the version, frames, maptrack
+    and handle counter only if any of them changed. An unchanged table
+    costs two checks. [from] is only read. Raises [Invalid_argument] if
+    the tables differ in size. *)

@@ -52,25 +52,14 @@ let fresh_domid t =
   t.next_domid <- id + 1;
   id
 
-let mark_alloc t mfn owner =
-  Page_info.touch t.pages mfn;
-  let info = Page_info.get t.pages mfn in
-  info.Page_info.owner <- owner;
-  info.Page_info.ptype <- Page_info.PGT_none;
-  info.Page_info.type_count <- 0;
-  info.Page_info.ref_count <- 1;
-  info.Page_info.validated <- false;
-  info.Page_info.pinned <- false
-
 let alloc_xen_page t =
   let mfn = Phys_mem.alloc t.mem Phys_mem.Xen in
-  mark_alloc t mfn Phys_mem.Xen;
+  Page_info.allocated t.pages mfn;
   mfn
 
 let alloc_domain_page t dom =
-  let owner = Domain.owned dom in
-  let mfn = Phys_mem.alloc t.mem owner in
-  mark_alloc t mfn owner;
+  let mfn = Phys_mem.alloc t.mem (Domain.owned dom) in
+  Page_info.allocated t.pages mfn;
   mfn
 
 let release_page t mfn =
@@ -79,7 +68,6 @@ let release_page t mfn =
   else if info.Page_info.ref_count > 1 then Error Errno.EBUSY
   else begin
     Page_info.touch t.pages mfn;
-    info.Page_info.owner <- Phys_mem.Free;
     info.Page_info.ref_count <- 0;
     info.Page_info.validated <- false;
     info.Page_info.pinned <- false;
@@ -100,7 +88,10 @@ let hypercalls_failed t = (Trace.telemetry t.trace).Trace.tm_hypercalls_failed
 let exhaust_memory t ~leave =
   let taken = max 0 (Phys_mem.free_frames t.mem - max 0 leave) in
   if taken > 0 then begin
-    Phys_mem.claim t.mem Phys_mem.Xen taken (fun mfn -> mark_alloc t mfn Phys_mem.Xen);
+    let claimed = Phys_mem.claim t.mem Phys_mem.Xen taken in
+    for k = 0 to taken - 1 do
+      Page_info.allocated t.pages claimed.(k)
+    done;
     log t (Printf.sprintf "memory pressure: %d frames vanished into the Xen heap" taken)
   end;
   taken
@@ -136,6 +127,35 @@ let m2p_lookup t mfn =
   if v = m2p_invalid_entry || v < 0L then -1 else Int64.to_int v
 
 let is_m2p_frame t mfn = Array.exists (fun m -> m = mfn) t.m2p_mfns
+
+(* [m2p_lookup t mfn <> pfn] for every populated pfn, in one pass per
+   domain that fetches an M2P frame only when the next entry lies in
+   another one (a P2M maps runs of neighbouring frames). An entry
+   agrees exactly when it holds [pfn]: an invalid or negative entry
+   holds no pfn. *)
+let rec count_m2p_mismatches t n = function
+  | [] -> n
+  | dom :: rest ->
+      let p2m = dom.Domain.p2m in
+      let n = ref n and cur = ref (-1) and frame = ref Bytes.empty in
+      for pfn = 0 to Array.length p2m - 1 do
+        match Array.unsafe_get p2m pfn with
+        | None -> ()
+        | Some mfn ->
+            if mfn lsr m2p_shift <> !cur then begin
+              frame := (Phys_mem.frame_ro t.mem (m2p_frame_for t mfn) :> bytes);
+              cur := mfn lsr m2p_shift
+            end;
+            if Bytes.get_int64_le !frame (m2p_offset mfn) <> Int64.of_int pfn then begin
+              (* the verdict depends on the inconsistent M2P entry *)
+              Phys_mem.observe t.mem ~consumer:Provenance.M2p_check ~mfn:(m2p_frame_for t mfn)
+                ~off:(m2p_offset mfn) ~len:8;
+              incr n
+            end
+      done;
+      count_m2p_mismatches t !n rest
+
+let m2p_mismatches t = count_m2p_mismatches t 0 t.domains
 
 (* --- exceptions ------------------------------------------------------ *)
 
@@ -223,7 +243,7 @@ type checkpoint = {
 let checkpoint t =
   Phys_mem.capture_baseline t.mem;
   {
-    ck_domains = List.map Domain.deep_copy t.domains;
+    ck_domains = List.map Domain.checkpoint t.domains;
     ck_next_domid = t.next_domid;
     ck_crashed = t.crashed;
     ck_console_len = Buffer.length t.console;
@@ -371,9 +391,9 @@ let boot ~version ~frames =
     }
   in
   Xenstore.set_tracer t.xenstore trace;
-  mark_alloc t text_mfn Phys_mem.Xen;
-  mark_alloc t idt_mfn Phys_mem.Xen;
-  Array.iter (fun mfn -> mark_alloc t mfn Phys_mem.Xen) m2p_mfns;
+  Page_info.allocated pages text_mfn;
+  Page_info.allocated pages idt_mfn;
+  Array.iter (Page_info.allocated pages) m2p_mfns;
   (* Every M2P entry starts invalid. *)
   for mfn = 0 to frames - 1 do
     m2p_set t mfn None

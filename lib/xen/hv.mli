@@ -81,6 +81,11 @@ val m2p_offset : Addr.mfn -> int
 
 val is_m2p_frame : t -> Addr.mfn -> bool
 
+val m2p_mismatches : t -> int
+(** How many populated P2M entries, over every domain, the M2P does not
+    invert ([m2p_lookup t mfn <> pfn]); each such M2P entry is observed
+    as an [M2p_check] consumption. Allocates nothing. *)
+
 (** {1 Exception plumbing} *)
 
 val handler_vaddr : t -> int -> Addr.vaddr

@@ -326,10 +326,14 @@ let dispatch hv dom call =
   Trace.enter tr;
   (* everything the hypervisor writes on behalf of this call carries the
      call number as origin; more specific origins (the injector port)
-     nest inside and win *)
+     nest inside and win. Without provenance attached there is no origin
+     to carry, so no origin or closure is built. *)
   let result =
-    Phys_mem.with_origin hv.Hv.mem (Provenance.Hypercall_arg number) (fun () ->
-        dispatch_uncounted hv dom call)
+    match Phys_mem.provenance hv.Hv.mem with
+    | None -> dispatch_uncounted hv dom call
+    | Some _ ->
+        Phys_mem.with_origin hv.Hv.mem (Provenance.Hypercall_arg number) (fun () ->
+            dispatch_uncounted hv dom call)
   in
   Trace.leave tr;
   Hv.count_hypercall hv ~number ~failed:(Result.is_error result);

@@ -31,43 +31,41 @@ let validate_l1 hv dom e =
   else
     let info = Page_info.get hv.Hv.pages target in
     let write = Pte.test Pte.Rw e in
-    match info.Page_info.owner with
-    | Phys_mem.Free -> Error Errno.EINVAL
-    | Phys_mem.Xen ->
-        (* Guests may read the M2P and map their own grant-table
-           frames; nothing else of Xen's, ever. *)
-        if (not write) && Hv.is_m2p_frame hv target then
-          Ok (Some { acc_target = target; acc_kind = `Data_ro })
-        else if List.mem target (Grant_table.shared_frames dom.Domain.grant) then
-          Ok (Some { acc_target = target; acc_kind = (if write then `Data_rw else `Data_ro) })
-        else if
-          (* The grant-ownership bug: 4.6 only checks that the target is
-             *some* grant-table frame, not that it is the mapper's own —
-             so a guest can map a co-resident domain's wire entries
-             writable and forge grants. *)
-          (not (Version.grant_frame_ownership_checked hv.Hv.version))
-          && List.exists
-               (fun d -> List.mem target (Grant_table.shared_frames d.Domain.grant))
-               hv.Hv.domains
-        then Ok (Some { acc_target = target; acc_kind = (if write then `Data_rw else `Data_ro) })
-        else Error Errno.EPERM
-    | Phys_mem.Dom id when id = dom.Domain.id ->
-        if write then
-          if table_in_use info then Error Errno.EPERM
-            (* no writable mappings of page tables: the direct-paging rule *)
-          else Ok (Some { acc_target = target; acc_kind = `Data_rw })
-        else Ok (Some { acc_target = target; acc_kind = `Data_ro })
-    | Phys_mem.Dom _ ->
-        if foreign_map_allowed hv dom ~target ~write then
-          Ok (Some { acc_target = target; acc_kind = (if write then `Data_rw else `Data_ro) })
-        else Error Errno.EPERM
+    if Phys_mem.is_owner hv.Hv.mem target Phys_mem.Free then Error Errno.EINVAL
+    else if Phys_mem.is_owner hv.Hv.mem target Phys_mem.Xen then
+      (* Guests may read the M2P and map their own grant-table
+         frames; nothing else of Xen's, ever. *)
+      if (not write) && Hv.is_m2p_frame hv target then
+        Ok (Some { acc_target = target; acc_kind = `Data_ro })
+      else if List.mem target (Grant_table.shared_frames dom.Domain.grant) then
+        Ok (Some { acc_target = target; acc_kind = (if write then `Data_rw else `Data_ro) })
+      else if
+        (* The grant-ownership bug: 4.6 only checks that the target is
+           *some* grant-table frame, not that it is the mapper's own —
+           so a guest can map a co-resident domain's wire entries
+           writable and forge grants. *)
+        (not (Version.grant_frame_ownership_checked hv.Hv.version))
+        && List.exists
+             (fun d -> List.mem target (Grant_table.shared_frames d.Domain.grant))
+             hv.Hv.domains
+      then Ok (Some { acc_target = target; acc_kind = (if write then `Data_rw else `Data_ro) })
+      else Error Errno.EPERM
+    else if Phys_mem.is_owner hv.Hv.mem target (Domain.owned dom) then
+      if write then
+        if table_in_use info then Error Errno.EPERM
+          (* no writable mappings of page tables: the direct-paging rule *)
+        else Ok (Some { acc_target = target; acc_kind = `Data_rw })
+      else Ok (Some { acc_target = target; acc_kind = `Data_ro })
+    else if foreign_map_allowed hv dom ~target ~write then
+      Ok (Some { acc_target = target; acc_kind = (if write then `Data_rw else `Data_ro) })
+    else Error Errno.EPERM
 
 let validate_upper hv dom ~level e =
   let target = Pte.mfn e in
   if not (Phys_mem.is_valid_mfn hv.Hv.mem target) then Error Errno.EINVAL
   else
     let info = Page_info.get hv.Hv.pages target in
-    let owned = info.Page_info.owner = Domain.owned dom in
+    let owned = Phys_mem.is_owner hv.Hv.mem target (Domain.owned dom) in
     let same_level = info.Page_info.ptype = Page_info.ptype_of_level level in
     if same_level && info.Page_info.type_count > 0 then
       (* Linear (recursive) page-table link: legal read-only only. *)
@@ -183,7 +181,7 @@ and promote hv dom ~level mfn =
     Ok ()
   end
   else if info.Page_info.type_count > 0 then Error Errno.EBUSY
-  else if info.Page_info.owner <> Domain.owned dom then Error Errno.EPERM
+  else if not (Phys_mem.is_owner hv.Hv.mem mfn (Domain.owned dom)) then Error Errno.EPERM
   else begin
     (* Mark in progress so recursive self-references resolve as linear. *)
     info.Page_info.ptype <- wanted;
@@ -273,10 +271,14 @@ let locate_table hv dom ptr =
   let table_mfn = Addr.mfn_of_maddr ma in
   if not (Phys_mem.is_valid_mfn hv.Hv.mem table_mfn) then Error Errno.EINVAL
   else
-    let info = Page_info.get hv.Hv.pages table_mfn in
+    let info = Page_info.get hv.Hv.pages table_mfn and mem = hv.Hv.mem in
+    (* a privileged domain may update any domain's tables *)
     let owned =
-      info.Page_info.owner = Domain.owned dom
-      || (dom.Domain.privileged && match info.Page_info.owner with Phys_mem.Dom _ -> true | _ -> false)
+      Phys_mem.is_owner mem table_mfn (Domain.owned dom)
+      || dom.Domain.privileged
+         && not
+              (Phys_mem.is_owner mem table_mfn Phys_mem.Free
+              || Phys_mem.is_owner mem table_mfn Phys_mem.Xen)
     in
     match Page_info.table_level info.Page_info.ptype with
     | Some level when owned && info.Page_info.type_count > 0 && info.Page_info.validated ->
@@ -343,21 +345,15 @@ let mmu_update ?flush hv dom ~updates =
 
 (* --- update_va_mapping ----------------------------------------------- *)
 
+(* The one-entry [mmu_update] on the L1 entry mapping [va]; a walk that
+   ends before level 1 (not present, or a superpage leaf, which is not
+   updatable entry-wise) is refused. *)
 let update_va_mapping hv dom ~va value =
-  let path = Paging.walk_path hv.Hv.mem ~cr3:dom.Domain.l4_mfn va in
-  let l1_step =
-    List.find_opt
-      (fun s -> s.Paging.level = 1 || (s.Paging.level = 2 && Pte.test Pte.Pse s.Paging.entry))
-      path
-  in
-  match l1_step with
-  | Some { Paging.level = 1; table_mfn; index; _ } ->
-      let ptr = Int64.add (Addr.maddr_of_mfn table_mfn) (Int64.of_int (8 * index)) in
-      (* UVMF_INVLPG: a single-entry update needs only a targeted flush *)
-      let flush = Flush_page (dom.Domain.l4_mfn, va) in
-      Result.map (fun (_ : int) -> ()) (mmu_update ~flush hv dom ~updates:[ (ptr, value) ])
-  | Some _ -> Error Errno.EINVAL (* superpage leaf: not updatable entry-wise *)
-  | None -> Error Errno.EINVAL
+  let slot = Paging.l1_entry_maddr hv.Hv.mem ~cr3:dom.Domain.l4_mfn va in
+  if slot < 0 || Hv.is_crashed hv then Error Errno.EINVAL
+  else
+    (* UVMF_INVLPG: a single-entry update needs only a targeted flush *)
+    apply_one ~flush:(Flush_page (dom.Domain.l4_mfn, va)) hv dom ~ptr:(Int64.of_int slot) ~value
 
 (* --- pinning / cr3 ---------------------------------------------------- *)
 

@@ -1,7 +1,6 @@
 type ptype = PGT_none | PGT_writable | PGT_l1 | PGT_l2 | PGT_l3 | PGT_l4 | PGT_seg
 
 type info = {
-  mutable owner : Phys_mem.owner;
   mutable ptype : ptype;
   mutable type_count : int;
   mutable ref_count : int;
@@ -14,42 +13,37 @@ type t = {
   (* frames mutated since the last [checkpoint] or [restore], so
      [restore] replays O(touched) entries instead of the whole array,
      and scans cached at the checkpoint know which infos moved *)
-  touched : Bytes.t;
-  touched_stack : int array;  (* the touched frames, [ntouched] of them; one slot per frame *)
-  mutable ntouched : int;
+  touched : Touched.t;
 }
 
 let fresh () =
-  { owner = Phys_mem.Free; ptype = PGT_none; type_count = 0; ref_count = 0;
-    validated = false; pinned = false }
+  { ptype = PGT_none; type_count = 0; ref_count = 0; validated = false; pinned = false }
 
 let copy i =
-  { owner = i.owner; ptype = i.ptype; type_count = i.type_count; ref_count = i.ref_count;
+  { ptype = i.ptype; type_count = i.type_count; ref_count = i.ref_count;
     validated = i.validated; pinned = i.pinned }
 
 let create ~frames =
-  {
-    infos = Array.init frames (fun _ -> fresh ());
-    touched = Bytes.make frames '\000';
-    touched_stack = Array.make frames 0;
-    ntouched = 0;
-  }
+  { infos = Array.init frames (fun _ -> fresh ()); touched = Touched.create frames }
 
 let get t mfn =
   if mfn < 0 || mfn >= Array.length t.infos then invalid_arg "Page_info.get: bad mfn";
   t.infos.(mfn)
 
-let touch t mfn =
-  if Bytes.unsafe_get t.touched mfn = '\000' then begin
-    Bytes.unsafe_set t.touched mfn '\001';
-    Array.unsafe_set t.touched_stack t.ntouched mfn;
-    t.ntouched <- t.ntouched + 1
-  end
+let touch t mfn = Touched.add t.touched mfn
+let touched t mfn = Touched.mem t.touched mfn
+let any_touched t = t.touched.Touched.count > 0
 
-let touched t mfn =
-  mfn >= 0 && mfn < Bytes.length t.touched && Bytes.unsafe_get t.touched mfn = '\001'
-
-let any_touched t = t.ntouched > 0
+(* A frame the allocator just handed out: one general reference, no
+   type. *)
+let allocated t mfn =
+  let i = get t mfn in
+  Touched.add t.touched mfn;
+  i.ptype <- PGT_none;
+  i.type_count <- 0;
+  i.ref_count <- 1;
+  i.validated <- false;
+  i.pinned <- false
 
 let table_level = function
   | PGT_l1 -> Some 1
@@ -113,10 +107,7 @@ type checkpoint = info array
 let checkpoint t =
   (* also resets the touched set: from here on it records divergence
      from exactly this checkpoint, which is what [restore] replays *)
-  for i = 0 to t.ntouched - 1 do
-    Bytes.set t.touched t.touched_stack.(i) '\000'
-  done;
-  t.ntouched <- 0;
+  Touched.clear t.touched;
   Array.map copy t.infos
 
 (* Restore by field assignment: existing [info] records stay aliased
@@ -125,31 +116,24 @@ let restore t ck =
   if Array.length ck <> Array.length t.infos then
     invalid_arg "Page_info.restore: size mismatch";
   (* only frames mutated since [checkpoint] can differ *)
-  for k = t.ntouched - 1 downto 0 do
-    let mfn = t.touched_stack.(k) in
+  let touched = t.touched in
+  for k = 0 to touched.Touched.count - 1 do
+    let mfn = Array.unsafe_get touched.Touched.stack k in
     let s = ck.(mfn) in
     let i = t.infos.(mfn) in
-    i.owner <- s.owner;
     i.ptype <- s.ptype;
     i.type_count <- s.type_count;
     i.ref_count <- s.ref_count;
     i.validated <- s.validated;
-    i.pinned <- s.pinned;
-    Bytes.set t.touched mfn '\000'
+    i.pinned <- s.pinned
   done;
-  t.ntouched <- 0
+  Touched.clear touched
 
 (* A full instance built from a checkpoint — the forked-testbed path,
    where [restore] does not apply (a fresh [create] has an empty touched
    set, so replaying it would copy nothing). *)
 let of_checkpoint ck =
-  let frames = Array.length ck in
-  {
-    infos = Array.map copy ck;
-    touched = Bytes.make frames '\000';
-    touched_stack = Array.make frames 0;
-    ntouched = 0;
-  }
+  { infos = Array.map copy ck; touched = Touched.create (Array.length ck) }
 
 let counts_consistent t =
   Array.for_all

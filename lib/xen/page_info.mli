@@ -1,4 +1,5 @@
-(** Per-frame hypervisor bookkeeping: owner, type and reference counts.
+(** Per-frame hypervisor bookkeeping: type and reference counts. The
+    frame's owner is {!Phys_mem.owner}, the one owner store.
 
     This is Xen's [struct page_info] discipline: a frame has exactly one
     type at a time (writable data or page table of a given level), the
@@ -20,7 +21,6 @@ type ptype =
   | PGT_seg  (** descriptor-table page *)
 
 type info = {
-  mutable owner : Phys_mem.owner;
   mutable ptype : ptype;
   mutable type_count : int;  (** uses of the current type *)
   mutable ref_count : int;  (** general references (existence) *)
@@ -65,6 +65,10 @@ val touch : t -> Addr.mfn -> unit
     assign [info] fields directly (allocation, release, promotion) must
     call this so {!restore} knows to replay the frame and {!touched}
     reports it. Every mutator above calls it too. *)
+
+val allocated : t -> Addr.mfn -> unit
+(** [mfn] was just handed out by the allocator: one general reference,
+    no type, not validated, not pinned. Touches the frame. *)
 
 val touched : t -> Addr.mfn -> bool
 (** Whether [mfn]'s info may have changed since the last {!checkpoint}

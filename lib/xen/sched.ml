@@ -1,6 +1,14 @@
 type vcpu_state = Runnable | Hung_in_hypervisor of string
-type vcpu = { v_dom : int; mutable state : vcpu_state; mutable runs : int }
 type outcome = Scheduled of int | Cpu_stalled of string | Idle
+
+type vcpu = {
+  v_dom : int;
+  mutable state : vcpu_state;
+  mutable runs : int;
+  v_scheduled : outcome;  (* [Scheduled v_dom], so a slice allocates nothing *)
+}
+
+let make_vcpu v_dom state runs = { v_dom; state; runs; v_scheduled = Scheduled v_dom }
 
 (* The run queue is an array read round-robin from [head]: the vcpu at
    [head] runs next, and a slice moves [head] past it, which is the
@@ -40,7 +48,7 @@ let set_queue t l =
   t.head <- 0
 
 let add_vcpu t ~dom =
-  let v = { v_dom = dom; state = Runnable; runs = 0 } in
+  let v = make_vcpu dom Runnable 0 in
   set_queue t (vcpus t @ [ v ]);
   v
 
@@ -74,7 +82,7 @@ let rec next t n =
     match v.state with
     | Runnable ->
         v.runs <- v.runs + 1;
-        Scheduled v.v_dom
+        v.v_scheduled
     | Hung_in_hypervisor _ -> next t (n - 1)
   end
 
@@ -135,6 +143,6 @@ let restore t ck =
       v.state <- state;
       v.runs <- runs
     done
-  else t.queue <- Array.map (fun (v_dom, state, runs) -> { v_dom; state; runs }) ck.ck_queue;
+  else t.queue <- Array.map (fun (v_dom, state, runs) -> make_vcpu v_dom state runs) ck.ck_queue;
   t.head <- ck.ck_head;
   t.stalled <- ck.ck_stalled

@@ -17,16 +17,17 @@ type vcpu_state =
   | Runnable
   | Hung_in_hypervisor of string  (** reason; never leaves the pCPU *)
 
-type vcpu = {
-  v_dom : int;
-  mutable state : vcpu_state;
-  mutable runs : int;  (** completed time slices *)
-}
-
 type outcome =
   | Scheduled of int  (** this domain's vcpu ran a slice *)
   | Cpu_stalled of string  (** a hung vcpu holds the pCPU *)
   | Idle
+
+type vcpu = private {
+  v_dom : int;
+  mutable state : vcpu_state;
+  mutable runs : int;  (** completed time slices *)
+  v_scheduled : outcome;  (** [Scheduled v_dom], built once: a slice allocates nothing *)
+}
 
 type t
 

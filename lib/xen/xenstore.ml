@@ -21,13 +21,17 @@ let rec digits_match path ~first n i =
   path.[i] = Char.unsafe_chr (48 - (n mod 10))
   && (i = first || digits_match path ~first (n / 10) (i - 1))
 
+(* [String.starts_with] builds a closure per call; this does not *)
+let rec root_from path i =
+  i = String.length domain_root || (path.[i] = domain_root.[i] && root_from path (i + 1))
+
 let own_subtree caller path =
   let first = String.length domain_root + if caller < 0 then 1 else 0 in
   let n = if caller < 0 then caller else -caller in
   let slash = first + digit_count n 1 in
   String.length path > slash
   && path.[slash] = '/'
-  && String.starts_with ~prefix:domain_root path
+  && root_from path 0
   && (caller >= 0 || path.[first - 1] = '-')
   && digits_match path ~first n (slash - 1)
 
@@ -61,6 +65,10 @@ let write t ~caller path value =
 let read t ~caller path =
   if not (may_access ~caller path) then Error Errno.EACCES
   else match Hashtbl.find_opt t.tbl path with Some v -> Ok v | None -> Error Errno.ENOENT
+
+let read_or t ~caller path ~default =
+  if not (may_access ~caller path) then default
+  else match Hashtbl.find t.tbl path with v -> v | exception Not_found -> default
 
 let rm t ~caller path =
   if not (may_access ~caller path) then Error Errno.EACCES

@@ -37,6 +37,10 @@ val read : t -> caller:int -> string -> (string, Errno.t) result
 (** Dom0 reads everything; other domains their own subtree.
     [ENOENT] for missing nodes. *)
 
+val read_or : t -> caller:int -> string -> default:string -> string
+(** {!read} without the result box: the value, or [default] where {!read}
+    fails. Allocates nothing — the read a guest makes every tick. *)
+
 val rm : t -> caller:int -> string -> (unit, Errno.t) result
 val list_prefix : t -> caller:int -> string -> (string list, Errno.t) result
 (** Paths under a prefix the caller may read, sorted. *)
