@@ -89,12 +89,15 @@ let leaf_at mem ~tracer ~level ~mfn ~rw ~us ~nx =
       lor (if nx then 0 else exec_bit)
       lor if level = 2 then superpage_bit else 0)
 
-(* The one page-table walker. Each level reads its entry straight out of
+(* The page-table walker. Each level reads its entry straight out of
    the table frame and tests bits on it, and the outcome is an int, so a
    walk allocates nothing; [sink], when given, sees every decoded step
    outermost first — the audit path of [walk] and [walk_path]. [vi]
    holds the VA's bits 0..62, which carry every index and the page
-   offset. *)
+   offset. [l1_slot] below is its sibling for [update_va_mapping]: it
+   stops at the L1 entry, with no sink and no leaf, and must keep the
+   same index, present-bit, level-2 PSE and mfn-mask rules (test_machine
+   checks it against [walk_path] over forged tables). *)
 let rec descend mem ~sink ~tracer vi level table_mfn ~rw ~us ~nx =
   let index = (vi lsr (Addr.page_shift + (9 * (level - 1)))) land 0x1ff in
   let frame = (Phys_mem.pt_frame mem table_mfn ~index :> bytes) in

@@ -122,11 +122,6 @@ let prov_clear_frame t mfn =
 let check_mutable t =
   if t.frozen then invalid_arg "Phys_mem: frozen fork template is immutable"
 
-(* Whether first touches must save a pre-image: only a captured
-   baseline does; a fork's is its template. *)
-let saves_pre_images t =
-  match t.baseline with Some (Captured _) -> true | Some (Template _) | None -> false
-
 (* Conservative: anything that can mutate a frame marks it dirty first,
    so the pre-image under [baseline] is taken before the write lands. *)
 let mark_dirty t mfn =
@@ -404,21 +399,19 @@ let alloc t o =
   end
 
 (* [n] successive [alloc]s in one pass over the free bitmap: each word
-   is read and written back once. Only a captured baseline needs the
-   whole [mark_dirty]; a fork's frames just join the dirty set. *)
+   is read and written back once. *)
 let claim t o n =
   let o = check_owner "Phys_mem.claim" o in
   if n > t.free_count then failwith "Phys_mem.claim: out of physical memory";
-  check_mutable t;
   if Array.length t.claimed < n then t.claimed <- Array.make (total_frames t) 0;
-  let claimed = t.claimed and saves = saves_pre_images t in
+  let claimed = t.claimed in
   let k = ref 0 and w = ref t.next_hint in
   while !k < n do
     let bits = ref t.free_bits.(!w) in
     while !k < n && !bits <> 0 do
       let mfn = (!w * bits_per_word) + lowest_bit !bits in
       bits := !bits land (!bits - 1);
-      if saves then mark_dirty t mfn else Touched.add t.dirty mfn;
+      mark_dirty t mfn;
       take t o mfn;
       Array.unsafe_set claimed !k mfn;
       incr k

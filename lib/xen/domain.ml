@@ -1,10 +1,12 @@
+(* The slots, and the pfns [set_p2m] changed since the checkpoint. *)
+type p2m = { slots : Addr.mfn option array; touched : Touched.t }
+
 type t = {
   id : int;
   name : string;
   privileged : bool;
   owner : Phys_mem.owner;
-  p2m : Addr.mfn option array;
-  p2m_touched : Touched.t;
+  p2m : p2m;
   mutable l4_mfn : Addr.mfn;
   mutable pt_pages : Addr.mfn list;
   start_info_pfn : Addr.pfn;
@@ -20,8 +22,7 @@ let make ~id ~name ~privileged ~max_pfn ~start_info_pfn ~vdso_pfn =
     name;
     privileged;
     owner = Phys_mem.Dom id;
-    p2m = Array.make max_pfn None;
-    p2m_touched = Touched.create max_pfn;
+    p2m = { slots = Array.make max_pfn None; touched = Touched.create max_pfn };
     l4_mfn = -1;
     pt_pages = [];
     start_info_pfn;
@@ -33,30 +34,30 @@ let make ~id ~name ~privileged ~max_pfn ~start_info_pfn ~vdso_pfn =
 
 (* A structural copy with the given tables, nothing touched in it. *)
 let copy_with t ~grant ~events =
-  let p2m = Array.copy t.p2m in
-  { t with p2m; p2m_touched = Touched.create (Array.length p2m); grant; events }
+  let slots = Array.copy t.p2m.slots in
+  { t with p2m = { slots; touched = Touched.create (Array.length slots) }; grant; events }
 
 let deep_copy t =
   copy_with t ~grant:(Grant_table.deep_copy t.grant) ~events:(Event_channel.deep_copy t.events)
 
 let checkpoint t =
-  Touched.clear t.p2m_touched;
+  Touched.clear t.p2m.touched;
   copy_with t ~grant:(Grant_table.checkpoint t.grant)
     ~events:(Event_channel.checkpoint t.events)
 
-let max_pfn t = Array.length t.p2m
+let max_pfn t = Array.length t.p2m.slots
 
 (* In-place checkpoint restore: the live record keeps its identity, so
    nothing that holds it has to be re-pointed. Only the P2M slots, grant
    entries and ports changed since the checkpoint are copied back, so a
    domain the trial left alone costs four checks. *)
 let restore_into t ~from =
-  if t.id <> from.id || max_pfn t <> Array.length from.p2m then
+  if t.id <> from.id || max_pfn t <> max_pfn from then
     invalid_arg "Domain.restore_into: not the same domain";
-  let touched = t.p2m_touched in
+  let touched = t.p2m.touched in
   for k = 0 to touched.Touched.count - 1 do
     let i = Array.unsafe_get touched.Touched.stack k in
-    t.p2m.(i) <- from.p2m.(i)
+    t.p2m.slots.(i) <- from.p2m.slots.(i)
   done;
   Touched.clear touched;
   t.l4_mfn <- from.l4_mfn;
@@ -65,31 +66,32 @@ let restore_into t ~from =
   Event_channel.restore_into t.events ~from:from.events;
   t.dom_crashed <- from.dom_crashed
 
-let mfn_of_pfn t pfn = if pfn >= 0 && pfn < max_pfn t then t.p2m.(pfn) else None
+let mfn_of_pfn t pfn =
+  if pfn >= 0 && pfn < max_pfn t then Array.unsafe_get t.p2m.slots pfn else None
 
 let pfn_of_mfn t mfn =
   let n = max_pfn t in
   let rec go i =
-    if i >= n then None else match t.p2m.(i) with Some m when m = mfn -> Some i | _ -> go (i + 1)
+    if i >= n then None else match t.p2m.slots.(i) with Some m when m = mfn -> Some i | _ -> go (i + 1)
   in
   go 0
 
 let set_p2m t pfn mfn =
   if pfn < 0 || pfn >= max_pfn t then invalid_arg "Domain.set_p2m: pfn out of range";
-  Touched.add t.p2m_touched pfn;
-  t.p2m.(pfn) <- mfn
+  Touched.add t.p2m.touched pfn;
+  t.p2m.slots.(pfn) <- mfn
 
 let populated_pfns t =
   let acc = ref [] in
   for i = max_pfn t - 1 downto 0 do
-    if t.p2m.(i) <> None then acc := i :: !acc
+    if t.p2m.slots.(i) <> None then acc := i :: !acc
   done;
   !acc
 
 let populated_count t =
   let n = ref 0 in
   for i = 0 to max_pfn t - 1 do
-    match t.p2m.(i) with Some _ -> incr n | None -> ()
+    match t.p2m.slots.(i) with Some _ -> incr n | None -> ()
   done;
   !n
 

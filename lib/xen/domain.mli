@@ -5,14 +5,18 @@
     privilege, the P2M map, the page-table root and the pages the domain
     builder handed over. *)
 
+type p2m
+(** The pfn -> mfn map. Abstract, so every write goes through
+    {!set_p2m}, which marks the slot for {!restore_into}: a write that
+    skipped the mark would outlive the next restore. Read it with
+    {!mfn_of_pfn}. *)
+
 type t = {
   id : int;
   name : string;  (** also used as the guest hostname in transcripts *)
   privileged : bool;  (** true for dom0 *)
   owner : Phys_mem.owner;  (** [Dom id], built once: see {!owned} *)
-  p2m : Addr.mfn option array;
-      (** pfn -> mfn; [None] = no page. Written only through {!set_p2m}. *)
-  p2m_touched : Touched.t;  (** the pfns {!set_p2m} changed since the checkpoint *)
+  p2m : p2m;  (** pfn -> mfn; see {!mfn_of_pfn} *)
   mutable l4_mfn : Addr.mfn;  (** page-table root (start_info.pt_base) *)
   mutable pt_pages : Addr.mfn list;  (** builder-installed table pages *)
   start_info_pfn : Addr.pfn;
@@ -49,6 +53,8 @@ val restore_into : t -> from:t -> unit
 
 val max_pfn : t -> int
 val mfn_of_pfn : t -> Addr.pfn -> Addr.mfn option
+(** [None] for a pfn with no page or out of range; allocates nothing. *)
+
 val pfn_of_mfn : t -> Addr.mfn -> Addr.pfn option
 (** Linear scan of the P2M; Xen proper uses the M2P, which the
     hypervisor maintains — this is a testing aid. *)

@@ -121,32 +121,32 @@ let m2p_set t mfn pfn =
      it through the same stream as validated page-table writes *)
   notify_pt_write t frame_mfn
 
-let m2p_lookup t mfn =
-  let frame = (Phys_mem.frame_ro t.mem (m2p_frame_for t mfn) :> bytes) in
+(* The pfn the M2P entry for [mfn] holds in [frame], its M2P frame's
+   bytes: an invalid or negative entry holds none, -1. *)
+let[@inline] m2p_entry frame mfn =
   let v = Bytes.get_int64_le frame (m2p_offset mfn) in
   if v = m2p_invalid_entry || v < 0L then -1 else Int64.to_int v
+
+let m2p_lookup t mfn = m2p_entry (Phys_mem.frame_ro t.mem (m2p_frame_for t mfn) :> bytes) mfn
 
 let is_m2p_frame t mfn = Array.exists (fun m -> m = mfn) t.m2p_mfns
 
 (* [m2p_lookup t mfn <> pfn] for every populated pfn, in one pass per
    domain that fetches an M2P frame only when the next entry lies in
-   another one (a P2M maps runs of neighbouring frames). An entry
-   agrees exactly when it holds [pfn]: an invalid or negative entry
-   holds no pfn. *)
+   another one (a P2M maps runs of neighbouring frames). *)
 let rec count_m2p_mismatches t n = function
   | [] -> n
   | dom :: rest ->
-      let p2m = dom.Domain.p2m in
       let n = ref n and cur = ref (-1) and frame = ref Bytes.empty in
-      for pfn = 0 to Array.length p2m - 1 do
-        match Array.unsafe_get p2m pfn with
+      for pfn = 0 to Domain.max_pfn dom - 1 do
+        match Domain.mfn_of_pfn dom pfn with
         | None -> ()
         | Some mfn ->
             if mfn lsr m2p_shift <> !cur then begin
               frame := (Phys_mem.frame_ro t.mem (m2p_frame_for t mfn) :> bytes);
               cur := mfn lsr m2p_shift
             end;
-            if Bytes.get_int64_le !frame (m2p_offset mfn) <> Int64.of_int pfn then begin
+            if m2p_entry !frame mfn <> pfn then begin
               (* the verdict depends on the inconsistent M2P entry *)
               Phys_mem.observe t.mem ~consumer:Provenance.M2p_check ~mfn:(m2p_frame_for t mfn)
                 ~off:(m2p_offset mfn) ~len:8;

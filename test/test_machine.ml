@@ -346,6 +346,42 @@ let prop_walk_agrees_with_translate =
       let t = Paging.translate m ~cr3:l4 ~kind:Paging.Read ~user:false va in
       Result.is_ok w = Result.is_ok t)
 
+(* [l1_entry_maddr] is [walk_path]'s level-1 step without the list:
+   over forged tables (entries not present, superpages, bits above the
+   frame number, table frames outside RAM) both find the same slot, or none. Frames 0..7 each hold
+   forged entries at indices 0 and 1; the walk starts at frame 0. *)
+let prop_l1_entry_maddr_is_walk_path_l1 =
+  QCheck.Test.make ~name:"l1_entry_maddr = walk_path's L1 step" ~count:300
+    QCheck.(list_of_size (Gen.return 16) (pair (int_bound 19) (int_bound 4)))
+    (fun entries ->
+      let m = Phys_mem.create ~frames:16 in
+      List.iteri
+        (fun i (mfn, kind) ->
+          let flags =
+            match kind with
+            | 0 -> []
+            | 1 -> [ Pte.Present; Pte.Rw ]
+            | 2 -> [ Pte.Present; Pte.Pse ]
+            | 3 -> [ Pte.Present; Pte.Nx ]
+            | _ -> [ Pte.Present; Pte.User ]
+          in
+          (* kind 3 also sets bit 52, above the frame-number field *)
+          let high = if kind = 3 then 0x0010_0000_0000_0000L else 0L in
+          Frame.set_entry (Phys_mem.frame m (i / 2)) (i mod 2)
+            (Int64.logor high (Pte.make ~mfn ~flags)))
+        entries;
+      List.for_all
+        (fun bits ->
+          let b k = (bits lsr k) land 1 in
+          let va = Addr.of_indices ~l4:(b 0) ~l3:(b 1) ~l2:(b 2) ~l1:(b 3) ~offset:0 in
+          let expect =
+            match List.find_opt (fun s -> s.Paging.level = 1) (Paging.walk_path m ~cr3:0 va) with
+            | Some s -> (s.Paging.table_mfn lsl Addr.page_shift) + (8 * s.Paging.index)
+            | None -> -1
+          in
+          Paging.l1_entry_maddr m ~cr3:0 va = expect)
+        (List.init 16 Fun.id))
+
 (* --- Idt ------------------------------------------------------------------ *)
 
 let test_idt_gate_roundtrip () =
@@ -546,7 +582,7 @@ let () =
           Alcotest.test_case "nx" `Quick test_nx;
           Alcotest.test_case "walk path on fault" `Quick test_walk_path_on_fault;
         ]
-        @ qsuite [ prop_walk_agrees_with_translate ] );
+        @ qsuite [ prop_walk_agrees_with_translate; prop_l1_entry_maddr_is_walk_path_l1 ] );
       ( "idt",
         [
           Alcotest.test_case "gate roundtrip" `Quick test_idt_gate_roundtrip;

@@ -1103,7 +1103,7 @@ let domain_view (d : Domain.t) =
       (fun p -> Event_channel.(p.binding, p.pending, p.masked))
       (Event_channel.port d.Domain.events i)
   in
-  ( ( Array.to_list d.Domain.p2m,
+  ( ( List.init (Domain.max_pfn d) (Domain.mfn_of_pfn d),
       List.init 64 entry,
       List.init 64 port,
       d.Domain.pt_pages,
@@ -1276,7 +1276,7 @@ let mix_ops =
   QCheck.(list_of_size (Gen.int_range 1 10) (pair (int_bound 24) (pair small_nat small_nat)))
 
 let prop_reset_in_place =
-  QCheck.Test.make ~name:"kernels and network reset in place = fresh fork" ~count:40
+  QCheck.Test.make ~name:"kernels and network reset in place = fresh fork" ~count:80
     (QCheck.list_of_size (QCheck.Gen.int_range 1 3) mix_ops)
     (fun mixes ->
       let make () = Testbed.create_pooled ~domains:3 Version.V4_8 in
