@@ -20,7 +20,14 @@ let create () =
   boot t;
   t
 
-let reset = boot
+(* In place while the table is still the two boot processes (nothing
+   spawned or killed since): their counters go back to 0. *)
+let reset t =
+  match t.procs with
+  | [ init; bash ] when t.next_pid = 1001 && init.pid = 1 && bash.pid = 1000 ->
+      init.vdso_calls <- 0;
+      bash.vdso_calls <- 0
+  | _ -> boot t
 
 let kill t ~pid =
   let before = List.length t.procs in

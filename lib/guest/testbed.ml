@@ -6,7 +6,7 @@ type t = {
   mutable victim : Kernel.t;
   mutable extras : Kernel.t list;
   dm : Devmodel.t;
-  mutable load : Load_mix.t;
+  load : Load_mix.t;
   mutable load_streams : (int * Load_mix.stream) list;
   remote_host : string;
   checkpoint : Hv.checkpoint;
@@ -19,11 +19,12 @@ let guest_kernels t = t.victim :: t.attacker :: t.extras
    whenever the machine returns to its boot state (create, fork, reset) —
    the determinism contract that keeps loaded testbeds replayable. *)
 let reseed_load t =
-  t.load_streams <-
-    List.map
-      (fun k ->
-        (Kernel.domid k, Load_mix.stream ~seed:(Load_mix.seed_for_domain (Kernel.domid k))))
-      (guest_kernels t)
+  if Load_mix.ops_per_tick t.load > 0 then
+    t.load_streams <-
+      List.map
+        (fun k ->
+          (Kernel.domid k, Load_mix.stream ~seed:(Load_mix.seed_for_domain (Kernel.domid k))))
+        (guest_kernels t)
 
 let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
@@ -127,12 +128,22 @@ let create_pooled ?(domains = 2) ?(load = Load_mix.none) version =
    state, while its domain record survived; rebuilt around the fresh
    record when the trial destroyed the domain. *)
 let reset_kernel t k =
-  match Hv.find_domain t.hv (Kernel.domid k) with
-  | Some dom when dom == Kernel.dom k ->
-      Kernel.reset k;
-      k
-  | Some dom -> Kernel.create t.hv dom t.net
-  | None -> invalid_arg "Testbed.reset: checkpoint lost a domain"
+  if List.memq (Kernel.dom k) t.hv.Hv.domains then begin
+    Kernel.reset k;
+    k
+  end
+  else
+    match Hv.find_domain t.hv (Kernel.domid k) with
+    | Some dom -> Kernel.create t.hv dom t.net
+    | None -> invalid_arg "Testbed.reset: checkpoint lost a domain"
+
+(* [reset_kernel] over a list, which is kept while no kernel changed *)
+let rec reset_kernels t = function
+  | [] -> []
+  | k :: rest as ks ->
+      let k' = reset_kernel t k in
+      let rest' = reset_kernels t rest in
+      if k' == k && rest' == rest then ks else k' :: rest'
 
 let reset t =
   Hv.restore t.hv t.checkpoint;
@@ -143,7 +154,7 @@ let reset t =
   t.dom0 <- reset_kernel t t.dom0;
   t.victim <- reset_kernel t t.victim;
   t.attacker <- reset_kernel t t.attacker;
-  t.extras <- List.map (reset_kernel t) t.extras;
+  t.extras <- reset_kernels t t.extras;
   Devmodel.reset t.dm;
   reseed_load t
 

@@ -30,8 +30,10 @@ type t = {
   mutable victim : Kernel.t;
   mutable extras : Kernel.t list;  (** bystander guests beyond the pair *)
   dm : Devmodel.t;  (** the device model serving the victim *)
-  mutable load : Load_mix.t;
+  load : Load_mix.t;
   mutable load_streams : (int * Load_mix.stream) list;
+      (** one per guest domain, re-seeded on create/fork/reset; empty
+          while [load] runs no ops *)
   remote_host : string;
   checkpoint : Hv.checkpoint;
   scan_cache : int Scan_memo.t;

@@ -135,6 +135,39 @@ let read_into t ~ring ~cr3 va buf pos len =
   | () -> Ok ()
   | exception Fault f -> Error f
 
+(* A remap window scan's step, beside [read_into]: the slot store, the
+   invlpg and the read of a frame's head through the window, with the
+   TLB side replayed by [Paging.remap_step] from the window's upper walk
+   done once. Kernel ring only, as the exploits that scan run there. *)
+type remap = { r_cpu : t; r_paging : Paging.remap; r_window_off : int }
+
+let remap t ~cr3 ~slot ~window =
+  let permits va kind = layout_permits (Layout.guest_access ~hardened:t.hardened va) kind in
+  if
+    Addr.is_canonical slot && Addr.is_canonical window
+    && permits slot Paging.Write && permits window Paging.Read
+  then
+    Option.map
+      (fun r -> { r_cpu = t; r_paging = r; r_window_off = Addr.page_offset window })
+      (Paging.remap t.tlb t.mem ~cr3 ~slot ~window)
+  else None
+
+let remap_read_into r ~leaf buf pos len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then invalid_arg "Cpu.remap_read_into";
+  let t = r.r_cpu and off = r.r_window_off in
+  if len = 0 || off + len > Addr.page_size then false
+  else
+    let mfn = Paging.remap_step r.r_paging ~leaf in
+    mfn >= 0
+    && begin
+         charge_mem t;
+         let slot = Paging.remap_slot_maddr r.r_paging in
+         Phys_mem.set_u64_of_int t.mem (slot lsr Addr.page_shift) (slot land page_mask) leaf;
+         charge_mem t;
+         Phys_mem.blit_out t.mem mfn off buf pos len;
+         true
+       end
+
 let read_bytes t ~ring ~cr3 va len =
   let buf = Bytes.create len in
   match read_into t ~ring ~cr3 va buf 0 len with Ok () -> Ok buf | Error _ as e -> e

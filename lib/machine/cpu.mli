@@ -77,6 +77,35 @@ val read_into :
 
 val write_bytes : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> bytes -> unit access_result
 
+(** {1 Remap window scans}
+
+    A scan that maps frame after frame under one window VA repeats three
+    kernel-ring accesses per frame: [write_u64] of the frame's leaf PTE
+    at a slot VA, [tlb_invlpg] of the window VA, and [read_into]
+    through it. Once the first frame has gone through them, {!remap}
+    captures the window's walk and {!remap_read_into} does each further
+    frame in one call, with the same effects. *)
+
+type remap
+
+val remap : t -> cr3:Addr.mfn -> slot:Addr.vaddr -> window:Addr.vaddr -> remap option
+(** The scan state, or [None] when the three accesses cannot be
+    fast-forwarded (see {!Paging.remap}; both VAs must also be
+    canonical and let through by the layout filter). Valid for one scan:
+    between its steps, no store but the slot's may reach the window's
+    page tables. *)
+
+val remap_read_into : remap -> leaf:int -> bytes -> int -> int -> bool
+(** [remap_read_into r ~leaf buf pos len]: when it returns [true], the
+    effects of [write_u64 ~ring:Kernel slot (Int64.of_int leaf)],
+    [tlb_invlpg window] and [read_into ~ring:Kernel window buf pos len]
+    — virtual-clock charges, TLB stats and contents, tracer counters,
+    the slot's frame dirtied and unshared, the frame's head in [buf].
+    [false], with nothing done, when {!Paging.remap_step} refuses or the
+    read would be empty or cross a page; the caller then makes the three
+    accesses. Allocates nothing. Raises [Invalid_argument] when the
+    range is not within [buf]. *)
+
 (** {1 Exceptions} *)
 
 type exception_outcome =

@@ -23,6 +23,10 @@ let set_u64 t off v =
   check off 8;
   Bytes.set_int64_le t off v
 
+let set_u64_of_int t off v =
+  check off 8;
+  Bytes.set_int64_le t off (Int64.of_int v)
+
 let get_entry t i = get_u64 t (8 * i)
 let set_entry t i v = set_u64 t (8 * i) v
 

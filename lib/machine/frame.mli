@@ -22,6 +22,10 @@ val get_u64 : t -> int -> int64
 
 val set_u64 : t -> int -> int64 -> unit
 
+val set_u64_of_int : t -> int -> int -> unit
+(** [set_u64_of_int t off v] is [set_u64 t off (Int64.of_int v)] without
+    boxing the word. *)
+
 val get_entry : t -> int -> int64
 (** Read page-table entry [i] (0..511): [get_u64 t (8*i)]. *)
 

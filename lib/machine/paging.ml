@@ -352,6 +352,110 @@ let walk_cached tlb mem ~cr3 va =
     o
   end
 
+(* --- remap windows -------------------------------------------------------
+
+   A scan through a remap window does three accesses per frame: a store
+   of the frame's leaf at the slot VA (a TLB hit), an invlpg of the
+   window VA, and a read through the window VA (a miss and a full walk).
+   While the slot store is the only store between frames, and the slot
+   is the L1 entry the window's walk ends at and none of the entries
+   above it, levels 4..2 of that walk cannot change: [remap] walks them
+   once and [remap_step] replays a frame's TLB side from them. *)
+
+type remap = {
+  r_tlb : Tlb.t;
+  r_mem : Phys_mem.t;
+  r_gen : int;  (* the generation both cached translations were walked under *)
+  r_slot_key : int;
+  r_slot : outcome;  (* the slot's cached leaf, which the store goes through *)
+  r_slot_maddr : int;
+  r_window_key : int;
+  r_perms : int;  (* the writable/user/exec bits levels 4..2 of the window walk leave *)
+}
+
+(* Per-access effects a fast-forwarded frame would hide: ring records
+   while the tracer records, [Pt_walk] observations while a provenance
+   shadow is attached. *)
+let observed tlb mem =
+  (match tlb.Tlb.tracer with Some tr -> Trace.recording tr | None -> false)
+  || Option.is_some (Phys_mem.provenance mem)
+
+(* The cached, current-generation leaf of [key], or -1. *)
+let resident tlb key gen =
+  let i = Tlb.slot tlb key in
+  if Tlb.found tlb i key && tlb.Tlb.gens.(i) = gen then tlb.Tlb.leaves.(i) else -1
+
+let step_maddr s = (s.table_mfn lsl Addr.page_shift) + (8 * s.index)
+
+(* The permission bits an entry above the leaf leaves of [perms]. *)
+let upper_perms perms s =
+  let perms = if Pte.test Pte.Rw s.entry then perms else perms land lnot writable_bit in
+  let perms = if Pte.test Pte.User s.entry then perms else perms land lnot user_bit in
+  if Pte.test Pte.Nx s.entry then perms land lnot exec_bit else perms
+
+let remap tlb mem ~cr3 ~slot ~window =
+  let gen = Phys_mem.generation mem in
+  let slot_key = Tlb.key ~cr3 slot and window_key = Tlb.key ~cr3 window in
+  let so = resident tlb slot_key gen in
+  if slot_key = window_key || observed tlb mem || so < 0 || so land writable_bit = 0 then None
+  else
+    let slot_maddr = (outcome_mfn so lsl Addr.page_shift) lor Addr.page_offset slot in
+    (* four steps: L4..L2 present, no superpage *)
+    match walk_path mem ~cr3 window with
+    | [ l4; l3; l2; l1 ]
+      when step_maddr l1 = slot_maddr
+           && List.for_all (fun s -> step_maddr s <> slot_maddr) [ l4; l3; l2 ] ->
+        Some
+          {
+            r_tlb = tlb;
+            r_mem = mem;
+            r_gen = gen;
+            r_slot_key = slot_key;
+            r_slot = so;
+            r_slot_maddr = slot_maddr;
+            r_window_key = window_key;
+            r_perms =
+              List.fold_left upper_perms (writable_bit lor user_bit lor exec_bit) [ l4; l3; l2 ];
+          }
+    | _ -> None
+
+let remap_slot_maddr r = r.r_slot_maddr
+
+let remap_step r ~leaf =
+  let tlb = r.r_tlb and mem = r.r_mem in
+  let mfn = (leaf lsr Addr.page_shift) land mfn_bits in
+  if
+    leaf < 0
+    || leaf land 1 = 0
+    || (not (Phys_mem.is_valid_mfn mem mfn))
+    || Phys_mem.generation mem <> r.r_gen
+    || observed tlb mem
+    || resident tlb r.r_slot_key r.r_gen <> r.r_slot
+  then -1
+  else
+    let j = Tlb.slot tlb r.r_window_key in
+    if not (Tlb.found tlb j r.r_window_key) then -1
+    else begin
+      (* the store's hit; the invlpg; the read's miss, whose four-level
+         walk re-adds the window's leaf where the invlpg removed it (it
+         cannot flush: the removal left the table below capacity) *)
+      tlb.Tlb.hits <- tlb.Tlb.hits + 1;
+      tlb.Tlb.invlpgs <- tlb.Tlb.invlpgs + 1;
+      tlb.Tlb.misses <- tlb.Tlb.misses + 1;
+      (match tlb.Tlb.tracer with
+      | None -> ()
+      | Some tr ->
+          Trace.charge tr Vclock.Tlb_hit;
+          Trace.note_invlpg tr;
+          Trace.charge tr Vclock.Tlb_miss;
+          Trace.charge_n tr Vclock.Page_walk_step 4);
+      let perms = if leaf land 0x2 = 0 then r.r_perms land lnot writable_bit else r.r_perms in
+      let perms = if leaf land 0x4 = 0 then perms land lnot user_bit else perms in
+      tlb.Tlb.leaves.(j) <- (mfn lsl 4) lor perms;
+      tlb.Tlb.gens.(j) <- r.r_gen;
+      mfn
+    end
+
 let pp_fault_reason ppf = function
   | Not_present level -> Format.fprintf ppf "not-present at L%d" level
   | Write_to_readonly -> Format.fprintf ppf "write to read-only mapping"

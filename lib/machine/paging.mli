@@ -152,3 +152,38 @@ val walk_cached : Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> outcome
     nor a miss allocates or raises. Permission checks are the caller's,
     with {!denied} on the cached bits, so a hit faults exactly when a
     fresh {!translate} would. *)
+
+(** {1 Remap windows}
+
+    A scan through a remap window maps one frame after another under a
+    fixed window VA by storing the frame's leaf PTE at a slot VA, then
+    [invlpg]s the window VA and reads through it. *)
+
+type remap
+(** The window's walk above its L1 entry, done once. It stays true
+    while no store but the slot's own reaches the window's L4, L3 or L2
+    entry, which the checks below guarantee for the slot's stores. *)
+
+val remap :
+  Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> slot:Addr.vaddr -> window:Addr.vaddr -> remap option
+(** [None] unless: the two VAs lie on different pages; the slot is
+    TLB-resident and writable under the current generation; the
+    window's walk ends at an L1 entry (no superpage), and that entry is
+    the machine address the slot translates to and none of the entries
+    above it; no trace records and no provenance shadow
+    is attached. VAs are taken as given (canonical), and the address
+    space's layout filter is the caller's. *)
+
+val remap_slot_maddr : remap -> int
+(** The machine address a slot store writes. *)
+
+val remap_step : remap -> leaf:int -> Addr.mfn
+(** One frame's TLB side of the three accesses, when [leaf] (the PTE's
+    bits 0..62; NX clear) is present and names a frame in RAM, the
+    generation has not moved, no trace records and no provenance shadow
+    is attached, the slot's leaf is still resident and unchanged, and
+    the window's leaf is resident: the store's TLB hit, the [invlpg]
+    and the read's miss with its four-level walk — stats, tracer
+    counters and virtual-time charges — and the window's cached leaf
+    replaced by [leaf]'s. Returns the frame [leaf] names, or -1, having
+    done nothing, when a check fails. Allocates nothing. *)

@@ -55,14 +55,21 @@ and t = {
       (* an immutable fork template: any mutation raises. Frozen
          memories are safe to share between domains (all reads). *)
   cow : Bytes.t;
-  (* '\001' = the frame's [Frame.t] is still physically shared with the
-     frozen template this memory was forked from; the first content
-     write replaces it with a private copy (see [unshare]) *)
+  (* '\001' = the frame's [Frame.t] is still physically shared: with
+     [zero_frame] in a memory from [create], with the frozen template in
+     one from [fork]; the first content write replaces it with a private
+     copy (see [unshare]) *)
   mutable cow_count : int;
   mutable claimed : int array;  (* [claim]'s result buffer, made on first use *)
 }
 
 exception Bad_maddr of Addr.maddr
+
+(* The one all-zero frame every fresh memory's frames alias until their
+   first content write, and the page a walk reads outside installed RAM.
+   Shared by every memory, so by concurrent domains too, and never
+   written: every write path unshares first (see [unshare], [scrub]). *)
+let zero_frame = Frame.create ()
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
@@ -74,7 +81,7 @@ let create ~frames =
         if n = bits_per_word then max_int else (1 lsl n) - 1)
   in
   {
-    frames = Array.init frames (fun _ -> Frame.create ());
+    frames = Array.make frames zero_frame;
     owners = Array.make frames free_code;
     free_bits;
     free_count = frames;
@@ -86,8 +93,8 @@ let create ~frames =
     baseline_epoch = 0;
     prov = None;
     frozen = false;
-    cow = Bytes.make frames '\000';
-    cow_count = 0;
+    cow = Bytes.make frames '\001';
+    cow_count = frames;
     claimed = [||];
   }
 
@@ -138,10 +145,11 @@ let mark_dirty t mfn =
     | Some (Template _) | None -> ()
   end
 
-(* Detach a COW-shared frame from its template before the first content
-   write: the fork gets a private copy (or a fresh zero frame when the
-   shared one is known-zero) and the template's bytes stay untouched —
-   which is what lets many forks share one template concurrently. *)
+(* Detach a COW-shared frame (the zero frame, or a fork's template
+   frame) before the first content write: the memory gets a private copy
+   (or a fresh zero frame when the shared one is known-zero) and the
+   shared bytes stay untouched — which is what lets many memories share
+   one zero frame, and many forks one template, concurrently. *)
 let unshare t mfn =
   if Bytes.unsafe_get t.cow mfn = '\001' then begin
     Bytes.unsafe_set t.cow mfn '\000';
@@ -310,15 +318,12 @@ let frame_ro t mfn =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));
   t.frames.(mfn)
 
-(* shared by every memory, never written *)
-let absent_frame = Frame.create ()
-
 let pt_frame t mfn ~index =
   if is_valid_mfn t mfn then begin
     observe t ~consumer:Provenance.Pt_walk ~mfn ~off:(8 * index) ~len:8;
     t.frames.(mfn)
   end
-  else absent_frame
+  else zero_frame
 
 let frame_hash t mfn = Frame.fnv64 (frame_ro t mfn)
 
@@ -464,6 +469,12 @@ let set_u64 t mfn off v =
   check_span t mfn off 8;
   mark_written t mfn;
   Frame.set_u64 t.frames.(mfn) off v;
+  match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:8
+
+let set_u64_of_int t mfn off v =
+  check_span t mfn off 8;
+  mark_written t mfn;
+  Frame.set_u64_of_int t.frames.(mfn) off v;
   match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:8
 
 let blit_out t mfn off buf pos len =

@@ -23,7 +23,10 @@ exception Bad_maddr of Addr.maddr
 (** Raised on access outside the installed physical memory. *)
 
 val create : frames:int -> t
-(** Fresh memory of [frames] zeroed frames, all [Free]. *)
+(** Fresh memory of [frames] zeroed frames, all [Free]. Every frame is a
+    copy-on-write alias of one shared all-zero frame, which the first
+    content write to a frame replaces with a private one: a frame never
+    written costs no storage. *)
 
 val total_frames : t -> int
 
@@ -146,8 +149,9 @@ val fork : t -> t
     frozen. *)
 
 val shared_frames : t -> int
-(** Frames still physically shared with the fork's template (equals
-    [total_frames] right after {!fork}, 0 for non-forked memories). *)
+(** Frames never content-written, still physically shared with the
+    fork's template or, in a memory from {!create}, with the zero frame
+    (equals [total_frames] right after {!create} or {!fork}). *)
 
 (** {1 Access by frame and offset}
 
@@ -160,6 +164,10 @@ val shared_frames : t -> int
 
 val get_u64 : t -> Addr.mfn -> int -> int64
 val set_u64 : t -> Addr.mfn -> int -> int64 -> unit
+
+val set_u64_of_int : t -> Addr.mfn -> int -> int -> unit
+(** [set_u64_of_int t mfn off v] is [set_u64 t mfn off (Int64.of_int v)]
+    without boxing the word. *)
 
 val blit_out : t -> Addr.mfn -> int -> bytes -> int -> int -> unit
 (** [blit_out t mfn off buf pos len] copies [len] frame bytes from [off]

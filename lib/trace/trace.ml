@@ -667,9 +667,15 @@ type mark = { m_counters : telemetry; m_vts : int64 }
 
 let mark t = { m_counters = telemetry t; m_vts = vts t }
 
+let rec replace_counts tbl = function
+  | [] -> ()
+  | (n, k) :: rest ->
+      Counts.replace tbl n (ref k);
+      replace_counts tbl rest
+
 let rewind t { m_counters = c; m_vts } =
   Counts.reset t.hypercalls;
-  List.iter (fun (n, k) -> Counts.replace t.hypercalls n (ref k)) c.tm_hypercalls;
+  replace_counts t.hypercalls c.tm_hypercalls;
   t.hypercalls_failed <- c.tm_hypercalls_failed;
   t.faults <- c.tm_faults;
   t.double_faults <- c.tm_double_faults;

@@ -44,7 +44,11 @@ let panic t ~reason ~dump =
     log t "Reboot in five seconds..."
   end
 
-let find_domain t id = List.find_opt (fun d -> d.Domain.id = id) t.domains
+let rec live_domain id = function
+  | [] -> None
+  | d :: rest -> if d.Domain.id = id then Some d else live_domain id rest
+
+let find_domain t id = live_domain id t.domains
 let dom0 t = List.find_opt (fun d -> d.Domain.privileged) t.domains
 
 let fresh_domid t =
@@ -256,12 +260,6 @@ let checkpoint t =
     ck_handlers = Cpu.handlers_dump t.cpu;
   }
 
-(* The live domain a checkpointed one is restored into: the record with
-   the same id, if the trial left it in place. *)
-let rec live_domain id = function
-  | [] -> None
-  | d :: rest -> if d.Domain.id = id then Some d else live_domain id rest
-
 (* Restore the checkpointed domains in place, keeping the live records.
    A domain the trial destroyed comes back as a fresh copy; one it
    created is dropped with the old list. Either way the checkpoint is
@@ -270,6 +268,7 @@ let rec restore_domains live = function
   | [] -> []
   | c :: rest ->
       let d =
+        (* the record with the same id, if the trial left it in place *)
         match live_domain c.Domain.id live with
         | Some d ->
             Domain.restore_into d ~from:c;
@@ -278,10 +277,21 @@ let rec restore_domains live = function
       in
       d :: restore_domains live rest
 
+(* Whether [live] holds the checkpointed domains' ids, in order: the
+   case of every trial that created and destroyed no domain, restored
+   record by record in the same list. *)
+let rec same_domains live ck =
+  match (live, ck) with
+  | [], [] -> true
+  | d :: live, c :: ck -> d.Domain.id = c.Domain.id && same_domains live ck
+  | _ :: _, [] | [], _ :: _ -> false
+
 let restore t ck =
   ignore (Phys_mem.reset_to_baseline t.mem : int);
   Page_info.restore t.pages ck.ck_pages;
-  t.domains <- restore_domains t.domains ck.ck_domains;
+  if same_domains t.domains ck.ck_domains then
+    List.iter2 (fun d c -> Domain.restore_into d ~from:c) t.domains ck.ck_domains
+  else t.domains <- restore_domains t.domains ck.ck_domains;
   t.next_domid <- ck.ck_next_domid;
   t.crashed <- ck.ck_crashed;
   Buffer.truncate t.console ck.ck_console_len;

@@ -364,15 +364,6 @@ let pin_table hv dom ~level mfn =
       (Page_info.get hv.Hv.pages mfn).Page_info.pinned <- true;
       Ok ()
 
-let unpin_table hv dom mfn =
-  let info = Page_info.get hv.Hv.pages mfn in
-  if not info.Page_info.pinned then Error Errno.EINVAL
-  else begin
-    info.Page_info.pinned <- false;
-    put_table_type hv dom mfn;
-    Ok ()
-  end
-
 let set_baseptr hv dom mfn =
   match promote hv dom ~level:4 mfn with
   | Error e -> Error e

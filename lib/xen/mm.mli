@@ -61,7 +61,6 @@ val update_va_mapping :
     (UVMF_INVLPG semantics). *)
 
 val pin_table : Hv.t -> Domain.t -> level:int -> Addr.mfn -> (unit, Errno.t) result
-val unpin_table : Hv.t -> Domain.t -> Addr.mfn -> (unit, Errno.t) result
 
 val set_baseptr : Hv.t -> Domain.t -> Addr.mfn -> (unit, Errno.t) result
 (** MMUEXT_NEW_BASEPTR: switch the domain's page-table root. *)

@@ -132,12 +132,12 @@ let checkpoint t =
 (* In place while the queue holds the checkpoint's domains in the same
    order, which is every reset after a trial that added or removed no
    vcpu; otherwise the queue is rebuilt. *)
+let rec same_queue queue ck i =
+  i = Array.length queue
+  || (match ck.(i) with dom, _, _ -> queue.(i).v_dom = dom) && same_queue queue ck (i + 1)
+
 let restore t ck =
-  let same =
-    Array.length t.queue = Array.length ck.ck_queue
-    && Array.for_all2 (fun v (dom, _, _) -> v.v_dom = dom) t.queue ck.ck_queue
-  in
-  if same then
+  if Array.length t.queue = Array.length ck.ck_queue && same_queue t.queue ck.ck_queue 0 then
     for i = 0 to Array.length ck.ck_queue - 1 do
       let _, state, runs = ck.ck_queue.(i) and v = t.queue.(i) in
       v.state <- state;

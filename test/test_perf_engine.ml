@@ -21,6 +21,11 @@ let qsuite_seeded seed tests =
     tests
 
 let attacker_cr3 tb = (Kernel.dom tb.Testbed.attacker).Domain.l4_mfn
+let use_case name = List.find (fun uc -> uc.Campaign.uc_name = name) All.use_cases
+
+module Toolkit = Ii_exploits.Toolkit
+
+let xsa212_window = Ii_exploits.Scenario_xen.Xsa212.window
 
 (* Locate the L1 entry backing a kernel vaddr so tests can rewrite raw
    PTE bytes the way an exploit would — beneath every software layer. *)
@@ -951,6 +956,41 @@ let test_frozen_template_immutable () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Fresh memory is copy-on-write over one all-zero frame: every frame
+   starts shared, and a write detaches only its own frame. *)
+let test_fresh_memory_shared () =
+  let t = Phys_mem.create ~frames:8 in
+  check_int "all frames shared at creation" 8 (Phys_mem.shared_frames t);
+  check_bool "one zero frame behind them" true (Phys_mem.frame_ro t 2 == Phys_mem.frame_ro t 5);
+  Phys_mem.write_u64 t 0x1008L 0xDEADL;
+  check_int "first write unshares its frame" 7 (Phys_mem.shared_frames t);
+  check_bool "the write lands" true (Phys_mem.read_u64 t 0x1008L = 0xDEADL);
+  check_bool "a shared frame still reads zero" true (Phys_mem.read_u64 t 0x2008L = 0L);
+  ignore (Phys_mem.alloc t Phys_mem.Xen);
+  check_int "allocating a frame does not write it" 7 (Phys_mem.shared_frames t);
+  (* a boot writes 41 of its 2,048 frames *)
+  let tb = Testbed.create Version.V4_8 in
+  check_bool "most frames stay shared through a boot" true
+    (Phys_mem.shared_frames tb.Testbed.hv.Hv.mem > 1024)
+
+(* The zero frame every fresh memory shares is never written through:
+   after a corpus round on both backends, fresh and pooled, and a
+   randomized batch, a new memory's frame still reads all zero. *)
+let test_zero_frame_intact () =
+  let modes = [ Campaign.Real_exploit; Campaign.Injection ] in
+  List.iter
+    (fun pooled ->
+      ignore (Campaign.run_matrix ~pooled All.use_cases ~versions:Version.all ~modes);
+      ignore
+        (Ii_backends.Backends.Kvm_campaign.run_matrix ~pooled All.kvm_use_cases
+           ~versions:Ii_backends.Backend_kvm.configs ~modes))
+    [ false; true ];
+  ignore
+    (Campaign_scheduler.run ~seed:1L ~targets:Random_campaign.all_targets ~workers:1 ~trials:300
+       Version.all);
+  let zero = Phys_mem.frame_ro (Phys_mem.create ~frames:1) 0 in
+  check_bool "the shared zero frame is all zero" true (Frame.equal zero (Frame.create ()))
+
 (* --- Phys_mem reset as a property -------------------------------------------
 
    Two baselines reset through different code: a fork reads its
@@ -1477,8 +1517,8 @@ let test_reset_words () =
   arbitrary_physical_trial tb;
   let w0 = Gc.minor_words () in
   Testbed.reset tb;
-  (* measured 143 *)
-  within_budget "Testbed.reset" 165. (Gc.minor_words () -. w0)
+  (* measured 8: dom0's boot file *)
+  within_budget "Testbed.reset" 10. (Gc.minor_words () -. w0)
 
 let test_run_one_words () =
   let w = Random_campaign.make_worker ~pooled:true Version.V4_8 in
@@ -1542,12 +1582,32 @@ let test_invlpg_read_words () =
          ignore (Kernel.read_u64 k va)))
 
 (* The cell the vDSO scan dominates: every machine frame through the
-   linear-PT window, a PTE write, an invlpg and a read each. *)
+   linear-PT window, a PTE write, an invlpg and a read each, all but a
+   few fast-forwarded (measured 17,629). *)
 let test_xsa212_priv_words () =
   let tb = loaded_46 () in
-  let uc = List.find (fun uc -> uc.Campaign.uc_name = "XSA-212-priv") All.use_cases in
-  within_budget "XSA-212-priv 4.6 injection Campaign.run" 100_000.
+  let uc = use_case "XSA-212-priv" in
+  within_budget "XSA-212-priv 4.6 injection Campaign.run" 20_300.
     (words_per_call ~n:1 (fun () -> ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6)))
+
+(* A frame the window scan fast-forwards allocates nothing. *)
+let test_remap_words () =
+  let tb = loaded_46 () in
+  ignore (Campaign.run ~tb (use_case "XSA-212-priv") Campaign.Injection Version.V4_6);
+  let k = tb.Testbed.attacker and w = xsa212_window in
+  (* the first remap through the kernel's accessors sets the scan up *)
+  ignore (Toolkit.window_read k w 0 ~off:0 ~len:8);
+  let cpu = tb.Testbed.hv.Hv.cpu in
+  match Cpu.remap cpu ~cr3:(attacker_cr3 tb) ~slot:w.Toolkit.slot ~window:w.Toolkit.va with
+  | None -> Alcotest.fail "the XSA-212 window cannot be fast-forwarded"
+  | Some r ->
+      let page = Bytes.create 40 and mfn = ref 0 in
+      let step () =
+        mfn := (!mfn + 1) land 2047;
+        if not (Cpu.remap_read_into r ~leaf:(Toolkit.leaf !mfn) page 0 40) then
+          Alcotest.fail "fast-forward refused"
+      in
+      within_budget "fast-forwarded frame" 0. (words_per_call ~n:2048 step)
 
 (* A trial that dirties one page table or one M2P frame snapshots
    within the clean snapshot's budget: the re-probe of the dirty table
@@ -1594,7 +1654,7 @@ let test_exhaust_memory_words () =
    with 4 domains under the default load. One warm-up pass, then the
    median over a measured pass of each cell's words — the figure the
    benchmark reports as [campaign.run_words.*]. The median, because
-   three XSA-212-priv cells allocate ~60k words each in the vDSO scan
+   the XSA-212-priv cells allocate ~17k words each in the vDSO scan
    and would dominate a mean. *)
 let corpus_words ~configs ~use_cases ~create ~run =
   let tbs = List.map (fun c -> (c, create c)) configs in
@@ -1638,6 +1698,206 @@ let test_campaign_words_kvm () =
   if median > 5000. then
     Alcotest.failf "Campaign.run (kvm corpus) allocated a median %.0f words/cell (budget 5000)"
       median
+
+(* --- Window scans ------------------------------------------------------------
+
+   A scan through a remap window fast-forwards a frame with
+   [Cpu.remap_read_into] unless a per-access effect could be observed. A
+   recording trace is one, so the same cell run with the ring enabled
+   takes the kernel's accessors on every frame: both must leave the same
+   machine. *)
+
+(* Everything a scan step touches: the virtual clock, the TLB's stats
+   and size, the tracer's counters and the bytes of every dirtied frame;
+   then what the TLB holds for the XSA-212 slot and window (a read of
+   each: the value and whether it hit). *)
+let scan_state (tb : Testbed.t) =
+  let hv = tb.Testbed.hv in
+  let mem = hv.Hv.mem and tlb = Cpu.tlb hv.Hv.cpu in
+  let dirtied =
+    List.filter (Phys_mem.is_dirty mem) (List.init (Phys_mem.total_frames mem) Fun.id)
+  in
+  let state =
+    ( Ii_trace.Trace.vts hv.Hv.trace,
+      Paging.Tlb.stats tlb,
+      Paging.Tlb.size tlb,
+      Fingerprint.Xen.telemetry (Ii_trace.Trace.telemetry hv.Hv.trace),
+      List.map (fun mfn -> (mfn, Phys_mem.frame_hash mem mfn)) dirtied )
+  in
+  let probe va =
+    let v = Kernel.read_u64 tb.Testbed.attacker va in
+    (v, Paging.Tlb.stats tlb)
+  in
+  (state, probe xsa212_window.Toolkit.slot, probe xsa212_window.Toolkit.va)
+
+let pooled_corpus_testbed ~record v =
+  let tb = Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default v in
+  if record then Ii_trace.Trace.enable tb.Testbed.hv.Hv.trace;
+  tb
+
+let test_scan_cells_equivalent () =
+  List.iter
+    (fun name ->
+      let uc = use_case name in
+      List.iter
+        (fun v ->
+          List.iter
+            (fun mode ->
+              let run ~record =
+                let tb = pooled_corpus_testbed ~record v in
+                let row = Campaign.run ~tb uc mode v in
+                ( Fingerprint.Xen.row row,
+                  row.Campaign.r_vtime_ns,
+                  scan_state tb )
+              in
+              check_bool
+                (Printf.sprintf "%s %s %s" name (Version.to_string v)
+                   (Campaign.mode_to_string mode))
+                true
+                (run ~record:false = run ~record:true))
+            [ Campaign.Real_exploit; Campaign.Injection ])
+        Version.all)
+    [ "XSA-212-priv"; "XSA-148-priv" ]
+
+(* Every condition the fast path rests on refuses it when broken: the
+   set-up with [None], a step with [false] and nothing done. *)
+let test_remap_refusals () =
+  let tb = loaded_46 () in
+  ignore (Campaign.run ~tb (use_case "XSA-212-priv") Campaign.Injection Version.V4_6);
+  let hv = tb.Testbed.hv and k = tb.Testbed.attacker and w = xsa212_window in
+  let cpu = hv.Hv.cpu and cr3 = attacker_cr3 tb in
+  let setup ?(slot = w.Toolkit.slot) ?(window = w.Toolkit.va) () =
+    ignore (Toolkit.window_read k w 0 ~off:0 ~len:8);
+    Cpu.remap cpu ~cr3 ~slot ~window
+  in
+  let refused what r = check_bool what true (Option.is_none r) in
+  check_bool "the window fast-forwards" true (Option.is_some (setup ()));
+  refused "slot and window on one page" (setup ~window:w.Toolkit.slot ());
+  refused "a window whose L1 entry is not the slot"
+    (setup ~window:(Domain.kernel_vaddr_of_pfn 6) ());
+  refused "a slot not 8-byte aligned" (setup ~slot:(Int64.add w.Toolkit.slot 4L) ());
+  ignore (Toolkit.window_read k w 0 ~off:0 ~len:8);
+  Kernel.invlpg k w.Toolkit.slot;
+  refused "a slot not in the TLB" (Cpu.remap cpu ~cr3 ~slot:w.Toolkit.slot ~window:w.Toolkit.va);
+  Ii_trace.Trace.enable hv.Hv.trace;
+  refused "a recording trace" (setup ());
+  Ii_trace.Trace.disable hv.Hv.trace;
+  let page = Bytes.create 8 in
+  let step what ~refused r =
+    let stats = Paging.Tlb.stats (Cpu.tlb cpu) and vts = Ii_trace.Trace.vts hv.Hv.trace in
+    check_bool what (not refused) (Cpu.remap_read_into r ~leaf:(Toolkit.leaf 5) page 0 8);
+    if refused then
+      check_bool (what ^ ": nothing done") true
+        (Paging.Tlb.stats (Cpu.tlb cpu) = stats && Ii_trace.Trace.vts hv.Hv.trace = vts)
+  in
+  let r = Option.get (setup ()) in
+  step "a step" ~refused:false r;
+  Kernel.invlpg k w.Toolkit.va;
+  step "a window not in the TLB" ~refused:true r;
+  let r = Option.get (setup ()) in
+  Ii_trace.Trace.enable hv.Hv.trace;
+  step "a step while recording" ~refused:true r;
+  Ii_trace.Trace.disable hv.Hv.trace;
+  Phys_mem.free hv.Hv.mem (Phys_mem.alloc hv.Hv.mem Phys_mem.Xen);
+  step "a step after the generation moved" ~refused:true r;
+  let r = Option.get (setup ()) in
+  check_bool "a leaf outside RAM" false
+    (Cpu.remap_read_into r ~leaf:(Toolkit.leaf (Phys_mem.total_frames hv.Hv.mem)) page 0 8);
+  check_bool "a read across a page" false
+    (Cpu.remap_read_into r ~leaf:(Toolkit.leaf 5) (Bytes.create 4097) 0 4097)
+
+(* Windows whose slot store would change more than the window's leaf,
+   or fault: an L1 table that maps itself (slot and window on one
+   page), an L4 entry that maps its own table at every level (the slot
+   is also an upper entry of the window's walk), and a slot mapped
+   read-only. *)
+let test_remap_self_maps () =
+  let mem = Phys_mem.create ~frames:16 in
+  let tlb = Paging.Tlb.create () in
+  let l4 = Phys_mem.alloc mem Phys_mem.Xen in
+  let l3 = Phys_mem.alloc mem Phys_mem.Xen in
+  let l2 = Phys_mem.alloc mem Phys_mem.Xen in
+  let l1 = Phys_mem.alloc mem Phys_mem.Xen in
+  let set table index mfn =
+    Phys_mem.write_u64 mem
+      (Int64.add (Addr.maddr_of_mfn table) (Int64.of_int (8 * index)))
+      (Pte.make ~mfn ~flags:[ Pte.Present; Pte.Rw ])
+  in
+  set l4 0 l3;
+  set l3 0 l2;
+  set l2 0 l1;
+  set l1 0 l1;
+  set l4 1 l4;
+  set l4 2 l4;
+  (* a second L1 whose entry 0 maps the first one read-only *)
+  let l1_ro = Phys_mem.alloc mem Phys_mem.Xen in
+  set l2 1 l1_ro;
+  Phys_mem.write_u64 mem (Addr.maddr_of_mfn l1_ro) (Pte.make ~mfn:l1 ~flags:[ Pte.Present ]);
+  let remap ~slot ~window =
+    ignore (Paging.walk_cached tlb mem ~cr3:l4 slot);
+    ignore (Paging.walk_cached tlb mem ~cr3:l4 window);
+    Paging.remap tlb mem ~cr3:l4 ~slot ~window
+  in
+  let va i = Addr.of_indices ~l4:i ~l3:i ~l2:i ~l1:i ~offset:0 in
+  check_bool "slot and window on one page" true (Option.is_none (remap ~slot:(va 0) ~window:(va 0)));
+  check_bool "the slot is an upper entry too" true
+    (Option.is_none (remap ~slot:(Int64.add (va 2) 8L) ~window:(va 1)));
+  check_bool "a read-only slot" true
+    (Option.is_none
+       (remap ~slot:(Addr.of_indices ~l4:0 ~l3:0 ~l2:1 ~l1:0 ~offset:0) ~window:(va 0)))
+
+(* A throwaway address space of one L4, L3 and L2 whose eight PSE
+   entries map 4,096 distinct pages; walking [n] of them through the
+   TLB caches [n] leaves. *)
+let fill_tlb (tb : Testbed.t) n =
+  let mem = tb.Testbed.hv.Hv.mem in
+  let l4 = Phys_mem.alloc mem Phys_mem.Xen in
+  let l3 = Phys_mem.alloc mem Phys_mem.Xen in
+  let l2 = Phys_mem.alloc mem Phys_mem.Xen in
+  let table mfn = Pte.make ~mfn ~flags:[ Pte.Present; Pte.Rw ] in
+  Phys_mem.write_u64 mem (Addr.maddr_of_mfn l4) (table l3);
+  Phys_mem.write_u64 mem (Addr.maddr_of_mfn l3) (table l2);
+  for j = 0 to 7 do
+    Phys_mem.write_u64 mem
+      (Int64.add (Addr.maddr_of_mfn l2) (Int64.of_int (8 * j)))
+      (Pte.make ~mfn:0 ~flags:[ Pte.Present; Pte.Rw; Pte.Pse ])
+  done;
+  let tlb = Cpu.tlb tb.Testbed.hv.Hv.cpu in
+  for i = 0 to n - 1 do
+    ignore (Paging.walk_cached tlb mem ~cr3:l4 (Int64.of_int (i * Addr.page_size)))
+  done
+
+(* The slot's fill takes the TLB's last free entry, so the window's fill
+   right after it flushes the whole cache, slot included: the next frame
+   must go through the accessors again before the scan fast-forwards. *)
+let test_scan_capacity_flush () =
+  let run ~record =
+    let tb = pooled_corpus_testbed ~record Version.V4_6 in
+    ignore (Campaign.run ~tb (use_case "XSA-212-priv") Campaign.Injection Version.V4_6);
+    let k = tb.Testbed.attacker and w = xsa212_window in
+    Kernel.invlpg k w.Toolkit.slot;
+    Kernel.invlpg k w.Toolkit.va;
+    let tlb = Cpu.tlb tb.Testbed.hv.Hv.cpu in
+    (* the default capacity: 4,096 cached pages *)
+    fill_tlb tb (4095 - Paging.Tlb.size tlb);
+    check_int "one free entry" 4095 (Paging.Tlb.size tlb);
+    let flushes = (Paging.Tlb.stats tlb).Paging.Tlb.flushes in
+    let w0 = Gc.minor_words () in
+    let found = Toolkit.scan_all_vdso k w in
+    let words = Gc.minor_words () -. w0 in
+    check_int "the window's first fill flushes" (flushes + 1)
+      (Paging.Tlb.stats tlb).Paging.Tlb.flushes;
+    check_int "five vDSOs" 5 (match found with Ok l -> List.length l | Error _ -> 0);
+    ((found, scan_state tb), words)
+  in
+  let fast, words = run ~record:false in
+  let slow, _ = run ~record:true in
+  check_bool "fast path = per-access path" true (fast = slow);
+  (* the accessors allocate tens of words a frame, ~60k for the whole
+     scan; fast-forwarded, only the frames after each match and the
+     flush take them, and each set-up walks the window once (measured
+     843) *)
+  within_budget "scan after a capacity flush" 1000. words
 
 (* --- Batching scheduler ---------------------------------------------------- *)
 
@@ -1950,6 +2210,8 @@ let () =
         [
           Alcotest.test_case "template isolation" `Quick test_fork_template_isolation;
           Alcotest.test_case "frozen template immutable" `Quick test_frozen_template_immutable;
+          Alcotest.test_case "fresh memory shares one zero frame" `Quick test_fresh_memory_shared;
+          Alcotest.test_case "zero frame stays zero" `Quick test_zero_frame_intact;
         ]
         @ qsuite [ prop_phys_mem_reset_fork; prop_phys_mem_reset_captured ] );
       ( "in_place",
@@ -1984,6 +2246,7 @@ let () =
           Alcotest.test_case "write_u64 hit words" `Quick test_write_hit_words;
           Alcotest.test_case "invlpg+read words" `Quick test_invlpg_read_words;
           Alcotest.test_case "XSA-212-priv words" `Quick test_xsa212_priv_words;
+          Alcotest.test_case "fast-forwarded frame words" `Quick test_remap_words;
           Alcotest.test_case "snapshot words" `Quick test_snapshot_words;
           Alcotest.test_case "exhaust_memory words" `Quick test_exhaust_memory_words;
           (* measured 4,027 and 1,018 *)
@@ -1991,6 +2254,14 @@ let () =
             (test_hook_trial_words balloon_hook 4600.);
           Alcotest.test_case "exhaustion trial words" `Quick
             (test_hook_trial_words exhaust_hook 1200.);
+        ] );
+      ( "remap",
+        [
+          Alcotest.test_case "fast path = per-access path (cells)" `Quick
+            test_scan_cells_equivalent;
+          Alcotest.test_case "slot takes the last free TLB entry" `Quick test_scan_capacity_flush;
+          Alcotest.test_case "refusals" `Quick test_remap_refusals;
+          Alcotest.test_case "self-mapping windows" `Quick test_remap_self_maps;
         ] );
       ( "scheduler",
         [

@@ -110,7 +110,7 @@ let prop_shell_total =
 
 (* --- Mm: random valid operation sequences keep the books straight ----------- *)
 
-type mm_op = Unmap of int | Remap of int | Exchange of int | Decrease of int | Pin_unpin
+type mm_op = Unmap of int | Remap of int | Exchange of int | Decrease of int | Pin
 
 let arb_ops =
   let gen =
@@ -122,7 +122,7 @@ let arb_ops =
              map (fun p -> Remap (3 + (p mod 20))) (int_bound 100);
              map (fun p -> Exchange (3 + (p mod 20))) (int_bound 100);
              map (fun p -> Decrease (3 + (p mod 20))) (int_bound 100);
-             return Pin_unpin;
+             return Pin;
            ]))
   in
   QCheck.make gen
@@ -158,9 +158,7 @@ let prop_mm_sequences_consistent =
           | Decrease pfn ->
               ignore (Mm.update_va_mapping hv dom ~va:(kva pfn) Pte.none);
               ignore (Mm.decrease_reservation hv dom [ pfn ])
-          | Pin_unpin ->
-              ignore (Mm.pin_table hv dom ~level:1 l1);
-              ignore (Mm.unpin_table hv dom l1))
+          | Pin -> ignore (Mm.pin_table hv dom ~level:1 l1))
         ops;
       Page_info.counts_consistent hv.Hv.pages
       && List.for_all

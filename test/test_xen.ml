@@ -665,14 +665,11 @@ let test_decrease_reservation () =
   Alcotest.check errno_t "absent pfn" Errno.EINVAL
     (Result.get_error (Mm.decrease_reservation hv guest [ 7 ]))
 
-let test_pin_unpin () =
+let test_pin () =
   let hv, _, guest = built () in
   let l1 = l1_of hv guest in
   check_bool "pin l1" true (Result.is_ok (Mm.pin_table hv guest ~level:1 l1));
-  check_bool "pinned" true (Page_info.get hv.Hv.pages l1).Page_info.pinned;
-  check_bool "unpin" true (Result.is_ok (Mm.unpin_table hv guest l1));
-  Alcotest.check errno_t "unpin twice" Errno.EINVAL
-    (Result.get_error (Mm.unpin_table hv guest l1))
+  check_bool "pinned" true (Page_info.get hv.Hv.pages l1).Page_info.pinned
 
 (* --- Uaccess -------------------------------------------------------------- *)
 
@@ -1093,7 +1090,7 @@ let () =
           Alcotest.test_case "safe flags" `Quick test_safe_flags;
           Alcotest.test_case "update_va_mapping" `Quick test_update_va_mapping;
           Alcotest.test_case "decrease_reservation" `Quick test_decrease_reservation;
-          Alcotest.test_case "pin/unpin" `Quick test_pin_unpin;
+          Alcotest.test_case "pin" `Quick test_pin;
         ]
         @ qsuite [ prop_mmu_update_total ] );
       ( "uaccess",
