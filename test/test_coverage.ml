@@ -6,7 +6,7 @@
    - renderers: hex and JSON round-trip byte-for-byte; the FNV hash and
      the Prometheus label escaping are pinned
    - determinism: campaign coverage maps are byte-identical across
-     worker counts, pooled vs fresh testbeds, the batching scheduler's
+     worker counts, forked vs booted testbeds, the batching scheduler's
      materialized and streamed paths, and record vs replay — on both
      backends
    - corpus: every scenario contributes novelty on first sight *)
@@ -259,10 +259,10 @@ let prop_hex_roundtrip =
 
 let some_ucs n = List.filteri (fun i _ -> i < n) Ii_exploits.All_exploits.use_cases
 
-let matrix ?pooled ~workers ?domains ?load ucs =
+let matrix ~workers ?domains ?load ucs =
   let acc = ref Coverage.empty in
   let rows =
-    Campaign.run_matrix ~workers ?pooled ?domains ?load ~coverage:acc ucs
+    Campaign.run_matrix ~workers ?domains ?load ~coverage:acc ucs
       ~versions:[ Version.V4_6 ]
       ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
   in
@@ -285,13 +285,33 @@ let test_matrix_workers_invariant () =
        rows1 rows3);
   check_bool "cumulative non-empty" false (Coverage.is_empty cum1)
 
+(* A COW fork and a fresh boot, each a loaded multi-domain testbed with
+   a collector attached, run the same cells one [Campaign.run] at a time:
+   equal rows (maps included) and equal cumulative maps. *)
 let test_matrix_pooled_invariant () =
-  (* pooled COW forks vs fresh boots, on a loaded multi-domain testbed *)
-  let ucs = some_ucs 2 in
   let load = Load_mix.default in
-  let _, fresh = matrix ~workers:1 ~pooled:false ~domains:4 ~load ucs in
-  let _, pooled = matrix ~workers:1 ~pooled:true ~domains:4 ~load ucs in
-  check_bool "pooled = fresh" true (Coverage.equal fresh pooled)
+  let cells tb =
+    Trace.set_coverage (Substrate_xen.trace tb) (Some (Coverage.create ()));
+    let rows =
+      List.concat_map
+        (fun uc ->
+          List.map
+            (fun mode -> Campaign.run ~tb uc mode Version.V4_6)
+            [ Campaign.Real_exploit; Campaign.Injection ])
+        (some_ucs 2)
+    in
+    let cum =
+      List.fold_left
+        (fun acc r -> Coverage.merge acc (Option.get r.Campaign.r_coverage))
+        Coverage.empty rows
+    in
+    (rows, cum)
+  in
+  let fresh_rows, fresh = cells (Ii_guest.Testbed.create ~domains:4 ~load Version.V4_6) in
+  let pooled_rows, pooled = cells (Ii_guest.Testbed.create_pooled ~domains:4 ~load Version.V4_6) in
+  check_bool "pooled rows = fresh rows" true (fresh_rows = pooled_rows);
+  check_bool "pooled map = fresh map" true (Coverage.equal fresh pooled);
+  check_bool "the map is not empty" false (Coverage.is_empty fresh)
 
 let test_matrix_detached_rows () =
   (* without ~coverage the rows must look exactly like pre-coverage rows *)

@@ -974,17 +974,29 @@ let test_fresh_memory_shared () =
     (Phys_mem.shared_frames tb.Testbed.hv.Hv.mem > 1024)
 
 (* The zero frame every fresh memory shares is never written through:
-   after a corpus round on both backends, fresh and pooled, and a
-   randomized batch, a new memory's frame still reads all zero. *)
+   after a corpus round on both backends, on booted testbeds and on
+   pooled forks, and a randomized batch, a new memory's frame still
+   reads all zero. *)
 let test_zero_frame_intact () =
+  let module BK = Ii_backends.Backend_kvm in
+  let module KC = Ii_backends.Backends.Kvm_campaign in
   let modes = [ Campaign.Real_exploit; Campaign.Injection ] in
-  List.iter
-    (fun pooled ->
-      ignore (Campaign.run_matrix ~pooled All.use_cases ~versions:Version.all ~modes);
-      ignore
-        (Ii_backends.Backends.Kvm_campaign.run_matrix ~pooled All.kvm_use_cases
-           ~versions:Ii_backends.Backend_kvm.configs ~modes))
-    [ false; true ];
+  (* [boot config] boots one testbed and returns its cell runner *)
+  let round boot ucs configs =
+    List.iter
+      (fun config ->
+        let run = boot config in
+        List.iter (fun uc -> List.iter (fun mode -> run uc mode) modes) ucs)
+      configs
+  in
+  round
+    (fun v -> let tb = Testbed.create v in fun uc mode -> ignore (Campaign.run ~tb uc mode v))
+    All.use_cases Version.all;
+  round
+    (fun c -> let tb = BK.create c in fun uc mode -> ignore (KC.run ~tb uc mode c))
+    All.kvm_use_cases BK.configs;
+  ignore (Campaign.run_matrix All.use_cases ~versions:Version.all ~modes);
+  ignore (KC.run_matrix All.kvm_use_cases ~versions:BK.configs ~modes);
   ignore
     (Campaign_scheduler.run ~seed:1L ~targets:Random_campaign.all_targets ~workers:1 ~trials:300
        Version.all);
@@ -993,14 +1005,15 @@ let test_zero_frame_intact () =
 
 (* --- Phys_mem reset as a property -------------------------------------------
 
-   Two baselines reset through different code: a fork reads its
-   pre-images from the frozen template, a memory that captured its own
-   baseline replays the copies saved on first touch. Both must come back
-   to exactly the baseline — every frame's bytes and owner, the free
-   count, and the free bitmap (probed with an [alloc]) — after any mix
-   of writes, allocations, frees, owner changes and bulk exhaustion, and
-   again on a second round that starts from the reset state, where the
-   fork's written frames are private rather than shared. *)
+   A memory resets to a frozen template: the one it was forked from, or
+   the snapshot its own [capture_baseline] froze. Either way it must
+   come back to exactly the baseline — every frame's bytes and owner,
+   the free count, and the free bitmap (probed with an [alloc]) — after
+   any mix of writes, allocations, frees, owner changes and bulk
+   exhaustion; again on a second round that starts from the reset
+   state, where the written frames are private rather than shared; and
+   after a re-capture, to the new baseline, while a sibling fork of the
+   first template still resets to that template. *)
 
 let pm_frames = 48
 
@@ -1074,25 +1087,41 @@ let pm_round m expected ops =
 let pm_ops =
   QCheck.(list_of_size (Gen.int_range 0 30) (pair (int_bound 4) (pair small_nat int64)))
 
+(* A re-capture on [m]: after [ops], the state [capture_baseline]
+   freezes is the one every later round resets to. *)
+let pm_recapture m ops =
+  List.iter (pm_apply m) ops;
+  Phys_mem.capture_baseline m;
+  pm_state m
+
 let prop_phys_mem_reset_fork =
   QCheck.Test.make ~name:"phys_mem: fork resets to its template" ~count:100
-    (QCheck.pair pm_ops pm_ops) (fun (ops1, ops2) ->
+    (QCheck.triple pm_ops pm_ops pm_ops) (fun (ops1, ops2, ops3) ->
       let tmpl = pm_base () in
       Phys_mem.capture_baseline tmpl;
       Phys_mem.freeze tmpl;
       let expected = pm_state tmpl in
-      let f = Phys_mem.fork tmpl in
+      let f = Phys_mem.fork tmpl and sibling = Phys_mem.fork tmpl in
       pm_round f expected ops1
       && pm_round f expected ops2
+      &&
+      let second = pm_recapture f ops3 in
+      pm_round f second ops1
+      && pm_round f second ops2
+      && pm_round sibling expected ops3
       && pm_state tmpl = expected)
 
 let prop_phys_mem_reset_captured =
   QCheck.Test.make ~name:"phys_mem: captured baseline resets exactly" ~count:100
-    (QCheck.pair pm_ops pm_ops) (fun (ops1, ops2) ->
+    (QCheck.triple pm_ops pm_ops pm_ops) (fun (ops1, ops2, ops3) ->
       let m = pm_base () in
       Phys_mem.capture_baseline m;
       let expected = pm_state m in
-      pm_round m expected ops1 && pm_round m expected ops2)
+      pm_round m expected ops1
+      && pm_round m expected ops2
+      &&
+      let second = pm_recapture m ops3 in
+      pm_round m second ops1 && pm_round m second ops2)
 
 (* --- In-place Hv.restore ---------------------------------------------------- *)
 
@@ -2041,10 +2070,9 @@ let test_run_matrix_shard_identical () =
     (fun (versions, shape) ->
       let seq = Campaign.run_matrix All.use_cases ~versions ~modes:[ Campaign.Injection ] in
       let sharded =
-        Campaign.run_matrix ~workers:2 ~pooled:true All.use_cases ~versions
-          ~modes:[ Campaign.Injection ]
+        Campaign.run_matrix ~workers:2 All.use_cases ~versions ~modes:[ Campaign.Injection ]
       in
-      check_bool ("sequential = 2-worker pooled matrix, " ^ shape) true (seq = sharded))
+      check_bool ("sequential = 2-worker matrix, " ^ shape) true (seq = sharded))
     [ ([ Version.V4_6 ], "4.6"); (Version.all, "all versions") ]
 
 (* --- Phys_mem allocator --------------------------------------------------- *)

@@ -182,7 +182,7 @@ let test_sharded_matrix_vtime_identical () =
     Campaign.run_matrix All.use_cases ~versions ~modes:[ Campaign.Injection ]
   in
   let par =
-    Campaign.run_matrix ~workers:2 ~pooled:true All.use_cases ~versions
+    Campaign.run_matrix ~workers:2 All.use_cases ~versions
       ~modes:[ Campaign.Injection ]
   in
   check_bool "sharded rows (including vtime) identical" true (seq = par)
