@@ -85,10 +85,10 @@ let run_corpus dir (module K : All.BACKEND) domains load json min_bits =
         else match D.S.check p with Ok () -> Some p | Error e -> failwith (file ^ ": " ^ e))
       progs
   in
-  let run ?workers ?pooled progs =
+  let run ~workers progs =
     let acc = ref Coverage.empty in
     let rows =
-      D.C.run_matrix ?workers ?pooled ~domains ~load ~coverage:acc
+      D.C.run_matrix ~workers ~domains ~load ~coverage:acc
         (List.map D.S.use_case progs) ~versions:[ D.B.rq1_config ]
         ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
     in
@@ -114,16 +114,13 @@ let run_corpus dir (module K : All.BACKEND) domains load json min_bits =
           | exception Failure e -> `Error (false, e)
           | [] -> `Error (false, Printf.sprintf "no %s-compatible scenarios in %s" D.B.name dir)
           | progs ->
-              (* the run whose rows we report: sequential, fresh boots *)
+              (* the run whose rows we report: sequential *)
               let srows, cum = run ~workers:1 progs in
               (* the determinism gate re-runs the same matrix sharded
-                 (3 workers, pooled forks) and pooled-sequential; all
-                 three cumulative maps must be byte-identical *)
+                 over 3 workers, each on its own forks of the pooled
+                 templates; both cumulative maps must be byte-identical *)
               let _, cum_sharded = run ~workers:3 progs in
-              let _, cum_pooled = run ~workers:1 ~pooled:true progs in
-              let deterministic =
-                Coverage.equal cum cum_sharded && Coverage.equal cum cum_pooled
-              in
+              let deterministic = Coverage.equal cum cum_sharded in
               let no_novelty =
                 List.filter_map
                   (fun (name, n) -> if n = 0 then Some name else None)

@@ -184,36 +184,29 @@ module Make (B : Substrate.S) = struct
         done;
         attempt)
 
-  (* One testbed per configuration, built on first use and reset by
-     every trial run on it: the per-worker table of [run_matrix] and
-     {!Campaign_scheduler}. [coverage] attaches a collector to each;
-     [trial] clears it per trial, so each row's map is absolute. *)
-  let testbeds ~pooled ?domains ?load ~coverage () =
+  (* One testbed per configuration, forked from the warm template pool
+     on first use and reset by every trial run on it: the per-worker
+     table of [run_matrix] and {!Campaign_scheduler}. [coverage]
+     attaches a collector to each; [trial] clears it per trial, so each
+     row's map is absolute. *)
+  let testbeds ?domains ?load ~coverage () =
     let tbs = Hashtbl.create 4 in
     fun config ->
       match Hashtbl.find_opt tbs config with
       | Some tb -> tb
       | None ->
-          let tb =
-            if pooled then B.create_pooled ?domains ?load config
-            else B.create ?domains ?load config
-          in
+          let tb = B.create_pooled ?domains ?load config in
           if coverage then Trace.set_coverage (B.trace tb) (Some (Coverage.create ()));
           Hashtbl.replace tbs config tb;
           tb
 
-  let run_matrix ?workers ?pooled ?domains ?load ?coverage ucs ~versions ~modes =
+  let run_matrix ?workers ?domains ?load ?coverage ucs ~versions ~modes =
     (* One cell per (uc, version, mode), in that nesting order; cells are
        independent, so they shard: the flattened queue is dealt in chunks
-       over one worker pool. Each worker keeps one testbed per version
-       and resets it between cells instead of re-booting; sharded
-       workers fork those testbeds copy-on-write from the warm template
-       pool, so a new (version x worker) cell costs O(metadata), while
-       the sequential reference run keeps the historical fresh boots.
-       [?pooled] overrides that policy either way. *)
-    let pooled =
-      match pooled with Some p -> p | None -> Shard.worker_count workers > 1
-    in
+       over one worker pool. Each worker keeps one testbed per version,
+       forked copy-on-write from the warm template pool, and resets it
+       between cells instead of re-booting, so a new (version x worker)
+       testbed costs O(metadata) whatever the worker count. *)
     let cells =
       List.concat_map
         (fun uc ->
@@ -222,7 +215,7 @@ module Make (B : Substrate.S) = struct
     in
     let rows =
       Shard.map_init ?workers
-        ~init:(testbeds ~pooled ?domains ?load ~coverage:(coverage <> None))
+        ~init:(testbeds ?domains ?load ~coverage:(coverage <> None))
         (fun testbed _ (uc, version, mode) -> run ~tb:(testbed version) uc mode version)
         cells
     in

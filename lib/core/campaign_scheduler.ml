@@ -37,7 +37,7 @@ let run ~seed ?(targets = RC.intrusion_targets) ?workers ?coverage ~trials versi
   let n = Array.length varr * trials in
   let pairs =
     Shard.map_init ?workers
-      ~init:(Campaign.testbeds ~pooled:true ~coverage:(coverage <> None))
+      ~init:(Campaign.testbeds ~coverage:(coverage <> None))
       (fun testbed j () -> job ~seed ~targets ~trials varr testbed j)
       (List.init n (fun _ -> ()))
   in
@@ -90,7 +90,7 @@ let run_streamed ~seed ?(targets = RC.intrusion_targets) ?workers ?coverage ~tri
      {!Shard.fold_init} requires. *)
   let counts =
     Shard.fold_init ?workers ~n
-      ~init:(Campaign.testbeds ~pooled:true ~coverage:(coverage <> None))
+      ~init:(Campaign.testbeds ~coverage:(coverage <> None))
       ~f:(fun testbed j -> (j / trials, job ~seed ~targets ~trials varr testbed j))
       ~merge:(fun counts (vi, (t, m)) ->
         let slot = (vi * n_outcomes) + outcome_slot t.RC.outcome in

@@ -11,10 +11,6 @@
     item), so a million-trial queue spends its time in trials, not in
     counter contention. *)
 
-val worker_count : int option -> int
-(** Resolve the optional [?workers] argument (default 1). Raises
-    [Invalid_argument] if [workers < 1]. *)
-
 val auto_workers : unit -> int
 (** The worker count [--workers auto] resolves to:
     [Stdlib.Domain.recommended_domain_count ()] clamped to [\[1, 8\]] —

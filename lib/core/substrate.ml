@@ -64,9 +64,11 @@ module type S = sig
   val create_pooled : ?domains:int -> ?load:Load_mix.t -> config -> t
   (** Like [create], but forked copy-on-write from a process-wide frozen
       template for this configuration (built once, on first use) — the
-      warm-pool path campaign workers use so every shard and matrix cell
-      costs O(metadata) instead of a full boot. Thread-safe; observably
-      equivalent to [create]. Templates are pooled per (config, domains)
+      one path every campaign driver's testbeds take
+      ([Campaign.Make.testbeds]), so every shard and matrix cell costs
+      O(metadata) instead of a full boot. Thread-safe; observably
+      equivalent to [create], which also resets to a frozen template
+      (its own checkpoint). Templates are pooled per (config, domains)
       and load-free: the load mix is runtime-only state installed on the
       fork, so pooled ≡ fresh holds for loaded multi-domain testbeds. *)
 

@@ -7,7 +7,7 @@ type t = {
   mutable extras : Kernel.t list;
   dm : Devmodel.t;
   load : Load_mix.t;
-  mutable load_streams : (int * Load_mix.stream) list;
+  load_streams : (int * Load_mix.stream) list;
   remote_host : string;
   checkpoint : Hv.checkpoint;
   scan_cache : int Scan_memo.t;
@@ -15,16 +15,15 @@ type t = {
 
 let guest_kernels t = t.victim :: t.attacker :: t.extras
 
-(* Background-load streams are pure functions of the domain id, re-seeded
-   whenever the machine returns to its boot state (create, fork, reset) —
-   the determinism contract that keeps loaded testbeds replayable. *)
+(* Background-load streams are pure functions of the domain id: built
+   seeded on create and fork, re-seeded in place on every reset — the
+   determinism contract that keeps loaded testbeds replayable. *)
+let load_streams load domids =
+  if Load_mix.ops_per_tick load = 0 then []
+  else List.map (fun d -> (d, Load_mix.stream ~seed:(Load_mix.seed_for_domain d))) domids
+
 let reseed_load t =
-  if Load_mix.ops_per_tick t.load > 0 then
-    t.load_streams <-
-      List.map
-        (fun k ->
-          (Kernel.domid k, Load_mix.stream ~seed:(Load_mix.seed_for_domain (Kernel.domid k))))
-        (guest_kernels t)
+  List.iter (fun (d, st) -> Load_mix.reseed st ~seed:(Load_mix.seed_for_domain d)) t.load_streams
 
 let extra_name i = Printf.sprintf "guest%02d" (5 + (2 * i))
 
@@ -47,24 +46,21 @@ let create ?(domains = 2) ?(load = Load_mix.none) version =
   (* record fields evaluate right to left: the checkpoint is taken
      before the kernels are built, and the scan cache anchors after it *)
   let checkpoint = Hv.checkpoint hv in
-  let t =
-    {
-      hv;
-      net;
-      dom0 = Kernel.create hv dom0 net;
-      victim = Kernel.create hv victim net;
-      attacker = Kernel.create hv attacker net;
-      extras = List.map (fun d -> Kernel.create hv d net) extras;
-      dm = Devmodel.create hv ~served:victim.Domain.id;
-      load;
-      load_streams = [];
-      remote_host = "xen2";
-      checkpoint;
-      scan_cache = Scan_memo.create ();
-    }
-  in
-  reseed_load t;
-  t
+  {
+    hv;
+    net;
+    dom0 = Kernel.create hv dom0 net;
+    victim = Kernel.create hv victim net;
+    attacker = Kernel.create hv attacker net;
+    extras = List.map (fun d -> Kernel.create hv d net) extras;
+    dm = Devmodel.create hv ~served:victim.Domain.id;
+    load;
+    load_streams =
+      load_streams load (List.map (fun d -> d.Domain.id) (victim :: attacker :: extras));
+    remote_host = "xen2";
+    checkpoint;
+    scan_cache = Scan_memo.create ();
+  }
 
 (* Fork a new testbed from [template] without re-running the builder:
    the hypervisor is an {!Hv.fork} (memory shared copy-on-write), and the
@@ -80,26 +76,23 @@ let fork ?load template =
     | Some dom -> Kernel.create hv dom net
     | None -> invalid_arg "Testbed.fork: template lost a domain"
   in
-  let t =
-    {
-      hv;
-      net;
-      dom0 = rebuild template.dom0;
-      victim = rebuild template.victim;
-      attacker = rebuild template.attacker;
-      extras = List.map rebuild template.extras;
-      (* the device model is process state outside the checkpoint: a
-         fork of a pristine template starts with a pristine one *)
-      dm = Devmodel.create hv ~served:(Kernel.domid template.victim);
-      load = (match load with Some l -> l | None -> template.load);
-      load_streams = [];
-      remote_host = template.remote_host;
-      checkpoint = template.checkpoint;
-      scan_cache = Scan_memo.create ();
-    }
-  in
-  reseed_load t;
-  t
+  let load = Option.value load ~default:template.load in
+  {
+    hv;
+    net;
+    dom0 = rebuild template.dom0;
+    victim = rebuild template.victim;
+    attacker = rebuild template.attacker;
+    extras = List.map rebuild template.extras;
+    (* the device model is process state outside the checkpoint: a
+       fork of a pristine template starts with a pristine one *)
+    dm = Devmodel.create hv ~served:(Kernel.domid template.victim);
+    load;
+    load_streams = load_streams load (List.map Kernel.domid (guest_kernels template));
+    remote_host = template.remote_host;
+    checkpoint = template.checkpoint;
+    scan_cache = Scan_memo.create ();
+  }
 
 (* The warm pool: one frozen template per configuration, built on first
    use and shared by every subsequent [create_pooled] — including forks

@@ -18,8 +18,8 @@
     attacker + extras; default 2, the historical pair). [?load] attaches
     a deterministic background workload ({!Load_mix}): every guest
     domain performs the mix's ops per scheduler round, drawn from a
-    per-domain splitmix64 stream that is re-seeded on create/fork/reset
-    — so loaded, multi-domain testbeds stay byte-replayable and
+    per-domain splitmix64 stream that is seeded on create/fork and
+    re-seeded on reset — so loaded, multi-domain testbeds stay byte-replayable and
     pooled ≡ fresh. *)
 
 type t = {
@@ -31,9 +31,9 @@ type t = {
   mutable extras : Kernel.t list;  (** bystander guests beyond the pair *)
   dm : Devmodel.t;  (** the device model serving the victim *)
   load : Load_mix.t;
-  mutable load_streams : (int * Load_mix.stream) list;
-      (** one per guest domain, re-seeded on create/fork/reset; empty
-          while [load] runs no ops *)
+  load_streams : (int * Load_mix.stream) list;
+      (** one per guest domain, built on create/fork and re-seeded in
+          place on reset; empty while [load] runs no ops *)
   remote_host : string;
   checkpoint : Hv.checkpoint;
   scan_cache : int Scan_memo.t;
@@ -65,7 +65,7 @@ val reset : t -> unit
 (** Roll the testbed back to the state captured at [create]: hypervisor
     restored from the checkpoint (only dirty frames rewritten), and the
     network, the guest kernels ({!Kernel.reset}) and the device model
-    returned to boot state in place; load streams re-seeded. A kernel
+    returned to boot state in place; load streams re-seeded in place. A kernel
     whose domain the trial destroyed is rebuilt around the restored
     record. After [reset t], the testbed is observably equivalent to
     [create version] — the property the equivalence tests pin down. *)

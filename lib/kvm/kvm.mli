@@ -75,9 +75,10 @@ val gpa_to_maddr : t -> vm -> Nested.gpa -> (Addr.maddr, Nested.fault) result
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Capture the current state as the reset baseline (memory via
-    {!Phys_mem.capture_baseline}, plus VM states, the VM list and the
-    console). *)
+(** Capture the current state as the reset baseline: memory as a
+    frozen template the live memory is forked from in place
+    ({!Phys_mem.capture_baseline}), plus VM states, the VM list and the
+    console. *)
 
 val restore : t -> checkpoint -> int
 (** Roll back to the checkpoint in O(frames dirtied); returns the

@@ -58,10 +58,6 @@ let blit_from_bytes src spos t off len =
   check off len;
   Bytes.blit src spos t off len
 
-let restore_image t img =
-  if Bytes.length img <> Addr.page_size then invalid_arg "Frame.restore_image: not a page image";
-  Bytes.blit img 0 t 0 Addr.page_size
-
 let restore_from t ~src = Bytes.blit src 0 t 0 Addr.page_size
 
 let equal = Bytes.equal

@@ -51,13 +51,10 @@ val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
 (** [blit_from_bytes src spos t off len] copies into the frame (the bulk
     write path). *)
 
-val restore_image : t -> bytes -> unit
-(** Overwrite the whole frame from a page-sized image captured with
-    [to_bytes] (the O(dirty) reset path). *)
-
 val restore_from : t -> src:t -> unit
-(** Overwrite the whole frame with [src]'s bytes — the fork reset path,
-    which reads pre-images straight from the template's frames. *)
+(** Overwrite the whole frame with [src]'s bytes — the O(dirty) reset
+    path, which reads pre-images straight from the frozen template's
+    frames. *)
 
 val equal : t -> t -> bool
 val to_bytes : t -> bytes

@@ -17,22 +17,7 @@ let decode c = if c >= 0 then Dom c else if c = free_code then Free else Xen
    instead of an O(frames) owner-array rescan. *)
 let bits_per_word = 62
 
-type baseline =
-  | Captured of {
-      (* pre-images of frames dirtied since capture, copied lazily on
-         the first write to each frame; [None] means the frame was a
-         scrubbed (all-zero) frame at capture time, so no bytes need
-         storing *)
-      b_pre : (int, bytes option * int) Hashtbl.t;  (* pre-image, owner code *)
-      b_free_count : int;
-      b_free_bits : int array;
-    }
-  | Template of t
-      (* a fork's birth baseline is its frozen template, which never
-         changes: dirtying records nothing, and reset reads each dirty
-         frame's pre-image (bytes, owner, scrubbed flag) from it *)
-
-and t = {
+type t = {
   frames : Frame.t array;
   owners : int array;  (* owner codes *)
   free_bits : int array;  (* bit [b] of word [w] set iff frame [w*62+b] is Free *)
@@ -42,11 +27,13 @@ and t = {
   scrubbed : Bytes.t;
   (* '\001' = the frame is known to hold all zeroes ([create]/[free]
      scrub; content writes clear the flag). Lets [alloc] skip the
-     zero-fill and lets baseline capture/reset skip 4 KiB copies for
-     frames that merely changed owner — the memory-exhaustion trials
-     allocate thousands of frames they never write. *)
+     zero-fill and lets reset skip 4 KiB copies for frames that merely
+     changed owner — the memory-exhaustion trials allocate thousands of
+     frames they never write. *)
   mutable gen : int;  (* bumped when cached translations may go stale (free/reset) *)
-  mutable baseline : baseline option;
+  mutable baseline : t option;
+      (* the frozen template this memory resets to: the one it was
+         forked from, or the snapshot its last [capture_baseline] froze *)
   mutable baseline_epoch : int;  (* identifies which baseline is current *)
   mutable prov : Provenance.t option;
       (* byte-granular taint shadow; detached (None) by default so the
@@ -57,8 +44,8 @@ and t = {
   cow : Bytes.t;
   (* '\001' = the frame's [Frame.t] is still physically shared: with
      [zero_frame] in a memory from [create], with the frozen template in
-     one from [fork]; the first content write replaces it with a private
-     copy (see [unshare]) *)
+     one from [fork] or [capture_baseline]; the first content write
+     replaces it with a private copy (see [unshare]) *)
   mutable cow_count : int;
   mutable claimed : int array;  (* [claim]'s result buffer, made on first use *)
 }
@@ -130,24 +117,14 @@ let check_mutable t =
   if t.frozen then invalid_arg "Phys_mem: frozen fork template is immutable"
 
 (* Conservative: anything that can mutate a frame marks it dirty first,
-   so the pre-image under [baseline] is taken before the write lands. *)
+   so the reset knows to restore it. *)
 let mark_dirty t mfn =
   check_mutable t;
-  if Bytes.unsafe_get t.dirty.Touched.flags mfn = '\000' then begin
-    Touched.add t.dirty mfn;
-    match t.baseline with
-    | Some (Captured b) ->
-        let img =
-          if Bytes.unsafe_get t.scrubbed mfn = '\001' then None
-          else Some (Frame.to_bytes t.frames.(mfn))
-        in
-        Hashtbl.replace b.b_pre mfn (img, t.owners.(mfn))
-    | Some (Template _) | None -> ()
-  end
+  if Bytes.unsafe_get t.dirty.Touched.flags mfn = '\000' then Touched.add t.dirty mfn
 
-(* Detach a COW-shared frame (the zero frame, or a fork's template
-   frame) before the first content write: the memory gets a private copy
-   (or a fresh zero frame when the shared one is known-zero) and the
+(* Detach a COW-shared frame (the zero frame, or a template's frame)
+   before the first content write: the memory gets a private copy (or
+   a fresh zero frame when the shared one is known-zero) and the
    shared bytes stay untouched — which is what lets many memories share
    one zero frame, and many forks one template, concurrently. *)
 let unshare t mfn =
@@ -167,16 +144,39 @@ let mark_written t mfn =
 
 let dirty_count t = t.dirty.Touched.count
 
+(* A new memory at [t]'s state, in O(metadata): its frames are [t]'s
+   own [Frame.t]s, and the counters, generation and epoch are [t]'s. *)
+let copy_metadata t ~dirty ~cow ~baseline ~frozen =
+  {
+    t with
+    frames = Array.copy t.frames;
+    owners = Array.copy t.owners;
+    free_bits = Array.copy t.free_bits;
+    dirty;
+    scrubbed = Bytes.copy t.scrubbed;
+    baseline;
+    prov = None;
+    frozen;
+    cow;
+    cow_count = Bytes.length cow;
+    claimed = [||];
+  }
+
+(* A checkpoint freezes a snapshot of [t]'s metadata and forks [t] from
+   it in place: every frame becomes a copy-on-write alias of the
+   snapshot's, so [t] resets exactly as a fork of the snapshot does. No
+   frame bytes are copied. *)
 let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
   if Option.is_some t.prov then
     invalid_arg "Phys_mem.capture_baseline: a provenance shadow is attached";
+  let snapshot =
+    copy_metadata t ~dirty:(Touched.create 0) ~cow:Bytes.empty ~baseline:None ~frozen:true
+  in
+  Bytes.fill t.cow 0 (Bytes.length t.cow) '\001';
+  t.cow_count <- Bytes.length t.cow;
   Touched.clear t.dirty;
-  t.baseline <-
-    Some
-      (Captured
-         { b_pre = Hashtbl.create 64; b_free_count = t.free_count;
-           b_free_bits = Array.copy t.free_bits });
+  t.baseline <- Some snapshot;
   t.baseline_epoch <- t.baseline_epoch + 1
 
 let baseline_epoch t = t.baseline_epoch
@@ -201,25 +201,6 @@ let rescrub t mfn =
     Bytes.unsafe_set t.scrubbed mfn '\001'
   end
 
-(* A captured baseline replays the pre-images saved on first touch. *)
-let reset_captured t b_pre mfn =
-  match Hashtbl.find_opt b_pre mfn with
-  | Some (img, o) ->
-      (match img with
-      | Some img ->
-          (* a frame still COW-shared with the template was never
-             content-written (writes unshare first), so its bytes
-             already equal the pre-image: skip the 4 KiB restore — and
-             never write into the shared template frame *)
-          if Bytes.unsafe_get t.cow mfn = '\000' then begin
-            Frame.restore_image t.frames.(mfn) img;
-            Bytes.unsafe_set t.scrubbed mfn '\000'
-          end
-      | None -> rescrub t mfn);
-      Array.unsafe_set t.owners mfn o;
-      1
-  | None -> 0
-
 (* A fork's pre-image is the template frame itself. A still-shared frame
    already holds it; a private one gets the template's bytes blitted in
    and keeps its own storage, so steady-state trials copy no frames. *)
@@ -238,31 +219,24 @@ let reset_from_template t tpl mfn =
    whole (a few dozen words). *)
 let reset_to_baseline t =
   if t.frozen then invalid_arg "Phys_mem.reset_to_baseline: template is frozen";
-  let restored = ref 0 in
-  (match t.baseline with
-  | None -> invalid_arg "Phys_mem.reset_to_baseline: no baseline captured"
-  | Some (Captured b) ->
-      let dirty = t.dirty in
-      for i = dirty.Touched.count - 1 downto 0 do
-        restored := !restored + reset_captured t b.b_pre (Array.unsafe_get dirty.Touched.stack i)
-      done;
-      Hashtbl.reset b.b_pre;
-      Array.blit b.b_free_bits 0 t.free_bits 0 (Array.length t.free_bits);
-      t.free_count <- b.b_free_count
-  | Some (Template tpl) ->
-      let dirty = t.dirty in
-      restored := dirty.Touched.count;
-      for i = dirty.Touched.count - 1 downto 0 do
-        reset_from_template t tpl (Array.unsafe_get dirty.Touched.stack i)
-      done;
-      Array.blit tpl.free_bits 0 t.free_bits 0 (Array.length t.free_bits);
-      t.free_count <- tpl.free_count);
+  let tpl =
+    match t.baseline with
+    | Some tpl -> tpl
+    | None -> invalid_arg "Phys_mem.reset_to_baseline: no baseline captured"
+  in
+  let dirty = t.dirty in
+  let restored = dirty.Touched.count in
+  for i = restored - 1 downto 0 do
+    reset_from_template t tpl (Array.unsafe_get dirty.Touched.stack i)
+  done;
+  Array.blit tpl.free_bits 0 t.free_bits 0 (Array.length t.free_bits);
+  t.free_count <- tpl.free_count;
   Touched.clear t.dirty;
   (* frames may have become free below the hint again *)
   t.next_hint <- 0;
   t.gen <- t.gen + 1;
   (match t.prov with None -> () | Some p -> Provenance.reset_to_baseline p);
-  !restored
+  restored
 
 (* --- copy-on-write forking --------------------------------------------
    A frozen memory is an immutable template: [fork] builds a new memory
@@ -281,29 +255,14 @@ let freeze t =
     invalid_arg "Phys_mem.freeze: template diverged from its baseline";
   t.frozen <- true
 
+(* The fork is born exactly at the template's state, which is its
+   baseline: resets work from trial one and read pre-images from the
+   template instead of saving copies. *)
 let fork template =
   if not template.frozen then invalid_arg "Phys_mem.fork: template must be frozen";
   let n = Array.length template.frames in
-  {
-    frames = Array.copy template.frames;  (* shares the Frame.t bytes *)
-    owners = Array.copy template.owners;
-    free_bits = Array.copy template.free_bits;
-    free_count = template.free_count;
-    next_hint = template.next_hint;
-    dirty = Touched.create n;
-    scrubbed = Bytes.copy template.scrubbed;
-    gen = template.gen;
-    (* the fork is born exactly at the template's state, which is its
-       baseline: resets work from trial one and read pre-images from
-       the template instead of saving copies *)
-    baseline = Some (Template template);
-    baseline_epoch = template.baseline_epoch;
-    prov = None;
-    frozen = false;
-    cow = Bytes.make n '\001';
-    cow_count = n;
-    claimed = [||];
-  }
+  copy_metadata template ~dirty:(Touched.create n) ~cow:(Bytes.make n '\001')
+    ~baseline:(Some template) ~frozen:false
 
 let shared_frames t = t.cow_count
 

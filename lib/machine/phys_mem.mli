@@ -6,9 +6,10 @@
     and write frames they do not own, which is the whole point.
 
     Beyond raw storage, this module carries the campaign engine's two
-    fast-reset primitives: a dirty-frame bitmap with lazy pre-image
-    capture (so a testbed resets in O(frames touched) instead of
-    rebuilding everything) and a generation counter that lets cached
+    fast-reset primitives: a frozen template as the one kind of
+    baseline, with a dirty-frame set, so a testbed resets in O(frames
+    touched) by copying those frames back from the template instead of
+    rebuilding everything; and a generation counter that lets cached
     translations (the software TLB) self-invalidate whenever frames are
     recycled. *)
 
@@ -109,18 +110,22 @@ val baseline_epoch : t -> int
     Caches anchored to a baseline carry this to detect re-captures. *)
 
 val capture_baseline : t -> unit
-(** Declare the current contents the baseline. Subsequent writes save a
-    lazy pre-image of each frame on first touch; {!reset_to_baseline}
-    replays only those. Recapturing discards the previous baseline
-    (on a {!fork}, it replaces the template as the baseline). Raises
-    [Invalid_argument] on a frozen template and while a provenance
-    shadow is attached: taint is tracked from a captured baseline on,
-    never across one. *)
+(** Declare the current contents the baseline: freeze a snapshot of the
+    memory's metadata (frame pointers, which share the frames, owners,
+    free bitmap and scrubbed flags; no frame bytes are copied) and fork
+    the memory from it in place, every frame copy-on-write against the
+    snapshot. From then on the memory resets exactly as a {!fork} of
+    that snapshot does. Recapturing replaces the baseline (on a {!fork},
+    it replaces the template; other forks of that template are
+    untouched). Raises [Invalid_argument] on a frozen template and while
+    a provenance shadow is attached: taint is tracked from a captured
+    baseline on, never across one. *)
 
 val reset_to_baseline : t -> int
-(** Restore every frame (contents and ownership) touched since
-    {!capture_baseline}, in O(dirty). Returns the number of frames
-    restored. Raises [Invalid_argument] if no baseline was captured. *)
+(** Restore every frame (contents and ownership) touched since the
+    baseline from its frozen template, in O(dirty). Returns the number
+    of frames restored. Raises [Invalid_argument] if there is no
+    baseline (neither captured nor forked). *)
 
 (** {1 Copy-on-write forking}
 
@@ -139,19 +144,18 @@ val fork : t -> t
 (** [fork template] is a new memory whose frames physically alias the
     frozen template's. The first content write to a frame detaches it
     with a private copy; frames never written are never copied, and
-    {!reset_to_baseline} skips still-shared frames. The fork is born
-    with an armed baseline equal to the template state (same
-    {!baseline_epoch}), so it resets like a freshly checkpointed
-    testbed. That baseline {e is} the frozen template: dirtying a frame
-    saves no pre-image, and {!reset_to_baseline} copies each dirty
-    frame's bytes and owner back from the template, reusing the fork's
-    private frame. Raises [Invalid_argument] unless [template] is
-    frozen. *)
+    {!reset_to_baseline} skips still-shared frames. The fork's baseline
+    is the template itself (same {!baseline_epoch}), the kind of
+    baseline {!capture_baseline} makes too: dirtying a frame saves
+    nothing, and {!reset_to_baseline} copies each dirty frame's bytes
+    and owner back from the template, reusing the fork's private frame.
+    Raises [Invalid_argument] unless [template] is frozen. *)
 
 val shared_frames : t -> int
-(** Frames never content-written, still physically shared with the
-    fork's template or, in a memory from {!create}, with the zero frame
-    (equals [total_frames] right after {!create} or {!fork}). *)
+(** Frames not content-written since the baseline, still physically
+    shared with the template or, in a memory from {!create} that has
+    none, with the zero frame (equals [total_frames] right after
+    {!create}, {!fork} or {!capture_baseline}). *)
 
 (** {1 Access by frame and offset}
 

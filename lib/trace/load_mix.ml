@@ -11,7 +11,7 @@ let of_string s = List.find_opt (fun m -> m.name = s) all
 let ops_per_tick t = t.ops_per_tick
 
 (* splitmix64: the per-domain stream generator. Chosen because one
-   int64 of state is trivial to re-seed on create/fork/reset, which is
+   int64 of state is trivial to re-seed in place on reset, which is
    what keeps pooled testbeds and replays byte-identical to fresh
    boots. *)
 
@@ -21,6 +21,7 @@ let seed_for_domain domid =
   Int64.mul (Int64.of_int (domid + 1)) 0x9E3779B97F4A7C15L
 
 let stream ~seed = { s = seed }
+let reseed st ~seed = st.s <- seed
 
 let next st =
   st.s <- Int64.add st.s 0x9E3779B97F4A7C15L;

@@ -3,8 +3,9 @@
     A mix names how many background operations every guest domain
     performs per scheduler round ({!ops_per_tick}); {e which} operations
     is decided by a per-domain splitmix64 {!stream} seeded from the
-    domain id. Because the streams are re-seeded on every testbed
-    create/fork/reset and drawn only inside the (replayed) scheduler
+    domain id. Because the streams are seeded on every testbed
+    create/fork, re-seeded on every reset and drawn only inside the
+    (replayed) scheduler
     round, a loaded testbed stays deterministic: pooled ≡ fresh and
     record/replay reproduce the same (vts, event) stream byte for byte.
 
@@ -41,5 +42,9 @@ val seed_for_domain : int -> int64
     id only, so every testbed shape agrees). *)
 
 val stream : seed:int64 -> stream
+
+val reseed : stream -> seed:int64 -> unit
+(** Put the stream back at [seed], as {!stream} built it. *)
+
 val next : stream -> int64
 (** Advance the splitmix64 state and return the next 64-bit draw. *)

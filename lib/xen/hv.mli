@@ -134,9 +134,11 @@ val tlb_invlpg : t -> cr3:Addr.mfn -> Addr.vaddr -> unit
 (** {1 Checkpoint / restore}
 
     An O(dirty) reset primitive for campaign throughput: [checkpoint]
-    captures the full hypervisor state (and arms {!Phys_mem}'s dirty
-    tracking via {!Phys_mem.capture_baseline}); [restore] rolls every
-    piece back, touching only the frames dirtied since.
+    captures the full hypervisor state, its memory as a frozen template
+    the live memory is forked from in place
+    ({!Phys_mem.capture_baseline}); [restore] rolls every piece back,
+    copying only the frames dirtied since back from that template — the
+    reset a {!fork} does too.
 
     Only one checkpoint is live per hypervisor at a time — taking a new
     one rebases the memory baseline. A checkpoint can be restored any

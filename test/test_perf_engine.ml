@@ -1549,8 +1549,10 @@ let test_reset_words () =
   (* measured 8: dom0's boot file *)
   within_budget "Testbed.reset" 10. (Gc.minor_words () -. w0)
 
-let test_run_one_words () =
-  let w = Random_campaign.make_worker ~pooled:true Version.V4_8 in
+(* The same budget on a forked and on a booted worker, which both reset
+   to a frozen template (measured 1,052 on each) *)
+let test_run_one_words pooled () =
+  let w = Random_campaign.make_worker ~pooled Version.V4_8 in
   let trials = 600 in
   let run i = ignore (Random_campaign.run_one w ~seed:1L ~targets:Random_campaign.all_targets i) in
   run 0;
@@ -1558,7 +1560,6 @@ let test_run_one_words () =
   for i = 1 to trials do
     run i
   done;
-  (* measured 1,192 *)
   within_budget "Random_campaign.run_one (words per trial)" 1400.
     ((Gc.minor_words () -. w0) /. float_of_int trials)
 
@@ -1589,6 +1590,18 @@ let test_hook_trial_words hook budget () =
 (* The guest memory access path on the benchmark's corpus shape: a
    4-domain 4.6 pooled testbed under the default load. *)
 let loaded_46 () = Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default Version.V4_6
+
+(* A reset of that shape after a scheduler round: the four guests' load
+   streams are re-seeded in place, not rebuilt *)
+let test_loaded_reset_words () =
+  let tb = loaded_46 () in
+  Testbed.tick_all tb;
+  Testbed.reset tb;
+  Testbed.tick_all tb;
+  let w0 = Gc.minor_words () in
+  Testbed.reset tb;
+  (* measured 20: one boxed seed per stream, and dom0's boot file *)
+  within_budget "loaded Testbed.reset" 23. (Gc.minor_words () -. w0)
 
 let test_read_hit_words () =
   let k = (loaded_46 ()).Testbed.attacker in
@@ -2266,7 +2279,9 @@ let () =
       ( "alloc",
         [
           Alcotest.test_case "reset words" `Quick test_reset_words;
-          Alcotest.test_case "run_one words" `Quick test_run_one_words;
+          Alcotest.test_case "loaded reset words" `Quick test_loaded_reset_words;
+          Alcotest.test_case "run_one words" `Quick (test_run_one_words true);
+          Alcotest.test_case "run_one words (booted worker)" `Quick (test_run_one_words false);
           Alcotest.test_case "quiet tick_all words" `Quick test_quiet_tick_all_words;
           Alcotest.test_case "campaign words (xen)" `Quick test_campaign_words_xen;
           Alcotest.test_case "campaign words (kvm)" `Quick test_campaign_words_kvm;

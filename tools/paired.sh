@@ -12,10 +12,13 @@
 # corpus runs at seed 1, untraced. Each run's result line goes to stderr.
 # Stdout is one row per metric of the result JSON: the median and the
 # quartiles of each side, and the ratio of the medians (CHANGE / BASE).
-# A metric with a bound in BENCHMARK.json is flagged SPREAD when, on
-# either side, its interquartile range exceeds that bound as a fraction
-# of its median: its runs spread too widely to tell a change by.
-# Needs jq.
+# For each end-to-end metric of BENCHMARK.json (one with a bound), the
+# "better" column counts the pairs in which CHANGE read better than
+# BASE, in the direction the metric's "better" names. Such a metric is
+# flagged WORSE when CHANGE's median is worse than BASE's by more than
+# the bound, as a fraction of BASE's median, and SPREAD when, on either
+# side, its interquartile range exceeds the bound as a fraction of its
+# median: its runs spread too widely to tell a change by. Needs jq.
 set -euo pipefail
 
 pairs=2 workload=corpus seconds=45 seed=1 trace=0
@@ -39,35 +42,38 @@ bench=$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json
 samples=$(mktemp)
 trap 'rm -f "$samples"' EXIT
 
-# run SIDE DIR SEED: one perfbench run, its metrics appended to $samples
+# run SIDE DIR SEED PAIR: one perfbench run, its metrics appended to
+# $samples as "SIDE METRIC VALUE PAIR"
 run() {
   local line
   line=$(bash "$2/perfbench/run.sh" --workload "$workload" --seed "$3" \
     --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1)
   echo "$1 seed $3: $line" >&2
-  echo "$line" | jq -r --arg side "$1" \
-    '.metrics | to_entries[] | "\($side) \(.key) \(.value.value)"' >>"$samples"
+  echo "$line" | jq -r --arg side "$1" --arg pair "$4" \
+    '.metrics | to_entries[] | "\($side) \(.key) \(.value.value) \($pair)"' >>"$samples"
 }
 
 for i in $(seq 1 "$pairs"); do
   s=$((seed + i - 1))
   if [ $((i % 2)) -eq 1 ]; then
-    run base "$base" "$s"; run change "$change" "$s"
+    run base "$base" "$s" "$i"; run change "$change" "$s" "$i"
   else
-    run change "$change" "$s"; run base "$base" "$s"
+    run change "$change" "$s" "$i"; run base "$base" "$s" "$i"
   fi
 done
 
-bounds=$(jq -r '.end_to_end[] | "\(.name) \(.bound)"' "$bench")
+bounds=$(jq -r '.end_to_end[] | "\(.name) \(.bound) \(.better)"' "$bench")
 
 # One row per metric: quartiles by linear interpolation between the
 # sorted samples of each side.
 sort -k1,1 -k2,2 -k3,3g "$samples" | awk -v bounds="$bounds" '
   BEGIN {
     n = split(bounds, b, "\n")
-    for (i = 1; i <= n; i++) { split(b[i], f, " "); bound[f[1]] = f[2] }
+    for (i = 1; i <= n; i++) { split(b[i], f, " "); bound[f[1]] = f[2]; better[f[1]] = f[3] }
   }
-  { k = $1 SUBSEP $2; v[k, ++c[k]] = $3; keys[$2] = 1 }
+  { k = $1 SUBSEP $2; v[k, ++c[k]] = $3; keys[$2] = 1; pv[$1, $2, $4] = $3; np = $4 > np ? $4 : np }
+  # whether value x reads better than y for metric m
+  function improves(m, x, y) { return better[m] == "higher" ? x > y : x < y }
   function q(side, m, p,   k, n, x, lo) {
     k = side SUBSEP m; n = c[k]
     if (n == 0) return "nan"
@@ -80,19 +86,30 @@ sort -k1,1 -k2,2 -k3,3g "$samples" | awk -v bounds="$bounds" '
     return med == 0 ? 0 : (q(side, m, 0.75) - q(side, m, 0.25)) / (med < 0 ? -med : med)
   }
   END {
-    printf "%-40s %14s %27s %14s %27s %8s\n", "metric", "base median", "[q1, q3]", \
-      "change median", "[q1, q3]", "ratio"
+    printf "%-40s %14s %27s %14s %27s %8s %7s\n", "metric", "base median", "[q1, q3]", \
+      "change median", "[q1, q3]", "ratio", "better"
     for (m in keys) order[++nk] = m
     for (i = 1; i <= nk; i++) for (j = i + 1; j <= nk; j++)
       if (order[j] < order[i]) { t = order[i]; order[i] = order[j]; order[j] = t }
     for (i = 1; i <= nk; i++) {
       m = order[i]
       bm = q("base", m, 0.5); cm = q("change", m, 0.5)
-      flag = ""
-      if (m in bound && (spread("base", m) > bound[m] || spread("change", m) > bound[m]))
-        flag = "  SPREAD > " bound[m]
-      printf "%-40s %14.6g [%12.6g, %12.6g] %14.6g [%12.6g, %12.6g] %8.3f%s\n", m, \
+      flag = ""; wins = ""
+      if (m in bound) {
+        won = 0; both = 0
+        for (p = 1; p <= np; p++)
+          if (("base", m, p) in pv && ("change", m, p) in pv) {
+            both++
+            if (improves(m, pv["change", m, p], pv["base", m, p])) won++
+          }
+        wins = won "/" both
+        worse = better[m] == "higher" ? bm - cm : cm - bm
+        if (bm != 0 && worse / (bm < 0 ? -bm : bm) > bound[m]) flag = flag "  WORSE > " bound[m]
+        if (spread("base", m) > bound[m] || spread("change", m) > bound[m])
+          flag = flag "  SPREAD > " bound[m]
+      }
+      printf "%-40s %14.6g [%12.6g, %12.6g] %14.6g [%12.6g, %12.6g] %8.3f %7s%s\n", m, \
         bm, q("base", m, 0.25), q("base", m, 0.75), \
-        cm, q("change", m, 0.25), q("change", m, 0.75), (bm == 0 ? 0 : cm / bm), flag
+        cm, q("change", m, 0.25), q("change", m, 0.75), (bm == 0 ? 0 : cm / bm), wins, flag
     }
   }'
