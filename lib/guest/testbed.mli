@@ -19,8 +19,8 @@
     a deterministic background workload ({!Load_mix}): every guest
     domain performs the mix's ops per scheduler round, drawn from a
     per-domain splitmix64 stream that is seeded on create/fork and
-    re-seeded on reset — so loaded, multi-domain testbeds stay byte-replayable and
-    pooled ≡ fresh. *)
+    re-seeded on reset — so loaded, multi-domain testbeds stay
+    byte-replayable and pooled ≡ fresh. *)
 
 type t = {
   hv : Hv.t;
@@ -64,11 +64,11 @@ val create_pooled : ?domains:int -> ?load:Load_mix.t -> Version.t -> t
 val reset : t -> unit
 (** Roll the testbed back to the state captured at [create]: hypervisor
     restored from the checkpoint (only dirty frames rewritten), and the
-    network, the guest kernels ({!Kernel.reset}) and the device model
-    returned to boot state in place; load streams re-seeded in place. A kernel
-    whose domain the trial destroyed is rebuilt around the restored
-    record. After [reset t], the testbed is observably equivalent to
-    [create version] — the property the equivalence tests pin down. *)
+    network, the guest kernels ({!Kernel.reset}), the device model and
+    the load streams returned to boot state in place. A kernel whose
+    domain the trial destroyed is rebuilt around the restored record.
+    After [reset t], the testbed is observably equivalent to [create
+    version] — the property the equivalence tests pin down. *)
 
 val kernels : t -> Kernel.t list
 (** All guest kernels, dom0 first, extras last. *)

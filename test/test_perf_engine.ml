@@ -2279,9 +2279,7 @@ let () =
       ( "alloc",
         [
           Alcotest.test_case "reset words" `Quick test_reset_words;
-          Alcotest.test_case "loaded reset words" `Quick test_loaded_reset_words;
           Alcotest.test_case "run_one words" `Quick (test_run_one_words true);
-          Alcotest.test_case "run_one words (booted worker)" `Quick (test_run_one_words false);
           Alcotest.test_case "quiet tick_all words" `Quick test_quiet_tick_all_words;
           Alcotest.test_case "campaign words (xen)" `Quick test_campaign_words_xen;
           Alcotest.test_case "campaign words (kvm)" `Quick test_campaign_words_kvm;
@@ -2297,6 +2295,8 @@ let () =
             (test_hook_trial_words balloon_hook 4600.);
           Alcotest.test_case "exhaustion trial words" `Quick
             (test_hook_trial_words exhaust_hook 1200.);
+          Alcotest.test_case "loaded reset words" `Quick test_loaded_reset_words;
+          Alcotest.test_case "run_one words (booted worker)" `Quick (test_run_one_words false);
         ] );
       ( "remap",
         [
