@@ -185,6 +185,85 @@ let test_kvm_replay_graph_identical () =
             B.Kvm_trace.(o.rp_equal, o.rp_vts_equal, o.rp_prov_equal, o.rp_cov_equal) )))
     All.kvm_use_cases
 
+(* --- the pool records what a boot records --------------------------------- *)
+
+(* [dune runtest] runs from _build/default/test (corpus is a sibling,
+   materialized by the dune deps); [dune exec] runs from the root. *)
+let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "../corpus"
+
+let corpus_programs () =
+  Sys.readdir corpus_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".scn")
+  |> List.sort compare
+  |> List.map (fun f ->
+         match Ii_scenario.Scn_loader.load_file (Filename.concat corpus_dir f) with
+         | Ok p -> p
+         | Error e -> Alcotest.failf "corpus/%s: %s" f e)
+
+(* A backend together with its own boot function. *)
+module type BOOTED = sig
+  include Substrate.S
+
+  val create : ?domains:int -> ?load:Load_mix.t -> config -> t
+end
+
+(* The trace driver's recording equals one made by hand, step by step,
+   on a testbed from the backend's own boot: the same ring bytes, row,
+   final snapshot, causal graph and coverage map. Its replay holds
+   whole. *)
+module Pool_is_boot (B : BOOTED) = struct
+  module C = Campaign.Make (B)
+  module T = Trace_driver.Make (B)
+
+  let by_hand uc mode =
+    let tb = B.create B.rq1_config in
+    let tr = B.trace tb in
+    Phys_mem.enable_provenance (B.mem tb) ~tr;
+    Trace.set_coverage tr (Some (Coverage.create ()));
+    Trace.enable tr;
+    let row = C.run ~tb uc mode B.rq1_config in
+    Trace.disable tr;
+    ( Trace.to_bytes tr,
+      row,
+      B.snapshot tb,
+      Option.map Provenance.to_json (Phys_mem.provenance (B.mem tb)) )
+
+  let check (uc : C.use_case) =
+    List.iter
+      (fun mode ->
+        let label = Printf.sprintf "%s %s %s: " B.name uc.C.uc_name (Campaign.mode_to_string mode) in
+        let r = T.record ~provenance:true ~coverage:true uc mode B.rq1_config in
+        let bytes, row, final, prov = by_hand uc mode in
+        check_string (label ^ "ring bytes") bytes r.T.rec_bytes;
+        check_bool (label ^ "row") true (row = r.T.rec_row);
+        check_bool (label ^ "final snapshot") true (final = r.T.rec_final);
+        check_bool (label ^ "graph exported") true (prov <> None);
+        check_bool (label ^ "graph") true (prov = r.T.rec_prov);
+        check_bool (label ^ "coverage map") true
+          (Option.equal Coverage.equal row.C.r_coverage r.T.rec_cov);
+        let o = T.replay r in
+        check_bool (label ^ "replay: final state") true o.T.rp_equal;
+        check_bool (label ^ "replay: vts stream") true o.T.rp_vts_equal;
+        check_bool (label ^ "replay: graph") true o.T.rp_prov_equal;
+        check_bool (label ^ "replay: coverage map") true o.T.rp_cov_equal)
+      [ Campaign.Real_exploit; Campaign.Injection ]
+end
+
+module Xen_pool = Pool_is_boot (Substrate_xen)
+module Kvm_pool = Pool_is_boot (K)
+module XV = Ii_scenario.Scn_vm.Make (Ii_exploits.Scenario_xen)
+module KV = Ii_scenario.Scn_vm.Make (Ii_backends.Scenario_kvm)
+
+let test_pool_records_what_a_boot_records () =
+  let progs = corpus_programs () in
+  check_int "eight corpus programs" 8 (List.length progs);
+  List.iter
+    (fun p ->
+      match Ii_scenario.Scn_bytecode.backend p with
+      | Ii_scenario.Scn_bytecode.Kvm_only -> Kvm_pool.check (KV.use_case p)
+      | Xen_only | Any -> Xen_pool.check (XV.use_case p))
+    progs
+
 (* --- purity: the shadow must not perturb trials -------------------------- *)
 
 let strip_row (r : Campaign.result_row) =
@@ -236,6 +315,8 @@ let () =
             test_replay_graph_identical;
           Alcotest.test_case "kvm graphs replay byte-for-byte" `Quick
             test_kvm_replay_graph_identical;
+          Alcotest.test_case "the pool records what a boot records" `Quick
+            test_pool_records_what_a_boot_records;
         ] );
       ( "purity",
         [
