@@ -132,8 +132,8 @@ let extensions () =
   print_newline ();
   (* the management-interface IM in one paragraph *)
   let r =
-    Campaign.trial (Testbed.create Version.V4_13) ~name:"xenstore-tamper" Campaign.Injection
-      Version.V4_13 (fun tb ->
+    Campaign.trial (Testbed.create_pooled Version.V4_13) ~name:"xenstore-tamper"
+      Campaign.Injection Version.V4_13 (fun tb ->
         Xenstore.inject_write tb.Testbed.hv.Hv.xenstore
           (Xenstore.domain_path (Kernel.domid tb.Testbed.victim) "memory/target")
           "40";

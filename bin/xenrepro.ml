@@ -72,13 +72,13 @@ let campaign_cmd =
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(const run $ verbose_arg $ backend $ workers_arg $ domains_arg $ load_arg)
 
-(* Run a use case's attempt as one trial on a fresh Xen testbed, for
+(* Run a use case's attempt as one trial on a pooled Xen testbed, for
    the command that reads Xen host state afterwards. *)
 let run_xen name mode version k =
   match Xen.use_case name with
   | Error e -> `Error (false, e)
   | Ok uc ->
-      let tb = Testbed.create version in
+      let tb = Testbed.create_pooled version in
       let attempt =
         match mode with
         | Campaign.Real_exploit -> uc.Xen.C.run_exploit

@@ -33,6 +33,12 @@ type t = {
          2*id+1 its EPT exposure *)
 }
 
+(* The one constructor of a host record, for the boot and the fork
+   alike (mirrors [Testbed.assemble]). *)
+let assemble kvm ck tr ck_trace ~load ~victim ~bystander ~extras =
+  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_trace;
+    scans = Scan_memo.create () }
+
 (* Mirrors Testbed.create: a host plus its standard guest population,
    with the reset checkpoint captured at the end of boot. *)
 let create ?(domains = 2) ?(load = Load_mix.none) Stock =
@@ -43,11 +49,9 @@ let create ?(domains = 2) ?(load = Load_mix.none) Stock =
   let extras =
     List.init (domains - 2) (fun i -> Kvm.create_vm kvm ~name:(Testbed.extra_name i) ~pages:64)
   in
-  let tr = Trace.create () in
   let ck = Kvm.checkpoint kvm in
-  let scans = Scan_memo.create () in
-  let ck_trace = Trace.mark tr in
-  { kvm; tr; victim; bystander; extras; injector_on = false; load; ck; ck_trace; scans }
+  let tr = Trace.create () in
+  assemble kvm ck tr (Trace.mark tr) ~load ~victim ~bystander ~extras
 
 (* The warm pool, mirroring {!Testbed.create_pooled}: one frozen
    template per domain count, forked copy-on-write per worker. The load
@@ -69,22 +73,10 @@ let template domains =
 let create_pooled ?(domains = 2) ?(load = Load_mix.none) Stock =
   let tmpl = template domains in
   let kvm, ck = Kvm.fork tmpl.kvm tmpl.ck in
-  let tr = Trace.fork tmpl.tr tmpl.ck_trace in
-  let vm_of old =
-    List.find (fun vm -> vm.Kvm.vm_id = old.Kvm.vm_id) (Kvm.vms kvm)
-  in
-  {
-    kvm;
-    tr;
-    victim = vm_of tmpl.victim;
-    bystander = vm_of tmpl.bystander;
-    extras = List.map vm_of tmpl.extras;
-    injector_on = false;
-    load;
-    ck;
-    ck_trace = tmpl.ck_trace;
-    scans = Scan_memo.create ();
-  }
+  let vm_of old = List.find (fun vm -> vm.Kvm.vm_id = old.Kvm.vm_id) (Kvm.vms kvm) in
+  assemble kvm ck (Trace.fork tmpl.tr tmpl.ck_trace) tmpl.ck_trace ~load
+    ~victim:(vm_of tmpl.victim) ~bystander:(vm_of tmpl.bystander)
+    ~extras:(List.map vm_of tmpl.extras)
 
 let reset t =
   ignore (Kvm.restore t.kvm t.ck);

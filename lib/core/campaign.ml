@@ -2,15 +2,15 @@
 
     A {e use case} packages a third-party exploit together with the
     injection script that reproduces its erroneous state and the
-    intrusion model both derive from. Running a use case on a fresh
+    intrusion model both derive from. Running a use case on a pristine
     testbed in either mode yields a result row: did the erroneous state
     hold (audited against live machine state), and which security
     violations did the monitor observe?
 
     The engine is a functor over {!Substrate.S}, so the same
     orchestration runs unchanged on any backend; the toplevel of this
-    module is the functor applied to {!Substrate_xen} (the historical
-    interface, preserved verbatim). The use cases themselves live in
+    module is the functor applied to {!Substrate_xen}, the default
+    backend. The use cases themselves live in
     [ii_exploits] (Xen) and [ii_backends] (KVM) and plug in here — the
     campaign engine is exploit-agnostic, as an injection tool must
     be. *)
@@ -167,11 +167,10 @@ module Make (B : Substrate.S) = struct
 
   (* A use-case trial: the attempt, then [scheduler_rounds] rounds in
      which every domain runs (vDSO hooks, and thus installed backdoors,
-     execute during normal scheduling), [observer] after each step. A
-     fresh testbed is reset before use, which the substrate contract
-     makes equivalent to a fresh boot. *)
+     execute during normal scheduling), [observer] after each step.
+     Without [~tb] the trial runs on a new fork from the warm pool. *)
   let run ?domains ?load ?tb ?observer uc mode version =
-    let tb = match tb with Some tb -> tb | None -> B.create ?domains ?load version in
+    let tb = match tb with Some tb -> tb | None -> B.create_pooled ?domains ?load version in
     let observe () = match observer with Some f -> f tb | None -> () in
     trial tb ~name:uc.uc_name mode version (fun tb ->
         let attempt =
@@ -249,7 +248,7 @@ module Make (B : Substrate.S) = struct
   }
 
   let validate_rq1 ?domains ?load ucs =
-    let tb = B.create ?domains ?load B.rq1_config in
+    let tb = B.create_pooled ?domains ?load B.rq1_config in
     List.map
       (fun uc ->
         let e = run ~tb uc Real_exploit B.rq1_config in
@@ -345,7 +344,7 @@ module Make (B : Substrate.S) = struct
       ~header body
 end
 
-(* The default instantiation: the historical [Campaign] interface, on
-   the Xen substrate. [Make] is applicative, so [Campaign.result_row]
-   and [Campaign.Make(Substrate_xen).result_row] are the same type. *)
+(* The default instantiation, on the Xen substrate. [Make] is
+   applicative, so [Campaign.result_row] and
+   [Campaign.Make(Substrate_xen).result_row] are the same type. *)
 include Make (Substrate_xen)

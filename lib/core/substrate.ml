@@ -3,14 +3,18 @@
 
     The campaign engine, the trace recorder/replayer and the VMI driver
     are all functors over this signature, so retargeting the whole
-    stack onto a new hypervisor means writing one module: how to boot
-    it, how to reset it in O(dirty), how its injection port moves bytes
-    (a hypercall on Xen PV, an ioctl on KVM), what its host-critical
-    structures are, and how to re-drive its recorded boundary events.
+    stack onto a new hypervisor means writing one module: how to fork
+    a testbed from its warm pool, how to reset it in O(dirty), how its
+    injection port moves bytes (a hypercall on Xen PV, an ioctl on
+    KVM), what its host-critical structures are, and how to re-drive
+    its recorded boundary events.
 
-    {!Substrate_xen} is the default backend (the original Xen PV
-    testbed, wrapped unchanged); [Backend_kvm] in [ii_backends] is the
-    hardware-assisted one. *)
+    Every driver takes its testbed from {!S.create_pooled}; a backend's
+    boot function stays outside the signature, where it builds the
+    pool's templates.
+
+    {!Substrate_xen} is the default backend (the Xen PV testbed);
+    [Backend_kvm] in [ii_backends] is the hardware-assisted one. *)
 
 module type S = sig
   val name : string
@@ -53,28 +57,21 @@ module type S = sig
 
   type t
 
-  val create : ?domains:int -> ?load:Load_mix.t -> config -> t
-  (** Boot a fresh testbed: host plus its standard population of
-      guests, with a reset checkpoint captured at the end. [?domains]
-      is the number of concurrent guest domains (default 2, the
-      historical victim + attacker pair); [?load] attaches a
-      deterministic background workload every guest runs per scheduler
-      round (default {!Load_mix.none}). *)
-
   val create_pooled : ?domains:int -> ?load:Load_mix.t -> config -> t
-  (** Like [create], but forked copy-on-write from a process-wide frozen
-      template for this configuration (built once, on first use) — the
-      one path every campaign driver's testbeds take
-      ([Campaign.Make.testbeds]), so every shard and matrix cell costs
-      O(metadata) instead of a full boot. Thread-safe; observably
-      equivalent to [create], which also resets to a frozen template
-      (its own checkpoint). Templates are pooled per (config, domains)
-      and load-free: the load mix is runtime-only state installed on the
-      fork, so pooled ≡ fresh holds for loaded multi-domain testbeds. *)
+  (** A testbed — host plus its standard population of guests — forked
+      copy-on-write from a process-wide frozen template for this
+      configuration, booted once, on first use: the one way every
+      driver gets a testbed, so each costs O(metadata) instead of a
+      full boot. Thread-safe. [?domains] is the number of concurrent
+      guest domains (default 2, victim + attacker); [?load] attaches a
+      deterministic background workload every guest runs per scheduler
+      round (default {!Load_mix.none}). Templates are pooled per
+      (config, domains) and load-free: the load mix is runtime-only
+      state installed on the fork. *)
 
   val reset : t -> unit
-  (** Roll back to the post-boot checkpoint in O(frames dirtied);
-      observably equivalent to a fresh [create]. *)
+  (** Roll back to the fork's starting state in O(frames dirtied);
+      observably equivalent to a new [create_pooled]. *)
 
   val trace : t -> Trace.t
   (** The host's tracer: counters, the deterministic {!Vclock} that
@@ -140,7 +137,7 @@ module type S = sig
   (** {1 Trace replay} *)
 
   val apply_event : t -> Trace.event -> bool
-  (** Re-drive one recorded boundary event against a fresh testbed;
+  (** Re-drive one recorded boundary event against a new testbed;
       false when it cannot be matched (a desynchronized replay) or is
       not a boundary this backend emits. Scenario-VM edges
       ([Trace.Scn_edge]) never reach it: the replay driver refeeds

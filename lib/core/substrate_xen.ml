@@ -1,8 +1,7 @@
-(* The default substrate: the original Xen PV testbed, wrapped
-   unchanged. Every type equation below is transparent, so code written
-   against the pre-substrate modules (Testbed.t, Version.t,
-   Erroneous_state.spec, Monitor.snapshot) keeps compiling and the
-   refactor is observably a no-op on the Xen path. *)
+(* The default substrate: the Xen PV testbed. Every type equation below
+   is transparent, so a [Substrate_xen.t] is a [Testbed.t], a config a
+   [Version.t], a state spec an [Erroneous_state.spec] and a snapshot a
+   [Monitor.snapshot]. *)
 
 let name = "xen"
 let description = "Xen PV testbed (paper's §IX environment: dom0 + attacker + victim)"
@@ -18,6 +17,8 @@ let port_heading = "Hypercalls"
 
 type t = Testbed.t
 
+(* the boot function, outside {!Substrate.S}: a booted testbed for
+   set-up code that must pay for a boot *)
 let create = Testbed.create
 let create_pooled = Testbed.create_pooled
 

@@ -2,7 +2,7 @@
 
     A {e recording} is one trial run with the trace ring enabled: the
     result row plus the raw ring bytes. Replaying re-drives the
-    boundary events of the ring against a fresh testbed and compares
+    boundary events of the ring against a new testbed and compares
     final monitor snapshots — the determinism property the trace
     subsystem exists to provide.
 
@@ -64,7 +64,7 @@ module Make (B : Substrate.S) = struct
 
   let record ?domains ?load ?capacity_bytes ?(provenance = false) ?(coverage = false)
       ?prepare ?observer uc mode version =
-    let tb = B.create ?domains ?load version in
+    let tb = B.create_pooled ?domains ?load version in
     if provenance then enable_provenance tb;
     (* [prepare] runs before the ring opens (and before the trial's
        reset, which returns to this very state): the place to arm VMI
@@ -138,7 +138,7 @@ module Make (B : Substrate.S) = struct
     if r.rec_dropped > 0 then
       invalid_arg
         (Printf.sprintf "Trace_driver.replay: recording dropped %d records" r.rec_dropped);
-    let tb = B.create ?domains:r.rec_domains ?load:r.rec_load r.rec_version in
+    let tb = B.create_pooled ?domains:r.rec_domains ?load:r.rec_load r.rec_version in
     Vclock.set_model (Trace.vclock (B.trace tb)) r.rec_model;
     if r.rec_prov <> None then enable_provenance tb;
     let tr = B.trace tb in

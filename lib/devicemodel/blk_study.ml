@@ -27,7 +27,7 @@ let data_has_secret fe =
   | Error _ -> false
 
 let run ~off_by_one mode =
-  let tb = Testbed.create Version.V4_13 in
+  let tb = Testbed.create_pooled Version.V4_13 in
   let hv = tb.Testbed.hv in
   Injector.install hv;
   let dom0 = Kernel.dom tb.Testbed.dom0 in

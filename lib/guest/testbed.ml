@@ -31,28 +31,21 @@ let frames = 2048
 let dom0_pages = 128
 let guest_pages = 96
 
-let create ?(domains = 2) ?(load = Load_mix.none) version =
-  if domains < 2 then invalid_arg "Testbed.create: need at least victim + attacker";
-  let hv = Hv.boot ~version ~frames in
+(* The one constructor of a testbed record, for the boot and the fork
+   alike: a network, the kernels and the device model built around
+   [hv]'s domains, the load streams seeded per guest domain and a fresh
+   scan cache. *)
+let assemble hv checkpoint ~load ~dom0 ~victim ~attacker ~extras =
   let net = Netsim.create () in
   Netsim.set_tracer net hv.Hv.trace;
-  let dom0 = Builder.create_domain hv ~name:"xen3" ~privileged:true ~pages:dom0_pages in
-  let victim = Builder.create_domain hv ~name:"guest01" ~privileged:false ~pages:guest_pages in
-  let attacker = Builder.create_domain hv ~name:"guest03" ~privileged:false ~pages:guest_pages in
-  let extras =
-    List.init (domains - 2) (fun i ->
-        Builder.create_domain hv ~name:(extra_name i) ~privileged:false ~pages:guest_pages)
-  in
-  (* record fields evaluate right to left: the checkpoint is taken
-     before the kernels are built, and the scan cache anchors after it *)
-  let checkpoint = Hv.checkpoint hv in
+  let kernel d = Kernel.create hv d net in
   {
     hv;
     net;
-    dom0 = Kernel.create hv dom0 net;
-    victim = Kernel.create hv victim net;
-    attacker = Kernel.create hv attacker net;
-    extras = List.map (fun d -> Kernel.create hv d net) extras;
+    dom0 = kernel dom0;
+    victim = kernel victim;
+    attacker = kernel attacker;
+    extras = List.map kernel extras;
     dm = Devmodel.create hv ~served:victim.Domain.id;
     load;
     load_streams =
@@ -62,6 +55,19 @@ let create ?(domains = 2) ?(load = Load_mix.none) version =
     scan_cache = Scan_memo.create ();
   }
 
+let create ?(domains = 2) ?(load = Load_mix.none) version =
+  if domains < 2 then invalid_arg "Testbed.create: need at least victim + attacker";
+  let hv = Hv.boot ~version ~frames in
+  let dom0 = Builder.create_domain hv ~name:"xen3" ~privileged:true ~pages:dom0_pages in
+  let victim = Builder.create_domain hv ~name:"guest01" ~privileged:false ~pages:guest_pages in
+  let attacker = Builder.create_domain hv ~name:"guest03" ~privileged:false ~pages:guest_pages in
+  let extras =
+    List.init (domains - 2) (fun i ->
+        Builder.create_domain hv ~name:(extra_name i) ~privileged:false ~pages:guest_pages)
+  in
+  (* the checkpoint is taken before the kernels are built *)
+  assemble hv (Hv.checkpoint hv) ~load ~dom0 ~victim ~attacker ~extras
+
 (* Fork a new testbed from [template] without re-running the builder:
    the hypervisor is an {!Hv.fork} (memory shared copy-on-write), and the
    kernels are built around the forked domains, by domid.
@@ -69,30 +75,15 @@ let create ?(domains = 2) ?(load = Load_mix.none) version =
    it — so [reset] on a forked testbed works unchanged. *)
 let fork ?load template =
   let hv = Hv.fork template.hv template.checkpoint in
-  let net = Netsim.create () in
-  Netsim.set_tracer net hv.Hv.trace;
-  let rebuild stale =
-    match Hv.find_domain hv (Kernel.domid stale) with
-    | Some dom -> Kernel.create hv dom net
+  let dom k =
+    match Hv.find_domain hv (Kernel.domid k) with
+    | Some dom -> dom
     | None -> invalid_arg "Testbed.fork: template lost a domain"
   in
-  let load = Option.value load ~default:template.load in
-  {
-    hv;
-    net;
-    dom0 = rebuild template.dom0;
-    victim = rebuild template.victim;
-    attacker = rebuild template.attacker;
-    extras = List.map rebuild template.extras;
-    (* the device model is process state outside the checkpoint: a
-       fork of a pristine template starts with a pristine one *)
-    dm = Devmodel.create hv ~served:(Kernel.domid template.victim);
-    load;
-    load_streams = load_streams load (List.map Kernel.domid (guest_kernels template));
-    remote_host = template.remote_host;
-    checkpoint = template.checkpoint;
-    scan_cache = Scan_memo.create ();
-  }
+  assemble hv template.checkpoint
+    ~load:(Option.value load ~default:template.load)
+    ~dom0:(dom template.dom0) ~victim:(dom template.victim) ~attacker:(dom template.attacker)
+    ~extras:(List.map dom template.extras)
 
 (* The warm pool: one frozen template per configuration, built on first
    use and shared by every subsequent [create_pooled] — including forks

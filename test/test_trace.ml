@@ -274,7 +274,13 @@ let bump_every_counter tr =
   Trace.note_injector tr;
   Trace.note_vmi_scan tr ~findings:1 ~frames:1
 
-module Rollback (B : Substrate.S) = struct
+(* A backend together with its own boot function. *)
+module Rollback (B : sig
+  include Substrate.S
+
+  val create : ?domains:int -> ?load:Load_mix.t -> config -> t
+end) =
+struct
   module C = Campaign.Make (B)
 
   (* A trial plus [reset] leaves the counters and the clock where a
