@@ -111,9 +111,10 @@ let console_cmd =
               (Sched.runs_of hv.Hv.sched ~dom:d.Domain.id)
               (List.length (Process.list (Kernel.processes k))))
           (Testbed.kernels tb);
+        let tm = Trace.telemetry hv.Hv.trace in
         Printf.printf "hypercalls (nr: calls):";
-        List.iter (fun (n, c) -> Printf.printf " %d:%d" n c) (Hv.hypercall_stats hv);
-        Printf.printf "   failed: %d\n" (Hv.hypercalls_failed hv))
+        List.iter (fun (n, c) -> Printf.printf " %d:%d" n c) tm.Trace.tm_hypercalls;
+        Printf.printf "   failed: %d\n" tm.Trace.tm_hypercalls_failed)
   in
   Cmd.v (Cmd.info "console" ~doc) Term.(ret (const run $ use_case_arg $ mode_arg $ version_arg))
 

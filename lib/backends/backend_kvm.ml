@@ -95,8 +95,7 @@ let op_host_write = 3 (* arg1 = addr, data = payload (compromised device model) 
 
 let bracketed t ev f =
   if Trace.recording t.tr && Trace.top_level t.tr then Trace.emit t.tr ev;
-  Trace.enter t.tr;
-  Fun.protect ~finally:(fun () -> Trace.leave t.tr) f
+  Trace.within t.tr f ()
 
 (* The injection port: the arbitrary_access ioctl. Mirrors the Xen
    hypercall's trace protocol — one boundary record, then the internal
@@ -183,31 +182,30 @@ let deliver_fault t vm ~vector =
       note_transition t was r;
       r)
 
-let tick_all t =
-  if Trace.recording t.tr && Trace.top_level t.tr then Trace.emit t.tr Trace.Sched_round;
-  Trace.enter t.tr;
-  Fun.protect
-    ~finally:(fun () -> Trace.leave t.tr)
-    (fun () ->
-      List.iter
-        (fun vm ->
+let round t =
+  List.iter
+    (fun vm ->
+      Trace.charge t.tr Vclock.Vm_entry;
+      let was = vm.Kvm.state in
+      note_transition t was (Kvm.vm_entry t.kvm vm))
+    (Kvm.vms t.kvm);
+  (* background load: extra VM entries per guest per round, charged on
+     the vclock; runs inside the round's trace scope so a replayed
+     [Sched_round] regenerates it deterministically *)
+  let n = Load_mix.ops_per_tick t.load in
+  if n > 0 then
+    List.iter
+      (fun vm ->
+        for _ = 1 to n do
           Trace.charge t.tr Vclock.Vm_entry;
           let was = vm.Kvm.state in
-          note_transition t was (Kvm.vm_entry t.kvm vm))
-        (Kvm.vms t.kvm);
-      (* background load: extra VM entries per guest per round, charged
-         on the vclock; runs inside the round's trace scope so a
-         replayed [Sched_round] regenerates it deterministically *)
-      let n = Load_mix.ops_per_tick t.load in
-      if n > 0 then
-        List.iter
-          (fun vm ->
-            for _ = 1 to n do
-              Trace.charge t.tr Vclock.Vm_entry;
-              let was = vm.Kvm.state in
-              note_transition t was (Kvm.vm_entry t.kvm vm)
-            done)
-          (Kvm.vms t.kvm))
+          note_transition t was (Kvm.vm_entry t.kvm vm)
+        done)
+      (Kvm.vms t.kvm)
+
+let tick_all t =
+  if Trace.recording t.tr && Trace.top_level t.tr then Trace.emit t.tr Trace.Sched_round;
+  Trace.within t.tr round t
 
 (* --- erroneous-state auditing ------------------------------------------ *)
 

@@ -58,14 +58,15 @@ let guest_io t ~domid data =
       (Trace.Backend_op
          { op = op_guest_io; arg1 = Int64.of_int domid; arg2 = 0L;
            data = Bytes.to_string data });
-  Trace.enter tr;
-  Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () ->
-  Trace.charge tr Vclock.Dm_io;
-  match Fdc.issue t.fdc (Fdc.Fd_write_data data) with
-  | Ok () ->
-      note_corruption t 0;
-      Ok ()
-  | Error _ -> Error Errno.EINVAL
+  Trace.within tr
+    (fun data ->
+      Trace.charge tr Vclock.Dm_io;
+      match Fdc.issue t.fdc (Fdc.Fd_write_data data) with
+      | Ok () ->
+          note_corruption t 0;
+          Ok ()
+      | Error _ -> Error Errno.EINVAL)
+    data
 
 let inject t data =
   let tr = t.hv.Hv.trace in
@@ -74,19 +75,20 @@ let inject t data =
       (Trace.Backend_op
          { op = op_inject; arg1 = Int64.of_int t.served; arg2 = 0L;
            data = Bytes.to_string data });
-  Trace.enter tr;
-  Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () ->
-  Trace.charge tr Vclock.Dm_io;
-  Trace.note_injector tr;
-  if Trace.recording tr then
-    Trace.emit tr
-      (Trace.Injector_access
-         { action = dm_action_code; addr = Int64.of_int Fdc.handler_offset;
-           len = Bytes.length data });
-  let n = Trace.injector_accesses tr in
-  Fdc.inject_overflow t.fdc data;
-  note_corruption t n;
-  Ok ()
+  Trace.within tr
+    (fun data ->
+      Trace.charge tr Vclock.Dm_io;
+      Trace.note_injector tr;
+      if Trace.recording tr then
+        Trace.emit tr
+          (Trace.Injector_access
+             { action = dm_action_code; addr = Int64.of_int Fdc.handler_offset;
+               len = Bytes.length data });
+      let n = Trace.injector_accesses tr in
+      Fdc.inject_overflow t.fdc data;
+      note_corruption t n;
+      Ok ())
+    data
 
 (* One device-model turn, run from the scheduler round: dispatch pending
    FDC work through the handler pointer. A hijacked handler radiates the

@@ -371,10 +371,4 @@ let run_tick t =
 let tick t =
   let tr = t.hv.Hv.trace in
   if recording t then trace_boundary t (Trace.Kernel_tick { domid = t.domain.Domain.id });
-  Trace.enter tr;
-  match run_tick t with
-  | () -> Trace.leave tr
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Trace.leave tr;
-      Printexc.raise_with_backtrace e bt
+  Trace.within tr run_tick t

@@ -76,8 +76,7 @@ let run_command conn cmd =
             (Trace.Net_cmd
                { to_host = conn.to_host; port = conn.port; conn_id = conn.conn_id; cmd });
         Trace.charge tr Vclock.Netsim_cmd;
-        Trace.enter tr;
-        Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () -> conn.exec cmd
+        Trace.within tr conn.exec cmd
   in
   Buffer.add_string conn.transcript cmd;
   Buffer.add_char conn.transcript '\n';

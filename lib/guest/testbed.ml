@@ -219,13 +219,7 @@ let round t =
 let tick_all t =
   let tr = t.hv.Hv.trace in
   if Trace.recording tr && Trace.top_level tr then Trace.emit tr Trace.Sched_round;
-  Trace.enter tr;
-  match round t with
-  | () -> Trace.leave tr
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Trace.leave tr;
-      Printexc.raise_with_backtrace e bt
+  Trace.within tr round t
 
 let remote_listen t ~port =
   (* the boundary emit happens inside Netsim.listen, where replay also

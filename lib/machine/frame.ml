@@ -62,11 +62,3 @@ let restore_from t ~src = Bytes.blit src 0 t 0 Addr.page_size
 
 let equal = Bytes.equal
 let to_bytes t = Bytes.copy t
-
-let fnv64 t =
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Addr.page_size - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get t i)));
-    h := Int64.mul !h 0x100000001b3L
-  done;
-  !h

@@ -58,7 +58,3 @@ val restore_from : t -> src:t -> unit
 
 val equal : t -> t -> bool
 val to_bytes : t -> bytes
-
-val fnv64 : t -> int64
-(** FNV-1a (64-bit) over the whole page — the integrity-baseline hash.
-    Pure read: never observes or perturbs dirty tracking. *)

@@ -284,7 +284,7 @@ let pt_frame t mfn ~index =
   end
   else zero_frame
 
-let frame_hash t mfn = Frame.fnv64 (frame_ro t mfn)
+let frame_hash t mfn = Fnv.bytes (frame_ro t mfn :> bytes)
 
 let owner t mfn =
   if not (is_valid_mfn t mfn) then raise (Bad_maddr (Addr.maddr_of_mfn mfn));

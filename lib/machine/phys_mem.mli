@@ -47,7 +47,7 @@ val pt_frame : t -> Addr.mfn -> index:int -> Frame.t
     read would. The caller promises not to write through the view. *)
 
 val frame_hash : t -> Addr.mfn -> int64
-(** {!Frame.fnv64} of the frame via the read-only path — the VMI
+(** {!Fnv.bytes} of the frame via the read-only path — the VMI
     integrity primitive. Never marks the frame dirty. *)
 
 (** {1 Allocation} *)

@@ -65,7 +65,7 @@ let expected_violations p = p.expect
 
 (* --- log format mini-language ------------------------------------------- *)
 
-(* The directives the legacy use cases actually print with. [%s] is
+(* The directives the corpus programs print with. [%s] is
    reserved for [log-errno] (exactly one, no other conversions). *)
 let fmt_directives = [ "%016Lx"; "%Lx"; "%d"; "%x"; "%%" ]
 

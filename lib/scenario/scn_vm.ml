@@ -34,8 +34,8 @@ module Make (O : Scn_ops.OPS) = struct
   (* Applied to [O.B] directly (not the [B] alias above): applicative
      functor paths only normalize through true module aliases, and
      [Scenario_xen.B = Substrate_xen] is one — so [C.use_case] is the
-     very type the legacy modules and the top-level [Campaign] build,
-     and scenarios flow into every downstream driver unchanged. *)
+     very type the top-level [Campaign] takes, and scenarios flow into
+     every downstream driver unchanged. *)
   module C = Campaign.Make (O.B)
 
   type st = {
@@ -174,9 +174,8 @@ module Make (O : Scn_ops.OPS) = struct
     (!h lsl 1) lor (section land 1)
 
   (* A program as a campaign use case: because [Campaign.Make] is
-     applicative, this is the very same [use_case] type the legacy
-     modules build, so everything downstream of the campaign engine
-     accepts scenarios unchanged. *)
+     applicative, this is the very same [use_case] type every driver
+     of the campaign engine takes. *)
   let use_case (p : program) : C.use_case =
     let exploit_ops = Array.map resolve p.exploit and inject_ops = Array.map resolve p.inject in
     let exploit_code = section_code p ~section:0 and inject_code = section_code p ~section:1 in

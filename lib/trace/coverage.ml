@@ -46,30 +46,11 @@ let set_bit b i =
 
 (* --- hashing ----------------------------------------------------------- *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_byte h c = Int64.mul (Int64.logxor h (Int64.of_int (c land 0xff))) fnv_prime
-
-let fnv_int h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := fnv_byte !h ((v lsr (i * 8)) land 0xff)
-  done;
-  !h
-
-let hash m =
-  let h = ref fnv_offset in
-  Bytes.iter (fun c -> h := fnv_byte !h (Char.code c)) m;
-  !h
-
-let domain_slot name =
-  let h = ref fnv_offset in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) name;
-  Int64.to_int (Int64.logand !h 31L)
+let hash = Fnv.bytes
+let domain_slot name = Int64.to_int (Int64.logand (Fnv.string name) 31L)
 
 let scn_slot ~section ~prev ~pc =
-  let h = fnv_int (fnv_int (fnv_int fnv_offset section) prev) pc in
+  let h = Fnv.int (Fnv.int (Fnv.int Fnv.offset section) prev) pc in
   Int64.to_int (Int64.logand h (Int64.of_int (scn_slots - 1)))
 
 (* AFL-style hit-count buckets: 1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128+ *)

@@ -459,8 +459,19 @@ let enable ?(capacity_bytes = default_capacity) t =
   t.enabled <- true
 
 let disable t = t.enabled <- false
-let enter t = t.depth <- t.depth + 1
 let leave t = if t.depth > 0 then t.depth <- t.depth - 1
+
+let within t f x =
+  t.depth <- t.depth + 1;
+  match f x with
+  | r ->
+      leave t;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave t;
+      Printexc.raise_with_backtrace e bt
+
 let top_level t = t.depth = 0
 
 (* Modular arithmetic over the byte ring: a frame may wrap the end of
@@ -712,17 +723,6 @@ let detection_latency_ns records =
               Some (Int64.sub r.vts inj.vts)
           | _ -> None)
         records
-
-(* --- digest ----------------------------------------------------------- *)
-
-let digest s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  !h
 
 (* --- rendering -------------------------------------------------------- *)
 

@@ -6,8 +6,8 @@
     - {b Counters} are always on. They are plain integer increments
       (hypercalls by number, faults, TLB flushes, page-type
       transitions, ...), cheap enough to leave enabled on every
-      campaign trial. {!Hv.hypercall_stats} and the per-trial telemetry
-      columns are views over them.
+      campaign trial. The per-trial telemetry columns and xentop's
+      hypercall counts are views over them.
 
     - The {b ring} is off by default. When enabled ({!enable}), every
       instrumentation point also serializes a typed record into a
@@ -29,7 +29,7 @@
     consequences the machine produces on its own (faults, flushes,
     page-type transitions, verdicts). A recorded boundary stream is
     sufficient to re-execute the trial ({!Trace_driver} in [ii_core]);
-    internal events are pure observability. The {!enter}/{!leave} depth
+    internal events are pure observability. The {!within} depth
     counter suppresses boundary records for nested crossings (a balloon
     hypercall issued from inside a recorded kernel tick is a
     consequence of the tick, not an input), which is what makes replay
@@ -61,8 +61,8 @@ type event =
   | Hypercall of { domid : int; number : int; digest : int64; payload : string }
       (** [payload] is the {!Hypercall.encode_call} serialization when
           the call was recorded at top level, [""] for nested calls
-          (which replay regenerates). [digest] is {!digest} of the
-          payload. *)
+          (which replay regenerates). [digest] is {!Fnv.string} of
+          the payload. *)
   | Guest_mem of { domid : int; op : mem_op; va : int64; len : int; data : string }
       (** [data] carries the written bytes for write flavours, [""] for
           reads. *)
@@ -159,10 +159,11 @@ val emit : t -> event -> unit
     hot paths guard with [if Trace.recording t then ...] so the event
     payload is never even allocated while tracing is off. *)
 
-val enter : t -> unit
-val leave : t -> unit
-(** Bracket the execution of a recorded boundary event, so boundary
-    records for nested crossings are suppressed. *)
+val within : t -> ('a -> 'b) -> 'a -> 'b
+(** [within t f x] runs [f x] as the execution of a recorded boundary
+    event, so boundary records for nested crossings are suppressed. The
+    bracket closes when [f] returns and when it raises (the exception
+    is re-raised with its backtrace). *)
 
 val top_level : t -> bool
 (** No enclosing boundary event is executing. *)
@@ -329,10 +330,6 @@ val fork : t -> mark -> t
     rewound to [m], charging under [template]'s live cost model. *)
 
 (** {1 Helpers} *)
-
-val digest : string -> int64
-(** FNV-1a (64-bit) — the argument digest attached to hypercall and
-    console records. *)
 
 val json_of_records : record list -> string
 (** A JSON array of record objects (hand-rolled, stable field order). *)

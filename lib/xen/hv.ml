@@ -29,7 +29,7 @@ let log t line =
   Buffer.add_char t.console '\n';
   if Trace.recording t.trace then
     Trace.emit t.trace
-      (Trace.Console { len = String.length line; digest = Trace.digest line })
+      (Trace.Console { len = String.length line; digest = Fnv.string line })
 
 let console_lines t = String.split_on_char '\n' (Buffer.contents t.console)
 let is_crashed t = t.crashed <> None
@@ -80,12 +80,6 @@ let release_page t mfn =
   end
 
 let notify_pt_write t mfn = match t.pt_write_hook with Some hook -> hook mfn | None -> ()
-
-(* The hypercall bookkeeping is a thin view over the trace counters
-   (which are always on), so the historical API keeps working. *)
-let count_hypercall t ~number ~failed = Trace.note_hypercall t.trace ~number ~failed
-let hypercall_stats t = (Trace.telemetry t.trace).Trace.tm_hypercalls
-let hypercalls_failed t = (Trace.telemetry t.trace).Trace.tm_hypercalls_failed
 
 (* The frames [alloc_xen_page] would take until [leave] are free,
    claimed in one pass over the free bitmap. *)

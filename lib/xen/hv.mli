@@ -99,16 +99,6 @@ val deliver_fault : t -> vector:int -> detail:string -> Cpu.exception_outcome
 val notify_pt_write : t -> Addr.mfn -> unit
 (** Invoked by the MMU code after every validated entry write. *)
 
-val count_hypercall : t -> number:int -> failed:bool -> unit
-(** Bookkeeping the dispatcher calls on every hypercall — a thin view
-    over [t.trace]'s always-on counters. *)
-
-val hypercall_stats : t -> (int * int) list
-(** (hypercall number, calls) ascending by number. *)
-
-val hypercalls_failed : t -> int
-(** How many dispatched hypercalls returned an error. *)
-
 val exhaust_memory : t -> leave:int -> int
 (** The Uncontrolled-Memory-Allocation injector hook: grab free frames
     for the Xen heap until at most [leave] remain, returning how many

@@ -308,6 +308,18 @@ let dispatch_uncounted hv dom call =
         | Some (_, handler) -> handler hv dom args
         | None -> Error Errno.ENOSYS)
 
+(* The call's work, inside its trace bracket. Everything the hypervisor
+   writes on behalf of the call carries the call number as origin; more
+   specific origins (the injector port) nest inside and win. Without
+   provenance attached there is no origin to carry, so no origin or
+   closure is built. *)
+let dispatch_in (hv, dom, call) =
+  match Phys_mem.provenance hv.Hv.mem with
+  | None -> dispatch_uncounted hv dom call
+  | Some _ ->
+      Phys_mem.with_origin hv.Hv.mem (Provenance.Hypercall_arg (number_of_call call)) (fun () ->
+          dispatch_uncounted hv dom call)
+
 let dispatch hv dom call =
   let tr = hv.Hv.trace in
   let number = number_of_call call in
@@ -318,25 +330,13 @@ let dispatch hv dom call =
     let payload = encode_call call in
     Trace.emit tr
       (Trace.Hypercall
-         { domid = dom.Domain.id; number; digest = Trace.digest payload; payload })
+         { domid = dom.Domain.id; number; digest = Fnv.string payload; payload })
   end;
   (* the dispatch itself (entry, demux, exit) costs a fixed slice of
      virtual time; the work the call performs accrues inside *)
   Trace.charge tr Vclock.Hypercall_dispatch;
-  Trace.enter tr;
-  (* everything the hypervisor writes on behalf of this call carries the
-     call number as origin; more specific origins (the injector port)
-     nest inside and win. Without provenance attached there is no origin
-     to carry, so no origin or closure is built. *)
-  let result =
-    match Phys_mem.provenance hv.Hv.mem with
-    | None -> dispatch_uncounted hv dom call
-    | Some _ ->
-        Phys_mem.with_origin hv.Hv.mem (Provenance.Hypercall_arg number) (fun () ->
-            dispatch_uncounted hv dom call)
-  in
-  Trace.leave tr;
-  Hv.count_hypercall hv ~number ~failed:(Result.is_error result);
+  let result = Trace.within tr dispatch_in (hv, dom, call) in
+  Trace.note_hypercall tr ~number ~failed:(Result.is_error result);
   (match Trace.coverage tr with
   | Some cov ->
       Coverage.note_port cov ~nr:number

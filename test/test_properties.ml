@@ -256,7 +256,7 @@ let gen_event =
         (fun domid c ->
           let payload = Hypercall.encode_call c in
           T.Hypercall
-            { domid; number = Hypercall.number_of_call c; digest = T.digest payload; payload })
+            { domid; number = Hypercall.number_of_call c; digest = Ii_trace.Fnv.string payload; payload })
         (int_bound 7) gen_call;
       map3
         (fun domid va data ->

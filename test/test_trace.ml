@@ -79,10 +79,29 @@ let test_depth_suppression () =
   let tr = Trace.create () in
   Trace.enable tr;
   check_bool "top level" true (Trace.top_level tr);
-  Trace.enter tr;
-  check_bool "nested" false (Trace.top_level tr);
-  Trace.leave tr;
+  Trace.within tr (fun () -> check_bool "nested" false (Trace.top_level tr)) ();
   check_bool "top again" true (Trace.top_level tr)
+
+(* A boundary whose work raises still closes its bracket: a hypercall
+   handler that raises must not leave the tracer nested, or every later
+   boundary record (across resets too) would be suppressed. *)
+let test_raising_boundary_closes_bracket () =
+  let module TB = Ii_guest.Testbed in
+  let tb = TB.create Version.V4_8 in
+  let hv = tb.TB.hv and k = tb.TB.attacker in
+  let tr = hv.Hv.trace in
+  Hv.register_hypercall hv ~number:60 ~name:"raises" (fun _ _ _ -> failwith "handler");
+  (match Ii_guest.Kernel.hypercall k (Hypercall.Raw { number = 60; args = [||] }) with
+  | _ -> Alcotest.fail "the handler returned"
+  | exception Failure _ -> ());
+  check_bool "top level after the raise" true (Trace.top_level tr);
+  TB.reset tb;
+  check_bool "top level after a reset" true (Trace.top_level tr);
+  Trace.enable tr;
+  ignore (Ii_guest.Kernel.write_u64 k (Ii_guest.Kernel.start_info_vaddr k) 7L);
+  TB.tick_all tb;
+  check_bool "the write and the round are recorded" true
+    (List.length (Trace.records tr) >= 2)
 
 let test_detection_latency () =
   let inj = Trace.Injector_access { action = 1; addr = 0L; len = 8 } in
@@ -351,6 +370,8 @@ let () =
           Alcotest.test_case "disabled ring records nothing" `Quick
             test_disabled_ring_records_nothing;
           Alcotest.test_case "depth suppression" `Quick test_depth_suppression;
+          Alcotest.test_case "a raising boundary closes its bracket" `Quick
+            test_raising_boundary_closes_bracket;
           Alcotest.test_case "detection latency" `Quick test_detection_latency;
         ] );
       ( "determinism",

@@ -835,14 +835,13 @@ let test_dispatch_unknown_raw () =
 
 let test_hypercall_accounting () =
   let hv, _, guest = built () in
-  let n0 = List.length (Hv.hypercall_stats hv) in
-  ignore n0;
   ignore (Hypercall.dispatch hv guest (Hypercall.Mmu_update []));
   ignore (Hypercall.dispatch hv guest (Hypercall.Mmu_update []));
   ignore (Hypercall.dispatch hv guest (Hypercall.Raw { number = 99; args = [||] }));
-  check_bool "mmu counted" true (List.mem_assoc 1 (Hv.hypercall_stats hv));
-  check_bool "at least two" true (List.assoc 1 (Hv.hypercall_stats hv) >= 2);
-  check_bool "failure counted" true ((Hv.hypercalls_failed hv) >= 1)
+  let tm = Ii_trace.Trace.telemetry hv.Hv.trace in
+  check_bool "mmu counted" true (List.mem_assoc 1 tm.Ii_trace.Trace.tm_hypercalls);
+  check_bool "at least two" true (List.assoc 1 tm.Ii_trace.Trace.tm_hypercalls >= 2);
+  check_bool "failure counted" true (tm.Ii_trace.Trace.tm_hypercalls_failed >= 1)
 
 let test_dispatch_console_io () =
   let hv, _, guest = built () in
