@@ -147,7 +147,7 @@ let run_corpus dir (module K : All.BACKEND) domains load json min_bits =
                 List.iter
                   (fun (region, n) -> Printf.printf "  %-10s %d\n" region n)
                   (Coverage.region_bits cum);
-                Printf.printf "deterministic (workers 1 = workers 3 = pooled): %b\n"
+                Printf.printf "deterministic (workers 1 = workers 3): %b\n"
                   deterministic
               end;
               if not deterministic then

@@ -101,9 +101,10 @@ module Cost_model = struct
     in
     go default 1 (String.split_on_char '\n' src)
 
+  (* an I/O error from the runtime already names the file *)
   let load path =
     match In_channel.with_open_text path In_channel.input_all with
-    | src -> of_string src
+    | src -> Result.map_error (fun e -> path ^ ": " ^ e) (of_string src)
     | exception Sys_error msg -> Error msg
 end
 

@@ -70,7 +70,8 @@ module Cost_model : sig
       their {!default}. *)
 
   val load : string -> (t, string) result
-  (** {!of_string} over a file's contents; I/O failures are [Error]. *)
+  (** {!of_string} over a file's contents; I/O failures are [Error].
+      Every error names the file. *)
 end
 
 val cost : Cost_model.t -> op -> int64

@@ -255,6 +255,33 @@ let prop_hex_roundtrip =
       | Ok m' -> Coverage.equal m m'
       | Error _ -> false)
 
+(* [of_json_map] is total: arbitrary text, and [to_json] output cut
+   short or with one byte replaced, read as a map or an error — never an
+   exception — and an intact document reads back its own map. *)
+let arb_json_text =
+  let open QCheck.Gen in
+  let damaged =
+    let* m = QCheck.gen arb_map in
+    let doc = Coverage.to_json m in
+    let* pos = int_bound (String.length doc - 1) in
+    let* c = char in
+    let* cut = bool in
+    return
+      (if cut then String.sub doc 0 pos
+       else String.mapi (fun i x -> if i = pos then c else x) doc)
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") (oneof [ string; damaged ])
+
+let prop_json_map_total =
+  QCheck.Test.make ~name:"of_json_map never raises" ~count:500 arb_json_text (fun s ->
+      match Coverage.of_json_map s with Ok _ | Error _ -> true | exception _ -> false)
+
+let prop_json_map_roundtrip =
+  QCheck.Test.make ~name:"of_json_map reads back to_json" ~count:200 arb_map (fun m ->
+      match Coverage.of_json_map (Coverage.to_json m) with
+      | Ok m' -> Coverage.equal m m'
+      | Error _ -> false)
+
 (* --- campaign determinism ------------------------------------------------ *)
 
 let some_ucs n = List.filteri (fun i _ -> i < n) Ii_exploits.All_exploits.use_cases
@@ -503,6 +530,8 @@ let () =
           prop_novelty_zero_on_repeat;
           prop_novelty_monotone;
           prop_hex_roundtrip;
+          prop_json_map_total;
+          prop_json_map_roundtrip;
         ]);
       ( "campaign determinism",
         [

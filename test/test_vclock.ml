@@ -306,6 +306,50 @@ let test_tracing_off_vtime_identical () =
   check_i64 "ring on/off vtime identical"
     traced.Trace_driver.rec_row.Campaign.r_vtime_ns untraced.Campaign.r_vtime_ns
 
+(* [Cost_model.of_string] is total: arbitrary text, and lines built from
+   the model file's own tokens (keys, '=', comments, signs, numbers too
+   large for the clock), parse or fail with an error — never an
+   exception. A model's own rendering reads back to the same model. *)
+let keys = List.map fst (Vclock.Cost_model.to_assoc Vclock.Cost_model.default)
+
+let arb_model_text =
+  let open QCheck.Gen in
+  let token =
+    oneof
+      [
+        oneofl keys;
+        oneofl [ "="; " "; "\n"; "\t"; "\r"; "#"; "-"; "+"; "0x1f"; "fast"; "99999999999999999999" ];
+        map string_of_int nat;
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (oneof [ string; map (String.concat "") (list_size (int_bound 40) token) ])
+
+let prop_cost_model_total =
+  QCheck.Test.make ~name:"Cost_model.of_string never raises" ~count:500 arb_model_text (fun s ->
+      match Vclock.Cost_model.of_string s with Ok _ | Error _ -> true | exception _ -> false)
+
+(* a model with every key priced at an arbitrary cost the clock admits *)
+let arb_model =
+  let open QCheck.Gen in
+  let price = map (fun i -> Int64.of_int (i land max_int)) int in
+  QCheck.make
+    (map
+       (fun prices ->
+         String.concat ""
+           (List.map2 (fun k v -> Printf.sprintf "%s = %Ld\n" k v) keys prices))
+       (list_repeat (List.length keys) price))
+
+let prop_cost_model_roundtrip =
+  QCheck.Test.make ~name:"Cost_model.of_string reads back to_string" ~count:200 arb_model
+    (fun text ->
+      match Vclock.Cost_model.of_string text with
+      | Error _ -> false
+      | Ok m -> (
+          match Vclock.Cost_model.of_string (Vclock.Cost_model.to_string m) with
+          | Ok m' -> Vclock.Cost_model.to_assoc m' = Vclock.Cost_model.to_assoc m
+          | Error _ -> false))
+
 let () =
   Alcotest.run "vclock"
     [
@@ -316,6 +360,9 @@ let () =
           Alcotest.test_case "cost bound" `Quick test_cost_bound;
           Alcotest.test_case "charge mechanics" `Quick test_charge_mechanics;
         ] );
+      ( "totality",
+        List.map (QCheck_alcotest.to_alcotest ~verbose:false)
+          [ prop_cost_model_total; prop_cost_model_roundtrip ] );
       ( "replay",
         [
           Alcotest.test_case "xen vts streams reproduce" `Quick test_xen_replay_vts_identical;
