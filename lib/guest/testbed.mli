@@ -42,8 +42,9 @@ type t = {
 }
 
 val create : ?domains:int -> ?load:Load_mix.t -> Version.t -> t
-(** A host of 2048 frames with 128 dom0 pages and 96 pages per guest.
-    Defaults: 2 guest domains, no background load. *)
+(** Boot a host of 2048 frames with 128 dom0 pages and 96 pages per
+    guest. Defaults: 2 guest domains, no background load. It boots the
+    pool's templates; drivers take {!create_pooled}. *)
 
 val fork : ?load:Load_mix.t -> t -> t
 (** A new testbed forked from [t] in O(metadata): the hypervisor memory

@@ -318,7 +318,8 @@ let arb_model_text =
     oneof
       [
         oneofl keys;
-        oneofl [ "="; " "; "\n"; "\t"; "\r"; "#"; "-"; "+"; "0x1f"; "fast"; "99999999999999999999" ];
+        oneofl
+          [ "="; " "; "\n"; "\t"; "\r"; "#"; "-"; "+"; "0x1f"; "fast"; "99999999999999999999" ];
         map string_of_int nat;
       ]
   in
