@@ -187,14 +187,18 @@ let writable_pt_exposure hv dom =
     { hv; mem = hv.Hv.mem; hardened = Hv.hardened hv; memo = None; touched = None }
     dom
 
+(* The non-empty root-owned files, by path: one pass over the
+   filesystem, and only those few sorted ([List.sort] builds its
+   closures even for a list it returns as is). *)
 let root_secrets kernel =
-  let fs = Kernel.fs kernel in
-  List.filter_map
-    (fun path ->
-      match Fs.read fs path with
-      | Some { Fs.uid = 0; content; _ } when content <> "" -> Some (path, content)
-      | Some _ | None -> None)
-    (Fs.paths fs)
+  match
+    Fs.fold
+      (fun path { Fs.uid; content; _ } acc ->
+        if uid = 0 && content <> "" then (path, content) :: acc else acc)
+      (Kernel.fs kernel) []
+  with
+  | ([] | [ _ ]) as few -> few
+  | many -> List.sort (fun (a, _) (b, _) -> String.compare a b) many
 
 (* Whether [s] (non-empty) occurs in [t], without allocating. *)
 let contains t s =

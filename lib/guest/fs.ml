@@ -8,5 +8,6 @@ let read t path = Hashtbl.find_opt t path
 let exists t path = Hashtbl.mem t path
 let remove t path = Hashtbl.remove t path
 let paths t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
+let fold f t acc = Hashtbl.fold f t acc
 
 let readable_by file ~uid = uid = 0 || file.uid <> 0

@@ -19,6 +19,10 @@ val exists : t -> string -> bool
 val remove : t -> string -> unit
 val paths : t -> string list
 
+val fold : (string -> file -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold f t acc] folds [f] over every file and its path, in no
+    particular order. *)
+
 val readable_by : file -> uid:int -> bool
 (** Root reads everything; root-owned files are root-only; everything
     else is world-readable. *)

@@ -52,9 +52,8 @@ val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
     write path). *)
 
 val restore_from : t -> src:t -> unit
-(** Overwrite the whole frame with [src]'s bytes — the O(dirty) reset
-    path, which reads pre-images straight from the frozen template's
-    frames. *)
+(** Overwrite the whole frame with [src]'s bytes — how a first write
+    fills recycled storage with the frozen template's frame. *)
 
 val equal : t -> t -> bool
 val to_bytes : t -> bytes

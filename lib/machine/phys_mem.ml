@@ -47,6 +47,12 @@ type t = {
      one from [fork] or [capture_baseline]; the first content write
      replaces it with a private copy (see [unshare]) *)
   mutable cow_count : int;
+  mutable spares : Frame.t array;
+      (* storage of private frames a reset let go of, in
+         [spares.(0 .. spare_count - 1)]: the next [unshare] or [scrub]
+         fills one instead of allocating. Never shared between memories,
+         so forks on concurrent domains never hand out one frame twice. *)
+  mutable spare_count : int;
   mutable claimed : int array;  (* [claim]'s result buffer, made on first use *)
 }
 
@@ -82,6 +88,8 @@ let create ~frames =
     frozen = false;
     cow = Bytes.make frames '\001';
     cow_count = frames;
+    spares = [||];
+    spare_count = 0;
     claimed = [||];
   }
 
@@ -122,18 +130,43 @@ let mark_dirty t mfn =
   check_mutable t;
   if Bytes.unsafe_get t.dirty.Touched.flags mfn = '\000' then Touched.add t.dirty mfn
 
+(* A private frame holding [src]'s bytes, in a spare's storage when the
+   stack has one: in steady state a write copies its frame once and
+   allocates nothing. *)
+let private_copy t src =
+  let n = t.spare_count - 1 in
+  if n < 0 then Frame.copy src
+  else begin
+    let f = Array.unsafe_get t.spares n in
+    t.spare_count <- n;
+    Frame.restore_from f ~src;
+    f
+  end
+
+(* Hand a private frame's storage to the spare stack, which doubles
+   when full. *)
+let push_spare t f =
+  let n = t.spare_count in
+  if n = Array.length t.spares then begin
+    let grown = Array.make (max 8 (2 * n)) zero_frame in
+    Array.blit t.spares 0 grown 0 n;
+    t.spares <- grown
+  end;
+  Array.unsafe_set t.spares n f;
+  t.spare_count <- n + 1
+
 (* Detach a COW-shared frame (the zero frame, or a template's frame)
-   before the first content write: the memory gets a private copy (or
-   a fresh zero frame when the shared one is known-zero) and the
-   shared bytes stay untouched — which is what lets many memories share
-   one zero frame, and many forks one template, concurrently. *)
+   before the first content write: the memory gets a private copy (of
+   the zero frame when the shared one is known-zero) and the shared
+   bytes stay untouched — which is what lets many memories share one
+   zero frame, and many forks one template, concurrently. *)
 let unshare t mfn =
   if Bytes.unsafe_get t.cow mfn = '\001' then begin
     Bytes.unsafe_set t.cow mfn '\000';
     t.cow_count <- t.cow_count - 1;
     t.frames.(mfn) <-
-      (if Bytes.unsafe_get t.scrubbed mfn = '\001' then Frame.create ()
-       else Frame.copy t.frames.(mfn))
+      private_copy t
+        (if Bytes.unsafe_get t.scrubbed mfn = '\001' then zero_frame else t.frames.(mfn))
   end
 
 (* Call before any write that can make the frame's contents non-zero. *)
@@ -145,7 +178,8 @@ let mark_written t mfn =
 let dirty_count t = t.dirty.Touched.count
 
 (* A new memory at [t]'s state, in O(metadata): its frames are [t]'s
-   own [Frame.t]s, and the counters, generation and epoch are [t]'s. *)
+   own [Frame.t]s, and the counters, generation and epoch are [t]'s;
+   its spare stack starts empty. *)
 let copy_metadata t ~dirty ~cow ~baseline ~frozen =
   {
     t with
@@ -159,13 +193,16 @@ let copy_metadata t ~dirty ~cow ~baseline ~frozen =
     frozen;
     cow;
     cow_count = Bytes.length cow;
+    spares = [||];
+    spare_count = 0;
     claimed = [||];
   }
 
 (* A checkpoint freezes a snapshot of [t]'s metadata and forks [t] from
    it in place: every frame becomes a copy-on-write alias of the
    snapshot's, so [t] resets exactly as a fork of the snapshot does. No
-   frame bytes are copied. *)
+   frame bytes are copied; [t] keeps its spares, which no frame of the
+   snapshot's is. *)
 let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
   if Option.is_some t.prov then
@@ -194,29 +231,25 @@ let clear_free_bit t mfn =
   let w = mfn / bits_per_word and b = mfn mod bits_per_word in
   t.free_bits.(w) <- t.free_bits.(w) land lnot (1 lsl b)
 
-(* Zero a frame that held zeroes at baseline, if it was written since. *)
-let rescrub t mfn =
-  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-    Frame.fill t.frames.(mfn) '\000';
-    Bytes.unsafe_set t.scrubbed mfn '\001'
-  end
-
 (* A fork's pre-image is the template frame itself. A still-shared frame
-   already holds it; a private one gets the template's bytes blitted in
-   and keeps its own storage, so steady-state trials copy no frames. *)
+   already holds it; a private one goes back to sharing it, and its
+   storage onto the spare stack for the next write to fill. So a reset
+   copies no bytes, and a fork holds no more private frames than one
+   trial writes. *)
 let reset_from_template t tpl mfn =
   if Bytes.unsafe_get t.cow mfn = '\000' then begin
-    if Bytes.unsafe_get tpl.scrubbed mfn = '\001' then rescrub t mfn
-    else begin
-      Frame.restore_from t.frames.(mfn) ~src:tpl.frames.(mfn);
-      Bytes.unsafe_set t.scrubbed mfn '\000'
-    end
+    push_spare t (Array.unsafe_get t.frames mfn);
+    Array.unsafe_set t.frames mfn (Array.unsafe_get tpl.frames mfn);
+    Bytes.unsafe_set t.cow mfn '\001';
+    t.cow_count <- t.cow_count + 1;
+    Bytes.unsafe_set t.scrubbed mfn (Bytes.unsafe_get tpl.scrubbed mfn)
   end;
   Array.unsafe_set t.owners mfn (Array.unsafe_get tpl.owners mfn)
 
 (* Every dirty frame's bytes and owner go back to the baseline's, newest
-   first; the free bitmap, a function of the owners, is copied back
-   whole (a few dozen words). *)
+   first, so every frame is shared with the baseline again; the free
+   bitmap, a function of the owners, is copied back whole (a few dozen
+   words). *)
 let reset_to_baseline t =
   if t.frozen then invalid_arg "Phys_mem.reset_to_baseline: template is frozen";
   let tpl =
@@ -245,7 +278,7 @@ let reset_to_baseline t =
    content write to any frame detaches it ([unshare]); frames the fork
    never writes are never copied, so a freshly forked testbed costs the
    metadata arrays rather than [frames] x 4 KiB — and [reset_to_baseline]
-   skips still-shared frames entirely. *)
+   re-shares the detached ones and skips the rest. *)
 
 let freeze t =
   (match t.baseline with
@@ -323,15 +356,11 @@ let lowest_bit word =
 
 (* Zero a frame that is not known-zero (on [take] and [free]). *)
 let scrub t mfn =
-  (if Bytes.unsafe_get t.cow mfn = '\001' then begin
-     (* shared with the template: swap in a fresh zero frame rather
-        than scrubbing (and thus corrupting) the shared bytes *)
-     Bytes.unsafe_set t.cow mfn '\000';
-     t.cow_count <- t.cow_count - 1;
-     t.frames.(mfn) <- Frame.create ()
-   end
-   else Frame.fill t.frames.(mfn) '\000');
   Bytes.unsafe_set t.scrubbed mfn '\001';
+  (* a shared frame is not scrubbed (that would corrupt the shared
+     bytes) but detached, now known-zero, into a private zero frame *)
+  if Bytes.unsafe_get t.cow mfn = '\001' then unshare t mfn
+  else Frame.fill t.frames.(mfn) '\000';
   prov_clear_frame t mfn
 
 (* Hand free frame [mfn], already marked dirty and whose free bit the

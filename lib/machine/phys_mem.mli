@@ -8,7 +8,7 @@
     Beyond raw storage, this module carries the campaign engine's two
     fast-reset primitives: a frozen template as the one kind of
     baseline, with a dirty-frame set, so a testbed resets in O(frames
-    touched) by copying those frames back from the template instead of
+    touched) by sharing those frames with the template again instead of
     rebuilding everything; and a generation counter that lets cached
     translations (the software TLB) self-invalidate whenever frames are
     recycled. *)
@@ -123,8 +123,11 @@ val capture_baseline : t -> unit
 
 val reset_to_baseline : t -> int
 (** Restore every frame (contents and ownership) touched since the
-    baseline from its frozen template, in O(dirty). Returns the number
-    of frames restored. Raises [Invalid_argument] if there is no
+    baseline from its frozen template, in O(dirty) pointer stores and
+    with no bytes copied: each frame written since goes back to aliasing
+    the template's, and its private storage is kept for the next write
+    to reuse. Afterwards [shared_frames t = total_frames t]. Returns the
+    number of frames restored. Raises [Invalid_argument] if there is no
     baseline (neither captured nor forked). *)
 
 (** {1 Copy-on-write forking}
@@ -147,15 +150,18 @@ val fork : t -> t
     {!reset_to_baseline} skips still-shared frames. The fork's baseline
     is the template itself (same {!baseline_epoch}), the kind of
     baseline {!capture_baseline} makes too: dirtying a frame saves
-    nothing, and {!reset_to_baseline} copies each dirty frame's bytes
-    and owner back from the template, reusing the fork's private frame.
-    Raises [Invalid_argument] unless [template] is frozen. *)
+    nothing, and {!reset_to_baseline} points each written frame back at
+    the template's and keeps its storage for the next write's copy. So
+    a fork holds at most the private frames one trial writes, and
+    allocates none once it has held that many. The fork starts with no
+    such storage of its own. Raises [Invalid_argument] unless
+    [template] is frozen. *)
 
 val shared_frames : t -> int
 (** Frames not content-written since the baseline, still physically
     shared with the template or, in a memory from {!create} that has
     none, with the zero frame (equals [total_frames] right after
-    {!create}, {!fork} or {!capture_baseline}). *)
+    {!create}, {!fork}, {!capture_baseline} or {!reset_to_baseline}). *)
 
 (** {1 Access by frame and offset}
 

@@ -1003,6 +1003,38 @@ let test_zero_frame_intact () =
   let zero = Phys_mem.frame_ro (Phys_mem.create ~frames:1) 0 in
   check_bool "the shared zero frame is all zero" true (Frame.equal zero (Frame.create ()))
 
+(* Every reset hands each frame a trial wrote back to the template: after
+   every corpus cell on a pooled testbed of each backend (4 domains
+   under load), the reset memory shares all its frames. *)
+let test_reset_reshares () =
+  let module KC = Ii_backends.Backends.Kvm_campaign in
+  let modes = [ Campaign.Real_exploit; Campaign.Injection ] in
+  let all_shared what mem =
+    check_int (what ^ ": every frame shared after reset") (Phys_mem.total_frames mem)
+      (Phys_mem.shared_frames mem)
+  in
+  let load = Ii_trace.Load_mix.default in
+  let tb = Testbed.create_pooled ~domains:4 ~load Version.V4_6 in
+  List.iter
+    (fun uc ->
+      List.iter
+        (fun mode ->
+          ignore (Campaign.run ~tb uc mode Version.V4_6);
+          Testbed.reset tb;
+          all_shared uc.Campaign.uc_name tb.Testbed.hv.Hv.mem)
+        modes)
+    All.use_cases;
+  let tb = BK.create_pooled ~domains:4 ~load BK.Stock in
+  List.iter
+    (fun uc ->
+      List.iter
+        (fun mode ->
+          ignore (KC.run ~tb uc mode BK.Stock);
+          BK.reset tb;
+          all_shared uc.KC.uc_name (BK.mem tb))
+        modes)
+    All.kvm_use_cases
+
 (* --- Phys_mem reset as a property -------------------------------------------
 
    A memory resets to a frozen template: the one it was forked from, or
@@ -1373,6 +1405,77 @@ let prop_reset_in_place =
           same_objects && equal_now && equal_probed && domains tb = domains (make ()))
         mixes)
 
+(* A reset hands every frame written since the baseline back to the
+   template and keeps the private storage for the next write to fill.
+   On a fork and on a memory that captured its own baseline, after any
+   mix of writes, allocations, frees and claims: each reset leaves every
+   frame shared and every frame's bytes the template's; a frame written
+   next holds its template bytes plus that one write, and every frame
+   handed out or freed reads zero, so recycled storage never shows
+   another frame's bytes. *)
+let zero_hash = Phys_mem.frame_hash (Phys_mem.create ~frames:1) 0
+let all_zero m mfn = Phys_mem.frame_hash m mfn = zero_hash
+
+let recycle_apply m (kind, (a, v)) =
+  let mfn = a mod pm_frames in
+  match kind with
+  | 0 ->
+      Phys_mem.set_u64 m mfn (Int64.to_int (Int64.logand v 511L) * 8) v;
+      true
+  | 1 ->
+      (* a run that can span frames, ending at most at the last one *)
+      let len = 1 + Int64.to_int (Int64.logand v 8191L) in
+      let ma = min (mfn * Addr.page_size) ((pm_frames * Addr.page_size) - len) in
+      Phys_mem.write_bytes m (Int64.of_int ma) (Bytes.make len (Char.chr (1 + (a land 127))));
+      true
+  | 2 -> (
+      match Phys_mem.alloc m (Phys_mem.Dom 7) with
+      | exception Failure _ -> true
+      | got -> all_zero m got)
+  | 3 ->
+      Phys_mem.free m mfn;
+      all_zero m mfn
+  | _ ->
+      let n = min (a mod 8) (Phys_mem.free_frames m) in
+      let got = Array.sub (Phys_mem.claim m Phys_mem.Xen n) 0 n in
+      Array.for_all (all_zero m) got
+
+let recycle_round m reference (ops, (a, v)) =
+  let reshared () =
+    ignore (Phys_mem.reset_to_baseline m : int);
+    Phys_mem.shared_frames m = pm_frames
+    && List.for_all
+         (fun mfn -> Phys_mem.frame_hash m mfn = Phys_mem.frame_hash reference mfn)
+         (List.init pm_frames Fun.id)
+  in
+  let applied = List.for_all (recycle_apply m) ops in
+  applied && reshared ()
+  &&
+  let mfn = a mod pm_frames and off = Int64.to_int (Int64.logand v 511L) * 8 in
+  Phys_mem.set_u64 m mfn off v;
+  let expected = Frame.to_bytes (Phys_mem.frame_ro reference mfn) in
+  Bytes.set_int64_le expected off v;
+  Phys_mem.read_bytes m (Addr.maddr_of_mfn mfn) Addr.page_size = expected && reshared ()
+
+let prop_phys_mem_recycles =
+  QCheck.Test.make ~name:"phys_mem: reset re-shares every frame and recycles its storage"
+    ~count:100
+    QCheck.(
+      list_of_size (Gen.int_range 1 6)
+        (pair
+           (list_of_size (Gen.int_range 0 20) (pair (int_bound 4) (pair small_nat int64)))
+           (pair small_nat int64)))
+    (fun rounds ->
+      let reference = pm_base () in
+      let tmpl = pm_base () in
+      Phys_mem.capture_baseline tmpl;
+      Phys_mem.freeze tmpl;
+      let captured = pm_base () in
+      Phys_mem.capture_baseline captured;
+      List.for_all
+        (fun m -> List.for_all (recycle_round m reference) rounds)
+        [ Phys_mem.fork tmpl; captured ])
+
 (* The change sets behind [Domain.restore_into] hold for any
    checkpoint, not only the boot-time one a testbed resets to: after
    [pre] grants, binds and exchanges some state, a checkpoint, then
@@ -1550,7 +1653,7 @@ let test_reset_words () =
   within_budget "Testbed.reset" 10. (Gc.minor_words () -. w0)
 
 (* The same budget on a forked and on a booted worker, which both reset
-   to a frozen template (measured 1,052 on each) *)
+   to a frozen template (measured 994 on each) *)
 let test_run_one_words pooled () =
   let w = Random_campaign.make_worker ~pooled Version.V4_8 in
   let trials = 600 in
@@ -1560,7 +1663,7 @@ let test_run_one_words pooled () =
   for i = 1 to trials do
     run i
   done;
-  within_budget "Random_campaign.run_one (words per trial)" 1400.
+  within_budget "Random_campaign.run_one (words per trial)" 1150.
     ((Gc.minor_words () -. w0) /. float_of_int trials)
 
 (* A scheduler round in which nothing happens: every kernel drains no
@@ -1586,6 +1689,40 @@ let test_hook_trial_words hook budget () =
            { Campaign.transcript = []; states = []; rc = None }))
   in
   within_budget "hook trial" budget (words_per_call ~n:10 trial)
+
+(* A fork holds no more private frames than one trial writes: over 1,000
+   trials that each write a different frame, every write copies its
+   frame into storage an earlier reset recycled, so the words allocated
+   straight into the major heap stay below one frame's 513. *)
+let test_trial_storage_words () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  let mfns = Array.init (Phys_mem.total_frames tb.Testbed.hv.Hv.mem) Fun.id in
+  let rng = Random.State.make [| 36 |] in
+  for i = Array.length mfns - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = mfns.(i) in
+    mfns.(i) <- mfns.(j);
+    mfns.(j) <- x
+  done;
+  let trial mfn =
+    ignore
+      (Campaign.trial tb ~name:"frame" Campaign.Injection Version.V4_8 (fun tb ->
+           Phys_mem.write_u64 tb.Testbed.hv.Hv.mem (Addr.maddr_of_mfn mfn) 0xA11C0L;
+           { Campaign.transcript = []; states = []; rc = None }))
+  in
+  (* a minor collection first, so the promoted words that
+     [Gc.quick_stat] counts have all reached [major_words] too *)
+  let direct () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  trial mfns.(0);
+  let w0 = direct () in
+  for i = 1 to 1000 do
+    trial mfns.(i)
+  done;
+  within_budget "direct major words over 1,000 one-frame trials" 512. (direct () -. w0)
 
 (* The guest memory access path on the benchmark's corpus shape: a
    4-domain 4.6 pooled testbed under the default load. *)
@@ -1654,8 +1791,8 @@ let test_remap_words () =
 (* A trial that dirties one page table or one M2P frame snapshots
    within the clean snapshot's budget: the re-probe of the dirty table
    and the M2P recount allocate nothing. A clean snapshot of a default
-   4.8 testbed (dom0 and two guests) measured 272 words. *)
-let snapshot_budget = 320.
+   4.8 testbed (dom0 and two guests) measured 190 words. *)
+let snapshot_budget = 220.
 
 let test_snapshot_words () =
   let tb = Testbed.create_pooled Version.V4_8 in
@@ -2253,6 +2390,7 @@ let () =
           Alcotest.test_case "frozen template immutable" `Quick test_frozen_template_immutable;
           Alcotest.test_case "fresh memory shares one zero frame" `Quick test_fresh_memory_shared;
           Alcotest.test_case "zero frame stays zero" `Quick test_zero_frame_intact;
+          Alcotest.test_case "reset re-shares every frame" `Quick test_reset_reshares;
         ]
         @ qsuite [ prop_phys_mem_reset_fork; prop_phys_mem_reset_captured ] );
       ( "in_place",
@@ -2264,7 +2402,8 @@ let () =
           Alcotest.test_case "destroyed domain" `Quick test_restore_destroyed_domain;
           Alcotest.test_case "klog lines" `Quick test_klog_lines;
         ]
-        @ qsuite_seeded 23 [ prop_reset_in_place; prop_domain_restore_any_checkpoint ] );
+        @ qsuite_seeded 23
+            [ prop_reset_in_place; prop_phys_mem_recycles; prop_domain_restore_any_checkpoint ] );
       ( "hooks",
         [
           Alcotest.test_case "balloon trial (pooled)" `Quick
@@ -2290,12 +2429,13 @@ let () =
           Alcotest.test_case "fast-forwarded frame words" `Quick test_remap_words;
           Alcotest.test_case "snapshot words" `Quick test_snapshot_words;
           Alcotest.test_case "exhaust_memory words" `Quick test_exhaust_memory_words;
-          (* measured 4,027 and 1,018 *)
+          (* measured 4,017 and 808 *)
           Alcotest.test_case "balloon trial words" `Quick
             (test_hook_trial_words balloon_hook 4600.);
           Alcotest.test_case "exhaustion trial words" `Quick
-            (test_hook_trial_words exhaust_hook 1200.);
+            (test_hook_trial_words exhaust_hook 930.);
           Alcotest.test_case "loaded reset words" `Quick test_loaded_reset_words;
+          Alcotest.test_case "trial storage words" `Quick test_trial_storage_words;
           Alcotest.test_case "run_one words (booted worker)" `Quick (test_run_one_words false);
         ] );
       ( "remap",
