@@ -2333,6 +2333,103 @@ let test_page_info_checkpoint_restore () =
   check_bool "touched set cleared" false (Page_info.any_touched pages);
   check_bool "counts consistent" true (Page_info.counts_consistent pages)
 
+(* The one place the model property below meets [Page_info]'s
+   representation: a frame's five fields, and the two writes that only
+   [Mm] makes (pin after a promotion, validate at its end). *)
+module Pi_view = struct
+  let fields pages mfn =
+    let i = Page_info.get pages mfn in
+    Page_info.(i.ptype, i.type_count, i.ref_count, i.validated, i.pinned)
+
+  let pin pages mfn =
+    Page_info.touch pages mfn;
+    (Page_info.get pages mfn).Page_info.pinned <- true
+
+  let validate pages mfn =
+    Page_info.touch pages mfn;
+    (Page_info.get pages mfn).Page_info.validated <- true
+end
+
+let pi_frames = 6
+let pi_fresh = (Page_info.PGT_none, 0, 0, false, false)
+
+let pi_ptypes =
+  Page_info.[| PGT_none; PGT_writable; PGT_l1; PGT_l2; PGT_l3; PGT_l4; PGT_seg |]
+
+(* (op, frame, ptype index) *)
+let pi_ops =
+  QCheck.(
+    list_of_size (Gen.int_range 0 40)
+      (triple (int_bound 6) (int_bound (pi_frames - 1)) (int_bound 6)))
+
+(* One op on the real table and on the model: [Ok] or [Error] of the
+   real call, the model's answer and its new fields. An underflow
+   raises on both sides and changes nothing. *)
+let pi_step pages model (op, mfn, p) =
+  let ((ptype, tc, rc, validated, pinned) as f) = model.(mfn) in
+  let raises g = match g () with () -> false | exception Invalid_argument _ -> true in
+  let real, expect, f' =
+    match op with
+    | 0 ->
+        Page_info.allocated pages mfn;
+        (true, true, (Page_info.PGT_none, 0, 1, false, false))
+    | 1 ->
+        Page_info.get_page pages mfn;
+        (true, true, (ptype, tc, rc + 1, validated, pinned))
+    | 2 ->
+        let ok = not (raises (fun () -> Page_info.put_page pages mfn)) in
+        if rc <= 0 then (ok, false, f) else (ok, true, (ptype, tc, rc - 1, validated, pinned))
+    | 3 ->
+        let want = pi_ptypes.(p) in
+        let ok = Page_info.get_page_type pages mfn want = Ok () in
+        if ptype = want && tc > 0 then (ok, true, (ptype, tc + 1, rc, validated, pinned))
+        else if tc = 0 then (ok, true, (want, 1, rc, false, pinned))
+        else (ok, false, f)
+    | 4 ->
+        let ok = not (raises (fun () -> Page_info.put_page_type pages mfn)) in
+        if tc <= 0 then (ok, false, f)
+        else if tc = 1 then (ok, true, (ptype, 0, rc, false, false))
+        else (ok, true, (ptype, tc - 1, rc, validated, pinned))
+    | 5 ->
+        Pi_view.pin pages mfn;
+        (true, true, (ptype, tc, rc, validated, true))
+    | _ ->
+        Pi_view.validate pages mfn;
+        (true, true, (ptype, tc, rc, true, pinned))
+  in
+  model.(mfn) <- f';
+  real = expect && (f' = f || Page_info.touched pages mfn)
+
+let pi_agrees pages model =
+  let ok = ref true in
+  for mfn = 0 to pi_frames - 1 do
+    if Pi_view.fields pages mfn <> model.(mfn) then ok := false
+  done;
+  !ok
+  && Page_info.counts_consistent pages
+     = Array.for_all (fun (_, tc, rc, _, pinned) -> tc >= 0 && rc >= 0 && ((not pinned) || tc > 0)) model
+
+(* Random refcounting, typing, pinning and validation agree field for
+   field with a reference model after every op; a restore gives back
+   the checkpoint exactly, and a table built from the checkpoint (after
+   the ops, so the checkpoint is not aliased) equals it too. *)
+let prop_page_info_model =
+  QCheck.Test.make ~name:"page_info: fields = reference model" ~count:300
+    (QCheck.pair pi_ops pi_ops) (fun (before, after) ->
+      let pages = Page_info.create ~frames:pi_frames in
+      let model = Array.make pi_frames pi_fresh in
+      let run ops = List.for_all (fun op -> pi_step pages model op && pi_agrees pages model) ops in
+      let fresh = pi_agrees pages model in
+      let ran_before = run before in
+      let ck = Page_info.checkpoint pages and at_ck = Array.copy model in
+      let clean = not (Page_info.any_touched pages) in
+      let ran_after = run after in
+      let forked = pi_agrees (Page_info.of_checkpoint ck) at_ck in
+      Page_info.restore pages ck;
+      fresh && ran_before && clean && ran_after && forked
+      && pi_agrees pages at_ck
+      && not (Page_info.any_touched pages))
+
 let () =
   Alcotest.run "perf_engine"
     [
@@ -2475,5 +2572,6 @@ let () =
         [
           Alcotest.test_case "touched set" `Quick test_page_info_touched;
           Alcotest.test_case "checkpoint/restore" `Quick test_page_info_checkpoint_restore;
-        ] );
+        ]
+        @ qsuite_seeded 37 [ prop_page_info_model ] );
     ]
