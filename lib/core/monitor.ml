@@ -80,9 +80,7 @@ let typed_pt w ~note mfn =
        (match w.memo with
        | Some m when note -> Scan_memo.note_type (Scan_memo.deps m) mfn
        | Some _ | None -> ());
-       let info = Page_info.get w.hv.Hv.pages mfn in
-       info.Page_info.type_count > 0
-       && match Page_info.table_level info.Page_info.ptype with Some _ -> true | None -> false
+       Page_info.live_table w.hv.Hv.pages mfn
      end
 
 (* a flagged mapping is evidence read out of this entry *)

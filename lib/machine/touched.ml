@@ -1,10 +1,17 @@
-type t = { flags : Bytes.t; stack : int array; mutable count : int }
+type t = { flags : Bytes.t; mutable stack : int array; mutable count : int }
 
-let create n = { flags = Bytes.make n '\000'; stack = Array.make n 0; count = 0 }
+let create n = { flags = Bytes.make n '\000'; stack = Array.make (min n 32) 0; count = 0 }
+
+(* [count] < the index range here, so doubling makes room *)
+let grow t =
+  let stack = Array.make (min (Bytes.length t.flags) (2 * t.count)) 0 in
+  Array.blit t.stack 0 stack 0 t.count;
+  t.stack <- stack
 
 let add t i =
   if Bytes.get t.flags i = '\000' then begin
     Bytes.unsafe_set t.flags i '\001';
+    if t.count = Array.length t.stack then grow t;
     Array.unsafe_set t.stack t.count i;
     t.count <- t.count + 1
   end

@@ -3,14 +3,17 @@
     those: the memory's dirty frames, [Page_info]'s touched frames and
     each domain's changed P2M slots, grant entries and ports.
 
-    Marking and clearing allocate nothing: a flag byte per index says
-    whether it is in the set, and a stack holds the members in the
-    order they were first marked, one slot per index. The fields are
+    A flag byte per index says whether it is in the set, and a stack
+    holds the members in the order they were first marked. The stack
+    doubles up to one slot per index, so marking allocates only when
+    the set outgrows its largest size so far, and a set that stays
+    small (a fork's) never pays for every index. The fields are
     readable so a restore loop indexes the stack without a call. *)
 
 type t = private {
   flags : Bytes.t;  (** ['\001'] at index [i] iff [i] is in the set *)
-  stack : int array;  (** the members, first marked first, in [stack.(0 .. count - 1)] *)
+  mutable stack : int array;
+      (** the members, first marked first, in [stack.(0 .. count - 1)] *)
   mutable count : int;
 }
 

@@ -84,10 +84,7 @@ module View = struct
     let sensitive target =
       Hashtbl.mem is_node target
       || Phys_mem.owner mem target = Phys_mem.Xen
-      ||
-      let info = Page_info.get hv.Hv.pages target in
-      Page_info.table_level info.Page_info.ptype <> None
-      && info.Page_info.type_count > 0
+      || Page_info.live_table hv.Hv.pages target
     in
     List.fold_left
       (fun acc (va, target, rw) ->

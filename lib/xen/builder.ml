@@ -62,11 +62,8 @@ let build_m2p_chain hv l4_frame =
     (fun i m2p_mfn -> Frame.set_entry (Phys_mem.frame hv.Hv.mem l1_x) i (leaf_ro m2p_mfn))
     hv.Hv.m2p_mfns;
   let mark mfn level =
-    Page_info.touch hv.Hv.pages mfn;
-    let info = Page_info.get hv.Hv.pages mfn in
-    info.Page_info.ptype <- Page_info.ptype_of_level level;
-    info.Page_info.type_count <- 1;
-    info.Page_info.validated <- true
+    Page_info.set_type hv.Hv.pages mfn (Page_info.ptype_of_level level) ~count:1;
+    Page_info.set_validated hv.Hv.pages mfn true
   in
   mark pud_x 3;
   mark l2_x 2;

@@ -12,10 +12,7 @@ let unpause hv dom =
 (* Release a Xen-side helper frame whose type was set manually by the
    builder (the per-domain M2P chain) or by grant-table setup. *)
 let release_xen_helper hv mfn =
-  Page_info.touch hv.Hv.pages mfn;
-  let info = Page_info.get hv.Hv.pages mfn in
-  info.Page_info.ptype <- Page_info.PGT_none;
-  info.Page_info.type_count <- 0;
+  Page_info.set_type hv.Hv.pages mfn Page_info.PGT_none ~count:0;
   ignore (Hv.release_page hv mfn)
 
 let destroy hv dom =
@@ -31,10 +28,9 @@ let destroy hv dom =
        un-accounting every mapping the domain held. *)
     let l4 = dom.Domain.l4_mfn in
     if Phys_mem.is_valid_mfn hv.Hv.mem l4 then begin
-      let info = Page_info.get hv.Hv.pages l4 in
       dom.Domain.l4_mfn <- -1;
-      info.Page_info.pinned <- false;
-      for _ = 1 to info.Page_info.type_count do
+      Page_info.set_pinned hv.Hv.pages l4 false;
+      for _ = 1 to Page_info.type_count hv.Hv.pages l4 do
         Mm.put_table_type hv dom l4
       done
     end;

@@ -67,14 +67,10 @@ let alloc_domain_page t dom =
   mfn
 
 let release_page t mfn =
-  let info = Page_info.get t.pages mfn in
-  if info.Page_info.type_count > 0 then Error Errno.EBUSY
-  else if info.Page_info.ref_count > 1 then Error Errno.EBUSY
+  if Page_info.type_count t.pages mfn > 0 then Error Errno.EBUSY
+  else if Page_info.ref_count t.pages mfn > 1 then Error Errno.EBUSY
   else begin
-    Page_info.touch t.pages mfn;
-    info.Page_info.ref_count <- 0;
-    info.Page_info.validated <- false;
-    info.Page_info.pinned <- false;
+    Page_info.freed t.pages mfn;
     Phys_mem.free t.mem mfn;
     Ok ()
   end

@@ -7,9 +7,6 @@ let safe_flags version ~level =
   let base = [ Pte.Accessed; Pte.Dirty ] in
   if level = 4 && not (Version.xsa182_fixed version) then Pte.Rw :: base else base
 
-let table_in_use info =
-  Page_info.table_level info.Page_info.ptype <> None && info.Page_info.type_count > 0
-
 (* A foreign frame may be mapped when the owner granted it to us and the
    grant is currently mapped (maptrack), or when we are privileged. *)
 let foreign_map_allowed hv dom ~target ~write =
@@ -29,7 +26,6 @@ let validate_l1 hv dom e =
   let target = Pte.mfn e in
   if not (Phys_mem.is_valid_mfn hv.Hv.mem target) then Error Errno.EINVAL
   else
-    let info = Page_info.get hv.Hv.pages target in
     let write = Pte.test Pte.Rw e in
     if Phys_mem.is_owner hv.Hv.mem target Phys_mem.Free then Error Errno.EINVAL
     else if Phys_mem.is_owner hv.Hv.mem target Phys_mem.Xen then
@@ -52,7 +48,7 @@ let validate_l1 hv dom e =
       else Error Errno.EPERM
     else if Phys_mem.is_owner hv.Hv.mem target (Domain.owned dom) then
       if write then
-        if table_in_use info then Error Errno.EPERM
+        if Page_info.live_table hv.Hv.pages target then Error Errno.EPERM
           (* no writable mappings of page tables: the direct-paging rule *)
         else Ok (Some { acc_target = target; acc_kind = `Data_rw })
       else Ok (Some { acc_target = target; acc_kind = `Data_ro })
@@ -64,10 +60,10 @@ let validate_upper hv dom ~level e =
   let target = Pte.mfn e in
   if not (Phys_mem.is_valid_mfn hv.Hv.mem target) then Error Errno.EINVAL
   else
-    let info = Page_info.get hv.Hv.pages target in
+    let pages = hv.Hv.pages in
     let owned = Phys_mem.is_owner hv.Hv.mem target (Domain.owned dom) in
-    let same_level = info.Page_info.ptype = Page_info.ptype_of_level level in
-    if same_level && info.Page_info.type_count > 0 then
+    let same_level = Page_info.ptype pages target = Page_info.ptype_of_level level in
+    if same_level && Page_info.type_count pages target > 0 then
       (* Linear (recursive) page-table link: legal read-only only. *)
       if Pte.test Pte.Rw e then Error Errno.EPERM
       else if not owned then Error Errno.EPERM
@@ -115,7 +111,7 @@ let rec commit_account hv dom = function
       | `Data_rw -> (
           match Page_info.get_page_type hv.Hv.pages acc_target Page_info.PGT_writable with
           | Ok () ->
-              if (Page_info.get hv.Hv.pages acc_target).Page_info.type_count = 1 then
+              if Page_info.type_count hv.Hv.pages acc_target = 1 then
                 trace_ptype hv acc_target ~from_type:Page_info.PGT_none
                   ~to_type:Page_info.PGT_writable;
               Page_info.get_page hv.Hv.pages acc_target;
@@ -130,7 +126,7 @@ let rec commit_account hv dom = function
 
 and put_writable_type hv mfn =
   Page_info.put_page_type hv.Hv.pages mfn;
-  if (Page_info.get hv.Hv.pages mfn).Page_info.type_count = 0 then
+  if Page_info.type_count hv.Hv.pages mfn = 0 then
     trace_ptype hv mfn ~from_type:Page_info.PGT_writable ~to_type:Page_info.PGT_none
 
 and uncommit_account hv dom = function
@@ -150,9 +146,8 @@ and classify_existing hv ~level e =
     let target = Pte.mfn e in
     if not (Phys_mem.is_valid_mfn hv.Hv.mem target) then None
     else
-      let info = Page_info.get hv.Hv.pages target in
       if level >= 2 then
-        if info.Page_info.ptype = Page_info.ptype_of_level level then
+        if Page_info.ptype hv.Hv.pages target = Page_info.ptype_of_level level then
           Some { acc_target = target; acc_kind = `Linear }
         else Some { acc_target = target; acc_kind = `Table (level - 1) }
       else if Pte.test Pte.Rw e then Some { acc_target = target; acc_kind = `Data_rw }
@@ -172,27 +167,20 @@ and unaccount_existing hv dom ~level e =
 
 and promote hv dom ~level mfn =
   let pages = hv.Hv.pages in
-  (* type fields below are assigned directly, not via get_page_type *)
-  Page_info.touch pages mfn;
-  let info = Page_info.get pages mfn in
   let wanted = Page_info.ptype_of_level level in
-  if info.Page_info.ptype = wanted && info.Page_info.type_count > 0 then begin
-    info.Page_info.type_count <- info.Page_info.type_count + 1;
-    Ok ()
-  end
-  else if info.Page_info.type_count > 0 then Error Errno.EBUSY
+  (* one more use of a live table of this level, or EBUSY for another
+     live type *)
+  if Page_info.type_count pages mfn > 0 then Page_info.get_page_type pages mfn wanted
   else if not (Phys_mem.is_owner hv.Hv.mem mfn (Domain.owned dom)) then Error Errno.EPERM
   else begin
     (* Mark in progress so recursive self-references resolve as linear. *)
-    info.Page_info.ptype <- wanted;
-    info.Page_info.type_count <- 1;
-    info.Page_info.validated <- false;
+    Page_info.set_type pages mfn wanted ~count:1;
+    Page_info.set_validated pages mfn false;
     let frame = Phys_mem.frame hv.Hv.mem mfn in
     let committed = ref [] in
     let rollback () =
       List.iter (fun acc -> uncommit_account hv dom acc) !committed;
-      info.Page_info.ptype <- Page_info.PGT_none;
-      info.Page_info.type_count <- 0
+      Page_info.set_type pages mfn Page_info.PGT_none ~count:0
     in
     let rec entries index =
       if index >= Addr.entries_per_table then Ok ()
@@ -219,7 +207,7 @@ and promote hv dom ~level mfn =
     in
     match entries 0 with
     | Ok () ->
-        info.Page_info.validated <- true;
+        Page_info.set_validated pages mfn true;
         trace_ptype hv mfn ~from_type:Page_info.PGT_none ~to_type:wanted;
         Ok ()
     | Error err ->
@@ -229,14 +217,11 @@ and promote hv dom ~level mfn =
 
 and put_table_type hv dom mfn =
   let pages = hv.Hv.pages in
-  let info = Page_info.get pages mfn in
-  let level = Page_info.table_level info.Page_info.ptype in
-  let old_ptype = info.Page_info.ptype in
+  let old_ptype = Page_info.ptype pages mfn in
   Page_info.put_page_type pages mfn;
-  if info.Page_info.type_count = 0 then
+  if Page_info.type_count pages mfn = 0 then begin
     trace_ptype hv mfn ~from_type:old_ptype ~to_type:Page_info.PGT_none;
-  if info.Page_info.type_count = 0 then
-    match level with
+    match Page_info.table_level old_ptype with
     | None -> ()
     | Some level ->
         (* Last type reference gone: the table stops being a table and
@@ -250,6 +235,7 @@ and put_table_type hv dom mfn =
             if Pte.is_present e then unaccount_existing hv dom ~level e
           end
         done
+  end
 
 (* --- TLB flushing ----------------------------------------------------- *)
 
@@ -271,7 +257,7 @@ let locate_table hv dom ptr =
   let table_mfn = Addr.mfn_of_maddr ma in
   if not (Phys_mem.is_valid_mfn hv.Hv.mem table_mfn) then Error Errno.EINVAL
   else
-    let info = Page_info.get hv.Hv.pages table_mfn and mem = hv.Hv.mem in
+    let pages = hv.Hv.pages and mem = hv.Hv.mem in
     (* a privileged domain may update any domain's tables *)
     let owned =
       Phys_mem.is_owner mem table_mfn (Domain.owned dom)
@@ -280,8 +266,10 @@ let locate_table hv dom ptr =
               (Phys_mem.is_owner mem table_mfn Phys_mem.Free
               || Phys_mem.is_owner mem table_mfn Phys_mem.Xen)
     in
-    match Page_info.table_level info.Page_info.ptype with
-    | Some level when owned && info.Page_info.type_count > 0 && info.Page_info.validated ->
+    match Page_info.table_level (Page_info.ptype pages table_mfn) with
+    | Some level
+      when owned && Page_info.type_count pages table_mfn > 0 && Page_info.validated pages table_mfn
+      ->
         Ok (table_mfn, level, Int64.to_int (Int64.logand ptr 0xFFFL) / 8)
     | Some _ | None -> if owned then Error Errno.EINVAL else Error Errno.EPERM
 
@@ -361,7 +349,7 @@ let pin_table hv dom ~level mfn =
   match promote hv dom ~level mfn with
   | Error e -> Error e
   | Ok () ->
-      (Page_info.get hv.Hv.pages mfn).Page_info.pinned <- true;
+      Page_info.set_pinned hv.Hv.pages mfn true;
       Ok ()
 
 let set_baseptr hv dom mfn =

@@ -1,63 +1,25 @@
 type ptype = PGT_none | PGT_writable | PGT_l1 | PGT_l2 | PGT_l3 | PGT_l4 | PGT_seg
 
-type info = {
-  mutable ptype : ptype;
-  mutable type_count : int;
-  mutable ref_count : int;
-  mutable validated : bool;
-  mutable pinned : bool;
-}
-
+(* One int per frame, indexed by mfn: bits 0-2 the ptype code
+   ({!ptype_code}), bit 3 validated, bit 4 pinned, then the type count
+   and the reference count, 29 bits each. *)
 type t = {
-  infos : info array;
-  (* frames mutated since the last [checkpoint] or [restore], so
-     [restore] replays O(touched) entries instead of the whole array,
-     and scans cached at the checkpoint know which infos moved *)
+  info : int array;
+  (* frames written since the last [checkpoint] or [restore], so
+     [restore] copies back O(touched) ints instead of the column, and
+     scans cached at the checkpoint know which frames moved *)
   touched : Touched.t;
 }
 
-let fresh () =
-  { ptype = PGT_none; type_count = 0; ref_count = 0; validated = false; pinned = false }
-
-let copy i =
-  { ptype = i.ptype; type_count = i.type_count; ref_count = i.ref_count;
-    validated = i.validated; pinned = i.pinned }
-
-let create ~frames =
-  { infos = Array.init frames (fun _ -> fresh ()); touched = Touched.create frames }
-
-let get t mfn =
-  if mfn < 0 || mfn >= Array.length t.infos then invalid_arg "Page_info.get: bad mfn";
-  t.infos.(mfn)
-
-let touch t mfn = Touched.add t.touched mfn
-let touched t mfn = Touched.mem t.touched mfn
-let any_touched t = t.touched.Touched.count > 0
-
-(* A frame the allocator just handed out: one general reference, no
-   type. *)
-let allocated t mfn =
-  let i = get t mfn in
-  Touched.add t.touched mfn;
-  i.ptype <- PGT_none;
-  i.type_count <- 0;
-  i.ref_count <- 1;
-  i.validated <- false;
-  i.pinned <- false
-
-let table_level = function
-  | PGT_l1 -> Some 1
-  | PGT_l2 -> Some 2
-  | PGT_l3 -> Some 3
-  | PGT_l4 -> Some 4
-  | PGT_none | PGT_writable | PGT_seg -> None
-
-let ptype_of_level = function
-  | 1 -> PGT_l1
-  | 2 -> PGT_l2
-  | 3 -> PGT_l3
-  | 4 -> PGT_l4
-  | _ -> invalid_arg "Page_info.ptype_of_level"
+let validated_bit = 1 lsl 3
+let pinned_bit = 1 lsl 4
+let tc_shift = 5
+let rc_shift = 34
+let count_max = (1 lsl 29) - 1
+let tc_mask = count_max lsl tc_shift
+let tc_one = 1 lsl tc_shift
+let rc_one = 1 lsl rc_shift
+let create ~frames = { info = Array.make frames 0; touched = Touched.create frames }
 
 let ptype_code = function
   | PGT_none -> 0
@@ -68,74 +30,99 @@ let ptype_code = function
   | PGT_l4 -> 5
   | PGT_seg -> 6
 
+let ptype_of_code = [| PGT_none; PGT_writable; PGT_l1; PGT_l2; PGT_l3; PGT_l4; PGT_seg |]
+
+(* the table codes are 2 (l1) to 5 (l4) *)
+let is_table_code c = c >= 2 && c <= 5
+
+let table_level p =
+  let c = ptype_code p in
+  if is_table_code c then Some (c - 1) else None
+
+let ptype_of_level l =
+  if l < 1 || l > 4 then invalid_arg "Page_info.ptype_of_level" else ptype_of_code.(l + 1)
+
+let ptype t mfn = Array.unsafe_get ptype_of_code (t.info.(mfn) land 7)
+let type_count t mfn = (t.info.(mfn) lsr tc_shift) land count_max
+let ref_count t mfn = t.info.(mfn) lsr rc_shift
+let validated t mfn = t.info.(mfn) land validated_bit <> 0
+let pinned t mfn = t.info.(mfn) land pinned_bit <> 0
+
+let live_table t mfn =
+  let x = t.info.(mfn) in
+  x land tc_mask <> 0 && is_table_code (x land 7)
+
+let touched t mfn = Touched.mem t.touched mfn
+let any_touched t = t.touched.Touched.count > 0
+
+(* The one store: touching first also rejects an mfn outside the table
+   before anything changes. *)
+let set t mfn x =
+  Touched.add t.touched mfn;
+  Array.unsafe_set t.info mfn x
+
+let allocated t mfn = set t mfn rc_one
+let freed t mfn = set t mfn (t.info.(mfn) land (7 lor tc_mask))
+
+let set_type t mfn ptype ~count =
+  if count < 0 || count > count_max then invalid_arg "Page_info.set_type: bad count";
+  set t mfn (t.info.(mfn) land lnot (7 lor tc_mask) lor ptype_code ptype lor (count lsl tc_shift))
+
+let set_flag bit t mfn on =
+  let x = t.info.(mfn) in
+  set t mfn (if on then x lor bit else x land lnot bit)
+
+let set_validated = set_flag validated_bit
+let set_pinned = set_flag pinned_bit
+
 let get_page t mfn =
-  let i = get t mfn in
-  touch t mfn;
-  i.ref_count <- i.ref_count + 1
+  if ref_count t mfn = count_max then invalid_arg "Page_info.get_page: refcount overflow";
+  set t mfn (t.info.(mfn) + rc_one)
 
 let put_page t mfn =
-  let i = get t mfn in
-  if i.ref_count <= 0 then invalid_arg "Page_info.put_page: refcount underflow";
-  touch t mfn;
-  i.ref_count <- i.ref_count - 1
+  if ref_count t mfn = 0 then invalid_arg "Page_info.put_page: refcount underflow";
+  set t mfn (t.info.(mfn) - rc_one)
 
 let get_page_type t mfn ptype =
-  let i = get t mfn in
-  if i.ptype = ptype && i.type_count > 0 then (
-    touch t mfn;
-    i.type_count <- i.type_count + 1;
-    Ok ())
-  else if i.type_count = 0 then (
-    touch t mfn;
-    i.ptype <- ptype;
-    i.type_count <- 1;
-    i.validated <- false;
-    Ok ())
+  let x = t.info.(mfn) and n = type_count t mfn in
+  if n > 0 && x land 7 = ptype_code ptype then
+    if n = count_max then invalid_arg "Page_info.get_page_type: type count overflow"
+    else Ok (set t mfn (x + tc_one))
+  else if n = 0 then
+    (* a fresh type starts unvalidated; a pin survives *)
+    Ok (set t mfn (x land lnot (7 lor validated_bit) lor ptype_code ptype lor tc_one))
   else Error Errno.EBUSY
 
 let put_page_type t mfn =
-  let i = get t mfn in
-  if i.type_count <= 0 then invalid_arg "Page_info.put_page_type: type count underflow";
-  touch t mfn;
-  i.type_count <- i.type_count - 1;
-  if i.type_count = 0 then (
-    i.validated <- false;
-    i.pinned <- false)
+  let n = type_count t mfn in
+  if n = 0 then invalid_arg "Page_info.put_page_type: type count underflow";
+  (* the last use drops validation and the pin; the type stays *)
+  let x = t.info.(mfn) - tc_one in
+  set t mfn (if n = 1 then x land lnot (validated_bit lor pinned_bit) else x)
 
-type checkpoint = info array
+let counts_consistent t =
+  Array.for_all (fun x -> x land pinned_bit = 0 || x land tc_mask <> 0) t.info
+
+(* --- checkpointing ---------------------------------------------------- *)
+
+type checkpoint = int array
 
 let checkpoint t =
   (* also resets the touched set: from here on it records divergence
-     from exactly this checkpoint, which is what [restore] replays *)
+     from exactly this checkpoint, which is what [restore] copies back *)
   Touched.clear t.touched;
-  Array.map copy t.infos
+  Array.copy t.info
 
-(* Restore by field assignment: existing [info] records stay aliased
-   from wherever they are held. *)
 let restore t ck =
-  if Array.length ck <> Array.length t.infos then
-    invalid_arg "Page_info.restore: size mismatch";
-  (* only frames mutated since [checkpoint] can differ *)
-  let touched = t.touched in
-  for k = 0 to touched.Touched.count - 1 do
-    let mfn = Array.unsafe_get touched.Touched.stack k in
-    let s = ck.(mfn) in
-    let i = t.infos.(mfn) in
-    i.ptype <- s.ptype;
-    i.type_count <- s.type_count;
-    i.ref_count <- s.ref_count;
-    i.validated <- s.validated;
-    i.pinned <- s.pinned
+  if Array.length ck <> Array.length t.info then invalid_arg "Page_info.restore: size mismatch";
+  (* only frames written since [checkpoint] can differ *)
+  for k = 0 to t.touched.Touched.count - 1 do
+    let mfn = Array.unsafe_get t.touched.Touched.stack k in
+    Array.unsafe_set t.info mfn (Array.unsafe_get ck mfn)
   done;
-  Touched.clear touched
+  Touched.clear t.touched
 
 (* A full instance built from a checkpoint — the forked-testbed path,
    where [restore] does not apply (a fresh [create] has an empty touched
    set, so replaying it would copy nothing). *)
-let of_checkpoint ck =
-  { infos = Array.map copy ck; touched = Touched.create (Array.length ck) }
-
-let counts_consistent t =
-  Array.for_all
-    (fun i -> i.type_count >= 0 && i.ref_count >= 0 && ((not i.pinned) || i.type_count > 0))
-    t.infos
+let of_checkpoint ck = { info = Array.copy ck; touched = Touched.create (Array.length ck) }

@@ -49,17 +49,17 @@ let test_page_type_discipline () =
   check_bool "retype busy" true
     (Page_info.get_page_type t 0 Page_info.PGT_writable = Error Errno.EBUSY);
   check_bool "same type ok" true (Page_info.get_page_type t 0 Page_info.PGT_l1 = Ok ());
-  check_int "count" 2 (Page_info.get t 0).Page_info.type_count;
+  check_int "count" 2 (Page_info.type_count t 0);
   Page_info.put_page_type t 0;
   Page_info.put_page_type t 0;
-  check_int "count zero" 0 (Page_info.get t 0).Page_info.type_count;
+  check_int "count zero" 0 (Page_info.type_count t 0);
   check_bool "retype after drop" true (Page_info.get_page_type t 0 Page_info.PGT_writable = Ok ())
 
 let test_page_refcounts () =
   let t = Page_info.create ~frames:2 in
   Page_info.get_page t 1;
   Page_info.get_page t 1;
-  check_int "refs" 2 (Page_info.get t 1).Page_info.ref_count;
+  check_int "refs" 2 (Page_info.ref_count t 1);
   Page_info.put_page t 1;
   Page_info.put_page t 1;
   Alcotest.check_raises "underflow" (Invalid_argument "Page_info.put_page: refcount underflow")
@@ -669,7 +669,7 @@ let test_pin () =
   let hv, _, guest = built () in
   let l1 = l1_of hv guest in
   check_bool "pin l1" true (Result.is_ok (Mm.pin_table hv guest ~level:1 l1));
-  check_bool "pinned" true (Page_info.get hv.Hv.pages l1).Page_info.pinned
+  check_bool "pinned" true (Page_info.pinned hv.Hv.pages l1)
 
 (* --- Uaccess -------------------------------------------------------------- *)
 
