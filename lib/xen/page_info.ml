@@ -32,12 +32,9 @@ let ptype_code = function
 
 let ptype_of_code = [| PGT_none; PGT_writable; PGT_l1; PGT_l2; PGT_l3; PGT_l4; PGT_seg |]
 
-(* the table codes are 2 (l1) to 5 (l4) *)
-let is_table_code c = c >= 2 && c <= 5
-
-let table_level p =
-  let c = ptype_code p in
-  if is_table_code c then Some (c - 1) else None
+(* by code, so a lookup allocates no option *)
+let table_levels = [| None; None; Some 1; Some 2; Some 3; Some 4; None |]
+let table_level p = table_levels.(ptype_code p)
 
 let ptype_of_level l =
   if l < 1 || l > 4 then invalid_arg "Page_info.ptype_of_level" else ptype_of_code.(l + 1)
@@ -50,7 +47,7 @@ let pinned t mfn = t.info.(mfn) land pinned_bit <> 0
 
 let live_table t mfn =
   let x = t.info.(mfn) in
-  x land tc_mask <> 0 && is_table_code (x land 7)
+  x land tc_mask <> 0 && Option.is_some table_levels.(x land 7)
 
 let touched t mfn = Touched.mem t.touched mfn
 let any_touched t = t.touched.Touched.count > 0
@@ -85,12 +82,14 @@ let put_page t mfn =
 
 let get_page_type t mfn ptype =
   let x = t.info.(mfn) and n = type_count t mfn in
-  if n > 0 && x land 7 = ptype_code ptype then
-    if n = count_max then invalid_arg "Page_info.get_page_type: type count overflow"
-    else Ok (set t mfn (x + tc_one))
-  else if n = 0 then
+  if n > 0 && x land 7 = ptype_code ptype then (
+    if n = count_max then invalid_arg "Page_info.get_page_type: type count overflow";
+    set t mfn (x + tc_one);
+    Ok ())
+  else if n = 0 then (
     (* a fresh type starts unvalidated; a pin survives *)
-    Ok (set t mfn (x land lnot (7 lor validated_bit) lor ptype_code ptype lor tc_one))
+    set t mfn (x land lnot (7 lor validated_bit) lor ptype_code ptype lor tc_one);
+    Ok ())
   else Error Errno.EBUSY
 
 let put_page_type t mfn =
