@@ -67,6 +67,32 @@ let test_handler_validation_shields () =
   | `Rejected_corrupt_handler -> ()
   | `Hijacked _ | `Dispatched -> Alcotest.fail "validation must shield"
 
+(* Which release validates the device model's handler, seen through the
+   testbed's device model: a handler corrupted through the injection
+   surface hijacks the next dispatch and radiates a backdoor into the
+   served guest's vDSO on 4.6 and 4.8; 4.13 rejects the corrupt handler
+   and leaves the guest as it was. *)
+let test_dm_validation_by_release () =
+  List.iter
+    (fun (v, hijacked) ->
+      let name = Version.to_string v in
+      let tb = Testbed.create_pooled v in
+      let dm = tb.Testbed.dm in
+      let vdso () =
+        let dom = Kernel.dom tb.Testbed.victim in
+        let mfn = Option.get (Domain.mfn_of_pfn dom dom.Domain.vdso_pfn) in
+        Phys_mem.read_bytes tb.Testbed.hv.Hv.mem (Addr.maddr_of_mfn mfn) Addr.page_size
+      in
+      let before = vdso () in
+      let tail = Bytes.create 8 in
+      Bytes.set_int64_le tail 0 0x1234L;
+      check_bool (name ^ ": injected") true (Devmodel.inject dm tail = Ok ());
+      check_bool (name ^ ": handler corrupted") true (Devmodel.corrupted dm);
+      Devmodel.kick dm;
+      check_bool (name ^ ": radiated") hijacked (Devmodel.radiated dm);
+      check_bool (name ^ ": served guest's vDSO rewritten") hijacked (vdso () <> before))
+    [ (Version.V4_6, true); (Version.V4_8, true); (Version.V4_13, false) ]
+
 let test_reset_restores () =
   let fdc = Fdc.create vulnerable in
   let tail = Bytes.create 8 in
@@ -210,6 +236,9 @@ let () =
           Alcotest.test_case "reset restores" `Quick test_reset_restores;
           Alcotest.test_case "build matrix" `Quick test_build_matrix;
         ] );
+      ( "devmodel",
+        [ Alcotest.test_case "handler validation by release" `Quick test_dm_validation_by_release ]
+      );
       ( "blkdev",
         [
           Alcotest.test_case "read/write roundtrip" `Quick test_blk_read_write;
