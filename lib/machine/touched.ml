@@ -2,9 +2,8 @@ type t = { flags : Bytes.t; mutable stack : int array; mutable count : int }
 
 let create n = { flags = Bytes.make n '\000'; stack = Array.make (min n 32) 0; count = 0 }
 
-(* [count] < the index range here, so doubling makes room *)
 let grow t =
-  let stack = Array.make (min (Bytes.length t.flags) (2 * t.count)) 0 in
+  let stack = Array.make (Bytes.length t.flags) 0 in
   Array.blit t.stack 0 stack 0 t.count;
   t.stack <- stack
 

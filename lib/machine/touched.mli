@@ -5,10 +5,11 @@
 
     A flag byte per index says whether it is in the set, and a stack
     holds the members in the order they were first marked. The stack
-    doubles up to one slot per index, so marking allocates only when
-    the set outgrows its largest size so far, and a set that stays
-    small (a fork's) never pays for every index. The fields are
-    readable so a restore loop indexes the stack without a call. *)
+    starts at 32 slots and grows once, to one slot per index, when a
+    set first outgrows them: a set that stays small (a fresh fork's)
+    never pays for every index, and after the growth marking allocates
+    nothing. The fields are readable so a restore loop indexes the
+    stack without a call. *)
 
 type t = private {
   flags : Bytes.t;  (** ['\001'] at index [i] iff [i] is in the set *)
