@@ -1717,8 +1717,8 @@ let test_trial_storage_words () =
   within_budget "direct major words over 1,000 one-frame trials" 512. (direct_major_words () -. w0)
 
 (* A template boot and a fork from it, in minor and direct-major words:
-   [Page_info] is one int column, copied whole by a fork, and each
-   touched set starts small, so neither allocates a value per frame. *)
+   [Page_info] is one int column, copied whole by a fork, so neither
+   allocates a value per frame, and a fork's touched sets start small. *)
 let test_boot_fork_words () =
   let words n f =
     let w0 = Gc.minor_words () and d0 = direct_major_words () in
@@ -1732,10 +1732,10 @@ let test_boot_fork_words () =
   let template = boot () in
   Phys_mem.freeze template.Testbed.hv.Hv.mem;
   let minor, direct = words 4 boot in
-  (* measured 61,315 and 36,198, most of the latter the frames the boot
+  (* measured 59,566 and 39,270, most of the latter the frames the boot
      writes *)
-  within_budget "Testbed.create (minor)" 70_500. minor;
-  within_budget "Testbed.create (direct major)" 41_600. direct;
+  within_budget "Testbed.create (minor)" 68_500. minor;
+  within_budget "Testbed.create (direct major)" 45_200. direct;
   let minor, direct = words 20 (fun () -> Testbed.fork template) in
   (* measured 5,910 and 7,693 *)
   within_budget "Testbed.fork (minor)" 6_800. minor;
