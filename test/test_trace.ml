@@ -124,6 +124,234 @@ let test_detection_latency () =
   check_bool "zero-cost verdict after the injection" true
     (Trace.detection_latency_ns (stamped [ (100L, inj); (100L, verdict 1) ]) = Some 0L)
 
+(* --- the wire, byte for byte ---------------------------------------------- *)
+
+(* One sample per record kind (all seven [mem_op] flavours, and a
+   [Hypercall] without a payload, which is not a boundary), each with
+   its framed image at seq 0 and vts 0, its rendering and its boundary
+   flag; and one call per [Hypercall] payload constructor with its
+   encoding. An encoder and decoder that agree with each other but not
+   with these bytes fail here. *)
+
+let event = Alcotest.testable Trace.pp_event ( = )
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let event_samples =
+  [
+    ( Trace.Hypercall { domid = 1; number = 3; digest = 0x0102030405060708L; payload = "ab" },
+      "230000000000000000000000000000000101000000030000000807060504030201020000006162",
+      "hypercall d1 nr=3 digest=0102030405060708 payload=2B",
+      true );
+    ( Trace.Hypercall { domid = 2; number = 12; digest = 0xcbf29ce484222325L; payload = "" },
+      "2100000000000000000000000000000001020000000c00000025232284e49cf2cb00000000",
+      "hypercall d2 nr=12 digest=cbf29ce484222325 (nested)",
+      false );
+    ( Trace.Guest_mem { domid = 2; op = Trace.Op_read_u64; va = 0xffff880000001000L; len = 8; data = "" },
+      "22000000000000000000000000000000020200000000001000000088ffff0800000000000000",
+      "guest_mem d2 read_u64 va=ffff880000001000 len=8",
+      true );
+    ( Trace.Guest_mem { domid = 2; op = Trace.Op_write_u64; va = 0xffff880000001008L; len = 8; data = "\x01\x02\x03\x04\x05\x06\x07\x08" },
+      "2a000000000000000000000000000000020200000001081000000088ffff08000000080000000102030405060708",
+      "guest_mem d2 write_u64 va=ffff880000001008 len=8",
+      true );
+    ( Trace.Guest_mem { domid = 3; op = Trace.Op_read_bytes; va = 0x2000L; len = 5; data = "" },
+      "2200000000000000000000000000000002030000000200200000000000000500000000000000",
+      "guest_mem d3 read_bytes va=0000000000002000 len=5",
+      true );
+    ( Trace.Guest_mem { domid = 3; op = Trace.Op_write_bytes; va = 0x2010L; len = 3; data = "xyz" },
+      "250000000000000000000000000000000203000000031020000000000000030000000300000078797a",
+      "guest_mem d3 write_bytes va=0000000000002010 len=3",
+      true );
+    ( Trace.Guest_mem { domid = 4; op = Trace.Op_user_read_u64; va = 0x400000L; len = 8; data = "" },
+      "2200000000000000000000000000000002040000000400004000000000000800000000000000",
+      "guest_mem d4 user_read_u64 va=0000000000400000 len=8",
+      true );
+    ( Trace.Guest_mem { domid = 4; op = Trace.Op_user_write_u64; va = 0x400008L; len = 8; data = "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8" },
+      "2a00000000000000000000000000000002040000000508004000000000000800000008000000fffefdfcfbfaf9f8",
+      "guest_mem d4 user_write_u64 va=0000000000400008 len=8",
+      true );
+    ( Trace.Guest_mem { domid = 5; op = Trace.Op_probe_u64; va = 0xffff800000000000L; len = 8; data = "" },
+      "22000000000000000000000000000000020500000006000000000080ffff0800000000000000",
+      "guest_mem d5 probe_u64 va=ffff800000000000 len=8",
+      true );
+    ( Trace.Guest_invlpg { domid = 3; va = 0x7000L },
+      "1900000000000000000000000000000003030000000070000000000000",
+      "guest_invlpg d3 va=0000000000007000",
+      true );
+    ( Trace.Kernel_tick { domid = 4 },
+      "110000000000000000000000000000000404000000",
+      "kernel_tick d4",
+      true );
+    ( Trace.Sched_round,
+      "0d00000000000000000000000000000005",
+      "sched_round",
+      true );
+    ( Trace.Net_listen { host = "xen1"; port = 22 },
+      "19000000000000000000000000000000060400000078656e3116000000",
+      "net_listen xen1:22",
+      true );
+    ( Trace.Net_cmd { to_host = "xen2"; port = 1234; conn_id = 5; cmd = "id" },
+      "23000000000000000000000000000000070400000078656e32d204000005000000020000006964",
+      "net_cmd xen2:1234#5 \"id\"",
+      true );
+    ( Trace.Xenstore_write { caller = -1; injected = true; path = "/a"; value = "64" },
+      "1e00000000000000000000000000000008ffffffff01020000002f61020000003634",
+      "xenstore_write d-1 (injected) /a=\"64\"",
+      true );
+    ( Trace.Hypercall_ret { domid = 1; number = 12; rc = -14L; failed = true },
+      "1e00000000000000000000000000000010010000000c000000f2ffffffffffffff01",
+      "hypercall_ret d1 nr=12 rc=-14 (failed)",
+      false );
+    ( Trace.Fault { vector = 14; escalation = 2 },
+      "12000000000000000000000000000000110e00000002",
+      "fault vector=14 triple_fault",
+      false );
+    ( Trace.Tlb_flush_all,
+      "0d00000000000000000000000000000012",
+      "tlb_flush_all",
+      false );
+    ( Trace.Tlb_invlpg { va = 0x1234L },
+      "15000000000000000000000000000000133412000000000000",
+      "tlb_invlpg va=0000000000001234",
+      false );
+    ( Trace.Page_type { mfn = 77; from_type = 1; to_type = 4 },
+      "13000000000000000000000000000000144d0000000104",
+      "page_type mfn=77 1->4",
+      false );
+    ( Trace.Grant_op { domid = 6; op = 4 },
+      "12000000000000000000000000000000150600000004",
+      "grant_op d6 op=4",
+      false );
+    ( Trace.Evtchn_op { domid = 7; op = 3 },
+      "12000000000000000000000000000000160700000003",
+      "evtchn_op d7 op=3",
+      false );
+    ( Trace.Injector_access { action = 2; addr = 0xdeadbeefL; len = 8 },
+      "1a0000000000000000000000000000001702efbeadde0000000008000000",
+      "injector_access action=2 addr=00000000deadbeef len=8",
+      false );
+    ( Trace.Console { len = 11; digest = 0x55L },
+      "19000000000000000000000000000000180b0000005500000000000000",
+      "console len=11 digest=0000000000000055",
+      false );
+    ( Trace.Monitor_verdict { violations = 3; classes = 0xe },
+      "1500000000000000000000000000000019030000000e000000",
+      "monitor_verdict violations=3 classes=0xe",
+      false );
+    ( Trace.Panic { reason = "DOUBLE FAULT" },
+      "1d0000000000000000000000000000001a0c000000444f55424c45204641554c54",
+      "panic \"DOUBLE FAULT\"",
+      false );
+    ( Trace.Vmi_scan { detector = "idt"; findings = 1; frames = 9 },
+      "1c0000000000000000000000000000001b030000006964740100000009000000",
+      "vmi_scan idt findings=1 frames=9",
+      false );
+    ( Trace.Backend_op { op = 2; arg1 = 0x10L; arg2 = -1L; data = "\x01\x02" },
+      "270000000000000000000000000000001c020000001000000000000000ffffffffffffffff020000000102",
+      "backend_op op=2 arg1=0000000000000010 arg2=ffffffffffffffff data=2B",
+      true );
+    ( Trace.Provenance_edge { consumer = 3; mfn = 40; off = 8; len = 16; labels = [ 5; 7 ] },
+      "1d0000000000000000000000000000001d03280000000800000010000000020507",
+      "provenance_edge consumer=3 mfn=40 off=8 len=16 labels=[5,7]",
+      false );
+    ( Trace.Scn_edge { section = 1; prev = 0xffffff; pc = 6 },
+      "160000000000000000000000000000001e01ffffff0006000000",
+      "scn_edge section=1 16777215->6",
+      true );
+  ]
+
+let call_samples =
+  [
+    ( Hypercall.Mmu_update [ (0x1008L, 0x2067L); (0x1010L, 0L) ],
+      "00020000000810000000000000672000000000000010100000000000000000000000000000" );
+    ( Hypercall.Update_va_mapping { va = 0xffff880000003000L; value = 0x5063L },
+      "02003000000088ffff6350000000000000" );
+    ( Hypercall.Memory_exchange { Memory_exchange.in_pfns = [ 7; 9 ]; out_extent_start = 0xffff880000004000L },
+      "03020000000700000009000000004000000088ffff" );
+    (Hypercall.Decrease_reservation [ 5; 6 ], "04020000000500000006000000");
+    (Hypercall.Grant_table_op (Hypercall.Gnttab_setup_table { nr_frames = 2 }), "050002000000");
+    (Hypercall.Grant_table_op (Hypercall.Gnttab_set_version Grant_table.V1), "050101");
+    (Hypercall.Grant_table_op (Hypercall.Gnttab_set_version Grant_table.V2), "050102");
+    ( Hypercall.Grant_table_op (Hypercall.Gnttab_grant_access { gref = 3; grantee = 2; pfn = 40; readonly = true }),
+      "050203000000020000002800000001" );
+    (Hypercall.Grant_table_op (Hypercall.Gnttab_end_access { gref = 3 }), "050303000000");
+    ( Hypercall.Grant_table_op (Hypercall.Gnttab_map { granter = 1; gref = 3 }),
+      "05040100000003000000" );
+    ( Hypercall.Grant_table_op (Hypercall.Gnttab_unmap { granter = 1; handle = 9 }),
+      "05050100000009000000" );
+    ( Hypercall.Event_channel_op (Hypercall.Evtchn_alloc_unbound { allowed_remote = 2 }),
+      "060002000000" );
+    ( Hypercall.Event_channel_op (Hypercall.Evtchn_bind_interdomain { remote_dom = 2; remote_port = 5 }),
+      "06010200000005000000" );
+    (Hypercall.Event_channel_op (Hypercall.Evtchn_bind_virq { virq = 3 }), "060203000000");
+    (Hypercall.Event_channel_op (Hypercall.Evtchn_send { port = 4 }), "060304000000");
+    (Hypercall.Event_channel_op (Hypercall.Evtchn_close { port = 6 }), "060406000000");
+    (Hypercall.Console_io "hi", "07020000006869");
+    ( Hypercall.Raw { number = 60; args = [| 1L; -2L |] },
+      "083c000000020000000100000000000000feffffffffffffff" );
+  ]
+
+let framed ev =
+  let tr = Trace.create () in
+  Trace.enable tr;
+  Trace.emit tr ev;
+  Trace.to_bytes tr
+
+let test_wire_events () =
+  List.iter
+    (fun (ev, want_hex, want_pp, boundary) ->
+      let img = framed ev in
+      check_string (want_pp ^ ": frame") want_hex (hex img);
+      check_string (want_pp ^ ": pp_event") want_pp (Format.asprintf "%a" Trace.pp_event ev);
+      check_bool (want_pp ^ ": is_boundary") boundary (Trace.is_boundary ev);
+      Alcotest.(check (list event))
+        (want_pp ^ ": decodes back") [ ev ]
+        (List.map (fun r -> r.Trace.event) (Trace.records_of_string img)))
+    event_samples;
+  (* the table names every record code: the code byte follows the
+     16-byte frame header *)
+  let codes =
+    List.sort_uniq compare
+      (List.map (fun (ev, _, _, _) -> Char.code (framed ev).[16]) event_samples)
+  in
+  Alcotest.(check (list int))
+    "every record code" (List.init 8 succ @ List.init 15 (fun i -> 16 + i)) codes
+
+(* [u32 len | u32 seq | i64 vts | u8 code | payload] *)
+let raw_frame code payload =
+  let b = Buffer.create 32 in
+  Buffer.add_int32_le b (Int32.of_int (13 + String.length payload));
+  Buffer.add_int32_le b 0l;
+  Buffer.add_int64_le b 0L;
+  Buffer.add_uint8 b code;
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let test_wire_errors () =
+  Alcotest.check_raises "unknown record code" (Failure "Trace: unknown record code 99") (fun () ->
+      ignore (Trace.records_of_string (raw_frame 99 "")));
+  Alcotest.check_raises "bad mem_op" (Failure "Trace: bad mem_op") (fun () ->
+      ignore (Trace.records_of_string (raw_frame 2 "\002\000\000\000\009")));
+  Alcotest.check_raises "truncated" (Failure "Trace: truncated record") (fun () ->
+      ignore (Trace.records_of_string (raw_frame 4 "\001")))
+
+let test_wire_calls () =
+  List.iter
+    (fun (c, want_hex) ->
+      let s = Hypercall.encode_call c in
+      check_string (want_hex ^ ": encode_call") want_hex (hex s);
+      check_bool (want_hex ^ ": decode_call") true (Hypercall.decode_call s = Some c))
+    call_samples;
+  let ops f = List.filter_map (fun (c, _) -> f c) call_samples in
+  Alcotest.(check (list int))
+    "grant_op_index" [ 0; 1; 1; 2; 3; 4; 5 ]
+    (ops (function Hypercall.Grant_table_op op -> Some (Hypercall.grant_op_index op) | _ -> None));
+  Alcotest.(check (list int))
+    "evtchn_op_index" [ 0; 1; 2; 3; 4 ]
+    (ops (function Hypercall.Event_channel_op op -> Some (Hypercall.evtchn_op_index op) | _ -> None))
+
 (* --- determinism --------------------------------------------------------- *)
 
 let test_record_deterministic () =
@@ -373,6 +601,12 @@ let () =
           Alcotest.test_case "a raising boundary closes its bracket" `Quick
             test_raising_boundary_closes_bracket;
           Alcotest.test_case "detection latency" `Quick test_detection_latency;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "every record kind, byte for byte" `Quick test_wire_events;
+          Alcotest.test_case "malformed images" `Quick test_wire_errors;
+          Alcotest.test_case "every hypercall payload, byte for byte" `Quick test_wire_calls;
         ] );
       ( "determinism",
         [ Alcotest.test_case "same trial, same bytes" `Quick test_record_deterministic ] );
