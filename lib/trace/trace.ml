@@ -1,6 +1,128 @@
 (* Event tracer: always-on scalar counters plus an optional binary ring
    of typed records (xentrace style). See trace.mli for the contract. *)
 
+(* --- wire codec ------------------------------------------------------- *)
+
+(* The one little-endian framing of the trace ring and of recorded
+   hypercall payloads, as field codecs: each pairs a writer with the
+   reader that inverts it, so a layout is spelt once and both
+   directions come from it. *)
+module Wire = struct
+  type cursor = { src : string; mutable pos : int }
+
+  exception Truncated
+  exception Malformed of string
+
+  type 'a t = { put : Buffer.t -> 'a -> unit; get : cursor -> 'a }
+
+  let need r n = if n < 0 || r.pos + n > String.length r.src then raise Truncated
+
+  let advance r n v =
+    r.pos <- r.pos + n;
+    v
+
+  let u8 =
+    {
+      put = (fun b v -> Buffer.add_uint8 b (v land 0xff));
+      get = (fun r -> need r 1; advance r 1 (Char.code r.src.[r.pos]));
+    }
+
+  let u32 =
+    {
+      put = (fun b v -> Buffer.add_int32_le b (Int32.of_int v));
+      get = (fun r -> need r 4; advance r 4 (Int32.to_int (String.get_int32_le r.src r.pos)));
+    }
+
+  let i64 =
+    {
+      put = Buffer.add_int64_le;
+      get = (fun r -> need r 8; advance r 8 (String.get_int64_le r.src r.pos));
+    }
+
+  let str =
+    {
+      put = (fun b s -> u32.put b (String.length s); Buffer.add_string b s);
+      get =
+        (fun r ->
+          let n = u32.get r in
+          need r n;
+          advance r n (String.sub r.src r.pos n));
+    }
+
+  let unit = { put = (fun _ () -> ()); get = (fun _ -> ()) }
+  let conv of_wire to_wire f =
+    { put = (fun b v -> f.put b (to_wire v)); get = (fun r -> of_wire (f.get r)) }
+  let flag = conv (fun v -> v = 1) (fun v -> if v then 1 else 0) u8
+
+  let ( & ) a b =
+    {
+      put = (fun buf (x, y) -> a.put buf x; b.put buf y);
+      get = (fun r -> let x = a.get r in let y = b.get r in (x, y));
+    }
+
+  (* The stdlib does not specify [List.init]'s evaluation order, so the
+     elements are read by explicit left-to-right recursion. *)
+  let list count elt =
+    {
+      put = (fun b l -> count.put b (List.length l); List.iter (elt.put b) l);
+      get =
+        (fun r ->
+          let n = count.get r in
+          if n < 0 then raise Truncated;
+          let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (elt.get r :: acc) in
+          go n []);
+    }
+
+  let rec code_of v = function
+    | (code, w) :: rest -> if w == v then code else code_of v rest
+    | [] -> invalid_arg "Trace.Wire.enum: a value without a code"
+
+  let enum what codes =
+    {
+      put = (fun b v -> u8.put b (code_of v codes));
+      get =
+        (fun r ->
+          match List.assoc_opt (u8.get r) codes with
+          | Some v -> v
+          | None -> raise (Malformed ("bad " ^ what)));
+    }
+
+  type ('v, 'a) case = { tag : int; fields : 'a t; make : 'a -> 'v }
+  type 'v any_case = Any : ('v, 'a) case -> 'v any_case
+  type 'v variant = { what : string; cases : 'v any_case option array }
+  type 'v value = Value : ('v, 'a) case * 'a -> 'v value
+
+  let variant what = { what; cases = Array.make 256 None }
+
+  let case v tag fields make =
+    if Option.is_some v.cases.(tag) then
+      invalid_arg (Printf.sprintf "Trace.Wire.case: duplicate %s %d" v.what tag);
+    let c = { tag; fields; make } in
+    v.cases.(tag) <- Some (Any c);
+    c
+
+  let write b c x =
+    u8.put b c.tag;
+    c.fields.put b x
+
+  let read v r =
+    let tag = u8.get r in
+    match v.cases.(tag) with
+    | Some (Any c) -> c.make (c.fields.get r)
+    | None -> raise (Malformed (Printf.sprintf "unknown %s %d" v.what tag))
+
+  let tagged v view =
+    { put = (fun b x -> match view x with Value (c, f) -> write b c f); get = read v }
+  let tag_of view x = match view x with Value (c, _) -> c.tag
+
+  let encode f x =
+    let b = Buffer.create 64 in
+    f.put b x;
+    Buffer.contents b
+
+  let decode f src = try Some (f.get { src; pos = 0 }) with Truncated | Malformed _ -> None
+end
+
 (* --- events ----------------------------------------------------------- *)
 
 type mem_op =
@@ -12,33 +134,19 @@ type mem_op =
   | Op_user_write_u64
   | Op_probe_u64
 
-let mem_op_code = function
-  | Op_read_u64 -> 0
-  | Op_write_u64 -> 1
-  | Op_read_bytes -> 2
-  | Op_write_bytes -> 3
-  | Op_user_read_u64 -> 4
-  | Op_user_write_u64 -> 5
-  | Op_probe_u64 -> 6
+(* in wire-code order *)
+let mem_op_names =
+  [
+    (Op_read_u64, "read_u64");
+    (Op_write_u64, "write_u64");
+    (Op_read_bytes, "read_bytes");
+    (Op_write_bytes, "write_bytes");
+    (Op_user_read_u64, "user_read_u64");
+    (Op_user_write_u64, "user_write_u64");
+    (Op_probe_u64, "probe_u64");
+  ]
 
-let mem_op_of_code = function
-  | 0 -> Some Op_read_u64
-  | 1 -> Some Op_write_u64
-  | 2 -> Some Op_read_bytes
-  | 3 -> Some Op_write_bytes
-  | 4 -> Some Op_user_read_u64
-  | 5 -> Some Op_user_write_u64
-  | 6 -> Some Op_probe_u64
-  | _ -> None
-
-let mem_op_name = function
-  | Op_read_u64 -> "read_u64"
-  | Op_write_u64 -> "write_u64"
-  | Op_read_bytes -> "read_bytes"
-  | Op_write_bytes -> "write_bytes"
-  | Op_user_read_u64 -> "user_read_u64"
-  | Op_user_write_u64 -> "user_write_u64"
-  | Op_probe_u64 -> "probe_u64"
+let mem_op = Wire.enum "mem_op" (List.mapi (fun code (op, _) -> (code, op)) mem_op_names)
 
 type event =
   | Hypercall of { domid : int; number : int; digest : int64; payload : string }
@@ -72,299 +180,187 @@ type event =
          boundary, so replay can refeed the coverage map without
          re-running the scenario VM *)
 
-let is_boundary = function
-  | Hypercall { payload; _ } -> payload <> ""
-  | Guest_mem _ | Guest_invlpg _ | Kernel_tick _ | Sched_round | Net_listen _ | Net_cmd _
-  | Xenstore_write _ | Backend_op _ | Scn_edge _ ->
-      true
-  | Hypercall_ret _ | Fault _ | Tlb_flush_all | Tlb_invlpg _ | Page_type _ | Grant_op _
-  | Evtchn_op _ | Injector_access _ | Console _ | Monitor_verdict _ | Panic _ | Vmi_scan _
-  | Provenance_edge _ ->
-      false
+(* One descriptor per event kind: its record code (the case's tag), its
+   name, whether replay applies it, whether it feeds coverage's record
+   axis, its wire fields and its printer (which follows the name). *)
+type 'a kind = {
+  case : (event, 'a) Wire.case;
+  name : string;
+  boundary : bool;
+  covered : bool;
+  pp : Format.formatter -> 'a -> unit;
+}
 
-let event_name = function
-  | Hypercall _ -> "hypercall"
-  | Guest_mem _ -> "guest_mem"
-  | Guest_invlpg _ -> "guest_invlpg"
-  | Kernel_tick _ -> "kernel_tick"
-  | Sched_round -> "sched_round"
-  | Net_listen _ -> "net_listen"
-  | Net_cmd _ -> "net_cmd"
-  | Xenstore_write _ -> "xenstore_write"
-  | Hypercall_ret _ -> "hypercall_ret"
-  | Fault _ -> "fault"
-  | Tlb_flush_all -> "tlb_flush_all"
-  | Tlb_invlpg _ -> "tlb_invlpg"
-  | Page_type _ -> "page_type"
-  | Grant_op _ -> "grant_op"
-  | Evtchn_op _ -> "evtchn_op"
-  | Injector_access _ -> "injector_access"
-  | Console _ -> "console"
-  | Monitor_verdict _ -> "monitor_verdict"
-  | Panic _ -> "panic"
-  | Vmi_scan _ -> "vmi_scan"
-  | Backend_op _ -> "backend_op"
-  | Provenance_edge _ -> "provenance_edge"
-  | Scn_edge _ -> "scn_edge"
+type view = View : 'a kind * 'a -> view
 
-let code_of_event = function
-  | Hypercall _ -> 1
-  | Guest_mem _ -> 2
-  | Guest_invlpg _ -> 3
-  | Kernel_tick _ -> 4
-  | Sched_round -> 5
-  | Net_listen _ -> 6
-  | Net_cmd _ -> 7
-  | Xenstore_write _ -> 8
-  | Hypercall_ret _ -> 16
-  | Fault _ -> 17
-  | Tlb_flush_all -> 18
-  | Tlb_invlpg _ -> 19
-  | Page_type _ -> 20
-  | Grant_op _ -> 21
-  | Evtchn_op _ -> 22
-  | Injector_access _ -> 23
-  | Console _ -> 24
-  | Monitor_verdict _ -> 25
-  | Panic _ -> 26
-  | Vmi_scan _ -> 27
-  | Backend_op _ -> 28
-  | Provenance_edge _ -> 29
-  | Scn_edge _ -> 30
+let record_codes = Wire.variant "record code"
 
-(* --- wire codec ------------------------------------------------------- *)
+let kind ?(boundary = false) ?(covered = true) code name fields make pp =
+  { case = Wire.case record_codes code fields make; name; boundary; covered; pp }
 
-(* The one little-endian framing of the trace ring and of recorded
-   hypercall payloads: u8 tags, u32 scalars, i64 words, u32-length
-   strings. *)
+let bare = Wire.unit
+let nothing _ () = ()
+let pf = Format.fprintf
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
-let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let put_i64 b v = Buffer.add_int64_le b v
+let hypercall =
+  kind 1 "hypercall" ~boundary:true Wire.(u32 & u32 & i64 & str)
+    (fun (domid, (number, (digest, payload))) -> Hypercall { domid; number; digest; payload })
+    (fun ppf (domid, (number, (digest, payload))) ->
+      pf ppf " d%d nr=%d digest=%016Lx %s" domid number digest
+        (if payload = "" then "(nested)" else Printf.sprintf "payload=%dB" (String.length payload)))
 
-let put_str b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
+let guest_mem =
+  kind 2 "guest_mem" ~boundary:true Wire.(u32 & mem_op & i64 & u32 & str)
+    (fun (domid, (op, (va, (len, data)))) -> Guest_mem { domid; op; va; len; data })
+    (fun ppf (domid, (op, (va, (len, _)))) ->
+      pf ppf " d%d %s va=%016Lx len=%d" domid (List.assoc op mem_op_names) va len)
 
-let encode_payload b = function
+let guest_invlpg =
+  kind 3 "guest_invlpg" ~boundary:true Wire.(u32 & i64)
+    (fun (domid, va) -> Guest_invlpg { domid; va })
+    (fun ppf (domid, va) -> pf ppf " d%d va=%016Lx" domid va)
+
+let kernel_tick =
+  kind 4 "kernel_tick" ~boundary:true Wire.u32
+    (fun domid -> Kernel_tick { domid })
+    (fun ppf domid -> pf ppf " d%d" domid)
+
+let sched_round = kind 5 "sched_round" ~boundary:true bare (fun () -> Sched_round) nothing
+
+let net_listen =
+  kind 6 "net_listen" ~boundary:true Wire.(str & u32)
+    (fun (host, port) -> Net_listen { host; port })
+    (fun ppf (host, port) -> pf ppf " %s:%d" host port)
+
+let net_cmd =
+  kind 7 "net_cmd" ~boundary:true Wire.(str & u32 & u32 & str)
+    (fun (to_host, (port, (conn_id, cmd))) -> Net_cmd { to_host; port; conn_id; cmd })
+    (fun ppf (to_host, (port, (conn_id, cmd))) -> pf ppf " %s:%d#%d %S" to_host port conn_id cmd)
+
+let xenstore_write =
+  kind 8 "xenstore_write" ~boundary:true Wire.(u32 & flag & str & str)
+    (fun (caller, (injected, (path, value))) -> Xenstore_write { caller; injected; path; value })
+    (fun ppf (caller, (injected, (path, value))) ->
+      pf ppf " d%d%s %s=%S" caller (if injected then " (injected)" else "") path value)
+
+let hypercall_ret =
+  kind 16 "hypercall_ret" Wire.(u32 & u32 & i64 & flag)
+    (fun (domid, (number, (rc, failed))) -> Hypercall_ret { domid; number; rc; failed })
+    (fun ppf (domid, (number, (rc, failed))) ->
+      pf ppf " d%d nr=%d rc=%Ld%s" domid number rc (if failed then " (failed)" else ""))
+
+let fault =
+  kind 17 "fault" Wire.(u32 & u8)
+    (fun (vector, escalation) -> Fault { vector; escalation })
+    (fun ppf (vector, escalation) ->
+      pf ppf " vector=%d %s" vector
+        (match escalation with 0 -> "handled" | 1 -> "double_fault" | _ -> "triple_fault"))
+
+let tlb_flush_all = kind 18 "tlb_flush_all" bare (fun () -> Tlb_flush_all) nothing
+
+let tlb_invlpg =
+  kind 19 "tlb_invlpg" Wire.i64 (fun va -> Tlb_invlpg { va }) (fun ppf va -> pf ppf " va=%016Lx" va)
+
+let page_type =
+  kind 20 "page_type" Wire.(u32 & u8 & u8)
+    (fun (mfn, (from_type, to_type)) -> Page_type { mfn; from_type; to_type })
+    (fun ppf (mfn, (from_type, to_type)) -> pf ppf " mfn=%d %d->%d" mfn from_type to_type)
+
+let grant_op =
+  kind 21 "grant_op" Wire.(u32 & u8)
+    (fun (domid, op) -> Grant_op { domid; op })
+    (fun ppf (domid, op) -> pf ppf " d%d op=%d" domid op)
+
+let evtchn_op =
+  kind 22 "evtchn_op" Wire.(u32 & u8)
+    (fun (domid, op) -> Evtchn_op { domid; op })
+    (fun ppf (domid, op) -> pf ppf " d%d op=%d" domid op)
+
+let injector_access =
+  kind 23 "injector_access" Wire.(u8 & i64 & u32)
+    (fun (action, (addr, len)) -> Injector_access { action; addr; len })
+    (fun ppf (action, (addr, len)) -> pf ppf " action=%d addr=%016Lx len=%d" action addr len)
+
+let console =
+  kind 24 "console" Wire.(u32 & i64)
+    (fun (len, digest) -> Console { len; digest })
+    (fun ppf (len, digest) -> pf ppf " len=%d digest=%016Lx" len digest)
+
+(* the violation axis carries the verdict *)
+let monitor_verdict =
+  kind 25 "monitor_verdict" ~covered:false Wire.(u32 & u32)
+    (fun (violations, classes) -> Monitor_verdict { violations; classes })
+    (fun ppf (violations, classes) -> pf ppf " violations=%d classes=%#x" violations classes)
+
+let panic =
+  kind 26 "panic" Wire.str (fun reason -> Panic { reason }) (fun ppf reason -> pf ppf " %S" reason)
+
+(* only a recording's observer scans; replay never re-runs it *)
+let vmi_scan =
+  kind 27 "vmi_scan" ~covered:false Wire.(str & u32 & u32)
+    (fun (detector, (findings, frames)) -> Vmi_scan { detector; findings; frames })
+    (fun ppf (detector, (findings, frames)) ->
+      pf ppf " %s findings=%d frames=%d" detector findings frames)
+
+let backend_op =
+  kind 28 "backend_op" ~boundary:true Wire.(u32 & i64 & i64 & str)
+    (fun (op, (arg1, (arg2, data))) -> Backend_op { op; arg1; arg2; data })
+    (fun ppf (op, (arg1, (arg2, data))) ->
+      pf ppf " op=%d arg1=%016Lx arg2=%016Lx data=%dB" op arg1 arg2 (String.length data))
+
+let provenance_edge =
+  kind 29 "provenance_edge" Wire.(u8 & u32 & u32 & u32 & list u8 u8)
+    (fun (consumer, (mfn, (off, (len, labels)))) ->
+      Provenance_edge { consumer; mfn; off; len; labels })
+    (fun ppf (consumer, (mfn, (off, (len, labels)))) ->
+      pf ppf " consumer=%d mfn=%d off=%d len=%d labels=[%s]" consumer mfn off len
+        (String.concat "," (List.map string_of_int labels)))
+
+let scn_edge =
+  kind 30 "scn_edge" ~boundary:true Wire.(u8 & u32 & u32)
+    (fun (section, (prev, pc)) -> Scn_edge { section; prev; pc })
+    (fun ppf (section, (prev, pc)) -> pf ppf " section=%d %d->%d" section prev pc)
+
+let view = function
   | Hypercall { domid; number; digest; payload } ->
-      put_u32 b domid;
-      put_u32 b number;
-      put_i64 b digest;
-      put_str b payload
-  | Guest_mem { domid; op; va; len; data } ->
-      put_u32 b domid;
-      put_u8 b (mem_op_code op);
-      put_i64 b va;
-      put_u32 b len;
-      put_str b data
-  | Guest_invlpg { domid; va } ->
-      put_u32 b domid;
-      put_i64 b va
-  | Kernel_tick { domid } -> put_u32 b domid
-  | Sched_round -> ()
-  | Net_listen { host; port } ->
-      put_str b host;
-      put_u32 b port
-  | Net_cmd { to_host; port; conn_id; cmd } ->
-      put_str b to_host;
-      put_u32 b port;
-      put_u32 b conn_id;
-      put_str b cmd
+      View (hypercall, (domid, (number, (digest, payload))))
+  | Guest_mem { domid; op; va; len; data } -> View (guest_mem, (domid, (op, (va, (len, data)))))
+  | Guest_invlpg { domid; va } -> View (guest_invlpg, (domid, va))
+  | Kernel_tick { domid } -> View (kernel_tick, domid)
+  | Sched_round -> View (sched_round, ())
+  | Net_listen { host; port } -> View (net_listen, (host, port))
+  | Net_cmd { to_host; port; conn_id; cmd } -> View (net_cmd, (to_host, (port, (conn_id, cmd))))
   | Xenstore_write { caller; injected; path; value } ->
-      put_u32 b caller;
-      put_u8 b (if injected then 1 else 0);
-      put_str b path;
-      put_str b value
+      View (xenstore_write, (caller, (injected, (path, value))))
   | Hypercall_ret { domid; number; rc; failed } ->
-      put_u32 b domid;
-      put_u32 b number;
-      put_i64 b rc;
-      put_u8 b (if failed then 1 else 0)
-  | Fault { vector; escalation } ->
-      put_u32 b vector;
-      put_u8 b escalation
-  | Tlb_flush_all -> ()
-  | Tlb_invlpg { va } -> put_i64 b va
-  | Page_type { mfn; from_type; to_type } ->
-      put_u32 b mfn;
-      put_u8 b from_type;
-      put_u8 b to_type
-  | Grant_op { domid; op } ->
-      put_u32 b domid;
-      put_u8 b op
-  | Evtchn_op { domid; op } ->
-      put_u32 b domid;
-      put_u8 b op
-  | Injector_access { action; addr; len } ->
-      put_u8 b action;
-      put_i64 b addr;
-      put_u32 b len
-  | Console { len; digest } ->
-      put_u32 b len;
-      put_i64 b digest
-  | Monitor_verdict { violations; classes } ->
-      put_u32 b violations;
-      put_u32 b classes
-  | Panic { reason } -> put_str b reason
-  | Vmi_scan { detector; findings; frames } ->
-      put_str b detector;
-      put_u32 b findings;
-      put_u32 b frames
-  | Backend_op { op; arg1; arg2; data } ->
-      put_u32 b op;
-      put_i64 b arg1;
-      put_i64 b arg2;
-      put_str b data
+      View (hypercall_ret, (domid, (number, (rc, failed))))
+  | Fault { vector; escalation } -> View (fault, (vector, escalation))
+  | Tlb_flush_all -> View (tlb_flush_all, ())
+  | Tlb_invlpg { va } -> View (tlb_invlpg, va)
+  | Page_type { mfn; from_type; to_type } -> View (page_type, (mfn, (from_type, to_type)))
+  | Grant_op { domid; op } -> View (grant_op, (domid, op))
+  | Evtchn_op { domid; op } -> View (evtchn_op, (domid, op))
+  | Injector_access { action; addr; len } -> View (injector_access, (action, (addr, len)))
+  | Console { len; digest } -> View (console, (len, digest))
+  | Monitor_verdict { violations; classes } -> View (monitor_verdict, (violations, classes))
+  | Panic { reason } -> View (panic, reason)
+  | Vmi_scan { detector; findings; frames } -> View (vmi_scan, (detector, (findings, frames)))
+  | Backend_op { op; arg1; arg2; data } -> View (backend_op, (op, (arg1, (arg2, data))))
   | Provenance_edge { consumer; mfn; off; len; labels } ->
-      put_u8 b consumer;
-      put_u32 b mfn;
-      put_u32 b off;
-      put_u32 b len;
-      put_u8 b (List.length labels);
-      List.iter (put_u8 b) labels
-  | Scn_edge { section; prev; pc } ->
-      put_u8 b section;
-      put_u32 b prev;
-      put_u32 b pc
+      View (provenance_edge, (consumer, (mfn, (off, (len, labels)))))
+  | Scn_edge { section; prev; pc } -> View (scn_edge, (section, (prev, pc)))
 
-type cursor = { src : string; mutable pos : int }
+(* A hypercall recorded without its payload was nested: replay
+   regenerates it. *)
+let is_boundary = function
+  | Hypercall { payload = ""; _ } -> false
+  | ev -> ( match view ev with View (k, _) -> k.boundary)
 
-exception Truncated
-
-let cursor src = { src; pos = 0 }
-let need r n = if n < 0 || r.pos + n > String.length r.src then raise Truncated
-
-let get_u8 r =
-  need r 1;
-  let v = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
-
-let get_u32 r =
-  need r 4;
-  let v = Int32.to_int (String.get_int32_le r.src r.pos) in
-  r.pos <- r.pos + 4;
-  v
-
-let get_i64 r =
-  need r 8;
-  let v = String.get_int64_le r.src r.pos in
-  r.pos <- r.pos + 8;
-  v
-
-let get_str r =
-  let n = get_u32 r in
-  need r n;
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let decode_payload code r =
-  match code with
-  | 1 ->
-      let domid = get_u32 r in
-      let number = get_u32 r in
-      let digest = get_i64 r in
-      let payload = get_str r in
-      Hypercall { domid; number; digest; payload }
-  | 2 ->
-      let domid = get_u32 r in
-      let op =
-        match mem_op_of_code (get_u8 r) with
-        | Some op -> op
-        | None -> failwith "Trace: bad mem_op"
-      in
-      let va = get_i64 r in
-      let len = get_u32 r in
-      let data = get_str r in
-      Guest_mem { domid; op; va; len; data }
-  | 3 ->
-      let domid = get_u32 r in
-      let va = get_i64 r in
-      Guest_invlpg { domid; va }
-  | 4 -> Kernel_tick { domid = get_u32 r }
-  | 5 -> Sched_round
-  | 6 ->
-      let host = get_str r in
-      let port = get_u32 r in
-      Net_listen { host; port }
-  | 7 ->
-      let to_host = get_str r in
-      let port = get_u32 r in
-      let conn_id = get_u32 r in
-      let cmd = get_str r in
-      Net_cmd { to_host; port; conn_id; cmd }
-  | 8 ->
-      let caller = get_u32 r in
-      let injected = get_u8 r = 1 in
-      let path = get_str r in
-      let value = get_str r in
-      Xenstore_write { caller; injected; path; value }
-  | 16 ->
-      let domid = get_u32 r in
-      let number = get_u32 r in
-      let rc = get_i64 r in
-      let failed = get_u8 r = 1 in
-      Hypercall_ret { domid; number; rc; failed }
-  | 17 ->
-      let vector = get_u32 r in
-      let escalation = get_u8 r in
-      Fault { vector; escalation }
-  | 18 -> Tlb_flush_all
-  | 19 -> Tlb_invlpg { va = get_i64 r }
-  | 20 ->
-      let mfn = get_u32 r in
-      let from_type = get_u8 r in
-      let to_type = get_u8 r in
-      Page_type { mfn; from_type; to_type }
-  | 21 ->
-      let domid = get_u32 r in
-      let op = get_u8 r in
-      Grant_op { domid; op }
-  | 22 ->
-      let domid = get_u32 r in
-      let op = get_u8 r in
-      Evtchn_op { domid; op }
-  | 23 ->
-      let action = get_u8 r in
-      let addr = get_i64 r in
-      let len = get_u32 r in
-      Injector_access { action; addr; len }
-  | 24 ->
-      let len = get_u32 r in
-      let digest = get_i64 r in
-      Console { len; digest }
-  | 25 ->
-      let violations = get_u32 r in
-      let classes = get_u32 r in
-      Monitor_verdict { violations; classes }
-  | 26 -> Panic { reason = get_str r }
-  | 27 ->
-      let detector = get_str r in
-      let findings = get_u32 r in
-      let frames = get_u32 r in
-      Vmi_scan { detector; findings; frames }
-  | 28 ->
-      let op = get_u32 r in
-      let arg1 = get_i64 r in
-      let arg2 = get_i64 r in
-      let data = get_str r in
-      Backend_op { op; arg1; arg2; data }
-  | 29 ->
-      let consumer = get_u8 r in
-      let mfn = get_u32 r in
-      let off = get_u32 r in
-      let len = get_u32 r in
-      let n = get_u8 r in
-      let labels = List.init n (fun _ -> get_u8 r) in
-      Provenance_edge { consumer; mfn; off; len; labels }
-  | 30 ->
-      let section = get_u8 r in
-      let prev = get_u32 r in
-      let pc = get_u32 r in
-      Scn_edge { section; prev; pc }
-  | n -> failwith (Printf.sprintf "Trace: unknown record code %d" n)
+let pp_event ppf ev =
+  match view ev with
+  | View (k, fields) ->
+      Format.pp_print_string ppf k.name;
+      k.pp ppf fields
 
 (* --- the ring --------------------------------------------------------- *)
 
@@ -488,6 +484,12 @@ let evict_oldest t =
   t.used <- t.used - frame;
   t.dropped <- t.dropped + 1
 
+let ring_write_u32 t off v =
+  let cap = Bytes.length t.buf in
+  for i = 0 to 3 do
+    Bytes.set_uint8 t.buf ((t.start + off + i) mod cap) ((v lsr (8 * i)) land 0xff)
+  done
+
 let ring_append t (src : Buffer.t) =
   let cap = Bytes.length t.buf in
   let n = Buffer.length src in
@@ -498,40 +500,31 @@ let ring_append t (src : Buffer.t) =
   t.used <- t.used + n
 
 let emit t event =
-  if t.enabled then begin
-    (match t.cov with
-    | Some c ->
-        (* feed every record code except detector scans (only a
-           recording's observer emits them; replay never re-runs it)
-           and the monitor verdict (the violation axis carries it) *)
-        let code = code_of_event event in
-        if code <> 25 && code <> 27 then Coverage.note_record c code
-    | None -> ());
-    let s = t.seq_next in
-    t.seq_next <- s + 1;
-    Buffer.clear t.scratch;
-    (* frame: [u32 len | u32 seq | i64 vts | u8 code | payload] *)
-    put_u32 t.scratch 0;
-    put_u32 t.scratch s;
-    put_i64 t.scratch (Vclock.now t.vclock);
-    put_u8 t.scratch (code_of_event event);
-    encode_payload t.scratch event;
-    let frame = Buffer.length t.scratch in
-    let body = frame - 4 in
-    (* patch the length prefix in place *)
-    let img = Buffer.to_bytes t.scratch in
-    Bytes.set_int32_le img 0 (Int32.of_int body);
-    let cap = Bytes.length t.buf in
-    if frame > cap then t.dropped <- t.dropped + 1
-    else begin
-      while t.used + frame > cap do
-        evict_oldest t
-      done;
-      Buffer.clear t.scratch;
-      Buffer.add_bytes t.scratch img;
-      ring_append t t.scratch
-    end
-  end
+  if t.enabled then
+    match view event with
+    | View (k, fields) ->
+        (match t.cov with Some c when k.covered -> Coverage.note_record c k.case.tag | _ -> ());
+        let s = t.seq_next in
+        t.seq_next <- s + 1;
+        let b = t.scratch in
+        Buffer.clear b;
+        (* frame: [u32 len | u32 seq | i64 vts | u8 code | payload]; the
+           length is patched in once the frame is in the ring *)
+        Wire.u32.put b 0;
+        Wire.u32.put b s;
+        Wire.i64.put b (Vclock.now t.vclock);
+        Wire.write b k.case fields;
+        let frame = Buffer.length b in
+        let cap = Bytes.length t.buf in
+        if frame > cap then t.dropped <- t.dropped + 1
+        else begin
+          while t.used + frame > cap do
+            evict_oldest t
+          done;
+          let at = t.used in
+          ring_append t b;
+          ring_write_u32 t at (frame - 4)
+        end
 
 let to_bytes t =
   let cap = Bytes.length t.buf in
@@ -544,22 +537,26 @@ let to_bytes t =
     Bytes.unsafe_to_string out
   end
 
+let fail_malformed f x =
+  try f x with
+  | Wire.Truncated -> failwith "Trace: truncated record"
+  | Wire.Malformed what -> failwith ("Trace: " ^ what)
+
 let records_of_string src =
-  let r = cursor src in
+  let r = { Wire.src; pos = 0 } in
   let rec go acc =
     if r.pos >= String.length src then List.rev acc
     else begin
-      let body = get_u32 r in
+      let body = Wire.u32.get r in
       let stop = r.pos + body in
-      let seq = get_u32 r in
-      let vts = get_i64 r in
-      let code = get_u8 r in
-      let event = decode_payload code r in
+      let seq = Wire.u32.get r in
+      let vts = Wire.i64.get r in
+      let event = Wire.read record_codes r in
       if r.pos <> stop then failwith "Trace: record length mismatch";
       go ({ seq; vts; event } :: acc)
     end
   in
-  try go [] with Truncated -> failwith "Trace: truncated record"
+  fail_malformed go []
 
 let records t = records_of_string (to_bytes t)
 
@@ -567,25 +564,24 @@ let records t = records_of_string (to_bytes t)
    fixtures captured before the format bump stay comparable: the
    seq/code/payload bytes of each frame are preserved verbatim. *)
 let strip_vts src =
-  let r = cursor src in
+  let r = { Wire.src; pos = 0 } in
   let b = Buffer.create (String.length src) in
   let rec go () =
     if r.pos >= String.length src then Buffer.contents b
     else begin
-      let body = get_u32 r in
+      let body = Wire.u32.get r in
       let stop = r.pos + body in
-      let seq = get_u32 r in
-      let _vts = get_i64 r in
-      need r (stop - r.pos);
-      let rest = String.sub r.src r.pos (stop - r.pos) in
+      let seq = Wire.u32.get r in
+      let _vts = Wire.i64.get r in
+      Wire.need r (stop - r.pos);
+      Wire.u32.put b (body - 8);
+      Wire.u32.put b seq;
+      Buffer.add_substring b src r.pos (stop - r.pos);
       r.pos <- stop;
-      put_u32 b (body - 8);
-      put_u32 b seq;
-      Buffer.add_string b rest;
       go ()
     end
   in
-  try go () with Truncated -> failwith "Trace: truncated record"
+  fail_malformed go ()
 
 (* --- counters ----------------------------------------------------------- *)
 
@@ -726,56 +722,6 @@ let detection_latency_ns records =
 
 (* --- rendering -------------------------------------------------------- *)
 
-let escalation_name = function
-  | 0 -> "handled"
-  | 1 -> "double_fault"
-  | _ -> "triple_fault"
-
-let pp_event ppf = function
-  | Hypercall { domid; number; digest; payload } ->
-      Format.fprintf ppf "hypercall d%d nr=%d digest=%016Lx %s" domid number digest
-        (if payload = "" then "(nested)" else Printf.sprintf "payload=%dB" (String.length payload))
-  | Guest_mem { domid; op; va; len; _ } ->
-      Format.fprintf ppf "guest_mem d%d %s va=%016Lx len=%d" domid (mem_op_name op) va len
-  | Guest_invlpg { domid; va } -> Format.fprintf ppf "guest_invlpg d%d va=%016Lx" domid va
-  | Kernel_tick { domid } -> Format.fprintf ppf "kernel_tick d%d" domid
-  | Sched_round -> Format.fprintf ppf "sched_round"
-  | Net_listen { host; port } -> Format.fprintf ppf "net_listen %s:%d" host port
-  | Net_cmd { to_host; port; conn_id; cmd } ->
-      Format.fprintf ppf "net_cmd %s:%d#%d %S" to_host port conn_id cmd
-  | Xenstore_write { caller; injected; path; value } ->
-      Format.fprintf ppf "xenstore_write d%d%s %s=%S" caller
-        (if injected then " (injected)" else "")
-        path value
-  | Hypercall_ret { domid; number; rc; failed } ->
-      Format.fprintf ppf "hypercall_ret d%d nr=%d rc=%Ld%s" domid number rc
-        (if failed then " (failed)" else "")
-  | Fault { vector; escalation } ->
-      Format.fprintf ppf "fault vector=%d %s" vector (escalation_name escalation)
-  | Tlb_flush_all -> Format.fprintf ppf "tlb_flush_all"
-  | Tlb_invlpg { va } -> Format.fprintf ppf "tlb_invlpg va=%016Lx" va
-  | Page_type { mfn; from_type; to_type } ->
-      Format.fprintf ppf "page_type mfn=%d %d->%d" mfn from_type to_type
-  | Grant_op { domid; op } -> Format.fprintf ppf "grant_op d%d op=%d" domid op
-  | Evtchn_op { domid; op } -> Format.fprintf ppf "evtchn_op d%d op=%d" domid op
-  | Injector_access { action; addr; len } ->
-      Format.fprintf ppf "injector_access action=%d addr=%016Lx len=%d" action addr len
-  | Console { len; digest } -> Format.fprintf ppf "console len=%d digest=%016Lx" len digest
-  | Monitor_verdict { violations; classes } ->
-      Format.fprintf ppf "monitor_verdict violations=%d classes=%#x" violations classes
-  | Panic { reason } -> Format.fprintf ppf "panic %S" reason
-  | Vmi_scan { detector; findings; frames } ->
-      Format.fprintf ppf "vmi_scan %s findings=%d frames=%d" detector findings frames
-  | Backend_op { op; arg1; arg2; data } ->
-      Format.fprintf ppf "backend_op op=%d arg1=%016Lx arg2=%016Lx data=%dB" op arg1 arg2
-        (String.length data)
-  | Provenance_edge { consumer; mfn; off; len; labels } ->
-      Format.fprintf ppf "provenance_edge consumer=%d mfn=%d off=%d len=%d labels=[%s]"
-        consumer mfn off len
-        (String.concat "," (List.map string_of_int labels))
-  | Scn_edge { section; prev; pc } ->
-      Format.fprintf ppf "scn_edge section=%d %d->%d" section prev pc
-
 let json_of_records records =
   let b = Buffer.create 4096 in
   Buffer.add_string b "[";
@@ -785,7 +731,9 @@ let json_of_records records =
       Buffer.add_string b
         (Printf.sprintf
            "\n  {\"seq\": %d, \"vts\": %Ld, \"event\": \"%s\", \"boundary\": %b, \"detail\": \"%s\"}"
-           r.seq r.vts (event_name r.event) (is_boundary r.event)
+           r.seq r.vts
+           (match view r.event with View (k, _) -> k.name)
+           (is_boundary r.event)
            (Metrics.json_escape (Format.asprintf "%a" pp_event r.event))))
     records;
   Buffer.add_string b "\n]";

@@ -33,7 +33,15 @@
     counter suppresses boundary records for nested crossings (a balloon
     hypercall issued from inside a recorded kernel tick is a
     consequence of the tick, not an input), which is what makes replay
-    apply each input exactly once. *)
+    apply each input exactly once.
+
+    {b One description per event kind.} Inside the implementation each
+    kind is one descriptor: its record code, its name, its boundary
+    flag, whether it feeds {!Coverage}'s record axis, its wire fields
+    (built from the {!Wire} combinators) and its printer. One match
+    from an event to its descriptor and fields serves {!is_boundary},
+    {!pp_event}, {!emit}'s encoder and {!records_of_string}'s decoder,
+    so an encoder and its decoder cannot disagree. *)
 
 type t
 
@@ -51,10 +59,6 @@ type mem_op =
   | Op_probe_u64
       (** a page-table probe read ({!Kernel.pt_entry}): translated like
           a kernel read but never delivers a fault *)
-
-val mem_op_code : mem_op -> int
-val mem_op_of_code : int -> mem_op option
-val mem_op_name : mem_op -> string
 
 type event =
   (* boundary events (replayable inputs) *)
@@ -120,7 +124,6 @@ val is_boundary : event -> bool
 (** True for the events replay applies: every boundary constructor,
     except [Hypercall] records with an empty payload. *)
 
-val event_name : event -> string
 val pp_event : Format.formatter -> event -> unit
 
 type record = { seq : int; vts : int64; event : event }
@@ -228,32 +231,78 @@ val detection_latency_ns : record list -> int64 option
 
     The little-endian framing that {!to_bytes} frames and payloads are
     written in, and that [Hypercall.encode_call] in [ii_xen] writes a
-    recorded call's payload in: one writer and one cursor, so a
-    recording and its replay read each byte the same way.
+    recorded call's payload in. A layout is written once, as a field
+    codec that pairs a writer with the reader that inverts it, so a
+    recording and its replay read each byte the same way. *)
 
-    - [u8]: one byte, the low 8 bits of the int.
-    - [u32]: four bytes, the low 32 bits; read back sign-extended, so
-      a value outside [Int32] range does not survive a round trip.
-    - [i64]: eight bytes.
-    - [str]: a [u32] length, then that many bytes. *)
+module Wire : sig
+  type 'a t
+  (** A field codec for values of type ['a]. *)
 
-val put_u8 : Buffer.t -> int -> unit
-val put_u32 : Buffer.t -> int -> unit
-val put_i64 : Buffer.t -> int64 -> unit
-val put_str : Buffer.t -> string -> unit
+  val u8 : int t
+  (** One byte, the low 8 bits of the int. *)
 
-type cursor
-(** A read position in an encoded string, starting at its first byte. *)
+  val u32 : int t
+  (** Four bytes, the low 32 bits; read back sign-extended, so a value
+      outside [Int32] range does not survive a round trip. *)
 
-exception Truncated
-(** Raised by a [get_*] whose value would run past the end of the
-    input, and by {!get_str} on a negative length. *)
+  val i64 : int64 t
+  val str : string t
+  (** A [u32] length, then that many bytes. *)
 
-val cursor : string -> cursor
-val get_u8 : cursor -> int
-val get_u32 : cursor -> int
-val get_i64 : cursor -> int64
-val get_str : cursor -> string
+  val flag : bool t
+  (** A [u8]: written 1 or 0, read true only for 1. *)
+
+  val unit : unit t
+  (** No bytes. *)
+
+  val ( & ) : 'a t -> 'b t -> ('a * 'b) t
+  (** The first, then the second; right-associative. *)
+
+  val list : int t -> 'a t -> 'a list t
+  (** [list count elt]: the length in [count], then the elements read
+      left to right. A negative count reads as truncated input. *)
+
+  val conv : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
+  (** [conv of_wire to_wire f] reads and writes a ['b] as an ['a]. *)
+
+  val enum : string -> (int * 'a) list -> 'a t
+  (** A [u8] code per constant constructor (values are found by
+      physical equality); reading any other code is malformed
+      ("bad <name>"). *)
+
+  (** {2 Tagged variants}
+
+      A variant is written as a [u8] tag, then its case's fields. Each
+      case declares its tag, its fields and its constructor once, and
+      registers itself in its variant's table; a value's case comes
+      from one [view] match that the variant's user writes. *)
+
+  type 'v variant
+  type ('v, 'a) case
+  type 'v value = Value : ('v, 'a) case * 'a -> 'v value
+
+  val variant : string -> 'v variant
+  (** An empty table; the name appears in "unknown <name> <tag>". *)
+
+  val case : 'v variant -> int -> 'a t -> ('a -> 'v) -> ('v, 'a) case
+  (** [case v tag fields make] registers a case. Raises
+      [Invalid_argument] if [tag] is taken, so a duplicate fails when
+      the declaring module initialises. *)
+
+  val tagged : 'v variant -> ('v -> 'v value) -> 'v t
+  (** The variant as a field codec, given the view that names a
+      value's case and fields. *)
+
+  val tag_of : ('v -> 'v value) -> 'v -> int
+  (** The tag of a value's case. *)
+
+  val encode : 'a t -> 'a -> string
+
+  val decode : 'a t -> string -> 'a option
+  (** [None] when the input is truncated or malformed; bytes past the
+      value are ignored. Never raises. *)
+end
 
 (** {1 Counters} *)
 

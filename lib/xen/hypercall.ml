@@ -36,163 +36,105 @@ let number_of_call = function
 
 (* A recorded hypercall carries its full argument structure, so a
    replay driver can re-issue the exact same call against a fresh
-   testbed. The encoding is written and read with the trace ring's own
-   wire codec; tag 1 is unassigned. *)
+   testbed. Each payload constructor is one case of a tagged variant on
+   the trace ring's wire codec, declared with its tag, its fields and
+   its constructor; each variant's view names a value's case. Call
+   tag 1 is unassigned. *)
 
-let encode_grant_op b op =
-  let open Trace in
-  match op with
-  | Gnttab_setup_table { nr_frames } -> put_u8 b 0; put_u32 b nr_frames
-  | Gnttab_set_version v -> put_u8 b 1; put_u8 b (match v with Grant_table.V1 -> 1 | V2 -> 2)
+module W = Trace.Wire
+
+let grant_ops = W.variant "grant op"
+
+let gnttab_setup_table =
+  W.case grant_ops 0 W.u32 (fun nr_frames -> Gnttab_setup_table { nr_frames })
+
+let gnttab_set_version =
+  W.case grant_ops 1
+    (W.enum "grant table version" [ (1, Grant_table.V1); (2, Grant_table.V2) ])
+    (fun v -> Gnttab_set_version v)
+
+let gnttab_grant_access =
+  W.(case grant_ops 2 (u32 & u32 & u32 & flag)) (fun (gref, (grantee, (pfn, readonly))) ->
+      Gnttab_grant_access { gref; grantee; pfn; readonly })
+
+let gnttab_end_access = W.case grant_ops 3 W.u32 (fun gref -> Gnttab_end_access { gref })
+
+let gnttab_map =
+  W.(case grant_ops 4 (u32 & u32)) (fun (granter, gref) -> Gnttab_map { granter; gref })
+
+let gnttab_unmap =
+  W.(case grant_ops 5 (u32 & u32)) (fun (granter, handle) -> Gnttab_unmap { granter; handle })
+
+let grant_op_view = function
+  | Gnttab_setup_table { nr_frames } -> W.Value (gnttab_setup_table, nr_frames)
+  | Gnttab_set_version v -> W.Value (gnttab_set_version, v)
   | Gnttab_grant_access { gref; grantee; pfn; readonly } ->
-      put_u8 b 2; put_u32 b gref; put_u32 b grantee; put_u32 b pfn;
-      put_u8 b (if readonly then 1 else 0)
-  | Gnttab_end_access { gref } -> put_u8 b 3; put_u32 b gref
-  | Gnttab_map { granter; gref } -> put_u8 b 4; put_u32 b granter; put_u32 b gref
-  | Gnttab_unmap { granter; handle } -> put_u8 b 5; put_u32 b granter; put_u32 b handle
+      W.Value (gnttab_grant_access, (gref, (grantee, (pfn, readonly))))
+  | Gnttab_end_access { gref } -> W.Value (gnttab_end_access, gref)
+  | Gnttab_map { granter; gref } -> W.Value (gnttab_map, (granter, gref))
+  | Gnttab_unmap { granter; handle } -> W.Value (gnttab_unmap, (granter, handle))
 
-let encode_evtchn_op b op =
-  let open Trace in
-  match op with
-  | Evtchn_alloc_unbound { allowed_remote } -> put_u8 b 0; put_u32 b allowed_remote
+let evtchn_ops = W.variant "event channel op"
+
+let evtchn_alloc_unbound =
+  W.case evtchn_ops 0 W.u32 (fun allowed_remote -> Evtchn_alloc_unbound { allowed_remote })
+
+let evtchn_bind_interdomain =
+  W.(case evtchn_ops 1 (u32 & u32)) (fun (remote_dom, remote_port) ->
+      Evtchn_bind_interdomain { remote_dom; remote_port })
+
+let evtchn_bind_virq = W.case evtchn_ops 2 W.u32 (fun virq -> Evtchn_bind_virq { virq })
+let evtchn_send = W.case evtchn_ops 3 W.u32 (fun port -> Evtchn_send { port })
+let evtchn_close = W.case evtchn_ops 4 W.u32 (fun port -> Evtchn_close { port })
+
+let evtchn_op_view = function
+  | Evtchn_alloc_unbound { allowed_remote } -> W.Value (evtchn_alloc_unbound, allowed_remote)
   | Evtchn_bind_interdomain { remote_dom; remote_port } ->
-      put_u8 b 1; put_u32 b remote_dom; put_u32 b remote_port
-  | Evtchn_bind_virq { virq } -> put_u8 b 2; put_u32 b virq
-  | Evtchn_send { port } -> put_u8 b 3; put_u32 b port
-  | Evtchn_close { port } -> put_u8 b 4; put_u32 b port
+      W.Value (evtchn_bind_interdomain, (remote_dom, remote_port))
+  | Evtchn_bind_virq { virq } -> W.Value (evtchn_bind_virq, virq)
+  | Evtchn_send { port } -> W.Value (evtchn_send, port)
+  | Evtchn_close { port } -> W.Value (evtchn_close, port)
 
-let encode_call call =
-  let open Trace in
-  let b = Buffer.create 64 in
-  (match call with
-  | Mmu_update updates ->
-      put_u8 b 0;
-      put_u32 b (List.length updates);
-      List.iter
-        (fun (ptr, pte) ->
-          put_i64 b ptr;
-          put_i64 b pte)
-        updates
-  | Update_va_mapping { va; value } -> put_u8 b 2; put_i64 b va; put_i64 b value
-  | Memory_exchange { Memory_exchange.in_pfns; out_extent_start } ->
-      put_u8 b 3;
-      put_u32 b (List.length in_pfns);
-      List.iter (put_u32 b) in_pfns;
-      put_i64 b out_extent_start
-  | Decrease_reservation pfns ->
-      put_u8 b 4;
-      put_u32 b (List.length pfns);
-      List.iter (put_u32 b) pfns
-  | Grant_table_op op -> put_u8 b 5; encode_grant_op b op
-  | Event_channel_op op -> put_u8 b 6; encode_evtchn_op b op
-  | Console_io s -> put_u8 b 7; put_str b s
-  | Raw { number; args } ->
-      put_u8 b 8;
-      put_u32 b number;
-      put_u32 b (Array.length args);
-      Array.iter (put_i64 b) args);
-  Buffer.contents b
+let calls = W.variant "hypercall payload"
+let mmu_update = W.(case calls 0 (list u32 (i64 & i64))) (fun updates -> Mmu_update updates)
 
-let decode_grant_op r =
-  let open Trace in
-  match get_u8 r with
-  | 0 -> Some (Gnttab_setup_table { nr_frames = get_u32 r })
-  | 1 -> (
-      match get_u8 r with
-      | 1 -> Some (Gnttab_set_version Grant_table.V1)
-      | 2 -> Some (Gnttab_set_version Grant_table.V2)
-      | _ -> None)
-  | 2 ->
-      let gref = get_u32 r in
-      let grantee = get_u32 r in
-      let pfn = get_u32 r in
-      let readonly = get_u8 r = 1 in
-      Some (Gnttab_grant_access { gref; grantee; pfn; readonly })
-  | 3 -> Some (Gnttab_end_access { gref = get_u32 r })
-  | 4 ->
-      let granter = get_u32 r in
-      let gref = get_u32 r in
-      Some (Gnttab_map { granter; gref })
-  | 5 ->
-      let granter = get_u32 r in
-      let handle = get_u32 r in
-      Some (Gnttab_unmap { granter; handle })
-  | _ -> None
+let update_va_mapping =
+  W.(case calls 2 (i64 & i64)) (fun (va, value) -> Update_va_mapping { va; value })
 
-let decode_evtchn_op r =
-  let open Trace in
-  match get_u8 r with
-  | 0 -> Some (Evtchn_alloc_unbound { allowed_remote = get_u32 r })
-  | 1 ->
-      let remote_dom = get_u32 r in
-      let remote_port = get_u32 r in
-      Some (Evtchn_bind_interdomain { remote_dom; remote_port })
-  | 2 -> Some (Evtchn_bind_virq { virq = get_u32 r })
-  | 3 -> Some (Evtchn_send { port = get_u32 r })
-  | 4 -> Some (Evtchn_close { port = get_u32 r })
-  | _ -> None
+let memory_exchange =
+  W.(case calls 3 (list u32 u32 & i64)) (fun (in_pfns, out_extent_start) ->
+      Memory_exchange { Memory_exchange.in_pfns; out_extent_start })
 
-(* [List.init]/[Array.init] do not specify evaluation order, so lists
-   read off the cursor are built with explicit left-to-right recursion. *)
-let read_list n f r =
-  let rec go i acc = if i >= n then List.rev acc else go (i + 1) (f r :: acc) in
-  go 0 []
+let decrease_reservation = W.(case calls 4 (list u32 u32)) (fun pfns -> Decrease_reservation pfns)
 
-let decode_call src =
-  let open Trace in
-  let r = cursor src in
-  try
-    match get_u8 r with
-    | 0 ->
-        let n = get_u32 r in
-        if n < 0 then None
-        else
-          Some
-            (Mmu_update
-               (read_list n
-                  (fun r ->
-                    let ptr = get_i64 r in
-                    let pte = get_i64 r in
-                    (ptr, pte))
-                  r))
-    | 2 ->
-        let va = get_i64 r in
-        let value = get_i64 r in
-        Some (Update_va_mapping { va; value })
-    | 3 ->
-        let n = get_u32 r in
-        if n < 0 then None
-        else
-          let in_pfns = read_list n get_u32 r in
-          let out_extent_start = get_i64 r in
-          Some (Memory_exchange { Memory_exchange.in_pfns; out_extent_start })
-    | 4 ->
-        let n = get_u32 r in
-        if n < 0 then None else Some (Decrease_reservation (read_list n get_u32 r))
-    | 5 -> Option.map (fun op -> Grant_table_op op) (decode_grant_op r)
-    | 6 -> Option.map (fun op -> Event_channel_op op) (decode_evtchn_op r)
-    | 7 -> Some (Console_io (get_str r))
-    | 8 ->
-        let number = get_u32 r in
-        let n = get_u32 r in
-        if n < 0 then None else Some (Raw { number; args = Array.of_list (read_list n get_i64 r) })
-    | _ -> None
-  with Truncated -> None
+let grant_table_op =
+  W.case calls 5 (W.tagged grant_ops grant_op_view) (fun op -> Grant_table_op op)
 
-let grant_op_index = function
-  | Gnttab_setup_table _ -> 0
-  | Gnttab_set_version _ -> 1
-  | Gnttab_grant_access _ -> 2
-  | Gnttab_end_access _ -> 3
-  | Gnttab_map _ -> 4
-  | Gnttab_unmap _ -> 5
+let event_channel_op =
+  W.case calls 6 (W.tagged evtchn_ops evtchn_op_view) (fun op -> Event_channel_op op)
 
-let evtchn_op_index = function
-  | Evtchn_alloc_unbound _ -> 0
-  | Evtchn_bind_interdomain _ -> 1
-  | Evtchn_bind_virq _ -> 2
-  | Evtchn_send _ -> 3
-  | Evtchn_close _ -> 4
+let console_io = W.case calls 7 W.str (fun s -> Console_io s)
+
+let raw =
+  W.(case calls 8 (u32 & conv Array.of_list Array.to_list (list u32 i64))) (fun (number, args) ->
+      Raw { number; args })
+
+let call =
+  W.tagged calls (function
+    | Mmu_update updates -> W.Value (mmu_update, updates)
+    | Update_va_mapping { va; value } -> W.Value (update_va_mapping, (va, value))
+    | Memory_exchange { Memory_exchange.in_pfns; out_extent_start } ->
+        W.Value (memory_exchange, (in_pfns, out_extent_start))
+    | Decrease_reservation pfns -> W.Value (decrease_reservation, pfns)
+    | Grant_table_op op -> W.Value (grant_table_op, op)
+    | Event_channel_op op -> W.Value (event_channel_op, op)
+    | Console_io s -> W.Value (console_io, s)
+    | Raw { number; args } -> W.Value (raw, (number, args)))
+
+let encode_call = W.encode call
+let decode_call = W.decode call
+let grant_op_index = W.tag_of grant_op_view
+let evtchn_op_index = W.tag_of evtchn_op_view
 
 let ok0 = Ok 0L
 let of_unit = function Ok () -> ok0 | Error e -> Error e

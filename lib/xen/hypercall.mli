@@ -10,9 +10,13 @@
     {!dispatch}; register decoding and the fetch of argument
     structures from guest memory are not modelled.
 
-    A top-level call is also a recorded input. Its encoding
-    ({!encode_call}, {!decode_call}) uses {!Trace}'s wire codec, the
-    same writer and cursor as the trace ring's own records. *)
+    A top-level call is also a recorded input. Its payload
+    ({!encode_call}, {!decode_call}) is written in {!Trace.Wire}, the
+    codec of the trace ring's own records: [call], [grant_op] and
+    [evtchn_op] are each a tagged variant there, and each constructor
+    is one case that declares its [u8] tag, its fields and its
+    constructor once, so the encoder and the decoder come from the same
+    declaration. *)
 
 type grant_op =
   | Gnttab_setup_table of { nr_frames : int }
@@ -45,18 +49,17 @@ val number_of_call : call -> int
 
 val encode_call : call -> string
 (** The binary serialization recorded as a traced hypercall's payload
-    ({!Trace.event.Hypercall}), written with {!Trace}'s wire codec
-    (a u8 tag per constructor, then its fields); [decode_call]
-    inverts it, which is what lets a replay driver re-issue a
-    recorded call. *)
+    ({!Trace.event.Hypercall}): a u8 tag per constructor, then its
+    fields. [decode_call] inverts it, which is what lets a replay
+    driver re-issue a recorded call. *)
 
 val decode_call : string -> call option
 (** [None] on input that is truncated, carries a negative count or an
-    unknown tag; never raises. *)
+    unknown tag or grant-table version; never raises. *)
 
 val grant_op_index : grant_op -> int
 val evtchn_op_index : evtchn_op -> int
-(** Constructor indices, as recorded in trace [Grant_op]/[Evtchn_op]
+(** The op's wire tag, as recorded in trace [Grant_op]/[Evtchn_op]
     events. *)
 
 val dispatch : Hv.t -> Domain.t -> call -> (int64, Errno.t) result

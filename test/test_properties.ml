@@ -247,30 +247,73 @@ let prop_call_total =
       ignore (Hypercall.decode_call (String.make 1 (Char.chr tag) ^ rest));
       true)
 
+(* every record kind and every [mem_op] flavour, so the prefix property
+   below reaches every decoder; u8 fields stay in 0..255 *)
 let gen_event =
   let open QCheck.Gen in
   let module T = Ii_trace.Trace in
+  let u8 = int_bound 255 and str = string_size (0 -- 16) in
+  let mem_op =
+    oneofl
+      [
+        T.Op_read_u64;
+        T.Op_write_u64;
+        T.Op_read_bytes;
+        T.Op_write_bytes;
+        T.Op_user_read_u64;
+        T.Op_user_write_u64;
+        T.Op_probe_u64;
+      ]
+  in
   oneof
     [
-      map2
-        (fun domid c ->
-          let payload = Hypercall.encode_call c in
-          T.Hypercall
-            { domid; number = Hypercall.number_of_call c; digest = Ii_trace.Fnv.string payload; payload })
-        (int_bound 7) gen_call;
-      map3
-        (fun domid va data ->
-          T.Guest_mem { domid; op = T.Op_write_bytes; va; len = String.length data; data })
-        (int_bound 7) int64 (string_size (0 -- 16));
-      map (fun domid -> T.Kernel_tick { domid }) (int_bound 7);
+      (let+ domid = gen_u32 and+ c = gen_call and+ nested = bool in
+       let payload = if nested then "" else Hypercall.encode_call c in
+       T.Hypercall
+         { domid; number = Hypercall.number_of_call c; digest = Ii_trace.Fnv.string payload; payload });
+      (let+ domid = gen_u32 and+ op = mem_op and+ va = int64 and+ len = gen_u32 and+ data = str in
+       T.Guest_mem { domid; op; va; len; data });
+      (let+ domid = gen_u32 and+ va = int64 in
+       T.Guest_invlpg { domid; va });
+      map (fun domid -> T.Kernel_tick { domid }) gen_u32;
       return T.Sched_round;
-      map3
-        (fun number rc failed -> T.Hypercall_ret { domid = 1; number; rc; failed })
-        (int_bound 64) int64 bool;
-      map (fun reason -> T.Panic { reason }) (string_size (0 -- 16));
-      map
-        (fun labels -> T.Provenance_edge { consumer = 1; mfn = 9; off = 8; len = 8; labels })
-        (gen_short_list (int_bound 255));
+      (let+ host = str and+ port = gen_u32 in
+       T.Net_listen { host; port });
+      (let+ to_host = str and+ port = gen_u32 and+ conn_id = gen_u32 and+ cmd = str in
+       T.Net_cmd { to_host; port; conn_id; cmd });
+      (let+ caller = gen_u32 and+ injected = bool and+ path = str and+ value = str in
+       T.Xenstore_write { caller; injected; path; value });
+      (let+ domid = gen_u32 and+ number = gen_u32 and+ rc = int64 and+ failed = bool in
+       T.Hypercall_ret { domid; number; rc; failed });
+      (let+ vector = gen_u32 and+ escalation = u8 in
+       T.Fault { vector; escalation });
+      return T.Tlb_flush_all;
+      map (fun va -> T.Tlb_invlpg { va }) int64;
+      (let+ mfn = gen_u32 and+ from_type = u8 and+ to_type = u8 in
+       T.Page_type { mfn; from_type; to_type });
+      (let+ domid = gen_u32 and+ op = u8 in
+       T.Grant_op { domid; op });
+      (let+ domid = gen_u32 and+ op = u8 in
+       T.Evtchn_op { domid; op });
+      (let+ action = u8 and+ addr = int64 and+ len = gen_u32 in
+       T.Injector_access { action; addr; len });
+      (let+ len = gen_u32 and+ digest = int64 in
+       T.Console { len; digest });
+      (let+ violations = gen_u32 and+ classes = gen_u32 in
+       T.Monitor_verdict { violations; classes });
+      map (fun reason -> T.Panic { reason }) str;
+      (let+ detector = str and+ findings = gen_u32 and+ frames = gen_u32 in
+       T.Vmi_scan { detector; findings; frames });
+      (let+ op = gen_u32 and+ arg1 = int64 and+ arg2 = int64 and+ data = str in
+       T.Backend_op { op; arg1; arg2; data });
+      (let+ consumer = u8
+       and+ mfn = gen_u32
+       and+ off = gen_u32
+       and+ len = gen_u32
+       and+ labels = gen_short_list u8 in
+       T.Provenance_edge { consumer; mfn; off; len; labels });
+      (let+ section = u8 and+ prev = gen_u32 and+ pc = gen_u32 in
+       T.Scn_edge { section; prev; pc });
     ]
 
 let prop_trace_prefixes =
