@@ -198,7 +198,6 @@ let record_codes = Wire.variant "record code"
 let kind ?(boundary = false) ?(covered = true) code name fields make pp =
   { case = Wire.case record_codes code fields make; name; boundary; covered; pp }
 
-let bare = Wire.unit
 let nothing _ () = ()
 let pf = Format.fprintf
 
@@ -225,7 +224,7 @@ let kernel_tick =
     (fun domid -> Kernel_tick { domid })
     (fun ppf domid -> pf ppf " d%d" domid)
 
-let sched_round = kind 5 "sched_round" ~boundary:true bare (fun () -> Sched_round) nothing
+let sched_round = kind 5 "sched_round" ~boundary:true Wire.unit (fun () -> Sched_round) nothing
 
 let net_listen =
   kind 6 "net_listen" ~boundary:true Wire.(str & u32)
@@ -256,7 +255,7 @@ let fault =
       pf ppf " vector=%d %s" vector
         (match escalation with 0 -> "handled" | 1 -> "double_fault" | _ -> "triple_fault"))
 
-let tlb_flush_all = kind 18 "tlb_flush_all" bare (fun () -> Tlb_flush_all) nothing
+let tlb_flush_all = kind 18 "tlb_flush_all" Wire.unit (fun () -> Tlb_flush_all) nothing
 
 let tlb_invlpg =
   kind 19 "tlb_invlpg" Wire.i64 (fun va -> Tlb_invlpg { va }) (fun ppf va -> pf ppf " va=%016Lx" va)

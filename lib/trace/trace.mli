@@ -253,9 +253,6 @@ module Wire : sig
   val flag : bool t
   (** A [u8]: written 1 or 0, read true only for 1. *)
 
-  val unit : unit t
-  (** No bytes. *)
-
   val ( & ) : 'a t -> 'b t -> ('a * 'b) t
   (** The first, then the second; right-associative. *)
 
