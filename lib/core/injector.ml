@@ -54,13 +54,20 @@ let handler hv dom (args : int64 array) =
 
 let installed hv = Hv.lookup_hypercall hv hypercall_number <> None
 
+(* The line [install] logs, formatted once per version: a campaign
+   installs the injector again after every trial's reset. *)
+let install_line =
+  let line v =
+    Printf.sprintf "intrusion-injector: hypercall %d (%s) added to the %s call table"
+      hypercall_number hypercall_name (Version.to_string v)
+  in
+  let v46 = line Version.V4_6 and v48 = line Version.V4_8 and v413 = line Version.V4_13 in
+  function Version.V4_6 -> v46 | V4_8 -> v48 | V4_13 -> v413
+
 let install hv =
   if not (installed hv) then begin
     Hv.register_hypercall hv ~number:hypercall_number ~name:hypercall_name handler;
-    Hv.log hv
-      (Printf.sprintf "intrusion-injector: hypercall %d (%s) added to the %s call table"
-         hypercall_number hypercall_name
-         (Version.to_string hv.Hv.version))
+    Hv.log hv (install_line hv.Hv.version)
   end
 
 (* --- guest-side wrappers ---------------------------------------------- *)

@@ -185,19 +185,6 @@ let writable_pt_exposure hv dom =
     { hv; mem = hv.Hv.mem; hardened = Hv.hardened hv; memo = None; touched = None }
     dom
 
-(* The non-empty root-owned files, by path: one pass over the
-   filesystem, and only those few sorted ([List.sort] builds its
-   closures even for a list it returns as is). *)
-let root_secrets kernel =
-  match
-    Fs.fold
-      (fun path { Fs.uid; content; _ } acc ->
-        if uid = 0 && content <> "" then (path, content) :: acc else acc)
-      (Kernel.fs kernel) []
-  with
-  | ([] | [ _ ]) as few -> few
-  | many -> List.sort (fun (a, _) (b, _) -> String.compare a b) many
-
 (* Whether [s] (non-empty) occurs in [t], without allocating. *)
 let contains t s =
   let n = String.length s and m = String.length t in
@@ -208,7 +195,7 @@ let contains t s =
 let snapshot ?cache (tb : Testbed.t) =
   let hv = tb.Testbed.hv in
   let kernels = Testbed.kernels tb in
-  let secrets = List.map (fun k -> (Kernel.hostname k, root_secrets k)) kernels in
+  let secrets = List.map (fun k -> (Kernel.hostname k, Fs.root_files (Kernel.fs k))) kernels in
   let root_artifacts =
     List.concat_map (fun (host, s) -> List.map (fun (path, _) -> (host, path)) s) secrets
   in

@@ -12,6 +12,7 @@ type t = {
   domain : Domain.t;
   target_path : string;  (* the balloon's xenstore key, read every tick *)
   guest_fs : Fs.t;
+  mutable fs_boot : int;  (* the filesystem's generation after boot *)
   net : Netsim.t;
   mutable klog_rev : line list;
   mutable jiffies : int;
@@ -22,7 +23,8 @@ type t = {
 
 let boot_fs t =
   if t.domain.Domain.privileged then
-    Fs.write t.guest_fs ~path:"/root/root_msg" ~uid:0 "Confidential content in root folder!"
+    Fs.write t.guest_fs ~path:"/root/root_msg" ~uid:0 "Confidential content in root folder!";
+  t.fs_boot <- Fs.generation t.guest_fs
 
 let create hv domain net =
   let t =
@@ -31,6 +33,7 @@ let create hv domain net =
       domain;
       target_path = Xenstore.domain_path domain.Domain.id "memory/target";
       guest_fs = Fs.create ();
+      fs_boot = 0;
       net;
       klog_rev = [];
       jiffies = 0;
@@ -43,10 +46,13 @@ let create hv domain net =
   t
 
 (* Back to the state [create] leaves, in the same objects. The caller
-   restores the domain record and the network. *)
+   restores the domain record and the network. A filesystem nothing
+   wrote since boot is kept as it is. *)
 let reset t =
-  Fs.reset t.guest_fs;
-  boot_fs t;
+  if Fs.generation t.guest_fs <> t.fs_boot then begin
+    Fs.reset t.guest_fs;
+    boot_fs t
+  end;
   t.klog_rev <- [];
   t.jiffies <- 0;
   Hashtbl.reset t.irq_handlers;

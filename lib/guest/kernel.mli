@@ -13,8 +13,9 @@ val create : Hv.t -> Domain.t -> Netsim.t -> t
 
 val reset : t -> unit
 (** Return [t] to the state {!create} left it in, in place: empty log
-    and jiffies, boot filesystem, boot process table, no irq handlers,
-    no events handled. The domain record and the network are the
+    and jiffies, boot filesystem (kept as it is when nothing wrote it
+    since boot: see {!Fs.generation}), boot process table, no irq
+    handlers, no events handled. The domain record and the network are the
     caller's to restore ({!Testbed.reset} does both). *)
 
 val hv : t -> Hv.t

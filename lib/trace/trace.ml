@@ -120,7 +120,12 @@ module Wire = struct
     f.put b x;
     Buffer.contents b
 
-  let decode f src = try Some (f.get { src; pos = 0 }) with Truncated | Malformed _ -> None
+  let decode f src =
+    let r = { src; pos = 0 } in
+    match f.get r with
+    | v when r.pos = String.length src -> Some v
+    | _ -> None
+    | exception (Truncated | Malformed _) -> None
 end
 
 (* --- events ----------------------------------------------------------- *)
@@ -456,9 +461,9 @@ let enable ?(capacity_bytes = default_capacity) t =
 let disable t = t.enabled <- false
 let leave t = if t.depth > 0 then t.depth <- t.depth - 1
 
-let within t f x =
+let within3 t f a b c =
   t.depth <- t.depth + 1;
-  match f x with
+  match f a b c with
   | r ->
       leave t;
       r
@@ -466,6 +471,9 @@ let within t f x =
       let bt = Printexc.get_raw_backtrace () in
       leave t;
       Printexc.raise_with_backtrace e bt
+
+let apply f x () = f x
+let within t f x = within3 t apply f x ()
 
 let top_level t = t.depth = 0
 

@@ -168,6 +168,10 @@ val within : t -> ('a -> 'b) -> 'a -> 'b
     bracket closes when [f] returns and when it raises (the exception
     is re-raised with its backtrace). *)
 
+val within3 : t -> ('a -> 'b -> 'c -> 'd) -> 'a -> 'b -> 'c -> 'd
+(** [within3 t f a b c] is [within t] for a three-argument [f]: the
+    same bracket, with no tuple built to carry the arguments. *)
+
 val top_level : t -> bool
 (** No enclosing boundary event is executing. *)
 
@@ -297,8 +301,8 @@ module Wire : sig
   val encode : 'a t -> 'a -> string
 
   val decode : 'a t -> string -> 'a option
-  (** [None] when the input is truncated or malformed; bytes past the
-      value are ignored. Never raises. *)
+  (** [None] when the input is truncated or malformed, or holds bytes
+      past the value. Never raises. *)
 end
 
 (** {1 Counters} *)

@@ -1,5 +1,6 @@
-(* The slots, and the pfns [set_p2m] changed since the checkpoint. *)
-type p2m = { slots : Addr.mfn option array; touched : Touched.t }
+(* The slots, the pfns [set_p2m] changed since the checkpoint, and how
+   many slots hold a page: [set_p2m], the one writer, keeps the count. *)
+type p2m = { slots : Addr.mfn option array; touched : Touched.t; mutable populated : int }
 
 type t = {
   id : int;
@@ -22,7 +23,7 @@ let make ~id ~name ~privileged ~max_pfn ~start_info_pfn ~vdso_pfn =
     name;
     privileged;
     owner = Phys_mem.Dom id;
-    p2m = { slots = Array.make max_pfn None; touched = Touched.create max_pfn };
+    p2m = { slots = Array.make max_pfn None; touched = Touched.create max_pfn; populated = 0 };
     l4_mfn = -1;
     pt_pages = [];
     start_info_pfn;
@@ -35,7 +36,12 @@ let make ~id ~name ~privileged ~max_pfn ~start_info_pfn ~vdso_pfn =
 (* A structural copy with the given tables, nothing touched in it. *)
 let copy_with t ~grant ~events =
   let slots = Array.copy t.p2m.slots in
-  { t with p2m = { slots; touched = Touched.create (Array.length slots) }; grant; events }
+  {
+    t with
+    p2m = { slots; touched = Touched.create (Array.length slots); populated = t.p2m.populated };
+    grant;
+    events;
+  }
 
 let deep_copy t =
   copy_with t ~grant:(Grant_table.deep_copy t.grant) ~events:(Event_channel.deep_copy t.events)
@@ -60,6 +66,7 @@ let restore_into t ~from =
     t.p2m.slots.(i) <- from.p2m.slots.(i)
   done;
   Touched.clear touched;
+  t.p2m.populated <- from.p2m.populated;
   t.l4_mfn <- from.l4_mfn;
   if t.pt_pages != from.pt_pages then t.pt_pages <- from.pt_pages;
   Grant_table.restore_into t.grant ~from:from.grant;
@@ -76,10 +83,14 @@ let pfn_of_mfn t mfn =
   in
   go 0
 
+let filled = function Some _ -> 1 | None -> 0
+
 let set_p2m t pfn mfn =
   if pfn < 0 || pfn >= max_pfn t then invalid_arg "Domain.set_p2m: pfn out of range";
   Touched.add t.p2m.touched pfn;
-  t.p2m.slots.(pfn) <- mfn
+  let slots = t.p2m.slots in
+  t.p2m.populated <- t.p2m.populated + filled mfn - filled slots.(pfn);
+  slots.(pfn) <- mfn
 
 let populated_pfns t =
   let acc = ref [] in
@@ -88,12 +99,7 @@ let populated_pfns t =
   done;
   !acc
 
-let populated_count t =
-  let n = ref 0 in
-  for i = 0 to max_pfn t - 1 do
-    match t.p2m.slots.(i) with Some _ -> incr n | None -> ()
-  done;
-  !n
+let populated_count t = t.p2m.populated
 
 let owned t = t.owner
 

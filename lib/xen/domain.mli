@@ -7,8 +7,10 @@
 
 type p2m
 (** The pfn -> mfn map. Abstract, so every write goes through
-    {!set_p2m}, which marks the slot for {!restore_into}: a write that
-    skipped the mark would outlive the next restore. Read it with
+    {!set_p2m}, which marks the slot for {!restore_into} (a write that
+    skipped the mark would outlive the next restore) and keeps the
+    count {!populated_count} reads: the number of slots holding a page.
+    Copies and restores carry the count with the slots. Read it with
     {!mfn_of_pfn}. *)
 
 type t = {
@@ -63,7 +65,8 @@ val set_p2m : t -> Addr.pfn -> Addr.mfn option -> unit
 val populated_pfns : t -> Addr.pfn list
 
 val populated_count : t -> int
-(** [List.length (populated_pfns t)], without building the list. *)
+(** [List.length (populated_pfns t)] in O(1): the count {!set_p2m}
+    keeps. *)
 
 val owned : t -> Phys_mem.owner
 (** [Phys_mem.Dom id], the same value every call: allocates nothing. *)

@@ -11,14 +11,16 @@ type port = {
 
 (* [touched] holds the ports written since the checkpoint: every
    mutator below marks its port first, through [set_binding] or
-   [set_pending]. *)
-type t = { ports : port array; touched : Touched.t }
+   [set_pending]. [pending] counts the pending ports: [set_pending], the
+   one writer of a pending bit, keeps it. *)
+type t = { ports : port array; touched : Touched.t; mutable pending : int }
 
 let create ~max_ports =
   if max_ports <= 0 then invalid_arg "Event_channel.create";
   {
     ports = Array.init max_ports (fun _ -> { binding = None; pending = false; masked = false });
     touched = Touched.create max_ports;
+    pending = 0;
   }
 
 let max_ports t = Array.length t.ports
@@ -32,7 +34,8 @@ let set_pending t i v =
   let p = t.ports.(i) in
   if p.pending <> v then begin
     Touched.add t.touched i;
-    p.pending <- v
+    p.pending <- v;
+    t.pending <- (if v then t.pending + 1 else t.pending - 1)
   end
 
 let find_free t =
@@ -99,7 +102,7 @@ let close t i =
       | None -> Error Errno.ENOENT
       | Some _ ->
           set_binding t i None;
-          p.pending <- false;
+          set_pending t i false;
           p.masked <- false;
           Ok ())
 
@@ -110,17 +113,8 @@ let collect t f =
 
 let pending_ports t = collect t (fun p -> p.pending)
 
-let pending_count t =
-  let n = ref 0 in
-  for i = 0 to Array.length t.ports - 1 do
-    if t.ports.(i).pending then incr n
-  done;
-  !n
-
-let rec pending_from ports i =
-  i < Array.length ports && (ports.(i).pending || pending_from ports (i + 1))
-
-let any_pending t = pending_from t.ports 0
+let pending_count t = t.pending
+let any_pending t = t.pending > 0
 
 let rec collect_pending t ~limit i acc =
   if limit = 0 || i >= Array.length t.ports then List.rev acc
@@ -143,7 +137,11 @@ let force_pending_all t =
 
 let deep_copy t =
   let copy p = { binding = p.binding; pending = p.pending; masked = p.masked } in
-  { ports = Array.map copy t.ports; touched = Touched.create (Array.length t.ports) }
+  {
+    ports = Array.map copy t.ports;
+    touched = Touched.create (Array.length t.ports);
+    pending = t.pending;
+  }
 
 let checkpoint t =
   Touched.clear t.touched;
@@ -161,4 +159,5 @@ let restore_into t ~from =
     p.pending <- s.pending;
     p.masked <- s.masked
   done;
-  Touched.clear touched
+  Touched.clear touched;
+  t.pending <- from.pending

@@ -18,6 +18,11 @@ type port = private {
 }
 
 type t
+(** The ports, the ports changed since the latest {!checkpoint}, and the
+    number of pending ports. Every pending bit is written through one
+    function, which keeps that number, so {!pending_count} and
+    {!any_pending} read it in O(1); copies and restores carry it with
+    the ports. *)
 
 val create : max_ports:int -> t
 val max_ports : t -> int
@@ -46,9 +51,10 @@ val close : t -> int -> (unit, Errno.t) result
 val pending_ports : t -> int list
 
 val pending_count : t -> int
-(** [List.length (pending_ports t)], without building the list. *)
+(** [List.length (pending_ports t)] in O(1). *)
 
 val any_pending : t -> bool
+(** [pending_count t > 0]: what every kernel tick asks first. *)
 
 val first_pending : t -> limit:int -> int list
 (** The lowest [limit] pending ports, ascending: the first [limit]

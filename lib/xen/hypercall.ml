@@ -255,7 +255,7 @@ let dispatch_uncounted hv dom call =
    specific origins (the injector port) nest inside and win. Without
    provenance attached there is no origin to carry, so no origin or
    closure is built. *)
-let dispatch_in (hv, dom, call) =
+let dispatch_in hv dom call =
   match Phys_mem.provenance hv.Hv.mem with
   | None -> dispatch_uncounted hv dom call
   | Some _ ->
@@ -277,7 +277,7 @@ let dispatch hv dom call =
   (* the dispatch itself (entry, demux, exit) costs a fixed slice of
      virtual time; the work the call performs accrues inside *)
   Trace.charge tr Vclock.Hypercall_dispatch;
-  let result = Trace.within tr dispatch_in (hv, dom, call) in
+  let result = Trace.within3 tr dispatch_in hv dom call in
   Trace.note_hypercall tr ~number ~failed:(Result.is_error result);
   (match Trace.coverage tr with
   | Some cov ->

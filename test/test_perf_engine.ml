@@ -1494,6 +1494,133 @@ let prop_domain_restore_any_checkpoint =
       Hv.restore hv ck;
       once && view () = at_checkpoint)
 
+(* --- Maintained counters -----------------------------------------------------
+
+   A domain's populated P2M slots, an event-channel table's pending ports
+   and a filesystem's root files are kept by their one writer, so the
+   monitor and the kernel tick read them in O(1). Each must equal the
+   rescan it replaced after any mix of writes, and in every copy and
+   restore. *)
+let slot_count d =
+  let n = ref 0 in
+  for pfn = 0 to Domain.max_pfn d - 1 do
+    if Option.is_some (Domain.mfn_of_pfn d pfn) then incr n
+  done;
+  !n
+
+let port_scan ev =
+  let n = ref 0 in
+  for i = 0 to Event_channel.max_ports ev - 1 do
+    match Event_channel.port ev i with
+    | Some p when p.Event_channel.pending -> incr n
+    | Some _ | None -> ()
+  done;
+  !n
+
+let root_fold fs =
+  List.sort compare
+    (Fs.fold
+       (fun path f acc -> if f.Fs.uid = 0 && f.Fs.content <> "" then (path, f.Fs.content) :: acc else acc)
+       fs [])
+
+let domain_counters_hold d =
+  let ev = d.Domain.events in
+  Domain.populated_count d = slot_count d
+  && Event_channel.pending_count ev = port_scan ev
+  && Event_channel.any_pending ev = (port_scan ev > 0)
+
+let counters_hold (tb : Testbed.t) =
+  List.for_all domain_counters_hold tb.Testbed.hv.Hv.domains
+  && List.for_all (fun k -> Fs.root_files (Kernel.fs k) = root_fold (Kernel.fs k)) (Testbed.kernels tb)
+
+(* One write to a pair of standalone domains: [n]'s parity picks the
+   domain written, the other is the peer of an interdomain bind. *)
+let counter_op (a, b) (op, (i, n)) =
+  let d, peer = if n land 1 = 0 then (a, b) else (b, a) in
+  let ev = d.Domain.events and port = i mod 8 in
+  match op with
+  | 0 -> Domain.set_p2m d (i mod Domain.max_pfn d) None
+  | 1 -> Domain.set_p2m d (i mod Domain.max_pfn d) (Some n)
+  | 2 -> ignore (Event_channel.alloc_unbound ev ~allowed_remote:peer.Domain.id)
+  | 3 -> ignore (Event_channel.bind_virq ev ~virq:n)
+  | 4 ->
+      ignore
+        (Event_channel.bind_interdomain ~local:peer.Domain.events ~local_dom:peer.Domain.id
+           ~remote:ev ~remote_dom:d.Domain.id ~remote_port:port)
+  | 5 -> ignore (Event_channel.send ev port)
+  | 6 -> ignore (Event_channel.consume ev port)
+  | 7 -> ignore (Event_channel.close ev port)
+  | _ -> ignore (Event_channel.force_pending_all ev)
+
+let counter_ops =
+  QCheck.(list_of_size (Gen.int_range 0 24) (pair (int_bound 8) (pair small_nat small_nat)))
+
+let prop_domain_counters =
+  QCheck.Test.make ~name:"populated and pending counts = rescans" ~count:200
+    (QCheck.pair counter_ops counter_ops) (fun (pre, post) ->
+      let make id =
+        Domain.make ~id ~name:"d" ~privileged:false ~max_pfn:16 ~start_info_pfn:0 ~vdso_pfn:1
+      in
+      let a = make 1 and b = make 2 in
+      let both () = domain_counters_hold a && domain_counters_hold b in
+      let run = List.for_all (fun op -> counter_op (a, b) op; both ()) in
+      let ran_pre = run pre in
+      let ck_a = Domain.checkpoint a and ck_b = Domain.checkpoint b in
+      let ran_post = run post in
+      let copies = domain_counters_hold (Domain.deep_copy a) && domain_counters_hold ck_a in
+      Domain.restore_into a ~from:ck_a;
+      Domain.restore_into b ~from:ck_b;
+      ran_pre && ran_post && copies && both ()
+      && Domain.populated_count a = Domain.populated_count ck_a
+      && Event_channel.pending_count a.Domain.events = Event_channel.pending_count ck_a.Domain.events)
+
+(* The hypervisor's own writers (hypercalls, storms, ballooning, domain
+   destruction) and the guests' file writes, through [apply_mix] and
+   three direct file ops; then a reset, and a pooled fork. *)
+let fs_op (tb : Testbed.t) (op, (pick, n)) =
+  let ks = Array.of_list (Testbed.kernels tb) in
+  let fs = Kernel.fs ks.(pick mod Array.length ks) in
+  let path = List.nth [ "/root/root_msg"; "/root/b"; "/tmp/c" ] (n mod 3) in
+  match op with
+  | 0 -> Fs.write fs ~path ~uid:0 (string_of_int n)
+  | 1 -> Fs.write fs ~path ~uid:(n mod 2 * 1000) ""
+  | _ -> Fs.remove fs path
+
+let prop_testbed_counters =
+  QCheck.Test.make ~name:"testbed counters = rescans: live, reset, pooled fork" ~count:40
+    QCheck.(list_of_size (Gen.int_range 1 12) (pair (int_bound 27) (pair small_nat small_nat)))
+    (fun mix ->
+      let make () = Testbed.create_pooled ~domains:3 Version.V4_8 in
+      let tb = make () in
+      let live =
+        List.for_all
+          (fun ((op, arg) as o) ->
+            if op < 25 then apply_mix tb o else fs_op tb (op - 25, arg);
+            counters_hold tb)
+          mix
+      in
+      Testbed.reset tb;
+      live && counters_hold tb && counters_hold (make ()))
+
+(* [Kernel.reset] keeps a filesystem nothing wrote since boot, memo
+   included, and rebuilds a written one to its boot files. *)
+let test_kernel_reset_fs () =
+  let tb = Testbed.create_pooled Version.V4_8 in
+  let fs = Kernel.fs tb.Testbed.dom0 in
+  let boot = fs_view fs and root = Fs.root_files fs and gen = Fs.generation fs in
+  Testbed.reset tb;
+  check_int "untouched: same generation" gen (Fs.generation fs);
+  check_bool "untouched: same root files" true (Fs.root_files fs == root);
+  Fs.write fs ~path:"/tmp/x" ~uid:0 "x";
+  Fs.remove fs "/root/root_msg";
+  check_bool "written: root files follow" true (Fs.root_files fs = [ ("/tmp/x", "x") ]);
+  Testbed.reset tb;
+  check_bool "written: boot files" true (fs_view fs = boot);
+  check_bool "written: boot root files" true (Fs.root_files fs = root);
+  let gen = Fs.generation fs in
+  Testbed.reset tb;
+  check_int "rebuilt, then untouched" gen (Fs.generation fs)
+
 (* Log lines keep their bytes now that they are formatted on read: the
    stamps, a tagged line, and the balloon driver's line (the fault line
    is pinned in test_guest "fault klog line"). *)
@@ -1648,11 +1775,11 @@ let test_reset_words () =
   arbitrary_physical_trial tb;
   let w0 = Gc.minor_words () in
   Testbed.reset tb;
-  (* measured 8: dom0's boot file *)
-  within_budget "Testbed.reset" 10. (Gc.minor_words () -. w0)
+  (* measured 0: no kernel rebuilds a filesystem the trial left alone *)
+  within_budget "Testbed.reset" 0. (Gc.minor_words () -. w0)
 
 (* The same budget on a forked and on a booted worker, which both reset
-   to a frozen template (measured 994 on each) *)
+   to a frozen template (measured 840 on each) *)
 let test_run_one_words pooled () =
   let w = Random_campaign.make_worker ~pooled Version.V4_8 in
   let trials = 600 in
@@ -1662,7 +1789,7 @@ let test_run_one_words pooled () =
   for i = 1 to trials do
     run i
   done;
-  within_budget "Random_campaign.run_one (words per trial)" 1150.
+  within_budget "Random_campaign.run_one (words per trial)" 965.
     ((Gc.minor_words () -. w0) /. float_of_int trials)
 
 (* A scheduler round in which nothing happens: every kernel drains no
@@ -1672,8 +1799,8 @@ let test_quiet_tick_all_words () =
   Testbed.tick_all tb;
   let w0 = Gc.minor_words () in
   Testbed.tick_all tb;
-  (* measured 0; the margin is one small block *)
-  within_budget "quiet Testbed.tick_all" 8. (Gc.minor_words () -. w0)
+  (* measured 0 *)
+  within_budget "quiet Testbed.tick_all" 0. (Gc.minor_words () -. w0)
 
 (* The two costliest randomized hooks as whole trials (reset, hook,
    activation, snapshots), after a warm-up trial: the balloon's 96
@@ -1754,8 +1881,8 @@ let test_loaded_reset_words () =
   Testbed.tick_all tb;
   let w0 = Gc.minor_words () in
   Testbed.reset tb;
-  (* measured 20: one boxed seed per stream, and dom0's boot file *)
-  within_budget "loaded Testbed.reset" 23. (Gc.minor_words () -. w0)
+  (* measured 12: one boxed seed per stream *)
+  within_budget "loaded Testbed.reset" 14. (Gc.minor_words () -. w0)
 
 let test_read_hit_words () =
   let k = (loaded_46 ()).Testbed.attacker in
@@ -1808,8 +1935,8 @@ let test_remap_words () =
 (* A trial that dirties one page table or one M2P frame snapshots
    within the clean snapshot's budget: the re-probe of the dirty table
    and the M2P recount allocate nothing. A clean snapshot of a default
-   4.8 testbed (dom0 and two guests) measured 190 words. *)
-let snapshot_budget = 220.
+   4.8 testbed (dom0 and two guests) measured 169 words. *)
+let snapshot_budget = 195.
 
 let test_snapshot_words () =
   let tb = Testbed.create_pooled Version.V4_8 in
@@ -2511,6 +2638,10 @@ let () =
         ]
         @ qsuite_seeded 23
             [ prop_reset_in_place; prop_phys_mem_recycles; prop_domain_restore_any_checkpoint ] );
+      ( "counters",
+        Alcotest.test_case "kernel reset keeps an unwritten filesystem" `Quick
+          test_kernel_reset_fs
+        :: qsuite_seeded 39 [ prop_domain_counters; prop_testbed_counters ] );
       ( "hooks",
         [
           Alcotest.test_case "balloon trial (pooled)" `Quick
@@ -2536,11 +2667,11 @@ let () =
           Alcotest.test_case "fast-forwarded frame words" `Quick test_remap_words;
           Alcotest.test_case "snapshot words" `Quick test_snapshot_words;
           Alcotest.test_case "exhaust_memory words" `Quick test_exhaust_memory_words;
-          (* measured 4,017 and 808 *)
+          (* measured 3,499 and 674 *)
           Alcotest.test_case "balloon trial words" `Quick
-            (test_hook_trial_words balloon_hook 4600.);
+            (test_hook_trial_words balloon_hook 4025.);
           Alcotest.test_case "exhaustion trial words" `Quick
-            (test_hook_trial_words exhaust_hook 930.);
+            (test_hook_trial_words exhaust_hook 775.);
           Alcotest.test_case "loaded reset words" `Quick test_loaded_reset_words;
           Alcotest.test_case "trial storage words" `Quick test_trial_storage_words;
           Alcotest.test_case "run_one words (booted worker)" `Quick (test_run_one_words false);

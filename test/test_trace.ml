@@ -352,6 +352,21 @@ let test_wire_calls () =
     "evtchn_op_index" [ 0; 1; 2; 3; 4 ]
     (ops (function Hypercall.Event_channel_op op -> Some (Hypercall.evtchn_op_index op) | _ -> None))
 
+(* A payload decodes only when it ends where the value does: one byte
+   more, or a tail of text, and it is no call. *)
+let test_wire_trailing_bytes () =
+  List.iter
+    (fun (c, want_hex) ->
+      let s = Hypercall.encode_call c in
+      List.iter
+        (fun tail ->
+          check_bool (want_hex ^ " + " ^ String.escaped tail) true
+            (Hypercall.decode_call (s ^ tail) = None))
+        [ "\000"; "junk" ])
+    call_samples;
+  check_bool "Console_io \"hi\" ^ \"junk\"" true
+    (Hypercall.decode_call (Hypercall.encode_call (Hypercall.Console_io "hi") ^ "junk") = None)
+
 (* --- determinism --------------------------------------------------------- *)
 
 let test_record_deterministic () =
@@ -607,6 +622,7 @@ let () =
           Alcotest.test_case "every record kind, byte for byte" `Quick test_wire_events;
           Alcotest.test_case "malformed images" `Quick test_wire_errors;
           Alcotest.test_case "every hypercall payload, byte for byte" `Quick test_wire_calls;
+          Alcotest.test_case "bytes past a payload" `Quick test_wire_trailing_bytes;
         ] );
       ( "determinism",
         [ Alcotest.test_case "same trial, same bytes" `Quick test_record_deterministic ] );

@@ -18,7 +18,10 @@
 # flagged WORSE when CHANGE's median is worse than BASE's by more than
 # the bound, as a fraction of BASE's median, and SPREAD when, on either
 # side, its interquartile range exceeds the bound as a fraction of its
-# median: its runs spread too widely to tell a change by. Needs jq.
+# median: its runs spread too widely to tell a change by. The row
+# "attempted" is each run's length in trials or cells, so that a metric
+# that grows with the work a run does (peak_heap_mb) is read against it.
+# Needs jq.
 set -euo pipefail
 
 pairs=2 workload=corpus seconds=45 seed=1 trace=0
@@ -42,15 +45,16 @@ bench=$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json
 samples=$(mktemp)
 trap 'rm -f "$samples"' EXIT
 
-# run SIDE DIR SEED PAIR: one perfbench run, its metrics appended to
-# $samples as "SIDE METRIC VALUE PAIR"
+# run SIDE DIR SEED PAIR: one perfbench run, its length and metrics
+# appended to $samples as "SIDE METRIC VALUE PAIR"
 run() {
   local line
   line=$(bash "$2/perfbench/run.sh" --workload "$workload" --seed "$3" \
     --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1)
   echo "$1 seed $3: $line" >&2
   echo "$line" | jq -r --arg side "$1" --arg pair "$4" \
-    '.metrics | to_entries[] | "\($side) \(.key) \(.value.value) \($pair)"' >>"$samples"
+    '"\($side) attempted \(.attempted) \($pair)",
+     (.metrics | to_entries[] | "\($side) \(.key) \(.value.value) \($pair)")' >>"$samples"
 }
 
 for i in $(seq 1 "$pairs"); do
