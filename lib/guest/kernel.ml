@@ -10,7 +10,9 @@ type line =
 type t = {
   hv : Hv.t;
   domain : Domain.t;
-  target_path : string;  (* the balloon's xenstore key, read every tick *)
+  target_path : string;  (* the balloon's xenstore key *)
+  mutable target_gen : int;  (* the store's generation [target] was read at *)
+  mutable target : int option;  (* the parsed key; [None] when unreadable *)
   guest_fs : Fs.t;
   mutable fs_boot : int;  (* the filesystem's generation after boot *)
   net : Netsim.t;
@@ -32,6 +34,8 @@ let create hv domain net =
       hv;
       domain;
       target_path = Xenstore.domain_path domain.Domain.id "memory/target";
+      target_gen = -1;
+      target = None;
       guest_fs = Fs.create ();
       fs_boot = 0;
       net;
@@ -302,6 +306,18 @@ let balloon_out t pfn ~target =
   | Ok _ -> log t (Balloon_release (stamp t, pfn, target))
   | Error _ -> ()
 
+(* The balloon's memory/target, parsed; read again only when the store
+   changed since the last read *)
+let balloon_target t =
+  let store = t.hv.Hv.xenstore in
+  if Xenstore.generation store <> t.target_gen then begin
+    t.target <-
+      int_of_string_opt
+        (String.trim (Xenstore.read_or store ~caller:(domid t) t.target_path ~default:""));
+    t.target_gen <- Xenstore.generation store
+  end;
+  t.target
+
 (* The balloon driver: honour the toolstack's memory/target by
    releasing the highest releasable data pages — populated, above pfn
    2 and not a page-table page — [populated - target] of them, highest
@@ -310,15 +326,12 @@ let balloon_out t pfn ~target =
    it. An unreadable or unparsable target releases nothing. *)
 let balloon t =
   let dom = t.domain in
-  let target_str =
-    Xenstore.read_or t.hv.Hv.xenstore ~caller:dom.Domain.id t.target_path ~default:""
-  in
-  match int_of_string (String.trim target_str) with
-  | exception Failure _ -> ()
+  match balloon_target t with
+  | None -> ()
   (* populated <= max_pfn, so a target at or above max_pfn (the boot
      target) releases nothing: skip counting *)
-  | target when target >= Domain.max_pfn dom -> ()
-  | target ->
+  | Some target when target >= Domain.max_pfn dom -> ()
+  | Some target ->
       let populated = Domain.populated_count dom in
       let left = ref (populated - target) and pfn = ref (Domain.max_pfn dom - 1) in
       while !left > 0 && !pfn > 2 do

@@ -1,12 +1,20 @@
 type t = {
   tbl : (string, string) Hashtbl.t;
+  mutable generation : int;  (* moves on every change to [tbl] *)
   mutable tracer : Trace.t option;
   mutable synced : (string * string) list option;
       (* the dump last restored, while no mutation followed: compared
          by physical identity, so it names the checkpoint it came from *)
 }
 
-let create () = { tbl = Hashtbl.create 31; tracer = None; synced = None }
+let create () = { tbl = Hashtbl.create 31; generation = 0; tracer = None; synced = None }
+let generation t = t.generation
+
+(* Every change to the table goes through here *)
+let changed t =
+  t.synced <- None;
+  t.generation <- t.generation + 1
+
 let set_tracer t tr = t.tracer <- Some tr
 let domain_path id key = Printf.sprintf "/local/domain/%d/%s" id key
 
@@ -56,7 +64,7 @@ let write t ~caller path value =
   if may_access ~caller path then begin
     trace_write t ~caller ~injected:false path value;
     charge t;
-    t.synced <- None;
+    changed t;
     Hashtbl.replace t.tbl path value;
     Ok ()
   end
@@ -73,7 +81,7 @@ let read_or t ~caller path ~default =
 let rm t ~caller path =
   if not (may_access ~caller path) then Error Errno.EACCES
   else if Hashtbl.mem t.tbl path then begin
-    t.synced <- None;
+    changed t;
     Hashtbl.remove t.tbl path;
     Ok ()
   end
@@ -96,7 +104,7 @@ let list_prefix t ~caller prefix =
 let inject_write t path value =
   trace_write t ~caller:(-1) ~injected:true path value;
   charge t;
-  t.synced <- None;
+  changed t;
   Hashtbl.replace t.tbl path value
 
 let dump t = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
@@ -105,6 +113,7 @@ let restore_dump t entries =
   match t.synced with
   | Some d when d == entries -> ()
   | Some _ | None ->
+      changed t;
       Hashtbl.reset t.tbl;
       List.iter (fun (k, v) -> Hashtbl.replace t.tbl k v) entries;
       t.synced <- Some entries

@@ -41,6 +41,12 @@ val read_or : t -> caller:int -> string -> default:string -> string
 (** {!read} without the result box: the value, or [default] where {!read}
     fails. Allocates nothing — the read a guest makes every tick. *)
 
+val generation : t -> int
+(** Moves on every change to the store ({!write}, {!rm},
+    {!inject_write}, a {!restore_dump} that rewrites it); equal
+    generations of one store mean every read between them saw the same
+    nodes. *)
+
 val rm : t -> caller:int -> string -> (unit, Errno.t) result
 val list_prefix : t -> caller:int -> string -> (string list, Errno.t) result
 (** Paths under a prefix the caller may read, sorted. *)
